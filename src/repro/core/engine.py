@@ -223,7 +223,7 @@ class _StorageFilter(Filter):
 
     #: read_any timeout while recovery work (delayed sends, unanswered
     #: fetches/lookups) is pending; the read blocks indefinitely otherwise
-    RETRY_TICK_S = 0.05
+    RETRY_POLL_S = 0.05
     #: seconds before an unanswered fetch or lookup is retransmitted
     RETRANSMIT_S = 0.25
 
@@ -266,6 +266,8 @@ class _StorageFilter(Filter):
         # (op, array, block) -> tracer start time of the in-flight transfer
         self._io_started: dict[tuple[str, str, int], float] = {}
         self._last_queue_depth = 0
+        # arrays with a prefetch declined since the last map reply
+        self._declined: set[str] = set()
         # injected-delay holding pen: (due monotonic time, peer, payload)
         self._delayed: list[tuple[float, int, dict]] = []
         # (array, block) -> (retransmit deadline, owner) of in-flight fetches
@@ -349,9 +351,8 @@ class _StorageFilter(Filter):
                      "data": e.data}))
             elif e.kind == "drop":
                 # Memory already reclaimed by the store; tell the local
-                # scheduler so it can re-arm the array's prefetch (an
-                # evicted-after-prefetch block otherwise sat invisible in
-                # its `_prefetched` set until the stall recovery kicked in).
+                # scheduler, which may be blocked waiting for headroom or
+                # counting on this block being resident.
                 self.tracer.instant(self.node, "storage", "storage", "drop",
                                     array=e.array, block=e.block)
                 if not self._draining:
@@ -446,14 +447,11 @@ class _StorageFilter(Filter):
         for key, (deadline, owner) in list(self._fetch_pending.items()):
             if deadline <= now:
                 array, block = key
-                self._fetch_pending[key] = (now + self.RETRANSMIT_S, owner)
                 self.store.metrics.inc("fetch_retransmits")
                 self.tracer.instant(self.node, "storage", "storage",
                                     "fetch_retry", array=array, block=block,
                                     owner=owner)
-                self._peer_write(ctx, owner, {
-                    "op": "fetch", "array": array, "block": block,
-                    "from": self.node})
+                self._send_fetch(ctx, owner, array, block)
         for array, (deadline, peer) in list(self._lookup_pending.items()):
             if deadline <= now:
                 self._lookup_pending[array] = (now + self.RETRANSMIT_S, peer)
@@ -558,22 +556,6 @@ class _StorageFilter(Filter):
                                 recover=msg.get("recover", False))
         elif op == "evict":
             self._handle_evict(ctx, msg["node"])
-        elif op == "die":
-            # Injected permanent node loss.  From here the filter is a
-            # corpse: it stops all protocol work and initiates nothing, but
-            # keeps consuming its streams to end-of-stream so survivors'
-            # writes never wedge and the runtime winds down cleanly.
-            self._dead = True
-            self._draining = True
-            self._awaiting_owner.clear()
-            self._delayed.clear()
-            self._fetch_pending.clear()
-            self._lookup_pending.clear()
-            self._recover_pending.clear()
-            self.store.abandon_pending_allocs()
-            for j in range(self.n_nodes):
-                if j != self.node:
-                    ctx.close(f"peer_out_{j}")
         elif op == "ensure":
             # Reroute prep: the new execution node needs a remote handle
             # for each input array it has never seen.
@@ -586,19 +568,29 @@ class _StorageFilter(Filter):
                 self._execute(ctx, self.store.prefetch(iv))
             dropped = self.store.metrics.get("prefetch_dropped") - dropped_before
             if dropped:
+                self._declined.add(msg["array"])
                 self.tracer.instant(self.node, "storage", "sched",
                                     "prefetch_dropped",
                                     array=msg["array"], blocks=dropped)
         elif op == "map":
+            # Served in order: the reply covers the prefetches sent before.
             ctx.write("rep_lsched", DataBuffer(
-                {"op": "map", "resident": self.store.resident_arrays()}))
+                {"op": "map", "resident": self.store.resident_arrays(),
+                 "loading": self.store.loading_arrays(),
+                 "declined": self._declined}))
+            self._declined = set()
         elif op == "delete":
             self.directory.invalidate(msg["array"])
             self._try_delete(ctx, msg["array"])
-        elif op == "shutdown":
+        elif op in ("shutdown", "die"):
             # Stop initiating work; processing continues until every inbound
             # stream reaches end-of-stream so that late releases still seal
-            # their blocks.
+            # their blocks.  "die" (injected permanent node loss) also stops
+            # all protocol work: a corpse only consumes its streams, so
+            # survivors' writes never wedge and the runtime winds down.
+            if op == "die":
+                self._dead = True
+                self._recover_pending.clear()
             self._draining = True
             self._awaiting_owner.clear()
             self._delayed.clear()
@@ -707,7 +699,7 @@ class _StorageFilter(Filter):
                             or self._lookup_pending)
             try:
                 port, buf = ctx.read_any(
-                    ports, timeout=self.RETRY_TICK_S if recovery else None)
+                    ports, timeout=self.RETRY_POLL_S if recovery else None)
             except TimeoutError:
                 self._tick(ctx)
                 continue
@@ -1085,19 +1077,18 @@ class _LocalSchedulerFilter(Filter):
     Faithful to Section III-C: "When a computing filter is free, a task
     which is ready and whose data input are available in memory is sent to
     the computing filter", with prefetch requests keeping a window of
-    ready tasks memory-resident.  Liveness is guaranteed by a stall
-    counter: when a node has been idle for a few ticks with no prefetch
-    landing (the storage may drop prefetches under memory pressure), the
-    top-ranked task is dispatched anyway and its demand reads do the I/O.
+    ready tasks memory-resident.  Liveness rests on events, not on the
+    clock (DESIGN.md, section 6).  Prefetches only fill free memory, so out
+    of core the store declines them.  When no ready task is fully resident,
+    the top-ranked one is dispatched at once (its demand reads load, and
+    may evict) iff nothing is in flight: no task running here, no input of
+    a ready task loading, no task made ready by this node's completions
+    still on its way.  Otherwise the filter blocks: each of those ends in
+    a message (``done``/``failed``, ``wake``/``dropped``, ``synced``).
     """
 
     inputs = ("in", "from_workers", "from_storage")
     outputs = ("to_gsched", "to_workers", "to_storage")
-
-    #: seconds between liveness ticks while idle work exists
-    TICK_S = 0.02
-    #: idle ticks before dispatching a task whose inputs are not resident
-    STALL_TICKS = 3
 
     def __init__(self, node: int, workers: int,
                  nbytes: dict[str, int], *, prefetch_depth: int = 2,
@@ -1128,51 +1119,71 @@ class _LocalSchedulerFilter(Filter):
         self._attempts: dict[str, int] = {}  # task -> attempts dispatched here
         self._inflight = 0
         self._completions = 0
-        self._stall = 0
+        #: completions were reported since the last sync with the global
+        #: scheduler / a sync request is unanswered
+        self._unsynced = self._syncing = False
+        self._loading: set[str] = set()  # as of the last map reply
         #: a cancel drain is underway: no dispatch, no retries, no
         #: escalation — only in-flight work finishes
         self._cancelling = False
         self._drain_acked = False
 
     def _on_storage_note(self, msg: dict) -> None:
-        """A push notification from storage (not a map reply)."""
+        """A push note from storage: ``wake`` (residency changed; the
+        caller re-dispatches anyway) or ``dropped`` (evicted: re-arm)."""
         if msg["op"] == "dropped":
-            # The block was evicted: re-arm its prefetch instead of waiting
-            # for the stall-recovery reset to notice.
             self.core.forget_prefetch(msg["array"])
-        # "wake": residency changed; the caller re-runs dispatch anyway.
 
-    def _query_map(self, ctx: FilterContext) -> set[str]:
+    def _query_map(self, ctx: FilterContext) -> tuple[set[str], set[str]]:
+        """Ask storage what is resident; returns ``(resident, declined)``.
+        Declined prefetches are re-armed (memory may be free by the next
+        event); one whose load *failed* is not: the task's demand read,
+        dispatched unwarmed, reports the error."""
         ctx.write("to_storage", DataBuffer({"op": "map"}))
         while True:
             buf = ctx.read("from_storage")
             if buf is END_OF_STREAM:
-                return set()
-            if buf.payload["op"] == "map":
-                return buf.payload["resident"]
-            # "wake"/"dropped" notifications racing the reply are absorbed
-            # here; the dispatch about to run uses the fresher map anyway.
-            self._on_storage_note(buf.payload)
+                return set(), set()
+            msg = buf.payload
+            if msg["op"] == "map":
+                self._loading = msg["loading"]
+                for array in msg["declined"]:
+                    self.core.forget_prefetch(array)
+                return msg["resident"], msg["declined"]
+            # "wake"/"dropped" notes racing the reply are absorbed here;
+            # the dispatch about to run uses the fresher map anyway.
+            self._on_storage_note(msg)
 
-    def _choose(self, resident: set[str]) -> TaskSpec | None:
+    def _choose(self, ctx: FilterContext, resident: set[str],
+                declined: set[str]) -> TaskSpec | None:
         ranked = self.core.rank(resident, self.nbytes)
         if not ranked:
             return None
         if not self.core.reorder:
             # Ablation: the naive plan runs strictly in readiness order,
             # paying demand loads as they come (Fig. 5a).
-            self._stall = 0
             return self.core.claim(ranked[0].name)
         for t in ranked:
             if all(a in resident for a in t.inputs):
-                self._stall = 0
                 return self.core.claim(t.name)
-        # Nothing memory-resident. Wait for prefetches unless the node has
-        # been starving: then force progress with the preferred task.
-        if self._inflight == 0 and self._stall >= self.STALL_TICKS:
-            self._stall = 0
-            return self.core.claim(ranked[0].name)
-        return None
+        # Nothing memory-resident.  What is in flight announces its own end:
+        # wait for that message.  Else none is coming: demand-load the best.
+        if self._inflight or self._syncing or any(
+                a in self._loading for t in ranked for a in t.inputs):
+            return None
+        if self._unsynced:
+            # Tasks our completions made ready (a resident one, perhaps) may
+            # be on their way; streams are FIFO, so this is answered after.
+            self._unsynced, self._syncing = False, True
+            ctx.write("to_gsched", DataBuffer({"op": "sync", "node": self.node}))
+            return None
+        task = ranked[0]
+        self._inc("forced_dispatches")
+        self.tracer.instant(
+            self.node, "sched", "sched", "forced_dispatch", task=task.name,
+            why=("declined" if declined.intersection(task.inputs)
+                 else "nothing_loading"))
+        return self.core.claim(task.name)
 
     @property
     def _dying(self) -> bool:
@@ -1224,14 +1235,18 @@ class _LocalSchedulerFilter(Filter):
         if self._dying or self._cancelling:
             return  # no new work on a node that is dying or draining
         while self._idle and self.core.ready_count:
-            resident = self._query_map(ctx)
+            resident, declined = self._query_map(ctx)
             # Keep upcoming tasks warm regardless of whether we dispatch.
-            for array in self.core.prefetch_plan(resident, self.nbytes):
+            plan = self.core.prefetch_plan(resident, self.nbytes)
+            for array in plan:
                 self.tracer.instant(self.node, "sched", "sched", "prefetch",
                                     array=array)
                 ctx.write("to_storage", DataBuffer(
                     {"op": "prefetch", "array": array}))
-            task = self._choose(resident)
+            if plan:
+                # Streams are FIFO: this reply tells accepted from declined.
+                resident, declined = self._query_map(ctx)
+            task = self._choose(ctx, resident, declined)
             if task is None:
                 break
             subtasks = [task]
@@ -1263,7 +1278,8 @@ class _LocalSchedulerFilter(Filter):
             "ready_tasks": sorted(t.name for t in self.core.pending_tasks()),
             "inflight": self._inflight,
             "idle_workers": len(self._idle),
-            "stall_ticks": self._stall,
+            "syncing": self._syncing,
+            "loading": sorted(self._loading),
         }
 
     def _inc(self, name: str) -> None:
@@ -1274,14 +1290,14 @@ class _LocalSchedulerFilter(Filter):
         self._inflight -= 1
         self._completions += 1
         self._attempts.pop(msg["task"], None)
-        parent = msg.get("parent")
-        if parent is not None:
-            self._parents[parent] -= 1
-            if self._parents[parent] == 0:
-                del self._parents[parent]
-                ctx.write("to_gsched", DataBuffer({"op": "done", "task": parent}))
-        else:
-            ctx.write("to_gsched", DataBuffer({"op": "done", "task": msg["task"]}))
+        task = msg.get("parent") or msg["task"]
+        if task in self._parents:
+            self._parents[task] -= 1
+            if self._parents[task]:
+                return  # sibling subtasks still running
+            del self._parents[task]
+        self._unsynced = True
+        ctx.write("to_gsched", DataBuffer({"op": "done", "task": task}))
 
     def _on_failed(self, ctx: FilterContext, msg: dict) -> None:
         """A worker reported a failed attempt: re-execute or escalate."""
@@ -1341,25 +1357,12 @@ class _LocalSchedulerFilter(Filter):
             if self._dying and self._inflight == 0:
                 self._die(ctx)
                 return
-            stall_wait = bool(self._idle and self.core.ready_count
-                              and not self._dying)
-            timeout = self.TICK_S if stall_wait else None
-            if self.heartbeat_s is not None and not self._dying:
-                timeout = (self.heartbeat_s if timeout is None
-                           else min(timeout, self.heartbeat_s))
             try:
                 port, buf = ctx.read_any(
-                    ["in", "from_workers", "from_storage"], timeout=timeout)
+                    ["in", "from_workers", "from_storage"],
+                    timeout=None if self._dying else self.heartbeat_s)
             except TimeoutError:
                 self._maybe_beat(ctx)
-                if stall_wait:
-                    # Idle tick: count starvation, re-arm dropped prefetches.
-                    self._stall += 1
-                    self.tracer.instant(self.node, "sched", "sched",
-                                        "stall_tick", ticks=self._stall)
-                    if self._stall >= self.STALL_TICKS:
-                        self.core.reset_prefetch()
-                    self._dispatch(ctx)
                 continue
             self._maybe_beat(ctx)
             if buf is END_OF_STREAM:
@@ -1381,9 +1384,11 @@ class _LocalSchedulerFilter(Filter):
                     # re-dispatched task.
                     ctx.write("to_storage", DataBuffer(msg))
                     continue
-                if self._cancelling:
-                    continue  # a task dispatched before the cancel crossed it
-                self.core.add_ready(msg["task"])
+                if msg["op"] == "synced":
+                    self._syncing = False
+                elif not self._cancelling:  # else: sent before the cancel
+                    for task in msg["tasks"]:
+                        self.core.add_ready(task)
             elif port == "from_storage":
                 self._on_storage_note(msg)  # wake/dropped; then re-dispatch
             else:
@@ -1498,10 +1503,17 @@ class _GlobalSchedulerFilter(Filter):
         for i in self._live_nodes():
             ctx.write(f"out_{i}", DataBuffer(dict(payload)))
 
-    def _send(self, ctx: FilterContext, task_name: str) -> None:
-        node = self.assignment[task_name]
-        ctx.write(f"out_{node}", DataBuffer(
-            {"op": "task", "task": self.dag.tasks[task_name]}))
+    def _send(self, ctx: FilterContext, names: list[str]) -> None:
+        """Deliver ready tasks, one message per node: a local scheduler
+        with nothing resident dispatches at once, and handed siblings one
+        by one it would force the first and evict the sub-matrix the next
+        reuses (Fig. 5b)."""
+        by_node: dict[int, list[TaskSpec]] = {}
+        for name in names:
+            by_node.setdefault(self.assignment[name], []).append(
+                self.dag.tasks[name])
+        for node, tasks in by_node.items():
+            ctx.write(f"out_{node}", DataBuffer({"op": "tasks", "tasks": tasks}))
 
     def _collect(self, ctx: FilterContext, completed: str) -> None:
         for array in self.dag.tasks[completed].inputs:
@@ -1529,26 +1541,27 @@ class _GlobalSchedulerFilter(Filter):
                 f"(last error: {msg['error']})")
         new_node = candidates[0]
         self._reroutes[name] = reroutes + 1
-        self.assignment[name] = new_node
         self.tracer.instant(new_node, "gsched", "task", "task_reroute",
                             task=name, from_node=failed_node,
                             error=msg["error"])
         self._move_task(ctx, name, new_node)
-        self._send(ctx, name)
+        self._send(ctx, [name])
 
-    def _move_task(self, ctx: FilterContext, name: str, new_node: int) -> None:
+    def _move_task(self, ctx: FilterContext, name: str, new_node: int,
+                   *, recover: bool = False) -> None:
         """Re-home a task's outputs to ``new_node`` and prep its inputs.
 
         Outputs follow the task: every live node updates its registration
         (local on the new home, remote handles elsewhere) and forgets
         cached owner entries and block state; inputs are at least remotely
-        registered on the new node.
+        registered on the new node.  ``recover``: the old home is dead.
         """
+        self.assignment[name] = new_node
         spec = self.dag.tasks[name]
         for array in spec.outputs:
             self.homes[array] = new_node
             self._broadcast(ctx, {"op": "rehome", "array": array,
-                                  "home": new_node})
+                                  "home": new_node, "recover": recover})
         for array in spec.inputs:
             ctx.write(f"out_{new_node}", DataBuffer(
                 {"op": "ensure", "array": array,
@@ -1646,35 +1659,19 @@ class _GlobalSchedulerFilter(Filter):
             spec = self.dag.tasks[name]
             new_node = failover_node(spec.inputs, self.homes, survivors,
                                      rc.nbytes)
-            self.assignment[name] = new_node
-            for array in spec.outputs:
-                self.homes[array] = new_node
-                self._broadcast(ctx, {"op": "rehome", "array": array,
-                                      "home": new_node, "recover": True})
-            for array in spec.inputs:
-                ctx.write(f"out_{new_node}", DataBuffer(
-                    {"op": "ensure", "array": array,
-                     "home": self.homes.get(array, -1)}))
+            self._move_task(ctx, name, new_node, recover=True)
             self._replaying.add(name)
             self.tracer.instant(new_node, "gsched", "recovery",
                                 "lineage_replay", task=name, from_node=dead)
             rc.metrics.inc("tasks_replayed")
             if rc.lineage is not None:
                 rc.lineage.record("replay", task=name, node=new_node)
-            self._send(ctx, name)
+            self._send(ctx, [name])
         for name in plan.reassign:
             spec = self.dag.tasks[name]
             new_node = failover_node(spec.inputs, self.homes, survivors,
                                      rc.nbytes)
-            self.assignment[name] = new_node
-            for array in spec.outputs:
-                self.homes[array] = new_node
-                self._broadcast(ctx, {"op": "rehome", "array": array,
-                                      "home": new_node, "recover": True})
-            for array in spec.inputs:
-                ctx.write(f"out_{new_node}", DataBuffer(
-                    {"op": "ensure", "array": array,
-                     "home": self.homes.get(array, -1)}))
+            self._move_task(ctx, name, new_node, recover=True)
             self.tracer.instant(new_node, "gsched", "recovery",
                                 "task_reassign", task=name, from_node=dead)
             rc.metrics.inc("tasks_reassigned")
@@ -1685,7 +1682,7 @@ class _GlobalSchedulerFilter(Filter):
                 # corpse may even have finished it with the report still in
                 # flight, so tolerate one duplicate completion.
                 self._dup_ok.add(name)
-                self._send(ctx, name)
+                self._send(ctx, [name])
         if rc.lineage is not None:
             rc.lineage.sync()
 
@@ -1730,8 +1727,7 @@ class _GlobalSchedulerFilter(Filter):
             # handshake still happens so the exit path is the same.
             self._begin_cancel(ctx)
         else:
-            for name in sorted(self.dag.ready_tasks()):
-                self._send(ctx, name)
+            self._send(ctx, sorted(self.dag.ready_tasks()))
         poll_s = (self.membership.config.poll_s
                   if self.membership is not None else None)
         wait_s = poll_s
@@ -1763,6 +1759,10 @@ class _GlobalSchedulerFilter(Filter):
             if msg["op"] == "heartbeat":
                 self._heartbeat(ctx, msg["node"])
                 continue
+            if msg["op"] == "sync":
+                # FIFO: what this node's completions made ready went first.
+                ctx.write(f"out_{msg['node']}", DataBuffer({"op": "synced"}))
+                continue
             if msg["op"] == "cancel_drained":
                 self._cancel_pending.discard(msg["node"])
                 continue
@@ -1785,9 +1785,9 @@ class _GlobalSchedulerFilter(Filter):
                 # re-execution already marked it complete (or vice versa).
                 self._dup_ok.discard(msg["task"])
                 continue
-            for newly in self.dag.mark_complete(msg["task"]):
-                if not self.cancelled:
-                    self._send(ctx, newly)
+            newly = self.dag.mark_complete(msg["task"])
+            if not self.cancelled:
+                self._send(ctx, newly)
             if (self.recovery is not None
                     and self.recovery.lineage is not None):
                 self.recovery.lineage.record(

@@ -34,6 +34,7 @@ tell a reconstructable miss from real corruption.
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import shutil
@@ -62,6 +63,10 @@ _CHUNK_SUFFIX = ".arrc"
 CHUNK_MAGIC = b"DOOCCHK1"
 _CHUNK_HEADER = struct.Struct("<8s16sQQI")
 CHUNK_HEADER_NBYTES = _CHUNK_HEADER.size
+
+#: smallest block that is loaded into a mapping of its own (glibc's own
+#: default mmap threshold); see ``_block_buffer``
+_MMAP_MIN_BYTES = 128 * 1024
 
 
 def escape_name(name: str) -> str:
@@ -212,30 +217,6 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
     _inc(metrics, "logical_bytes_written", len(raw))
 
 
-def _read_raw_block(path: Path, desc: ArrayDesc, block: int) -> bytes:
-    """The raw layout's byte read, distinguishing missing from torn."""
-    nbytes = desc.block_nbytes(block)
-    offset = block_offset(desc, block)
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if offset >= size:
-                raise BlockMissingError(
-                    f"block {block} of {desc.name!r} was never written: "
-                    f"offset {offset} past end of {path} ({size} bytes)")
-            fh.seek(offset)
-            raw = fh.read(nbytes)
-    except FileNotFoundError:
-        raise BlockMissingError(
-            f"block {block} of {desc.name!r} was never written: "
-            f"no backing file {path}") from None
-    if len(raw) != nbytes:
-        raise StorageError(
-            f"short read of block {block} of {desc.name!r} from {path}: "
-            f"got {len(raw)} of {nbytes} bytes (torn or truncated file)")
-    return raw
-
-
 def _read_chunk_blob(scratch: Path, desc: ArrayDesc, block: int) -> bytes:
     path = chunk_path(scratch, desc.name, block)
     try:
@@ -259,29 +240,37 @@ def _layout(scratch: Path, desc: ArrayDesc) -> str:
     return "raw"
 
 
+def _block_buffer(nbytes: int):
+    """Writable memory for one loaded block.
+
+    A large block gets an anonymous mapping of its own, which returns to
+    the operating system the moment the store drops the block.  From the
+    heap it would not: glibc raises its mmap threshold to the first large
+    block freed, serves the next ones from the allocating thread's arena,
+    and keeps up to twice that size of freed memory at the top of every
+    arena the threads of a run used — resident memory then follows the
+    number of runs a process has made, not the budget.
+    """
+    if nbytes < _MMAP_MIN_BYTES:
+        return bytearray(nbytes)
+    # Pre-faulting in one call is a third cheaper than 4 KiB at a time.
+    return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                     | getattr(mmap, "MAP_POPULATE", 0))
+
+
 def read_block(scratch: Path, desc: ArrayDesc, block: int,
                *, metrics: MetricsRegistry | None = None) -> np.ndarray:
-    """Load one block — zero-copy for raw, decode-once for compressed.
+    """Load one block into a buffer of its own; returns it frozen.
 
-    The returned array is a non-writable view over the read (or decoded)
-    buffer: no ``frombuffer(...).copy()`` round-trip.  Blocks entering
-    the store through this path are sealed under write-once, so a
-    read-only buffer is exactly the invariant the rest of the data plane
-    wants to hand out.
+    Blocks entering the store through this path are sealed under
+    write-once, so a read-only buffer is exactly the invariant the rest
+    of the data plane wants to hand out.
     """
-    if _layout(scratch, desc) == "chunk":
-        blob = _read_chunk_blob(scratch, desc, block)
-        raw = bytearray(desc.block_nbytes(block))
-        unpack_chunk_into(blob, memoryview(raw), desc.itemsize,
-                          f"block {block} of {desc.name!r}")
-        _inc(metrics, "disk_bytes_read", len(blob))
-    else:
-        raw = _read_raw_block(array_path(scratch, desc.name), desc, block)
-        _inc(metrics, "disk_bytes_read", len(raw))
-    _inc(metrics, "logical_bytes_read", desc.block_nbytes(block))
-    data = np.frombuffer(raw, dtype=desc.dtype)
-    data.flags.writeable = False  # already immutable; assert the invariant
-    return data
+    out = np.frombuffer(_block_buffer(desc.block_nbytes(block)),
+                        dtype=desc.dtype)
+    read_block_into(scratch, desc, block, out, metrics=metrics)
+    out.flags.writeable = False
+    return out
 
 
 def read_block_into(scratch: Path, desc: ArrayDesc, block: int,

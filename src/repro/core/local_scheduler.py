@@ -104,15 +104,6 @@ class LocalSchedulerCore:
         self._prefetched.difference_update(entry.task.inputs)
         return entry.task
 
-    def reset_prefetch(self) -> None:
-        """Forget all in-flight prefetch bookkeeping (stall recovery).
-
-        Re-prefetching a block that is resident or already loading is a
-        no-op in the storage layer, so this is always safe; it re-enables
-        requests for prefetches the storage dropped under memory pressure.
-        """
-        self._prefetched.clear()
-
     def prefetch_plan(self, resident: AbstractSet[str],
                       nbytes: Mapping[str, int]) -> list[str]:
         """Arrays to warm for the next ``prefetch_depth`` preferred tasks.
@@ -130,7 +121,8 @@ class LocalSchedulerCore:
         return plan
 
     def forget_prefetch(self, array: str) -> None:
-        """Allow an array to be prefetched again (it was evicted)."""
+        """Allow an array to be prefetched again: the storage declined the
+        request (no free headroom) or has evicted the block since."""
         self._prefetched.discard(array)
 
     # -- splitting ---------------------------------------------------------------

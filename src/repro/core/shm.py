@@ -94,14 +94,29 @@ class _Segment:
 
 
 class _PoolSharedMemory(shared_memory.SharedMemory):
-    """SharedMemory whose destructor tolerates still-exported views.
+    """SharedMemory that keeps no descriptor and whose destructor
+    tolerates still-exported views.
 
-    The stock ``__del__`` calls ``close()``, which raises ``BufferError``
-    while any NumPy view still exports the mapping's buffer — at
-    interpreter exit that prints "Exception ignored in __del__" for
-    every retired segment an engine's stores still reference.  The
-    mapping is about to die with the process anyway; swallow it.
+    The stock class holds the descriptor it mapped the segment from until
+    ``close()``, and ``close()`` raises ``BufferError`` before it gets
+    there while any NumPy view still exports the buffer.  A sealed block's
+    segment is always still exported when it is retired (the store's view
+    is what ``fetch()`` reads), so every segment of every run left one
+    descriptor open for the life of the process.  Nothing needs it once
+    the mapping exists: it is closed here, and all that remains is the
+    mapping, which dies with its last view.
+
+    ``__del__`` calls ``close()`` too — at interpreter exit that prints
+    "Exception ignored in __del__" for every retired segment an engine's
+    stores still reference.  The mapping is about to die with the process
+    anyway; swallow it.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if getattr(self, "_fd", -1) >= 0:  # POSIX only
+            os.close(self._fd)
+            self._fd = -1
 
     def __del__(self):  # pragma: no cover - interpreter-exit path
         try:

@@ -206,6 +206,8 @@ class LocalStore:
         self._clock = itertools.count(1)
         self._tids = itertools.count(1)
         self._write_tickets: dict[tuple[str, int], list[Ticket]] = {}
+        #: (array, block) of every load or remote fetch in flight
+        self._in_flight: set[tuple[str, int]] = set()
         # FIFO of (needed_bytes, thunk) waiting for memory; thunk returns effects.
         self._alloc_queue: deque[tuple[int, Any]] = deque()
         self.metrics = MetricsRegistry(node)
@@ -465,6 +467,7 @@ class LocalStore:
         st = self._state(array, block)
         if st.status != _LOADING:
             raise StorageError(f"unexpected load failure for {array}[{block}]")
+        self._in_flight.discard((array, block))
         self.in_use -= st.nbytes  # release the reservation made at _begin_load
         if st.segment is not None:
             # The destination segment pre-allocated at _begin_load holds
@@ -486,6 +489,7 @@ class LocalStore:
         st = self._state(array, block)
         if st.status != _FETCHING:
             return []
+        self._in_flight.discard((array, block))
         self.in_use -= st.nbytes
         st.status = _ABSENT
         self.metrics.inc("fetch_failures")
@@ -640,6 +644,17 @@ class LocalStore:
             ):
                 out.add(name)
         return out
+
+    def loading_arrays(self) -> set[str]:
+        """Arrays with a block load or remote fetch in flight.
+
+        Every one of those ends in ``on_loaded`` / ``on_remote_data`` or
+        their failure twins, so a driver that sees its array here may wait
+        for the completion event instead of a timer.  (Kept as a set of its
+        own: the scheduler asks before every dispatch, and a scan of the
+        block table costs as much as a small task.)
+        """
+        return {name for name, _block in self._in_flight}
 
     @property
     def headroom(self) -> int:
@@ -858,6 +873,7 @@ class LocalStore:
             # view handed out of it is provably immutable (no-op when the
             # driver delivered a zero-copy read-only view already).
             st.data.flags.writeable = False
+        self._in_flight.discard((st.desc.name, st.block))
         st.status = _RESIDENT
         st.sealed = True
         st.written = [st.desc.block_bounds(st.block)]
@@ -913,6 +929,7 @@ class LocalStore:
     def _begin_load(self, st: _BlockState) -> list[Effect]:
         self.in_use += st.nbytes  # reserve; the buffer arrives via on_loaded
         st.status = _LOADING
+        self._in_flight.add((st.desc.name, st.block))
         if self.segment_pool is not None and st.segment is None:
             # Pre-allocate the destination segment so the I/O filter can
             # read the file bytes straight into shared memory (no staging
@@ -924,6 +941,7 @@ class LocalStore:
     def _begin_fetch(self, st: _BlockState) -> list[Effect]:
         self.in_use += st.nbytes  # reserve
         st.status = _FETCHING
+        self._in_flight.add((st.desc.name, st.block))
         return [Effect("fetch_remote", st.desc.name, st.block)]
 
     def _reclaim(self, want_bytes: int) -> list[Effect]:

@@ -29,6 +29,13 @@ from repro.datacutter.layout import DistributionPolicy, Layout, StreamSpec
 _POLL_S = 0.05  # wait slice so blocked threads can observe runtime failure
 
 
+def _wait_slice(deadline: float | None) -> float:
+    """How long to wait on a condition: a poll slice, cut at ``deadline``."""
+    if deadline is None:
+        return _POLL_S
+    return min(_POLL_S, max(deadline - time.monotonic(), 0.0))
+
+
 class _Channel:
     """Bounded FIFO for one stream arriving at one consumer instance."""
 
@@ -154,7 +161,7 @@ class _InstanceRuntime:
                     raise StreamClosedError("runtime failed while reading")
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(f"read({port!r}) timed out")
-                self.cond.wait(_POLL_S)
+                self.cond.wait(_wait_slice(deadline))
 
     def read_any(self, ports: Sequence[str], timeout: float | None = None):
         for port in ports:
@@ -178,7 +185,7 @@ class _InstanceRuntime:
                     raise StreamClosedError("runtime failed while reading")
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(f"read_any({ports!r}) timed out")
-                self.cond.wait(_POLL_S)
+                self.cond.wait(_wait_slice(deadline))
 
     # -- writing ------------------------------------------------------------
 

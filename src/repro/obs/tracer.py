@@ -28,7 +28,7 @@ storage  fetch_remote remote block fetch round trip (span)
 storage  alloc_queue allocation queue depth (counter)
 sched    prefetch    prefetch request issued (instant)
 sched    prefetch_dropped storage dropped a prefetch (instant)
-sched    stall_tick  idle liveness tick on a node (instant)
+sched    forced_dispatch nothing resident or in flight: demand-load (instant)
 io       read/write  raw disk time inside an I/O filter (span)
 io       io_retry    I/O attempt failed; backing off to retry (instant)
 io       io_error    I/O retries exhausted; error reply sent (instant)

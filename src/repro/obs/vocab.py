@@ -49,7 +49,8 @@ EVENTS: dict[str, tuple[str, str, str]] = {
     # -- local scheduler ----------------------------------------------------
     "prefetch": ("sched", "i", "prefetch request issued"),
     "prefetch_dropped": ("sched", "i", "storage dropped a prefetch"),
-    "stall_tick": ("sched", "i", "idle liveness tick on a node"),
+    "forced_dispatch": ("sched", "i", "nothing resident and nothing in "
+                                      "flight: task sent to demand-load"),
     # -- I/O filters --------------------------------------------------------
     "read": ("io", "X", "raw disk read inside an I/O filter"),
     "write": ("io", "X", "raw disk write inside an I/O filter"),

@@ -108,6 +108,12 @@ class Diagnosis:
                     f"    tasks in flight: {node['inflight']}, "
                     f"idle workers: {node.get('idle_workers', '?')}"
                 )
+            if node.get("loading"):
+                lines.append("    scheduler waits for loads of: "
+                             + ", ".join(node["loading"][:8]))
+            if node.get("syncing"):
+                lines.append("    scheduler waits for the global scheduler's "
+                             "sync reply")
             recovery = node.get("recovery")
             if recovery:
                 lines.append(

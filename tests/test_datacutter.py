@@ -370,3 +370,41 @@ class TestReadAny:
         layout.add_filter("f", Empty)
         ThreadedRuntime(layout).run(timeout=10)
         assert result == [(None, END_OF_STREAM)]
+
+    @pytest.mark.parametrize("call", ["read", "read_any"])
+    def test_timed_wait_honours_its_deadline(self, call):
+        """A timeout shorter than the runtime's poll slice used to be
+        rounded up to the slice (10 ms became 50 ms), and with it every
+        heartbeat, cancel-poll and retry period the engine passes down."""
+        import time
+
+        waited = []
+        release = threading.Event()
+
+        class Quiet(Filter):
+            outputs = ("out",)
+
+            def process(self, ctx):
+                release.wait(10)  # keeps the stream open, sends nothing
+
+        class Reader(Filter):
+            inputs = ("in",)
+
+            def process(self, ctx):
+                start = time.monotonic()
+                try:
+                    with pytest.raises(TimeoutError):
+                        if call == "read":
+                            ctx.read("in", timeout=0.01)
+                        else:
+                            ctx.read_any(["in"], timeout=0.01)
+                    waited.append(time.monotonic() - start)
+                finally:
+                    release.set()
+
+        layout = Layout("deadline")
+        layout.add_filter("quiet", Quiet)
+        layout.add_filter("reader", Reader)
+        layout.connect("quiet", "out", "reader", "in")
+        ThreadedRuntime(layout).run(timeout=10)
+        assert len(waited) == 1 and 0.01 <= waited[0] < 0.03

@@ -228,6 +228,43 @@ class TestProcessPlaneEndToEnd:
         assert dev_shm_segments() == []
 
 
+    def test_runs_leave_no_descriptors_open(self, tmp_path):
+        """Every segment used to leave one descriptor open for the life of
+        the process (two until the next collection), in the engine's
+        process and in each worker: a 960-task run could not finish under
+        the usual limit of 1024.  Under a limit of 256, 151 segments a run
+        did not fit once; now any number of runs do."""
+        import gc
+        import resource
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def one_run(scratch):
+            prog, want = _chain_program(links=150)
+            eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+                             scratch_dir=scratch, worker_plane="process")
+            try:
+                eng.run(prog, timeout=120)
+                np.testing.assert_array_equal(eng.fetch("a150"), want)
+            finally:
+                eng.cleanup()
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+        try:
+            one_run(tmp_path / "warm")  # starts the resource tracker
+            gc.collect()
+            before = open_fds()
+            for i in range(2):
+                one_run(tmp_path / f"run{i}")
+                gc.collect()
+                assert open_fds() == before
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert dev_shm_segments() == []
+
+
 class TestFrozenAcrossProcesses:
     def test_child_writing_an_input_fails_the_task(self, tmp_path):
         prog = Program("frozen", default_block_elems=64)

@@ -205,6 +205,14 @@ class StorageMachine(RuleBasedStateMachine):
                 data = self.store.peek_block(name, block)
                 assert data is not None
 
+    @invariant()
+    def loading_arrays_matches_the_block_table(self):
+        """The in-flight set the scheduler waits on is kept incrementally;
+        it must say what a scan of the block states would."""
+        scanned = {name for (name, _b), st in self.store._blocks.items()
+                   if st.status in ("loading", "fetching")}
+        assert self.store.loading_arrays() == scanned
+
 
 TestStorageStateMachine = StorageMachine.TestCase
 TestStorageStateMachine.settings = settings(

@@ -135,8 +135,67 @@ class TestFig5LoadCounts:
         )
         naive = 3 * loads_regular_plan(k, iterations)            # 27
         back_and_forth = 3 * loads_back_and_forth_plan(k, iterations)  # 21
-        # Scheduling races can cost an occasional extra load, but the
-        # reordering must beat the naive plan and track the Fig. 5b count.
+        # Tolerance -3/+0 (it was +-3 while a stall timer decided when a
+        # non-resident task was forced).  Now the choice is made on
+        # events, over the whole set of tasks one completion made ready,
+        # so it never does worse than Fig. 5b's plan: 70 runs, half of
+        # them beside a CPU hog, gave 18 (35x), 19 (32x) and 20 (3x).  It
+        # does better by up to one load per node when the order in which
+        # the reduced vectors arrive lets two iterations share a
+        # sub-matrix while it is resident.
         assert matrix_loads < naive
-        assert matrix_loads >= back_and_forth - 3
-        assert matrix_loads <= back_and_forth + 3
+        assert back_and_forth - 3 <= matrix_loads <= back_and_forth
+
+
+class TestLoadOrderIsNotAFunctionOfSpeed:
+    """Out of core the local scheduler decides on events (a completion, a
+    declined prefetch, an eviction), never on elapsed time, so the same
+    program loads the same sub-matrices in the same order on a slow disk."""
+
+    def run_traced(self, scratch):
+        # A 2 x 2 grid on one node with one worker and room for 4/3 of a
+        # sub-matrix: A = 3x budget, so every sub-matrix prefetch beyond
+        # the resident one is declined and every load is a forced choice.
+        # (With room for two, the first two prefetches go into free memory
+        # and whichever lands first runs first -- that overlap of I/O and
+        # compute is wanted, and is one place where speed still shows.)
+        global_m, p, blocks, x0 = make_problem(n=100, k=2, seed=3,
+                                               density_per_row=20.0)
+        result = build_iterated_spmv(
+            blocks, p.split_vector(x0), iterations=3, n_nodes=1,
+            policy="simple")
+        from repro.spmv.csrfile import serialize_csr
+        a_bytes = sum(len(serialize_csr(b)) for b in blocks.values())
+        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+                         memory_budget_per_node=a_bytes // 3,
+                         scratch_dir=scratch, trace=True)
+        report = eng.run(result.program, timeout=120)
+        # Sub-matrices only.  The 400-byte vectors are reloaded too, and
+        # those loads still follow the disk: dirty partial products are
+        # spilled asynchronously, and whether a vector prefetch finds free
+        # memory depends on whether such a spill has completed (5 of 30
+        # runs differed in a vector load; none in a sub-matrix load).
+        loads = [e.args["array"]
+                 for e in sorted(report.trace_events, key=lambda e: e.ts)
+                 if (e.cat, e.name) == ("storage", "load")
+                 and e.args["array"].startswith("A_")]
+        return loads, result.fetch_final(eng)
+
+    def test_slowed_reads_leave_the_load_sequence_unchanged(
+            self, tmp_path, monkeypatch):
+        import time
+
+        from repro.core import iofilter
+
+        loads, got = self.run_traced(tmp_path / "fast")
+        read_block = iofilter.read_block
+
+        def slow_read_block(*args, **kwargs):
+            time.sleep(0.03)
+            return read_block(*args, **kwargs)
+
+        monkeypatch.setattr(iofilter, "read_block", slow_read_block)
+        slow_loads, slow_got = self.run_traced(tmp_path / "slow")
+        assert 4 < len(loads) < 12  # reloads happen, and reuse too
+        assert slow_loads == loads
+        np.testing.assert_array_equal(slow_got, got)

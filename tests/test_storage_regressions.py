@@ -196,6 +196,42 @@ class TestForgetPrefetchWiring:
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
 
 
+    def test_map_reply_names_loading_and_declined_once(self):
+        """The scheduler's event-driven wait-or-force rule reads both off
+        the reply that follows its prefetches: what it may wait for, and
+        what the store refused (to be asked for again)."""
+        d_fit, d_big = desc("fit", 8, 8), desc("big", 64, 64)
+        store = LocalStore(0, memory_budget=128)
+        store.register_on_disk(d_fit)
+        store.register_on_disk(d_big)
+        filt = _StorageFilter(0, 1, store, directory=None,
+                              descs={"fit": d_fit, "big": d_big})
+        ctx = _RecordingCtx()
+        for array in ("fit", "big"):  # 64 B load reserved, then 512 B asked
+            filt._handle_request(ctx, {"op": "prefetch", "array": array})
+        filt._handle_request(ctx, {"op": "map"})
+        assert ctx.writes[-1] == ("rep_lsched", {
+            "op": "map", "resident": set(), "loading": {"fit"},
+            "declined": {"big"}})
+        filt._handle_request(ctx, {"op": "map"})
+        assert ctx.writes[-1][1]["declined"] == set()  # reported once
+
+    def test_lsched_filter_rearms_declined_from_map_reply(self):
+        from repro.core.task import TaskSpec
+        from repro.datacutter.buffers import DataBuffer
+
+        class Ctx(_RecordingCtx):
+            def read(self, port):
+                return DataBuffer({"op": "map", "resident": set(),
+                                   "loading": set(), "declined": {"a"}})
+
+        filt = _LocalSchedulerFilter(0, workers=1, nbytes={"a": 8, "y": 8})
+        filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
+        assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
+        assert filt._query_map(Ctx()) == (set(), {"a"})
+        assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
+
+
 class TestPumpAllocsBehaviour:
     def _queue_writes(self, store, descs):
         tickets = {}

@@ -159,6 +159,46 @@ class TestEngineStall:
         assert "stall watchdog" in text
         assert "y[0]" in text and "awaiting grant" in text
 
+    def test_hung_worker_beside_ready_work_is_diagnosed(self, tmp_path,
+                                                        capsys):
+        """One worker wedged inside a task body, the other idle, a second
+        task ready whose input is not resident (its prefetch is declined:
+        the hung task pins the memory).  The scheduler used to emit a
+        ``stall_tick`` every 50 ms in exactly this state, every tick reset
+        the watchdog's quiet clock, and the watchdog never spoke; now the
+        scheduler blocks on its streams and silence is silence."""
+        n = 4096  # 32 KiB inputs: the budget holds one beside the outputs
+        prog = Program("hung", default_block_elems=n)
+        release = threading.Event()
+
+        def wedge(ins, outs, meta):
+            release.wait(30)
+            outs[meta["y"]][:] = 1.0
+
+        for name in ("a", "b"):
+            prog.initial_array(f"x{name}", np.arange(n, dtype=float))
+            prog.array(f"y{name}", 8, block_elems=8)
+            prog.add_task(name, wedge, [f"x{name}"], [f"y{name}"],
+                          y=f"y{name}")
+        eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+                         memory_budget_per_node=40_000,
+                         scratch_dir=tmp_path, watchdog_quiet_s=0.3)
+        try:
+            with pytest.raises(StallError) as err:
+                eng.run(prog, timeout=1.5)
+        finally:
+            release.set()
+        # The watchdog itself reported, while the run was still wedged
+        # (the error text below is raised, not printed).
+        assert "stall watchdog: no runtime event for 0.30s" in \
+            capsys.readouterr().err
+        (node0,) = err.value.diagnosis.nodes
+        assert node0["inflight"] == 1 and node0["idle_workers"] == 1
+        assert len(node0["ready_tasks"]) == 1
+        assert node0["loading"] == [] and node0["syncing"] is False
+        assert "stall_ticks" not in node0
+        assert "tasks in flight: 1, idle workers: 1" in str(err.value)
+
     def test_watchdog_can_be_disabled(self, tmp_path):
         prog = Program("ok", default_block_elems=64)
         prog.initial_array("x", np.ones(64))
