@@ -65,7 +65,7 @@ RELEASE_FUNCS = frozenset({
 
 #: LocalStore methods returning ``list[Effect]`` the caller must execute
 EFFECT_FUNCS = frozenset({
-    "release", "prefetch", "delete_array",
+    "release", "prefetch", "delete_array", "retain",
     "on_loaded", "on_spilled", "on_remote_data",
     "on_load_failed", "on_fetch_failed", "on_spill_failed",
     "abandon_write", "rehome_local", "rehome_remote",

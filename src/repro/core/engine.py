@@ -59,7 +59,12 @@ from repro.core.interval import (
     whole_array,
 )
 from repro.core.codecs import resolve_codec
-from repro.core.iofilter import IOFilter, read_block, write_array
+from repro.core.iofilter import (
+    IOFilter,
+    backing_identity,
+    read_block,
+    write_array,
+)
 from repro.core.local_scheduler import LocalSchedulerCore
 from repro.core.opcache import (
     OPERAND_CONTEXT_KEY,
@@ -68,12 +73,14 @@ from repro.core.opcache import (
     legacy_copy_plane,
     resolve_data_plane,
 )
+from repro.core.program import Program
 from repro.core.procplane import (
     EnvelopeUnpicklable,
     ProcessWorkerPool,
     WorkerProcessCrash,
     build_envelope,
 )
+from repro.core.session import EngineSession, FileBacking
 from repro.core.shm import SegmentLeakError, SegmentPool
 from repro.core.storage import Effect, LocalStore, StoreStats, Ticket
 from repro.core.task import TaskSpec
@@ -102,104 +109,6 @@ from repro.recovery.membership import (
 from repro.util.rng import RngTree
 
 __all__ = ["Program", "DOoCEngine", "RunReport"]
-
-
-# ---------------------------------------------------------------------------
-# Program description
-# ---------------------------------------------------------------------------
-
-
-class Program:
-    """A DOoC application: global arrays + tasks.
-
-    Initial arrays carry data (seeded to a node's scratch directory before
-    the run); derived arrays are produced by exactly one task each.
-    """
-
-    def __init__(self, name: str = "program", *, default_block_elems: int = 2**16):
-        self.name = name
-        self.default_block_elems = default_block_elems
-        self.arrays: dict[str, ArrayDesc] = {}
-        self.initial_data: dict[str, np.ndarray] = {}
-        self.initial_home: dict[str, int] = {}
-        self.tasks: list[TaskSpec] = []
-
-    def array(
-        self,
-        name: str,
-        length: int,
-        *,
-        dtype: str = "float64",
-        block_elems: int | None = None,
-    ) -> ArrayDesc:
-        """Declare a derived array (to be produced by a task)."""
-        if name in self.arrays:
-            raise DoocError(f"array {name!r} declared twice")
-        desc = ArrayDesc(name, length=length, dtype=dtype,
-                         block_elems=block_elems or self.default_block_elems)
-        self.arrays[name] = desc
-        return desc
-
-    def initial_array(
-        self,
-        name: str,
-        data: np.ndarray,
-        *,
-        home: int = 0,
-        block_elems: int | None = None,
-    ) -> ArrayDesc:
-        """Declare an input array with seed data, homed on ``home``."""
-        data = np.asarray(data)
-        if data.ndim != 1:
-            raise DoocError(f"initial array {name!r} must be 1-D")
-        desc = self.array(name, len(data), dtype=str(data.dtype),
-                          block_elems=block_elems)
-        self.initial_data[name] = data
-        self.initial_home[name] = home
-        return desc
-
-    def initial_from_scratch(
-        self,
-        name: str,
-        length: int,
-        *,
-        home: int = 0,
-        dtype: str = "float64",
-        block_elems: int | None = None,
-    ) -> ArrayDesc:
-        """Declare an input array whose backing file already exists in the
-        home node's scratch directory (seeded by a previous run or by
-        :func:`repro.core.iofilter.write_array`) — the paper's startup
-        scan: "the storage looks for files in that directory"."""
-        desc = self.array(name, length, dtype=dtype, block_elems=block_elems)
-        self.initial_data[name] = None  # type: ignore[assignment]
-        self.initial_home[name] = home
-        return desc
-
-    def add_task(
-        self,
-        name: str,
-        fn,
-        inputs: list[str] | tuple[str, ...],
-        outputs: list[str] | tuple[str, ...],
-        *,
-        flops: float = 0.0,
-        splittable: bool = False,
-        **meta: Any,
-    ) -> TaskSpec:
-        for array in list(inputs) + list(outputs):
-            if array not in self.arrays:
-                raise DoocError(
-                    f"task {name!r} references undeclared array {array!r}"
-                )
-        spec = TaskSpec(name=name, fn=fn, inputs=tuple(inputs),
-                        outputs=tuple(outputs), flops=flops,
-                        splittable=splittable, meta=dict(meta))
-        self.tasks.append(spec)
-        return spec
-
-    def build_dag(self) -> TaskDAG:
-        return TaskDAG(self.tasks, initial_arrays=set(self.initial_data))
 
 
 # ---------------------------------------------------------------------------
@@ -1996,6 +1905,8 @@ class DOoCEngine:
             self._scratch_finalizer = weakref.finalize(
                 self, shutil.rmtree, scratch_dir, True)
         self.scratch_root = Path(scratch_dir)
+        #: what run N+1 may reuse of run N (see repro.core.session)
+        self._session = EngineSession()
         self.stores: dict[int, LocalStore] = {}
         self._descs: dict[str, ArrayDesc] = {}
         self._homes: dict[str, int] = {}
@@ -2011,7 +1922,9 @@ class DOoCEngine:
         self._run_seq = 0  # disambiguates segment names across runs
 
     def cleanup(self) -> None:
-        """Delete an engine-owned scratch directory now (no-op otherwise)."""
+        """End the session and delete an engine-owned scratch directory
+        now; the engine stays usable, its next run starting cold."""
+        self._session.close()
         if self._proc_pool is not None:
             self._proc_pool.shutdown()
             self._proc_pool = None
@@ -2054,16 +1967,89 @@ class DOoCEngine:
 
     def run(self, program: Program, *, timeout: float = 300.0,
             cancel: CancelToken | None = None) -> RunReport:
-        auditor = None
-        if self.protocol_checkers:
-            from repro.analysis.dagcheck import validate_tasks
-            from repro.analysis.tickets import TicketAuditor
-            # Fail with a named diagnosis before any thread starts; TaskDAG
-            # would reject the same programs, but mid-construction and with
-            # less precise messages (e.g. a cycle candidate set, not a path).
-            validate_tasks(program.tasks, set(program.initial_data))
-            auditor = TicketAuditor()
+        """Submit ``program`` to this engine's stores and run it.
+
+        The stores outlive the run (DESIGN.md, "Session lifetime"): the
+        next run finds the arrays it declares again from unchanged
+        scratch files still resident.  Leaving by any exception closes
+        the session, so the run after a failure starts cold.
+        """
+        carried = self._session.take()
+        auditor = self._validate(program)
         dag = program.build_dag()
+        assignment, nbytes = self._place(program, dag)
+        backing = self._seed(program)
+        old_pool = self._segment_pool
+        proc_pool = self._open_worker_plane()
+        directories, injectors = self._open_stores(
+            program, assignment, carried, backing, auditor)
+        if old_pool is not None:
+            # Run N-1's segments: already unlinked in that run's finally;
+            # re-close to sweep mappings whose views died with the old
+            # stores just replaced above.
+            old_pool.close()
+        membership_cfg, tracker, recovery = self._open_membership(
+            program, assignment, nbytes)
+        layout = self._build_layout(program, dag, assignment, directories,
+                                    nbytes, injectors,
+                                    membership_cfg=membership_cfg,
+                                    tracker=tracker, recovery=recovery,
+                                    cancel=cancel)
+        recorder = None
+        if self.protocol_checkers:
+            from repro.analysis.lockorder import LockOrderRecorder
+            recorder = LockOrderRecorder()
+        runtime = ThreadedRuntime(layout, lock_recorder=recorder)
+        watchdog = self._build_watchdog(runtime, tracker)
+        self.tracer.instant(-1, "engine", "run", "phase",
+                            phase="start", program=program.name)
+        started = time.monotonic()
+        leaked_leases = self._execute(runtime, watchdog, tracker, recovery,
+                                      proc_pool, timeout)
+        self.tracer.instant(-1, "engine", "run", "phase", phase="end")
+        if auditor is not None:
+            # Every grant on every node must have been unwound by a release
+            # or an abandonment; leaks are named ticket-by-ticket.
+            auditor.assert_clean()
+            if leaked_leases:
+                detail = ", ".join(
+                    f"{n} x{c}" for n, c in sorted(leaked_leases.items()))
+                raise SegmentLeakError(
+                    f"segment leases leaked past the run: {detail}")
+        gsched_filter = runtime.instances["gsched"][0].filter
+        if getattr(gsched_filter, "cancelled", False):
+            # The scheduler drained the run for the token (the flag, not
+            # the raw token, is authoritative: a token set after the DAG
+            # completed must not fail a finished run).  Raised after the
+            # audits above, so a cancelled run is certified exactly as
+            # clean as a completed one.
+            reason = cancel.reason if cancel is not None else "cancelled"
+            raise RunCancelled(f"run cancelled: {reason}", reason=reason)
+        report = self._report(time.monotonic() - started, assignment, runtime,
+                              recovery, watchdog)
+        if self.worker_plane == "thread" and not (
+                tracker is not None and tracker.dead_nodes()):
+            # Reusable as they stand.  Not on the process plane, whose
+            # blocks lived in the segments this run just unlinked; not
+            # after a death, which left a corpse's store and moved homes.
+            self._session.commit(backing)
+        return report
+
+    def _validate(self, program: Program):
+        """Under the protocol checkers, reject a malformed program by name
+        before any thread starts; returns the run's ticket auditor."""
+        if not self.protocol_checkers:
+            return None
+        from repro.analysis.dagcheck import validate_tasks
+        from repro.analysis.tickets import TicketAuditor
+        # TaskDAG would reject the same programs, but mid-construction and
+        # with less precise messages (e.g. a cycle candidate set, not a path).
+        validate_tasks(program.tasks, set(program.initial_data))
+        return TicketAuditor()
+
+    def _place(self, program: Program,
+               dag: TaskDAG) -> tuple[dict[str, int], dict[str, int]]:
+        """Fix the run's descriptors, array homes and task assignment."""
         # Stamp the engine's codec snapshot onto every descriptor that
         # doesn't pin one of its own: spills, loads, and checkpoints all
         # see the same codec for the whole run.  (Pre-seeded files keep
@@ -2073,40 +2059,44 @@ class DOoCEngine:
             for name, d in program.arrays.items()
         }
         nbytes = {name: d.nbytes for name, d in self._descs.items()}
-
         for name, home in program.initial_home.items():
             if not 0 <= home < self.n_nodes:
                 raise DoocError(
                     f"initial array {name!r} homed on node {home}, but the "
                     f"engine has {self.n_nodes} nodes"
                 )
-
         gsched = GlobalScheduler(dag, self.n_nodes,
                                  array_homes=program.initial_home,
                                  array_nbytes=nbytes)
         assignment = gsched.assign_all()
         self._homes = dict(gsched.array_homes)
+        return assignment, nbytes
 
-        # Seed initial data to scratch directories (None = file pre-exists).
+    def _seed(self, program: Program) -> dict[str, FileBacking]:
+        """Write the seeded initial arrays to their homes' scratch, and
+        identify the files behind the ones declared from scratch."""
+        backing: dict[str, FileBacking] = {}
         for name, data in program.initial_data.items():
-            scratch = self.node_scratch(program.initial_home[name])
-            if data is None:
-                from repro.core.iofilter import array_exists
-                if not array_exists(scratch, name):
-                    raise DoocError(
-                        f"initial array {name!r} declared from scratch but "
-                        f"no backing file exists on node "
-                        f"{program.initial_home[name]}"
-                    )
+            home = program.initial_home[name]
+            scratch = self.node_scratch(home)
+            if data is not None:
+                write_array(scratch, self._descs[name], data)
                 continue
-            write_array(scratch, self._descs[name], data)
+            identity = backing_identity(scratch, name)
+            if identity is None:
+                raise DoocError(
+                    f"initial array {name!r} declared from scratch but "
+                    f"no backing file exists on node {home}"
+                )
+            backing[name] = FileBacking(self._descs[name], home, identity)
+        return backing
 
-        # Process plane: per-run segment pool + worker-process fleet.
-        # Children are forked NOW, while this process is still
-        # single-threaded (the runtime's threads have not started).  The
-        # previous run's pool is closed only after the stores (whose
-        # views pin the old mappings) are rebuilt below.
-        old_pool = self._segment_pool
+    def _open_worker_plane(self) -> ProcessWorkerPool | None:
+        """Process plane: per-run segment pool + worker-process fleet.
+
+        Children are forked NOW, while this process is still
+        single-threaded (the runtime's threads have not started).
+        """
         proc_pool: ProcessWorkerPool | None = None
         if self.worker_plane == "process":
             self._run_seq += 1
@@ -2121,15 +2111,24 @@ class DOoCEngine:
         else:
             self._segment_pool = None
         self._proc_pool = proc_pool
+        return proc_pool
 
-        # Per-node stores with the right registration per array.
-        self.stores = {}
+    def _open_stores(self, program: Program, assignment: dict[str, int],
+                     carried: dict[str, FileBacking] | None,
+                     backing: dict[str, FileBacking], auditor,
+                     ) -> tuple[dict[int, DirectoryClient],
+                                dict[int, FaultInjector | None]]:
+        """Per-node stores — the session's, or fresh ones — with every
+        array of the program that is not already there registered."""
+        self.stores = self._session.open_stores(
+            carried, backing, n_nodes=self.n_nodes,
+            memory_budget=self.memory_budget_per_node,
+            opcache_bytes=self.opcache_bytes,
+            segment_pool=self._segment_pool, tracer=self.tracer)
         directories = {}
         injectors: dict[int, FaultInjector | None] = {}
         inject = self.faults is not None and self.faults.enabled
-        for node in range(self.n_nodes):
-            store = LocalStore(node, self.memory_budget_per_node,
-                               segment_pool=self._segment_pool)
+        for node, store in self.stores.items():
             consumed_here = {
                 a
                 for t in program.tasks
@@ -2137,6 +2136,8 @@ class DOoCEngine:
                 for a in t.inputs
             }
             for name, desc in self._descs.items():
+                if store.has_array(name):
+                    continue  # carried over from the last run
                 home = self._homes[name]
                 if home == node:
                     if name in program.initial_data:
@@ -2146,55 +2147,64 @@ class DOoCEngine:
                 elif name in consumed_here:
                     store.register_remote(desc)
             store.auditor = auditor
-            if self.opcache_bytes > 0:
-                store.opcache = DecodedOperandCache(
-                    self.opcache_bytes, metrics=store.metrics)
-            self.stores[node] = store
             directories[node] = DirectoryClient(
                 node, self.n_nodes, self.rng.child("directory", node))
             injectors[node] = FaultInjector(
                 self.faults, node, metrics=store.metrics,
                 tracer=self.tracer) if inject else None
-        if old_pool is not None:
-            # Run N-1's segments: already unlinked in that run's finally;
-            # re-close to sweep mappings whose views died with the old
-            # stores just replaced above.
-            old_pool.close()
+        return directories, injectors
 
+    def _open_membership(self, program: Program, assignment: dict[str, int],
+                         nbytes: dict[str, int],
+                         ) -> tuple[MembershipConfig | None,
+                                    MembershipTracker | None,
+                                    _RecoveryContext | None]:
+        """The run's failure detector and what recovery needs (all None
+        when node loss is not tracked)."""
         membership_cfg = self._membership_config()
-        tracker = (MembershipTracker(self.n_nodes, membership_cfg)
-                   if membership_cfg is not None else None)
-        self._tracker = tracker
-        recovery_metrics = MetricsRegistry()
-        lineage: LineageLog | None = None
-        recovery_ctx = None
-        if tracker is not None:
-            # Durable lineage: every (task, node, inputs, outputs) fact the
-            # reconstruction planner relies on, journaled before the run.
-            lineage = LineageLog(self.scratch_root / "lineage.jsonl")
-            for t in program.tasks:
-                lineage.record("task", task=t.name, node=assignment[t.name],
-                               inputs=list(t.inputs), outputs=list(t.outputs))
-            lineage.sync()
-            recovery_ctx = _RecoveryContext(
-                descs=self._descs, nbytes=nbytes, reseed=self._reseed_array,
-                metrics=recovery_metrics, lineage=lineage,
-                node_recovery=self.node_recovery)
+        self._tracker = None
+        if membership_cfg is None:
+            return None, None, None
+        self._tracker = MembershipTracker(self.n_nodes, membership_cfg)
+        # Durable lineage: every (task, node, inputs, outputs) fact the
+        # reconstruction planner relies on, journaled before the run.
+        lineage = LineageLog(self.scratch_root / "lineage.jsonl")
+        for t in program.tasks:
+            lineage.record("task", task=t.name, node=assignment[t.name],
+                           inputs=list(t.inputs), outputs=list(t.outputs))
+        lineage.sync()
+        return membership_cfg, self._tracker, _RecoveryContext(
+            descs=self._descs, nbytes=nbytes, reseed=self._reseed_array,
+            metrics=MetricsRegistry(), lineage=lineage,
+            node_recovery=self.node_recovery)
 
-        layout = self._build_layout(program, dag, assignment, directories,
-                                    nbytes, injectors,
-                                    membership_cfg=membership_cfg,
-                                    tracker=tracker, recovery=recovery_ctx,
-                                    cancel=cancel)
-        recorder = None
-        if self.protocol_checkers:
-            from repro.analysis.lockorder import LockOrderRecorder
-            recorder = LockOrderRecorder()
-        runtime = ThreadedRuntime(layout, lock_recorder=recorder)
-        watchdog = self._build_watchdog(runtime, tracker)
-        self.tracer.instant(-1, "engine", "run", "phase",
-                            phase="start", program=program.name)
-        started = time.monotonic()
+    def _report(self, wall: float, assignment: dict[str, int],
+                runtime: ThreadedRuntime, recovery: _RecoveryContext | None,
+                watchdog: StallWatchdog | None) -> RunReport:
+        metrics = {n: s.metrics.as_dict() for n, s in self.stores.items()}
+        recovered = recovery.metrics.as_dict() if recovery is not None else {}
+        if recovered:
+            # Engine-level recovery counters ride under the pseudo-node -1
+            # (the same convention the tracer uses for engine events).
+            metrics[-1] = recovered
+        return RunReport(
+            wall_seconds=wall,
+            assignment=assignment,
+            store_stats={n: s.stats for n, s in self.stores.items()},
+            stream_stats=runtime.stream_stats(),
+            metrics=metrics,
+            trace_events=self.tracer.drain(),
+            diagnosis=watchdog.last_diagnosis if watchdog is not None else None,
+        )
+
+    def _execute(self, runtime: ThreadedRuntime,
+                 watchdog: StallWatchdog | None,
+                 tracker: MembershipTracker | None,
+                 recovery: _RecoveryContext | None,
+                 proc_pool: ProcessWorkerPool | None,
+                 timeout: float) -> dict[str, int]:
+        """Run the filter graph to completion, turning its failures into
+        named errors; returns the segment leases the run leaked."""
         try:
             if watchdog is not None:
                 watchdog.start()
@@ -2231,54 +2241,20 @@ class DOoCEngine:
         finally:
             if watchdog is not None:
                 watchdog.stop()
-            if lineage is not None:
-                lineage.close()
+            if recovery is not None:
+                recovery.lineage.close()
             if proc_pool is not None:
                 proc_pool.shutdown()
             if self._segment_pool is not None:
-                # Record any leaked leases for the audit below, then
-                # unlink everything: /dev/shm is clean after *every*
-                # run, success or not.  fetch() keeps working — the
-                # stores' sealed views outlive the unlink.
+                # Record any leaked leases for the audit, then unlink
+                # everything: /dev/shm is clean after *every* run, success
+                # or not.  fetch() keeps working — the stores' sealed
+                # views outlive the unlink.
                 leaked_leases = self._segment_pool.lease_counts()
                 self._segment_pool.close()
             else:
                 leaked_leases = {}
-        self.tracer.instant(-1, "engine", "run", "phase", phase="end")
-        if auditor is not None:
-            # Every grant on every node must have been unwound by a release
-            # or an abandonment; leaks are named ticket-by-ticket.
-            auditor.assert_clean()
-            if leaked_leases:
-                detail = ", ".join(
-                    f"{n} x{c}" for n, c in sorted(leaked_leases.items()))
-                raise SegmentLeakError(
-                    f"segment leases leaked past the run: {detail}")
-        gsched_filter = runtime.instances["gsched"][0].filter
-        if getattr(gsched_filter, "cancelled", False):
-            # The scheduler drained the run for the token (the flag, not
-            # the raw token, is authoritative: a token set after the DAG
-            # completed must not fail a finished run).  Raised after the
-            # audits above, so a cancelled run is certified exactly as
-            # clean as a completed one.
-            reason = cancel.reason if cancel is not None else "cancelled"
-            raise RunCancelled(f"run cancelled: {reason}", reason=reason)
-        wall = time.monotonic() - started
-        metrics = {n: s.metrics.as_dict() for n, s in self.stores.items()}
-        recovered = recovery_metrics.as_dict()
-        if recovered:
-            # Engine-level recovery counters ride under the pseudo-node -1
-            # (the same convention the tracer uses for engine events).
-            metrics[-1] = recovered
-        return RunReport(
-            wall_seconds=wall,
-            assignment=assignment,
-            store_stats={n: s.stats for n, s in self.stores.items()},
-            stream_stats=runtime.stream_stats(),
-            metrics=metrics,
-            trace_events=self.tracer.drain(),
-            diagnosis=watchdog.last_diagnosis if watchdog is not None else None,
-        )
+        return leaked_leases
 
     @staticmethod
     def _node_loss_cause(runtime: ThreadedRuntime,
@@ -2408,6 +2384,20 @@ class DOoCEngine:
         return layout
 
     # -- result access ----------------------------------------------------------------
+
+    def persist(self, name: str) -> int:
+        """Write a completed array to its home node's scratch; returns
+        that node.  Later programs may then declare the array
+        ``initial_from_scratch`` there, and while the session lasts they
+        find it still resident instead of reading the file back."""
+        data = self.fetch(name)
+        desc, home = self._descs[name], self._homes[name]
+        scratch = self.node_scratch(home)
+        write_array(scratch, desc, data)
+        self.stores[home].mark_on_disk(name)
+        self._session.adopt(
+            name, FileBacking(desc, home, backing_identity(scratch, name)))
+        return home
 
     def fetch(self, name: str) -> np.ndarray:
         """Gather a (completed) array after a run."""

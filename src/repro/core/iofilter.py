@@ -109,10 +109,24 @@ def desc_codec(desc: ArrayDesc) -> str:
     return desc.codec or "raw"
 
 
-def array_exists(scratch: Path, name: str) -> bool:
-    """Is there any on-disk backing for ``name`` (either layout)?"""
-    return (array_path(scratch, name).exists()
-            or chunk_dir(scratch, name).is_dir())
+def backing_identity(scratch: Path, name: str) -> tuple | None:
+    """``(file, st_ino, st_size, st_mtime_ns)`` of every file readers of
+    ``name`` would open (the layout :func:`_layout` picks); ``None`` when
+    nothing backs it.
+
+    Equal identities at two moments mean the bytes between them are the
+    same: every writer in this package replaces a file through
+    ``atomic_write``'s rename, which gives it a new inode.
+    """
+    cdir = chunk_dir(scratch, name)
+    try:
+        files = (sorted(cdir.iterdir()) if cdir.is_dir()
+                 else [array_path(scratch, name)])
+        stats = [(f.name, os.stat(f)) for f in files]
+    except FileNotFoundError:
+        return None
+    return tuple((fname, st.st_ino, st.st_size, st.st_mtime_ns)
+                 for fname, st in stats)
 
 
 def block_offset(desc: ArrayDesc, block: int) -> int:

@@ -11,7 +11,10 @@ times — pure overhead the paper's overlap argument never accounts for.
 storage layer bumps whenever a block's buffer is reclaimed (spill-drop,
 evict, delete, rehome), so a cache entry can never outlive the bytes it
 was decoded from.  The cache is bounded (LRU by decoded size) and
-thread-safe — worker filters of one node share it.
+thread-safe — worker filters of one node share it.  It lives as long as
+the node's store, across engine runs (:mod:`repro.core.session`): a
+block retained from one run to the next keeps its generation, hence its
+entry; ``metrics`` is re-bound to each run's registry between runs.
 
 Task bodies opt in through :func:`cached_decode`; the worker filter
 injects an :class:`OperandContext` (cache handle + the generations of the

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Any, Literal
 
@@ -287,6 +288,57 @@ class LocalStore:
             self.opcache.invalidate(name)
         effects.extend(self._pump_allocs())
         return effects
+
+    def retain(self, keep: Collection[str]) -> list[Effect]:
+        """Between runs: forget every array not named in ``keep``.
+
+        A kept array stays registered with its resident blocks, their LRU
+        stamps and their seal generations, so the next run reads them
+        without a load and decoded operands keyed on those generations
+        stay valid.  Everything else goes, state and all.  No driver is
+        attached between runs, so what the last one left half-done (queued
+        allocations, a load issued after the I/O filters had closed) is
+        unwound rather than refused; a kept array with such a block is
+        forgotten whole and must be registered again by the caller.
+        """
+        self._alloc_queue.clear()
+        self._write_tickets.clear()
+        by_array: dict[str, list[_BlockState]] = {}
+        for (name, _block), st in self._blocks.items():
+            by_array.setdefault(name, []).append(st)
+        effects: list[Effect] = []
+        for name in list(self.arrays):
+            states = by_array.get(name, [])
+            if name in keep and not any(
+                    st.pinned or st.status in (_LOADING, _SPILLING, _FETCHING)
+                    for st in states):
+                continue
+            for st in states:
+                if st.data is not None:
+                    self._free(st)
+                    effects.append(Effect("drop", name, st.block))
+                elif (name, st.block) in self._in_flight:
+                    self.in_use -= st.nbytes  # the reservation of the load
+                    self._in_flight.discard((name, st.block))
+                    if st.segment is not None:
+                        self.segment_pool.free(st.segment)
+                del self._blocks[(name, st.block)]
+            del self.arrays[name]
+            self._remote_arrays.discard(name)
+            if self.opcache is not None:
+                self.opcache.invalidate(name)
+        return effects
+
+    def mark_on_disk(self, name: str) -> None:
+        """The driver wrote every block of completed array ``name`` to
+        this node's scratch: its blocks may now be dropped, not spilled."""
+        desc = self._desc(name)
+        states = [self._blocks.get((name, b)) for b in desc.blocks()]
+        if not all(st is not None and st.sealed for st in states):
+            raise StorageError(
+                f"array {name!r} is not completely written on node {self.node}")
+        for st in states:
+            st.on_disk = True
 
     def has_array(self, name: str) -> bool:
         return name in self.arrays

@@ -223,35 +223,38 @@ def _solve_incremental(operator, b, x, diag, b_norm, tol, max_iterations,
                             mode="incremental", fixpoint=fixpoint,
                             convergence=tracker.report)
 
-    for it in range(start + 1, max_iterations + 1):
-        residual = b - operator.matvec(x, workset=workset)
-        sweep_tasks = operator.last_sweep["tasks"]
-        res_norm = float(np.linalg.norm(residual))
-        history.append(res_norm)
-        if callback is not None:
-            callback(it, res_norm)
-        if res_norm <= tol * b_norm:
-            return result(converged=True)
-        x_new = x + residual / diag
-        record = tracker.observe(
-            partition.split_vector(x), partition.split_vector(x_new),
-            tasks_scheduled=sweep_tasks, aux_tasks=pending_aux)
-        pending_aux = 0
-        for v in record.reentered:
-            workset.thaw(v)
-        if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
-            # Same exit condition as mode="sync", so the two iterate
-            # sequences (and iteration counts) stay bitwise identical.
-            return result(converged=False, fixpoint=True)
-        x_two_ago = x
-        x = x_new
-        new_parts = partition.split_vector(x_new)
-        for v in record.newly_frozen:
-            # Cache every frozen phase (period-2 cycles have two).
-            for phase in tracker.phases(v) or (new_parts[v],):
-                pending_aux += workset.freeze(v, phase)
-        ckpt.save(it, x, history)
-    return result(converged=False)
+    try:
+        for it in range(start + 1, max_iterations + 1):
+            residual = b - operator.matvec(x, workset=workset)
+            sweep_tasks = operator.last_sweep["tasks"]
+            res_norm = float(np.linalg.norm(residual))
+            history.append(res_norm)
+            if callback is not None:
+                callback(it, res_norm)
+            if res_norm <= tol * b_norm:
+                return result(converged=True)
+            x_new = x + residual / diag
+            record = tracker.observe(
+                partition.split_vector(x), partition.split_vector(x_new),
+                tasks_scheduled=sweep_tasks, aux_tasks=pending_aux)
+            pending_aux = 0
+            for v in record.reentered:
+                workset.thaw(v)
+            if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
+                # Same exit condition as mode="sync", so the two iterate
+                # sequences (and iteration counts) stay bitwise identical.
+                return result(converged=False, fixpoint=True)
+            x_two_ago = x
+            x = x_new
+            new_parts = partition.split_vector(x_new)
+            for v in record.newly_frozen:
+                # Cache every frozen phase (period-2 cycles have two).
+                for phase in tracker.phases(v) or (new_parts[v],):
+                    pending_aux += workset.freeze(v, phase)
+            ckpt.save(it, x, history)
+        return result(converged=False)
+    finally:
+        workset.close()  # unlink the stored products
 
 
 def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,

@@ -74,6 +74,8 @@ class OutOfCoreMatrix:
         self.engine = DOoCEngine(**eng_kwargs)
         self._a_raw_len: dict[tuple[int, int], int] = {}
         self._nnz: dict[tuple[int, int], int] = {}
+        #: stored frozen-column products: array -> (length, home node)
+        self._products: dict[str, tuple[int, int]] = {}
         self.matvec_count = 0
         #: one summary dict per engine program run through this operator
         #: (matvecs, frozen-column product programs, async rounds):
@@ -145,21 +147,17 @@ class OutOfCoreMatrix:
         elif mode == "frontier":
             meta_extra = {"frontier": tuple(active)}
         prog = Program(f"ooc-matvec-{t}")
-        for (u, v), raw_len in self._a_raw_len.items():
-            if v in active_set:
-                prog.initial_from_scratch(
-                    a_name(u, v), raw_len, home=self.owner(u, v),
-                    dtype="uint8", block_elems=raw_len)
+        self._declare_constants(prog)
         for v in active:
             prog.initial_array(f"it{t}_x_{v}", parts[v], home=self.owner(0, v),
                                block_elems=len(parts[v]))
         produced: list[int] = []
         for u in range(self.k):
             ylen = p.part_length(u)
-            ins: list[int] = []
+            ins: dict[int, str] = {}
             for v in range(self.k):
-                yn = f"it{t}_y_{u}_{v}"
                 if v in active_set:
+                    yn = f"it{t}_y_{u}_{v}"
                     prog.array(yn, ylen, block_elems=ylen)
                     prog.add_task(
                         f"it{t}_mult_{u}_{v}", _mult_fn,
@@ -167,14 +165,12 @@ class OutOfCoreMatrix:
                         flops=2.0 * self._nnz[(u, v)],
                         a=a_name(u, v), x=f"it{t}_x_{v}", **meta_extra,
                     )
-                    ins.append(v)
+                    ins[v] = yn
                 elif v in frozen_set:
-                    # Frozen column: its product is a constant; seed it in
-                    # the exact input position a fresh multiply would fill.
-                    prog.initial_array(yn, workset.product(u, v),
-                                       home=self.owner(u, v),
-                                       block_elems=ylen)
-                    ins.append(v)
+                    # Frozen column: its product is a constant stored at
+                    # freeze time; it takes the exact input position a
+                    # fresh multiply would fill.
+                    ins[v] = workset.product(u, v)
                 # frontier-inactive columns contribute exactly zero: no
                 # input array at all
             if not ins:
@@ -194,32 +190,44 @@ class OutOfCoreMatrix:
                                        "frontier_size", len(active), sweep=t)
         return p.join_vector(out)
 
-    def _reduce_tasks(self, prog: Program, t: int, u: int, ins: list[int],
-                      ylen: int, meta_extra: dict) -> None:
-        """Row ``u``'s reduction over the included columns ``ins`` — the
-        same policy tree (and float summation order) as the bulk sweep
-        restricted to ``ins``."""
+    def _declare_constants(self, prog: Program) -> None:
+        """Declare every sub-matrix and every stored frozen-column product
+        from scratch, read by ``prog`` or not: the engine keeps resident
+        from one run to the next only what the next program declares."""
+        for (u, v), raw_len in self._a_raw_len.items():
+            prog.initial_from_scratch(
+                a_name(u, v), raw_len, home=self.owner(u, v),
+                dtype="uint8", block_elems=raw_len)
+        for name, (length, home) in self._products.items():
+            prog.initial_from_scratch(name, length, home=home,
+                                      block_elems=length)
+
+    def _reduce_tasks(self, prog: Program, t: int, u: int,
+                      ins: dict[int, str], ylen: int,
+                      meta_extra: dict) -> None:
+        """Row ``u``'s reduction over the included columns' products
+        ``ins`` (column -> array) — the same policy tree (and float
+        summation order) as the bulk sweep restricted to ``ins``."""
         if self.policy == "simple":
             prog.add_task(
                 f"it{t}_sum_{u}", _sum_fn,
-                [f"it{t}_y_{u}_{v}" for v in ins], [f"it{t}_out_{u}"],
+                list(ins.values()), [f"it{t}_out_{u}"],
                 flops=float(ylen * (len(ins) - 1)), **meta_extra,
             )
             return
-        groups: dict[int, list[int]] = {}
-        for v in ins:
-            groups.setdefault(self.owner(u, v), []).append(v)
+        groups: dict[int, list[str]] = {}
+        for v, yn in ins.items():
+            groups.setdefault(self.owner(u, v), []).append(yn)
         partials = []
-        for node, vs in sorted(groups.items()):
-            if len(vs) == 1:
-                partials.append(f"it{t}_y_{u}_{vs[0]}")
+        for node, yns in sorted(groups.items()):
+            if len(yns) == 1:
+                partials.append(yns[0])
                 continue
             pname = f"it{t}_part_{u}_{node}"
             prog.array(pname, ylen, block_elems=ylen)
             prog.add_task(
-                f"it{t}_psum_{u}_{node}", _sum_fn,
-                [f"it{t}_y_{u}_{v}" for v in vs], [pname],
-                flops=float(ylen * (len(vs) - 1)), **meta_extra,
+                f"it{t}_psum_{u}_{node}", _sum_fn, yns, [pname],
+                flops=float(ylen * (len(yns) - 1)), **meta_extra,
             )
             partials.append(pname)
         prog.add_task(
@@ -245,14 +253,17 @@ class OutOfCoreMatrix:
                                    tasks, sweep=tag, mode=mode)
         return entry
 
-    def column_products(self, v: int, x_v: np.ndarray) -> dict[int, np.ndarray]:
-        """All of one column's products, ``y_{u,v} = A_{u,v} @ x_v``.
+    def column_products(self, v: int, x_v: np.ndarray) -> dict[int, str]:
+        """All of one column's products, ``y_{u,v} = A_{u,v} @ x_v``, as
+        constants that later sweeps declare from scratch.
 
         One slim multiply-only program whose outputs are terminal and
-        fetchable.  :class:`SweepWorkset` calls this once when column
-        ``v`` freezes; because the multiply kernel is deterministic, the
-        cached products are bit-identical to what later sweeps would
-        have recomputed from the stationary ``x_v``.
+        named to outlive it; each is persisted once on the node that
+        produced it, and the names are returned by row.
+        :class:`SweepWorkset` calls this once when column ``v`` freezes;
+        because the multiply kernel is deterministic, the stored products
+        are bit-identical to what later sweeps would have recomputed from
+        the stationary ``x_v`` (:meth:`drop_products` unlinks them).
         """
         x_v = np.asarray(x_v, dtype=np.float64)
         want = (self.partition.part_length(v),)
@@ -261,16 +272,13 @@ class OutOfCoreMatrix:
         t = self.matvec_count
         self.matvec_count += 1
         prog = Program(f"ooc-colprod-{t}")
+        self._declare_constants(prog)
         xn = f"it{t}_x_{v}"
         prog.initial_array(xn, x_v, home=self.owner(0, v),
                            block_elems=len(x_v))
-        for u in range(self.k):
-            raw_len = self._a_raw_len[(u, v)]
-            prog.initial_from_scratch(
-                a_name(u, v), raw_len, home=self.owner(u, v),
-                dtype="uint8", block_elems=raw_len)
+        names = {u: f"frozen{t}_y_{u}_{v}" for u in range(self.k)}
+        for u, yn in names.items():
             ylen = self.partition.part_length(u)
-            yn = f"it{t}_y_{u}_{v}"
             prog.array(yn, ylen, block_elems=ylen)
             prog.add_task(
                 f"it{t}_mult_{u}_{v}", _mult_fn,
@@ -279,12 +287,20 @@ class OutOfCoreMatrix:
                 a=a_name(u, v), x=xn, frozen_column=v,
             )
         report = self.engine.run(prog, cancel=self.cancel)
-        out = {u: np.array(self.engine.fetch(f"it{t}_y_{u}_{v}"),
-                           dtype=np.float64, copy=True)
-               for u in range(self.k)}
+        for u, yn in names.items():
+            self._products[yn] = (self.partition.part_length(u),
+                                  self.engine.persist(yn))
         self._cleanup(t)
         self._log_sweep(t, "colprod", (v,), len(prog.tasks), report)
-        return out
+        return names
+
+    def drop_products(self, names: dict[int, str]) -> None:
+        """Unlink what :meth:`column_products` stored under ``names``."""
+        from repro.core.iofilter import delete_array_file
+
+        for name in names.values():
+            _length, home = self._products.pop(name)
+            delete_array_file(self.engine.node_scratch(home), name)
 
     def stale_sweep(self, versions: list[dict[int, np.ndarray]],
                     choice: dict[tuple[int, int], int]) -> dict[int, np.ndarray]:
@@ -306,10 +322,7 @@ class OutOfCoreMatrix:
         t = self.matvec_count
         self.matvec_count += 1
         prog = Program(f"ooc-async-{t}")
-        for (u, v), raw_len in self._a_raw_len.items():
-            prog.initial_from_scratch(
-                a_name(u, v), raw_len, home=self.owner(u, v),
-                dtype="uint8", block_elems=raw_len)
+        self._declare_constants(prog)
         used = sorted({(v, choice.get((u, v), 0))
                        for u in range(k) for v in range(k)})
         for v, age in used:
@@ -329,7 +342,9 @@ class OutOfCoreMatrix:
                     a=a_name(u, v), x=f"it{t}_x_{v}_s{age}", staleness=age,
                 )
             prog.array(f"it{t}_out_{u}", ylen, block_elems=ylen)
-            self._reduce_tasks(prog, t, u, list(range(k)), ylen, {})
+            self._reduce_tasks(
+                prog, t, u, {v: f"it{t}_y_{u}_{v}" for v in range(k)},
+                ylen, {})
         report = self.engine.run(prog, cancel=self.cancel)
         out = {u: self.engine.fetch(f"it{t}_out_{u}") for u in range(k)}
         self._cleanup(t)
@@ -366,34 +381,41 @@ class OutOfCoreMatrix:
                 self.engine.node_scratch(self.owner(u, u)), desc)
             block = deserialize_csr(raw)
             lo, hi = self.partition.part_range(u)
-            dense_diag = np.zeros(block.nrows)
-            for i in range(block.nrows):
-                row = slice(block.indptr[i], block.indptr[i + 1])
-                hits = np.nonzero(block.indices[row] == i)[0]
-                if hits.size:
-                    dense_diag[i] = block.values[row][hits[0]]
-            diag[lo:hi] = dense_diag
+            diag[lo:hi] = _block_diagonal(block)
         return diag
 
 
+def _block_diagonal(block: CSRBlock) -> np.ndarray:
+    """Diagonal of a square CSR block: the first stored ``(i, i)`` entry
+    of each row, 0.0 where there is none."""
+    rows = np.repeat(np.arange(block.nrows), np.diff(block.indptr))
+    hits = np.flatnonzero(block.indices == rows)
+    hit_rows, first = np.unique(rows[hits], return_index=True)
+    out = np.zeros(block.nrows)
+    out[hit_rows] = block.values[hits[first]]
+    return out
+
+
 class SweepWorkset:
-    """Cached products of frozen columns for incremental sweeps.
+    """Stored products of frozen columns for incremental sweeps.
 
     When a :class:`~repro.core.convergence.ConvergenceTracker` declares a
     column stationary, ``freeze(v, x_v)`` computes ``A_{u,v} @ x_v`` for
-    every row once (one slim column-products program) and later
-    ``matvec(x, workset=...)`` calls seed those cached arrays in place of
-    fresh multiplies — the frozen column's sub-matrix files drop off the
-    per-sweep read path entirely.
+    every row once (one slim column-products program) and writes the
+    products to scratch; later ``matvec(x, workset=...)`` calls declare
+    those files in place of fresh multiplies — the frozen column's
+    sub-matrix files drop off the per-sweep read path entirely, and the
+    products, unchanged files read by run after run, stay resident in the
+    engine's stores like the sub-matrices do.
 
-    The cache is **content-addressed by the iterate's bits**: a frozen
+    The store is **content-addressed by the iterate's bits**: a frozen
     column may hold up to two phase entries (near convergence, Jacobi
     iterates often settle into an exact period-2 last-ulp oscillation
     rather than a period-1 fixpoint), and ``refresh`` selects whichever
     entry matches the incoming ``x_v`` bitwise.  A frozen column whose
-    ``x_v`` matches *no* cached phase is thawed automatically, so a stale
-    cache can never change the result — dropout removes work, never
-    accuracy.
+    ``x_v`` matches *no* stored phase is thawed automatically, so stale
+    products can never change the result — dropout removes work, never
+    accuracy.  ``close()`` unlinks whatever is still stored.
     """
 
     #: phase entries kept per frozen column (period-1 or period-2 cycles)
@@ -401,11 +423,10 @@ class SweepWorkset:
 
     def __init__(self, operator: OutOfCoreMatrix):
         self.operator = operator
-        #: column -> list of (x bits, products-by-row) phase entries
-        self._entries: Dict[int, list[tuple[np.ndarray,
-                                            Dict[int, np.ndarray]]]] = {}
+        #: column -> list of (x bits, product-array-names-by-row) entries
+        self._entries: Dict[int, list[tuple[np.ndarray, Dict[int, str]]]] = {}
         #: column -> products selected by the last ``refresh``
-        self._selected: Dict[int, Dict[int, np.ndarray]] = {}
+        self._selected: Dict[int, Dict[int, str]] = {}
         #: freeze-time product tasks spent so far (dropout accounting)
         self.aux_tasks = 0
 
@@ -414,24 +435,34 @@ class SweepWorkset:
         return frozenset(self._entries)
 
     def freeze(self, v: int, x_v: np.ndarray) -> int:
-        """Cache column ``v``'s products at phase value ``x_v``; returns
-        the number of auxiliary (product-cache) tasks spent."""
+        """Store column ``v``'s products at phase value ``x_v``; returns
+        the number of auxiliary (product) tasks spent."""
         x_v = np.array(x_v, dtype=np.float64, copy=True)
         entries = self._entries.setdefault(v, [])
         if any(np.array_equal(x_v, cached) for cached, _ in entries):
             return 0
         products = self.operator.column_products(v, x_v)
         entries.append((x_v, products))
+        for _, evicted in entries[:-self.MAX_PHASES]:
+            self.operator.drop_products(evicted)
         del entries[:-self.MAX_PHASES]
         self._selected.setdefault(v, products)
         self.aux_tasks += self.operator.k
         return self.operator.k
 
     def thaw(self, v: int) -> None:
-        self._entries.pop(v, None)
+        for _, products in self._entries.pop(v, ()):
+            self.operator.drop_products(products)
         self._selected.pop(v, None)
 
-    def product(self, u: int, v: int) -> np.ndarray:
+    def close(self) -> None:
+        """Thaw every column (unlinks the stored products)."""
+        for v in list(self._entries):
+            self.thaw(v)
+
+    def product(self, u: int, v: int) -> str:
+        """Name of the array holding ``A_{u,v} @ x_v`` for the phase the
+        last ``refresh`` selected."""
         return self._selected[v][u]
 
     def refresh(self, parts: Dict[int, np.ndarray],

@@ -447,6 +447,7 @@ def _run_incremental_spmv(
                          {"iterations": done, "policy": policy})
                 last_saved = done
     finally:
+        workset.close()
         op.engine.cleanup()
     run.x_parts = p.split_vector(x)
     run.iterations = iterations if run.fixpoint else done

@@ -425,6 +425,88 @@ class TestOutOfCore:
             store.delete_array("a")
 
 
+class TestRetain:
+    """The between-runs purge: keep the named arrays, forget the rest."""
+
+    def loaded(self, store, d, block):
+        t, effects = store.request_read(whole_block(d, block))
+        for e in effects_of_kind(effects, "load"):
+            lo, hi = d.block_bounds(e.block)
+            store.on_loaded(e.array, e.block, np.arange(lo, hi, dtype=float))
+        return t
+
+    def make(self):
+        store = LocalStore(0, memory_budget=10**6)
+        kept, gone = desc("kept", 100, 50), desc("gone", 100, 50)
+        store.register_on_disk(kept)
+        store.register_on_disk(gone)
+        for d in (kept, gone):
+            store.release(self.loaded(store, d, 0))
+        return store, kept, gone
+
+    def test_kept_array_keeps_blocks_and_generations(self):
+        store, kept, gone = self.make()
+        effects = store.retain({"kept", "never-registered"})
+        assert [(e.kind, e.array, e.block) for e in effects] == [
+            ("drop", "gone", 0)]
+        assert store.has_array("kept") and not store.has_array("gone")
+        assert store.in_use == 400
+        t, effects = store.request_read(whole_block(kept, 0))
+        assert effects_of_kind(effects, "grant_read")  # still resident
+        assert t.generation == 0
+        with pytest.raises(UnknownArrayError):
+            store.request_read(whole_block(gone, 0))
+
+    def test_purged_array_invalidates_its_decoded_operands(self):
+        from repro.core.opcache import DecodedOperandCache
+
+        store, kept, gone = self.make()
+        store.opcache = DecodedOperandCache(10**6)
+        store.opcache.put("kept", (0,), "K", 10)
+        store.opcache.put("gone", (0,), "G", 10)
+        store.retain({"kept"})
+        assert store.opcache.get("kept", (0,)) == "K"
+        assert store.opcache.get("gone", (0,)) is None
+
+    def test_half_done_state_is_unwound_not_refused(self):
+        """A block still pinned and an allocation still queued behind it
+        (what a run that stopped half-way leaves): the array goes whole,
+        with its memory, and the caller registers it again."""
+        store, kept, gone = self.make()
+        store.budget = 800                   # full: kept[0] and gone[0]
+        self.loaded(store, gone, 0)          # granted, never released
+        self.loaded(store, kept, 0)          # likewise
+        _, effects = store.request_read(whole_block(kept, 1))
+        assert effects == [] and store.alloc_queue_depth == 1
+        store.retain({"kept"})
+        assert store.alloc_queue_depth == 0
+        assert not store.has_array("kept") and not store.has_array("gone")
+        assert store.in_use == 0
+        store.register_on_disk(kept)
+        _, effects = store.request_read(whole_block(kept, 1))
+        assert effects_of_kind(effects, "load")
+
+    def test_in_flight_load_returns_its_reservation(self):
+        store, kept, _ = self.make()
+        _, effects = store.request_read(whole_block(kept, 1))
+        assert effects_of_kind(effects, "load") and store.in_use == 1200
+        store.retain(set())
+        assert store.in_use == 0 and store.loading_arrays() == set()
+
+    def test_mark_on_disk_makes_a_written_array_droppable(self):
+        d = desc("v", 50, 50)
+        store = LocalStore(0, memory_budget=400)
+        store.create_array(d)
+        with pytest.raises(StorageError, match="not completely written"):
+            store.mark_on_disk("v")
+        write_whole_array(store, d)
+        store.mark_on_disk("v")
+        other = desc("w", 50, 50)
+        store.create_array(other)
+        _, effects = store.request_write(whole_block(other, 0))
+        assert [e.kind for e in effects] == ["drop", "grant_write"]  # no spill
+
+
 class TestRemoteArrays:
     def test_read_remote_triggers_fetch(self):
         d = desc(name="r", length=50, block=50)
