@@ -36,7 +36,7 @@ def bench_real_ooc_iterated_spmv(once, tmp_path):
             blocks, p.split_vector(x0), iterations=3, n_nodes=1,
             policy=policy)
         eng = DOoCEngine(
-            n_nodes=1, workers_per_node=2,
+            n_nodes=1, workers=2,
             memory_budget_per_node=4 * a_bytes + 512 * 1024,
             scratch_dir=tmp_path / policy,
         )
@@ -104,7 +104,7 @@ def bench_middleware_overhead(once, tmp_path):
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=4, n_nodes=1,
             policy="interleaved")
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+        eng = DOoCEngine(n_nodes=1, workers=2,
                          memory_budget_per_node=1 << 30,
                          scratch_dir=tmp_path)
         report = eng.run(result.program, timeout=300)

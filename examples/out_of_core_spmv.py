@@ -62,7 +62,7 @@ def main() -> None:
             # Budget: ~1.5 sub-matrices plus room for the working vectors —
             # the Fig. 5 regime where only one sub-matrix fits at a time.
             engine = DOoCEngine(
-                n_nodes=k, workers_per_node=1,
+                n_nodes=k, workers=1,
                 memory_budget_per_node=int(1.5 * a_bytes) + 64 * args.n,
                 scratch_dir=scratch,
                 trace=bool(args.trace),
@@ -75,8 +75,9 @@ def main() -> None:
             print(f"[{policy:11s}] trace: {len(report.trace_events)} events "
                   f"-> {args.trace}")
         matrix_loads = sum(
-            c for s in report.store_stats.values()
-            for a, c in s.loads_by_array.items() if a.startswith("A_")
+            c for m in report.metrics.values()
+            for a, c in m.get("loads_by_label", {}).items()
+            if a.startswith("A_")
         )
         print(f"[{policy:11s}] verified; matrix loads: {matrix_loads} "
               f"(naive plan: {k * loads_regular_plan(k, args.iterations)}, "

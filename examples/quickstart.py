@@ -38,7 +38,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         engine = DOoCEngine(
             n_nodes=2,
-            workers_per_node=2,
+            workers=2,
             memory_budget_per_node=1 << 20,  # 1 MiB: forces out-of-core
             scratch_dir=scratch,
         )
@@ -48,10 +48,11 @@ def main() -> None:
     np.testing.assert_allclose(z, 3.0 * x + 1.0)
     print("result verified: z = 3x + 1 on", n, "elements")
     print("task placement:", report.assignment)
-    for node, stats in report.store_stats.items():
+    for node, m in report.metrics.items():
         print(
-            f"node {node}: loads={stats.loads} spills={stats.spills} "
-            f"drops={stats.drops} remote_fetches={stats.remote_fetches}"
+            f"node {node}: loads={m.get('loads', 0)} "
+            f"spills={m.get('spills', 0)} drops={m.get('drops', 0)} "
+            f"remote_fetches={m.get('remote_fetches', 0)}"
         )
     print(f"wall time: {report.wall_seconds:.3f} s")
 

@@ -4,8 +4,6 @@ Typical uses::
 
     python -m repro bench --quick --tag ci          # fresh quick run
     python -m repro bench --check --tolerance 25    # gate against baseline
-    DOOC_DATA_PLANE=legacy python -m repro bench --quick --plane legacy \
-        --tag legacy                                # pre-change plane
 
 ``--check`` compares a candidate report (``--candidate``, default
 ``BENCH_ci.json`` when present, else a fresh quick run) against the
@@ -39,10 +37,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="report written to BENCH_<tag>.json (default dev)")
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="directory for BENCH_<tag>.json (default .)")
-    parser.add_argument("--plane", choices=("zerocopy", "legacy"),
-                        default="zerocopy",
-                        help="data plane to measure (legacy = pre-change "
-                             "copies, no operand cache, 2 workers/node)")
     parser.add_argument("--worker-plane", choices=("thread", "process"),
                         default=None,
                         help="force every workload onto one worker plane "
@@ -93,8 +87,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{baseline.get('mode', 'quick')} suite to check against "
                   f"{args.baseline}")
             current = run_suite(quick=baseline.get("mode") != "full",
-                                tag="check", plane=args.plane,
-                                worker_plane=args.worker_plane)
+                                tag="check", worker_plane=args.worker_plane)
         failures = check_regression(current, baseline,
                                     tolerance_pct=args.tolerance)
         if failures:
@@ -106,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_suite(quick=args.quick, tag=args.tag, plane=args.plane,
+    report = run_suite(quick=args.quick, tag=args.tag,
                        worker_plane=args.worker_plane,
                        trace_path=args.trace,
                        convergence=args.convergence,

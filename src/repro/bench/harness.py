@@ -16,25 +16,18 @@ The harness exists to answer two questions, repeatably:
 
 Workloads are pinned: matrix structure, seeds, node counts, memory
 budgets and fault plans are fixed constants, so two runs of the same
-build measure the same computation.  ``DOOC_DATA_PLANE=legacy`` (or
-``run_suite(plane="legacy")``) measures the pre-zero-copy data plane —
-per-load and per-serve defensive copies, operand cache off, the old
-2-workers-per-node default — which is how ``BENCH_PR5.json``'s
-before/after comparison is produced on a single build.
+build measure the same computation.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.engine import DOoCEngine
-from repro.core.opcache import DATA_PLANE_ENV
 from repro.obs import Tracer, export_chrome_trace
 
 #: report schema identifier; bump on incompatible field changes
@@ -44,11 +37,6 @@ SCHEMA = "dooc-bench/2"
 #: the effective-bandwidth and bytes-on-disk reference the others are
 #: judged against)
 SWEEP_CODECS = ("raw", "zlib", "shuffle-zlib")
-
-#: pre-change worker default, used for ``plane="legacy"`` runs so the
-#: baseline measures the configuration that shipped before the zero-copy
-#: data plane (2 workers per node, copies on, cache off)
-LEGACY_WORKERS = 2
 
 #: trace-phase spans aggregated into the per-workload breakdown
 _PHASES = (
@@ -371,25 +359,6 @@ def check_convergence_invariants(current: dict) -> list[str]:
     return failures
 
 
-@contextmanager
-def _data_plane(plane: str):
-    """Temporarily select the data plane via the environment knob."""
-    if plane not in ("zerocopy", "legacy"):
-        raise ValueError(f"unknown data plane {plane!r}")
-    old = os.environ.get(DATA_PLANE_ENV)
-    try:
-        if plane == "legacy":
-            os.environ[DATA_PLANE_ENV] = "legacy"
-        else:
-            os.environ.pop(DATA_PLANE_ENV, None)
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(DATA_PLANE_ENV, None)
-        else:
-            os.environ[DATA_PLANE_ENV] = old
-
-
 def _build_inputs(w: Workload):
     """The pinned sub-matrix grid and initial vector for ``w``."""
     from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
@@ -423,15 +392,13 @@ def _phase_breakdown(events) -> dict[str, float]:
 
 
 def run_workload(w: Workload, *, trace_path: str | Path | None = None,
-                 workers: int | None = None, repeats: int = 2) -> dict:
+                 repeats: int = 2) -> dict:
     """Execute one pinned workload; returns its flat metrics dict.
 
     The workload runs ``repeats`` times and the best (minimum-wall) run
     is reported — the standard noise reduction for wall-clock numbers;
     the protocol counters are deterministic across repeats.
     ``trace_path`` additionally exports the best run's Chrome trace.
-    ``workers`` overrides the engine's worker count (used by the legacy
-    plane to reproduce the pre-change 2-worker default).
     """
     from repro.faults import FaultPlan
     from repro.spmv.program import build_iterated_spmv, x_name
@@ -450,7 +417,6 @@ def run_workload(w: Workload, *, trace_path: str | Path | None = None,
         tracer = Tracer(enabled=True, capacity=1 << 18)
         eng = DOoCEngine(
             n_nodes=w.n_nodes,
-            workers=workers,
             memory_budget_per_node=w.memory_budget,
             opcache_bytes=w.opcache_bytes,
             trace=tracer,
@@ -520,15 +486,12 @@ def run_workload(w: Workload, *, trace_path: str | Path | None = None,
 
 
 def run_suite(*, quick: bool = False, tag: str = "dev",
-              plane: str = "zerocopy",
               worker_plane: str | None = None,
               trace_path: str | Path | None = None,
               convergence: bool = False,
               convergence_only: bool = False) -> dict:
     """Run the whole pinned matrix; returns the report dict.
 
-    ``plane="legacy"`` measures the pre-change data plane (defensive
-    copies, no operand cache, 2 workers per node) on the same build.
     ``worker_plane`` (``"thread"``/``"process"``) overrides every
     workload's pinned plane — the A/B lever for thread-vs-process runs.
     ``trace_path`` exports the out-of-core workload's Chrome trace.
@@ -542,36 +505,29 @@ def run_suite(*, quick: bool = False, tag: str = "dev",
             "schema": SCHEMA,
             "tag": tag,
             "mode": "quick" if quick else "full",
-            "data_plane": plane,
             "workloads": {},
             "codec_sweep": {},
             "convergence": run_convergence_suite(quick=quick),
             "totals": {"wall_seconds": 0.0, "tasks": 0,
                        "tasks_per_second": 0.0, "bytes_copied": 0},
         }
-    workers = LEGACY_WORKERS if plane == "legacy" else None
     workloads = {}
     codec_sweep = {}
-    with _data_plane(plane):
-        for w in pinned_workloads(quick=quick):
-            if worker_plane is not None:
-                w = replace(w, worker_plane=worker_plane)
-            if plane == "legacy" and w.worker_plane == "process":
-                continue  # the engine (rightly) refuses the combination
-            wl_trace = trace_path if w.name == "out_of_core" else None
-            workloads[w.name] = run_workload(
-                w, trace_path=wl_trace, workers=workers)
-        if plane == "zerocopy":
-            # Compression-ratio / bandwidth-tradeoff sweep: the same
-            # pinned out-of-core workload re-run under each codec, so
-            # the report answers "what do I pay (decode time) and what
-            # do I get back (bytes off the disk path)" on one build.
-            ooc = next(w for w in pinned_workloads(quick=quick)
-                       if w.name == "out_of_core")
-            for codec in SWEEP_CODECS:
-                codec_sweep[codec] = run_workload(
-                    replace(ooc, name=f"out_of_core[{codec}]", codec=codec),
-                    repeats=1)
+    for w in pinned_workloads(quick=quick):
+        if worker_plane is not None:
+            w = replace(w, worker_plane=worker_plane)
+        wl_trace = trace_path if w.name == "out_of_core" else None
+        workloads[w.name] = run_workload(w, trace_path=wl_trace)
+    # Compression-ratio / bandwidth-tradeoff sweep: the same pinned
+    # out-of-core workload re-run under each codec, so the report
+    # answers "what do I pay (decode time) and what do I get back
+    # (bytes off the disk path)" on one build.
+    ooc = next(w for w in pinned_workloads(quick=quick)
+               if w.name == "out_of_core")
+    for codec in SWEEP_CODECS:
+        codec_sweep[codec] = run_workload(
+            replace(ooc, name=f"out_of_core[{codec}]", codec=codec),
+            repeats=1)
     total_wall = sum(r["wall_seconds"] for r in workloads.values())
     total_tasks = sum(r["tasks"] for r in workloads.values())
     conv = run_convergence_suite(quick=quick) if convergence else None
@@ -579,7 +535,6 @@ def run_suite(*, quick: bool = False, tag: str = "dev",
         "schema": SCHEMA,
         "tag": tag,
         "mode": "quick" if quick else "full",
-        "data_plane": plane,
         "workloads": workloads,
         "codec_sweep": codec_sweep,
         "totals": {
@@ -616,9 +571,10 @@ def check_codec_invariants(current: dict) -> list[str]:
     These are correctness invariants of the codec pipeline, not
     regressions against history: every codec must reproduce the SciPy
     reference bit-identically, must keep the hot loop's
-    ``bytes_copied == 0`` (decode lands in the pooled segment, never a
-    staging copy), and zlib must actually take bytes *off* the disk read
-    path relative to raw on the pinned out-of-core workload.
+    ``bytes_copied == 0`` (a codec adds no gather/scatter copy to the
+    data plane; its own inflate temporary is not counted), and zlib must
+    actually take bytes *off* the disk read path relative to raw on the
+    pinned out-of-core workload.
     """
     failures: list[str] = []
     sweep = current.get("codec_sweep", {})
@@ -630,8 +586,8 @@ def check_codec_invariants(current: dict) -> list[str]:
         if r.get("bytes_copied", 0) != 0:
             failures.append(
                 f"codec_sweep[{codec}]: bytes_copied = "
-                f"{r['bytes_copied']}, want 0 (decode must land directly "
-                "in the pooled segment)")
+                f"{r['bytes_copied']}, want 0 (a codec must add no "
+                "data-plane copy)")
     if "raw" in sweep and "zlib" in sweep:
         raw_disk = sweep["raw"]["io_bytes"]["disk_read"]
         zlib_disk = sweep["zlib"]["io_bytes"]["disk_read"]

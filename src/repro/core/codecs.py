@@ -10,18 +10,21 @@ so readers self-describe.
 Design (zarr-style chunk+codec layering):
 
 * a :class:`Codec` turns a block's raw bytes into an encoded payload and
-  back; ``decode_into`` lands the decoded bytes **directly in a
-  caller-provided buffer** (a pooled shared-memory segment on the process
-  worker plane), so decompression never adds a staging copy to the data
-  plane — the hot loop's ``bytes_copied == 0`` invariant survives;
+  back; ``decode_into`` fills a **caller-provided buffer** (a pooled
+  shared-memory segment on the process worker plane), so the store never
+  sees a staging block.  ``raw`` copies the payload into it once; the
+  zlib codecs hand the payload to :mod:`zlib` as it is, inflate to a
+  temporary ``bytes`` of the block's size, then copy (or unshuffle) that
+  into the buffer — one allocation and one copy per decoded block that
+  ``bytes_copied`` does **not** count (it counts the data plane's
+  gather/scatter copies only);
 * codecs are looked up by name in a registry (:func:`register_codec` /
   :func:`get_codec`), so block headers and checkpoint manifests can name
   their codec and new codecs plug in without touching the I/O layer;
 * :func:`resolve_codec` normalizes the engine-level choice: an explicit
   argument beats the ``DOOC_CODEC`` environment variable, which is
-  sampled **once** (at ``DOoCEngine`` construction, exactly like
-  ``DOOC_DATA_PLANE``) — a mid-run flip cannot de-cohere readers from
-  writers.
+  sampled **once** (at ``DOoCEngine`` construction) — a mid-run flip
+  cannot de-cohere readers from writers.
 
 This is the only module allowed to touch :mod:`zlib`/:mod:`lzma`/:mod:`bz2`
 directly — lint rule ``DOOC007`` (:mod:`repro.analysis.rules`) flags any
@@ -77,11 +80,10 @@ class Codec:
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         """Decode ``payload`` into the writable buffer ``out`` (exact fit).
 
-        ``out`` is typically a view over a pooled shared-memory segment:
-        the decode *is* the segment fill.  Raises :class:`CodecError`
-        when the payload does not decode to exactly ``len(out)`` bytes —
-        a truncated or corrupt payload must surface as a clean error,
-        never as a garbage block.
+        ``out`` is typically a view over a pooled shared-memory segment.
+        Raises :class:`CodecError` when the payload does not decode to
+        exactly ``len(out)`` bytes — a truncated or corrupt payload must
+        surface as a clean error, never as a garbage block.
         """
         raise NotImplementedError
 
@@ -125,8 +127,7 @@ class ZlibCodec(Codec):
         out = memoryview(out).cast("B")
         d = zlib.decompressobj()
         try:
-            raw = d.decompress(bytes(memoryview(payload).cast("B")),
-                               len(out) + 1)
+            raw = d.decompress(payload, len(out) + 1)
         except zlib.error as exc:
             raise CodecError(f"zlib payload does not decode: {exc}") from exc
         if len(raw) != len(out) or not d.eof:
@@ -181,8 +182,7 @@ class ShuffleZlibCodec(Codec):
                 f"cannot unshuffle {len(out)} bytes by itemsize {itemsize}")
         d = zlib.decompressobj()
         try:
-            raw = d.decompress(bytes(memoryview(payload).cast("B")),
-                               len(out) + 1)
+            raw = d.decompress(payload, len(out) + 1)
         except zlib.error as exc:
             raise CodecError(
                 f"shuffle-zlib payload does not decode: {exc}") from exc

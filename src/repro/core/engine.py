@@ -70,8 +70,6 @@ from repro.core.opcache import (
     OPERAND_CONTEXT_KEY,
     DecodedOperandCache,
     OperandContext,
-    legacy_copy_plane,
-    resolve_data_plane,
 )
 from repro.core.program import Program
 from repro.core.procplane import (
@@ -82,7 +80,7 @@ from repro.core.procplane import (
 )
 from repro.core.session import EngineSession, FileBacking
 from repro.core.shm import SegmentLeakError, SegmentPool
-from repro.core.storage import Effect, LocalStore, StoreStats, Ticket
+from repro.core.storage import Effect, LocalStore, Ticket
 from repro.core.task import TaskSpec
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.errors import FilterError, StreamClosedError
@@ -139,8 +137,7 @@ class _StorageFilter(Filter):
     def __init__(self, node: int, n_nodes: int, store: LocalStore,
                  directory: DirectoryClient, descs: dict[str, ArrayDesc],
                  tracer: Tracer | None = None,
-                 injector: FaultInjector | None = None,
-                 legacy_copies: bool | None = None):
+                 injector: FaultInjector | None = None):
         self.node = node
         self.n_nodes = n_nodes
         self.store = store
@@ -148,14 +145,6 @@ class _StorageFilter(Filter):
         self.descs = descs
         self.tracer = tracer or Tracer(enabled=False)
         self.injector = injector
-        #: legacy (copying) peer-serve path for A/B benchmarking; the
-        #: zero-copy plane serves the sealed block's read-only view
-        #: directly.  The engine threads its construction-time snapshot
-        #: here; sampling the environment is only the fallback for direct
-        #: construction, so a mid-run DOOC_DATA_PLANE flip can't leave
-        #: this filter on a different plane than its peers.
-        self.legacy_copies = (legacy_copy_plane() if legacy_copies is None
-                              else bool(legacy_copies))
         self.outputs = ("rep_workers", "rep_lsched", "io_cmd") + tuple(
             f"peer_out_{j}" for j in range(n_nodes) if j != node
         )
@@ -222,15 +211,11 @@ class _StorageFilter(Filter):
             # is sealed (write-once), so the peer may share the memory; it
             # stays alive through numpy's base reference even if this node
             # reclaims the buffer afterwards.
-            data = np.asarray(ticket.data)
-            if self.legacy_copies:
-                self.store.metrics.inc("bytes_copied", int(data.nbytes))
-                data = data.copy()
             self._peer_write(ctx, tag[1], {
                 "op": "blockdata",
                 "array": iv.array,
                 "block": iv.block,
-                "data": data,
+                "data": np.asarray(ticket.data),
             })
             # Served: release our local pin immediately.
             self._execute(ctx, self.store.release(ticket))
@@ -1719,9 +1704,8 @@ class RunReport:
 
     wall_seconds: float
     assignment: dict[str, int]
-    store_stats: dict[int, StoreStats]
     stream_stats: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: per-node metrics registry snapshots (supersede ``store_stats``)
+    #: per-node metrics registry snapshots
     metrics: dict[int, dict] = field(default_factory=dict)
     #: structured runtime events (empty unless tracing was enabled)
     trace_events: list[TraceEvent] = field(default_factory=list)
@@ -1730,15 +1714,15 @@ class RunReport:
 
     @property
     def total_loads(self) -> int:
-        return sum(s.loads for s in self.store_stats.values())
+        return sum(m.get("loads", 0) for m in self.metrics.values())
 
     @property
     def total_spills(self) -> int:
-        return sum(s.spills for s in self.store_stats.values())
+        return sum(m.get("spills", 0) for m in self.metrics.values())
 
     @property
     def total_remote_fetches(self) -> int:
-        return sum(s.remote_fetches for s in self.store_stats.values())
+        return sum(m.get("remote_fetches", 0) for m in self.metrics.values())
 
     # -- trace persistence ---------------------------------------------------
 
@@ -1788,7 +1772,6 @@ class DOoCEngine:
         self,
         *,
         n_nodes: int = 1,
-        workers_per_node: int | None = None,
         workers: int | None = None,
         io_filters_per_node: int = 1,
         memory_budget_per_node: int = 256 * 2**20,
@@ -1808,57 +1791,38 @@ class DOoCEngine:
         membership: MembershipConfig | bool | None = None,
         node_recovery: bool = True,
         worker_plane: str = "thread",
-        data_plane: str | None = None,
         codec: str | None = None,
     ):
-        if workers is not None and workers_per_node is not None:
-            raise DoocError("pass either workers= or workers_per_node=, not both")
-        if workers_per_node is None:
+        if workers is None:
             # cpu_count-aware default: SpMV kernels release the GIL inside
             # scipy, so distinct ready tasks genuinely overlap; capped so a
             # many-core box doesn't drown a small run in idle threads.
-            workers_per_node = (workers if workers is not None
-                                else default_worker_count())
-        if n_nodes < 1 or workers_per_node < 1 or io_filters_per_node < 1:
+            workers = default_worker_count()
+        if n_nodes < 1 or workers < 1 or io_filters_per_node < 1:
             raise DoocError("n_nodes, workers and I/O filters must be >= 1")
         if task_max_attempts < 1:
             raise DoocError("task_max_attempts must be >= 1")
         self.n_nodes = n_nodes
-        self.workers_per_node = workers_per_node
+        self.workers_per_node = workers
         self.io_filters_per_node = io_filters_per_node
         self.memory_budget_per_node = memory_budget_per_node
-        #: data-plane mode, snapshotted ONCE here.  ``None`` samples
-        #: DOOC_DATA_PLANE; every filter receives this snapshot, so a
-        #: mid-run flip of the environment variable cannot produce a
-        #: mixed copying/zero-copy plane (it used to: the old code
-        #: re-read os.environ at every load/serve call site).
-        self.data_plane = resolve_data_plane(data_plane)
-        self._legacy_copies = self.data_plane == "legacy"
-        #: on-disk block codec, snapshotted ONCE here exactly like the
-        #: data plane: ``None`` samples DOOC_CODEC, and every descriptor
-        #: the run spills is stamped with this snapshot — a mid-run flip
-        #: of the environment variable cannot split readers from writers.
+        #: on-disk block codec, snapshotted ONCE here: ``None`` samples
+        #: DOOC_CODEC, and every descriptor the run spills is stamped with
+        #: this snapshot — a mid-run flip of the environment variable
+        #: cannot split readers from writers.
         self.codec = resolve_codec(codec)
         if worker_plane not in ("thread", "process"):
             raise DoocError(
                 f"unknown worker_plane {worker_plane!r}: "
                 "expected 'thread' or 'process'")
-        if worker_plane == "process" and self._legacy_copies:
-            # A legacy copy of a segment-targeted load would desynchronize
-            # the block's handle from its bytes; the combination has no
-            # use (legacy exists only for A/B benchmarks) so refuse it.
-            raise DoocError(
-                "worker_plane='process' requires the zero-copy data plane "
-                "(unset DOOC_DATA_PLANE / pass data_plane='zerocopy')")
         self.worker_plane = worker_plane
         #: decoded-operand cache budget per node (0 disables; None = a
-        #: quarter of the memory budget).  The legacy data plane
-        #: (DOOC_DATA_PLANE=legacy) force-disables the cache.
+        #: quarter of the memory budget)
         if opcache_bytes is None:
             opcache_bytes = memory_budget_per_node // 4
         if opcache_bytes < 0:
             raise DoocError("opcache_bytes must be >= 0")
-        self.opcache_bytes = 0 if self._legacy_copies else int(opcache_bytes)
+        self.opcache_bytes = int(opcache_bytes)
         self.prefetch_depth = prefetch_depth
         self.gc_arrays = gc_arrays
         self.scheduler_reorder = scheduler_reorder
@@ -2190,7 +2154,6 @@ class DOoCEngine:
         return RunReport(
             wall_seconds=wall,
             assignment=assignment,
-            store_stats={n: s.stats for n, s in self.stores.items()},
             stream_stats=runtime.stream_stats(),
             metrics=metrics,
             trace_events=self.tracer.drain(),
@@ -2314,7 +2277,7 @@ class DOoCEngine:
                 lambda node=node, store=store, directory=directory,
                 injector=injector: _StorageFilter(
                     node, n, store, directory, self._descs, self.tracer,
-                    injector=injector, legacy_copies=self._legacy_copies),
+                    injector=injector),
             )
             layout.add_filter(
                 f"io@{node}",
@@ -2323,7 +2286,6 @@ class DOoCEngine:
                     scratch, node=node, tracer=self.tracer,
                     retry=self.io_retry, injector=injector,
                     metrics=store.metrics,
-                    legacy_copies=self._legacy_copies,
                     segment_pool=self._segment_pool),
                 instances=self.io_filters_per_node,
                 replicable=True,

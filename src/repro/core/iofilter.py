@@ -48,7 +48,6 @@ import numpy as np
 from repro.core.array import ArrayDesc
 from repro.core.codecs import checksum, get_codec
 from repro.core.errors import BlockMissingError, StorageError
-from repro.core.opcache import legacy_copy_plane
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.filters import Filter, FilterContext
 from repro.faults import FaultInjector, InjectedIOError, RetryPolicy
@@ -194,12 +193,6 @@ def unpack_chunk_into(blob: bytes, out: memoryview, itemsize: int,
     get_codec(codec_name).decode_into(payload, out, itemsize)
 
 
-def unpack_chunk(blob: bytes, itemsize: int, what: str) -> bytes:
-    """Verify and decode a chunk container; size comes from its header."""
-    codec_name, raw_nbytes, payload = _parse_chunk(blob, what)
-    return get_codec(codec_name).decode(payload, raw_nbytes, itemsize)
-
-
 def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
                 *, metrics: MetricsRegistry | None = None) -> None:
     """Persist one block (creating/growing the backing as needed).
@@ -290,12 +283,13 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
 def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
                     out: np.ndarray,
                     *, metrics: MetricsRegistry | None = None) -> np.ndarray:
-    """Load one block straight into ``out`` (no staging buffer).
+    """Load one block into ``out``.
 
     The segment-pool load path: ``out`` is a writable view over a
     shared-memory segment.  Raw blocks ``readinto`` it directly from the
-    file; compressed blocks decode straight into it — either way the
-    load *is* the segment fill, with no intermediate block buffer.
+    file, with no intermediate block buffer; compressed blocks are
+    decoded by their codec's ``decode_into``, which for the zlib codecs
+    inflates to a temporary first (see :mod:`repro.core.codecs`).
     """
     want = desc.block_nbytes(block)
     if out.nbytes != want:
@@ -442,7 +436,6 @@ class IOFilter(Filter):
                  retry: RetryPolicy | None = None,
                  injector: FaultInjector | None = None,
                  metrics: MetricsRegistry | None = None,
-                 legacy_copies: bool | None = None,
                  segment_pool=None):
         self.scratch = Path(scratch)
         self.node = node
@@ -450,12 +443,6 @@ class IOFilter(Filter):
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self.metrics = metrics
-        #: legacy (copying) load path for A/B benchmarking.  The engine
-        #: threads its construction-time snapshot through here; sampling
-        #: the environment is only the fallback for direct construction,
-        #: so a mid-run DOOC_DATA_PLANE flip can't de-cohere the plane.
-        self.legacy_copies = (legacy_copy_plane() if legacy_copies is None
-                              else bool(legacy_copies))
         #: repro.core.shm.SegmentPool when loads must land in shared
         #: memory (process worker plane); None for plain heap loads
         self.segment_pool = segment_pool
@@ -524,10 +511,7 @@ class IOFilter(Filter):
                 if segment and self.segment_pool is not None:
                     # Destination segment pre-allocated by the store:
                     # readinto (or decode into) it directly, then hand
-                    # back the sealed (frozen) view.  The legacy copying
-                    # plane never combines with segments (the engine
-                    # forbids it) — a copy here would desynchronize
-                    # handle and buffer.
+                    # back the sealed (frozen) view.
                     def _load_into(segment=segment):
                         out = self.segment_pool.ndarray(
                             segment, desc.block_length(block), desc.dtype)
@@ -544,9 +528,6 @@ class IOFilter(Filter):
                                            metrics=self.metrics),
                         op, desc, block, lane)
                 if error is None:
-                    if self.legacy_copies and not segment:
-                        self._inc("bytes_copied", int(data.nbytes))
-                        data = data.copy()
                     tracer.complete(self.node, lane, "io", "read", start,
                                     array=desc.name, block=block)
                     ctx.write("out", DataBuffer(

@@ -1,4 +1,4 @@
-"""The decoded-operand cache and the data-plane mode knob.
+"""The decoded-operand cache.
 
 The block data plane moves *untyped bytes*; typed operands (e.g. the
 binary-CRS sub-matrices of the SpMV programs) are decoded from those
@@ -22,17 +22,10 @@ granted read tickets) into the task's ``meta`` under
 :data:`OPERAND_CONTEXT_KEY`.  Code paths that call task functions
 directly (references, the DES testbed) simply decode — no context, no
 cache, same bytes.
-
-``DOOC_DATA_PLANE=legacy`` re-enables the pre-zero-copy behavior (loads
-round-trip through a defensive copy, peer serves copy the block, the
-operand cache is disabled).  It exists so `python -m repro bench` can
-measure the zero-copy data plane against its predecessor on the same
-build; production runs should never set it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -40,9 +33,6 @@ from typing import Any, Callable
 
 __all__ = [
     "OPERAND_CONTEXT_KEY",
-    "DATA_PLANE_ENV",
-    "legacy_copy_plane",
-    "resolve_data_plane",
     "DecodedOperandCache",
     "OperandContext",
     "cached_decode",
@@ -50,37 +40,6 @@ __all__ = [
 
 #: reserved ``meta`` key under which workers pass the OperandContext
 OPERAND_CONTEXT_KEY = "__operands__"
-
-#: environment switch: "legacy" restores the copying data plane
-DATA_PLANE_ENV = "DOOC_DATA_PLANE"
-
-
-def legacy_copy_plane() -> bool:
-    """Is the legacy (copying) data plane requested via the environment?
-
-    This samples ``os.environ`` *now*.  The engine snapshots the mode
-    once at construction (:func:`resolve_data_plane`) and threads the
-    result through the storage and I/O filters, so a mid-run change to
-    ``DOOC_DATA_PLANE`` cannot produce a mixed copying/zero-copy plane —
-    only the engine's constructor should consult this.
-    """
-    return os.environ.get(DATA_PLANE_ENV, "").strip().lower() == "legacy"
-
-
-def resolve_data_plane(value: str | None = None) -> str:
-    """Normalize a data-plane choice to ``"zerocopy"`` or ``"legacy"``.
-
-    ``value=None`` (the default) samples the environment — once, at the
-    single call site in ``DOoCEngine.__init__``; an explicit value
-    overrides the environment entirely.
-    """
-    if value is None:
-        value = "legacy" if legacy_copy_plane() else "zerocopy"
-    value = value.strip().lower()
-    if value not in ("zerocopy", "legacy"):
-        raise ValueError(
-            f"unknown data plane {value!r}: expected 'zerocopy' or 'legacy'")
-    return value
 
 
 class DecodedOperandCache:
@@ -186,18 +145,6 @@ class DecodedOperandCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "in_use": self.in_use,
-                "budget": self.budget,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }
 
 
 @dataclass(frozen=True)

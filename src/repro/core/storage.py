@@ -36,7 +36,7 @@ from repro.core.errors import ImmutabilityError, StorageError, UnknownArrayError
 from repro.core.interval import Interval, Permission
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Effect", "Ticket", "LocalStore", "StoreStats"]
+__all__ = ["Effect", "Ticket", "LocalStore"]
 
 
 @dataclass(frozen=True)
@@ -83,48 +83,6 @@ class Ticket:
     #: under a segment pool: the picklable BlockHandle describing this
     #: grant's span for cross-process dispatch (None on plain buffers)
     handle: Any = None
-
-
-@dataclass
-class StoreStats:
-    """Operational counters (used by experiments and tests).
-
-    Since the :mod:`repro.obs` metrics registry took over the live
-    accounting, this is a *compatibility view*: ``LocalStore.stats``
-    materializes one from ``LocalStore.metrics`` on each access.  Existing
-    readers (`.loads`, `.loads_by_array`, ...) keep working unchanged.
-    """
-
-    loads: int = 0
-    spills: int = 0
-    drops: int = 0
-    remote_fetches: int = 0
-    read_hits: int = 0   # read grants served without waiting for I/O
-    read_waits: int = 0  # read grants that had to wait (load/seal/fetch)
-    prefetch_dropped: int = 0  # prefetches the store declined (no headroom)
-    bytes_loaded: int = 0
-    bytes_spilled: int = 0
-    loads_by_array: dict[str, int] = field(default_factory=dict)
-
-    def record_load(self, array: str, nbytes: int) -> None:
-        self.loads += 1
-        self.bytes_loaded += nbytes
-        self.loads_by_array[array] = self.loads_by_array.get(array, 0) + 1
-
-    @classmethod
-    def from_metrics(cls, metrics: MetricsRegistry) -> StoreStats:
-        return cls(
-            loads=metrics.get("loads"),
-            spills=metrics.get("spills"),
-            drops=metrics.get("drops"),
-            remote_fetches=metrics.get("remote_fetches"),
-            read_hits=metrics.get("read_hits"),
-            read_waits=metrics.get("read_waits"),
-            prefetch_dropped=metrics.get("prefetch_dropped"),
-            bytes_loaded=metrics.get("bytes_loaded"),
-            bytes_spilled=metrics.get("bytes_spilled"),
-            loads_by_array=metrics.labeled("loads"),
-        )
 
 
 # Block residency states
@@ -222,11 +180,6 @@ class LocalStore:
         #: (``_free``) and array deletion invalidates the entries decoded
         #: from those bytes.  ``None`` when the cache is disabled.
         self.opcache: Any = None
-
-    @property
-    def stats(self) -> StoreStats:
-        """Compatibility view over :attr:`metrics` (see :class:`StoreStats`)."""
-        return StoreStats.from_metrics(self.metrics)
 
     # -- array registration ----------------------------------------------------
 

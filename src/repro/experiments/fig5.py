@@ -81,7 +81,7 @@ def run(*, iterations: int = 3, seed: int = 3,
     a_bytes = max(len(serialize_csr(b)) for b in blocks.values())
     with TemporaryDirectory() as tmp:
         eng = DOoCEngine(
-            n_nodes=k, workers_per_node=1,
+            n_nodes=k, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + 3000,
             scratch_dir=scratch_dir or tmp,
             trace=True,
@@ -91,8 +91,8 @@ def run(*, iterations: int = 3, seed: int = 3,
     want = iterated_spmv_reference(global_m, x0, iterations)
     matrix_loads = sum(
         count
-        for stats in report.store_stats.values()
-        for array, count in stats.loads_by_array.items()
+        for metrics in report.metrics.values()
+        for array, count in metrics.get("loads_by_label", {}).items()
         if array.startswith("A_")
     )
     return Fig5Result(

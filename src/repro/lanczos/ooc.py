@@ -29,7 +29,7 @@ class OutOfCoreLanczos:
         blocks: dict[tuple[int, int], CSRBlock],
         *,
         n_nodes: int = 1,
-        workers_per_node: int = 2,
+        workers: int = 2,
         memory_budget_per_node: int = 256 * 2**20,
         scratch_dir: str | Path | None = None,
         policy: str = "interleaved",
@@ -39,7 +39,7 @@ class OutOfCoreLanczos:
         self.operator = OutOfCoreMatrix(
             blocks,
             n_nodes=n_nodes,
-            workers_per_node=workers_per_node,
+            workers=workers,
             memory_budget_per_node=memory_budget_per_node,
             scratch_dir=scratch_dir,
             policy=policy,

@@ -7,8 +7,8 @@ first-class artefact of every run:
 * :class:`Tracer` / :class:`TraceEvent` — low-overhead structured events
   in per-node ring buffers (same schema for the threaded engine and the
   DES testbed);
-* :class:`MetricsRegistry` — named counters superseding the ad-hoc
-  ``StoreStats`` fields (which remain as a compatibility view);
+* :class:`MetricsRegistry` — the named counters every runtime component
+  increments, reported per node as ``RunReport.metrics``;
 * :mod:`repro.obs.chrome` — ``chrome://tracing`` export, JSONL
   persistence, validation (``python -m repro trace <run>``);
 * :class:`StallWatchdog` / :class:`Diagnosis` — turns a silent mid-run

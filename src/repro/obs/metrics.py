@@ -1,11 +1,11 @@
 """Per-node metrics registry.
 
-Supersedes the ad-hoc counter fields that used to live directly on
-``StoreStats``: every runtime component increments named (optionally
-labelled) counters on a :class:`MetricsRegistry`, and ``StoreStats``
-remains as a *compatibility view* materialized from the registry (see
-:mod:`repro.core.storage`).  Counters are monotonic; ``observe_max``
-records high-watermark gauges (e.g. peak allocation-queue depth).
+The one place operational counts live: every runtime component (store,
+I/O filter, schedulers, workers, operand cache) increments named
+(optionally labelled) counters on its node's :class:`MetricsRegistry`,
+and a run reports each registry's snapshot as ``RunReport.metrics[node]``.
+Counters are monotonic; ``observe_max`` records high-watermark gauges
+(e.g. peak allocation-queue depth).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.cancel import CancelToken
 from repro.server.jobs import JobSpec
+from repro.spmv.csr import CSRBlock
 from repro.spmv.generator import symmetric_test_matrix
 from repro.spmv.partition import GridPartition
 
@@ -38,11 +39,16 @@ def _build_problem(spec: JobSpec):
 
     ``diag_shift`` scales with the row weight so Jacobi stays strictly
     diagonally dominant and CG's operator positive definite for any
-    ``nnz_per_row`` a client picks.
+    ``nnz_per_row`` a client picks.  The ``spmv`` kind iterates
+    ``x <- A x`` with no normalisation, so its matrix is scaled to
+    ``||A||_inf = 1``: the iterate stays finite for any iteration count.
     """
     rng = np.random.default_rng(spec.seed)
     m = symmetric_test_matrix(spec.n, spec.nnz_per_row, rng,
                               diag_shift=4.0 * spec.nnz_per_row)
+    if spec.kind == "spmv":
+        a = m.to_scipy()
+        m = CSRBlock.from_scipy(a / abs(a).sum(axis=1).max())
     partition = GridPartition(spec.n, spec.parts)
     blocks = partition.split_matrix(m)
     vec = np.random.default_rng(spec.seed + 1).standard_normal(spec.n)

@@ -17,12 +17,9 @@ offset     dtype   field
 The same byte layout doubles as the in-memory serialization used to park a
 sub-matrix in a DOoC global array (one uint8 block), so the storage layer
 stays agnostic of matrix structure — it only ever moves untyped bytes, as
-DataCutter intends.
-
-On disk a sub-matrix file may additionally be wrapped in the chunk
-container from :mod:`repro.core.iofilter` (pass ``codec=`` to
-:func:`write_csr_file`): the container's own magic distinguishes it from a
-legacy bare CRS file, so readers accept both without being told which.
+DataCutter intends.  Compression is the storage layer's business: a
+sub-matrix parked in a global array is encoded per block by the array's
+codec (:mod:`repro.core.codecs`); a stand-alone CRS file is always bare.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.iofilter import CHUNK_MAGIC, pack_chunk, unpack_chunk
 from repro.spmv.csr import CSRBlock, CSRError
 from repro.util.atomicio import atomic_write
 
@@ -85,51 +81,30 @@ def deserialize_csr(raw) -> CSRBlock:
                     indptr=indptr, indices=indices, values=values)
 
 
-def write_csr_file(path: str | Path, block: CSRBlock,
-                   codec: str | None = None) -> int:
+def write_csr_file(path: str | Path, block: CSRBlock) -> int:
     """Write a sub-matrix file; returns bytes written.
 
-    ``codec`` (a :mod:`repro.core.codecs` name; ``None``/``"raw"`` writes
-    the bare legacy layout) wraps the serialized CRS bytes in the
-    self-describing chunk container — readers probe the leading magic, so
-    compressed and bare files coexist in one directory.  Goes through
-    :func:`atomic_write` so a crash mid-write can never leave a torn file
-    that passes the magic check but truncates the payload — readers see
-    the old complete file or the new complete file.
+    Goes through :func:`atomic_write` so a crash mid-write can never
+    leave a torn file that passes the magic check but truncates the
+    payload — readers see the old complete file or the new complete file.
     """
     data = serialize_csr(block)
-    if codec is not None and codec != "raw":
-        data = pack_chunk(codec, data, 1)
     atomic_write(Path(path), data)
     return len(data)
 
 
-def _unwrap(blob: bytes, path) -> bytes:
-    """Strip the chunk container when present (probe by magic)."""
-    if blob[:len(CHUNK_MAGIC)] == CHUNK_MAGIC:
-        return unpack_chunk(blob, 1, f"CRS file {path}")
-    return blob
-
-
 def read_csr_file(path: str | Path) -> CSRBlock:
-    """Read a sub-matrix file (bare or chunk-wrapped)."""
-    return deserialize_csr(_unwrap(Path(path).read_bytes(), path))
+    """Read a sub-matrix file."""
+    return deserialize_csr(Path(path).read_bytes())
 
 
 def peek_csr_header(path: str | Path) -> tuple[int, int, int]:
-    """(nrows, ncols, nnz) without parsing the payload arrays.
-
-    A chunk-wrapped file must be decoded to reach the CRS header, but the
-    arrays are still never *parsed* — the caller pays one decode, not a
-    deserialize.
-    """
+    """(nrows, ncols, nnz) without reading the payload arrays."""
     with open(path, "rb") as fh:
-        head = fh.read(max(_HEADER.size, len(CHUNK_MAGIC)))
-        if head[:len(CHUNK_MAGIC)] == CHUNK_MAGIC:
-            head = _unwrap(head + fh.read(), path)[:_HEADER.size]
+        head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise CSRError(f"{path} too short for a CRS header")
-    magic, nrows, ncols, nnz = _HEADER.unpack(head[:_HEADER.size])
+    magic, nrows, ncols, nnz = _HEADER.unpack(head)
     if magic != MAGIC:
         raise CSRError(f"{path} is not a binary CRS file")
     return nrows, ncols, nnz

@@ -33,7 +33,6 @@ class OutOfCoreMatrix:
         blocks: dict[tuple[int, int], CSRBlock],
         *,
         n_nodes: int = 1,
-        workers_per_node: int | None = None,
         workers: int | None = None,
         memory_budget_per_node: int = 256 * 2**20,
         scratch_dir: str | Path | None = None,
@@ -63,7 +62,6 @@ class OutOfCoreMatrix:
         # callers like the job server; they override the named defaults.
         eng_kwargs = dict(
             n_nodes=n_nodes,
-            workers_per_node=workers_per_node,
             workers=workers,
             memory_budget_per_node=memory_budget_per_node,
             scratch_dir=scratch_dir,

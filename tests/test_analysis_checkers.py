@@ -232,7 +232,7 @@ def _square_program():
 
 def test_engine_run_is_green_under_checkers(protocol_checkers):
     p, x = _square_program()
-    engine = DOoCEngine(n_nodes=2, workers_per_node=2)
+    engine = DOoCEngine(n_nodes=2, workers=2)
     assert engine.protocol_checkers
     engine.run(p, timeout=60)
     assert np.allclose(engine.fetch("y"), x**2)

@@ -1,11 +1,16 @@
 """Direct tests for smaller public-API surfaces found by the audit."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.ci.mscheme import MSchemeSpace
 from repro.ci.nnz import estimate_total_nnz
 from repro.core.array import ArrayDesc
+from repro.core.engine import DOoCEngine
 from repro.core.local_scheduler import LocalSchedulerCore
 from repro.core.storage import LocalStore
 from repro.core.task import task
@@ -19,6 +24,33 @@ from repro.util.rng import spawn
 
 def noop(ins, outs, meta):
     pass
+
+
+ENGINE_PARAMETERS = [
+    "n_nodes", "workers", "io_filters_per_node", "memory_budget_per_node",
+    "opcache_bytes", "scratch_dir", "prefetch_depth", "rng_seed",
+    "gc_arrays", "scheduler_reorder", "trace", "watchdog_quiet_s", "faults",
+    "io_retry", "task_max_attempts", "task_max_reroutes",
+    "protocol_checkers", "membership", "node_recovery", "worker_plane",
+    "codec",
+]
+
+
+class TestEngineConstructor:
+    def test_signature_is_pinned(self):
+        params = list(inspect.signature(DOoCEngine.__init__).parameters)
+        assert params == ["self", *ENGINE_PARAMETERS]
+
+    def test_api_doc_row_names_the_same_parameters(self):
+        doc = (Path(__file__).parents[1] / "docs" / "API.md").read_text()
+        row = re.search(r"^\| `DOoCEngine\((.*?)\)` \|", doc, re.M).group(1)
+        assert re.findall(r"(\w+)=", row) == ENGINE_PARAMETERS
+
+    @pytest.mark.parametrize("removed", [
+        {"data_plane": "legacy"}, {"workers_per_node": 2}])
+    def test_removed_spellings_are_type_errors(self, removed):
+        with pytest.raises(TypeError):
+            DOoCEngine(**removed)
 
 
 class TestSimSurfaces:

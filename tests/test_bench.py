@@ -79,7 +79,6 @@ def report_with(name="out_of_core", wall=1.0, copied=0, bit_identical=True,
         "schema": SCHEMA,
         "tag": "t",
         "mode": mode,
-        "data_plane": "zerocopy",
         "workloads": {
             name: {
                 "wall_seconds": wall,

@@ -87,7 +87,7 @@ class TestEngineCancellation:
         # 60 tasks x 30 ms >> the 0.15 s cancel point: the run must stop
         # long before it would finish, with a clean audit.
         tok = CancelToken()
-        eng = DOoCEngine(n_nodes=2, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=2, workers=1,
                          scratch_dir=tmp_path)
         timer = _cancel_after(tok, 0.15)
         t0 = time.monotonic()
@@ -107,7 +107,7 @@ class TestEngineCancellation:
         # cancel point (the storage filter must still drain cleanly).
         n = 4096
         tok = CancelToken()
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          memory_budget_per_node=64 * 1024 + 1024,
                          scratch_dir=tmp_path)
         timer = _cancel_after(tok, 0.05)
@@ -144,7 +144,7 @@ class TestEngineCancellation:
 
     def test_cancel_process_plane(self, tmp_path, protocol_checkers):
         tok = CancelToken()
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          worker_plane="process", scratch_dir=tmp_path)
         timer = _cancel_after(tok, 0.2)
         try:
@@ -167,7 +167,7 @@ class TestTwoEnginesOneProcess:
         errors: list[BaseException] = []
 
         def drive(idx):
-            eng = DOoCEngine(n_nodes=2, workers_per_node=2,
+            eng = DOoCEngine(n_nodes=2, workers=2,
                              scratch_dir=tmp_path / f"e{idx}")
             try:
                 for rep in range(2):  # exercise the run-seq part too

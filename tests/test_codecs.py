@@ -260,8 +260,7 @@ class TestEngineEndToEnd:
     def test_bit_identical_across_codecs(self, codec, tmp_path):
         prog_raw, x = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path / "raw",
-                         memory_budget_per_node=64 * 2**10,
-                         data_plane="zerocopy", codec="raw")
+                         memory_budget_per_node=64 * 2**10, codec="raw")
         try:
             report_raw = eng.run(prog_raw, timeout=60)
             want = eng.fetch("a6")
@@ -272,8 +271,7 @@ class TestEngineEndToEnd:
 
         prog_c, _ = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path / codec,
-                         memory_budget_per_node=64 * 2**10,
-                         data_plane="zerocopy", codec=codec)
+                         memory_budget_per_node=64 * 2**10, codec=codec)
         try:
             report = eng.run(prog_c, timeout=60)
             got = eng.fetch("a6")
@@ -281,8 +279,8 @@ class TestEngineEndToEnd:
             eng.cleanup()
         assert np.array_equal(got, want)  # bit-identical, not allclose
         metrics = report.metrics
-        # Decode lands straight in the pooled segment: the only copies are
-        # the engine's deterministic gather/scatter ones, identical to raw.
+        # A codec adds no data-plane copy: the only counted copies are the
+        # engine's deterministic gather/scatter ones, identical to raw.
         assert sum(m.get("bytes_copied", 0)
                    for m in metrics.values()) == copies_raw
         disk = sum(m.get("disk_bytes_read", 0) for m in metrics.values())
@@ -293,8 +291,7 @@ class TestEngineEndToEnd:
     def test_compressed_spills_write_chunk_dirs(self, tmp_path):
         prog, _ = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path,
-                         memory_budget_per_node=64 * 2**10,
-                         data_plane="zerocopy", codec="zlib")
+                         memory_budget_per_node=64 * 2**10, codec="zlib")
         try:
             eng.run(prog, timeout=60)
         finally:
@@ -306,8 +303,7 @@ class TestEngineEndToEnd:
         prog, _ = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path,
                          memory_budget_per_node=64 * 2**10,
-                         worker_plane="process",
-                         data_plane="zerocopy", codec="zlib")
+                         worker_plane="process", codec="zlib")
         try:
             report = eng.run(prog, timeout=120)
             got = eng.fetch("a6")

@@ -529,7 +529,6 @@ def conv_report(verdicts=None, mode="quick"):
         "schema": SCHEMA,
         "tag": "t",
         "mode": mode,
-        "data_plane": "zerocopy",
         "workloads": {},
         "codec_sweep": {},
         "convergence": {
@@ -550,7 +549,6 @@ def workload_baseline():
         "schema": SCHEMA,
         "tag": "baseline",
         "mode": "quick",
-        "data_plane": "zerocopy",
         "workloads": {
             "out_of_core": {"wall_seconds": 1.0, "bytes_copied": 0,
                             "bit_identical": True},

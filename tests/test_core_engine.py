@@ -30,7 +30,7 @@ class TestSingleNode:
         prog.initial_array("x", x)
         prog.array("y", 100)
         prog.add_task("scale", scale_fn(3.0), ["x"], ["y"])
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=tmp_path)
         report = eng.run(prog, timeout=60)
         np.testing.assert_allclose(eng.fetch("y"), 3.0 * x)
         assert report.assignment == {"scale": 0}
@@ -55,7 +55,7 @@ class TestSingleNode:
         prog.add_task("left", scale_fn(2.0), ["x"], ["l"])
         prog.add_task("right", scale_fn(3.0), ["x"], ["r"])
         prog.add_task("join", add_fn, ["l", "r"], ["out"])
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=tmp_path)
         eng.run(prog, timeout=60)
         np.testing.assert_allclose(eng.fetch("out"), np.full(10, 5.0))
 
@@ -79,14 +79,14 @@ class TestSingleNode:
             prog.array(f"a{i+1}", n)
             prog.add_task(f"t{i}", scale_fn(1.0), [f"a{i}"], [f"a{i+1}"])
         eng = DOoCEngine(
-            n_nodes=1, workers_per_node=1,
+            n_nodes=1, workers=1,
             memory_budget_per_node=64 * 1024 + 1024,
             scratch_dir=tmp_path,
         )
         report = eng.run(prog, timeout=120)
         np.testing.assert_allclose(eng.fetch("a8"), x)
         assert report.total_spills > 0
-        assert report.store_stats[0].loads > 0
+        assert report.metrics[0]["loads"] > 0
 
     def test_fetch_unknown_array_rejected(self, tmp_path):
         prog = Program("p", default_block_elems=64)
@@ -214,7 +214,7 @@ class TestSplitTasks:
         prog.array("y", n, block_elems=32)
         prog.add_task("scale", ranged_scale, ["x"], ["y"],
                       splittable=True, splitter=self._range_splitter, length=n)
-        eng = DOoCEngine(n_nodes=1, workers_per_node=4, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=1, workers=4, scratch_dir=tmp_path)
         eng.run(prog, timeout=60)
         np.testing.assert_allclose(eng.fetch("y"), np.arange(n) * 5.0)
 
@@ -240,7 +240,7 @@ class TestIteratedPattern:
                     [f"x{i}_{p}"],
                 )
                 vals[p] = sum(prev.values())
-        eng = DOoCEngine(n_nodes=2, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=2, workers=2, scratch_dir=tmp_path)
         eng.run(prog, timeout=120)
         for p in range(parts):
             np.testing.assert_allclose(eng.fetch(f"x{iters}_{p}"), vals[p])
@@ -276,4 +276,4 @@ class TestValidation:
         with pytest.raises(DoocError):
             DOoCEngine(n_nodes=0)
         with pytest.raises(DoocError):
-            DOoCEngine(workers_per_node=0)
+            DOoCEngine(workers=0)

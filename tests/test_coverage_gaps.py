@@ -99,7 +99,7 @@ class TestEngineVariants:
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=2, n_nodes=1,
             vector_block_elems=16)  # 40-row parts -> 3 blocks each
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=tmp_path)
         eng.run(result.program, timeout=120)
         np.testing.assert_allclose(
             result.fetch_final(eng), iterated_spmv_reference(m, x0, 2),
@@ -109,7 +109,7 @@ class TestEngineVariants:
         m, p, blocks, x0 = spmv_problem(seed=1)
         result = build_iterated_spmv(blocks, p.split_vector(x0),
                                      iterations=2, n_nodes=1)
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+        eng = DOoCEngine(n_nodes=1, workers=2,
                          io_filters_per_node=3, scratch_dir=tmp_path)
         eng.run(result.program, timeout=120)
         np.testing.assert_allclose(
@@ -122,7 +122,7 @@ class TestEngineVariants:
         m, p, blocks, x0 = spmv_problem(seed=2)
         result = build_iterated_spmv(blocks, p.split_vector(x0),
                                      iterations=2, n_nodes=1)
-        eng = DOoCEngine(n_nodes=1, workers_per_node=workers,
+        eng = DOoCEngine(n_nodes=1, workers=workers,
                          scratch_dir=tmp_path / str(workers))
         eng.run(result.program, timeout=120)
         np.testing.assert_allclose(

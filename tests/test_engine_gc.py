@@ -53,7 +53,7 @@ class TestGarbageCollection:
         def leftover_files(gc):
             prog, x, stages = chain_program(stages=8, n=4096)
             eng = DOoCEngine(
-                n_nodes=1, workers_per_node=1,
+                n_nodes=1, workers=1,
                 memory_budget_per_node=3 * 4096 * 8 + 1024,
                 scratch_dir=tmp_path / f"gc{gc}", gc_arrays=gc,
             )
@@ -79,7 +79,7 @@ class TestGarbageCollection:
         def run(gc):
             prog, _, stages = chain_program(stages=10, n=4096)
             eng = DOoCEngine(
-                n_nodes=1, workers_per_node=1,
+                n_nodes=1, workers=1,
                 memory_budget_per_node=4 * 4096 * 8,
                 scratch_dir=tmp_path / f"gc{gc}", gc_arrays=gc,
             )

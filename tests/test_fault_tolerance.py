@@ -44,7 +44,7 @@ class TestTransientIOFaults:
             result = build_iterated_spmv(
                 blocks, p.split_vector(x0), iterations=4, n_nodes=2)
             eng = DOoCEngine(
-                n_nodes=2, workers_per_node=2, scratch_dir=scratch,
+                n_nodes=2, workers=2, scratch_dir=scratch,
                 memory_budget_per_node=1 << 16, faults=faults,
                 io_retry=RetryPolicy(attempts=6, backoff_s=0.001))
             report = eng.run(result.program, timeout=180)

@@ -135,10 +135,6 @@ class TestEngineConfig:
         with pytest.raises(DoocError, match="worker_plane"):
             DOoCEngine(n_nodes=1, worker_plane="fiber")
 
-    def test_process_plane_refuses_legacy_data_plane(self):
-        with pytest.raises(DoocError, match="zero-copy"):
-            DOoCEngine(n_nodes=1, worker_plane="process", data_plane="legacy")
-
 
 # -- end-to-end behavior ------------------------------------------------------
 
@@ -153,7 +149,7 @@ class TestProcessPlaneEndToEnd:
         result = build_iterated_spmv(
             p.split_matrix(global_m), p.split_vector(x0),
             iterations=iterations, n_nodes=2)
-        eng = DOoCEngine(n_nodes=2, workers_per_node=2,
+        eng = DOoCEngine(n_nodes=2, workers=2,
                          scratch_dir=tmp_path / worker_plane,
                          worker_plane=worker_plane)
         try:
@@ -189,7 +185,7 @@ class TestProcessPlaneEndToEnd:
         for i in range(8):
             prog.array(f"a{i+1}", n)
             prog.add_task(f"t{i}", scale_fn, [f"a{i}"], [f"a{i+1}"])
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          memory_budget_per_node=64 * 1024 + 1024,
                          scratch_dir=tmp_path, worker_plane="process")
         try:
@@ -203,7 +199,7 @@ class TestProcessPlaneEndToEnd:
 
     def test_segments_unlinked_after_normal_teardown(self, tmp_path):
         prog, want = _chain_program()
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+        eng = DOoCEngine(n_nodes=1, workers=2,
                          scratch_dir=tmp_path, worker_plane="process")
         try:
             eng.run(prog, timeout=60)
@@ -216,7 +212,7 @@ class TestProcessPlaneEndToEnd:
             eng.cleanup()
 
     def test_multiple_runs_reuse_one_engine(self, tmp_path):
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+        eng = DOoCEngine(n_nodes=1, workers=2,
                          scratch_dir=tmp_path, worker_plane="process")
         try:
             for _ in range(3):
@@ -242,7 +238,7 @@ class TestProcessPlaneEndToEnd:
 
         def one_run(scratch):
             prog, want = _chain_program(links=150)
-            eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+            eng = DOoCEngine(n_nodes=1, workers=2,
                              scratch_dir=scratch, worker_plane="process")
             try:
                 eng.run(prog, timeout=120)
@@ -271,7 +267,7 @@ class TestFrozenAcrossProcesses:
         prog.initial_array("x", np.ones(64))
         prog.array("y", 64)
         prog.add_task("bad", write_input_fn, ["x"], ["y"])
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          scratch_dir=tmp_path, worker_plane="process")
         try:
             with pytest.raises(Exception, match="read-only"):
@@ -290,7 +286,7 @@ class TestWorkerCrashRecovery:
         prog.array("y", 64)
         prog.add_task("boom", crash_once_fn, ["x"], ["y"],
                       crash_flag=str(tmp_path / "crashed.flag"))
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          scratch_dir=tmp_path / "scratch",
                          worker_plane="process")
         try:
@@ -317,7 +313,7 @@ class TestInlineFallback:
         prog.initial_array("x", np.zeros(64))
         prog.array("y", 64)
         prog.add_task("t", closure_fn, ["x"], ["y"])
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          scratch_dir=tmp_path, worker_plane="process")
         try:
             report = eng.run(prog, timeout=60)

@@ -40,8 +40,8 @@ class TestCoreFifoMode:
 
 def matrix_loads(report):
     return sum(
-        c for s in report.store_stats.values()
-        for a, c in s.loads_by_array.items() if a.startswith("A_")
+        c for m in report.metrics.values()
+        for a, c in m["loads_by_label"].items() if a.startswith("A_")
     )
 
 
@@ -59,7 +59,7 @@ class TestEngineAblation:
             policy="simple", owner=column_owner(k, k))
         a_bytes = max(len(serialize_csr(b)) for b in blocks.values())
         eng = DOoCEngine(
-            n_nodes=k, workers_per_node=1,
+            n_nodes=k, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + 3000,
             scratch_dir=tmp_path / str(reorder),
             scheduler_reorder=reorder,

@@ -8,15 +8,18 @@ every lifecycle path at once and asserts that *every* job converges on a
 structured terminal state — never a hang, never a generic StallError.
 """
 
+import math
 import os
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.errors import StallError
 from repro.faults import FaultPlan, RetryPolicy, job_fault_plan
+from repro.recovery.checkpoint import CheckpointManager
 from repro.server import (
     JobManager,
     JobSpec,
@@ -200,6 +203,11 @@ class TestJobManager:
             assert rec.done_event.wait(60)
             assert rec.state == JobState.DEADLINE_EXCEEDED, rec.outcome
             assert rec.outcome["reason"] == "deadline exceeded"
+            # It was cut short on a finite iterate, not on inf/NaN.
+            ckpt = CheckpointManager(
+                mgr.work_dir / rec.id / "ckpt").load_latest()
+            assert ckpt is not None
+            assert all(np.isfinite(a).all() for a in ckpt.arrays.values())
         finally:
             mgr.drain(timeout=10)
 
@@ -292,6 +300,7 @@ class TestJobManager:
             ref = mgr.submit(_spec(tenant="vip", kind="spmv", n=96,
                                    iterations=300, checkpoint_every=2))
             assert ref.done_event.wait(180) and ref.state == JobState.DONE
+            assert math.isfinite(ref.outcome["norm"])
             for rec in preempted:
                 assert rec.outcome["digest"] == ref.outcome["digest"]
                 assert rec.outcome["restored_from"] is not None
@@ -314,6 +323,8 @@ class TestJobManager:
                 assert rec.done_event.wait(120)
                 assert rec.state == JobState.DONE
             assert a.preemptions == b.preemptions == 0
+            assert math.isfinite(a.outcome["norm"])
+            assert math.isfinite(b.outcome["norm"])
         finally:
             mgr.drain(timeout=10)
 

@@ -27,7 +27,7 @@ def test_tight_memory_many_iterations(tmp_path, seed):
         policy="interleaved")
     a_bytes = max(len(serialize_csr(b)) for b in blocks.values())
     eng = DOoCEngine(
-        n_nodes=2, workers_per_node=2,
+        n_nodes=2, workers=2,
         memory_budget_per_node=2 * a_bytes + 40 * n,
         scratch_dir=tmp_path, gc_arrays=True,
     )
@@ -54,7 +54,7 @@ def test_many_small_tasks_throughput(tmp_path):
         prog.initial_array(f"x{i}", np.full(256, float(i)), home=i % 3)
         prog.array(f"y{i}", 256)
         prog.add_task(f"t{i}", bump, [f"x{i}"], [f"y{i}"], delta=0.5)
-    eng = DOoCEngine(n_nodes=3, workers_per_node=3, scratch_dir=tmp_path)
+    eng = DOoCEngine(n_nodes=3, workers=3, scratch_dir=tmp_path)
     report = eng.run(prog, timeout=120)
     for i in range(60):
         np.testing.assert_allclose(eng.fetch(f"y{i}"), np.full(256, i + 0.5))

@@ -33,7 +33,7 @@ class TestCorrectness:
         global_m, p, blocks, x0 = make_problem()
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=3, n_nodes=1, policy=policy)
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=tmp_path)
         eng.run(result.program, timeout=120)
         got = result.fetch_final(eng)
         want = iterated_spmv_reference(global_m, x0, 3)
@@ -44,7 +44,7 @@ class TestCorrectness:
         global_m, p, blocks, x0 = make_problem(n=90, k=3, seed=1)
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=2, n_nodes=3, policy=policy)
-        eng = DOoCEngine(n_nodes=3, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=3, workers=2, scratch_dir=tmp_path)
         report = eng.run(result.program, timeout=180)
         got = result.fetch_final(eng)
         want = iterated_spmv_reference(global_m, x0, 2)
@@ -81,7 +81,7 @@ class TestFig5LoadCounts:
         # Budget: one sub-matrix + generous room for the (small) vectors.
         vec_bytes = 8 * p.n * (k + 2) * (iterations + 1)
         eng = DOoCEngine(
-            n_nodes=1, workers_per_node=1,
+            n_nodes=1, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + vec_bytes,
             scratch_dir=tmp_path,
         )
@@ -102,7 +102,7 @@ class TestFig5LoadCounts:
         # at least one sub-matrix per iteration transition is reused, so
         # total loads stay below the naive plan.
         regular = loads_regular_plan(k_local, iters)
-        assert report.store_stats[0].loads < regular + 1  # sanity ceiling
+        assert report.metrics[0]["loads"] < regular + 1  # sanity ceiling
 
     def test_back_and_forth_emerges_on_three_nodes(self, tmp_path):
         """Fig. 5's exact setting: 3 nodes, each owning one grid column,
@@ -119,7 +119,7 @@ class TestFig5LoadCounts:
         from repro.spmv.csrfile import serialize_csr
         a_bytes = max(len(serialize_csr(b)) for b in blocks.values())
         eng = DOoCEngine(
-            n_nodes=k, workers_per_node=1,
+            n_nodes=k, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + 3000,
             scratch_dir=tmp_path,
         )
@@ -129,8 +129,8 @@ class TestFig5LoadCounts:
             iterated_spmv_reference(global_m, x0, iterations), rtol=1e-9)
         matrix_loads = sum(
             count
-            for stats in report.store_stats.values()
-            for array, count in stats.loads_by_array.items()
+            for metrics in report.metrics.values()
+            for array, count in metrics["loads_by_label"].items()
             if array.startswith("A_")
         )
         naive = 3 * loads_regular_plan(k, iterations)            # 27
@@ -166,7 +166,7 @@ class TestLoadOrderIsNotAFunctionOfSpeed:
             policy="simple")
         from repro.spmv.csrfile import serialize_csr
         a_bytes = sum(len(serialize_csr(b)) for b in blocks.values())
-        eng = DOoCEngine(n_nodes=1, workers_per_node=1,
+        eng = DOoCEngine(n_nodes=1, workers=1,
                          memory_budget_per_node=a_bytes // 3,
                          scratch_dir=scratch, trace=True)
         report = eng.run(result.program, timeout=120)

@@ -147,7 +147,6 @@ class TestPrefetchDroppedMetric:
         before = store.metrics.get("prefetch_dropped")
         assert store.prefetch(whole_block(d, 1)) == []  # no headroom: dropped
         assert store.metrics.get("prefetch_dropped") == before + 1
-        assert store.stats.prefetch_dropped == before + 1  # compat view
 
 
 class _RecordingCtx:

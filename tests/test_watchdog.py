@@ -180,7 +180,7 @@ class TestEngineStall:
             prog.array(f"y{name}", 8, block_elems=8)
             prog.add_task(name, wedge, [f"x{name}"], [f"y{name}"],
                           y=f"y{name}")
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2,
+        eng = DOoCEngine(n_nodes=1, workers=2,
                          memory_budget_per_node=40_000,
                          scratch_dir=tmp_path, watchdog_quiet_s=0.3)
         try:

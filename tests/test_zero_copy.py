@@ -3,9 +3,7 @@
 The zero-copy plane is only sound because of a chain of invariants —
 sealed buffers are frozen, read grants hand out non-writable views,
 seal generations fence the decoded-operand cache, and the ticket
-auditor rejects any writable read view.  Each link is pinned here, plus
-the ``DOOC_DATA_PLANE=legacy`` escape hatch that restores the old
-copying behavior for A/B benchmarking.
+auditor rejects any writable read view.  Each link is pinned here.
 """
 
 import numpy as np
@@ -17,7 +15,7 @@ from repro.core.engine import DOoCEngine, default_worker_count
 from repro.core.errors import DoocError
 from repro.core.interval import Interval, whole_array, whole_block
 from repro.core.iofilter import read_block, write_block
-from repro.core.opcache import DATA_PLANE_ENV, DecodedOperandCache
+from repro.core.opcache import DecodedOperandCache
 from repro.core.storage import LocalStore, Permission, Ticket
 from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
 from repro.spmv.partition import GridPartition
@@ -183,13 +181,9 @@ class TestWorkerPoolConfig:
         finally:
             eng.cleanup()
 
-    def test_both_spellings_rejected(self):
-        with pytest.raises(DoocError):
-            DOoCEngine(n_nodes=1, workers=2, workers_per_node=2)
-
     def test_zero_workers_rejected(self):
         with pytest.raises(DoocError):
-            DOoCEngine(n_nodes=1, workers_per_node=0)
+            DOoCEngine(n_nodes=1, workers=0)
 
     def test_negative_opcache_budget_rejected(self):
         with pytest.raises(DoocError):
@@ -211,7 +205,7 @@ class TestDataPlanesEndToEnd:
         global_m, p, blocks, x0 = make_problem()
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=iterations, n_nodes=2)
-        eng = DOoCEngine(n_nodes=2, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=2, workers=2, scratch_dir=tmp_path)
         try:
             report = eng.run(result.program, timeout=120)
             got = result.fetch_final(eng)
@@ -233,14 +227,6 @@ class TestDataPlanesEndToEnd:
         assert self._total(report, "bytes_copied") == 0
         # Each sub-matrix is decoded once, then hit on every later task.
         assert self._total(report, "opcache_hits") > 0
-
-    def test_legacy_plane_restores_copies_and_disables_cache(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv(DATA_PLANE_ENV, "legacy")
-        report = self._run(tmp_path)
-        assert self._total(report, "bytes_copied") > 0
-        assert self._total(report, "opcache_hits") == 0
-        assert self._total(report, "opcache_misses") == 0
 
 
 class TestOpcacheConcurrentPut:
