@@ -468,8 +468,10 @@ class _StorageFilter(Filter):
                                     array=msg["array"], blocks=dropped)
         elif op == "map":
             # Served in order: the reply covers the prefetches sent before.
+            # ``resident`` answers for the arrays asked about, no others.
             ctx.write("rep_lsched", DataBuffer(
-                {"op": "map", "resident": self.store.resident_arrays(),
+                {"op": "map",
+                 "resident": self.store.resident_among(msg["arrays"]),
                  "loading": self.store.loading_arrays(),
                  "declined": self._declined}))
             self._declined = set()
@@ -1029,11 +1031,14 @@ class _LocalSchedulerFilter(Filter):
             self.core.forget_prefetch(msg["array"])
 
     def _query_map(self, ctx: FilterContext) -> tuple[set[str], set[str]]:
-        """Ask storage what is resident; returns ``(resident, declined)``.
+        """Ask storage which inputs of the ready tasks are resident (the
+        only names ranking, prefetch planning and the choice test); returns
+        ``(resident, declined)``.
         Declined prefetches are re-armed (memory may be free by the next
         event); one whose load *failed* is not: the task's demand read,
         dispatched unwarmed, reports the error."""
-        ctx.write("to_storage", DataBuffer({"op": "map"}))
+        ctx.write("to_storage", DataBuffer(
+            {"op": "map", "arrays": self.core.ready_inputs()}))
         while True:
             buf = ctx.read("from_storage")
             if buf is END_OF_STREAM:

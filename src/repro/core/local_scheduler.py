@@ -67,6 +67,12 @@ class LocalSchedulerCore:
     def pending_tasks(self) -> list[TaskSpec]:
         return [e.task for e in self._ready.values()]
 
+    def ready_inputs(self) -> set[str]:
+        """Every input array of a ready task: the only names ``rank`` and
+        ``prefetch_plan`` test against ``resident``, so a residency
+        snapshot need cover no others."""
+        return {a for e in self._ready.values() for a in e.task.inputs}
+
     # -- decisions ---------------------------------------------------------------
 
     def _score(self, entry: _ReadyEntry, resident: AbstractSet[str],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from typing import Any, Literal
 
@@ -637,18 +637,35 @@ class LocalStore:
             out[key] = st.status == _RESIDENT and st.sealed
         return out
 
-    def resident_arrays(self) -> set[str]:
-        """Arrays all of whose blocks are resident and sealed."""
+    def resident_among(self, names: Iterable[str]) -> set[str]:
+        """Of ``names``, the arrays all of whose blocks are resident and
+        sealed; a name this store does not know is not.
+
+        This is the ``map`` reply's ``resident`` field.  It reads the
+        block states of the named arrays and nothing else, so what the
+        scheduler pays before a dispatch follows what it asked about (the
+        inputs of its ready tasks), not how many arrays the program has;
+        ``map_blocks_examined`` counts the states read.
+        """
         out = set()
-        for name, desc in self.arrays.items():
-            if all(
-                (st := self._blocks.get((name, b))) is not None
-                and st.status == _RESIDENT
-                and st.sealed
-                for b in desc.blocks()
-            ):
+        examined = 0
+        for name in names:
+            desc = self.arrays.get(name)
+            if desc is None:
+                continue
+            for b in desc.blocks():
+                examined += 1
+                st = self._blocks.get((name, b))
+                if st is None or st.status != _RESIDENT or not st.sealed:
+                    break
+            else:
                 out.add(name)
+        self.metrics.inc("map_blocks_examined", examined)
         return out
+
+    def resident_arrays(self) -> set[str]:
+        """Every array all of whose blocks are resident and sealed."""
+        return self.resident_among(self.arrays)
 
     def loading_arrays(self) -> set[str]:
         """Arrays with a block load or remote fetch in flight.

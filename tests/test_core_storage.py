@@ -406,6 +406,25 @@ class TestOutOfCore:
         write_whole_array(store, d)
         assert store.resident_arrays() == {"v"}
 
+    def test_resident_among_reads_only_the_arrays_asked_about(self):
+        """The ``map`` reply's cost follows the question: beside 1,000
+        resident arrays nobody asks about, a query for two names reads
+        those two arrays' blocks and no other."""
+        store = LocalStore(0, memory_budget=10**7)
+        descs = [desc(length=20, block=10, name=f"idle{i}")
+                 for i in range(1000)]
+        asked = [desc(length=30, block=10, name="x"),
+                 desc(length=20, block=10, name="y")]
+        for d in descs + asked:
+            store.create_array(d)
+            write_whole_array(store, d)
+        before = store.metrics.get("map_blocks_examined")
+        assert store.resident_among(["x", "y"]) == {"x", "y"}
+        assert store.metrics.get("map_blocks_examined") - before == 3 + 2
+        before = store.metrics.get("map_blocks_examined")
+        assert len(store.resident_arrays()) == 1002  # the same walk, all names
+        assert store.metrics.get("map_blocks_examined") - before == 2000 + 5
+
     def test_delete_array_frees_memory(self):
         d, store = self.make()
         t, effects = store.request_read(whole_block(d, 0))

@@ -9,7 +9,9 @@ core invariants the paper's design rests on:
 * every read that is eventually granted observes exactly the bytes that
   were written (immutability = no torn reads);
 * the store never issues a load for a block that has no persistent copy;
-* all effects reference tickets it created.
+* all effects reference tickets it created;
+* the scoped residency query (the ``map`` reply) says, for any set of
+  names, what the block table says about those names.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ N_ARRAYS = 3
 LENGTH = 40
 BLOCK = 10
 BUDGET_BLOCKS = 3  # tight: forces spills and evictions
+REMOTE, IDLE, UNKNOWN = "r0", "idle", "nope"
+REMOTE_BLOCKS = 2
+REMOTE_FILL = -1.0
+#: what a residency query may be asked about: written arrays, a remote
+#: array, a known array no block of which was ever touched, an unknown name
+QUERY_NAMES = [f"a{i}" for i in range(N_ARRAYS)] + [REMOTE, IDLE, UNKNOWN]
 
 
 class StorageMachine(RuleBasedStateMachine):
@@ -44,13 +52,22 @@ class StorageMachine(RuleBasedStateMachine):
             desc = ArrayDesc(f"a{i}", length=LENGTH, block_elems=BLOCK)
             self.descs[desc.name] = desc
             self.store.create_array(desc)
+        remote = ArrayDesc(REMOTE, length=REMOTE_BLOCKS * BLOCK,
+                           block_elems=BLOCK)
+        self.descs[REMOTE] = remote
+        self.store.register_remote(remote)
+        self.store.create_array(
+            ArrayDesc(IDLE, length=LENGTH, block_elems=BLOCK))
         # model state
-        self.written: dict[tuple[str, int, int], float] = {}  # (arr, lo, hi)->fill
+        self.written: dict[tuple[str, int, int], float] = {  # (arr, lo, hi)->fill
+            (REMOTE, *remote.block_bounds(b)): REMOTE_FILL
+            for b in remote.blocks()}
         self.covered: dict[str, set[int]] = {f"a{i}": set() for i in range(N_ARRAYS)}
         self.write_tickets: list[Ticket] = []
         self.read_tickets: list[Ticket] = []
         self.pending_loads: list[tuple[str, int]] = []
         self.pending_spills: list[tuple[str, int, np.ndarray]] = []
+        self.pending_fetches: list[int] = []
         self.spilled_data: dict[tuple[str, int], np.ndarray] = {}
         self.fill_counter = 0.0
 
@@ -80,8 +97,9 @@ class StorageMachine(RuleBasedStateMachine):
                 self.written[(t.interval.array, t.interval.lo, t.interval.hi)] = \
                     self.fill_counter
                 self.write_tickets.append(t)
-            elif e.kind in ("drop", "fetch_remote"):
-                pass
+            elif e.kind == "fetch_remote":
+                assert e.array == REMOTE
+                self.pending_fetches.append(e.block)
 
     def _check_read(self, t: Ticket):
         """A granted read must see exactly the written values."""
@@ -117,6 +135,14 @@ class StorageMachine(RuleBasedStateMachine):
         self._absorb(effects)
         if not ticket.granted:
             self.write_tickets.append(ticket)  # queued; will fill at grant
+
+    @rule(ai=st.integers(0, N_ARRAYS - 1),
+          block=st.integers(0, LENGTH // BLOCK - 1))
+    def request_whole_block_write(self, ai, block):
+        """Pieces rarely add up to a sealed block; whole blocks do.  (A
+        written array is 4 blocks against a budget of 3, so it is never
+        resident whole: the remote array is the one that can be.)"""
+        self.request_write((ai, block, 0, BLOCK))
 
     @rule(spec=intervals)
     def request_read(self, spec):
@@ -180,7 +206,50 @@ class StorageMachine(RuleBasedStateMachine):
         lo, hi = self.descs[name].block_bounds(block)
         self._absorb(self.store.prefetch(Interval(name, block, lo, hi)))
 
+    @rule(block=st.integers(0, REMOTE_BLOCKS - 1), warm=st.booleans())
+    def read_or_prefetch_remote(self, block, warm):
+        lo, hi = self.descs[REMOTE].block_bounds(block)
+        iv = Interval(REMOTE, block, lo, hi)
+        if warm:
+            self._absorb(self.store.prefetch(iv))
+        else:
+            _ticket, effects = self.store.request_read(iv)
+            self._absorb(effects)
+
+    @rule(data=st.data())
+    def serve_fetch(self, data):
+        if not self.pending_fetches:
+            return
+        idx = data.draw(st.integers(0, len(self.pending_fetches) - 1))
+        block = self.pending_fetches.pop(idx)
+        self._absorb(self.store.on_remote_data(
+            REMOTE, block, np.full(BLOCK, REMOTE_FILL)))
+
+    def _whole_arrays(self, names):
+        """Of ``names``: known, and every block resident and sealed — read
+        off ``availability_map()`` (a block with no state is absent)."""
+        amap = self.store.availability_map()
+        return {n for n in names if n in self.store.arrays and all(
+            amap.get((n, b), False) for b in self.store.arrays[n].blocks())}
+
+    @rule(names=st.sets(st.sampled_from(QUERY_NAMES)))
+    def residency_query(self, names):
+        """The scoped answer is the block table's, for exactly the names
+        asked, and reads at most those arrays' blocks to give it."""
+        before = self.store.metrics.get("map_blocks_examined")
+        assert self.store.resident_among(names) == self._whole_arrays(names)
+        examined = self.store.metrics.get("map_blocks_examined") - before
+        assert examined <= sum(self.store.arrays[n].n_blocks
+                               for n in names if n in self.store.arrays)
+
     # -- invariants --------------------------------------------------------------
+
+    @invariant()
+    def resident_arrays_is_the_scoped_answer_over_all_names(self):
+        everything = self.store.resident_among(QUERY_NAMES)
+        assert self.store.resident_arrays() == everything
+        assert everything == self._whole_arrays(QUERY_NAMES)
+        assert IDLE not in everything and UNKNOWN not in everything
 
     @invariant()
     def memory_accounting(self):

@@ -147,6 +147,35 @@ class TestFig5LoadCounts:
         assert back_and_forth - 3 <= matrix_loads <= back_and_forth
 
 
+class TestDispatchCostDoesNotGrowWithTheProgram:
+    """Before each dispatch the local scheduler asks the store which inputs
+    of its ready tasks are resident.  What the store reads to answer must
+    follow the ready set, not the number of arrays the program declares:
+    the same shape run for twice as many iterations declares twice as many
+    arrays and has the same ready sets.  Counts, never seconds."""
+
+    def examined_per_dispatch(self, scratch, iterations):
+        global_m, p, blocks, x0 = make_problem(n=60, k=3, seed=4)
+        result = build_iterated_spmv(
+            blocks, p.split_vector(x0), iterations=iterations, n_nodes=1,
+            policy="simple")
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=scratch)
+        report = eng.run(result.program, timeout=120)
+        np.testing.assert_allclose(
+            result.fetch_final(eng),
+            iterated_spmv_reference(global_m, x0, iterations), rtol=1e-9)
+        tasks = len(result.program.tasks)  # in core: one dispatch per task
+        return report.metrics[0]["map_blocks_examined"] / tasks
+
+    def test_blocks_examined_per_dispatch_is_flat_in_iterations(
+            self, tmp_path):
+        short = self.examined_per_dispatch(tmp_path / "t", 6)
+        long = self.examined_per_dispatch(tmp_path / "2t", 12)
+        # A scan of every array read 95 -> 166 blocks per dispatch here
+        # (84 -> 156 arrays); ready sets of K^2 multiplies read 6.6 -> 5.9.
+        assert 0 < long <= 1.25 * short
+
+
 class TestLoadOrderIsNotAFunctionOfSpeed:
     """Out of core the local scheduler decides on events (a completion, a
     declined prefetch, an eviction), never on elapsed time, so the same

@@ -208,12 +208,57 @@ class TestForgetPrefetchWiring:
         ctx = _RecordingCtx()
         for array in ("fit", "big"):  # 64 B load reserved, then 512 B asked
             filt._handle_request(ctx, {"op": "prefetch", "array": array})
-        filt._handle_request(ctx, {"op": "map"})
+        ask = {"op": "map", "arrays": {"fit", "big"}}
+        filt._handle_request(ctx, ask)
         assert ctx.writes[-1] == ("rep_lsched", {
             "op": "map", "resident": set(), "loading": {"fit"},
             "declined": {"big"}})
-        filt._handle_request(ctx, {"op": "map"})
+        filt._handle_request(ctx, ask)
         assert ctx.writes[-1][1]["declined"] == set()  # reported once
+
+    def test_map_reply_is_the_resident_subset_of_the_names_asked(self):
+        """``resident`` answers for the request's ``arrays`` and nothing
+        else: not for other resident arrays, not for a name the store does
+        not know, not for an array with a block loading, spilling or not
+        yet sealed.  The field is required."""
+        descs = {n: desc(n, 16, 8) for n in
+                 ("whole", "idle", "loading", "spilling", "unsealed")}
+        store = LocalStore(0, memory_budget=1 << 20)
+        filt = _StorageFilter(0, 1, store, directory=None, descs=descs)
+        ctx = _RecordingCtx()
+
+        def write(name, blocks):
+            for b in blocks:
+                t, eff = store.request_write(whole_block(descs[name], b))
+                grant_of(eff).data[:] = 1.0
+                store.release(t)
+
+        for name in ("whole", "idle", "spilling", "unsealed"):
+            store.create_array(descs[name])
+        store.register_on_disk(descs["loading"])
+        write("whole", (0, 1))
+        write("idle", (0, 1))
+        write("spilling", (0, 1))
+        write("unsealed", (0,))
+        held, _ = store.request_write(Interval("unsealed", 1, 8, 12))
+        for b in (0, 1):
+            store.prefetch(whole_block(descs["loading"], b))
+        store.on_loaded("loading", 1, np.zeros(8))  # block 0 still in flight
+        store._blocks[("spilling", 1)].status = "spilling"
+
+        def resident(names):
+            filt._handle_request(ctx, {"op": "map", "arrays": names})
+            return ctx.writes[-1][1]["resident"]
+
+        assert resident({"whole", "loading", "spilling", "unsealed",
+                         "unknown"}) == {"whole"}
+        assert resident({"idle"}) == {"idle"}
+        assert resident(set()) == set()
+        store.on_loaded("loading", 0, np.zeros(8))
+        store.release(held)
+        assert resident({"loading", "unsealed"}) == {"loading"}
+        with pytest.raises(KeyError):
+            filt._handle_request(ctx, {"op": "map"})
 
     def test_lsched_filter_rearms_declined_from_map_reply(self):
         from repro.core.task import TaskSpec
@@ -227,7 +272,10 @@ class TestForgetPrefetchWiring:
         filt = _LocalSchedulerFilter(0, workers=1, nbytes={"a": 8, "y": 8})
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
-        assert filt._query_map(Ctx()) == (set(), {"a"})
+        ctx = Ctx()
+        assert filt._query_map(ctx) == (set(), {"a"})
+        # the request names the ready tasks' inputs, outputs excluded
+        assert ctx.writes == [("to_storage", {"op": "map", "arrays": {"a"}})]
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
 
 
