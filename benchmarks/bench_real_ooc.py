@@ -74,46 +74,3 @@ def bench_real_ooc_lanczos(once, tmp_path):
     print(f"  lowest eigenvalues: {result.eigenvalues}")
     np.testing.assert_allclose(result.eigenvalues, incore.eigenvalues,
                                rtol=1e-6)
-
-
-def bench_spmv_kernel_throughput(benchmark):
-    """Microbenchmark: the SciPy CSR kernel the workers run."""
-    rng = np.random.default_rng(3)
-    b = gap_uniform_csr(20000, 20000, choose_gap_parameter(20000, 50), rng)
-    x = rng.normal(size=20000)
-    y = benchmark(lambda: b.matvec(x))
-    assert y.shape == (20000,)
-
-
-def bench_middleware_overhead(once, tmp_path):
-    """Honest overhead quantification: the same iterated SpMV in-core
-    (plain SciPy loop) vs through the full DOoC engine with ample memory.
-    The engine pays for file seeding, message passing, and thread
-    scheduling; the printed ratio is the cost of the middleware at a scale
-    where I/O is NOT the bottleneck (at the paper's scale it is, and the
-    middleware cost vanishes under it)."""
-    import time
-
-    matrix, p, blocks, x0 = _problem(n=3000, k=3, seed=4, nnz_per_row=40.0)
-
-    t0 = time.perf_counter()
-    want = iterated_spmv_reference(matrix, x0, 4)
-    incore_s = time.perf_counter() - t0
-
-    def run_engine():
-        result = build_iterated_spmv(
-            blocks, p.split_vector(x0), iterations=4, n_nodes=1,
-            policy="interleaved")
-        eng = DOoCEngine(n_nodes=1, workers=2,
-                         memory_budget_per_node=1 << 30,
-                         scratch_dir=tmp_path)
-        report = eng.run(result.program, timeout=300)
-        return result.fetch_final(eng), report
-
-    got, report = once(run_engine)
-    np.testing.assert_allclose(got, want, rtol=1e-9)
-    print()
-    print(f"  in-core SciPy loop: {incore_s * 1e3:.1f} ms")
-    print(f"  DOoC engine:        {report.wall_seconds * 1e3:.1f} ms "
-          f"({report.wall_seconds / max(incore_s, 1e-9):.0f}x overhead at "
-          "laptop scale, I/O not binding)")

@@ -6,8 +6,6 @@
     python -m repro all --quick
     python -m repro trace run.trace.jsonl -o run.json
     python -m repro lint src tests
-    python -m repro bench --quick
-    python -m repro bench --check --tolerance 25
     python -m repro serve --port 8787
     python -m repro submit --kind cg --n 256 --wait
     python -m repro status j0001 --trace
@@ -34,9 +32,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "lint":
         from repro.analysis.cli import main as lint_main
         return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.cli import main as bench_main
-        return bench_main(argv[1:])
     if argv and argv[0] in ("serve", "submit", "status", "cancel", "sweep"):
         from repro.server import cli as server_cli
         return getattr(server_cli, f"{argv[0]}_main")(argv[1:])

@@ -8,7 +8,8 @@ before and after the update and freezes the ones that went stationary, so
 drivers can stop generating tasks (and stop re-reading sub-matrix files)
 for them.
 
-The freeze rule matters for the bench verdicts:
+The freeze rule decides which verdict a run can be held to
+(docs/ITERATION.md, "Verdict applicability"):
 
 * ``tol == 0.0`` (the default) freezes a partition only when its iterate
   is **bitwise** stationary (``np.array_equal``).  Re-multiplying an

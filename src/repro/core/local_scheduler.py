@@ -16,8 +16,9 @@ plan of Fig. 5(b) *emerge* rather than be programmed:
    produces its reduced vector last, so iteration *i+1* starts with the
    sub-matrix that is still in memory and traverses the columns backwards.
 
-The class is pure: the engine and the DES testbed drive it with residency
-snapshots and consume its decisions.
+The class is pure: the engine drives it with residency snapshots and
+consumes its decisions.  It is the only driver today — the DES testbed
+models the same policy independently (ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -78,8 +78,8 @@ class OutOfCoreMatrix:
         #: one summary dict per engine program run through this operator
         #: (matvecs, frozen-column product programs, async rounds):
         #: ``{"sweep", "mode", "active", "tasks", "disk_bytes_read",
-        #: "wall_seconds"}`` — the accounting the convergence bench and
-        #: the workset-dropout invariant read.
+        #: "wall_seconds"}`` — the accounting the workset-dropout
+        #: invariants (tests/test_convergence.py) read.
         self.sweep_log: list[dict] = []
         self.last_sweep: dict | None = None
         #: optional CancelToken threaded into every matvec's engine run;

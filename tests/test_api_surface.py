@@ -1,5 +1,7 @@
 """Direct tests for smaller public-API surfaces found by the audit."""
 
+import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -15,6 +17,7 @@ from repro.core.local_scheduler import LocalSchedulerCore
 from repro.core.storage import LocalStore
 from repro.core.task import task
 from repro.datacutter import Filter, Layout
+from repro.experiments import EXPERIMENTS
 from repro.lanczos.basis import DiskBasis
 from repro.sim import Environment, FlowNetwork, Link, Resource
 from repro.spmv.partition import GridPartition
@@ -51,6 +54,39 @@ class TestEngineConstructor:
     def test_removed_spellings_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             DOoCEngine(**removed)
+
+
+class TestCommandLine:
+    ROOT = Path(__file__).parents[1]
+
+    def dispatched(self):
+        """Every first argument ``repro.__main__.main`` acts on: the
+        strings it compares ``argv[0]`` with, plus the experiment ids."""
+        import repro.__main__ as cli
+        subs = {"list", "all", *EXPERIMENTS}
+        for node in ast.walk(ast.parse(inspect.getsource(cli.main))):
+            if (isinstance(node, ast.Compare)
+                    and ast.unparse(node.left) == "argv[0]"):
+                subs |= {c.value for c in ast.walk(node.comparators[0])
+                         if isinstance(c, ast.Constant)}
+        return subs
+
+    def test_every_documented_subcommand_is_dispatched(self):
+        subs = self.dispatched()
+        assert {"trace", "lint", "serve", "table1"} <= subs
+        docs = [self.ROOT / "README.md", *(self.ROOT / "docs").glob("*.md"),
+                self.ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+        for doc in docs:
+            spelled = set(re.findall(r"python3? -m repro +([a-z][\w-]*)",
+                                     doc.read_text()))
+            assert spelled <= subs, f"{doc.name}: {sorted(spelled - subs)}"
+
+    def test_the_second_bench_harness_is_gone(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.bench")
+        assert main(["bench"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
 
 
 class TestSimSurfaces:

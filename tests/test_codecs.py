@@ -1,4 +1,4 @@
-"""Codec pipeline: registry, chunk container, engine/checkpoint/bench wiring.
+"""Codec pipeline: registry, chunk container, engine/checkpoint wiring.
 
 Covers the compressed round-trip story end to end: codecs invert exactly
 (per dtype, including partial blocks), torn/truncated/bit-flipped chunk
@@ -268,6 +268,8 @@ class TestEngineEndToEnd:
             eng.cleanup()
         copies_raw = sum(m.get("bytes_copied", 0)
                          for m in report_raw.metrics.values())
+        disk_raw = sum(m.get("disk_bytes_read", 0)
+                       for m in report_raw.metrics.values())
 
         prog_c, _ = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path / codec,
@@ -287,6 +289,7 @@ class TestEngineEndToEnd:
         logical = sum(m.get("logical_bytes_read", 0)
                       for m in metrics.values())
         assert 0 < disk < logical  # compression took bytes off the read path
+        assert disk < disk_raw     # ... fewer than the same run stored raw
 
     def test_compressed_spills_write_chunk_dirs(self, tmp_path):
         prog, _ = _spmv_like_program()

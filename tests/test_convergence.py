@@ -4,9 +4,10 @@ Covers the per-block :class:`ConvergenceTracker` (freeze / thaw /
 period-2 limit cycles), the incremental Jacobi drive (bit-identical to
 sync while strictly reducing tasks and disk reads), bounded-staleness
 async Jacobi, sparse-frontier SpMV, the incremental
-``run_iterated_spmv`` early exit, the DES testbed's ``WorksetModel``
-mirror (including dropout-aware node-kill recovery), and the bench
-harness's baseline-free convergence gate.
+``run_iterated_spmv`` early exit, and the DES testbed's
+``WorksetModel`` mirror (including dropout-aware node-kill recovery).
+The sync drive every other mode is compared against is itself pinned,
+bit for bit, to an in-core operator with the engine's summation order.
 """
 
 import importlib.util
@@ -17,12 +18,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from repro.bench import (
-    SCHEMA,
-    check_convergence_invariants,
-    check_regression,
-    pinned_convergence_workload,
-)
 from repro.core.convergence import ConvergenceTracker
 from repro.faults import FaultPlan
 from repro.models.testbed import WorksetModel
@@ -82,6 +77,45 @@ def sweep_totals(op):
     tasks = sum(e["tasks"] for e in op.sweep_log)
     disk = sum(e["disk_bytes_read"] for e in op.sweep_log)
     return tasks, disk
+
+
+class _InCoreBlockedReference:
+    """In-core operator reproducing the engine's blocked summation order.
+
+    ``matvec`` accumulates ``y_u = sum_v A_{u,v} @ x_v`` over columns in
+    grid order into a zeroed buffer — float-for-float the simple-policy
+    reduction on one node — so a SciPy-side Jacobi drive through it is
+    the bit-identity reference for the out-of-core sync solve.
+    """
+
+    def __init__(self, a, partition):
+        self.partition = partition
+        self.n = a.shape[0]
+        self._diag = np.asarray(a.diagonal(), dtype=np.float64)
+        self._blocks = {}
+        for u in range(partition.k):
+            r0, r1 = partition.part_range(u)
+            for v in range(partition.k):
+                c0, c1 = partition.part_range(v)
+                self._blocks[(u, v)] = sp.csr_matrix(a[r0:r1, c0:c1])
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag.copy()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        p = self.partition
+        parts = p.split_vector(np.asarray(x, dtype=np.float64))
+        out = {}
+        for u in range(p.k):
+            y = np.zeros(p.part_length(u))
+            for v in range(p.k):
+                y += self._blocks[(u, v)] @ parts[v]
+            out[u] = y
+        return p.join_vector(out)
 
 
 # -- the tracker -------------------------------------------------------------
@@ -206,6 +240,21 @@ def staggered():
     return staggered_system()
 
 
+class TestSyncJacobi:
+    def test_sync_matches_reference(self, staggered, tmp_path):
+        """The out-of-core sync solve is the yardstick the incremental
+        and async modes are held to; it is itself held, bit for bit, to
+        the same drive through an operator that never leaves memory."""
+        a, b = staggered
+        op = make_operator(a, 3, tmp_path)
+        ooc = jacobi_solve(op, b, tol=1e-30, max_iterations=120)
+        ref = jacobi_solve(
+            _InCoreBlockedReference(a, GridPartition(a.shape[0], 3)), b,
+            tol=1e-30, max_iterations=120)
+        assert ooc.iterations == ref.iterations > 1
+        assert np.array_equal(ooc.x, ref.x)
+
+
 class TestIncrementalJacobi:
     @pytest.mark.parametrize("policy", ["simple", "interleaved"])
     def test_bit_identical_with_strictly_less_work(self, staggered, tmp_path,
@@ -240,9 +289,10 @@ class TestIncrementalJacobi:
         sizes = rep.workset_sizes()
         assert rep.monotone_dropout()
         assert sizes[0] == 3 and min(sizes) < 3
-        # Per-sweep task counts shrink with the workset.
+        # Per-sweep task counts shrink with the workset and never grow.
         tasks = rep.tasks_per_sweep()
         assert tasks[-1] < tasks[0]
+        assert all(b <= a for a, b in zip(tasks, tasks[1:]))
 
     def test_converging_run_matches_direct_solve(self, tmp_path):
         mod = load_example("markov_chain")
@@ -507,93 +557,3 @@ class TestTestbedWorkset:
         assert plain.blocks_reconstructed == 25
         assert inc.blocks_reconstructed == 15
         assert inc.time_s < plain.time_s
-
-
-# -- the bench convergence gate ----------------------------------------------
-
-
-def conv_report(verdicts=None, mode="quick"):
-    """A fabricated convergence-only report in the documented shape."""
-    base = {
-        "sync_matches_reference": True,
-        "incremental_bit_identical": True,
-        "same_iterations": True,
-        "tasks_strictly_decrease": True,
-        "disk_bytes_strictly_decrease": True,
-        "dropout_monotone": True,
-        "dropout_after_first_freeze": True,
-        "async_within_bound": True,
-    }
-    base.update(verdicts or {})
-    return {
-        "schema": SCHEMA,
-        "tag": "t",
-        "mode": mode,
-        "workloads": {},
-        "codec_sweep": {},
-        "convergence": {
-            "workload": pinned_convergence_workload(quick=True).config(),
-            "sync": {"iterations": 10, "tasks": 90, "disk_bytes_read": 900},
-            "incremental": {"iterations": 10, "tasks": 60,
-                            "disk_bytes_read": 600, "first_freeze_sweep": 4},
-            "async": {"rounds": 12, "residual_norm": 1e-9, "bound": 1e-7},
-            "verdicts": base,
-        },
-        "totals": {"wall_seconds": 0.0, "tasks": 0,
-                   "tasks_per_second": 0.0, "bytes_copied": 0},
-    }
-
-
-def workload_baseline():
-    return {
-        "schema": SCHEMA,
-        "tag": "baseline",
-        "mode": "quick",
-        "workloads": {
-            "out_of_core": {"wall_seconds": 1.0, "bytes_copied": 0,
-                            "bit_identical": True},
-        },
-        "totals": {"wall_seconds": 1.0, "tasks": 1,
-                   "tasks_per_second": 1.0, "bytes_copied": 0},
-    }
-
-
-class TestConvergenceGate:
-    def test_pinned_workload_is_stable(self):
-        for quick in (True, False):
-            a = pinned_convergence_workload(quick=quick)
-            b = pinned_convergence_workload(quick=quick)
-            assert a.config() == b.config()
-        quick = pinned_convergence_workload(quick=True)
-        full = pinned_convergence_workload(quick=False)
-        assert quick.n < full.n and quick.k < full.k
-
-    def test_report_without_section_passes(self):
-        assert check_convergence_invariants({}) == []
-        assert check_convergence_invariants({"workloads": {}}) == []
-
-    def test_all_verdicts_true_passes(self):
-        assert check_convergence_invariants(conv_report()) == []
-
-    def test_any_false_verdict_fails(self):
-        failures = check_convergence_invariants(
-            conv_report({"incremental_bit_identical": False}))
-        assert len(failures) == 1
-        assert "incremental_bit_identical" in failures[0]
-
-    def test_check_regression_gates_convergence_only_reports(self):
-        """The CI convergence leg checks a workload-free report against
-        the committed baseline: invariants are enforced, the workload
-        comparison is skipped."""
-        baseline = workload_baseline()
-        assert check_regression(conv_report(), baseline) == []
-        failures = check_regression(
-            conv_report({"tasks_strictly_decrease": False}), baseline)
-        assert any("tasks_strictly_decrease" in f for f in failures)
-
-    def test_full_report_still_checks_convergence(self):
-        current = workload_baseline()
-        current["convergence"] = conv_report(
-            {"async_within_bound": False})["convergence"]
-        failures = check_regression(current, workload_baseline())
-        assert any("async_within_bound" in f for f in failures)

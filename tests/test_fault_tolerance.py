@@ -11,10 +11,12 @@ import pytest
 
 from repro.core import DOoCEngine, IOFailedError, Program, StallError
 from repro.core.iofilter import array_path
+from repro.core.shm import dev_shm_segments
 from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
+from repro.spmv.reference import iterated_spmv_blocked_reference
 from repro.testbed import run_testbed_spmv
 
 FAULT_SEED = int(os.environ.get("DOOC_FAULT_SEED", "0"))
@@ -50,7 +52,14 @@ class TestTransientIOFaults:
             report = eng.run(result.program, timeout=180)
             return result.fetch_final(eng), report
 
-        clean, _ = run(tmp_path / "clean", None)
+        clean, clean_report = run(tmp_path / "clean", None)
+        # Out of core, the engine's bits are the blocked reference's, and
+        # spilling and reloading add no data-plane copy.
+        assert np.array_equal(
+            clean, iterated_spmv_blocked_reference(blocks, p, x0, 4))
+        assert clean_report.total_spills > 0
+        assert sum(m.get("bytes_copied", 0)
+                   for m in clean_report.metrics.values()) == 0
         plan = FaultPlan(seed=FAULT_SEED, io_transient=0.05)
         faulty, report = run(tmp_path / "faulty", plan)
         # Injection perturbs timing only, never arithmetic: bit-identical.
@@ -220,6 +229,40 @@ class TestPeerFaults:
         assert injected > 0
         if drops:  # delays heal by waiting; drops need retransmission
             assert recovered > 0
+
+
+class TestFaultsAcrossPlanesAndCodecs:
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    @pytest.mark.parametrize("worker_plane", ["thread", "process"])
+    def test_mixed_plan_bit_identical_on_every_plane_and_codec(
+            self, tmp_path, worker_plane, codec):
+        """I/O, peer and task faults together, on both worker planes and
+        through both block containers: the bits of the blocked reference,
+        no data-plane copy, and nothing left behind in /dev/shm."""
+        iterations = 6
+        _, p, blocks, x0 = spmv_problem(n=1536, k=2)
+        result = build_iterated_spmv(
+            blocks, p.split_vector(x0), iterations, n_nodes=2)
+        plan = FaultPlan(seed=FAULT_SEED, io_transient=0.05,
+                         peer_drop=0.02, task_crash=0.02)
+        eng = DOoCEngine(n_nodes=2, scratch_dir=tmp_path, faults=plan,
+                         worker_plane=worker_plane, codec=codec)
+        try:
+            report = eng.run(result.program, timeout=300)
+            got = result.fetch_final(eng)
+        finally:
+            eng.cleanup()
+        want = iterated_spmv_blocked_reference(blocks, p, x0, iterations)
+        assert np.array_equal(got, want)
+        metrics = report.metrics.values()
+        assert sum(m.get("bytes_copied", 0) for m in metrics) == 0
+        # Every injected crash was retried where it happened (seeds 0 and
+        # 2 of the CI matrix draw one at these rates, seed 1 draws none).
+        crashes = sum(
+            m.get("faults_injected_by_label", {}).get("task_crash", 0)
+            for m in metrics)
+        assert sum(m.get("task_reexecutions", 0) for m in metrics) == crashes
+        assert dev_shm_segments() == []
 
 
 class TestTestbedFaultMirror:

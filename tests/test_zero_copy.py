@@ -15,7 +15,12 @@ from repro.core.engine import DOoCEngine, default_worker_count
 from repro.core.errors import DoocError
 from repro.core.interval import Interval, whole_array, whole_block
 from repro.core.iofilter import read_block, write_block
-from repro.core.opcache import DecodedOperandCache
+from repro.core.opcache import (
+    OPERAND_CONTEXT_KEY,
+    DecodedOperandCache,
+    OperandContext,
+    cached_decode,
+)
 from repro.core.storage import LocalStore, Permission, Ticket
 from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
 from repro.spmv.partition import GridPartition
@@ -227,6 +232,75 @@ class TestDataPlanesEndToEnd:
         assert self._total(report, "bytes_copied") == 0
         # Each sub-matrix is decoded once, then hit on every later task.
         assert self._total(report, "opcache_hits") > 0
+
+
+class TestDecodedOperandCache:
+    def test_hit_miss_accounting(self):
+        c = DecodedOperandCache(1024)
+        assert c.get("a", (0,)) is None
+        assert c.put("a", (0,), "v", 100)
+        assert c.get("a", (0,)) == "v"
+        assert (c.hits, c.misses) == (1, 1)
+        assert c.hit_rate == 0.5
+
+    def test_lru_eviction_under_budget(self):
+        c = DecodedOperandCache(250)
+        c.put("a", (0,), "va", 100)
+        c.put("b", (0,), "vb", 100)
+        c.get("a", (0,))                     # refresh a: b is now LRU
+        c.put("c", (0,), "vc", 100)          # must evict b, not a
+        assert c.get("b", (0,)) is None
+        assert c.get("a", (0,)) == "va"
+        assert c.get("c", (0,)) == "vc"
+        assert c.evictions == 1
+        assert c.in_use <= 250
+
+    def test_oversized_entry_rejected(self):
+        c = DecodedOperandCache(100)
+        assert not c.put("a", (0,), "v", 101)
+        assert len(c) == 0
+
+    def test_stale_generation_misses(self):
+        c = DecodedOperandCache(1024)
+        c.put("a", (0,), "v", 10)
+        assert c.get("a", (1,)) is None      # bumped generation: miss
+        assert c.get("a", (0,)) == "v"
+
+    def test_invalidate_drops_all_generations(self):
+        c = DecodedOperandCache(1024)
+        c.put("a", (0,), "v0", 10)
+        c.put("a", (1,), "v1", 10)
+        c.put("b", (0,), "w", 10)
+        assert c.invalidate("a") == 2
+        assert len(c) == 1 and c.get("b", (0,)) == "w"
+        assert c.in_use == 10
+
+
+class TestCachedDecode:
+    def test_plain_decode_without_context(self):
+        calls = []
+        raw = np.arange(4.0)
+        out = cached_decode({}, "a", raw, lambda r: calls.append(1) or "d")
+        assert out == "d" and calls == [1]
+
+    def test_second_decode_is_a_hit(self):
+        cache = DecodedOperandCache(1 << 20)
+        meta = {OPERAND_CONTEXT_KEY: OperandContext(cache, {"a": (3,)})}
+        calls = []
+        raw = np.arange(4.0)
+        decode = lambda r: calls.append(1) or "d"  # noqa: E731
+        assert cached_decode(meta, "a", raw, decode) == "d"
+        assert cached_decode(meta, "a", raw, decode) == "d"
+        assert calls == [1]                  # decoded exactly once
+        assert cache.hits == 1
+
+    def test_unknown_array_falls_back(self):
+        cache = DecodedOperandCache(1 << 20)
+        meta = {OPERAND_CONTEXT_KEY: OperandContext(cache, {"a": (0,)})}
+        calls = []
+        cached_decode(meta, "other", np.arange(2.0),
+                      lambda r: calls.append(1) or "d")
+        assert calls == [1] and len(cache) == 0
 
 
 class TestOpcacheConcurrentPut:
