@@ -29,6 +29,17 @@ DOOC006   raw shared memory: ``SharedMemory(...)`` constructed outside
           leak ``/dev/shm`` entries and break the crash-cleanup
           invariant.  Allocate via ``SegmentPool`` / attach via
           ``attach_view`` instead.
+DOOC007   direct compression call: ``zlib``/``lzma``/``bz2`` imported outside
+          ``repro.core.codecs``; on-disk formats stay self-describing only
+          if every encode/decode goes through the codec registry.
+DOOC008   raw mapping: ``mmap.mmap`` or ``libc.mmap`` called
+          outside ``repro.core.iofilter``.  A block's mapping holds no
+          file descriptor, is unmapped with the last view of it and is
+          read-only; the three guarantees live in one place, and a
+          mapping made elsewhere has none of them.
+DOOC013   sleep in the server: ``time.sleep(...)`` inside ``repro/server``;
+          its control plane parks on ``Event``/``Condition`` waits so
+          drains, deadlines and cancels can interrupt it.
 ========  ==================================================================
 
 The rules are deliberately lexical (single-function, no dataflow): they
@@ -484,9 +495,10 @@ def check_atomic_durable_writes(tree: ast.Module,
 _SHM_HOME = ("repro", "core", "shm.py")
 
 
-def _is_shm_home(path: str) -> bool:
+def _is_module(path: str, home: tuple[str, str, str]) -> bool:
+    """Is ``path`` the one module a "home" rule exempts?"""
     parts = path.replace("\\", "/").split("/")
-    return tuple(parts[-3:]) == _SHM_HOME
+    return tuple(parts[-3:]) == home
 
 
 @register(
@@ -497,7 +509,7 @@ def _is_shm_home(path: str) -> bool:
     "generations and unlink sweeps stay coherent",
 )
 def check_raw_shared_memory(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if _is_shm_home(path):
+    if _is_module(path, _SHM_HOME):
         return
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -521,11 +533,6 @@ _CODECS_HOME = ("repro", "core", "codecs.py")
 _COMPRESSION_MODULES = ("zlib", "lzma", "bz2")
 
 
-def _is_codecs_home(path: str) -> bool:
-    parts = path.replace("\\", "/").split("/")
-    return tuple(parts[-3:]) == _CODECS_HOME
-
-
 @register(
     "DOOC007",
     "direct-compression-call",
@@ -534,7 +541,7 @@ def _is_codecs_home(path: str) -> bool:
     "and DOOC_CODEC snapshot semantics hold",
 )
 def check_direct_compression(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if _is_codecs_home(path):
+    if _is_module(path, _CODECS_HOME):
         return
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -552,6 +559,35 @@ def check_direct_compression(tree: ast.Module, path: str) -> Iterator[Violation]
                 "would no longer name the codec and DOOC_CODEC would not "
                 "apply); encode/decode through repro.core.codecs instead",
             )
+
+
+# -- DOOC008: memory mappings made outside the block loader ------------------
+
+#: the one module allowed to map memory (the block loader)
+_MAPPING_HOME = ("repro", "core", "iofilter.py")
+
+
+@register(
+    "DOOC008",
+    "raw-mapping",
+    "mmap.mmap / libc.mmap called outside repro.core.iofilter; block "
+    "mappings hold no file descriptor, die with their last view and are "
+    "read-only only because one module makes them all",
+)
+def check_raw_mapping(tree: ast.Module, path: str) -> Iterator[Violation]:
+    if _is_module(path, _MAPPING_HOME):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if _call_name(node) != "mmap":
+            continue
+        yield Violation(
+            "DOOC008", path, node.lineno, node.col_offset,
+            "raw mmap(...) escapes the block loader's guarantees (no "
+            "descriptor per mapping, munmap with the last view, read-only "
+            "pages); load through repro.core.iofilter.read_block",
+        )
 
 
 # -- DOOC013: time.sleep in the job-server control plane -----------------------

@@ -16,6 +16,14 @@ Readers probe the layout on disk rather than trusting the descriptor, and
 chunk headers name their own codec — an array seeded raw stays readable
 under an engine whose default codec is ``zlib`` and vice versa.
 
+A load takes one path per kind of destination, with no switch between
+them: a raw block of ``_MMAP_MIN_BYTES`` and more is a read-only mapping
+of its own bytes in the array file — not a copy of them
+(:class:`_FileMapping`); a smaller one is read into a heap buffer; a
+compressed one is decoded into a buffer of its own; a process-plane load
+lands in the shared-memory segment the store allocated for it
+(:func:`read_block_into`).
+
 ``IOFilter`` (a DataCutter filter) performs the actual reads/writes so
 "the interactions with the file system [are] completely asynchronous" —
 the storage filter never blocks on disk.
@@ -34,6 +42,8 @@ tell a reconstructable miss from real corruption.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import mmap
 import os
 import random
@@ -64,7 +74,7 @@ _CHUNK_HEADER = struct.Struct("<8s16sQQI")
 CHUNK_HEADER_NBYTES = _CHUNK_HEADER.size
 
 #: smallest block that is loaded into a mapping of its own (glibc's own
-#: default mmap threshold); see ``_block_buffer``
+#: default mmap threshold); see ``_FileMapping`` and ``_block_buffer``
 _MMAP_MIN_BYTES = 128 * 1024
 
 
@@ -200,10 +210,11 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
     Raw layout: :func:`repro.util.atomicio.atomic_write` splices the block
     into a complete fsynced temporary and renames it over the array file,
     so a crash mid-write never leaves a torn block — and its per-path lock
-    serializes concurrent first-writes of different blocks.  Compressed
-    layouts write one self-contained chunk file per block, so the same
-    atomic-rename guarantee costs one small file, not a whole-array
-    rewrite.
+    serializes concurrent first-writes of different blocks.  An array of
+    one block has nothing to splice into: the file is replaced by the
+    block, without reading what stood there.  Compressed layouts write
+    one self-contained chunk file per block, so the same atomic-rename
+    guarantee costs one small file, not a whole-array rewrite.
     """
     expected = desc.block_length(block)
     if data.shape != (expected,):
@@ -215,7 +226,8 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
     codec_name = desc_codec(desc)
     if codec_name == "raw":
         atomic_write(array_path(scratch, desc.name), raw,
-                     offset=block_offset(desc, block))
+                     offset=(block_offset(desc, block)
+                             if desc.n_blocks > 1 else None))
         _inc(metrics, "disk_bytes_written", len(raw))
     else:
         blob = pack_chunk(codec_name, raw, desc.itemsize)
@@ -247,8 +259,59 @@ def _layout(scratch: Path, desc: ArrayDesc) -> str:
     return "raw"
 
 
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc.mmap.restype = ctypes.c_void_p
+_libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                       ctypes.c_int, ctypes.c_int, ctypes.c_long)
+_libc.munmap.restype = ctypes.c_int
+_libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+_MAP_FAILED = ctypes.c_void_p(-1).value
+
+
+class _FileMapping:
+    """A read-only private mapping of one byte range of a file, exposed
+    through the array interface.
+
+    Every mapping in the package is made here, which is what keeps three
+    properties in one place (lint rule ``DOOC008``).  It holds **no file
+    descriptor**: ``mmap.mmap(fd, ...)`` dups one per mapping and keeps it
+    (CPython < 3.13), so a store of resident blocks would run into
+    ``RLIMIT_NOFILE``; ``libc.mmap`` needs the caller's descriptor only
+    for the duration of the call.  It is unmapped when the last array
+    over it dies (numpy keeps this object as the arrays' base), so
+    resident memory follows the store's budget.  And it is read-only to
+    numpy (``data``'s flag, which ``setflags(write=True)`` cannot undo)
+    and to the MMU (``PROT_READ``) alike.
+
+    The pages are populated at map time, so a cold read waits here, in
+    the I/O filter, and not in the task that first touches the block.
+    """
+
+    __slots__ = ("_addr", "_length", "__array_interface__")
+
+    def __init__(self, fd: int, offset: int, nbytes: int):
+        self._length = 0  # nothing to unmap until the call succeeds
+        skew = offset % mmap.ALLOCATIONGRANULARITY
+        length = nbytes + skew
+        addr = _libc.mmap(None, length, mmap.PROT_READ,
+                          mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0),
+                          fd, offset - skew)
+        if addr == _MAP_FAILED:
+            err = ctypes.get_errno()
+            raise OSError(err, f"mmap of {nbytes} bytes at offset {offset}: "
+                               f"{os.strerror(err)}")
+        self._addr, self._length = addr, length
+        self.__array_interface__ = {
+            "version": 3, "shape": (nbytes,), "typestr": "|u1",
+            "data": (addr + skew, True)}
+
+    def __del__(self, _munmap=_libc.munmap):  # bound: globals go first at exit
+        if self._length:
+            _munmap(self._addr, self._length)
+
+
 def _block_buffer(nbytes: int):
-    """Writable memory for one loaded block.
+    """Writable memory for one block that is read or decoded into place.
 
     A large block gets an anonymous mapping of its own, which returns to
     the operating system the moment the store drops the block.  From the
@@ -265,16 +328,67 @@ def _block_buffer(nbytes: int):
                      | getattr(mmap, "MAP_POPULATE", 0))
 
 
+def _short_read(desc: ArrayDesc, block: int, path: Path,
+                got: int, want: int) -> StorageError:
+    return StorageError(
+        f"short read of block {block} of {desc.name!r} from {path}: "
+        f"got {got} of {want} bytes (torn or truncated file)")
+
+
+@contextlib.contextmanager
+def _raw_block_file(scratch: Path, desc: ArrayDesc, block: int):
+    """Open the raw array file for reading ``block``: yields ``(file,
+    offset)``.
+
+    Whether the block is missing (no file, or offset past its end) or
+    torn (the file ends inside it) is decided from ``fstat`` before a
+    byte is read or mapped, so a short file is a named error and can
+    never become a ``SIGBUS`` on a mapped page.
+    """
+    path = array_path(scratch, desc.name)
+    offset = block_offset(desc, block)
+    want = desc.block_nbytes(block)
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise BlockMissingError(
+            f"block {block} of {desc.name!r} was never written: "
+            f"no backing file {path}") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if offset >= size:
+            raise BlockMissingError(
+                f"block {block} of {desc.name!r} was never written: "
+                f"offset {offset} past end of {path} ({size} bytes)")
+        if size - offset < want:
+            raise _short_read(desc, block, path, size - offset, want)
+        yield fh, offset
+
+
 def read_block(scratch: Path, desc: ArrayDesc, block: int,
                *, metrics: MetricsRegistry | None = None) -> np.ndarray:
-    """Load one block into a buffer of its own; returns it frozen.
+    """Load one block; returns it frozen.
 
     Blocks entering the store through this path are sealed under
     write-once, so a read-only buffer is exactly the invariant the rest
-    of the data plane wants to hand out.
+    of the data plane wants to hand out.  A large raw block is not copied
+    at all: the array is a view of the page cache's own pages (see
+    :class:`_FileMapping`), which every later holder of the block shares.
+    That is sound because array files are written once and replaced only
+    by ``atomic_write``'s rename: a replaced or unlinked file leaves the
+    mapping on the old inode, with the bytes that were loaded.  Small
+    blocks are read into a heap buffer, compressed ones decoded into a
+    buffer of their own.
     """
-    out = np.frombuffer(_block_buffer(desc.block_nbytes(block)),
-                        dtype=desc.dtype)
+    want = desc.block_nbytes(block)
+    if want >= _MMAP_MIN_BYTES and _layout(scratch, desc) == "raw":
+        with _raw_block_file(scratch, desc, block) as (fh, offset):
+            mapping = _FileMapping(fh.fileno(), offset, want)
+        _inc(metrics, "disk_bytes_read", want)
+        _inc(metrics, "logical_bytes_read", want)
+        _inc(metrics, "bytes_mapped", want)
+        return np.asarray(mapping).view(desc.dtype)
+    out = np.frombuffer(_block_buffer(want), dtype=desc.dtype)
     read_block_into(scratch, desc, block, out, metrics=metrics)
     out.flags.writeable = False
     return out
@@ -304,25 +418,12 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
         _inc(metrics, "disk_bytes_read", len(blob))
         _inc(metrics, "logical_bytes_read", want)
         return out
-    path = array_path(scratch, desc.name)
-    offset = block_offset(desc, block)
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if offset >= size:
-                raise BlockMissingError(
-                    f"block {block} of {desc.name!r} was never written: "
-                    f"offset {offset} past end of {path} ({size} bytes)")
-            fh.seek(offset)
-            got = fh.readinto(dest)
-    except FileNotFoundError:
-        raise BlockMissingError(
-            f"block {block} of {desc.name!r} was never written: "
-            f"no backing file {path}") from None
+    with _raw_block_file(scratch, desc, block) as (fh, offset):
+        fh.seek(offset)
+        got = fh.readinto(dest)
     if got != want:
-        raise StorageError(
-            f"short read of block {block} of {desc.name!r} from {path}: "
-            f"got {got} of {want} bytes (torn or truncated file)")
+        raise _short_read(desc, block, array_path(scratch, desc.name),
+                          got, want)
     _inc(metrics, "disk_bytes_read", want)
     _inc(metrics, "logical_bytes_read", want)
     return out

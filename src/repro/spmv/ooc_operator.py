@@ -181,7 +181,7 @@ class OutOfCoreMatrix:
         out = {u: (self.engine.fetch(f"it{t}_out_{u}")
                    if u in produced_set else np.zeros(p.part_length(u)))
                for u in range(self.k)}
-        self._cleanup(t)
+        self._cleanup(prog, t)
         self._log_sweep(t, mode, active, len(prog.tasks), report)
         if frontier:
             self.engine.tracer.counter(-1, "driver", "converge",
@@ -288,7 +288,7 @@ class OutOfCoreMatrix:
         for u, yn in names.items():
             self._products[yn] = (self.partition.part_length(u),
                                   self.engine.persist(yn))
-        self._cleanup(t)
+        self._cleanup(prog, t)
         self._log_sweep(t, "colprod", (v,), len(prog.tasks), report)
         return names
 
@@ -345,24 +345,28 @@ class OutOfCoreMatrix:
                 ylen, {})
         report = self.engine.run(prog, cancel=self.cancel)
         out = {u: self.engine.fetch(f"it{t}_out_{u}") for u in range(k)}
-        self._cleanup(t)
+        self._cleanup(prog, t)
         self._log_sweep(t, "async", tuple(range(k)), len(prog.tasks), report)
         max_age = max(choice.values()) if choice else 0
         self.engine.tracer.instant(-1, "driver", "converge", "async_round",
                                    sweep=t, max_age=max_age)
         return out
 
-    def _cleanup(self, t: int) -> None:
+    def _cleanup(self, prog: Program, t: int) -> None:
         """Unlink this matvec's per-iteration scratch files (the seeded x
-        parts and any spilled temporaries); the sub-matrix files persist."""
-        from repro.core.iofilter import delete_array_file, discover_arrays
+        parts and any spilled temporaries); the sub-matrix files persist.
+
+        The files are those of the ``it{t}_`` arrays ``prog`` declared,
+        looked for on every node (a rerouted or recovered array changes
+        home mid-run) — by name, without listing the directories."""
+        from repro.core.iofilter import delete_array_file
 
         prefix = f"it{t}_"
+        names = [name for name in prog.arrays if name.startswith(prefix)]
         for node in range(self.engine.n_nodes):
             scratch = self.engine.node_scratch(node)
-            for name in discover_arrays(scratch):
-                if name.startswith(prefix):
-                    delete_array_file(scratch, name)
+            for name in names:
+                delete_array_file(scratch, name)
 
     def diagonal(self) -> np.ndarray:
         """The matrix diagonal, read block by block from the stored files

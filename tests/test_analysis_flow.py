@@ -456,6 +456,10 @@ RULE_SEEDS = {
         "def pack(data):\n"
         "    return zlib.compress(data)\n"
     ),
+    "DOOC008": (
+        "import mmap\n"
+        "buf = mmap.mmap(-1, 4096)\n"
+    ),
     "DOOC010": (
         "import numpy as np\n"
         "def bad(buf):\n"

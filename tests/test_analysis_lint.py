@@ -282,7 +282,8 @@ def test_unknown_code_rejected():
 
 def test_registry_has_the_documented_rules():
     assert set(RULES) == {"DOOC001", "DOOC002", "DOOC003", "DOOC004",
-                          "DOOC005", "DOOC006", "DOOC007", "DOOC013"}
+                          "DOOC005", "DOOC006", "DOOC007", "DOOC008",
+                          "DOOC013"}
 
 
 # -- DOOC006: raw shared-memory construction ---------------------------------
@@ -319,6 +320,38 @@ def test_dooc006_segment_pool_usage_is_clean():
         "def ok(pool, handle):\n"
         "    name = pool.allocate(4096)\n"
         "    return name, attach_view(handle)\n"
+    )
+    assert lint_source(src) == []
+
+
+# -- DOOC008: mappings made outside the block loader --------------------------
+
+
+def test_dooc008_flags_both_spellings_of_a_mapping():
+    src = (
+        "import ctypes, mmap\n"
+        "libc = ctypes.CDLL(None)\n"
+        "def grab(fd, n):\n"
+        "    a = mmap.mmap(fd, n)\n"
+        "    b = libc.mmap(None, n, 1, 2, fd, 0)\n"
+        "    return a, b\n"
+    )
+    assert codes(lint_source(src)) == [("DOOC008", 4, 8), ("DOOC008", 5, 8)]
+
+
+def test_dooc008_block_loader_is_exempt():
+    src = "buf = mmap.mmap(-1, 4096)\n"
+    assert lint_source(src, path="src/repro/core/iofilter.py") == []
+    assert codes(lint_source(src, path="src/repro/core/storage.py")) == [
+        ("DOOC008", 1, 6)]
+
+
+def test_dooc008_reading_through_the_loader_is_clean():
+    src = (
+        "import mmap\n"
+        "from repro.core.iofilter import read_block\n"
+        "def ok(scratch, desc):\n"
+        "    return read_block(scratch, desc, 0), mmap.PAGESIZE\n"
     )
     assert lint_source(src) == []
 

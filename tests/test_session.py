@@ -362,6 +362,61 @@ class TestFrozenProducts:
         assert op.last_sweep["active"] == (0, 1, 2)
 
 
+class TestSweepScratchIsUnlinked:
+    """Every sweep unlinks the files of the ``it{t}_`` arrays its program
+    declared, on every node, without listing the directories."""
+
+    @staticmethod
+    def files(op, prefix):
+        return sorted(path.name for node in range(op.engine.n_nodes)
+                      for path in op.engine.node_scratch(node).iterdir()
+                      if path.name.startswith(prefix))
+
+    def test_no_sweep_kind_leaves_an_iteration_file(self, tmp_path, x):
+        op = OutOfCoreMatrix(make_blocks(), n_nodes=3, scratch_dir=tmp_path)
+        parts = op.partition.split_vector(x)
+        op.matvec(x)
+        assert self.files(op, "it") == []
+        names = op.column_products(1, parts[1])
+        assert self.files(op, "it") == []
+        assert len(self.files(op, "frozen")) == K  # stored to outlive it
+        op.stale_sweep([parts, parts],
+                       {(u, v): (u + v) % 2
+                        for u in range(K) for v in range(K)})
+        assert self.files(op, "it") == []
+        op.drop_products(names)
+        assert self.files(op, "") == self.files(op, "A_")
+        assert len(self.files(op, "A_")) == K * K
+
+    def test_spilled_intermediates_are_unlinked_too(self, tmp_path):
+        """Long vectors, very sparse A, room for a third of a sweep's
+        products: they are spilled, reloaded, and gone afterwards."""
+        n = 6000
+        blocks = make_blocks(seed=2, n=n)
+        part_bytes = n // K * 8
+        a_max = max(len(serialize_csr(b)) for b in blocks.values())
+        op = OutOfCoreMatrix(
+            blocks, n_nodes=1, workers=1, scratch_dir=tmp_path / "s",
+            policy="simple",
+            memory_budget_per_node=a_max + 5 * part_bytes,
+            engine_kwargs={"opcache_bytes": 0})
+        reports = capture_reports(op)
+        standing = []
+        cleanup = op._cleanup
+
+        def recording_cleanup(prog, t):
+            standing.extend(self.files(op, f"it{t}_"))
+            cleanup(prog, t)
+
+        op._cleanup = recording_cleanup
+        x = np.random.default_rng(7).standard_normal(n)
+        want = reference(blocks, x, 1, tmp_path / "f", policy="simple")
+        assert np.array_equal(op.matvec(x), want)
+        assert total(reports[-1], "spills") > 0
+        assert len(standing) >= K  # the seeded parts of x, at the least
+        assert self.files(op, "it") == []
+
+
 class TestDiagonal:
     @staticmethod
     def loop_diagonal(block):
