@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.core import DOoCEngine
-from repro.lanczos import OutOfCoreLanczos, lanczos
+from repro.lanczos import lanczos
 from repro.spmv.csrfile import serialize_csr
 from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr, symmetric_test_matrix
+from repro.spmv.ooc_operator import OutOfCoreMatrix
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_reference
@@ -63,9 +64,9 @@ def bench_real_ooc_lanczos(once, tmp_path):
     blocks = p.split_matrix(b)
 
     def run():
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
-        return ooc.solve(k=60, n_eigenvalues=3,
-                         rng=np.random.default_rng(2), tol=1e-8)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
+        return lanczos(ooc.matvec, n, k=60, n_eigenvalues=3,
+                       rng=np.random.default_rng(2), tol=1e-8)
 
     result = once(run)
     incore = lanczos(b.matvec, n, k=60, n_eigenvalues=3,

@@ -16,8 +16,9 @@ import tempfile
 import numpy as np
 
 from repro.ci.cases import TABLE1_CASES
-from repro.lanczos import OutOfCoreLanczos
+from repro.lanczos import lanczos
 from repro.spmv.generator import symmetric_test_matrix
+from repro.spmv.ooc_operator import OutOfCoreMatrix
 from repro.spmv.partition import GridPartition
 
 
@@ -42,14 +43,15 @@ def main() -> None:
     exact = np.linalg.eigvalsh(hamiltonian.to_dense())[: args.eigenvalues]
 
     with tempfile.TemporaryDirectory() as scratch:
-        solver = OutOfCoreLanczos(blocks, n_nodes=3, scratch_dir=scratch)
-        result = solver.solve(
+        operator = OutOfCoreMatrix(blocks, n_nodes=3, scratch_dir=scratch)
+        result = lanczos(
+            operator.matvec, operator.n,
             k=min(args.n, 80), n_eigenvalues=args.eigenvalues,
             rng=np.random.default_rng(1), tol=1e-9)
 
     print(f"  Lanczos iterations: {result.iterations} "
           f"(each SpMV ran out-of-core on 3 DOoC nodes; "
-          f"{solver.matvec_count} distributed SpMVs)")
+          f"{operator.matvec_count} distributed SpMVs)")
     for i, (got, want) in enumerate(zip(result.eigenvalues, exact, strict=True)):
         print(f"  E_{i}: {got:+.8f}   (dense reference {want:+.8f}, "
               f"residual bound {result.residuals[i]:.1e})")

@@ -23,7 +23,7 @@ carry the full surface:
 from repro.core import DOoCEngine, Program
 from repro.datacutter import DataBuffer, Filter, Layout, ThreadedRuntime
 from repro.faults import FaultPlan, RetryPolicy
-from repro.lanczos import OutOfCoreLanczos, lanczos
+from repro.lanczos import lanczos
 from repro.spmv import CSRBlock, GridPartition, build_iterated_spmv
 from repro.testbed import run_testbed_spmv
 
@@ -41,7 +41,6 @@ __all__ = [
     "CSRBlock",
     "GridPartition",
     "build_iterated_spmv",
-    "OutOfCoreLanczos",
     "lanczos",
     "run_testbed_spmv",
     "__version__",

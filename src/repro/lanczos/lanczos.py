@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.lanczos.basis import BasisStore, InMemoryBasis
+from repro.recovery.checkpoint import CheckpointCadence
 
 
 @dataclass
@@ -82,16 +83,10 @@ def lanczos(
         raise ValueError("k and n must be >= 1")
     if n_eigenvalues < 1 or n_eigenvalues > k:
         raise ValueError("n_eigenvalues must be in [1, k]")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     steps = min(k, n)
-    mgr = None
-    ckpt = None
-    if checkpoint_dir is not None:
-        from repro.recovery.checkpoint import CheckpointManager
-        mgr = CheckpointManager(checkpoint_dir)
-        if resume:
-            ckpt = mgr.load_latest()
+    cadence = CheckpointCadence(checkpoint_dir, checkpoint_every,
+                                resume=resume)
+    ckpt = cadence.restored
     if ckpt is not None:
         if basis is None or not hasattr(basis, "reattach"):
             from repro.core.errors import RecoveryError
@@ -103,8 +98,8 @@ def lanczos(
         store: BasisStore = basis
         alphas = [float(a) for a in ckpt.arrays["alphas"]]
         betas = [float(b) for b in ckpt.arrays["betas"]]
-        v_curr = ckpt.arrays["v_curr"].copy()
-        v_prev: np.ndarray | None = ckpt.arrays["v_prev"].copy()
+        v_curr = ckpt.arrays["v_curr"]
+        v_prev: np.ndarray | None = ckpt.arrays["v_prev"]
         start = ckpt.step
     else:
         if v0 is not None:
@@ -150,13 +145,12 @@ def lanczos(
         v_prev = v_curr
         v_curr = w / beta
         store.append(v_curr)
-        if mgr is not None and (j + 1) % checkpoint_every == 0:
-            mgr.save(j + 1, {
-                "alphas": np.asarray(alphas),
-                "betas": np.asarray(betas),
-                "v_curr": v_curr,
-                "v_prev": v_prev,
-            }, {"step": j + 1, "basis_count": len(store)})
+        cadence.save(j + 1, {
+            "alphas": np.asarray(alphas),
+            "betas": np.asarray(betas),
+            "v_curr": v_curr,
+            "v_prev": v_prev,
+        }, {"step": j + 1, "basis_count": len(store)})
 
     theta, s = _ritz(alphas, betas[: len(alphas) - 1])
     iterations = len(alphas)

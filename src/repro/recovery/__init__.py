@@ -18,6 +18,7 @@ that goes away and never comes back.
 
 from repro.recovery.checkpoint import (
     Checkpoint,
+    CheckpointCadence,
     CheckpointManager,
     restore_rng,
     rng_state,
@@ -46,6 +47,7 @@ __all__ = [
     "plan_reconstruction",
     "Checkpoint",
     "CheckpointManager",
+    "CheckpointCadence",
     "rng_state",
     "restore_rng",
 ]

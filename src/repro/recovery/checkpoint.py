@@ -38,7 +38,8 @@ from repro.core.errors import CodecError, CodecMismatchError, RecoveryError
 from repro.core.iofilter import escape_name, unescape_name
 from repro.util.atomicio import atomic_write
 
-__all__ = ["Checkpoint", "CheckpointManager", "rng_state", "restore_rng"]
+__all__ = ["Checkpoint", "CheckpointManager", "CheckpointCadence",
+           "rng_state", "restore_rng"]
 
 MANIFEST_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 PAYLOAD_RE = re.compile(r"^ckpt-(\d{8})-.+\.blk$")
@@ -250,6 +251,41 @@ class CheckpointManager:
                                     "checkpoint_restore", step=step)
             return ckpt
         return None
+
+
+class CheckpointCadence:
+    """What every checkpointed drive does around its loop, written once.
+
+    A :class:`CheckpointManager` (``manager``) iff ``directory`` is given;
+    ``restored`` is the newest intact checkpoint iff there is a manager
+    and ``resume`` is set, else ``None``; :meth:`save` writes a step when
+    it falls on the cadence (``step % every == 0``, or ``force``) and
+    never the step it last wrote or restored — so a drive may force a
+    final save without asking whether the cadence just wrote it.
+    """
+
+    def __init__(self, directory: str | Path | None, every: int, *,
+                 resume: bool = False):
+        if every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        self.every = every
+        self.manager = (CheckpointManager(directory)
+                        if directory is not None else None)
+        self.restored = (self.manager.load_latest()
+                         if self.manager is not None and resume else None)
+        self._last_step = self.restored.step if self.restored else None
+
+    @property
+    def writes(self) -> int:
+        return self.manager.writes if self.manager is not None else 0
+
+    def save(self, step: int, arrays: dict[str, np.ndarray],
+             extra: dict | None = None, *, force: bool = False) -> None:
+        if self.manager is None or step == self._last_step \
+                or (step % self.every and not force):
+            return
+        self.manager.save(step, arrays, extra)
+        self._last_step = step
 
 
 def rng_state(rng: np.random.Generator) -> dict:

@@ -21,6 +21,8 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.recovery.checkpoint import CheckpointCadence
+
 
 class _Operator(Protocol):  # pragma: no cover - typing aid
     n: int
@@ -58,27 +60,18 @@ def conjugate_gradient_solve(
         max_iterations = 2 * n
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, want ({n},)")
     b_norm = float(np.linalg.norm(b)) or 1.0
     start = 0
-    mgr = None
-    ckpt = None
-    if checkpoint_dir is not None:
-        from repro.recovery.checkpoint import CheckpointManager
-        mgr = CheckpointManager(checkpoint_dir)
-        if resume:
-            ckpt = mgr.load_latest()
-    if ckpt is not None:
-        x = ckpt.arrays["x"].copy()
-        r = ckpt.arrays["r"].copy()
-        p = ckpt.arrays["p"].copy()
-        rr = float(ckpt.arrays["rr"][0])
-        history = [float(h) for h in ckpt.arrays["history"]]
-        start = ckpt.step
+    ckpt = CheckpointCadence(checkpoint_dir, checkpoint_every, resume=resume)
+    if ckpt.restored is not None:
+        state = ckpt.restored.arrays
+        x, r, p = state["x"], state["r"], state["p"]
+        rr = float(state["rr"][0])
+        history = [float(h) for h in state["history"]]
+        start = ckpt.restored.step
     else:
         r = b - operator.matvec(x)
         p = r.copy()
@@ -105,9 +98,7 @@ def conjugate_gradient_solve(
                             converged=True, residual_history=history)
         p = r + (rr_new / rr) * p
         rr = rr_new
-        if mgr is not None and it % checkpoint_every == 0:
-            mgr.save(it, {"x": x, "r": r, "p": p, "rr": np.array([rr]),
-                          "history": np.asarray(history)},
-                     {"iteration": it})
+        ckpt.save(it, {"x": x, "r": r, "p": p, "rr": np.array([rr]),
+                       "history": np.asarray(history)}, {"iteration": it})
     return CGResult(x=x, iterations=it, residual_norm=history[-1],
                     converged=False, residual_history=history)

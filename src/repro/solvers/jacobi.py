@@ -49,7 +49,7 @@ convergence bound, not any particular iterate sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 from pathlib import Path
 from typing import Protocol
@@ -57,6 +57,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.convergence import ConvergenceReport, ConvergenceTracker
+from repro.recovery.checkpoint import CheckpointCadence
 
 MODES = ("sync", "incremental", "async")
 
@@ -80,35 +81,6 @@ class JacobiResult:
     fixpoint: bool = False
     #: per-sweep workset history (incremental and async modes)
     convergence: ConvergenceReport | None = None
-
-
-@dataclass
-class _Checkpointing:
-    """Shared checkpoint plumbing for all three modes."""
-
-    mgr: object | None = None
-    every: int = 10
-    history: list[float] = field(default_factory=list)
-
-    @classmethod
-    def open(cls, checkpoint_dir, every, resume):
-        self = cls(every=every)
-        x = history = start = None
-        if checkpoint_dir is not None:
-            from repro.recovery.checkpoint import CheckpointManager
-            self.mgr = CheckpointManager(checkpoint_dir)
-            if resume:
-                ckpt = self.mgr.load_latest()
-                if ckpt is not None:
-                    x = ckpt.arrays["x"].copy()
-                    history = [float(h) for h in ckpt.arrays["history"]]
-                    start = ckpt.step
-        return self, x, history, start
-
-    def save(self, it, x, history):
-        if self.mgr is not None and it % self.every == 0:
-            self.mgr.save(it, {"x": x, "history": np.asarray(history)},
-                          {"iteration": it})
 
 
 def jacobi_solve(
@@ -136,8 +108,6 @@ def jacobi_solve(
         raise ValueError(f"b has shape {b.shape}, want ({n},)")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     if staleness < 0:
         raise ValueError("staleness must be >= 0")
     diag = operator.diagonal()
@@ -147,44 +117,68 @@ def jacobi_solve(
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, want ({n},)")
     b_norm = float(np.linalg.norm(b)) or 1.0
-    ckpt, ck_x, ck_hist, ck_start = _Checkpointing.open(
-        checkpoint_dir, checkpoint_every, resume)
-    history: list[float] = ck_hist or []
-    start = ck_start or 0
-    if ck_x is not None:
-        x = ck_x
-    if mode == "incremental":
-        return _solve_incremental(operator, b, x, diag, b_norm, tol,
-                                  max_iterations, callback, ckpt, history,
-                                  start, fixpoint_exit)
+    ckpt = CheckpointCadence(checkpoint_dir, checkpoint_every, resume=resume)
+    history: list[float] = []
+    start = 0
+    if ckpt.restored is not None:
+        x = ckpt.restored.arrays["x"]
+        history = [float(h) for h in ckpt.restored.arrays["history"]]
+        start = ckpt.restored.step
     if mode == "async":
         return _solve_async(operator, b, x, diag, b_norm, tol,
                             max_iterations, callback, ckpt, history, start,
                             staleness, seed, fixpoint_exit)
+    # Sync and incremental sweeps are one loop: the incremental one hands
+    # the operator a workset (frozen columns are served from stored
+    # products) and tells it what each sweep did.  Both take the same
+    # exits, so their iterate sequences and counts stay bitwise identical.
+    workset = None
+    if mode == "incremental":
+        from repro.spmv.ooc_operator import SweepWorkset
+
+        _require_workset_operator(operator, mode)
+        workset = SweepWorkset(operator)
     res_norm = history[-1] if history else np.inf
     it = start
     x_two_ago = None
-    for it in range(start + 1, max_iterations + 1):
-        residual = b - operator.matvec(x)
-        res_norm = float(np.linalg.norm(residual))
-        history.append(res_norm)
-        if callback is not None:
-            callback(it, res_norm)
-        if res_norm <= tol * b_norm:
-            return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                                converged=True, residual_history=history)
-        x_new = x + residual / diag
-        if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
+
+    def result(converged, fixpoint=False):
+        return JacobiResult(
+            x=x, iterations=it, residual_norm=res_norm, converged=converged,
+            residual_history=history, mode=mode, fixpoint=fixpoint,
+            convergence=workset.tracker.report if workset is not None else None)
+
+    try:
+        for it in range(start + 1, max_iterations + 1):
+            # In-core operators only know the bare matvec(x).
+            ax = (operator.matvec(x) if workset is None
+                  else operator.matvec(x, workset=workset))
+            residual = b - ax
+            res_norm = float(np.linalg.norm(residual))
+            history.append(res_norm)
+            if callback is not None:
+                callback(it, res_norm)
+            if res_norm <= tol * b_norm:
+                return result(converged=True)
+            x_new = x + residual / diag
             # A deterministic sweep that reproduced x (or entered an exact
             # 2-cycle) will repeat forever: the residual cannot improve.
-            return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                                converged=False, residual_history=history,
-                                fixpoint=True)
-        x_two_ago = x
-        x = x_new
-        ckpt.save(it, x, history)
-    return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                        converged=False, residual_history=history)
+            stagnant = fixpoint_exit and _stagnant(x_new, x, x_two_ago)
+            if workset is not None:
+                workset.observe(x, x_new, final=stagnant)
+            if stagnant:
+                return result(converged=False, fixpoint=True)
+            x_two_ago = x
+            x = x_new
+            _save(ckpt, it, x, history)
+        return result(converged=False)
+    finally:
+        if workset is not None:
+            workset.close()  # unlink the stored products
+
+
+def _save(ckpt: CheckpointCadence, it: int, x, history) -> None:
+    ckpt.save(it, {"x": x, "history": np.asarray(history)}, {"iteration": it})
 
 
 def _stagnant(x_new, x, x_two_ago) -> bool:
@@ -201,60 +195,6 @@ def _require_workset_operator(operator, mode: str):
             "(repro.spmv.ooc_operator.OutOfCoreMatrix); got "
             f"{type(operator).__name__}")
     return partition
-
-
-def _solve_incremental(operator, b, x, diag, b_norm, tol, max_iterations,
-                       callback, ckpt, history, start, fixpoint_exit):
-    """Delta/workset sweeps: bit-identical to sync, minus the dead work."""
-    from repro.spmv.ooc_operator import SweepWorkset
-
-    partition = _require_workset_operator(operator, "incremental")
-    tracer = getattr(getattr(operator, "engine", None), "tracer", None)
-    workset = SweepWorkset(operator)
-    tracker = ConvergenceTracker(partition.k, tol=0.0, tracer=tracer)
-    pending_aux = 0
-    res_norm = history[-1] if history else np.inf
-    it = start
-    x_two_ago = None
-
-    def result(converged, fixpoint=False):
-        return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                            converged=converged, residual_history=history,
-                            mode="incremental", fixpoint=fixpoint,
-                            convergence=tracker.report)
-
-    try:
-        for it in range(start + 1, max_iterations + 1):
-            residual = b - operator.matvec(x, workset=workset)
-            sweep_tasks = operator.last_sweep["tasks"]
-            res_norm = float(np.linalg.norm(residual))
-            history.append(res_norm)
-            if callback is not None:
-                callback(it, res_norm)
-            if res_norm <= tol * b_norm:
-                return result(converged=True)
-            x_new = x + residual / diag
-            record = tracker.observe(
-                partition.split_vector(x), partition.split_vector(x_new),
-                tasks_scheduled=sweep_tasks, aux_tasks=pending_aux)
-            pending_aux = 0
-            for v in record.reentered:
-                workset.thaw(v)
-            if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
-                # Same exit condition as mode="sync", so the two iterate
-                # sequences (and iteration counts) stay bitwise identical.
-                return result(converged=False, fixpoint=True)
-            x_two_ago = x
-            x = x_new
-            new_parts = partition.split_vector(x_new)
-            for v in record.newly_frozen:
-                # Cache every frozen phase (period-2 cycles have two).
-                for phase in tracker.phases(v) or (new_parts[v],):
-                    pending_aux += workset.freeze(v, phase)
-            ckpt.save(it, x, history)
-        return result(converged=False)
-    finally:
-        workset.close()  # unlink the stored products
 
 
 def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,
@@ -305,5 +245,5 @@ def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,
         x = x_new
         versions.insert(0, partition.split_vector(x))
         del versions[staleness + 1:]
-        ckpt.save(it, x, history)
+        _save(ckpt, it, x, history)
     return result(converged=False)

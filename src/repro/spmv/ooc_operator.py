@@ -16,13 +16,20 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.convergence import ConvergenceTracker, SweepRecord
 from repro.core.engine import DOoCEngine, Program
 from repro.core.iofilter import write_array
 from repro.core.array import ArrayDesc
 from repro.spmv.csr import CSRBlock
 from repro.spmv.csrfile import serialize_csr
-from repro.spmv.partition import GridPartition, column_owner
-from repro.spmv.program import _mult_fn, _sum_fn, a_name
+from repro.spmv.partition import column_owner
+from repro.spmv.program import (
+    _declare_multiply,
+    _declare_row_reduction,
+    _grid_partition,
+    _sweep_names,
+    a_name,
+)
 
 
 class OutOfCoreMatrix:
@@ -42,22 +49,11 @@ class OutOfCoreMatrix:
         gc_arrays: bool = True,
         engine_kwargs: dict | None = None,
     ):
-        ks = sorted({u for u, _ in blocks})
-        k = len(ks)
-        if sorted(blocks) != [(u, v) for u in range(k) for v in range(k)]:
-            raise ValueError("blocks must cover a complete K x K grid")
-        n = sum(blocks[(u, 0)].nrows for u in range(k))
-        self.partition = GridPartition(n, k)
-        for (u, v), b in blocks.items():
-            want = (self.partition.part_length(u), self.partition.part_length(v))
-            if b.shape != want:
-                raise ValueError(f"block {(u, v)} has shape {b.shape}, want {want}")
-        if policy not in ("simple", "interleaved"):
-            raise ValueError(f"unknown policy {policy!r}")
+        self.partition = _grid_partition(blocks, policy)
         self.policy = policy
-        self.k = k
-        self.n = n
-        self.owner = owner or column_owner(k, n_nodes)
+        self.k = self.partition.k
+        self.n = self.partition.n
+        self.owner = owner or column_owner(self.k, n_nodes)
         # Extra engine knobs (fault plans, watchdog, worker plane) for
         # callers like the job server; they override the named defaults.
         eng_kwargs = dict(
@@ -118,75 +114,101 @@ class OutOfCoreMatrix:
         if workset is not None and frontier:
             raise ValueError("workset and frontier modes are mutually "
                              "exclusive")
+        x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}, want ({self.n},)")
-        t = self.matvec_count
-        self.matvec_count += 1
+        if workset is not None and workset.operator is not self:
+            raise ValueError("workset belongs to a different operator")
         p = self.partition
-        parts = p.split_vector(np.asarray(x, dtype=np.float64))
+        parts = p.split_vector(x)
         if workset is not None:
-            if workset.operator is not self:
-                raise ValueError("workset belongs to a different operator")
             active, _ = workset.refresh(parts)
             mode = "workset"
+            meta = {"workset_sweep": self.matvec_count,  # this sweep's number
+                    "workset_active": tuple(active),
+                    "workset_frozen": tuple(sorted(workset.frozen))}
         elif frontier:
             active = [v for v in range(self.k) if np.any(parts[v])]
-            mode = "frontier"
+            mode, meta = "frontier", {"frontier": tuple(active)}
         else:
-            active = list(range(self.k))
-            mode = "full"
-        active_set = frozenset(active)
-        frozen_set = workset.frozen if workset is not None else frozenset()
-        meta_extra: dict = {}
-        if mode == "workset":
-            meta_extra = {"workset_sweep": t,
-                          "workset_active": tuple(active),
-                          "workset_frozen": tuple(sorted(frozen_set))}
-        elif mode == "frontier":
-            meta_extra = {"frontier": tuple(active)}
-        prog = Program(f"ooc-matvec-{t}")
-        self._declare_constants(prog)
-        for v in active:
-            prog.initial_array(f"it{t}_x_{v}", parts[v], home=self.owner(0, v),
-                               block_elems=len(parts[v]))
-        produced: list[int] = []
-        for u in range(self.k):
-            ylen = p.part_length(u)
-            ins: dict[int, str] = {}
-            for v in range(self.k):
-                if v in active_set:
-                    yn = f"it{t}_y_{u}_{v}"
-                    prog.array(yn, ylen, block_elems=ylen)
-                    prog.add_task(
-                        f"it{t}_mult_{u}_{v}", _mult_fn,
-                        [a_name(u, v), f"it{t}_x_{v}"], [yn],
-                        flops=2.0 * self._nnz[(u, v)],
-                        a=a_name(u, v), x=f"it{t}_x_{v}", **meta_extra,
-                    )
-                    ins[v] = yn
-                elif v in frozen_set:
-                    # Frozen column: its product is a constant stored at
-                    # freeze time; it takes the exact input position a
-                    # fresh multiply would fill.
-                    ins[v] = workset.product(u, v)
-                # frontier-inactive columns contribute exactly zero: no
-                # input array at all
-            if not ins:
-                continue  # y_u is exactly zero; nothing to schedule
-            produced.append(u)
-            prog.array(f"it{t}_out_{u}", ylen, block_elems=ylen)
-            self._reduce_tasks(prog, t, u, ins, ylen, meta_extra)
-        report = self.engine.run(prog, cancel=self.cancel)
-        produced_set = set(produced)
-        out = {u: (self.engine.fetch(f"it{t}_out_{u}")
-                   if u in produced_set else np.zeros(p.part_length(u)))
-               for u in range(self.k)}
-        self._cleanup(prog, t)
-        self._log_sweep(t, mode, active, len(prog.tasks), report)
+            active, mode, meta = list(range(self.k)), "full", {}
+        # An active column is multiplied; a frozen column's stored product
+        # takes the exact input position a fresh multiply would fill; a
+        # frontier-inactive column contributes exactly zero: no input.
+        live = frozenset(active)
+        stored = workset.frozen if workset is not None else frozenset()
+        feeds = {u: {v: v if v in live else workset.product(u, v)
+                     for v in range(self.k) if v in live or v in stored}
+                 for u in range(self.k)}
+        t, rows, _ = self._sweep("matvec", mode, active,
+                                 {v: (v, parts[v], {}) for v in active},
+                                 feeds, meta=meta)
         if frontier:
             self.engine.tracer.counter(-1, "driver", "converge",
                                        "frontier_size", len(active), sweep=t)
-        return p.join_vector(out)
+        # A row nothing fed is exactly zero; no task was scheduled for it.
+        return p.join_vector({u: rows[u] if u in rows
+                              else np.zeros(p.part_length(u))
+                              for u in range(self.k)})
+
+    def _sweep(self, label: str, mode: str, active, seeds: dict, feeds: dict,
+               *, meta: dict | None = None, persist: bool = False):
+        """Build, run and account for one engine program over A — the one
+        place an iterate enters the engine.
+
+        ``seeds[tag] = (v, data, meta)`` seeds a version of column ``v``'s
+        iterate part as ``it{t}_x_{tag}`` on the column's home; ``meta``
+        goes on every multiply that reads it.  ``feeds[u][v]`` says what
+        column ``v`` contributes to row ``u``: a seed's tag (a multiply by
+        ``A_{u,v}`` is declared) or, for anything else, the name of a
+        stored product (a constant of the program).  Rows are reduced
+        under the operator's policy and fetched; a row nothing feeds is
+        absent.  With ``persist`` the products are the result instead:
+        nothing is reduced, each is named ``frozen{t}_…`` so that
+        ``_cleanup`` leaves it, persisted on the node that produced it
+        and declared by every later sweep.  ``meta`` goes on every task.
+        Returns the sweep number, the fetched rows by row, and the
+        persisted products' names by row and column.
+        """
+        t = self.matvec_count
+        self.matvec_count += 1
+        meta = meta or {}
+        name = _sweep_names(f"it{t}")
+        product = _sweep_names(f"frozen{t}") if persist else name
+        prog = Program(f"ooc-{label}-{t}")
+        self._declare_constants(prog)
+        for tag, (v, part, _) in seeds.items():
+            prog.initial_array(name("x", tag), part, home=self.owner(0, v),
+                               block_elems=len(part))
+        reduced: list[int] = []
+        products: dict[int, dict[int, str]] = {}
+        for u, feed in feeds.items():
+            ylen = self.partition.part_length(u)
+            ins: dict[int, str] = {}
+            for v, src in feed.items():
+                if src not in seeds:
+                    ins[v] = src
+                    continue
+                ins[v] = product("y", u, v)
+                _declare_multiply(prog, name("mult", u, v), u, v,
+                                  name("x", src), ins[v], ylen, ylen,
+                                  self._nnz[(u, v)], **seeds[src][2], **meta)
+            if persist:
+                products[u] = ins
+            elif ins:
+                _declare_row_reduction(prog, name, u, ins, name("out", u),
+                                       ylen, ylen, self.policy, self.owner,
+                                       **meta)
+                reduced.append(u)
+        report = self.engine.run(prog, cancel=self.cancel)
+        rows = {u: self.engine.fetch(name("out", u)) for u in reduced}
+        for u, ins in products.items():
+            for yn in ins.values():
+                self._products[yn] = (self.partition.part_length(u),
+                                      self.engine.persist(yn))
+        self._cleanup(prog, t)
+        self._log_sweep(t, mode, active, len(prog.tasks), report)
+        return t, rows, products
 
     def _declare_constants(self, prog: Program) -> None:
         """Declare every sub-matrix and every stored frozen-column product
@@ -199,39 +221,6 @@ class OutOfCoreMatrix:
         for name, (length, home) in self._products.items():
             prog.initial_from_scratch(name, length, home=home,
                                       block_elems=length)
-
-    def _reduce_tasks(self, prog: Program, t: int, u: int,
-                      ins: dict[int, str], ylen: int,
-                      meta_extra: dict) -> None:
-        """Row ``u``'s reduction over the included columns' products
-        ``ins`` (column -> array) — the same policy tree (and float
-        summation order) as the bulk sweep restricted to ``ins``."""
-        if self.policy == "simple":
-            prog.add_task(
-                f"it{t}_sum_{u}", _sum_fn,
-                list(ins.values()), [f"it{t}_out_{u}"],
-                flops=float(ylen * (len(ins) - 1)), **meta_extra,
-            )
-            return
-        groups: dict[int, list[str]] = {}
-        for v, yn in ins.items():
-            groups.setdefault(self.owner(u, v), []).append(yn)
-        partials = []
-        for node, yns in sorted(groups.items()):
-            if len(yns) == 1:
-                partials.append(yns[0])
-                continue
-            pname = f"it{t}_part_{u}_{node}"
-            prog.array(pname, ylen, block_elems=ylen)
-            prog.add_task(
-                f"it{t}_psum_{u}_{node}", _sum_fn, yns, [pname],
-                flops=float(ylen * (len(yns) - 1)), **meta_extra,
-            )
-            partials.append(pname)
-        prog.add_task(
-            f"it{t}_sum_{u}", _sum_fn, partials, [f"it{t}_out_{u}"],
-            flops=float(ylen * max(len(partials) - 1, 1)), **meta_extra,
-        )
 
     def _log_sweep(self, tag: int, mode: str, active, tasks: int,
                    report) -> dict:
@@ -267,30 +256,11 @@ class OutOfCoreMatrix:
         want = (self.partition.part_length(v),)
         if x_v.shape != want:
             raise ValueError(f"x_v has shape {x_v.shape}, want {want}")
-        t = self.matvec_count
-        self.matvec_count += 1
-        prog = Program(f"ooc-colprod-{t}")
-        self._declare_constants(prog)
-        xn = f"it{t}_x_{v}"
-        prog.initial_array(xn, x_v, home=self.owner(0, v),
-                           block_elems=len(x_v))
-        names = {u: f"frozen{t}_y_{u}_{v}" for u in range(self.k)}
-        for u, yn in names.items():
-            ylen = self.partition.part_length(u)
-            prog.array(yn, ylen, block_elems=ylen)
-            prog.add_task(
-                f"it{t}_mult_{u}_{v}", _mult_fn,
-                [a_name(u, v), xn], [yn],
-                flops=2.0 * self._nnz[(u, v)],
-                a=a_name(u, v), x=xn, frozen_column=v,
-            )
-        report = self.engine.run(prog, cancel=self.cancel)
-        for u, yn in names.items():
-            self._products[yn] = (self.partition.part_length(u),
-                                  self.engine.persist(yn))
-        self._cleanup(prog, t)
-        self._log_sweep(t, "colprod", (v,), len(prog.tasks), report)
-        return names
+        _, _, products = self._sweep(
+            "colprod", "colprod", (v,), {v: (v, x_v, {})},
+            {u: {v: v} for u in range(self.k)},
+            meta={"frozen_column": v}, persist=True)
+        return {u: names[v] for u, names in products.items()}
 
     def drop_products(self, names: dict[int, str]) -> None:
         """Unlink what :meth:`column_products` stored under ``names``."""
@@ -313,44 +283,20 @@ class OutOfCoreMatrix:
         if not versions:
             raise ValueError("need at least one iterate version")
         k = self.k
-        p = self.partition
         for (u, v), age in choice.items():
             if not (0 <= age < len(versions)):
                 raise ValueError(f"choice[{(u, v)}] = {age} out of range")
-        t = self.matvec_count
-        self.matvec_count += 1
-        prog = Program(f"ooc-async-{t}")
-        self._declare_constants(prog)
-        used = sorted({(v, choice.get((u, v), 0))
-                       for u in range(k) for v in range(k)})
-        for v, age in used:
-            part = np.asarray(versions[age][v], dtype=np.float64)
-            prog.initial_array(f"it{t}_x_{v}_s{age}", part,
-                               home=self.owner(0, v), block_elems=len(part))
-        for u in range(k):
-            ylen = p.part_length(u)
-            for v in range(k):
-                age = choice.get((u, v), 0)
-                yn = f"it{t}_y_{u}_{v}"
-                prog.array(yn, ylen, block_elems=ylen)
-                prog.add_task(
-                    f"it{t}_mult_{u}_{v}", _mult_fn,
-                    [a_name(u, v), f"it{t}_x_{v}_s{age}"], [yn],
-                    flops=2.0 * self._nnz[(u, v)],
-                    a=a_name(u, v), x=f"it{t}_x_{v}_s{age}", staleness=age,
-                )
-            prog.array(f"it{t}_out_{u}", ylen, block_elems=ylen)
-            self._reduce_tasks(
-                prog, t, u, {v: f"it{t}_y_{u}_{v}" for v in range(k)},
-                ylen, {})
-        report = self.engine.run(prog, cancel=self.cancel)
-        out = {u: self.engine.fetch(f"it{t}_out_{u}") for u in range(k)}
-        self._cleanup(prog, t)
-        self._log_sweep(t, "async", tuple(range(k)), len(prog.tasks), report)
+        age = lambda u, v: choice.get((u, v), 0)
+        used = sorted({(v, age(u, v)) for u in range(k) for v in range(k)})
+        t, rows, _ = self._sweep(
+            "async", "async", tuple(range(k)),
+            {f"{v}_s{a}": (v, np.asarray(versions[a][v], dtype=np.float64),
+                           {"staleness": a}) for v, a in used},
+            {u: {v: f"{v}_s{age(u, v)}" for v in range(k)} for u in range(k)})
         max_age = max(choice.values()) if choice else 0
         self.engine.tracer.instant(-1, "driver", "converge", "async_round",
                                    sweep=t, max_age=max_age)
-        return out
+        return rows
 
     def _cleanup(self, prog: Program, t: int) -> None:
         """Unlink this matvec's per-iteration scratch files (the seeded x
@@ -410,6 +356,10 @@ class SweepWorkset:
     products, unchanged files read by run after run, stay resident in the
     engine's stores like the sub-matrices do.
 
+    The workset owns the :class:`~repro.core.convergence.ConvergenceTracker`
+    that decides (``tracker``); a drive calls :meth:`observe` once per
+    sweep and never freezes or thaws by hand.
+
     The store is **content-addressed by the iterate's bits**: a frozen
     column may hold up to two phase entries (near convergence, Jacobi
     iterates often settle into an exact period-2 last-ulp oscillation
@@ -431,6 +381,33 @@ class SweepWorkset:
         self._selected: Dict[int, Dict[int, str]] = {}
         #: freeze-time product tasks spent so far (dropout accounting)
         self.aux_tasks = 0
+        #: the authority on which columns are frozen (bitwise rule)
+        self.tracker = ConvergenceTracker(operator.k, tol=0.0,
+                                          tracer=operator.engine.tracer)
+        #: product tasks spent since the last ``observe`` reported them
+        self._pending_aux = 0
+
+    def observe(self, x: np.ndarray, x_new: np.ndarray, *,
+                final: bool = False) -> SweepRecord:
+        """The workset step, once per sweep: tell the tracker that the
+        sweep just run through the operator took ``x`` to ``x_new``, thaw
+        the columns that moved again and — unless the drive is about to
+        exit (``final``) — store the products of the newly stationary
+        ones, every phase of a period-2 cycle."""
+        p = self.operator.partition
+        new_parts = p.split_vector(x_new)
+        record = self.tracker.observe(
+            p.split_vector(x), new_parts,
+            tasks_scheduled=self.operator.last_sweep["tasks"],
+            aux_tasks=self._pending_aux)
+        self._pending_aux = 0
+        for v in record.reentered:
+            self.thaw(v)
+        if not final:
+            for v in record.newly_frozen:
+                for phase in self.tracker.phases(v) or (new_parts[v],):
+                    self._pending_aux += self.freeze(v, phase)
+        return record
 
     @property
     def frozen(self) -> frozenset[int]:

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.engine import DOoCEngine, Program
 from repro.core.opcache import cached_decode
+from repro.recovery.checkpoint import CheckpointCadence
 from repro.spmv.csr import CSRBlock
 from repro.spmv.csrfile import deserialize_csr, serialize_csr
 from repro.spmv.partition import GridPartition, column_owner
@@ -41,14 +42,6 @@ def a_name(u: int, v: int) -> str:
 
 def x_name(i: int, u: int) -> str:
     return f"x_{i}_{u}"
-
-
-def y_name(i: int, u: int, v: int) -> str:
-    return f"y_{i}_{u}_{v}"
-
-
-def part_name(i: int, u: int, n: int) -> str:
-    return f"part_{i}_{u}_{n}"
 
 
 def _decode_a(raw: np.ndarray):
@@ -83,6 +76,95 @@ def _sum_fn(ins: dict, outs: dict, meta: dict) -> None:
     out[:] = 0.0
     for arr in ins.values():
         out += arr
+
+
+def _bulk_names(i: int) -> Callable[..., str]:
+    """Names of the unrolled program's iteration ``i``: ``sum_{i}_{u}``."""
+    return lambda kind, *idx: "_".join(map(str, (kind, i, *idx)))
+
+
+def _sweep_names(prefix: str) -> Callable[..., str]:
+    """Names of one operator sweep: ``it{t}_sum_{u}``, ``frozen{t}_y_{u}_{v}``."""
+    return lambda kind, *idx: "_".join(map(str, (prefix, kind, *idx)))
+
+
+def _grid_partition(blocks: dict[tuple[int, int], CSRBlock],
+                    policy: str) -> GridPartition:
+    """The partition ``blocks`` tile, after checking that they are a
+    complete K x K grid of conforming shapes and ``policy`` is known."""
+    if policy not in ("simple", "interleaved"):
+        raise ValueError(f"unknown policy {policy!r}")
+    k = len({u for u, _ in blocks})
+    if sorted(blocks) != [(u, v) for u in range(k) for v in range(k)]:
+        raise ValueError("blocks must cover a complete K x K grid")
+    partition = GridPartition(sum(blocks[(u, 0)].nrows for u in range(k)), k)
+    for (u, v), b in blocks.items():
+        want = (partition.part_length(u), partition.part_length(v))
+        if b.shape != want:
+            raise ValueError(f"block {(u, v)} has shape {b.shape}, want {want}")
+    return partition
+
+
+def _vector_parts(partition: GridPartition,
+                  x0_parts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """``x0_parts`` as float64 arrays: one conforming part per grid row."""
+    if sorted(x0_parts) != list(range(partition.k)):
+        raise ValueError("x0_parts must have one part per grid row")
+    parts = {u: np.asarray(x0_parts[u], dtype=np.float64)
+             for u in range(partition.k)}
+    for u, part in parts.items():
+        if part.shape != (partition.part_length(u),):
+            raise ValueError(f"x0 part {u} has wrong length")
+    return parts
+
+
+def _declare_multiply(prog: Program, task: str, u: int, v: int, x: str,
+                      y: str, ylen: int, block_elems: int, nnz: int,
+                      **meta) -> None:
+    """Declare ``y`` and the task ``y = A_{u,v} @ x``."""
+    prog.array(y, ylen, block_elems=block_elems)
+    prog.add_task(task, _mult_fn, [a_name(u, v), x], [y],
+                  flops=2.0 * nnz, a=a_name(u, v), x=x, **meta)
+
+
+def _declare_row_reduction(prog: Program, name: Callable[..., str], u: int,
+                           ins: dict[int, str], out: str, ylen: int,
+                           block_elems: int, policy: str,
+                           owner: Callable[[int, int], int], **meta) -> None:
+    """Declare ``out`` and row ``u``'s reduction of ``ins`` (column ->
+    product array) into it.
+
+    This function *is* the reduction tree, and so the float summation
+    order every bit-identity check rests on.  Products are summed in the
+    order of ``ins`` (every caller's is column order): ``simple`` in one
+    ``sum`` task; ``interleaved`` first each owning node's (``psum`` into
+    ``part``, nodes ascending), then the per-node partials.  A node
+    owning a single product has no partial — that would be a copy — and
+    feeds it to the final sum directly.  ``name`` spells the tasks and
+    partials (:func:`_bulk_names`, :func:`_sweep_names`).
+    """
+    prog.array(out, ylen, block_elems=block_elems)
+    if policy == "simple":
+        partials = list(ins.values())
+        flops = ylen * (len(partials) - 1)
+    else:
+        groups: dict[int, list[str]] = {}
+        for v, y in ins.items():
+            groups.setdefault(owner(u, v), []).append(y)
+        partials = []
+        for node, ys in sorted(groups.items()):
+            if len(ys) == 1:
+                partials.append(ys[0])
+                continue
+            part = name("part", u, node)
+            prog.array(part, ylen, block_elems=block_elems)
+            prog.add_task(name("psum", u, node), _sum_fn, ys, [part],
+                          flops=float(ylen * (len(ys) - 1)), **meta)
+            partials.append(part)
+        # A single partial is renamed by a trivial sum (uniform naming).
+        flops = ylen * max(len(partials) - 1, 1)
+    prog.add_task(name("sum", u), _sum_fn, partials, [out],
+                  flops=float(flops), **meta)
 
 
 @dataclass
@@ -121,24 +203,14 @@ def build_iterated_spmv(
     conforming initial sub-vectors.  ``owner(u, v)`` places sub-matrix
     files on nodes (default: Fig. 5's column ownership).
     """
-    if policy not in ("simple", "interleaved"):
-        raise ValueError(f"unknown policy {policy!r}")
+    partition = _grid_partition(blocks, policy)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    ks = sorted({u for u, _ in blocks} | {v for _, v in blocks})
-    k = len(ks)
-    if sorted(blocks) != [(u, v) for u in range(k) for v in range(k)]:
-        raise ValueError("blocks must cover a complete K x K grid")
-    n = sum(blocks[(u, 0)].nrows for u in range(k))
-    partition = GridPartition(n, k)
-    for (u, v), b in blocks.items():
-        want = (partition.part_length(u), partition.part_length(v))
-        if b.shape != want:
-            raise ValueError(f"block {(u, v)} has shape {b.shape}, want {want}")
-    if sorted(x0_parts) != list(range(k)):
-        raise ValueError("x0_parts must have one part per grid row")
+    k = partition.k
+    parts = _vector_parts(partition, x0_parts)
     if owner is None:
         owner = column_owner(k, n_nodes)
+    vec_block = lambda u: vector_block_elems or partition.part_length(u)  # noqa: E731
 
     prog = Program(f"iterated-spmv-{policy}")
 
@@ -150,83 +222,22 @@ def build_iterated_spmv(
 
     # Initial vector parts: x_v feeds column v's multiplies; home it with
     # the (first) owner of that column.
-    for u in range(k):
-        part = np.asarray(x0_parts[u], dtype=np.float64)
-        if part.shape != (partition.part_length(u),):
-            raise ValueError(f"x0 part {u} has wrong length")
-        prog.initial_array(
-            x_name(0, u), part, home=owner(0, u),
-            block_elems=vector_block_elems or partition.part_length(u),
-        )
-
-    vec_block = lambda u: vector_block_elems or partition.part_length(u)  # noqa: E731
+    for u, part in parts.items():
+        prog.initial_array(x_name(0, u), part, home=owner(0, u),
+                           block_elems=vec_block(u))
 
     for i in range(1, iterations + 1):
-        # Multiplies
+        name = _bulk_names(i)
         for u, v in partition.coords():
-            ylen = partition.part_length(u)
-            prog.array(y_name(i, u, v), ylen, block_elems=vec_block(u))
-            prog.add_task(
-                f"mult_{i}_{u}_{v}",
-                _mult_fn,
-                [a_name(u, v), x_name(i - 1, v)],
-                [y_name(i, u, v)],
-                flops=2.0 * blocks[(u, v)].nnz,
-                a=a_name(u, v),
-                x=x_name(i - 1, v),
-            )
-        # Reductions
+            _declare_multiply(prog, name("mult", u, v), u, v,
+                              x_name(i - 1, v), name("y", u, v),
+                              partition.part_length(u), vec_block(u),
+                              blocks[(u, v)].nnz)
         for u in range(k):
-            ylen = partition.part_length(u)
-            prog.array(x_name(i, u), ylen, block_elems=vec_block(u))
-            if policy == "simple":
-                prog.add_task(
-                    f"sum_{i}_{u}",
-                    _sum_fn,
-                    [y_name(i, u, v) for v in range(k)],
-                    [x_name(i, u)],
-                    flops=float(ylen * (k - 1)),
-                )
-            else:
-                # Per-node partial sums first.
-                groups: dict[int, list[int]] = {}
-                for v in range(k):
-                    groups.setdefault(owner(u, v), []).append(v)
-                partial_names = []
-                for node, vs in sorted(groups.items()):
-                    if len(vs) == 1:
-                        # A singleton partial would be a copy; feed the
-                        # intermediate straight into the final sum.
-                        partial_names.append(y_name(i, u, vs[0]))
-                        continue
-                    pname = part_name(i, u, node)
-                    prog.array(pname, ylen, block_elems=vec_block(u))
-                    prog.add_task(
-                        f"psum_{i}_{u}_{node}",
-                        _sum_fn,
-                        [y_name(i, u, v) for v in vs],
-                        [pname],
-                        flops=float(ylen * (len(vs) - 1)),
-                    )
-                    partial_names.append(pname)
-                if len(partial_names) == 1:
-                    # Single owner: rename by a trivial sum (keeps naming
-                    # uniform across policies).
-                    prog.add_task(
-                        f"sum_{i}_{u}",
-                        _sum_fn,
-                        partial_names,
-                        [x_name(i, u)],
-                        flops=float(ylen),
-                    )
-                else:
-                    prog.add_task(
-                        f"sum_{i}_{u}",
-                        _sum_fn,
-                        partial_names,
-                        [x_name(i, u)],
-                        flops=float(ylen * (len(partial_names) - 1)),
-                    )
+            _declare_row_reduction(
+                prog, name, u, {v: name("y", u, v) for v in range(k)},
+                x_name(i, u), partition.part_length(u), vec_block(u),
+                policy, owner)
     return IteratedSpMVResult(
         program=prog,
         partition=partition,
@@ -308,155 +319,81 @@ def run_iterated_spmv(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    if incremental:
-        return _run_incremental_spmv(
-            blocks, x0_parts, iterations, n_nodes=n_nodes, policy=policy,
-            owner=owner, vector_block_elems=vector_block_elems,
-            checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-            resume=resume, run_timeout=run_timeout,
-            engine_kwargs=engine_kwargs, cancel=cancel)
-    chunk = checkpoint_every or iterations
-    parts = {u: np.asarray(p, dtype=np.float64).copy()
-             for u, p in x0_parts.items()}
-    mgr = None
-    done = 0
-    restored = None
-    if checkpoint_dir is not None:
-        from repro.recovery.checkpoint import CheckpointManager
-        mgr = CheckpointManager(checkpoint_dir)
-        if resume:
-            ckpt = mgr.load_latest()
-            if ckpt is not None:
-                done = restored = ckpt.step
-                parts = {int(name[1:]): arr.copy()
-                         for name, arr in ckpt.arrays.items()}
-    run = IteratedSpMVRun(partition=GridPartition(
-        sum(len(p) for p in parts.values()), len(parts)),
-        x_parts=parts, iterations=done, restored_from=restored)
-    while done < iterations:
-        step = min(chunk, iterations - done)
-        built = build_iterated_spmv(
-            blocks, parts, step, n_nodes=n_nodes, policy=policy,
-            owner=owner, vector_block_elems=vector_block_elems)
-        eng = DOoCEngine(n_nodes=n_nodes, **dict(engine_kwargs or {}))
+    ckpt = CheckpointCadence(
+        checkpoint_dir,
+        iterations if checkpoint_every is None else checkpoint_every,
+        resume=resume)
+    partition = _grid_partition(blocks, policy)
+    parts = _vector_parts(partition, x0_parts)
+    done, restored = 0, None
+    if ckpt.restored is not None:
+        done = restored = ckpt.restored.step
+        parts = {int(name[1:]): arr
+                 for name, arr in ckpt.restored.arrays.items()}
+    run = IteratedSpMVRun(partition=partition, x_parts=parts, iterations=done,
+                          restored_from=restored)
+
+    def save(step: int, parts: dict[int, np.ndarray], *, force: bool) -> None:
+        ckpt.save(step, {f"x{u}": parts[u] for u in sorted(parts)},
+                  {"iterations": step, "policy": policy}, force=force)
+
+    if not incremental:
+        while done < iterations:
+            # Everything left in one program, unless there are chunk
+            # boundaries to checkpoint.
+            step = iterations - done
+            if ckpt.manager is not None:
+                step = min(ckpt.every, step)
+            built = build_iterated_spmv(
+                blocks, parts, step, n_nodes=n_nodes, policy=policy,
+                owner=owner, vector_block_elems=vector_block_elems)
+            eng = DOoCEngine(n_nodes=n_nodes, **dict(engine_kwargs or {}))
+            try:
+                run.reports.append(eng.run(built.program, timeout=run_timeout,
+                                           cancel=cancel))
+                parts = {u: eng.fetch(name)
+                         for u, name in enumerate(built.final_vector_names())}
+            finally:
+                eng.cleanup()
+            done += step
+            save(done, parts, force=True)
+    else:
+        from repro.spmv.ooc_operator import OutOfCoreMatrix, SweepWorkset
+
+        op = OutOfCoreMatrix(blocks, n_nodes=n_nodes, policy=policy,
+                             owner=owner, engine_kwargs=engine_kwargs)
+        op.cancel = cancel
+        workset = SweepWorkset(op)
+        x = partition.join_vector(parts)
+        x_two_ago: np.ndarray | None = None
         try:
-            run.reports.append(eng.run(built.program, timeout=run_timeout,
-                                       cancel=cancel))
-            # fetch() already concatenates into a fresh array — no copy.
-            parts = {u: eng.fetch(x_name(step, u))
-                     for u in range(built.partition.k)}
+            while done < iterations:
+                x_new = op.matvec(x, workset=workset)
+                done += 1
+                period1 = np.array_equal(x_new, x)
+                run.fixpoint = period1 or (
+                    x_two_ago is not None and np.array_equal(x_new, x_two_ago))
+                workset.observe(x, x_new, final=run.fixpoint)
+                if run.fixpoint:
+                    # x(done) repeats x(done-1) or x(done-2): every later
+                    # iterate is determined.  Period-1 keeps x_new; a
+                    # period-2 cycle alternates x_new / x, so pick the
+                    # phase whose parity matches the requested count T
+                    # (else x(T) == x(done-1), the current x).
+                    if period1 or (iterations - done) % 2 == 0:
+                        x = x_new
+                    done = iterations
+                    break
+                x_two_ago, x = x, x_new
+                save(done, partition.split_vector(x), force=False)
         finally:
-            eng.cleanup()
-        done += step
-        if mgr is not None:
-            mgr.save(done, {f"x{u}": parts[u] for u in sorted(parts)},
-                     {"iterations": done, "policy": policy})
+            workset.close()
+            op.engine.cleanup()
+        parts = partition.split_vector(x)
+        run.convergence = workset.tracker.report
+        run.sweep_log = list(op.sweep_log)
+        save(done, parts, force=True)
     run.x_parts = parts
     run.iterations = done
-    if mgr is not None:
-        run.checkpoint_writes = mgr.writes
-    return run
-
-
-def _run_incremental_spmv(
-    blocks: dict[tuple[int, int], CSRBlock],
-    x0_parts: dict[int, np.ndarray],
-    iterations: int,
-    *,
-    n_nodes: int,
-    policy: str,
-    owner: Callable[[int, int], int] | None,
-    vector_block_elems: int | None,
-    checkpoint_dir: str | Path | None,
-    checkpoint_every: int | None,
-    resume: bool,
-    run_timeout: float | None,
-    engine_kwargs: dict | None,
-    cancel,
-) -> IteratedSpMVRun:
-    """Delta/workset drive: one engine program per sweep, frozen columns
-    served from the product cache, early exit at a bitwise fixpoint or
-    period-2 limit cycle (parity-corrected so x^T matches the bulk drive
-    bit for bit)."""
-    from repro.core.convergence import ConvergenceTracker
-    from repro.spmv.ooc_operator import OutOfCoreMatrix, SweepWorkset
-
-    op = OutOfCoreMatrix(blocks, n_nodes=n_nodes, policy=policy,
-                         owner=owner, engine_kwargs=engine_kwargs)
-    op.cancel = cancel
-    p = op.partition
-    parts = {u: np.asarray(x0_parts[u], dtype=np.float64).copy()
-             for u in x0_parts}
-    if sorted(parts) != list(range(p.k)):
-        raise ValueError("x0_parts must have one part per grid row")
-    mgr = None
-    done = 0
-    restored = None
-    last_saved: int | None = None
-    if checkpoint_dir is not None:
-        from repro.recovery.checkpoint import CheckpointManager
-        mgr = CheckpointManager(checkpoint_dir)
-        if resume:
-            ckpt = mgr.load_latest()
-            if ckpt is not None:
-                done = restored = last_saved = ckpt.step
-                parts = {int(name[1:]): arr.copy()
-                         for name, arr in ckpt.arrays.items()}
-    chunk = checkpoint_every or iterations
-    workset = SweepWorkset(op)
-    tracker = ConvergenceTracker(p.k, tol=0.0, tracer=op.engine.tracer)
-    run = IteratedSpMVRun(partition=p, x_parts=parts, iterations=done,
-                          restored_from=restored)
-    x = p.join_vector(parts)
-    x_two_ago: np.ndarray | None = None
-    pending_aux = 0
-    try:
-        while done < iterations:
-            x_new = op.matvec(x, workset=workset)
-            record = tracker.observe(
-                p.split_vector(x), p.split_vector(x_new),
-                tasks_scheduled=op.last_sweep["tasks"],
-                aux_tasks=pending_aux)
-            pending_aux = 0
-            for v in record.reentered:
-                workset.thaw(v)
-            done += 1
-            if (np.array_equal(x_new, x)
-                    or (x_two_ago is not None
-                        and np.array_equal(x_new, x_two_ago))):
-                # x(done) repeats x(done-1) or x(done-2): every later
-                # iterate is determined.  Period-1 keeps x_new; a
-                # period-2 cycle alternates x_new / x, so pick the phase
-                # whose parity matches the requested sweep count T.
-                period2 = not np.array_equal(x_new, x)
-                if not (period2 and (iterations - done) % 2):
-                    x = x_new  # else x(T) == x(done-1) == current x
-                run.fixpoint = True
-                break
-            new_parts = p.split_vector(x_new)
-            for v in record.newly_frozen:
-                for phase in tracker.phases(v) or (new_parts[v],):
-                    pending_aux += workset.freeze(v, phase)
-            x_two_ago = x
-            x = x_new
-            if mgr is not None and done % chunk == 0:
-                mgr.save(done, {f"x{u}": arr for u, arr in
-                                sorted(p.split_vector(x).items())},
-                         {"iterations": done, "policy": policy})
-                last_saved = done
-    finally:
-        workset.close()
-        op.engine.cleanup()
-    run.x_parts = p.split_vector(x)
-    run.iterations = iterations if run.fixpoint else done
-    run.convergence = tracker.report
-    run.sweep_log = list(op.sweep_log)
-    if mgr is not None:
-        if last_saved != run.iterations:
-            mgr.save(run.iterations,
-                     {f"x{u}": arr for u, arr in sorted(run.x_parts.items())},
-                     {"iterations": run.iterations, "policy": policy})
-        run.checkpoint_writes = mgr.writes
+    run.checkpoint_writes = ckpt.writes
     return run

@@ -56,6 +56,83 @@ class TestEngineConstructor:
             DOoCEngine(**removed)
 
 
+def documented_parameters(call: str) -> list[str]:
+    """Parameter names of the docs/API.md row whose first cell starts
+    with ``call(``, in order."""
+    doc = (Path(__file__).parents[1] / "docs" / "API.md").read_text()
+    row = re.search(rf"^\| `{re.escape(call)}\((.*?)\)`", doc, re.M).group(1)
+    return [arg.split("=")[0].strip() for arg in row.split(", ")]
+
+
+class TestApplicationLayerSignatures:
+    """The sweep, the solvers and the drive were rewritten underneath
+    their signatures (ISSUE 19); the signatures are what docs/API.md
+    says."""
+
+    def cases(self):
+        from repro.lanczos import lanczos
+        from repro.solvers import conjugate_gradient_solve, jacobi_solve
+        from repro.spmv.ooc_operator import OutOfCoreMatrix
+        from repro.spmv.program import build_iterated_spmv, run_iterated_spmv
+        sweep = ["blocks", "x0_parts", "iterations", "n_nodes", "policy",
+                 "owner", "vector_block_elems"]
+        checkpointed = ["checkpoint_dir", "checkpoint_every", "resume"]
+        return {
+            "build_iterated_spmv": (build_iterated_spmv, sweep),
+            "run_iterated_spmv": (run_iterated_spmv, [
+                *sweep, *checkpointed, "run_timeout", "engine_kwargs",
+                "cancel", "incremental"]),
+            "OutOfCoreMatrix": (OutOfCoreMatrix.__init__, [
+                "self", "blocks", "n_nodes", "workers",
+                "memory_budget_per_node", "scratch_dir", "policy", "owner",
+                "rng_seed", "gc_arrays", "engine_kwargs"]),
+            "repro.solvers.jacobi_solve": (jacobi_solve, [
+                "operator", "b", "x0", "tol", "max_iterations", "callback",
+                *checkpointed, "mode", "staleness", "seed", "fixpoint_exit"]),
+            "repro.solvers.conjugate_gradient_solve": (
+                conjugate_gradient_solve, [
+                    "operator", "b", "x0", "tol", "max_iterations",
+                    "callback", *checkpointed]),
+            "repro.lanczos.lanczos": (lanczos, [
+                "matvec", "n", "k", "n_eigenvalues", "rng", "v0", "tol",
+                "want_vectors", "basis", *checkpointed]),
+        }
+
+    def test_signatures_are_pinned_and_documented(self):
+        for call, (fn, want) in self.cases().items():
+            assert list(inspect.signature(fn).parameters) == want, call
+            assert documented_parameters(call) == [
+                name for name in want if name != "self"], call
+
+    def test_matvec_signature(self):
+        from repro.spmv.ooc_operator import OutOfCoreMatrix
+        assert list(inspect.signature(OutOfCoreMatrix.matvec).parameters) == [
+            "self", "x", "workset", "frontier"]
+        doc = (Path(__file__).parents[1] / "docs" / "API.md").read_text()
+        assert "`.matvec(x, workset=None, frontier=False)`" in doc
+
+    def test_the_lanczos_wrapper_is_gone(self):
+        # (``repro.lanczos`` the attribute is the function, not the package)
+        for module in map(importlib.import_module, ("repro", "repro.lanczos")):
+            assert "OutOfCoreLanczos" not in module.__all__
+            assert not hasattr(module, "OutOfCoreLanczos")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.lanczos.ooc")
+
+    def test_the_cadence_helper_is_the_only_new_public_name(self):
+        import repro.recovery
+        import repro.recovery.checkpoint as checkpoint
+        assert "CheckpointCadence" in checkpoint.__all__
+        assert "CheckpointCadence" in repro.recovery.__all__
+        assert documented_parameters("CheckpointCadence") == [
+            "directory", "every", "resume"]
+        for module in ("repro.spmv.program", "repro.spmv.ooc_operator",
+                       "repro.solvers.jacobi"):
+            gone = {"part_name", "_reduce_tasks", "_solve_incremental",
+                    "_run_incremental_spmv", "_Checkpointing"}
+            assert not gone & set(vars(importlib.import_module(module)))
+
+
 class TestCommandLine:
     ROOT = Path(__file__).parents[1]
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.lanczos import OutOfCoreLanczos, lanczos
+from repro.lanczos import lanczos
+from repro.lanczos.basis import DiskBasis
 from repro.spmv.generator import symmetric_test_matrix
+from repro.spmv.ooc_operator import OutOfCoreMatrix
 from repro.spmv.partition import GridPartition
 
 
@@ -86,6 +88,9 @@ class TestInCore:
 
 
 class TestOutOfCore:
+    """Out of core, Lanczos is two calls: an ``OutOfCoreMatrix`` and
+    ``lanczos(op.matvec, op.n, ...)``."""
+
     @pytest.fixture
     def problem(self):
         n, k = 90, 3
@@ -96,50 +101,51 @@ class TestOutOfCore:
 
     def test_matvec_matches_incore(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
         x = np.random.default_rng(11).standard_normal(p.n)
         np.testing.assert_allclose(ooc.matvec(x), matrix.matvec(x), rtol=1e-10)
         assert ooc.matvec_count == 1
 
     def test_eigenvalues_match_incore_lanczos(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
-        result = ooc.solve(k=40, n_eigenvalues=2,
-                           rng=np.random.default_rng(12), tol=1e-8)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
+        result = lanczos(ooc.matvec, ooc.n, k=40, n_eigenvalues=2,
+                         rng=np.random.default_rng(12), tol=1e-8)
         exact = np.linalg.eigvalsh(matrix.to_dense())
         np.testing.assert_allclose(result.eigenvalues, exact[:2], rtol=1e-6)
+        assert ooc.matvec_count == result.iterations
 
     def test_multi_node_ooc_lanczos(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=3, scratch_dir=tmp_path,
-                               policy="interleaved")
+        ooc = OutOfCoreMatrix(blocks, n_nodes=3, scratch_dir=tmp_path,
+                              policy="interleaved")
         x = np.random.default_rng(13).standard_normal(p.n)
         np.testing.assert_allclose(ooc.matvec(x), matrix.matvec(x), rtol=1e-10)
+        result = lanczos(ooc.matvec, ooc.n, k=40, n_eigenvalues=2,
+                         rng=np.random.default_rng(12), tol=1e-8)
+        exact = np.linalg.eigvalsh(matrix.to_dense())
+        np.testing.assert_allclose(result.eigenvalues, exact[:2], rtol=1e-6)
 
     def test_simple_policy_matvec(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path,
-                               policy="simple")
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path,
+                              policy="simple")
         x = np.ones(p.n)
         np.testing.assert_allclose(ooc.matvec(x), matrix.matvec(x), rtol=1e-10)
 
     def test_validation(self, problem, tmp_path):
+        # (a bad policy or grid is refused before an engine exists:
+        # tests/test_spmv_tree.py::TestGridValidation)
         matrix, blocks, p = problem
-        with pytest.raises(ValueError, match="policy"):
-            OutOfCoreLanczos(blocks, scratch_dir=tmp_path, policy="bogus")
-        bad = dict(blocks)
-        del bad[(0, 0)]
-        with pytest.raises(ValueError, match="complete"):
-            OutOfCoreLanczos(bad, scratch_dir=tmp_path)
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
         with pytest.raises(ValueError):
             ooc.matvec(np.zeros(7))
+        with pytest.raises(ValueError):
+            lanczos(ooc.matvec, ooc.n, k=4, v0=np.zeros(7))
 
 
 class TestBasisStores:
     def test_disk_basis_round_trip(self, tmp_path):
-        from repro.lanczos.basis import DiskBasis
-
         store = DiskBasis(32, scratch_dir=tmp_path)
         vecs = [np.random.default_rng(i).standard_normal(32) for i in range(4)]
         for v in vecs:
@@ -151,7 +157,7 @@ class TestBasisStores:
         np.testing.assert_allclose(combo, vecs[0] - 2 * vecs[2] + 0.5 * vecs[3])
 
     def test_disk_basis_orthogonalize_matches_inmemory(self, tmp_path):
-        from repro.lanczos.basis import DiskBasis, InMemoryBasis
+        from repro.lanczos.basis import InMemoryBasis
 
         rng = np.random.default_rng(14)
         # An orthonormal set via QR.
@@ -169,8 +175,6 @@ class TestBasisStores:
         assert np.max(np.abs(q.T @ out)) < 1e-10
 
     def test_disk_basis_validation(self, tmp_path):
-        from repro.lanczos.basis import DiskBasis
-
         with pytest.raises(ValueError):
             DiskBasis(0, scratch_dir=tmp_path)
         store = DiskBasis(8, scratch_dir=tmp_path)
@@ -183,8 +187,6 @@ class TestBasisStores:
             store.combine(np.zeros(3))
 
     def test_disk_basis_cache_bounds_reads(self, tmp_path):
-        from repro.lanczos.basis import DiskBasis
-
         store = DiskBasis(16, scratch_dir=tmp_path, cache_last=2)
         for i in range(5):
             store.append(np.full(16, float(i)))
@@ -196,8 +198,6 @@ class TestBasisStores:
         assert store.reads == 1
 
     def test_lanczos_with_disk_basis_matches_inmemory(self, tmp_path):
-        from repro.lanczos.basis import DiskBasis
-
         m = dense_sym(60, seed=15)
         in_mem = lanczos(lambda v: m @ v, 60, k=40, n_eigenvalues=3,
                          rng=np.random.default_rng(16), want_vectors=True)
@@ -213,16 +213,15 @@ class TestBasisStores:
 
     def test_fully_out_of_core_lanczos(self, tmp_path):
         """Matrix AND basis on disk: the complete Section-II scenario."""
-        from repro.spmv.partition import GridPartition
-
         n, k = 90, 3
         matrix = symmetric_test_matrix(n, 8.0, np.random.default_rng(17),
                                        diag_shift=30.0)
         blocks = GridPartition(n, k).split_matrix(matrix)
-        solver = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
-        result = solver.solve(k=40, n_eigenvalues=2,
-                              rng=np.random.default_rng(18), tol=1e-8,
-                              basis_on_disk=True)
+        op = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
+        result = lanczos(
+            op.matvec, op.n, k=40, n_eigenvalues=2,
+            rng=np.random.default_rng(18), tol=1e-8,
+            basis=DiskBasis(n, scratch_dir=tmp_path / "lanczos-basis"))
         exact = np.linalg.eigvalsh(matrix.to_dense())
         np.testing.assert_allclose(result.eigenvalues, exact[:2], rtol=1e-6)
         basis_files = list((tmp_path / "lanczos-basis").glob("*.arr"))

@@ -10,6 +10,7 @@ The kill placement is seeded from ``DOOC_FAULT_SEED`` so CI's seed matrix
 drives different corpses and death points through the same assertions.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from repro.recovery import (
     ALIVE,
     DEAD,
     SUSPECT,
+    CheckpointCadence,
     CheckpointManager,
     LineageLog,
     MembershipConfig,
@@ -426,6 +428,50 @@ def run_chain(tmp_path, tag, *, faults=None, gc=False, recovery=True,
         eng.cleanup()
 
 
+class TestCheckpointCadence:
+    """The one checkpoint plumbing all five drives share."""
+
+    def test_no_directory_means_no_manager_and_no_writes(self):
+        ckpt = CheckpointCadence(None, 2, resume=True)
+        assert ckpt.manager is None and ckpt.restored is None
+        ckpt.save(2, {"x": np.zeros(3)}, {"iteration": 2})
+        ckpt.save(3, {"x": np.zeros(3)}, force=True)
+        assert ckpt.writes == 0
+
+    def test_every_is_validated_with_or_without_a_directory(self, tmp_path):
+        for directory in (None, tmp_path / "c"):
+            with pytest.raises(ValueError,
+                               match="^checkpoint_every must be >= 1$"):
+                CheckpointCadence(directory, 0)
+        assert not (tmp_path / "c").exists()
+
+    def test_saves_on_the_cadence_or_when_forced(self, tmp_path):
+        ckpt = CheckpointCadence(tmp_path, 3)
+        for step in range(1, 8):
+            ckpt.save(step, {"x": np.full(2, float(step))}, {"s": step})
+        assert ckpt.manager.steps() == [3, 6] and ckpt.writes == 2
+        ckpt.save(7, {"x": np.full(2, 7.0)}, {"s": 7}, force=True)
+        assert ckpt.manager.steps() == [6, 7] and ckpt.writes == 3
+
+    def test_a_step_is_never_written_twice(self, tmp_path):
+        ckpt = CheckpointCadence(tmp_path, 2)
+        ckpt.save(4, {"x": np.zeros(2)})
+        ckpt.save(4, {"x": np.ones(2)}, force=True)     # a drive's final save
+        assert ckpt.writes == 1
+        assert np.array_equal(ckpt.manager.load(4).arrays["x"], np.zeros(2))
+        resumed = CheckpointCadence(tmp_path, 2, resume=True)
+        assert resumed.restored.step == 4
+        resumed.save(4, {"x": np.ones(2)}, force=True)  # what it resumed from
+        assert resumed.writes == 0
+
+    def test_restores_only_when_resuming(self, tmp_path):
+        CheckpointManager(tmp_path).save(5, {"x": np.arange(3.0)})
+        assert CheckpointCadence(tmp_path, 2).restored is None
+        restored = CheckpointCadence(tmp_path, 2, resume=True).restored
+        assert restored.step == 5
+        assert np.array_equal(restored.arrays["x"], np.arange(3.0))
+
+
 class TestEngineNodeLoss:
     @pytest.mark.parametrize("gc", [False, True])
     def test_killed_node_run_is_bit_identical(self, tmp_path, gc):
@@ -496,6 +542,123 @@ def spd_matrix(n=48, seed=0, shift=30.0):
     return (a + a.T) / 2 + shift * np.eye(n)
 
 
+def manifests(directory):
+    """``{step: (array names, extra)}`` of a checkpoint directory, read
+    as the plain JSON it is — the on-disk format, not the loader's view."""
+    out = {}
+    for path in sorted(Path(directory).glob("ckpt-*.ckpt")):
+        manifest = json.loads(path.read_text())
+        out[manifest["step"]] = (sorted(manifest["blocks"]),
+                                 manifest["extra"])
+    return out
+
+
+def ooc_system(scratch, n=48, k=2, shift=60.0, seed=0):
+    """An out-of-core SPD, diagonally dominant system on two nodes."""
+    from repro.spmv.csr import CSRBlock
+    from repro.spmv.ooc_operator import OutOfCoreMatrix
+    from repro.spmv.partition import GridPartition
+    import scipy.sparse as sp
+    m = sp.csr_matrix(spd_matrix(n, seed, shift))
+    blocks = GridPartition(n, k).split_matrix(CSRBlock.from_scipy(m))
+    return OutOfCoreMatrix(blocks, n_nodes=2, scratch_dir=scratch)
+
+
+class TestDriveCheckpointFormat:
+    """Array names, ``extra`` keys and step numbering of all five drives,
+    literally: a resumed job reads what an older build wrote."""
+
+    @pytest.mark.parametrize("mode", ["sync", "incremental", "async"])
+    def test_jacobi(self, tmp_path, mode):
+        from repro.solvers import jacobi_solve
+        op = ooc_system(tmp_path / "scratch")
+        b = np.random.default_rng(2).standard_normal(48)
+        try:
+            jacobi_solve(op, b, tol=1e-30, max_iterations=7, mode=mode,
+                         checkpoint_dir=tmp_path / "c", checkpoint_every=3)
+        finally:
+            op.engine.cleanup()
+        assert manifests(tmp_path / "c") == {
+            3: (["history", "x"], {"iteration": 3}),
+            6: (["history", "x"], {"iteration": 6})}
+
+    def test_cg(self, tmp_path):
+        from repro.solvers import conjugate_gradient_solve
+        b = np.random.default_rng(1).standard_normal(48)
+        conjugate_gradient_solve(
+            DenseOperator(spd_matrix()), b, tol=1e-30, max_iterations=7,
+            checkpoint_dir=tmp_path, checkpoint_every=3)
+        names = ["history", "p", "r", "rr", "x"]
+        assert manifests(tmp_path) == {3: (names, {"iteration": 3}),
+                                       6: (names, {"iteration": 6})}
+
+    def test_lanczos(self, tmp_path):
+        from repro.lanczos import lanczos
+        m = spd_matrix(n=40, seed=3)
+        lanczos(lambda v: m @ v, 40, k=7, n_eigenvalues=3, tol=0.0,
+                rng=np.random.default_rng(4),
+                checkpoint_dir=tmp_path, checkpoint_every=3)
+        names = ["alphas", "betas", "v_curr", "v_prev"]
+        assert manifests(tmp_path) == {
+            3: (names, {"step": 3, "basis_count": 4}),
+            6: (names, {"step": 6, "basis_count": 7})}
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_iterated_spmv(self, tmp_path, incremental):
+        from repro.spmv.program import run_iterated_spmv
+        blocks, x0 = spmv_problem()
+        run = run_iterated_spmv(
+            blocks, x0, 5, n_nodes=2, policy="interleaved",
+            incremental=incremental,
+            checkpoint_dir=tmp_path, checkpoint_every=2)
+        # written at 2, 4 and the final step 5; the manager keeps two
+        assert run.checkpoint_writes == 3
+        assert manifests(tmp_path) == {
+            4: (["x0", "x1"], {"iterations": 4, "policy": "interleaved"}),
+            5: (["x0", "x1"], {"iterations": 5, "policy": "interleaved"})}
+
+    def test_incremental_drive_ends_on_a_boundary_once(self, tmp_path):
+        """Its final save and the cadence's save of the same step are one
+        write."""
+        from repro.spmv.program import run_iterated_spmv
+        blocks, x0 = spmv_problem()
+        run = run_iterated_spmv(blocks, x0, 4, n_nodes=2, incremental=True,
+                                checkpoint_dir=tmp_path, checkpoint_every=2)
+        assert run.checkpoint_writes == 2
+        assert sorted(manifests(tmp_path)) == [2, 4]
+
+    def test_every_drive_refuses_a_cadence_below_one(self, tmp_path):
+        from repro.lanczos import lanczos
+        from repro.solvers import conjugate_gradient_solve, jacobi_solve
+        from repro.spmv.program import run_iterated_spmv
+        m = spd_matrix()
+        b = np.ones(48)
+        blocks, x0 = spmv_problem()
+        drives = [
+            lambda: jacobi_solve(DenseOperator(m), b, checkpoint_every=0),
+            lambda: conjugate_gradient_solve(DenseOperator(m), b,
+                                             checkpoint_every=0),
+            lambda: lanczos(lambda v: m @ v, 48, checkpoint_every=0),
+            lambda: run_iterated_spmv(blocks, x0, 2, checkpoint_every=0),
+            lambda: run_iterated_spmv(blocks, x0, 2, checkpoint_every=0,
+                                      incremental=True),
+        ]
+        for drive in drives:
+            with pytest.raises(ValueError,
+                               match="^checkpoint_every must be >= 1$"):
+                drive()
+
+
+def spmv_problem(n=256, k=2, seed=6):
+    from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
+    from repro.spmv.partition import GridPartition
+    rng = np.random.default_rng(seed)
+    p = GridPartition(n, k)
+    blocks = p.split_matrix(
+        gap_uniform_csr(n, n, choose_gap_parameter(n, 6.0), rng))
+    return blocks, p.split_vector(rng.standard_normal(n))
+
+
 class TestSolverResume:
     def test_cg_resume_is_bit_identical(self, tmp_path):
         from repro.solvers import conjugate_gradient_solve
@@ -563,25 +726,43 @@ class TestSolverResume:
                     checkpoint_dir=tmp_path / "ckpt", resume=True)
 
     def test_iterated_spmv_resume_is_bit_identical(self, tmp_path):
-        from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
-        from repro.spmv.partition import GridPartition
+        self.spmv_resume(tmp_path, incremental=False)
+
+    def test_incremental_spmv_resume_is_bit_identical(self, tmp_path):
+        self.spmv_resume(tmp_path, incremental=True)
+
+    def spmv_resume(self, tmp_path, incremental):
         from repro.spmv.program import run_iterated_spmv
-        n, k = 256, 2
-        rng = np.random.default_rng(6)
-        p = GridPartition(n, k)
-        blocks = p.split_matrix(
-            gap_uniform_csr(n, n, choose_gap_parameter(n, 6.0), rng))
-        x0 = p.split_vector(rng.standard_normal(n))
+        blocks, x0 = spmv_problem()
         straight = run_iterated_spmv(blocks, x0, 6, n_nodes=2,
                                      policy="interleaved")
         run_iterated_spmv(blocks, x0, 3, n_nodes=2, policy="interleaved",
-                          checkpoint_dir=tmp_path, checkpoint_every=3)
+                          checkpoint_dir=tmp_path, checkpoint_every=3,
+                          incremental=incremental)
         resumed = run_iterated_spmv(blocks, x0, 6, n_nodes=2,
                                     policy="interleaved",
                                     checkpoint_dir=tmp_path,
-                                    checkpoint_every=3, resume=True)
+                                    checkpoint_every=3, resume=True,
+                                    incremental=incremental)
         assert resumed.restored_from == 3
         assert resumed.join().tobytes() == straight.join().tobytes()
+
+    def test_incremental_jacobi_resume_is_bit_identical(self, tmp_path):
+        from repro.solvers import jacobi_solve
+        b = np.random.default_rng(2).standard_normal(48)
+        op = ooc_system(tmp_path / "scratch")
+        try:
+            straight = jacobi_solve(op, b, tol=1e-30, max_iterations=25)
+            jacobi_solve(op, b, tol=1e-30, max_iterations=11,
+                         mode="incremental", checkpoint_dir=tmp_path / "c",
+                         checkpoint_every=5)
+            resumed = jacobi_solve(op, b, tol=1e-30, max_iterations=25,
+                                   mode="incremental", resume=True,
+                                   checkpoint_dir=tmp_path / "c")
+        finally:
+            op.engine.cleanup()
+        assert resumed.x.tobytes() == straight.x.tobytes()
+        assert resumed.residual_history == straight.residual_history
 
 
 class TestKillThenResume:
@@ -634,6 +815,85 @@ class TestKillThenResume:
                                max_iterations=25, checkpoint_dir=tmp_path,
                                resume=True)
         assert resumed.x.tobytes() == straight.x.tobytes()
+
+
+    def killed_child(self, tmp_path, solve):
+        """Run ``solve`` (source text; has ``m``, ``b``, ``ckpt``,
+        ``scratch`` and ``die_at``) in a child that loses power in its
+        12th iteration."""
+        repo_src = Path(__file__).resolve().parent.parent / "src"
+        prelude = textwrap.dedent(f"""
+            import os, sys
+            import numpy as np
+            sys.path.insert(0, {str(Path(__file__).parent)!r})
+            from test_recovery import DenseOperator, ooc_system, spd_matrix
+
+            m = spd_matrix(shift=60.0)
+            b = np.random.default_rng(2).standard_normal(48)
+            ckpt, scratch = sys.argv[1], sys.argv[2]
+
+            def die_at(it, res):
+                if it == 12:
+                    os._exit(17)  # simulated power loss: no cleanup at all
+        """)
+        script = prelude + textwrap.dedent(solve) + "\nos._exit(0)\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "c"),
+             str(tmp_path / "child-scratch")],
+            env={**os.environ, "PYTHONPATH": str(repo_src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 17, proc.stderr
+
+    def test_killed_cg_resumes_bit_identically(self, tmp_path):
+        from repro.solvers import conjugate_gradient_solve
+        self.killed_child(tmp_path, """
+            from repro.solvers import conjugate_gradient_solve
+            conjugate_gradient_solve(
+                DenseOperator(m), b, tol=1e-30, max_iterations=25,
+                checkpoint_dir=ckpt, checkpoint_every=5, callback=die_at)
+        """)
+        names = ["history", "p", "r", "rr", "x"]
+        assert manifests(tmp_path / "c") == {5: (names, {"iteration": 5}),
+                                             10: (names, {"iteration": 10})}
+        m = spd_matrix(shift=60.0)
+        b = np.random.default_rng(2).standard_normal(48)
+        straight = conjugate_gradient_solve(DenseOperator(m), b, tol=1e-30,
+                                            max_iterations=25)
+        resumed = conjugate_gradient_solve(
+            DenseOperator(m), b, tol=1e-30, max_iterations=25,
+            checkpoint_dir=tmp_path / "c", resume=True)
+        assert resumed.x.tobytes() == straight.x.tobytes()
+        assert resumed.residual_history == straight.residual_history
+
+    def test_killed_async_jacobi_resumes_inside_the_bound(self, tmp_path):
+        """An async resume restarts the staleness history from the
+        checkpointed iterate: what carries over is ``(x, history)`` and
+        the convergence bound, not the iterate sequence."""
+        from repro.solvers import jacobi_solve
+        self.killed_child(tmp_path, """
+            from repro.solvers import jacobi_solve
+            jacobi_solve(ooc_system(scratch, shift=480.0), b, tol=1e-6,
+                         mode="async", max_iterations=120,
+                         checkpoint_dir=ckpt, checkpoint_every=5,
+                         callback=die_at)
+        """)
+        assert manifests(tmp_path / "c") == {
+            5: (["history", "x"], {"iteration": 5}),
+            10: (["history", "x"], {"iteration": 10})}
+        b = np.random.default_rng(2).standard_normal(48)
+        op = ooc_system(tmp_path / "scratch", shift=480.0)
+        try:
+            straight = jacobi_solve(op, b, tol=1e-6, mode="async",
+                                    max_iterations=120)
+            resumed = jacobi_solve(op, b, tol=1e-6, mode="async",
+                                   max_iterations=120, resume=True,
+                                   checkpoint_dir=tmp_path / "c")
+            residual = np.linalg.norm(b - op.matvec(resumed.x))
+        finally:
+            op.engine.cleanup()
+        assert resumed.residual_history[:10] == straight.residual_history[:10]
+        assert resumed.converged and 10 < resumed.iterations <= 120
+        assert residual <= 1e-6 * np.linalg.norm(b)
 
 
 # -- DES testbed mirror ------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.core.iofilter import delete_array_file, write_array
 from repro.core.shm import dev_shm_segments
 from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.spmv import ooc_operator
+from repro.spmv import program as spmv_program
 from repro.spmv.csr import CSRBlock
 from repro.spmv.csrfile import serialize_csr
 from repro.spmv.generator import symmetric_test_matrix
@@ -162,16 +162,16 @@ class TestSessionEnds:
         reports = capture_reports(op)
         want = op.matvec(x)
         op.cancel = token = CancelToken()
-        mult = ooc_operator._mult_fn
+        mult = spmv_program._mult_fn
 
         def cancelling_mult(ins, outs, meta):
             token.cancel("test")
             mult(ins, outs, meta)
 
-        monkeypatch.setattr(ooc_operator, "_mult_fn", cancelling_mult)
+        monkeypatch.setattr(spmv_program, "_mult_fn", cancelling_mult)
         with pytest.raises(RunCancelled):
             op.matvec(x)
-        monkeypatch.setattr(ooc_operator, "_mult_fn", mult)
+        monkeypatch.setattr(spmv_program, "_mult_fn", mult)
         op.cancel = None
         self.cold_again(op, reports, x, want)
         op.matvec(x)
