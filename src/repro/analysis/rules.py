@@ -3,7 +3,7 @@
 Codes (stable; see docs/ANALYSIS.md for the catalog with rationale):
 
 ========  ==================================================================
-DOOC001   ticket leak: a ``request_read``/``request_write``/``_request_all``
+DOOC001   ticket leak: a ``request_read``/``request_write``/``_acquire``
           result must reach a release on every path (``try/finally`` or an
           exception handler that releases/aborts), unless ownership is
           handed off to the driver protocol by tagging the ticket
@@ -63,9 +63,10 @@ __all__ = [
     "TRACER_METHODS",
 ]
 
-#: callables whose result carries tickets that must be released
+#: callables whose result carries tickets that must be released:
+#: ``LocalStore``'s two requests and the worker's one call for a whole task
 REQUEST_FUNCS = frozenset({
-    "request_read", "request_write", "request_all", "_request_all",
+    "request_read", "request_write", "_acquire",
 })
 
 #: callables that return, release or abandon tickets on a failure path

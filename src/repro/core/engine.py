@@ -155,8 +155,8 @@ class _StorageFilter(Filter):
         #: threads' streams flowing but does no protocol work — a corpse
         #: must exit orderly, never crash the shared runtime
         self._dead = False
-        # array -> (home, on_disk) of recovery rehomes blocked on a pin
-        self._recover_pending: dict[str, tuple[int, bool]] = {}
+        # array -> (home, on_disk, recover) of rehomes blocked on a pin
+        self._rehome_pending: dict[str, tuple[int, bool, bool]] = {}
         # array -> blocks awaiting owner resolution
         self._awaiting_owner: dict[str, list[int]] = {}
         # arrays whose GC delete raced an in-flight pin; retried on release
@@ -200,9 +200,7 @@ class _StorageFilter(Filter):
 
     def _reply(self, ctx: FilterContext, tag, payload: dict) -> None:
         kind = tag[0]
-        if kind == "worker":
-            ctx.write("rep_workers", DataBuffer(payload, {"__dest__": tag[1]}))
-        elif kind == "lsched":
+        if kind == "lsched":
             ctx.write("rep_lsched", DataBuffer(payload))
         elif kind == "peer":
             ticket: Ticket = payload["ticket"]
@@ -222,7 +220,19 @@ class _StorageFilter(Filter):
         else:  # pragma: no cover - defensive
             raise StorageError(f"unroutable grant tag {tag!r}")
 
-    def _execute(self, ctx: FilterContext, effects: list[Effect]) -> None:
+    @staticmethod
+    def _worker_reply(replies: dict[int, dict], instance: int) -> dict:
+        """The one ``grants`` reply ``instance`` gets from this call."""
+        return replies.setdefault(
+            instance, {"op": "grants", "tickets": [], "errors": []})
+
+    def _execute(self, ctx: FilterContext, effects: list[Effect],
+                 replies: dict[int, dict] | None = None) -> None:
+        """Carry out ``effects``.  What they grant or deny one worker
+        leaves as one message (``replies``: worker instance -> message; a
+        caller that already has something to tell a worker seeds it)."""
+        if replies is None:
+            replies = {}
         for e in effects:
             if e.kind in ("load", "spill") and self._io_closed:
                 # A release that raced the drain (worker and scheduler
@@ -257,7 +267,12 @@ class _StorageFilter(Filter):
                 self._start_fetch(ctx, e.array, e.block)
             elif e.kind in ("grant_read", "grant_write"):
                 assert e.ticket is not None
-                self._reply(ctx, e.ticket.tag, {"op": "grant", "ticket": e.ticket})
+                tag = e.ticket.tag
+                if tag[0] == "worker":
+                    self._worker_reply(replies, tag[1])["tickets"].append(
+                        e.ticket)
+                else:
+                    self._reply(ctx, tag, {"op": "grant", "ticket": e.ticket})
             elif e.kind == "deny":
                 assert e.ticket is not None
                 tag = e.ticket.tag
@@ -270,13 +285,15 @@ class _StorageFilter(Filter):
                         "op": "fetch_failed", "array": iv.array,
                         "block": iv.block, "error": e.error})
                 elif tag[0] == "worker":
-                    ctx.write("rep_workers", DataBuffer(
-                        {"op": "error", "array": iv.array, "block": iv.block,
-                         "error": e.error}, {"__dest__": tag[1]}))
+                    self._worker_reply(replies, tag[1])["errors"].append(
+                        {"array": iv.array, "block": iv.block,
+                         "error": e.error})
                 else:  # pragma: no cover - defensive
                     raise StorageError(f"unroutable deny tag {tag!r}")
             else:  # pragma: no cover - defensive
                 raise StorageError(f"unknown effect {e.kind!r}")
+        for instance, payload in replies.items():
+            ctx.write("rep_workers", DataBuffer(payload, {"__dest__": instance}))
         depth = self.store.alloc_queue_depth
         if depth != self._last_queue_depth:
             self._last_queue_depth = depth
@@ -413,36 +430,19 @@ class _StorageFilter(Filter):
 
     def _handle_request(self, ctx: FilterContext, msg: dict) -> None:
         op = msg["op"]
-        if op in ("read", "write"):
-            try:
-                if op == "read":
-                    ticket, effects = self.store.request_read(msg["interval"])
-                else:
-                    ticket, effects = self.store.request_write(msg["interval"])
-            except StorageError as exc:
-                # A rejected request (e.g. a re-dispatched task's write
-                # racing its output's rehome) is reported to the worker,
-                # whose failure path retries the attempt; it must not kill
-                # the storage filter.
-                iv = msg["interval"]
-                tag = msg["reply_to"]
-                if tag[0] != "worker":
-                    raise
-                self.tracer.instant(self.node, "storage", "storage",
-                                    "request_rejected", array=iv.array,
-                                    block=iv.block, error=repr(exc))
-                ctx.write("rep_workers", DataBuffer(
-                    {"op": "error", "array": iv.array, "block": iv.block,
-                     "error": repr(exc)}, {"__dest__": tag[1]}))
-                return
-            ticket.tag = msg["reply_to"]
-            self._execute(ctx, effects)
+        if op == "acquire":
+            self._handle_acquire(ctx, msg)
         elif op == "release":
-            self._execute(ctx, self.store.release(msg["ticket"]))
-            self._retry_parked(ctx)
-        elif op == "abandon":
-            # A failed task retracts a granted-but-unpublished write.
-            self._execute(ctx, self.store.abandon_write(msg["ticket"]))
+            # A task's tickets, all of them: released, or — a failed
+            # attempt — its reads released and its granted-but-unpublished
+            # writes retracted.
+            effects: list[Effect] = []
+            for ticket in msg["tickets"]:
+                if msg["abandon"] and ticket.permission is Permission.WRITE:
+                    effects.extend(self.store.abandon_write(ticket))
+                else:
+                    effects.extend(self.store.release(ticket))
+            self._execute(ctx, effects)
             self._retry_parked(ctx)
         elif op == "rehome":
             self._handle_rehome(ctx, msg["array"], msg["home"],
@@ -486,7 +486,7 @@ class _StorageFilter(Filter):
             # survivors' writes never wedge and the runtime winds down.
             if op == "die":
                 self._dead = True
-                self._recover_pending.clear()
+                self._rehome_pending.clear()
             self._draining = True
             self._awaiting_owner.clear()
             self._delayed.clear()
@@ -499,16 +499,47 @@ class _StorageFilter(Filter):
         else:  # pragma: no cover - defensive
             raise StorageError(f"unknown storage op {op!r}")
 
+    def _handle_acquire(self, ctx: FilterContext, msg: dict) -> None:
+        """Serve a task's one request: each read interval, then each write
+        interval, in the order given.  What the store grants at once
+        leaves as one reply; a grant that has to wait for a load or an
+        allocation follows when it is made."""
+        tag = msg["reply_to"]
+        effects: list[Effect] = []
+        replies: dict[int, dict] = {}
+        for ivs, write in ((msg["reads"], False), (msg["writes"], True)):
+            for iv in ivs:
+                try:
+                    if write:
+                        ticket, granted = self.store.request_write(iv)
+                    else:
+                        ticket, granted = self.store.request_read(iv)
+                except StorageError as exc:
+                    # A rejected request (e.g. a re-dispatched task's write
+                    # racing its output's rehome) is reported to the worker,
+                    # whose failure path retries the attempt; it must not
+                    # kill the storage filter.
+                    self.tracer.instant(self.node, "storage", "storage",
+                                        "request_rejected", array=iv.array,
+                                        block=iv.block, error=repr(exc))
+                    self._worker_reply(replies, tag[1])["errors"].append(
+                        {"array": iv.array, "block": iv.block,
+                         "error": repr(exc)})
+                    continue
+                ticket.tag = tag
+                effects.extend(granted)
+        self._execute(ctx, effects, replies)
+
     def _retry_parked(self, ctx: FilterContext) -> None:
         """Re-attempt work that raced an in-flight pin (GC, recovery)."""
         if self._gc_pending:
             for name in list(self._gc_pending):
                 self._try_delete(ctx, name)
-        if self._recover_pending:
-            for array in list(self._recover_pending):
-                home, on_disk = self._recover_pending.pop(array)
+        if self._rehome_pending:
+            for array in list(self._rehome_pending):
+                home, on_disk, recover = self._rehome_pending.pop(array)
                 self._handle_rehome(ctx, array, home,
-                                    on_disk=on_disk, recover=True)
+                                    on_disk=on_disk, recover=recover)
 
     def _handle_rehome(self, ctx: FilterContext, array: str, home: int, *,
                        on_disk: bool = False, recover: bool = False) -> None:
@@ -517,8 +548,10 @@ class _StorageFilter(Filter):
         Recovery rehomes differ from reroute rehomes in two ways: blocks
         may be mid-fetch from the dead owner (those waiters are failed so
         their tasks retry against the new home), and a survivor may hold
-        pinned cached copies (the rehome parks and retries on release —
-        the copies stay byte-valid under write-once, so waiting is safe).
+        pinned cached copies.  Either kind parks while a block of the array
+        is pinned and is retried on release — cached copies stay byte-valid
+        under write-once and an unpublished output is readable by nobody, so
+        waiting is safe.
         """
         self.directory.invalidate(array)
         parked = self._awaiting_owner.pop(array, None) or []
@@ -531,21 +564,22 @@ class _StorageFilter(Filter):
                 self._execute(ctx, self.store.on_fetch_failed(
                     array, block,
                     f"owner of {array!r} died; re-homed to node {home}"))
-        if home == self.node:
-            try:
+        try:
+            if home == self.node:
                 effects = self.store.rehome_local(
                     self.descs[array], on_disk=on_disk)
-            except StorageError:
-                if not recover:
-                    raise
-                # A cached block is pinned by a running task: park the
-                # rehome and retry when the pin is released.
-                self._recover_pending[array] = (home, on_disk)
-                return
-        elif recover:
-            effects = self.store.recover_remote(self.descs[array])
-        else:
-            effects = self.store.rehome_remote(array)
+            elif recover:
+                effects = self.store.recover_remote(self.descs[array])
+            else:
+                effects = self.store.rehome_remote(array)
+        except StorageError:
+            # A block is still pinned: a cached copy a running task reads
+            # (recovery), or the output grant of the failed attempt this
+            # reroute answers, whose release is still on its way (worker
+            # and scheduler streams merge unordered on `req`).  Park the
+            # rehome and retry when the pin is released.
+            self._rehome_pending[array] = (home, on_disk, recover)
+            return
         self.tracer.instant(self.node, "storage", "storage", "rehome",
                             array=array, home=home)
         if recover:
@@ -729,50 +763,52 @@ class _WorkerFilter(Filter):
 
     # -- storage round-trips ----------------------------------------------------
 
-    def _request_all(self, ctx: FilterContext, op: str,
-                     intervals: list[Interval],
-                     held: list[Ticket]) -> list[Ticket]:
-        """Request every interval; collect one reply (grant or error) each.
+    def _acquire(self, ctx: FilterContext, reads: list[Interval],
+                 writes: list[Interval], held: list[Ticket]) -> list[Ticket]:
+        """Ask the store for every interval of a task in one message;
+        returns the tickets in request order, reads then writes.
 
         Grants are appended to ``held`` as they arrive so that a failure
-        mid-batch leaves no ticket untracked; the batch always drains all
-        its replies before raising, so nothing remains outstanding.
+        leaves no ticket untracked; every interval is answered (granted,
+        or refused with an error) before this raises, so nothing remains
+        outstanding.
         """
         start = self.tracer.now()
-        for iv in intervals:
-            ctx.write("to_storage", DataBuffer(
-                {"op": op, "interval": iv,
-                 "reply_to": ("worker", ctx.instance)}))
-        granted: list[Ticket] = []
-        failure: dict | None = None
-        replies = 0
-        while replies < len(intervals):
+        ctx.write("to_storage", DataBuffer(
+            {"op": "acquire", "reads": reads, "writes": writes,
+             "reply_to": ("worker", ctx.instance)}))
+        wanted = len(reads) + len(writes)
+        errors: list[dict] = []
+        while len(held) + len(errors) < wanted:
             buf = ctx.read("from_storage")
             if buf is END_OF_STREAM:
                 raise StreamClosedError(
                     "storage replies closed while awaiting grants")
-            msg = buf.payload
-            replies += 1
-            if msg["op"] == "grant":
-                granted.append(msg["ticket"])
-                held.append(msg["ticket"])
-            else:  # "error": the backing I/O failed past its retry budget
-                failure = msg
-        if failure is not None:
+            held.extend(buf.payload["tickets"])
+            errors.extend(buf.payload["errors"])
+        if errors:
+            # The backing I/O failed past its retry budget, or the store
+            # refused the request outright.
+            first = errors[0]
             raise IOFailedError(
-                f"{op} of {failure['array']}[{failure['block']}] failed: "
-                f"{failure['error']}")
+                f"access to {first['array']}[{first['block']}] failed: "
+                f"{first['error']}")
         self.tracer.complete(
             self.node, f"worker/{ctx.instance}", "task", "grant_wait", start,
-            op=op, array=intervals[0].array, intervals=len(intervals))
-        # Order grants to match the request order.
-        by_iv = {(t.interval.array, t.interval.block, t.interval.lo): t
-                 for t in granted}
-        return [by_iv[(iv.array, iv.block, iv.lo)] for iv in intervals]
+            intervals=wanted)
+        by_iv = {(t.permission, t.interval.array, t.interval.block,
+                  t.interval.lo): t for t in held}
+        return [by_iv[(perm, iv.array, iv.block, iv.lo)]
+                for perm, ivs in ((Permission.READ, reads),
+                                  (Permission.WRITE, writes))
+                for iv in ivs]
 
-    def _release_all(self, ctx: FilterContext, tickets: list[Ticket]) -> None:
-        for t in tickets:
-            ctx.write("to_storage", DataBuffer({"op": "release", "ticket": t}))
+    def _release_all(self, ctx: FilterContext, tickets: list[Ticket], *,
+                     abandon: bool = False) -> None:
+        """Hand a task's tickets back in one message.  ``abandon``: the
+        attempt failed, so its write grants are retracted, not published."""
+        ctx.write("to_storage", DataBuffer(
+            {"op": "release", "tickets": tickets, "abandon": abandon}))
 
     def _abort(self, ctx: FilterContext, held: list[Ticket]) -> None:
         """Unwind a failed attempt so a re-execution starts clean.
@@ -781,12 +817,12 @@ class _WorkerFilter(Filter):
         work may be queued on); write grants are abandoned — nothing they
         covered was published, so the retry can request them again.
         """
-        for t in held:
-            op = "release" if t.permission is Permission.READ else "abandon"
-            try:
-                ctx.write("to_storage", DataBuffer({"op": op, "ticket": t}))
-            except StreamClosedError:
-                return
+        if not held:
+            return
+        try:
+            self._release_all(ctx, list(held), abandon=True)
+        except StreamClosedError:
+            pass
 
     # -- data assembly -------------------------------------------------------------
 
@@ -813,23 +849,28 @@ class _WorkerFilter(Filter):
         try:
             out_ranges: dict[str, tuple[int, int]] = task.meta.get(
                 "out_ranges", {})
-            read_tickets: dict[str, list[Ticket]] = {}
-            for array in task.inputs:
-                ivs = whole_array(self.descs[array])
-                read_tickets[array] = self._request_all(ctx, "read", ivs, held)
-            write_tickets: dict[str, list[Ticket]] = {}
+            #: output array -> the [lo, hi) of it this task writes
+            spans = {a: out_ranges.get(a, (0, self.descs[a].length))
+                     for a in task.outputs}
+            reads = {a: whole_array(self.descs[a]) for a in task.inputs}
+            writes = {a: intervals_for_range(self.descs[a], lo, hi)
+                      for a, (lo, hi) in spans.items()}
+            granted = self._acquire(
+                ctx, [iv for ivs in reads.values() for iv in ivs],
+                [iv for ivs in writes.values() for iv in ivs], held)
+            grants = iter(granted)
+            read_tickets = {a: [next(grants) for _ in ivs]
+                            for a, ivs in reads.items()}
+            write_tickets = {a: [next(grants) for _ in ivs]
+                             for a, ivs in writes.items()}
             out_buffers: dict[str, np.ndarray] = {}
             scatter: list[tuple[str, np.ndarray]] = []
-            for array in task.outputs:
-                desc = self.descs[array]
-                lo, hi = out_ranges.get(array, (0, desc.length))
-                ivs = intervals_for_range(desc, lo, hi)
-                tickets = self._request_all(ctx, "write", ivs, held)
-                write_tickets[array] = tickets
+            for array, tickets in write_tickets.items():
                 if len(tickets) == 1:
                     out_buffers[array] = tickets[0].data
                 else:
-                    temp = np.empty(hi - lo, dtype=desc.dtype)
+                    lo, hi = spans[array]
+                    temp = np.empty(hi - lo, dtype=self.descs[array].dtype)
                     out_buffers[array] = temp
                     scatter.append((array, temp))
             if self.injector is not None and self.injector.task_fault(
@@ -840,7 +881,7 @@ class _WorkerFilter(Filter):
             ran_remote = False
             if self.plane is not None:
                 ran_remote = self._run_remote(
-                    ctx, task, read_tickets, write_tickets, out_ranges)
+                    ctx, task, read_tickets, write_tickets, spans)
             if not ran_remote:
                 inputs = {a: self._gather_input(ts)
                           for a, ts in read_tickets.items()}
@@ -857,17 +898,13 @@ class _WorkerFilter(Filter):
                          for a, ts in read_tickets.items()})
                 task.fn(inputs, out_buffers, meta)
                 for array, temp in scatter:
-                    desc = self.descs[array]
-                    lo, _ = out_ranges.get(array, (0, desc.length))
+                    lo, _ = spans[array]
                     self._inc("bytes_copied", int(temp.nbytes))
                     for t in write_tickets[array]:
                         t.data[:] = temp[t.interval.lo - lo:
                                          t.interval.hi - lo]
-            held.clear()  # from here the normal releases own every ticket
-            for tickets in read_tickets.values():
-                self._release_all(ctx, tickets)
-            for tickets in write_tickets.values():
-                self._release_all(ctx, tickets)
+            held.clear()  # from here the normal release owns every ticket
+            self._release_all(ctx, granted)
         except BaseException:
             self._abort(ctx, held)
             raise
@@ -875,12 +912,12 @@ class _WorkerFilter(Filter):
     def _run_remote(self, ctx: FilterContext, task: TaskSpec,
                     read_tickets: dict[str, list[Ticket]],
                     write_tickets: dict[str, list[Ticket]],
-                    out_ranges: dict[str, tuple[int, int]]) -> bool:
+                    spans: dict[str, tuple[int, int]]) -> bool:
         """Ship the task to this slot's worker process.
 
         Returns False to fall back to inline execution (a grant without a
-        segment handle, or a task that can't pickle).  Every granted
-        span's segment is leased around the dispatch, so a concurrent
+        segment handle, or a task that can't pickle).  Every segment a
+        granted span lies in is leased, once, around the dispatch, so a concurrent
         reclaim can never unlink memory the child is computing on; leases
         drain in the ``finally`` even when the child crashes — the parent
         owns the lease lifecycle, never the (killable) child.
@@ -894,10 +931,9 @@ class _WorkerFilter(Filter):
                          for a, ts in read_tickets.items()}
         output_specs = {}
         for array, tickets in write_tickets.items():
-            desc = self.descs[array]
-            lo, hi = out_ranges.get(array, (0, desc.length))
+            lo, hi = spans[array]
             output_specs[array] = {
-                "dtype": desc.dtype, "lo": lo, "hi": hi,
+                "dtype": self.descs[array].dtype, "lo": lo, "hi": hi,
                 "parts": [(t.handle, t.interval.lo, t.interval.hi)
                           for t in tickets],
             }
@@ -907,9 +943,9 @@ class _WorkerFilter(Filter):
                                   output_specs, generations)
         leased: list[str] = []
         try:
-            for t in every:
-                self.segment_pool.lease(t.handle.segment)
-                leased.append(t.handle.segment)
+            for name in dict.fromkeys(t.handle.segment for t in every):
+                self.segment_pool.lease(name)
+                leased.append(name)
             try:
                 reply = self.plane.run_envelope(
                     self.node, ctx.instance, envelope)
@@ -955,16 +991,16 @@ class _WorkerFilter(Filter):
                 ctx.write("to_lsched", DataBuffer(
                     {"op": "failed", "task": task,
                      "parent": task.meta.get("parent"),
-                     "attempt": attempt, "error": repr(exc)}))
+                     "attempt": attempt, "error": repr(exc),
+                     "inst": ctx.instance}))
             else:
                 self.tracer.complete(
                     self.node, f"worker/{ctx.instance}", "task", "task",
                     started, task=task.name)
                 ctx.write("to_lsched", DataBuffer(
                     {"op": "done", "task": task.name,
-                     "parent": task.meta.get("parent")}))
-            ctx.write("to_lsched", DataBuffer(
-                {"op": "idle", "inst": ctx.instance}))
+                     "parent": task.meta.get("parent"),
+                     "inst": ctx.instance}))
 
 
 class _LocalSchedulerFilter(Filter):
@@ -1291,12 +1327,13 @@ class _LocalSchedulerFilter(Filter):
             elif port == "from_storage":
                 self._on_storage_note(msg)  # wake/dropped; then re-dispatch
             else:
-                if msg["op"] == "idle":
-                    self._idle.append(msg["inst"])
-                elif msg["op"] == "failed":
+                # "idle" (a worker's first word), "done" or "failed": each
+                # also says the worker instance that sent it is free.
+                if msg["op"] == "failed":
                     self._on_failed(ctx, msg)
-                else:  # done
+                elif msg["op"] == "done":
                     self._on_done(ctx, msg)
+                self._idle.append(msg["inst"])
                 self._maybe_ack_drain(ctx)
             self._dispatch(ctx)
         # Wind down: workers are idle by construction (the global scheduler
@@ -2151,11 +2188,18 @@ class DOoCEngine:
                 runtime: ThreadedRuntime, recovery: _RecoveryContext | None,
                 watchdog: StallWatchdog | None) -> RunReport:
         metrics = {n: s.metrics.as_dict() for n, s in self.stores.items()}
-        recovered = recovery.metrics.as_dict() if recovery is not None else {}
-        if recovered:
-            # Engine-level recovery counters ride under the pseudo-node -1
-            # (the same convention the tracer uses for engine events).
-            metrics[-1] = recovered
+        engine = recovery.metrics.as_dict() if recovery is not None else {}
+        pool = self._segment_pool
+        if pool is not None:
+            # One pool serves every node's store, so what it cost is the
+            # engine's to report: segments created, and the most shared
+            # memory it ever held mapped beyond the blocks alive in it.
+            engine["shm_segments_created"] = pool.created
+            engine["shm_slack_peak_bytes"] = pool.slack_peak_bytes
+        if engine:
+            # Engine-level counters ride under the pseudo-node -1 (the
+            # same convention the tracer uses for engine events).
+            metrics[-1] = engine
         return RunReport(
             wall_seconds=wall,
             assignment=assignment,

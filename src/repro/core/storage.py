@@ -110,7 +110,7 @@ class _BlockState:
     #: bumped whenever the in-memory buffer is reclaimed; decoded-operand
     #: cache entries are keyed on it so they can never outlive the bytes
     generation: int = 0
-    #: name of the shared-memory segment backing ``data`` (pool mode only)
+    #: the segment pool's key for the block backing ``data`` (pool mode only)
     segment: str | None = None
 
     @property
@@ -786,19 +786,44 @@ class LocalStore:
             self.metrics.inc("read_hits")
             return [self._grant_read(st, ticket)]
         self.metrics.inc("read_waits")
+        first_waiter = not st.read_waiters
         st.read_waiters.append(ticket)
         if st.status in (_LOADING, _FETCHING, _SPILLING):
             return []  # grant will follow the in-flight transition
         if st.status == _RESIDENT:
             return []  # waiting for the range to be written & released
         # ABSENT:
+        if not first_waiter:
+            # The first waiter's allocation is still queued for memory (a
+            # waiter pins the block, so nothing else leaves it absent): it
+            # brings the block in once, for every waiter.  A second queued
+            # allocation loaded it twice — double the reservation, and a
+            # completion nobody expected.
+            return []
         if st.on_disk:
-            return self._alloc_then(st, lambda: self._begin_load(st))
+            return self._alloc_then(
+                st, lambda: self._begin_demand(st, self._begin_load))
         if st.desc.name in self._remote_arrays:
-            return self._alloc_then(st, lambda: self._begin_fetch(st))
+            return self._alloc_then(
+                st, lambda: self._begin_demand(st, self._begin_fetch))
         # Local array not written yet: read-before-write blocks until the
         # writer releases (immutable-object paradigm).
         return []
+
+    def _begin_demand(self, st: _BlockState, begin) -> list[Effect]:
+        """A demand allocation's turn: bring the block in, unless a
+        prefetch already did while this waited in the queue.
+
+        A reclaim frees whole blocks, so it can leave room nobody pumped
+        the queue for; a prefetch of the same block fits into it and
+        starts the transfer.  Starting it again reserved the block's bytes
+        twice — a second load then completes unexpectedly, a second
+        fetch's data is dropped as stale and its reservation never
+        returns.
+        """
+        if st.status != _ABSENT or not st.read_waiters:
+            return []
+        return begin(st)
 
     def _grant_read(self, st: _BlockState, ticket: Ticket) -> Effect:
         assert st.data is not None
@@ -830,10 +855,14 @@ class LocalStore:
             return None
         from repro.core.shm import BlockHandle
 
+        # ``st.segment`` is the pool's key for this block; the segment it
+        # was carved from (shared with other small blocks) and where in it
+        # are the pool's to say.
+        segment, base = self.segment_pool.locate(st.segment)
         sl = ticket.interval.local_slice(st.desc)
         return BlockHandle(
-            segment=st.segment,
-            offset=sl.start * st.desc.itemsize,
+            segment=segment,
+            offset=base + sl.start * st.desc.itemsize,
             count=sl.stop - sl.start,
             dtype=st.desc.dtype,
             generation=st.generation,

@@ -34,21 +34,39 @@ class _EndOfStream:
 END_OF_STREAM = _EndOfStream()
 
 
+_BYTES = (bytes, bytearray, memoryview)
+#: what a buffer that carries no data (a control message, an opaque
+#: object) is charged
+_NOMINAL_NBYTES = 64
+
+
 def _estimate_nbytes(payload: Any) -> int:
-    """Best-effort size estimate used by stream credit accounting."""
-    if payload is None:
+    """Size estimate used by stream accounting: the data a buffer carries.
+
+    Exact for an ``ndarray`` or bytes payload, and for a container of
+    them (a ``blockdata`` or ``loaded`` message is a dict around one
+    array).  Containers are read one level down and strings are never
+    encoded: most buffers are control messages, and an estimate that
+    walked and encoded each of them cost more than the hop it rode on.
+    A container holding no data is charged the nominal size.
+    """
+    if isinstance(payload, (dict, Mapping)):  # the common case first
+        payload = payload.values()
+    elif payload is None:
         return 0
-    if isinstance(payload, np.ndarray):
+    elif isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode())
-    if isinstance(payload, (list, tuple)):
-        return sum(_estimate_nbytes(x) for x in payload)
-    if isinstance(payload, Mapping):
-        return sum(_estimate_nbytes(v) for v in payload.values())
-    return 64  # opaque object: charge a nominal cost
+    elif isinstance(payload, (*_BYTES, str)):
+        return len(payload)  # a string's characters: near enough, unencoded
+    elif not isinstance(payload, (list, tuple)):
+        return _NOMINAL_NBYTES  # opaque object
+    total = 0
+    for item in payload:
+        if isinstance(item, np.ndarray):
+            total += int(item.nbytes)
+        elif isinstance(item, _BYTES):
+            total += len(item)
+    return total or _NOMINAL_NBYTES
 
 
 class DataBuffer:

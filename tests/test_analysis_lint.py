@@ -76,6 +76,46 @@ def test_dooc001_write_requests_are_covered_too():
     assert codes(lint_source(src)) == [("DOOC001", 2, 4)]
 
 
+def test_dooc001_covers_the_workers_acquire():
+    # The worker asks for a task's every interval through one call; were it
+    # renamed without REQUEST_FUNCS following, the rule would go quiet on
+    # the one caller that holds tickets across a task body.
+    leaky = (
+        "def run(self, ctx, reads, writes, held):\n"
+        "    granted = self._acquire(ctx, reads, writes, held)\n"
+        "    return granted\n"
+    )
+    assert codes(lint_source(leaky)) == [("DOOC001", 2, 4)]
+    guarded = (
+        "def run(self, ctx, reads, writes):\n"
+        "    held = []\n"
+        "    try:\n"
+        "        granted = self._acquire(ctx, reads, writes, held)\n"
+        "        self._release_all(ctx, granted)\n"
+        "    except BaseException:\n"
+        "        self._abort(ctx, held)\n"
+        "        raise\n"
+    )
+    assert lint_source(guarded) == []
+
+
+def test_dooc001_still_checks_the_engines_worker():
+    # Not a seeded string: the real worker filter must contain a request
+    # call the rule recognises, and pass.
+    import ast
+    import inspect
+
+    from repro.analysis.rules import REQUEST_FUNCS
+    from repro.core import engine
+
+    source = inspect.getsource(engine._WorkerFilter)
+    calls = {node.func.attr for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)}
+    assert calls & REQUEST_FUNCS == {"_acquire"}
+    assert [v for v in lint_file(engine.__file__) if v.code == "DOOC001"] == []
+
+
 # -- DOOC002: dropped Effect lists -------------------------------------------
 
 

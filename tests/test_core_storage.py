@@ -526,6 +526,71 @@ class TestRetain:
         assert [e.kind for e in effects] == ["drop", "grant_write"]  # no spill
 
 
+class TestOneTransferPerBlock:
+    """However many requests want an absent block, and whichever of them
+    finds room first, it is loaded (or fetched) once: a second transfer
+    reserved its bytes twice, and its completion was either an 'unexpected
+    load completion' or, for a fetch, dropped as stale with the
+    reservation never returned."""
+
+    loaded = TestRetain.loaded
+    make = TestRetain.make
+
+    def test_two_readers_queued_for_one_block_start_one_load(self):
+        """Two tasks ask for the same absent block while memory is full:
+        one allocation is queued for both."""
+        store, kept, gone = self.make()
+        store.budget = 800                   # full: kept[0] and gone[0]
+        pin = self.loaded(store, gone, 0)    # granted, not yet released
+        other = self.loaded(store, kept, 0)  # likewise
+        first, effects = store.request_read(whole_block(kept, 1))
+        second, more = store.request_read(whole_block(kept, 1))
+        assert effects == more == [] and store.alloc_queue_depth == 1
+        effects = store.release(pin)         # gone[0] can be dropped now
+        assert [e.kind for e in effects].count("load") == 1
+        assert store.alloc_queue_depth == 0 and store.in_use == 800
+        effects = store.on_loaded("kept", 1, np.ones(50))
+        assert {e.ticket.tid for e in effects_of_kind(effects, "grant_read")
+                } == {first.tid, second.tid}
+        later = (store.release(first) + store.release(second)
+                 + store.release(other))
+        assert later == [] and store.in_use == 800
+
+    def test_prefetch_that_overtakes_a_queued_demand_is_the_only_load(self):
+        """A demand waits in the queue for a spill; another request's
+        reclaim meanwhile drops a clean block, nobody pumps the queue for
+        the room it leaves, and a prefetch of the demanded block fits into
+        it.  When the spill lands, the demand's turn must not load again."""
+        store = LocalStore(0, memory_budget=1000)
+        dirty, clean, pinned, want, big = (
+            desc("dirty", 50, 50), desc("clean", 50, 50),
+            desc("pinned", 25, 25), desc("want", 50, 50),
+            desc("big", 125, 125))
+        store.create_array(dirty)
+        for d in (clean, pinned, want, big):
+            store.register_on_disk(d)
+        t, _ = store.request_write(whole_block(dirty, 0))
+        t.data[:] = 1.0
+        store.release(t)                          # resident, never persisted
+        store.release(self.loaded(store, clean, 0))
+        self.loaded(store, pinned, 0)             # stays pinned
+        assert store.in_use == 1000
+        reader, effects = store.request_read(whole_block(want, 0))
+        assert [e.kind for e in effects] == ["spill"]   # LRU: the dirty one
+        assert store.alloc_queue_depth == 1
+        _, effects = store.request_read(whole_block(big, 0))
+        assert [e.kind for e in effects] == ["drop"]    # room, and no pump
+        assert store.in_use == 600
+        effects = store.prefetch(whole_block(want, 0))
+        assert [e.kind for e in effects] == ["load"] and store.in_use == 1000
+        effects = store.on_spilled("dirty", 0)
+        assert not effects_of_kind(effects, "load")
+        assert store.in_use == 600
+        effects = store.on_loaded("want", 0, np.ones(50))
+        assert [e.ticket.tid for e in effects_of_kind(effects, "grant_read")
+                ] == [reader.tid]
+
+
 class TestRemoteArrays:
     def test_read_remote_triggers_fetch(self):
         d = desc(name="r", length=50, block=50)

@@ -12,23 +12,33 @@ mid-task.
 
 import os
 import signal
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import DOoCEngine, DoocError, Program, StorageError
+from repro.core import iofilter
+from repro.core.storage import LocalStore
+from repro.faults import FaultPlan, RetryPolicy
 from repro.core.shm import (
+    SLAB_BYTES,
+    SMALL_BLOCK_BYTES,
     BlockHandle,
     SegmentLeakError,
     SegmentPool,
     attach_view,
+    detach_all,
     dev_shm_segments,
 )
 from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_reference
+
+
+FAULT_SEED = int(os.environ.get("DOOC_FAULT_SEED", "0"))
 
 
 def _total(report, name):
@@ -39,6 +49,17 @@ def scale_fn(ins, outs, meta):
     (in_name,) = list(ins)
     (out_name,) = list(outs)
     outs[out_name][:] = ins[in_name] * 2.0
+
+
+def shift_fn(ins, outs, meta):
+    (in_name,) = list(ins)
+    (out_name,) = list(outs)
+    outs[out_name][:] = ins[in_name] + 1.0
+
+
+def fan_out_fn(ins, outs, meta):
+    outs["y"][:] = ins["x"] * 2.0
+    outs["z"][:] = ins["x"] + 1.0
 
 
 def write_input_fn(ins, outs, meta):
@@ -68,62 +89,111 @@ def _chain_program(n=64, links=3, block_elems=64):
 
 
 class TestSegmentPool:
+    """A block key is not a segment name: small blocks share a slab, and
+    what is linked in /dev/shm, leased and unlinked is the *segment*."""
+
     def test_allocate_free_unlinks(self):
         pool = SegmentPool(tag="t1")
-        name = pool.allocate(64)
-        assert name in dev_shm_segments()
-        pool.free(name)
-        assert name not in dev_shm_segments()
+        a, b = pool.allocate(64), pool.allocate(64)
+        (slab, off_a), (slab_b, off_b) = pool.locate(a), pool.locate(b)
+        assert slab == slab_b and off_a != off_b  # one segment, two spans
+        assert a not in dev_shm_segments() and b not in dev_shm_segments()
+        assert dev_shm_segments() == [slab] and pool.created == 1
+        pool.free(a)
+        pool.free(b)
+        # Empty, but still the slab the next small block is carved from.
+        assert dev_shm_segments() == [slab]
+        # A block of a quarter slab or more has a segment to itself, named
+        # by its key, and takes it along when it goes.
+        big = pool.allocate(SMALL_BLOCK_BYTES)
+        assert pool.locate(big) == (big, 0)
+        assert dev_shm_segments() == sorted([slab, big])
+        pool.free(big)
+        assert dev_shm_segments() == [slab]
+        # The slab goes once it is full (closed to new blocks) and empty.
+        fill = [pool.allocate(SMALL_BLOCK_BYTES - 64) for _ in range(5)]
+        assert pool.locate(fill[-1])[0] != slab
+        assert slab in dev_shm_segments()  # closed, but not empty yet
+        for key in fill[:-1]:
+            pool.free(key)
+        assert slab not in dev_shm_segments()
         pool.close()
+        assert dev_shm_segments() == []
 
     def test_lease_defers_unlink_until_release(self):
         pool = SegmentPool(tag="t2")
-        name = pool.allocate(64)
-        pool.lease(name)
-        pool.free(name)
+        key = pool.allocate(SMALL_BLOCK_BYTES)
+        segment, _ = pool.locate(key)
+        pool.lease(segment)
+        pool.free(key)
         # Freed but leased: the name must survive (an in-flight task may
         # still attach by name).
-        assert name in dev_shm_segments()
-        pool.release(name)
-        assert name not in dev_shm_segments()
+        assert segment in dev_shm_segments()
+        pool.release(segment)
+        assert segment not in dev_shm_segments()
+        # The same for a slab, which a lease on any of its blocks pins.
+        small = pool.allocate(64)
+        slab, _ = pool.locate(small)
+        pool.lease(slab)
+        pool.free(small)
+        for _ in range(5):  # roll the pool over to a new slab
+            pool.free(pool.allocate(SMALL_BLOCK_BYTES - 64))
+        assert slab in dev_shm_segments()
+        pool.release(slab)
+        assert slab not in dev_shm_segments()
         pool.close()
 
     def test_release_underflow_rejected(self):
         pool = SegmentPool(tag="t3")
-        name = pool.allocate(8)
+        segment, _ = pool.locate(pool.allocate(8))
         with pytest.raises(StorageError, match="underflow"):
-            pool.release(name)
+            pool.release(segment)
+        with pytest.raises(StorageError, match="cannot lease"):
+            pool.lease(segment + "+0")  # a block key is not leasable
         pool.close()
 
     def test_assert_clean_names_leaked_leases(self):
         pool = SegmentPool(tag="t4")
-        name = pool.allocate(8)
-        pool.lease(name)
-        with pytest.raises(SegmentLeakError, match=name):
+        segment, _ = pool.locate(pool.allocate(8))
+        pool.lease(segment)
+        with pytest.raises(SegmentLeakError, match=segment):
             pool.assert_clean()
-        pool.release(name)
+        pool.release(segment)
         pool.assert_clean()
         pool.close()
 
     def test_close_is_idempotent_and_unlinks_everything(self):
         pool = SegmentPool(tag="t5")
-        names = [pool.allocate(16) for _ in range(3)]
+        keys = [pool.allocate(16) for _ in range(3)]
+        keys.append(pool.allocate(SMALL_BLOCK_BYTES))
+        assert len(dev_shm_segments()) == 2
         pool.close()
         pool.close()
-        for name in names:
-            assert name not in dev_shm_segments()
+        assert dev_shm_segments() == []
+        with pytest.raises(StorageError, match="not in pool"):
+            pool.locate(keys[0])
+        with pytest.raises(StorageError, match="closed"):
+            pool.allocate(16)
 
     def test_attach_view_is_readonly_by_default(self):
         pool = SegmentPool(tag="t6")
-        name = pool.allocate(8 * 8)
-        out = pool.ndarray(name, 8, "float64")
+        pool.allocate(24)  # so the block under test sits at an offset
+        key = pool.allocate(8 * 8)
+        out = pool.ndarray(key, 8, "float64")
+        assert not out.any()  # never handed out before: still zero
         out[:] = np.arange(8.0)
-        handle = BlockHandle(segment=name, offset=0, count=8, dtype="float64")
+        with pytest.raises(StorageError, match="does not fit"):
+            pool.ndarray(key, 9, "float64")
+        segment, offset = pool.locate(key)
+        assert offset > 0 and offset % 64 == 0
+        handle = BlockHandle(segment=segment, offset=offset, count=8,
+                             dtype="float64")
         view = attach_view(handle)
         np.testing.assert_array_equal(view, np.arange(8.0))
         with pytest.raises(ValueError):
             view[:] = 0.0
         del view, out
+        detach_all()
         pool.close()
 
 
@@ -195,6 +265,33 @@ class TestProcessPlaneEndToEnd:
             eng.cleanup()
         assert report.total_spills > 0
         assert _total(report, "bytes_copied") == 0
+        assert dev_shm_segments() == []
+
+    def test_out_of_core_churn_keeps_slack_under_a_slab(self, tmp_path):
+        # 3 MiB of 32 KiB blocks written, spilled and read back through
+        # room for two of them: the pool goes through three slabs and more,
+        # and an old slab must go as its blocks do — what it keeps backed
+        # beyond the live blocks stays under one slab per node.
+        n, links = 4096, 96
+        prog = Program("churn", default_block_elems=n)
+        x = np.arange(n, dtype=float)
+        prog.initial_array("a0", x)
+        for i in range(links):
+            prog.array(f"a{i+1}", n)
+            prog.add_task(f"t{i}", shift_fn, [f"a{i}"], [f"a{i+1}"])
+        eng = DOoCEngine(n_nodes=1, workers=1,
+                         memory_budget_per_node=64 * 1024 + 1024,
+                         scratch_dir=tmp_path, worker_plane="process")
+        try:
+            report = eng.run(prog, timeout=120)
+            np.testing.assert_array_equal(eng.fetch(f"a{links}"), x + links)
+        finally:
+            eng.cleanup()
+        assert report.total_spills > 0
+        assert _total(report, "bytes_copied") == 0
+        pool = report.metrics[-1]
+        assert 3 <= pool["shm_segments_created"] <= 8
+        assert 0 < pool["shm_slack_peak_bytes"] < 1 * SLAB_BYTES
         assert dev_shm_segments() == []
 
     def test_segments_unlinked_after_normal_teardown(self, tmp_path):
@@ -279,7 +376,8 @@ class TestFrozenAcrossProcesses:
 
 
 class TestWorkerCrashRecovery:
-    def test_sigkilled_worker_is_respawned_and_task_retried(self, tmp_path):
+    def test_sigkilled_worker_is_respawned_and_task_retried(
+            self, tmp_path, protocol_checkers):
         prog = Program("crashy", default_block_elems=64)
         x = np.arange(64, dtype=float)
         prog.initial_array("x", x)
@@ -290,7 +388,11 @@ class TestWorkerCrashRecovery:
                          scratch_dir=tmp_path / "scratch",
                          worker_plane="process")
         try:
+            # Under the auditor a lease (or a ticket) that outlived the
+            # run raises here; the child died holding both attached.
             report = eng.run(prog, timeout=120)
+            assert eng._segment_pool.lease_counts() == {}
+            assert dev_shm_segments() == []
             np.testing.assert_array_equal(eng.fetch("y"), x * 2.0)
         finally:
             eng.cleanup()
@@ -298,6 +400,117 @@ class TestWorkerCrashRecovery:
         assert eng._proc_pool is None or eng._proc_pool.respawns >= 1
         # The crashed child died holding attachments; the parent owns the
         # lease lifecycle, so nothing survives in /dev/shm.
+        assert dev_shm_segments() == []
+
+
+@pytest.mark.parametrize("plane", ["thread", "process"])
+class TestAcquireUnwinds:
+    """A task asks for all its intervals at once, so a refusal arrives
+    among grants.  Whatever was granted beside it must go back — reads
+    released, writes abandoned, every reply consumed — before the attempt
+    is reported failed; the ticket auditor (and on the process plane the
+    lease audit) fails the run otherwise, and a reply left unread would
+    answer the retry's request with the wrong tickets."""
+
+    def _program(self):
+        prog = Program("fan", default_block_elems=64)
+        x = np.arange(64, dtype=float)
+        prog.initial_array("x", x)
+        prog.array("y", 64)
+        prog.array("z", 64)
+        prog.add_task("fan", fan_out_fn, ["x"], ["y", "z"])
+        return prog, x
+
+    def _run(self, tmp_path, plane, **engine_args):
+        prog, x = self._program()
+        eng = DOoCEngine(n_nodes=1, workers=1, scratch_dir=tmp_path,
+                         worker_plane=plane, trace=True, **engine_args)
+        try:
+            report = eng.run(prog, timeout=120)
+            np.testing.assert_array_equal(eng.fetch("y"), x * 2.0)
+            np.testing.assert_array_equal(eng.fetch("z"), x + 1.0)
+        finally:
+            eng.cleanup()
+        assert _total(report, "task_reexecutions") == 1
+        # z's write was granted beside the refusal, and taken back.
+        assert _total(report, "writes_abandoned") >= 1
+        assert _total(report, "process_plane_fallbacks") == 0
+        assert dev_shm_segments() == []
+        return report
+
+    def test_a_rejected_interval_among_grants(
+            self, tmp_path, plane, protocol_checkers, monkeypatch):
+        # What a re-dispatched task's write does when it overtakes its
+        # output's rehome: the store refuses it outright.  Here, once.
+        real, refused = LocalStore.request_write, []
+
+        def refuse_y_once(store, interval):
+            if interval.array == "y" and not refused:
+                refused.append(interval)
+                raise StorageError("cannot write remote-homed array 'y'")
+            return real(store, interval)
+
+        monkeypatch.setattr(LocalStore, "request_write", refuse_y_once)
+        report = self._run(tmp_path, plane)
+        assert len(refused) == 1
+        names = [e.name for e in report.trace_events]
+        assert names.count("request_rejected") == 1
+        assert names.count("task_failed") == 1
+
+    def test_a_read_that_fails_past_the_retry_budget(
+            self, tmp_path, plane, protocol_checkers, monkeypatch):
+        # x's first two loads fail on each of their two attempts.  The
+        # first is the scheduler's prefetch, which nobody waits for; the
+        # second is the task's own read, denied after its writes were
+        # granted.  The retry loads x.
+        failures, lock = [], threading.Lock()
+
+        def hiccup(real):
+            def read(scratch, desc, *args, **kwargs):
+                with lock:
+                    if desc.name == "x" and len(failures) < 4:
+                        failures.append(desc.name)
+                        raise OSError("injected: disk hiccup")
+                return real(scratch, desc, *args, **kwargs)
+            return read
+
+        # (the thread plane reads through the first, segments are filled
+        # through the second)
+        monkeypatch.setattr(iofilter, "read_block",
+                            hiccup(iofilter.read_block))
+        monkeypatch.setattr(iofilter, "read_block_into",
+                            hiccup(iofilter.read_block_into))
+        report = self._run(
+            tmp_path, plane,
+            io_retry=RetryPolicy(attempts=2, backoff_s=0.001))
+        assert len(failures) == 4
+        assert _total(report, "load_failures") == 2
+        assert _total(report, "writes_abandoned") == 2
+
+    def test_seeded_task_crashes_leave_nothing_behind(
+            self, tmp_path, plane, protocol_checkers):
+        # Crashes injected after the grants arrive, by the CI seed matrix's
+        # plan: each failed attempt hands everything back, and the bits are
+        # the fault-free run's.
+        def run(scratch, faults):
+            prog, want = _chain_program(links=12)
+            eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=scratch,
+                             worker_plane=plane, faults=faults,
+                             task_max_attempts=8)
+            try:
+                report = eng.run(prog, timeout=120)
+                got = eng.fetch("a12")
+            finally:
+                eng.cleanup()
+            np.testing.assert_array_equal(got, want)
+            return report
+
+        clean = run(tmp_path / "clean", None)
+        assert _total(clean, "task_reexecutions") == 0
+        crashy = run(tmp_path / "crashy",
+                     FaultPlan(seed=FAULT_SEED, task_crash=0.3))
+        assert _total(crashy, "task_reexecutions") == _total(
+            crashy, "writes_abandoned") > 0
         assert dev_shm_segments() == []
 
 

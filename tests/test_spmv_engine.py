@@ -9,6 +9,7 @@ from repro.spmv.generator import gap_uniform_csr
 from repro.spmv.partition import GridPartition, column_owner
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import (
+    iterated_spmv_blocked_reference,
     iterated_spmv_reference,
     loads_back_and_forth_plan,
     loads_regular_plan,
@@ -174,6 +175,58 @@ class TestDispatchCostDoesNotGrowWithTheProgram:
         # A scan of every array read 95 -> 166 blocks per dispatch here
         # (84 -> 156 arrays); ready sets of K^2 multiplies read 6.6 -> 5.9.
         assert 0 < long <= 1.25 * short
+
+
+class TestATaskAsksOnce:
+    """A task costs the store three messages whatever it reads and writes:
+    one ``acquire`` naming every interval, one ``grants`` reply (in core
+    the scheduler dispatches a task when its inputs are resident, so no
+    grant has to wait), one ``release``.  And on the process plane a block
+    does not cost a shared-memory segment: small ones share slabs."""
+
+    @pytest.mark.parametrize("plane", ["thread", "process"])
+    def test_three_messages_a_task_and_segments_by_the_slab(
+            self, tmp_path, plane):
+        from repro.core.shm import SLAB_BYTES, SMALL_BLOCK_BYTES
+
+        # 1024 x 1024 sub-matrices of ~20 nonzeros a row: a third of a
+        # mebibyte each, so they get segments of their own; the vectors
+        # (8 KiB a part) are carved from slabs.
+        global_m, p, blocks, x0 = make_problem(n=2048, k=2, seed=5,
+                                               density_per_row=40.0)
+        result = build_iterated_spmv(
+            blocks, p.split_vector(x0), iterations=4, n_nodes=1,
+            policy="simple")
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=tmp_path,
+                         worker_plane=plane)
+        try:
+            report = eng.run(result.program, timeout=120)
+            got = result.fetch_final(eng)
+        finally:
+            eng.cleanup()
+        np.testing.assert_array_equal(
+            got, iterated_spmv_blocked_reference(blocks, p, x0, 4))
+        tasks = len(result.program.tasks)
+        assert "forced_dispatches" not in report.metrics[0]  # the premise
+        asked, _ = report.stream_stats["worker@0.to_storage->storage@0.req"]
+        told, _ = report.stream_stats[
+            "storage@0.rep_workers->worker@0.from_storage"]
+        assert (asked, told) == (2 * tasks, tasks)
+        done, _ = report.stream_stats[
+            "worker@0.to_lsched->lsched@0.from_workers"]
+        assert done == tasks + 2  # each worker's first "idle", then one a task
+        if plane == "thread":
+            assert -1 not in report.metrics  # no pool, nothing to report
+            return
+        # In core every block is allocated once: loaded, or written.
+        sizes = [d.block_nbytes(b) for d in result.program.arrays.values()
+                 for b in d.blocks()]
+        dedicated = sum(1 for n in sizes if n >= SMALL_BLOCK_BYTES)
+        small = sum(n for n in sizes if n < SMALL_BLOCK_BYTES)
+        assert dedicated == 4 and small > 0
+        assert report.metrics[-1]["shm_segments_created"] <= (
+            dedicated + -(-small // SLAB_BYTES) + 1)
+        assert report.metrics[-1]["shm_slack_peak_bytes"] <= SLAB_BYTES
 
 
 class TestLoadOrderIsNotAFunctionOfSpeed:
