@@ -6,8 +6,9 @@ all three deep rules share:
 * a small **alias lattice** over dotted roots (``b = a[1:]`` makes ``b``
   derive from ``a``; ``v = ticket.data`` makes ``v`` derive from
   ``ticket.data``), with *sealed sources* — expressions that produce
-  read-only zero-copy views (``np.frombuffer``, ``attach_view`` without
-  ``writable=True``, tickets granted by ``request_read``);
+  read-only zero-copy views (``np.frombuffer``, ``read_block``,
+  ``attach_view`` without ``writable=True``, tickets granted by
+  ``request_read``);
 * every **mutation sink** (subscript store, augmented assign, in-place
   ndarray method, ``np.copyto``-style destination write, a
   ``writeable``/``setflags(write=True)`` flip) with the dotted root it
@@ -193,8 +194,12 @@ def root_of(node: ast.AST) -> str | None:
 
 #: wrapper functions whose *call site* decides view writability; their
 #: returns must not be blanket-tainted interprocedurally (the keyword is
-#: only visible at the call)
-VIEW_CONSTRUCTOR_NAMES = frozenset({"frombuffer", "attach_view", "ndarray"})
+#: only visible at the call).  ``block_buffer`` is the thread plane's
+#: allocator (repro.core.iofilter): it wraps fresh memory of its own with
+#: ``frombuffer`` and hands it out writable — fill-then-seal, as
+#: ``SegmentPool.ndarray``.
+VIEW_CONSTRUCTOR_NAMES = frozenset({"frombuffer", "attach_view", "ndarray",
+                                    "block_buffer"})
 
 
 def _kw_is_true(call: ast.Call, name: str) -> bool:
@@ -210,6 +215,10 @@ def _sealed_source(call: ast.Call, path: str) -> str | None:
     name = _call_name(call)
     if name == "frombuffer":
         return f"np.frombuffer view at {path}:{call.lineno}"
+    if name == "read_block":
+        # a loaded block is published frozen, whether it is a file
+        # mapping or allocator memory the loader filled and sealed
+        return f"read_block() loaded block at {path}:{call.lineno}"
     if name == "attach_view":
         if _kw_is_true(call, "writable"):
             return None  # an explicit write-grant view

@@ -8,8 +8,10 @@ DOOC010   sealed-view mutation escape: an in-place mutation (subscript
           store, augmented assign, ``np.copyto``-style destination write,
           an in-place ndarray method, a ``writeable`` flip) reachable
           through the call graph from a sealed zero-copy source
-          (``np.frombuffer``, ``attach_view`` without ``writable=True``,
-          a ``request_read`` grant).  The static complement of
+          (``np.frombuffer``, a ``read_block`` load, ``attach_view``
+          without ``writable=True``, a ``request_read`` grant);
+          ``block_buffer`` memory is writable until its holder seals
+          it.  The static complement of
           ``WritableReadViewError``.
 DOOC011   static lock-order cycle: *held → taken* edges collected from
           ``with``-nesting and propagated across calls form a cycle in
@@ -65,7 +67,8 @@ def _fmt_path(fact: SealFact) -> str:
     "DOOC010",
     "sealed-view-mutation",
     "in-place mutation reachable from a sealed zero-copy view source "
-    "(frombuffer / attach_view / read grant) through the call graph",
+    "(frombuffer / read_block / attach_view / read grant) through the call "
+    "graph",
 )
 def check_sealed_view_escape(program: "Program") -> Iterator[Violation]:
     graph = program.graph

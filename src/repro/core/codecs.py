@@ -74,7 +74,10 @@ class Codec:
 
     name: str = ""
 
-    def encode(self, data, itemsize: int = 1) -> bytes:
+    def encode(self, data, itemsize: int = 1):
+        """Encode the bytes-like ``data``, read where it lies (no staging
+        copy); returns a bytes-like payload — ``raw``'s is ``data`` itself.
+        """
         raise NotImplementedError
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
@@ -99,8 +102,8 @@ class RawCodec(Codec):
 
     name = "raw"
 
-    def encode(self, data, itemsize: int = 1) -> bytes:
-        return bytes(data)
+    def encode(self, data, itemsize: int = 1):
+        return memoryview(data).cast("B")  # the caller's bytes, not a copy
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         payload = memoryview(payload).cast("B")
@@ -121,7 +124,7 @@ class ZlibCodec(Codec):
         self.level = level
 
     def encode(self, data, itemsize: int = 1) -> bytes:
-        return zlib.compress(bytes(memoryview(data).cast("B")), self.level)
+        return zlib.compress(memoryview(data).cast("B"), self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         out = memoryview(out).cast("B")

@@ -62,6 +62,7 @@ from repro.core.codecs import resolve_codec
 from repro.core.iofilter import (
     IOFilter,
     backing_identity,
+    block_buffer,
     read_block,
     write_array,
 )
@@ -834,8 +835,10 @@ class _WorkerFilter(Filter):
         # temp below) are the only deterministic copies left on the data
         # plane, so ``bytes_copied`` counts exactly them and CI can treat
         # any increase as a regression.
-        self._inc("bytes_copied", sum(int(t.data.nbytes) for t in tickets))
-        return np.concatenate([t.data for t in tickets])
+        parts = [t.data for t in tickets]
+        self._inc("bytes_copied", sum(int(p.nbytes) for p in parts))
+        return np.concatenate(parts, out=block_buffer(
+            sum(map(len, parts)), parts[0].dtype))
 
     def _run_task(self, ctx: FilterContext, task: TaskSpec,
                   attempt: int) -> None:
@@ -870,7 +873,7 @@ class _WorkerFilter(Filter):
                     out_buffers[array] = tickets[0].data
                 else:
                     lo, hi = spans[array]
-                    temp = np.empty(hi - lo, dtype=self.descs[array].dtype)
+                    temp = block_buffer(hi - lo, self.descs[array].dtype)
                     out_buffers[array] = temp
                     scatter.append((array, temp))
             if self.injector is not None and self.injector.task_fault(

@@ -74,7 +74,7 @@ _CHUNK_HEADER = struct.Struct("<8s16sQQI")
 CHUNK_HEADER_NBYTES = _CHUNK_HEADER.size
 
 #: smallest block that is loaded into a mapping of its own (glibc's own
-#: default mmap threshold); see ``_FileMapping`` and ``_block_buffer``
+#: default mmap threshold); see ``_FileMapping`` and ``block_buffer``
 _MMAP_MIN_BYTES = 128 * 1024
 
 
@@ -203,6 +203,14 @@ def unpack_chunk_into(blob: bytes, out: memoryview, itemsize: int,
     get_codec(codec_name).decode_into(payload, out, itemsize)
 
 
+def _raw_bytes(data: np.ndarray, desc: ArrayDesc) -> memoryview:
+    """The bytes of ``data`` as ``desc`` stores them, for the file write
+    or the encoder to read in place: the array's own buffer when it is
+    C-contiguous and of the array's dtype already, one copy otherwise."""
+    return memoryview(
+        np.ascontiguousarray(data, dtype=desc.dtype).view(np.uint8))
+
+
 def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
                 *, metrics: MetricsRegistry | None = None) -> None:
     """Persist one block (creating/growing the backing as needed).
@@ -222,18 +230,18 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
             f"block {block} of {desc.name!r} has length {expected}, "
             f"got shape {data.shape}"
         )
-    raw = np.ascontiguousarray(data, dtype=desc.dtype).tobytes()
+    raw = _raw_bytes(data, desc)
     codec_name = desc_codec(desc)
     if codec_name == "raw":
         atomic_write(array_path(scratch, desc.name), raw,
                      offset=(block_offset(desc, block)
                              if desc.n_blocks > 1 else None))
-        _inc(metrics, "disk_bytes_written", len(raw))
+        _inc(metrics, "disk_bytes_written", raw.nbytes)
     else:
         blob = pack_chunk(codec_name, raw, desc.itemsize)
         atomic_write(chunk_path(scratch, desc.name, block), blob)
         _inc(metrics, "disk_bytes_written", len(blob))
-    _inc(metrics, "logical_bytes_written", len(raw))
+    _inc(metrics, "logical_bytes_written", raw.nbytes)
 
 
 def _read_chunk_blob(scratch: Path, desc: ArrayDesc, block: int) -> bytes:
@@ -310,22 +318,33 @@ class _FileMapping:
             _munmap(self._addr, self._length)
 
 
-def _block_buffer(nbytes: int):
-    """Writable memory for one block that is read or decoded into place.
+def block_buffer(count: int, dtype=np.uint8) -> np.ndarray:
+    """Zero-filled writable memory for ``count`` elements of one block:
+    the allocator behind every block-sized buffer of the thread plane.
 
     A large block gets an anonymous mapping of its own, which returns to
-    the operating system the moment the store drops the block.  From the
-    heap it would not: glibc raises its mmap threshold to the first large
-    block freed, serves the next ones from the allocating thread's arena,
-    and keeps up to twice that size of freed memory at the top of every
-    arena the threads of a run used — resident memory then follows the
-    number of runs a process has made, not the budget.
+    the operating system the moment its last view dies, whichever thread
+    drops it.  From the heap it would not: glibc raises its mmap
+    threshold to the first large block freed, serves the next ones from
+    the allocating thread's arena, and keeps up to twice that size of
+    freed memory at the top of every arena the threads of a run used —
+    resident memory then follows the number of runs a process has made,
+    not the budget.  Below ``_MMAP_MIN_BYTES`` a mapping costs more than
+    it returns, and the heap serves the block.
+
+    The array is wrapped here and nowhere else, so it is writable until
+    whoever publishes it freezes it (lint rule ``DOOC010`` takes every
+    other ``np.frombuffer`` for a sealed view).
     """
+    dtype = np.dtype(dtype)
+    nbytes = count * dtype.itemsize
     if nbytes < _MMAP_MIN_BYTES:
-        return bytearray(nbytes)
-    # Pre-faulting in one call is a third cheaper than 4 KiB at a time.
-    return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-                     | getattr(mmap, "MAP_POPULATE", 0))
+        buf = bytearray(nbytes)
+    else:
+        # Pre-faulting in one call is a third cheaper than 4 KiB at a time.
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                        | getattr(mmap, "MAP_POPULATE", 0))
+    return np.frombuffer(buf, dtype=dtype)
 
 
 def _short_read(desc: ArrayDesc, block: int, path: Path,
@@ -388,7 +407,7 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
         _inc(metrics, "logical_bytes_read", want)
         _inc(metrics, "bytes_mapped", want)
         return np.asarray(mapping).view(desc.dtype)
-    out = np.frombuffer(_block_buffer(want), dtype=desc.dtype)
+    out = block_buffer(desc.block_length(block), desc.dtype)
     read_block_into(scratch, desc, block, out, metrics=metrics)
     out.flags.writeable = False
     return out
@@ -445,9 +464,9 @@ def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
             f"array {desc.name!r} has length {desc.length}, got {data.shape}"
         )
     if desc_codec(desc) == "raw":
-        raw = np.ascontiguousarray(data, dtype=desc.dtype).tobytes()
+        raw = _raw_bytes(data, desc)
         atomic_write(array_path(scratch, desc.name), raw)
-        _inc(metrics, "disk_bytes_written", len(raw))
+        _inc(metrics, "disk_bytes_written", raw.nbytes)
         return
     for b in desc.blocks():
         lo, hi = desc.block_bounds(b)

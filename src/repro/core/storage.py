@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.array import ArrayDesc
 from repro.core.errors import ImmutabilityError, StorageError, UnknownArrayError
 from repro.core.interval import Interval, Permission
+from repro.core.iofilter import block_buffer
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["Effect", "Ticket", "LocalStore"]
@@ -884,13 +885,13 @@ class LocalStore:
     def _allocate_buffer(self, st: _BlockState) -> None:
         if self.segment_pool is not None:
             # Segment-backed write buffer: fresh shm pages arrive zeroed,
-            # so semantics match np.zeros without touching every page.
+            # as the thread plane's block_buffer does.
             st.segment = self.segment_pool.allocate(st.nbytes)
             st.data = self.segment_pool.ndarray(
                 st.segment, st.desc.block_length(st.block), st.desc.dtype)
         else:
-            st.data = np.zeros(st.desc.block_length(st.block),
-                               dtype=st.desc.dtype)
+            st.data = block_buffer(st.desc.block_length(st.block),
+                                   st.desc.dtype)
         self.in_use += st.nbytes
 
     def _install(self, st: _BlockState, data: np.ndarray) -> None:

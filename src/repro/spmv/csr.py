@@ -3,13 +3,45 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+
+from repro.core.iofilter import block_buffer
+
+#: SciPy keeps 32-bit index arrays as they are handed to it below this
+_INT32_LIMIT = 2 ** 31
 
 
 class CSRError(ValueError):
     """Malformed CSR structure."""
+
+
+def matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = a @ x`` with no temporary: the one in-place kernel.
+
+    ``out`` is zeroed and accumulated into by the compiled ``csr_matvec``
+    call that SciPy's own ``a @ x`` makes on a zeroed result of its own,
+    so every float sum — and so every bit of the product — is the same.
+    The routine writes through a raw pointer, hence the strictness about
+    ``out``: anything SciPy would have to convert first would receive the
+    product in a copy.
+    """
+    nrows, ncols = a.shape
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (ncols,):
+        raise CSRError(f"x has shape {x.shape}, want ({ncols},)")
+    if out.shape != (nrows,):
+        raise CSRError(f"out has shape {out.shape}, want ({nrows},)")
+    if not (a.dtype == out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise CSRError("in-place matvec needs float64 values and a writable "
+                       "C-contiguous float64 out")
+    out.fill(0.0)
+    _sparsetools.csr_matvec(nrows, ncols, a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -37,7 +69,7 @@ class CSRBlock:
             raise CSRError(f"indptr has shape {indptr.shape}, want ({self.nrows + 1},)")
         if indptr[0] != 0:
             raise CSRError("indptr must start at 0")
-        if np.any(np.diff(indptr) < 0):
+        if np.any(indptr[1:] < indptr[:-1]):
             raise CSRError("indptr must be non-decreasing")
         nnz = int(indptr[-1])
         if indices.shape != (nnz,) or values.shape != (nnz,):
@@ -73,9 +105,28 @@ class CSRBlock:
     # -- conversions -----------------------------------------------------------
 
     def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.indices, self.indptr), shape=self.shape
-        )
+        """A SciPy matrix the caller owns, over this block's ``values``.
+
+        SciPy wants 32-bit indices wherever they fit and, handed the
+        file format's 64-bit ones, scans them for their range and then
+        copies them down on the heap.  The range is known here (validated
+        at construction), so they are cast once, into allocator memory,
+        and SciPy keeps what it is given.
+        """
+        indptr, indices = self.indptr, self.indices
+        if max(self.nrows, self.ncols, self.nnz) < _INT32_LIMIT:
+            indptr = block_buffer(self.nrows + 1, np.int32)
+            indptr[:] = self.indptr
+            indices = block_buffer(self.nnz, np.int32)
+            indices[:] = self.indices
+        return sp.csr_matrix((self.values, indices, indptr),
+                             shape=self.shape, copy=False)
+
+    @cached_property
+    def _operand(self) -> sp.csr_matrix:
+        """The SciPy form ``matvec`` multiplies by, built on first use:
+        the block is frozen, so it never goes stale."""
+        return self.to_scipy()
 
     @classmethod
     def from_scipy(cls, m) -> CSRBlock:
@@ -95,17 +146,11 @@ class CSRBlock:
     # -- kernels -----------------------------------------------------------------
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """y = A @ x using SciPy's compiled kernel."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
-            raise CSRError(f"x has shape {x.shape}, want ({self.ncols},)")
-        y = self.to_scipy() @ x
-        if out is not None:
-            if out.shape != (self.nrows,):
-                raise CSRError(f"out has shape {out.shape}, want ({self.nrows},)")
-            out[:] = y
-            return out
-        return y
+        """y = A @ x using SciPy's compiled kernel, into ``out`` if given
+        (see :func:`matvec_into`)."""
+        if out is None:
+            out = np.empty(self.nrows)
+        return matvec_into(self._operand, x, out)
 
     def matvec_python(self, x: np.ndarray) -> np.ndarray:
         """Reference row-loop kernel (for differential testing)."""

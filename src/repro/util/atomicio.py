@@ -40,10 +40,12 @@ def _path_lock(path: Path) -> threading.Lock:
         return lock
 
 
-def atomic_write(path: str | Path, data: bytes, *,
+def atomic_write(path: str | Path, data, *,
                  offset: int | None = None) -> None:
     """Atomically replace ``path``'s content (or splice at ``offset``).
 
+    ``data`` is any bytes-like object and is written from where it lies:
+    a block goes from its own buffer to the file with no copy in between.
     With ``offset=None`` the file becomes exactly ``data``.  With an
     offset, ``data`` is spliced over the existing content at that byte
     position (zero-padding any gap, matching seek-past-end semantics);
@@ -58,17 +60,16 @@ def atomic_write(path: str | Path, data: bytes, *,
     path.parent.mkdir(parents=True, exist_ok=True)
     with _path_lock(path):
         if offset is None:
-            content = bytes(data)
+            content = data
         else:
             try:
                 existing = path.read_bytes()
             except FileNotFoundError:
                 existing = b""
-            end = offset + len(data)
-            buf = bytearray(max(len(existing), end))
-            buf[: len(existing)] = existing
-            buf[offset:end] = data
-            content = bytes(buf)
+            end = offset + memoryview(data).nbytes
+            content = bytearray(max(len(existing), end))
+            content[: len(existing)] = existing
+            content[offset:end] = data
         fd, tmp = tempfile.mkstemp(
             prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
         try:

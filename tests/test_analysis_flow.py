@@ -185,6 +185,49 @@ def test_dooc010_readonly_pool_view_flags():
         ("DOOC010", 3)]
 
 
+ALLOCATOR = (
+    "import mmap\n"
+    "import numpy as np\n"
+    "def block_buffer(count, dtype=np.uint8):\n"
+    "    return np.frombuffer(mmap.mmap(-1, count), dtype=dtype)\n"
+    "def read_block(scratch, desc, block):\n"
+    "    out = block_buffer(desc.block_length(block), desc.dtype)\n"
+    "    out.flags.writeable = False\n"
+    "    return out\n"
+)
+
+
+def test_dooc010_allocator_memory_is_writable_until_sealed():
+    # the decode idiom: cast into fresh allocator memory, no frombuffer
+    # at the call site — the allocator wraps its own buffer
+    caller = (
+        "import numpy as np\n"
+        "from iofilter import block_buffer\n"
+        "def cast_indices(blk):\n"
+        "    idx = block_buffer(blk.nnz, np.int32)\n"
+        "    idx[:] = blk.indices\n"
+        "    return idx\n"
+    )
+    assert analyze_sources({"src/repro/core/iofilter.py": ALLOCATOR,
+                            "src/caller.py": caller}) == []
+
+
+def test_dooc010_loaded_block_stays_sealed():
+    # ... while the block the loader filled from it and froze is sealed
+    # for everyone downstream of read_block
+    caller = (
+        "from iofilter import read_block\n"
+        "def patch(scratch, desc):\n"
+        "    blk = read_block(scratch, desc, 0)\n"
+        "    blk[0] = 0.0\n"
+    )
+    vs = analyze_sources({"src/repro/core/iofilter.py": ALLOCATOR,
+                          "src/caller.py": caller})
+    assert [(v.code, v.path, v.line) for v in vs] == [
+        ("DOOC010", "src/caller.py", 4)]
+    assert "read_block() loaded block" in vs[0].message
+
+
 def test_dooc010_copy_before_mutate_is_clean():
     src = (
         "import numpy as np\n"

@@ -224,6 +224,49 @@ class TestWriteOnceSemantics:
             store.create_array(desc())
 
 
+class TestWriteBuffersComeFromTheAllocator:
+    """A write grant's block is ``block_buffer`` memory: a mapping of its
+    own from glibc's default mmap threshold up, heap below it, and zeroed,
+    writable and typed the same on both sides of the line."""
+
+    THRESHOLD = 128 * 1024
+
+    @staticmethod
+    def backing(arr):
+        """The object that owns an array's memory."""
+        while isinstance(arr, np.ndarray) and arr.base is not None:
+            arr = arr.base
+        return arr.obj if isinstance(arr, memoryview) else arr
+
+    @pytest.mark.parametrize("dtype", ["float64", "int32", "uint8"])
+    @pytest.mark.parametrize("nbytes", [THRESHOLD - 8, THRESHOLD,
+                                        THRESHOLD + 8])
+    def test_zeroed_writable_typed_and_accounted(self, nbytes, dtype):
+        import mmap
+
+        length = nbytes // np.dtype(dtype).itemsize
+        d = desc(name="w", length=length, block=length, dtype=dtype)
+        store = LocalStore(0, memory_budget=10**6)
+        store.create_array(d)
+        ticket, effects = store.request_write(whole_block(d, 0))
+        assert effects_of_kind(effects, "grant_write")
+        data = ticket.data
+        assert (data.dtype, data.shape) == (np.dtype(dtype), (length,))
+        assert data.flags.writeable and data.flags.c_contiguous
+        assert not data.any()
+        assert isinstance(self.backing(data), mmap.mmap if
+                          nbytes >= self.THRESHOLD else bytearray)
+        assert store.in_use == nbytes
+        data[:] = 1
+        store.release(ticket)
+        assert store.in_use == nbytes  # resident, sealed, still charged
+        reader, _ = store.request_read(whole_block(d, 0))
+        assert not reader.data.flags.writeable and reader.data.all()
+        store.release(reader)
+        store.delete_array("w")
+        assert store.in_use == 0
+
+
 class TestOutOfCore:
     """Loads, spills, eviction, prefetch."""
 

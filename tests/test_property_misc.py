@@ -18,7 +18,7 @@ from repro.datacutter import (
     ThreadedRuntime,
 )
 from repro.sim import Environment, FlowNetwork, Link
-from repro.spmv.csr import CSRBlock
+from repro.spmv.csr import CSRBlock, matvec_into
 from repro.spmv.csrfile import deserialize_csr, serialize_csr
 from repro.util.rng import spawn
 
@@ -81,6 +81,31 @@ def test_csr_serialize_round_trip(block):
     np.testing.assert_array_equal(back.indptr, block.indptr)
     np.testing.assert_array_equal(back.indices, block.indices)
     np.testing.assert_array_equal(back.values, block.values)
+
+
+# ---------------------------------------------------------------------------
+# The in-place kernel against SciPy's own product, bit for bit
+# ---------------------------------------------------------------------------
+
+@given(block=csr_blocks(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_in_place_kernel_equals_scipy_product_bit_for_bit(block, data):
+    """Empty rows, empty blocks (``nrows`` 0, or no stored entry) and an
+    output buffer with something in it: ``matvec_into`` leaves in ``out``
+    the bytes ``a @ x`` returns, and nothing of what ``out`` held."""
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    x = np.array(data.draw(st.lists(floats, min_size=block.ncols,
+                                    max_size=block.ncols)), dtype=np.float64)
+    out = np.array(data.draw(st.lists(floats, min_size=block.nrows,
+                                      max_size=block.nrows)), dtype=np.float64)
+    a = block.to_scipy()
+    want = a @ x
+    assert matvec_into(a, x, out) is out
+    assert out.tobytes() == want.tobytes()
+    # ... and CSRBlock.matvec is that kernel over the block's cached form
+    dirty = np.full(block.nrows, np.nan)
+    assert block.matvec(x, out=dirty).tobytes() == want.tobytes()
+    assert block.matvec(x).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

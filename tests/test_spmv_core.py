@@ -64,6 +64,44 @@ class TestCSRBlock:
         with pytest.raises(CSRError):
             b.matvec(np.zeros(4), out=np.zeros(2))
 
+    def test_in_place_kernel_refuses_an_out_it_cannot_write_through(self):
+        # csr_matvec writes through a raw pointer: an ``out`` SciPy would
+        # convert first would receive the product in a copy
+        b = random_csr(np.random.default_rng(4))
+        x = np.ones(b.ncols)
+        frozen = np.zeros(b.nrows)
+        frozen.flags.writeable = False
+        for bad in (np.zeros(b.nrows, dtype=np.float32),
+                    np.zeros(2 * b.nrows)[::2], frozen):
+            with pytest.raises(CSRError, match="in-place matvec"):
+                b.matvec(x, out=bad)
+        # a strided or read-only x is an input: converted, not refused
+        wide = np.ones(2 * b.ncols)
+        np.testing.assert_array_equal(b.matvec(wide[::2]), b.matvec(x))
+
+    def test_matvec_builds_the_scipy_form_once(self, monkeypatch):
+        b = random_csr(np.random.default_rng(5))
+        built = []
+        to_scipy = CSRBlock.to_scipy
+        monkeypatch.setattr(
+            CSRBlock, "to_scipy",
+            lambda self: built.append(self) or to_scipy(self))
+        x = np.ones(b.ncols)
+        for _ in range(3):
+            b.matvec(x)
+        assert built == [b]
+
+    def test_to_scipy_hands_out_a_matrix_the_caller_owns(self):
+        # examples/markov_chain.py rewrites what to_scipy() returns
+        b = random_csr(np.random.default_rng(6))
+        x = np.ones(b.ncols)
+        want = b.matvec(x)
+        m = b.to_scipy()
+        m.indices[:] = 0
+        m.indptr[:] = 0
+        np.testing.assert_array_equal(b.matvec(x), want)
+        np.testing.assert_array_equal(b.to_scipy() @ x, want)
+
     def test_flop_count(self):
         rng = np.random.default_rng(3)
         b = random_csr(rng)
@@ -103,6 +141,34 @@ class TestCSRFile:
         arr = np.frombuffer(serialize_csr(b), dtype=np.uint8)
         b2 = deserialize_csr(arr)
         np.testing.assert_allclose(b2.to_dense(), b.to_dense())
+
+    def test_decode_casts_once_and_shares_the_values(self, monkeypatch):
+        """The engine's decode (``_decode_a``): ``data`` is the raw
+        block's own memory, the index arrays are the int32 ones cast into
+        allocator memory — SciPy kept them, it did not copy them again —
+        and the product is the one the file's int64 arrays give."""
+        import repro.spmv.csr as csr
+        from repro.spmv.program import _decode_a
+
+        b = random_csr(np.random.default_rng(7), nrows=40, ncols=25)
+        raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
+        handed_out, allocate = [], csr.block_buffer
+
+        def recording(count, dtype):
+            handed_out.append(allocate(count, dtype))
+            return handed_out[-1]
+
+        monkeypatch.setattr(csr, "block_buffer", recording)
+        a = _decode_a(raw)
+        assert np.shares_memory(a.data, raw)
+        assert a.indptr.dtype == a.indices.dtype == np.int32
+        indptr, indices = handed_out
+        assert np.shares_memory(a.indptr, indptr)
+        assert np.shares_memory(a.indices, indices)
+        x = np.random.default_rng(8).normal(size=b.ncols)
+        reference = sp.csr_matrix((b.values, b.indices, b.indptr),
+                                  shape=b.shape)
+        assert (a @ x).tobytes() == (reference @ x).tobytes()
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
