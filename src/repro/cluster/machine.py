@@ -14,6 +14,14 @@
 Filesystem reads traverse ``[storage_agg, node.rx, node.fs_client]``; a
 message from A to B traverses ``[A.tx, B.rx]``.  Per-read service time is
 jittered log-normally (shared-GPFS variation, Section V).
+
+Each finished activity is one span on the cluster's
+:class:`repro.obs.Tracer`, in the engine's event vocabulary with simulated
+seconds as timestamps: node ``i`` is pid ``i``, the lane is the activity
+(``io`` / ``compute`` / ``send`` / ``recv``) and ``args["label"]`` is what
+the application called it.  A read is ``storage/load`` (``sched/prefetch``
+when labelled ``"prefetch"``), a computation ``task/task``, and a message
+``storage/fetch_remote`` on both the source's and the destination's lane.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.spec import ClusterSpec
+from repro.obs.tracer import Tracer
 from repro.sim.flow import FlowNetwork, Link
 from repro.sim.kernel import Environment, Event
 from repro.sim.primitives import Resource
-from repro.sim.trace import TraceRecorder
 from repro.util.rng import RngTree
 
 
@@ -45,7 +53,9 @@ class SimNode:
     bytes_read: float = 0.0
     bytes_sent: float = 0.0
     flops_done: float = 0.0
-    io_busy: float = 0.0  # union handled by trace; this is summed service time
+    #: summed read service time; concurrent reads count twice here — the
+    #: union is ``repro.obs.span_union_seconds`` over the tracer's "io" lane
+    io_busy: float = 0.0
     #: receive-side message-processing bottleneck (storage-filter path):
     #: deserialization + buffer copies + request handling per inbound
     #: vector buffer; None disables it
@@ -56,7 +66,12 @@ class SimNode:
 
 
 class SimCluster:
-    """Executable model of a cluster for the DES kernel."""
+    """Executable model of a cluster for the DES kernel.
+
+    ``tracer`` receives one span per finished read, computation and
+    message (see the module docstring for the event names); without one
+    nothing is recorded.
+    """
 
     def __init__(
         self,
@@ -64,7 +79,7 @@ class SimCluster:
         spec: ClusterSpec,
         *,
         rng: RngTree | None = None,
-        trace: TraceRecorder | None = None,
+        tracer: Tracer | None = None,
         nodes_in_use: int | None = None,
         vector_service_bytes_per_s: float | None = None,
     ):
@@ -75,7 +90,7 @@ class SimCluster:
         self.env = env
         self.spec = spec
         self.rng = rng or RngTree(0)
-        self.trace = trace or TraceRecorder(enabled=False)
+        self.tracer = tracer or Tracer(enabled=False)
         self.network = FlowNetwork(env)
         self.n_nodes = nodes_in_use or spec.compute_nodes
 
@@ -149,7 +164,12 @@ class SimCluster:
         def finish(ev: Event) -> None:
             node.bytes_read += nbytes
             node.io_busy += self.env.now - start
-            self.trace.interval(node.name, "io", label, start, self.env.now)
+            if label == "prefetch":
+                self.tracer.complete(node.index, "io", "sched", "prefetch",
+                                     start, end=self.env.now, label=label)
+            else:
+                self.tracer.complete(node.index, "io", "storage", "load",
+                                     start, end=self.env.now, label=label)
             done.succeed(self.env.now - start)
 
         def start_flow(ev: Event | None) -> None:
@@ -193,8 +213,10 @@ class SimCluster:
 
         def finish(ev: Event) -> None:
             src.bytes_sent += nbytes
-            self.trace.interval(src.name, "send", label, start, self.env.now)
-            self.trace.interval(dst.name, "recv", label, start, self.env.now)
+            self.tracer.complete(src.index, "send", "storage", "fetch_remote",
+                                 start, end=self.env.now, label=label)
+            self.tracer.complete(dst.index, "recv", "storage", "fetch_remote",
+                                 start, end=self.env.now, label=label)
             done.succeed(self.env.now - start)
 
         flow_done.callbacks.append(finish)  # type: ignore[union-attr]
@@ -220,7 +242,8 @@ class SimCluster:
             node.flops_done += flops
         finally:
             node.cores.release(req)
-        self.trace.interval(node.name, "compute", label, start, self.env.now)
+        self.tracer.complete(node.index, "compute", "task", "task",
+                             start, end=self.env.now, label=label)
         return self.env.now - start
 
     # -- metrics -------------------------------------------------------------

@@ -62,7 +62,7 @@ def testbed_energy(row: TestbedRow, *, power: PowerModel = PowerModel(),
     few compute nodes participate; the colocated design (Section VI-A)
     powers only the compute nodes, each carrying its two cards.
     """
-    t_iter = row.time_s / 4.0  # the sweeps run 4 iterations
+    t_iter = row.time_s / row.iterations
     if colocated:
         watts = row.nodes * (power.compute_node_w + 2 * power.ssd_card_w)
         label = f"{row.nodes}-node colocated SSD"

@@ -61,13 +61,6 @@ class TestbedWorkload:
     def subvector_bytes(self) -> float:
         return self.subvector_rows * 8.0
 
-    @property
-    def checkpoint_bytes(self) -> float:
-        """One node's slice of the iterate — the per-node payload of an
-        iteration-boundary checkpoint (the matrix is read-only and needs
-        no checkpointing; only the evolving vector does)."""
-        return self.rows_per_node * 8.0
-
     def matrix_dimension(self, nodes: int) -> int:
         """Global matrix dimension: nodes tile a 2-D block decomposition,
         so D grows with sqrt(nodes) (Table III: 50M at 1 node, 300M at 36)
@@ -95,24 +88,6 @@ class TestbedWorkload:
         return side * self.local_grid_side
 
 
-def reconstruction_penalty_seconds(
-    workload: TestbedWorkload,
-    *,
-    detection_s: float = 1.2,
-    peak_bytes_per_s: float = 20 * GB,
-) -> float:
-    """Lower bound on a buddy takeover after a permanent node loss.
-
-    The failure detector's declaration window (the engine's
-    ``dead_after_s``) plus one full re-read of the dead node's sub-matrix
-    working set at peak shared-filesystem bandwidth — the analytic
-    counterpart of the DES testbed's takeover path.
-    """
-    if detection_s < 0 or peak_bytes_per_s <= 0:
-        raise ValueError("bad reconstruction-penalty parameters")
-    return detection_s + workload.bytes_per_node / peak_bytes_per_s
-
-
 def optimal_io_seconds(total_bytes: float, iterations: int,
                        peak_bytes_per_s: float = 20 * GB) -> float:
     """Fig. 6's denominator: "minimum time required to acquire the data
@@ -121,130 +96,6 @@ def optimal_io_seconds(total_bytes: float, iterations: int,
     if total_bytes < 0 or iterations < 1 or peak_bytes_per_s <= 0:
         raise ValueError("bad optimal-I/O parameters")
     return total_bytes * iterations / peak_bytes_per_s
-
-
-@dataclass(frozen=True)
-class CodecBandwidthModel:
-    """Analytic cost of reading compressed sub-matrices off disk.
-
-    A logical read of ``L`` bytes under a codec with compression ratio
-    ``r`` (logical / physical) moves only ``L / r`` bytes through the
-    filesystem, then pays ``L / decode_bytes_per_s`` of CPU to inflate —
-    the effective bandwidth a solver experiences is the harmonic
-    composition::
-
-        effective_bw = 1 / (1 / (r * disk_bw) + 1 / decode_bw)
-
-    so compression wins exactly when the disk is slower than
-    ``(r - 1) x`` the decoder — the spinning-disk / GPFS regime the
-    paper targets — and loses on storage fast enough to outrun the
-    decode (NVMe vs single-thread DEFLATE).
-    """
-
-    name: str = "raw"
-    #: logical bytes per physical byte on disk (>= keeps time finite)
-    ratio: float = 1.0
-    #: single-stream decode throughput; 0 means decode is free (raw)
-    decode_bytes_per_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.ratio <= 0:
-            raise ValueError("compression ratio must be positive")
-        if self.decode_bytes_per_s < 0:
-            raise ValueError("decode bandwidth must be non-negative")
-
-    def physical_bytes(self, logical_bytes: float) -> float:
-        return logical_bytes / self.ratio
-
-    def decode_seconds(self, logical_bytes: float) -> float:
-        if self.decode_bytes_per_s <= 0:
-            return 0.0
-        return logical_bytes / self.decode_bytes_per_s
-
-    def effective_read_bandwidth(self, disk_bytes_per_s: float) -> float:
-        """Logical bytes per second through read + decode, in steady state."""
-        if disk_bytes_per_s <= 0:
-            raise ValueError("disk bandwidth must be positive")
-        t = 1.0 / (self.ratio * disk_bytes_per_s)
-        if self.decode_bytes_per_s > 0:
-            t += 1.0 / self.decode_bytes_per_s
-        return 1.0 / t
-
-
-#: pinned model parameters per registered codec: DEFLATE-6 squeezes CSR
-#: sub-matrices harder but decodes around ~0.3 GB/s on one stream;
-#: shuffle+DEFLATE-1 trades a little ratio for a much cheaper decode.
-CODEC_MODELS: dict[str, CodecBandwidthModel] = {
-    "raw": CodecBandwidthModel(),
-    "zlib": CodecBandwidthModel("zlib", ratio=2.5,
-                                decode_bytes_per_s=0.3 * GB),
-    "shuffle-zlib": CodecBandwidthModel("shuffle-zlib", ratio=2.2,
-                                        decode_bytes_per_s=0.9 * GB),
-}
-
-
-@dataclass(frozen=True)
-class WorksetModel:
-    """Analytic per-column dropout schedule for incremental sweeps.
-
-    The DES testbed's counterpart of the engine's ``ConvergenceTracker``:
-    instead of observing real iterates, each grid column ``j`` is assigned
-    a geometric update-decay rate ``rhos[j % len(rhos)]`` (update norm
-    after sweep ``s`` is ``rho**(s+1)`` from a unit start) and leaves the
-    workset once its update drops to ``tol``.  ``rho == 1.0`` models a
-    column that never converges.  Sweeps are 0-based, matching the
-    testbed's iteration counter.
-    """
-
-    rhos: tuple[float, ...] = (0.2, 0.5, 0.8)
-    tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.rhos:
-            raise ValueError("need at least one decay rate")
-        if any(not (0.0 < r <= 1.0) for r in self.rhos):
-            raise ValueError("decay rates must be in (0, 1]")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError("tol must be in (0, 1)")
-
-    def column_rho(self, j: int) -> float:
-        return self.rhos[j % len(self.rhos)]
-
-    def freeze_sweep(self, j: int) -> int | None:
-        """First 0-based sweep whose *start* finds column ``j`` frozen
-        (``None`` if it never converges)."""
-        rho = self.column_rho(j)
-        if rho >= 1.0:
-            return None
-        # smallest s with rho**s <= tol: the column's last active sweep
-        # is s-1, so it is frozen from sweep s on.
-        return max(1, math.ceil(math.log(self.tol) / math.log(rho)))
-
-    def active_columns(self, sweep: int, ncols: int) -> list[int]:
-        """Columns still in the workset at the start of ``sweep``."""
-        if sweep < 0:
-            raise ValueError("sweep must be >= 0")
-        out = []
-        for j in range(ncols):
-            fs = self.freeze_sweep(j)
-            if fs is None or sweep < fs:
-                out.append(j)
-        return out
-
-    def active_fraction(self, sweep: int, ncols: int) -> float:
-        if ncols < 1:
-            raise ValueError("ncols must be >= 1")
-        return len(self.active_columns(sweep, ncols)) / ncols
-
-    def fixpoint_sweep(self, ncols: int) -> int | None:
-        """First sweep with an empty workset (``None`` if never)."""
-        worst = 0
-        for j in range(ncols):
-            fs = self.freeze_sweep(j)
-            if fs is None:
-                return None
-            worst = max(worst, fs)
-        return worst
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ first-class artefact of every run:
   ready pools instead of a bare timeout.
 """
 
-from repro.obs.bridge import events_from_sim_trace
 from repro.obs.chrome import (
     export_chrome_trace,
     load_chrome_trace,
@@ -27,7 +26,12 @@ from repro.obs.chrome import (
     validate_chrome_trace,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import SCHEMA_VERSION, TraceEvent, Tracer
+from repro.obs.tracer import (
+    SCHEMA_VERSION,
+    TraceEvent,
+    Tracer,
+    span_union_seconds,
+)
 from repro.obs.vocab import EVENT_NAMES, EVENTS, is_known_event
 from repro.obs.watchdog import Diagnosis, StallWatchdog
 
@@ -48,5 +52,5 @@ __all__ = [
     "normalize_chrome_trace",
     "save_events_jsonl",
     "load_events_jsonl",
-    "events_from_sim_trace",
+    "span_union_seconds",
 ]

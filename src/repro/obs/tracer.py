@@ -9,8 +9,9 @@ oldest events overwritten) guarded by per-node locks, so hot paths never
 contend across nodes and never block on a consumer.
 
 The same schema is emitted by the threaded engine (wall-clock timestamps)
-and the DES testbed (simulated timestamps) — pass ``clock=lambda: env.now``
-for the latter.  Export with :mod:`repro.obs.chrome` and open the result in
+and the DES testbed (:class:`repro.cluster.SimCluster` hands ``complete``
+its simulated start and end, so the tracer's own clock is never read).
+Export with :mod:`repro.obs.chrome` and open the result in
 ``chrome://tracing`` / Perfetto.
 
 Event vocabulary (the stable schema; see docs/OBSERVABILITY.md):
@@ -55,10 +56,10 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
-__all__ = ["TraceEvent", "Tracer"]
+__all__ = ["TraceEvent", "Tracer", "span_union_seconds"]
 
 #: schema version embedded in exports; bump on incompatible changes
 SCHEMA_VERSION = 1
@@ -99,6 +100,38 @@ class TraceEvent:
             cat=str(obj["cat"]), name=str(obj["name"]), ph=str(obj.get("ph", "i")),
             dur=float(obj.get("dur", 0.0)), args=dict(obj.get("args", {})),
         )
+
+
+def span_union_seconds(events: Iterable[TraceEvent], *,
+                       node: int | None = None,
+                       lane: str | None = None) -> float:
+    """Total length of the union of the matching spans (``ph == "X"``).
+
+    Overlapping spans are merged first, so concurrent I/O streams on one
+    lane are not double counted — this is the paper's "time spent reading
+    from the file system", and one minus its share of the makespan is the
+    "non-overlapped" column of Tables III/IV.
+    """
+    spans = sorted(
+        (e.ts, e.ts + e.dur) for e in events
+        if e.ph == "X"
+        and (node is None or e.node == node)
+        and (lane is None or e.lane == lane)
+    )
+    total = 0.0
+    cur_start: float | None = None
+    cur_end = 0.0
+    for start, end in spans:
+        if cur_start is None:
+            cur_start, cur_end = start, end
+        elif start <= cur_end:
+            cur_end = max(cur_end, end)
+        else:
+            total += cur_end - cur_start
+            cur_start, cur_end = start, end
+    if cur_start is not None:
+        total += cur_end - cur_start
+    return total
 
 
 class _NodeRing:
@@ -216,8 +249,3 @@ class Tracer:
         """Events overwritten per node since construction (ring overflow)."""
         with self._rings_lock:
             return {n: r.dropped for n, r in self._rings.items() if r.dropped}
-
-    def ingest(self, events: list[TraceEvent]) -> None:
-        """Bulk-append externally produced events (e.g. the DES bridge)."""
-        for e in events:
-            self.emit(e)

@@ -7,8 +7,13 @@ Fig. 6, and the CPU-hour points of Fig. 7 (including the oversubscribed
 9-node "star" run).
 """
 
-from repro.testbed.app import TestbedParams, TestbedRow, run_testbed_spmv
+from repro.testbed.app import (
+    TestbedParams,
+    TestbedRow,
+    TruncatedTraceError,
+    run_testbed_spmv,
+)
 from repro.testbed.gantt import simulated_gantt
 
-__all__ = ["TestbedParams", "TestbedRow", "run_testbed_spmv",
-           "simulated_gantt"]
+__all__ = ["TestbedParams", "TestbedRow", "TruncatedTraceError",
+           "run_testbed_spmv", "simulated_gantt"]

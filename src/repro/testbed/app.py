@@ -33,16 +33,10 @@ import numpy as np
 
 from repro.cluster.machine import SimCluster
 from repro.cluster.spec import ClusterSpec, carver_ssd_testbed
-from repro.faults import FaultPlan, RetryPolicy
-from repro.models.testbed import (
-    CODEC_MODELS,
-    CodecBandwidthModel,
-    TestbedWorkload,
-    WorksetModel,
-)
+from repro.models.testbed import TestbedWorkload
+from repro.obs.tracer import Tracer, span_union_seconds
 from repro.sim.kernel import Environment
 from repro.sim.primitives import Barrier, Resource
-from repro.sim.trace import TraceRecorder
 from repro.util.rng import RngTree
 from repro.util.units import GB
 
@@ -105,27 +99,21 @@ class TestbedRow:
     read_bw_bytes_per_s: float
     non_overlapped_fraction: float
     cpu_hours_per_iteration: float
-    #: transient-I/O retries performed (FaultPlan runs only)
-    io_retries: int = 0
-    #: faults the plan injected into this run
-    faults_injected: int = 0
-    #: reads redone as task re-executions after permanent faults
-    task_reexecutions: int = 0
-    #: nodes permanently lost to ``FaultPlan.node_kill`` entries
-    nodes_lost: int = 0
-    #: sub-matrix files re-read by buddies reconstructing dead nodes' state
-    blocks_reconstructed: int = 0
-    #: iteration-boundary checkpoint writes (``checkpoint_every`` runs only)
-    checkpoint_writes: int = 0
-    #: sub-matrix codec the run was modeled under (see CODEC_MODELS)
-    codec: str = "raw"
-    #: physical bytes moved through the filesystem for sub-matrix reads
-    #: (== logical bytes / codec ratio; raw runs read logical bytes)
-    disk_bytes_read: float = 0.0
-    #: sub-matrix reads+multiplies elided by workset dropout
-    blocks_skipped: int = 0
-    #: sweeps actually simulated (< iterations when the workset emptied)
-    iterations_run: int = 0
+    #: sweeps the run simulated (``workload.iterations``): what turns
+    #: ``time_s`` into seconds, CPU-hours or kWh *per iteration*
+    iterations: int
+
+
+class TruncatedTraceError(RuntimeError):
+    """The tracer's ring overflowed during a simulated run, so the
+    timeline the row's I/O columns are computed from is incomplete."""
+
+    def __init__(self, dropped: dict[int, int], capacity: int):
+        self.dropped = dict(dropped)
+        lost = ", ".join(f"node {n} by {d}" for n, d in sorted(dropped.items()))
+        super().__init__(
+            f"trace ring of {capacity} events per node overflowed ({lost}); "
+            "pass a Tracer with a larger capacity")
 
 
 class _Counter:
@@ -156,61 +144,24 @@ def run_testbed_spmv(
     params: TestbedParams = TestbedParams(),
     seed: int = 0,
     oversubscribe: int = 1,
-    trace_sink: list | None = None,
-    tracer=None,
-    faults: FaultPlan | None = None,
-    io_retry: RetryPolicy | None = None,
-    checkpoint_every: int | None = None,
-    detection_s: float = 1.2,
-    codec: CodecBandwidthModel | str | None = None,
-    workset: WorksetModel | None = None,
+    tracer: Tracer | None = None,
 ) -> TestbedRow:
     """Simulate one testbed run and return its table row.
 
     ``oversubscribe`` (a perfect square) places that many nodes' worth of
     data on each physical node — the Fig. 7 "star" runs the 36-node matrix
-    on 9 nodes with ``oversubscribe=4``.  Pass a list as ``trace_sink`` to
-    receive the full :class:`~repro.sim.trace.TraceRecorder` (Gantt data).
-    Pass a :class:`repro.obs.Tracer` as ``tracer`` to receive the run's
-    timeline in the engine's trace-event schema (sim clock as timestamps),
-    ready for ``RunReport``-style Chrome export.
+    on 9 nodes with ``oversubscribe=4``.
 
-    ``faults`` mirrors the threaded engine's fault model on the simulated
-    clock (same :class:`FaultPlan` schema, docs/FAULTS.md): each
-    filesystem read is a decision site keyed by its per-node sequence
-    number.  A transient fault costs one ``io_retry`` backoff delay and a
-    re-draw; a permanent fault costs the exhausted-retries penalty plus a
-    full task re-execution (the read is redone once, fault-free — the
-    write-once recovery story).  Faults perturb *time only*; the computed
-    row differs from a fault-free run solely in ``time_s`` and derived
-    columns, never in dimension/nnz.
+    The cluster records every read, multiply and transfer on ``tracer``
+    in the engine's trace-event schema (simulated seconds as timestamps;
+    export like a ``RunReport``'s trace), and the row's two I/O columns
+    are computed from those events — so pass a fresh, enabled
+    :class:`repro.obs.Tracer` to get the timeline, or none.  A ring that
+    overflowed during the run raises :class:`TruncatedTraceError`
+    instead of reporting bandwidth from a partial timeline.
 
-    ``codec`` applies the compressed-bandwidth model
-    (:class:`~repro.models.testbed.CodecBandwidthModel`, or a name from
-    ``CODEC_MODELS``) to every sub-matrix read: the filesystem moves
-    ``logical / ratio`` bytes, then the node pays the decode time —
-    ``effective_bw = 1 / (1 / (ratio * disk_bw) + 1 / decode_bw)``.  The
-    row reports the codec and the physical ``disk_bytes_read``.
-
-    ``FaultPlan.node_kill`` entries mirror the engine's permanent node
-    loss: when a node's iteration count reaches its kill step, a buddy
-    (the next surviving node) takes over its role for the rest of the run
-    — the iteration body is parameterized by the *acting* node, so all
-    reads, multiplies and sends charge to the buddy.  The takeover pays
-    ``detection_s`` of dead time (the failure detector's declaration
-    window, the engine's ``dead_after_s``) plus a reconstruction re-read
-    of the dead node's sub-matrix working set from the shared filesystem
-    (``blocks_reconstructed`` counts those files).  ``checkpoint_every``
-    adds an iteration-boundary checkpoint of each node's iterate parts,
-    the cost model for the solvers' checkpoint/restart path.
-
-    ``workset`` applies the incremental-iteration dropout model
-    (:class:`~repro.models.testbed.WorksetModel`): a frozen grid column's
-    sub-matrix files are neither read nor multiplied — mirroring the
-    engine's product cache — while reductions and vector traffic are
-    unchanged (cached intermediates still feed the sums).  The run
-    truncates at the model's fixpoint sweep; the row reports
-    ``blocks_skipped`` and ``iterations_run``.
+    This is the model of Section V and nothing else: faults, node loss,
+    codecs and worksets exist on the engine only (DESIGN.md §6).
     """
     if policy not in ("simple", "interleaved"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -220,14 +171,19 @@ def run_testbed_spmv(
     over_side = int(round(math.sqrt(oversubscribe)))
     if over_side * over_side != oversubscribe:
         raise ValueError(f"oversubscribe {oversubscribe} is not a perfect square")
+    if tracer is None:
+        tracer = Tracer()
+    elif not tracer.enabled or tracer.events():
+        raise ValueError(
+            "tracer must be enabled and empty: the row's I/O columns are "
+            "computed from the events this run records on it")
 
     if spec is None:
         spec = carver_ssd_testbed(compute_nodes=max(nodes, 1))
     env = Environment()
-    trace = TraceRecorder(enabled=True)
     rng = RngTree(seed)
     cluster = SimCluster(
-        env, spec, rng=rng, trace=trace, nodes_in_use=nodes,
+        env, spec, rng=rng, tracer=tracer, nodes_in_use=nodes,
         vector_service_bytes_per_s=params.vector_service_bytes_per_s,
     )
 
@@ -239,25 +195,6 @@ def run_testbed_spmv(
     mult_flops = 2.0 * workload.nnz_per_node / workload.submatrices_per_node
     iterations = workload.iterations
     cores = spec.node.cores
-
-    # Workset dropout: per-iteration active local grid columns.  A frozen
-    # column's sub-matrices (k with k % local_side in the frozen set) are
-    # neither read nor multiplied; the run stops at the model's fixpoint.
-    if workset is not None:
-        schedule = [workset.active_columns(it, local_side)
-                    for it in range(iterations)]
-        eff_iterations = next(
-            (i for i, cols in enumerate(schedule) if not cols), iterations)
-        schedule = schedule[:eff_iterations]
-    else:
-        schedule = [list(range(local_side)) for _ in range(iterations)]
-        eff_iterations = iterations
-    active_ks_by_it = [
-        [k for k in range(subs_per_node) if (k % local_side) in set(cols)]
-        for cols in schedule
-    ]
-    if eff_iterations < 1:
-        raise ValueError("workset model freezes everything before sweep 0")
 
     barrier = Barrier(env, nodes)
     jitter_rng = rng.child("node-iter-jitter")
@@ -287,122 +224,13 @@ def run_testbed_spmv(
         # one locally-aggregated partial per sub-row per node (owner included)
         "interleaved": local_side * side,
     }[policy]
-    for it in range(eff_iterations):
+    for it in range(iterations):
         for owner in range(0, nodes, side):
             reduce_counters[(it, owner)] = _Counter(env, inputs_per_owner)
 
     flow_cap = params.per_flow_cap_bytes
 
-    if codec is None:
-        codec = CODEC_MODELS["raw"]
-    elif isinstance(codec, str):
-        try:
-            codec = CODEC_MODELS[codec]
-        except KeyError:
-            raise ValueError(
-                f"unknown codec model {codec!r}: have {sorted(CODEC_MODELS)}"
-            ) from None
-    model = codec
-    io_totals = {"disk_bytes_read": 0.0}
-
-    def read_submatrix(node: int, nbytes: float, label: str):
-        """One sub-matrix filesystem read under the codec model."""
-        physical = model.physical_bytes(nbytes)
-        io_totals["disk_bytes_read"] += physical
-        yield cluster.fs_read(node, physical, label=label)
-        decode = model.decode_seconds(nbytes)
-        if decode > 0.0:
-            yield env.timeout(decode)
-
-    # Fault mirror: same decision schema as the engine, on the sim clock.
-    inject = faults is not None and faults.enabled
-    retry = io_retry if io_retry is not None else RetryPolicy()
-    fault_counts = {"io_retries": 0, "faults_injected": 0,
-                    "task_reexecutions": 0, "nodes_lost": 0,
-                    "blocks_reconstructed": 0, "checkpoint_writes": 0,
-                    "blocks_skipped": 0}
-    read_seq = [0] * nodes  # per-node read sequence number = decision site
-
-    # Node-loss mirror: logical role -> physical executor.  A takeover
-    # re-points the role at a buddy; the topology (row owners, columns)
-    # stays keyed by the logical node.
-    kill_at = dict(faults.node_kill) if faults is not None else {}
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    acting = list(range(nodes))
-
-    def buddy_of(node: int) -> int:
-        b = (node + 1) % nodes
-        while b in kill_at and b != node:
-            b = (b + 1) % nodes
-        if b == node:
-            from repro.core.errors import NodeLostError
-            raise NodeLostError(
-                f"node {node} died with no survivor to take over",
-                node=node)
-        return b
-
-    def takeover(node: int, it: int):
-        """Detection delay + reconstruction re-read, then re-point.
-
-        Only the dead node's *remaining working set* is re-read: a grid
-        column the workset model froze before the kill will never be
-        multiplied again, so its sub-matrix files are not reconstructed
-        — converged (dropped) work is never redone.  Dropout is
-        monotone in the model, so the columns active at the kill sweep
-        are exactly the union still needed by every later sweep."""
-        buddy = buddy_of(node)
-        fault_counts["nodes_lost"] += 1
-        yield env.timeout(detection_s)
-        needed = len(active_ks_by_it[it]) if it < eff_iterations \
-            else subs_per_node
-        for _ in range(needed):
-            yield from read_submatrix(buddy, sub_bytes, "reconstruct")
-        fault_counts["blocks_reconstructed"] += needed
-        acting[node] = buddy
-
-    def maybe_die(node: int, it: int):
-        if kill_at.get(node) == it and acting[node] == node:
-            yield from takeover(node, it)
-
-    def maybe_checkpoint(node: int, it: int):
-        """Iteration-boundary checkpoint of this role's iterate parts.
-
-        Modeled as a shared-filesystem transfer of the local sub-vectors
-        (GPFS read/write bandwidth is symmetric in this model)."""
-        if checkpoint_every is None or (it + 1) % checkpoint_every:
-            return
-        yield cluster.fs_read(acting[node], workload.checkpoint_bytes,
-                              label="ckpt")
-        fault_counts["checkpoint_writes"] += 1
-
-    def fs_read(node: int, nbytes: float, label: str):
-        """Codec-modeled ``fs_read`` with FaultPlan-driven retry/re-execution."""
-        if not inject:
-            yield from read_submatrix(node, nbytes, label)
-            return
-        block = read_seq[node]
-        read_seq[node] += 1
-        for attempt in range(1, retry.attempts + 1):
-            kind = faults.io_fault(node, "load", label, block, attempt)
-            if kind is None:
-                yield from read_submatrix(node, nbytes, label)
-                return
-            fault_counts["faults_injected"] += 1
-            if kind == "permanent":
-                break  # retrying cannot help; fall through to re-execution
-            if attempt < retry.attempts:
-                fault_counts["io_retries"] += 1
-                yield env.timeout(retry.delay(attempt))
-        # Retries exhausted (or permanent): the scheduler re-executes the
-        # task — pay the remaining backoff as the failure-detection
-        # penalty, then redo the read fault-free (write-once makes the
-        # re-read safe; a rerouted attempt reads from a healthy path).
-        fault_counts["task_reexecutions"] += 1
-        yield env.timeout(retry.delay(retry.attempts))
-        yield from read_submatrix(node, nbytes, label)
-
-    def send_vectors(src: int, dst: int, count: int, it: int, label: str):
+    def send_vectors(src: int, dst: int, count: int, label: str):
         """Transfer ``count`` sub-vectors; returns when all arrive."""
         events = [
             cluster.send(src, dst, vec_bytes, label=label, flow_cap=flow_cap,
@@ -412,24 +240,20 @@ def run_testbed_spmv(
         yield env.all_of(events)
 
     def node_simple(node: int):
-        for it in range(eff_iterations):
-            yield from maybe_die(node, it)
-            act = acting[node]
+        for it in range(iterations):
             factor = phase_factor()
-            active_subs = len(active_ks_by_it[it])
-            fault_counts["blocks_skipped"] += subs_per_node - active_subs
             # Phase 1: local SpMVs, load then multiply (no interleaving).
-            for _ in range(active_subs):
-                yield from fs_read(act, sub_bytes * factor, "sub")
+            for _ in range(subs_per_node):
+                yield cluster.fs_read(node, sub_bytes * factor, label="sub")
                 yield env.process(cluster.compute(
-                    act, mult_flops, cores=cores, label="mult"))
+                    node, mult_flops, cores=cores, label="mult"))
             yield barrier.wait()
             # Phase 2: ship raw intermediates to the row owner.
             owner = owner_of(node)
             counter = reduce_counters[(it, owner)]
             if node != owner:
                 yield env.process(send_vectors(
-                    act, acting[owner], subs_per_node, it, "intermediate"))
+                    node, owner, subs_per_node, "intermediate"))
                 counter.add(subs_per_node)
             else:
                 # Owner: wait for everyone, reduce, redistribute.
@@ -437,60 +261,50 @@ def run_testbed_spmv(
                 reduce_flops = (local_side * vec_bytes / 8.0) * (
                     local_side * side - 1)
                 yield env.process(cluster.compute(
-                    act, reduce_flops, cores=cores, label="reduce"))
+                    node, reduce_flops, cores=cores, label="reduce"))
                 sends = []
                 for dst in column_nodes(node):
                     sends.append(env.process(send_vectors(
-                        act, acting[dst], local_side, it, "xnew")))
+                        node, dst, local_side, "xnew")))
                 yield env.all_of(sends)
-            yield from maybe_checkpoint(node, it)
             yield barrier.wait()
 
     def node_interleaved(node: int):
         owner = owner_of(node)
         prefetched = 0  # sub-matrices of the upcoming iteration already read
-        for it in range(eff_iterations):
-            was_acting = acting[node]
-            yield from maybe_die(node, it)
-            act = acting[node]
-            if act != was_acting:
-                prefetched = 0  # prefetched buffers died with the node
+        for it in range(iterations):
             factor = phase_factor()
-            active_ks = active_ks_by_it[it]
-            row_target = len(schedule[it])  # active columns per sub-row
-            fault_counts["blocks_skipped"] += subs_per_node - len(active_ks)
             slots = Resource(env, capacity=params.window)
             counter = reduce_counters[(it, owner)]
-            row_done = [_Counter(env, row_target) for _ in range(local_side)]
-            work_done = _Counter(env, len(active_ks))
+            row_done = [_Counter(env, local_side) for _ in range(local_side)]
+            work_done = _Counter(env, subs_per_node)
 
-            def mult_then_rowsum(req, k, factor=factor, counter=counter,
-                                 row_done=row_done, work_done=work_done,
-                                 act=act, row_target=row_target):
+            def mult_then_rowsum(req, k, counter=counter, row_done=row_done,
+                                 work_done=work_done):
                 yield env.process(cluster.compute(
-                    act, mult_flops, cores=cores, label="mult"))
+                    node, mult_flops, cores=cores, label="mult"))
                 slots.release(req)
                 u_loc = k // local_side
                 row_done[u_loc].add()
-                if row_done[u_loc].count == row_target:
+                if row_done[u_loc].count == local_side:
                     # Local aggregation: one partial sub-vector per row.
                     psum_flops = (vec_bytes / 8.0) * (local_side - 1)
                     yield env.process(cluster.compute(
-                        act, psum_flops, cores=cores, label="psum"))
+                        node, psum_flops, cores=cores, label="psum"))
                     if node != owner:
                         yield env.process(send_vectors(
-                            act, acting[owner], 1, it, "partial"))
+                            node, owner, 1, "partial"))
                     counter.add()
                 work_done.add()
 
-            def load_pipeline(skip: int, factor=factor, act=act,
-                              active_ks=active_ks):
+            def load_pipeline(skip: int, factor=factor):
                 # Prefetched sub-matrices are already in DRAM: their mults
                 # run straight away.
-                for j, k in enumerate(active_ks):
+                for k in range(subs_per_node):
                     req = yield slots.request()
-                    if j >= skip:
-                        yield from fs_read(act, sub_bytes * factor, "sub")
+                    if k >= skip:
+                        yield cluster.fs_read(node, sub_bytes * factor,
+                                              label="sub")
                     env.process(mult_then_rowsum(req, k))
 
             yield env.process(load_pipeline(prefetched))
@@ -500,28 +314,26 @@ def run_testbed_spmv(
                 yield counter.event
                 final_flops = (local_side * vec_bytes / 8.0) * (side - 1)
                 yield env.process(cluster.compute(
-                    act, final_flops, cores=cores, label="reduce"))
+                    node, final_flops, cores=cores, label="reduce"))
                 sends = []
                 for dst in column_nodes(node):
                     sends.append(env.process(send_vectors(
-                        act, acting[dst], local_side, it, "xnew")))
+                        node, dst, local_side, "xnew")))
                 yield env.all_of(sends)
-            yield from maybe_checkpoint(node, it)
             # The DAG execution model lets the storage layer warm the next
             # iteration's sub-matrices (up to the buffer window) while this
             # node waits for the others at the inter-iteration
             # synchronization — the multiplies still wait for the reduced
             # vectors behind the barrier.
             prefetched = 0
-            if it + 1 < eff_iterations:
+            if it + 1 < iterations:
                 next_factor = phase_factor()
-                next_active = len(active_ks_by_it[it + 1])
 
-                def prefetch_next(nf=next_factor, act=act,
-                                  next_active=next_active):
+                def prefetch_next(nf=next_factor):
                     got = 0
-                    for _ in range(min(params.window, next_active)):
-                        yield from fs_read(act, sub_bytes * nf, "prefetch")
+                    for _ in range(min(params.window, subs_per_node)):
+                        yield cluster.fs_read(node, sub_bytes * nf,
+                                              label="prefetch")
                         got += 1
                     return got
 
@@ -536,47 +348,29 @@ def run_testbed_spmv(
     procs = [env.process(body(n), name=f"node{n}") for n in range(nodes)]
     env.run(env.all_of(procs))
 
+    dropped = tracer.dropped()
+    if dropped:
+        raise TruncatedTraceError(dropped, tracer.capacity)
     total_time = env.now
-    reads_scheduled = nodes * sum(len(ks) for ks in active_ks_by_it)
-    total_bytes = reads_scheduled * sub_bytes
+    reads = nodes * iterations * subs_per_node
+    total_bytes = reads * sub_bytes
     # The paper extracts I/O time from per-node application logs: use the
     # mean per-node filesystem-busy time, not the cross-node union (a node
     # waiting at a barrier is NOT reading, even if some straggler is).
     io_busy_mean = float(np.mean([
-        trace.busy_time(lane=cluster.nodes[i].name, kind="io")
-        for i in range(nodes)
+        span_union_seconds(tracer.events(i), lane="io") for i in range(nodes)
     ]))
-    dimension = workload.rows_per_node * side * over_side
-    nnz = workload.nnz_per_node * nodes * oversubscribe
-    # Multiply flops actually performed (identical to 2 * nnz * iterations
-    # when nothing is skipped and no sweep is truncated).
-    flops = mult_flops * reads_scheduled
-    row = TestbedRow(
+    return TestbedRow(
         nodes=nodes,
         policy=policy,
-        dimension=dimension,
-        nnz=nnz,
+        dimension=workload.rows_per_node * side * over_side,
+        nnz=workload.nnz_per_node * nodes * oversubscribe,
         size_bytes=nodes * oversubscribe * workload.bytes_per_node,
         time_s=total_time,
-        gflops=flops / total_time / 1e9,
+        gflops=mult_flops * reads / total_time / 1e9,
         read_bw_bytes_per_s=total_bytes / io_busy_mean if io_busy_mean else 0.0,
         non_overlapped_fraction=max(0.0, 1.0 - io_busy_mean / total_time),
         cpu_hours_per_iteration=(
-            nodes * spec.node.cores * (total_time / eff_iterations) / 3600.0),
-        io_retries=fault_counts["io_retries"],
-        faults_injected=fault_counts["faults_injected"],
-        task_reexecutions=fault_counts["task_reexecutions"],
-        nodes_lost=fault_counts["nodes_lost"],
-        blocks_reconstructed=fault_counts["blocks_reconstructed"],
-        checkpoint_writes=fault_counts["checkpoint_writes"],
-        codec=model.name,
-        disk_bytes_read=io_totals["disk_bytes_read"],
-        blocks_skipped=fault_counts["blocks_skipped"],
-        iterations_run=eff_iterations,
+            nodes * spec.node.cores * (total_time / iterations) / 3600.0),
+        iterations=iterations,
     )
-    if trace_sink is not None:
-        trace_sink.append(trace)
-    if tracer is not None:
-        from repro.obs import events_from_sim_trace
-        tracer.ingest(events_from_sim_trace(trace))
-    return row

@@ -8,11 +8,46 @@ and receives, per compute node.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 
-from repro.sim.trace import render_gantt
+from repro.obs.tracer import TraceEvent, Tracer
 from repro.testbed.app import TestbedParams, run_testbed_spmv
 
 GLYPHS = {"io": "=", "compute": "m", "send": ">", "recv": "<"}
+
+
+def render_gantt(
+    events: Iterable[TraceEvent],
+    *,
+    width: int = 100,
+    lane_glyphs: dict[str, str] | None = None,
+) -> str:
+    """ASCII Gantt chart of the spans in ``events``, one row per node.
+
+    ``lane_glyphs`` maps an event's lane to a single character; lanes
+    without a mapping render as their first letter.
+    """
+    spans = [e for e in events if e.ph == "X"]
+    if not spans:
+        return "(empty trace)"
+    t_end = max(e.ts + e.dur for e in spans)
+    t_start = min(e.ts for e in spans)
+    span = max(t_end - t_start, 1e-12)
+    glyphs = lane_glyphs or {}
+    nodes = sorted({e.node for e in spans})
+    label_width = max(len(f"n{n}") for n in nodes) + 1
+    rows = []
+    for n in nodes:
+        row = [" "] * width
+        for e in sorted((e for e in spans if e.node == n), key=lambda e: e.ts):
+            a = int((e.ts - t_start) / span * (width - 1))
+            b = int((e.ts + e.dur - t_start) / span * (width - 1))
+            glyph = glyphs.get(e.lane, e.lane[:1] or "?")
+            for pos in range(a, max(b, a) + 1):
+                row[pos] = glyph
+        rows.append(f"{f'n{n}':<{label_width}}|{''.join(row)}|")
+    header = f"{'':<{label_width}}|{'time ->':<{width}}|"
+    return "\n".join([header, *rows])
 
 
 def simulated_gantt(
@@ -28,17 +63,16 @@ def simulated_gantt(
     """Run a testbed simulation and render its activity timeline.
 
     ``until_s`` crops the chart to the first N simulated seconds (default:
-    roughly the first iteration).
+    the first iteration's share of the run).
     """
-    sink: list = []
-    row = run_testbed_spmv(nodes, policy, seed=seed, trace_sink=sink,
+    tracer = Tracer()
+    row = run_testbed_spmv(nodes, policy, seed=seed, tracer=tracer,
                            params=params or TestbedParams(), **run_kwargs)
-    trace = sink[0]
-    crop = until_s if until_s is not None else row.time_s / 4.0
-    intervals = [iv for iv in trace.intervals if iv.start < crop]
+    crop = until_s if until_s is not None else row.time_s / row.iterations
+    events = [e for e in tracer.events() if e.ts < crop]
     header = (
         f"{policy} policy, {nodes} node(s), first {crop:.0f} s of "
         f"{row.time_s:.0f} s  (= read, m compute, > send, < recv)"
     )
-    return header + "\n" + render_gantt(intervals, width=width,
-                                        kind_glyphs=GLYPHS)
+    return header + "\n" + render_gantt(events, width=width,
+                                        lane_glyphs=GLYPHS)

@@ -1,6 +1,7 @@
 """Direct tests for smaller public-API surfaces found by the audit."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -21,7 +22,7 @@ from repro.experiments import EXPERIMENTS
 from repro.lanczos.basis import DiskBasis
 from repro.sim import Environment, FlowNetwork, Link, Resource
 from repro.spmv.partition import GridPartition
-from repro.testbed import simulated_gantt
+from repro.testbed import TestbedRow, run_testbed_spmv, simulated_gantt
 from repro.util.rng import spawn
 
 
@@ -290,6 +291,35 @@ class TestBasisSurfaces:
         store.cleanup()
         assert list(tmp_path.glob("*.arr")) == []
         store.cleanup()  # idempotent
+
+
+class TestTestbedSurface:
+    """The simulator takes Section V's inputs and nothing else (ISSUE 22);
+    the parameter list and the row are what docs/API.md says."""
+
+    PARAMETERS = ["nodes", "policy", "workload", "spec", "params", "seed",
+                  "oversubscribe", "tracer"]
+    ROW_FIELDS = ["nodes", "policy", "dimension", "nnz", "size_bytes",
+                  "time_s", "gflops", "read_bw_bytes_per_s",
+                  "non_overlapped_fraction", "cpu_hours_per_iteration",
+                  "iterations"]
+
+    def test_signature_and_row_are_pinned_and_documented(self):
+        assert list(inspect.signature(
+            run_testbed_spmv).parameters) == self.PARAMETERS
+        assert documented_parameters(
+            "repro.testbed.run_testbed_spmv") == self.PARAMETERS
+        assert [f.name for f in dataclasses.fields(
+            TestbedRow)] == self.ROW_FIELDS
+        assert documented_parameters("TestbedRow") == self.ROW_FIELDS
+
+    @pytest.mark.parametrize("removed", [
+        {"faults": None}, {"io_retry": None}, {"checkpoint_every": 2},
+        {"detection_s": 1.2}, {"codec": "zlib"}, {"workset": None},
+        {"trace_sink": []}])
+    def test_removed_spellings_are_type_errors(self, removed):
+        with pytest.raises(TypeError):
+            run_testbed_spmv(1, "simple", **removed)
 
 
 class TestGanttSurface:

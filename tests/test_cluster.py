@@ -11,8 +11,8 @@ from repro.cluster.spec import (
     NodeSpec,
     SSDSpec,
 )
+from repro.obs import Tracer, to_chrome, validate_chrome_trace
 from repro.sim import Environment
-from repro.sim.trace import TraceRecorder
 from repro.util import GB
 from repro.util.rng import RngTree
 
@@ -79,7 +79,7 @@ def make_cluster(n=2, jitter=0.0):
         filesystem=FilesystemSpec(jitter_cv=jitter, open_latency_s=0.0),
     )
     cluster = SimCluster(env, spec, rng=RngTree(1), nodes_in_use=n,
-                         trace=TraceRecorder())
+                         tracer=Tracer())
     return env, cluster
 
 
@@ -185,15 +185,34 @@ class TestSimCluster:
             cluster.fs_read(0, GB)
 
     def test_trace_records_io_and_compute(self):
-        env, cluster = make_cluster(n=1)
+        """Each activity lands on the tracer as one span of the engine's
+        vocabulary: node i is pid i, the lane is the activity kind."""
+        env, cluster = make_cluster(n=4)
 
         def run():
-            yield cluster.fs_read(0, GB, label="blk")
+            yield cluster.fs_read(3, 1.45 * GB, label="blk")
+            yield cluster.fs_read(3, GB, label="prefetch")
             yield env.process(cluster.compute(0, 1e9, label="spmv"))
+            yield cluster.send(1, 2, GB, label="partial")
 
         env.run(env.process(run()))
-        assert cluster.trace.count(kind="io") == 1
-        assert cluster.trace.count(kind="compute") == 1
+        events = cluster.tracer.events()
+        assert all(e.ph == "X" for e in events)
+        assert [e.ts for e in events] == sorted(e.ts for e in events)
+        by_kind = {(e.cat, e.name, e.lane): e for e in events}
+        assert len(by_kind) == len(events) == 5
+        load = by_kind[("storage", "load", "io")]
+        assert (load.node, load.ts, load.args) == (3, 0.0, {"label": "blk"})
+        assert load.dur == pytest.approx(1.0)
+        prefetch = by_kind[("sched", "prefetch", "io")]
+        assert prefetch.node == 3 and prefetch.ts == pytest.approx(1.0)
+        task = by_kind[("task", "task", "compute")]
+        assert task.node == 0 and task.args == {"label": "spmv"}
+        sent = by_kind[("storage", "fetch_remote", "send")]
+        received = by_kind[("storage", "fetch_remote", "recv")]
+        assert (sent.node, received.node) == (1, 2)
+        assert (sent.ts, sent.dur) == (received.ts, received.dur)
+        validate_chrome_trace(to_chrome(events))  # raises on a bad shape
 
     def test_nodes_in_use_bounds(self):
         env = Environment()

@@ -471,32 +471,6 @@ class TestMetrics:
             "logical_bytes_written") == 8000
 
 
-class TestTestbedCodecModel:
-    def test_effective_bandwidth_composition(self):
-        from repro.models.testbed import CodecBandwidthModel
-        m = CodecBandwidthModel("z", ratio=2.0, decode_bytes_per_s=2e9)
-        # 1 GB/s disk: t = 1/(2*1e9) + 1/(2e9) = 1e-9 -> 1 GB/s effective
-        assert m.effective_read_bandwidth(1e9) == pytest.approx(1e9)
-        # raw on the same disk is just the disk
-        raw = CodecBandwidthModel()
-        assert raw.effective_read_bandwidth(1e9) == pytest.approx(1e9)
-
-    def test_compression_wins_when_disk_is_slow(self):
-        from repro.models.testbed import CODEC_MODELS
-        slow_disk = 0.05e9  # 50 MB/s spinning disk
-        assert (CODEC_MODELS["zlib"].effective_read_bandwidth(slow_disk)
-                > CODEC_MODELS["raw"].effective_read_bandwidth(slow_disk))
-
-    def test_testbed_row_reports_codec(self):
-        from repro.testbed.app import run_testbed_spmv
-        raw = run_testbed_spmv(4, "interleaved")
-        z = run_testbed_spmv(4, "interleaved", codec="zlib")
-        assert raw.codec == "raw" and z.codec == "zlib"
-        assert z.disk_bytes_read < raw.disk_bytes_read
-        with pytest.raises(ValueError, match="unknown codec model"):
-            run_testbed_spmv(4, "interleaved", codec="snappy")
-
-
 class TestLintDOOC007:
     def test_flags_direct_compression_imports(self):
         from repro.analysis.lint import lint_source

@@ -3,9 +3,8 @@
 Covers the per-block :class:`ConvergenceTracker` (freeze / thaw /
 period-2 limit cycles), the incremental Jacobi drive (bit-identical to
 sync while strictly reducing tasks and disk reads), bounded-staleness
-async Jacobi, sparse-frontier SpMV, the incremental
-``run_iterated_spmv`` early exit, and the DES testbed's
-``WorksetModel`` mirror (including dropout-aware node-kill recovery).
+async Jacobi, sparse-frontier SpMV and the incremental
+``run_iterated_spmv`` early exit.
 The sync drive every other mode is compared against is itself pinned,
 bit for bit, to an in-core operator with the engine's summation order.
 """
@@ -19,15 +18,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from repro.core.convergence import ConvergenceTracker
-from repro.faults import FaultPlan
-from repro.models.testbed import WorksetModel
 from repro.obs.metrics import MetricsRegistry
 from repro.solvers import jacobi_solve
 from repro.spmv.csr import CSRBlock
 from repro.spmv.ooc_operator import OutOfCoreMatrix
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import run_iterated_spmv
-from repro.testbed import run_testbed_spmv
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
 
@@ -476,84 +472,3 @@ class TestIncrementalIteratedSpMV:
         assert np.array_equal(bulk.join(), inc.join())
         assert inc.fixpoint
         assert len(inc.convergence.sweeps) <= 4
-
-
-# -- DES testbed mirror ------------------------------------------------------
-
-
-class TestWorksetModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorksetModel(rhos=())
-        with pytest.raises(ValueError):
-            WorksetModel(rhos=(0.0,))
-        with pytest.raises(ValueError):
-            WorksetModel(rhos=(1.5,))
-        with pytest.raises(ValueError):
-            WorksetModel(tol=0.0)
-        with pytest.raises(ValueError):
-            WorksetModel(tol=1.0)
-
-    def test_freeze_sweep_geometry(self):
-        # rho**s <= tol first at s = ceil(log(tol) / log(rho)).
-        assert WorksetModel(rhos=(0.5,), tol=1e-6).freeze_sweep(0) == 20
-        assert WorksetModel(rhos=(0.1,), tol=1e-6).freeze_sweep(0) == 6
-        assert WorksetModel(rhos=(1.0,), tol=1e-6).freeze_sweep(0) is None
-
-    def test_active_columns_shrink_monotonically(self):
-        ws = WorksetModel(rhos=(0.05, 0.2, 0.9), tol=1e-3)
-        sizes = [len(ws.active_columns(s, 6)) for s in range(80)]
-        assert sizes[0] == 6
-        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
-        assert sizes[-1] == 0
-        fx = ws.fixpoint_sweep(6)
-        assert len(ws.active_columns(fx, 6)) == 0
-        assert len(ws.active_columns(fx - 1, 6)) > 0
-
-    def test_nonconverging_column_pins_the_fixpoint(self):
-        ws = WorksetModel(rhos=(0.1, 1.0), tol=1e-6)
-        assert ws.fixpoint_sweep(2) is None
-        assert ws.active_columns(10**6, 2) == [1]
-
-
-class TestTestbedWorkset:
-    #: freezes columns j%3==0 at sweep 3, j%3==1 at sweep 5, j%3==2 never
-    #: inside the default 4-iteration run
-    WS = WorksetModel(rhos=(0.05, 0.2, 0.9), tol=1e-3)
-
-    def test_dropout_reduces_time_and_disk(self):
-        base = run_testbed_spmv(4, "simple", seed=0)
-        inc = run_testbed_spmv(4, "simple", seed=0, workset=self.WS)
-        assert inc.blocks_skipped > 0
-        assert inc.iterations_run == base.iterations_run
-        assert inc.time_s < base.time_s
-        assert inc.disk_bytes_read < base.disk_bytes_read
-
-    def test_interleaved_policy_supports_dropout(self):
-        base = run_testbed_spmv(4, "interleaved", seed=0)
-        inc = run_testbed_spmv(4, "interleaved", seed=0, workset=self.WS)
-        assert inc.blocks_skipped > 0
-        assert inc.time_s < base.time_s
-
-    def test_never_converging_model_changes_nothing(self):
-        base = run_testbed_spmv(4, "simple", seed=0)
-        same = run_testbed_spmv(4, "simple", seed=0,
-                                workset=WorksetModel(rhos=(1.0,)))
-        assert same.blocks_skipped == 0
-        assert same.iterations_run == base.iterations_run
-        assert same.time_s == pytest.approx(base.time_s)
-
-    def test_killed_node_skips_converged_reconstruction(self):
-        """A buddy taking over a dead node re-reads only the blocks the
-        workset will still touch — converged (dropped) columns are never
-        reconstructed."""
-        kill = FaultPlan(node_kill=((1, 3),))
-        plain = run_testbed_spmv(4, "simple", seed=0, faults=kill)
-        inc = run_testbed_spmv(4, "simple", seed=0, faults=kill,
-                               workset=self.WS)
-        assert plain.nodes_lost == 1 and inc.nodes_lost == 1
-        # At the kill sweep (it=3) columns j%3==0 are frozen: 3 of 5 grid
-        # columns remain -> 15 of the 25 per-node files need re-reading.
-        assert plain.blocks_reconstructed == 25
-        assert inc.blocks_reconstructed == 15
-        assert inc.time_s < plain.time_s

@@ -1,5 +1,7 @@
 """Tests for the experiment runners and report rendering."""
 
+import pathlib
+
 import pytest
 
 from repro.ci.cases import TABLE1_CASES
@@ -90,6 +92,18 @@ class TestTable34:
         assert "Table IV" in text
         # 1-node interleaved: fully overlapped, near the paper's 0%.
         assert rows[0].measured.non_overlapped_fraction < 0.05
+
+    @pytest.mark.parametrize("policy, section",
+                             [("simple", "table3"), ("interleaved", "table4")])
+    def test_committed_rows_are_what_the_code_prints(self, policy, section):
+        """The first three data rows of the committed table, as text."""
+        committed = (pathlib.Path(__file__).resolve().parents[1]
+                     / "EXPERIMENTS.md").read_text()
+        block = committed.split(f"## {section}\n")[1].split("```")[1]
+        text = table34.render(
+            table34.run(policy, node_counts=(1, 4, 9), seed=1), policy)
+        # title, header, rule, then the rows
+        assert text.splitlines()[3:] == block.strip().splitlines()[3:6]
 
 
 class TestFig6:

@@ -5,8 +5,9 @@ import pytest
 from repro.cluster.spec import carver_colocated_ssd
 from repro.experiments import extensions, run_experiment
 from repro.models.energy import PowerModel, hopper_energy, testbed_energy
+from repro.models.testbed import TestbedWorkload
 from repro.ci.cases import TABLE1_CASES
-from repro.testbed import TestbedParams, run_testbed_spmv
+from repro.testbed import TestbedParams, run_testbed_spmv, simulated_gantt
 from repro.util.units import GB
 
 
@@ -55,6 +56,23 @@ class TestEnergy:
         assert sep.powered_watts == pytest.approx(expected_watts)
         assert sep.kwh == pytest.approx(
             expected_watts * row.time_s / 4 / 3.6e6)
+
+    @pytest.mark.parametrize("iterations", [2, 8])
+    def test_per_iteration_figures_do_not_depend_on_run_length(
+            self, iterations):
+        """Energy and the Gantt crop divide by the run's own iteration
+        count (they divided by a literal 4: 2x / 0.5x off here)."""
+        four = testbed_energy(run_testbed_spmv(4, "simple", seed=0))
+        workload = TestbedWorkload(iterations=iterations)
+        row = run_testbed_spmv(4, "simple", seed=0, workload=workload)
+        assert row.iterations == iterations
+        energy = testbed_energy(row)
+        assert energy.seconds == pytest.approx(four.seconds, rel=0.05)
+        assert energy.kwh == pytest.approx(four.kwh, rel=0.05)
+        header = simulated_gantt(4, "simple", seed=0, width=40,
+                                 workload=workload).splitlines()[0]
+        assert (f"first {row.time_s / iterations:.0f} s of "
+                f"{row.time_s:.0f} s") in header
 
     def test_colocated_energy_drops_io_fleet(self):
         row = run_testbed_spmv(4, "interleaved", seed=0)

@@ -17,7 +17,6 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_blocked_reference
-from repro.testbed import run_testbed_spmv
 
 FAULT_SEED = int(os.environ.get("DOOC_FAULT_SEED", "0"))
 
@@ -263,23 +262,3 @@ class TestFaultsAcrossPlanesAndCodecs:
             for m in metrics)
         assert sum(m.get("task_reexecutions", 0) for m in metrics) == crashes
         assert dev_shm_segments() == []
-
-
-class TestTestbedFaultMirror:
-    def test_deterministic_and_slower_with_same_table_shape(self):
-        base = run_testbed_spmv(4, "interleaved", seed=3)
-        plan = FaultPlan(seed=FAULT_SEED, io_transient=0.05)
-        f1 = run_testbed_spmv(4, "interleaved", seed=3, faults=plan)
-        f2 = run_testbed_spmv(4, "interleaved", seed=3, faults=plan)
-        assert f1 == f2
-        assert f1.io_retries > 0 and f1.faults_injected > 0
-        assert f1.time_s > base.time_s
-        assert (f1.dimension, f1.nnz, f1.size_bytes) == \
-               (base.dimension, base.nnz, base.size_bytes)
-
-    def test_permanent_faults_count_reexecutions(self):
-        row = run_testbed_spmv(
-            4, "simple", seed=3,
-            faults=FaultPlan(seed=FAULT_SEED, io_permanent=0.02))
-        assert row.task_reexecutions > 0
-        assert row.faults_injected >= row.task_reexecutions

@@ -10,7 +10,6 @@ from repro.obs import (
     MetricsRegistry,
     TraceEvent,
     Tracer,
-    events_from_sim_trace,
     export_chrome_trace,
     load_chrome_trace,
     load_events_jsonl,
@@ -20,7 +19,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.cli import main as trace_cli
-from repro.sim.trace import TraceRecorder
 
 
 class FakeClock:
@@ -233,34 +231,6 @@ class TestGoldenChromeTrace:
             "exported Chrome-trace schema drifted from the golden file; if "
             "the change is intentional, regenerate tests/data/"
             "golden_chrome_trace.json (see docs/OBSERVABILITY.md)")
-
-
-class TestSimBridge:
-    def test_interval_and_point_mapping(self):
-        rec = TraceRecorder()
-        rec.interval("n3", "io", "sub", 1.0, 2.5)
-        rec.interval("n3", "io", "prefetch", 3.0, 3.5)
-        rec.interval("n0", "compute", "mult", 0.5, 0.9)
-        rec.interval("n1", "send", "partial", 4.0, 4.2)
-        rec.interval("gpfs", "server", "svc", 0.0, 1.0)
-        rec.point("n0", "barrier", "iter0", 5.0)
-        events = events_from_sim_trace(rec)
-        by_name = {(e.cat, e.name): e for e in events}
-        load = by_name[("storage", "load")]
-        assert (load.node, load.ts, load.dur) == (3, 1.0, 1.5)
-        assert by_name[("sched", "prefetch")].node == 3
-        assert by_name[("task", "task")].node == 0
-        assert by_name[("storage", "fetch_remote")].node == 1
-        assert by_name[("sim", "server")].node == -1  # unmapped kind
-        phase = by_name[("run", "phase")]
-        assert phase.ph == "i" and phase.args["label"] == "iter0"
-
-    def test_chronological_order(self):
-        rec = TraceRecorder()
-        rec.interval("n1", "io", "b", 2.0, 3.0)
-        rec.interval("n0", "io", "a", 1.0, 2.0)
-        events = events_from_sim_trace(rec)
-        assert [e.ts for e in events] == [1.0, 2.0]
 
 
 class TestEngineTraceIntegration:

@@ -894,39 +894,3 @@ class TestKillThenResume:
         assert resumed.residual_history[:10] == straight.residual_history[:10]
         assert resumed.converged and 10 < resumed.iterations <= 120
         assert residual <= 1e-6 * np.linalg.norm(b)
-
-
-# -- DES testbed mirror ------------------------------------------------------
-
-
-class TestTestbedNodeKill:
-    def test_kill_reconstructs_and_finishes(self):
-        from repro.testbed import run_testbed_spmv
-        base = run_testbed_spmv(4, "interleaved", seed=0)
-        killed = run_testbed_spmv(
-            4, "interleaved", seed=0,
-            faults=FaultPlan(node_kill=((1, 1),)),
-            checkpoint_every=2, detection_s=1.2)
-        assert killed.nodes_lost == 1
-        assert killed.blocks_reconstructed > 0
-        assert killed.checkpoint_writes > 0
-        assert killed.time_s > base.time_s
-        assert killed.dimension == base.dimension
-
-    def test_kill_under_simple_policy(self):
-        from repro.testbed import run_testbed_spmv
-        row = run_testbed_spmv(4, "simple", seed=1,
-                               faults=FaultPlan(node_kill=((2, 0),)))
-        assert row.nodes_lost == 1
-        assert row.blocks_reconstructed > 0
-
-    def test_reconstruction_penalty_model(self):
-        from repro.models.testbed import (
-            TestbedWorkload,
-            reconstruction_penalty_seconds,
-        )
-        w = TestbedWorkload()
-        penalty = reconstruction_penalty_seconds(w)
-        assert penalty > 1.2  # detection window plus the re-read
-        with pytest.raises(ValueError):
-            reconstruction_penalty_seconds(w, detection_s=-1.0)

@@ -7,7 +7,8 @@ qualitative relations on affordable configurations.
 import pytest
 
 from repro.models.testbed import TestbedWorkload
-from repro.testbed import TestbedParams, run_testbed_spmv
+from repro.obs import Tracer, span_union_seconds
+from repro.testbed import TestbedParams, TruncatedTraceError, run_testbed_spmv
 from repro.util.units import GB
 
 
@@ -123,3 +124,32 @@ class TestCustomWorkload:
     def test_bad_local_grid_rejected(self):
         with pytest.raises(ValueError):
             TestbedWorkload(submatrices_per_node=5)
+
+
+class TestTimeline:
+    """The row's I/O columns are computed from the tracer's events, so a
+    timeline that is not the whole run is refused, not tabulated."""
+
+    def test_default_ring_holds_the_run(self):
+        tracer = Tracer()
+        row = run_testbed_spmv(4, "interleaved", seed=0, tracer=tracer)
+        assert tracer.dropped() == {}
+        assert row == run_testbed_spmv(4, "interleaved", seed=0)
+        io = [span_union_seconds(tracer.events(), node=n, lane="io")
+              for n in range(4)]
+        assert row.non_overlapped_fraction == pytest.approx(
+            1.0 - sum(io) / 4 / row.time_s)
+
+    def test_overflowed_ring_is_a_named_error(self):
+        with pytest.raises(TruncatedTraceError,
+                           match=r"ring of 8 .*node 0 by \d+") as err:
+            run_testbed_spmv(4, "simple", seed=0, tracer=Tracer(capacity=8))
+        assert set(err.value.dropped) == {0, 1, 2, 3}
+        assert all(n > 0 for n in err.value.dropped.values())
+
+    def test_used_or_disabled_tracer_is_rejected(self):
+        used = Tracer()
+        used.instant(0, "io", "run", "phase")
+        for tracer in (used, Tracer(enabled=False)):
+            with pytest.raises(ValueError, match="enabled and empty"):
+                run_testbed_spmv(1, "simple", tracer=tracer)
