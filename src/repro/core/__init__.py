@@ -8,8 +8,8 @@ substrate (:mod:`repro.datacutter`):
   intervals with read or write permission;
 * :mod:`repro.core.storage` — the per-node storage layer: write-once
   semantics, reference counting, LRU memory reclamation, asynchronous
-  loads/spills, prefetching (a pure effect-emitting state machine shared by
-  the threaded engine and the testbed simulator);
+  loads/spills, prefetching (a pure effect-emitting state machine;
+  :mod:`repro.core.storage_filter` is the filter that drives it);
 * :mod:`repro.core.directory` — the partitioned global map with
   random-peer query resolution;
 * :mod:`repro.core.task` / :mod:`repro.core.dag` — tasks declaring whole
@@ -17,9 +17,10 @@ substrate (:mod:`repro.datacutter`):
 * :mod:`repro.core.global_scheduler` — affinity-based task placement;
 * :mod:`repro.core.local_scheduler` — per-node splitting, data-aware
   reordering (which discovers the "back-and-forth" plan of Fig. 5b), and
-  prefetch management;
+  prefetch management, each beside the filter that carries it out;
+* :mod:`repro.core.worker` — the computing filter running task bodies;
 * :mod:`repro.core.engine` — the threaded out-of-core execution engine
-  binding it all to real files and real NumPy kernels.
+  wiring these filters to real files and real NumPy kernels.
 """
 
 from repro.core.array import ArrayDesc

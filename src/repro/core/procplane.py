@@ -1,10 +1,10 @@
 """The multi-process worker plane: one compute process per worker slot.
 
 The thread plane's workers contend on the GIL, so in-core compute-bound
-workloads plateau regardless of worker count (ROADMAP item 1).  With
+workloads plateau regardless of worker count.  With
 ``DOoCEngine(worker_plane="process")`` every worker-filter instance owns
 a long-lived child process; the filter thread stays the protocol
-endpoint (tickets, grants, scatter accounting, failure reports) and only
+endpoint (tickets, segment leases, counters, failure reports) and only
 the *compute* crosses the process boundary.
 
 What crosses is an **envelope** — the task function plus
@@ -12,8 +12,10 @@ What crosses is an **envelope** — the task function plus
 and write span — and what comes back is a small status dict.  The block
 bytes themselves never travel: children map the named shared-memory
 segments and compute on read-only views of the very buffers the parent
-sealed, so ``bytes_copied`` accounting is identical to the thread plane
-(gather/scatter for multi-block operands, nothing else).
+sealed, and call the body through the function the thread plane calls
+(:func:`repro.core.task.run_task_body`), so what a body may do to its
+operands and what ``bytes_copied`` counts are the same on both planes by
+construction (gather/scatter for multi-block operands, nothing else).
 
 Children are forked *before* the runtime's threads start (fork and
 threads don't mix); a worker that dies mid-run is respawned with the
@@ -28,12 +30,11 @@ import multiprocessing as mp
 import pickle
 from typing import Any
 
-import numpy as np
-
 from repro.core.errors import DoocError
 from repro.core.opcache import (OPERAND_CONTEXT_KEY, DecodedOperandCache,
                                 OperandContext)
 from repro.core import shm as shm_mod
+from repro.core.task import run_task_body
 
 __all__ = ["ProcessWorkerPool", "WorkerProcessCrash", "EnvelopeUnpicklable"]
 
@@ -47,48 +48,21 @@ class EnvelopeUnpicklable(DoocError):
 
 
 def _execute_envelope(envelope: dict, cache: DecodedOperandCache | None) -> dict:
-    """Run one task envelope in the worker process.
-
-    Mirrors the thread plane's ``_WorkerFilter._run_task`` data handling
-    exactly: single-span operands are zero-copy views, multi-span inputs
-    gather into a scratch buffer and multi-span outputs scatter out of
-    one — those deterministic copies (and only those) count toward
-    ``bytes_copied``.
-    """
-    bytes_copied = 0
-    inputs: dict[str, np.ndarray] = {}
-    for array, handles in envelope["inputs"].items():
-        if len(handles) == 1:
-            inputs[array] = shm_mod.attach_view(handles[0])
-        else:
-            gathered = np.concatenate(
-                [shm_mod.attach_view(h) for h in handles])
-            gathered.flags.writeable = False
-            bytes_copied += int(gathered.nbytes)
-            inputs[array] = gathered
-    outs: dict[str, np.ndarray] = {}
-    scatters: list[tuple[np.ndarray, int, list]] = []
-    for array, spec in envelope["outputs"].items():
-        lo, hi, parts = spec["lo"], spec["hi"], spec["parts"]
-        if len(parts) == 1 and parts[0][1] == lo and parts[0][2] == hi:
-            outs[array] = shm_mod.attach_view(parts[0][0], writable=True)
-        else:
-            tmp = np.zeros(hi - lo, dtype=spec["dtype"])
-            outs[array] = tmp
-            scatters.append((tmp, lo, parts))
-    meta = dict(envelope["meta"])
+    """Run one task envelope in the worker process: map the handles,
+    then the same :func:`~repro.core.task.run_task_body` the thread
+    plane calls on its tickets' views."""
+    inputs = {array: [shm_mod.attach_view(h) for h in handles]
+              for array, handles in envelope["inputs"].items()}
+    outputs = {array: [shm_mod.attach_view(h, writable=True)
+                       for h, _lo, _hi in spec["parts"]]
+               for array, spec in envelope["outputs"].items()}
+    context = None
     hits0 = misses0 = 0
     if cache is not None:
         hits0, misses0 = cache.hits, cache.misses
-        meta[OPERAND_CONTEXT_KEY] = OperandContext(
-            cache, envelope["generations"])
-    envelope["fn"](inputs, outs, meta)
-    for tmp, base, parts in scatters:
-        for handle, plo, phi in parts:
-            view = shm_mod.attach_view(handle, writable=True)
-            view[:] = tmp[plo - base:phi - base]
-        bytes_copied += int(tmp.nbytes)
-    reply = {"ok": True, "bytes_copied": bytes_copied}
+        context = OperandContext(cache, envelope["generations"])
+    reply = {"ok": True, "bytes_copied": run_task_body(
+        envelope["fn"], envelope["meta"], inputs, outputs, context)}
     if cache is not None:
         reply["opcache_hits"] = cache.hits - hits0
         reply["opcache_misses"] = cache.misses - misses0

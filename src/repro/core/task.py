@@ -12,12 +12,16 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
 
-from repro.core.errors import SchedulingError
+import numpy as np
 
-#: A task body: fn(inputs: dict[str, np.ndarray], outputs: dict[str, np.ndarray])
-#: Inputs are read-only views of whole arrays; outputs are writable buffers
-#: the engine publishes on completion.
-TaskFn = Callable[[dict, dict], None]
+from repro.core.errors import SchedulingError
+from repro.core.iofilter import block_buffer
+from repro.core.opcache import OPERAND_CONTEXT_KEY, OperandContext
+
+#: A task body: fn(inputs: dict[str, np.ndarray], outputs: dict[str, np.ndarray],
+#: meta: dict).  Inputs are read-only views of whole arrays; outputs are
+#: writable buffers the engine publishes on completion.
+TaskFn = Callable[[dict, dict, dict], None]
 
 
 @dataclass(frozen=True)
@@ -76,3 +80,50 @@ def task(
         splittable=splittable,
         meta=dict(meta),
     )
+
+
+def run_task_body(fn: TaskFn, meta: dict[str, Any],
+                  inputs: dict[str, list[np.ndarray]],
+                  outputs: dict[str, list[np.ndarray]],
+                  context: OperandContext | None = None) -> int:
+    """Call a task body on its operands, on either worker plane; returns
+    the bytes copied to do so.
+
+    ``inputs`` and ``outputs`` map an array to the granted views of it in
+    block order; an output's views tile the one span the task writes.  An
+    operand of one view is handed to the body as it is.  A multi-block
+    one is reassembled with a copy — "trading performance for semantic
+    simplicity": an input gathered into a buffer frozen like the sealed
+    views it came from, an output computed into a temporary and
+    scattered.  These are the only deterministic copies left on the data
+    plane, so CI can treat any increase of ``bytes_copied`` as a
+    regression.  ``context`` reaches the body through ``meta`` (the fn
+    signature stays): the node's operand cache plus the seal generations
+    of the read grants, the freshness proof for cache keys.
+    """
+    copied = 0
+    ins: dict[str, np.ndarray] = {}
+    for array, parts in inputs.items():
+        if len(parts) == 1:
+            ins[array] = parts[0]
+            continue
+        whole = np.concatenate(parts, out=block_buffer(
+            sum(map(len, parts)), parts[0].dtype))
+        whole.flags.writeable = False
+        copied += int(whole.nbytes)
+        ins[array] = whole
+    outs = {array: parts[0] if len(parts) == 1 else block_buffer(
+                sum(map(len, parts)), parts[0].dtype)
+            for array, parts in outputs.items()}
+    if context is not None:
+        meta = {**meta, OPERAND_CONTEXT_KEY: context}
+    fn(ins, outs, meta)
+    for array, parts in outputs.items():
+        if len(parts) == 1:
+            continue
+        temp, at = outs[array], 0
+        for part in parts:
+            part[:] = temp[at:at + len(part)]
+            at += len(part)
+        copied += int(temp.nbytes)
+    return copied

@@ -106,14 +106,14 @@ def test_dooc001_still_checks_the_engines_worker():
     import inspect
 
     from repro.analysis.rules import REQUEST_FUNCS
-    from repro.core import engine
+    from repro.core import worker
 
-    source = inspect.getsource(engine._WorkerFilter)
+    source = inspect.getsource(worker._WorkerFilter)
     calls = {node.func.attr for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)}
     assert calls & REQUEST_FUNCS == {"_acquire"}
-    assert [v for v in lint_file(engine.__file__) if v.code == "DOOC001"] == []
+    assert [v for v in lint_file(worker.__file__) if v.code == "DOOC001"] == []
 
 
 # -- DOOC002: dropped Effect lists -------------------------------------------

@@ -257,6 +257,44 @@ class TestSchedulerSurfaces:
         assert [t.name for t in ls.pending_tasks()] == ["a"]
 
 
+class TestCoreLayout:
+    """``core/`` reads as the paper's services: each filter beside the
+    core it drives, one rule, one task-body runner."""
+
+    CORE = Path(__file__).parents[1] / "src" / "repro" / "core"
+
+    def test_the_engine_module_defines_no_filter(self):
+        import repro.core.engine as engine
+
+        here = [name for name, obj in vars(engine).items()
+                if inspect.isclass(obj) and issubclass(obj, Filter)
+                and obj.__module__ == engine.__name__]
+        assert here == []
+        lines = len((self.CORE / "engine.py").read_text().splitlines())
+        assert lines < 900
+
+    def test_one_call_site_invokes_a_task_body(self):
+        # fn(inputs, outs, meta): a bare call of three positional arguments
+        # on a name or attribute called ``fn``.
+        sites = []
+        for path in sorted(self.CORE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and len(node.args) == 3):
+                    continue
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute)
+                        else f.slice.value
+                        if isinstance(f, ast.Subscript)
+                        and isinstance(f.slice, ast.Constant) else None)
+                if name == "fn":
+                    sites.append(f"{path.name}:{node.lineno}")
+        assert len(sites) == 1 and sites[0].startswith("task.py:"), sites
+
+    def test_pick_is_gone(self):
+        assert not hasattr(LocalSchedulerCore, "pick")
+
+
 class TestPartitionSurfaces:
     def test_coords_and_part_range(self):
         p = GridPartition(10, 2)

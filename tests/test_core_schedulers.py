@@ -93,7 +93,7 @@ class TestLocalScheduler:
         ls.add_ready(task("cold", noop, ["A0"], ["y0"]))
         ls.add_ready(task("hot", noop, ["A1"], ["y1"]))
         nbytes = {"A0": 100, "A1": 100}
-        picked = ls.pick(resident={"A1"}, nbytes=nbytes)
+        picked = ls.choose(resident={"A1"}, nbytes=nbytes).task
         assert picked.name == "hot"
 
     def test_prefers_more_resident_bytes(self):
@@ -101,7 +101,7 @@ class TestLocalScheduler:
         ls.add_ready(task("a", noop, ["big", "m1"], ["y0"]))
         ls.add_ready(task("b", noop, ["small", "m2"], ["y1"]))
         nbytes = {"big": 1000, "small": 10, "m1": 500, "m2": 500}
-        picked = ls.pick(resident={"big", "small"}, nbytes=nbytes)
+        picked = ls.choose(resident={"big", "small"}, nbytes=nbytes).task
         assert picked.name == "a"
 
     def test_lifo_tie_break_gives_back_and_forth(self):
@@ -111,7 +111,7 @@ class TestLocalScheduler:
         for v in range(3):
             ls.add_ready(task(f"col{v}", noop, [f"A{v}"], [f"y{v}"]))
         nbytes = {f"A{v}": 100 for v in range(3)}
-        order = [ls.pick(set(), nbytes).name for _ in range(3)]
+        order = [ls.choose(set(), nbytes).task.name for _ in range(3)]
         assert order == ["col2", "col1", "col0"]
 
     def test_residency_beats_lifo(self):
@@ -119,11 +119,11 @@ class TestLocalScheduler:
         for v in range(3):
             ls.add_ready(task(f"col{v}", noop, [f"A{v}"], [f"y{v}"]))
         nbytes = {f"A{v}": 100 for v in range(3)}
-        assert ls.pick({"A0"}, nbytes).name == "col0"
+        assert ls.choose({"A0"}, nbytes).task.name == "col0"
 
     def test_pick_empty_returns_none(self):
         ls = self.mk()
-        assert ls.pick(set(), {}) is None
+        assert ls.choose(set(), {}).task is None
 
     def test_duplicate_ready_rejected(self):
         ls = self.mk()
@@ -183,6 +183,68 @@ class TestLocalScheduler:
     def test_split_one_part_is_identity(self):
         t = task("t", noop, [], ["y"], splittable=True)
         assert LocalSchedulerCore.split(t, 1) == [t]
+
+
+class TestWaitOrForce:
+    """``LocalSchedulerCore.choose`` is the rule the engine's local
+    scheduler runs when a worker is idle (DESIGN.md, section 6): it waits
+    for messages, never for the clock, and forces a demand load only when
+    no message is coming.  Two ready tasks, ``new`` readied last."""
+
+    NBYTES = {"A0": 100, "A1": 100}
+
+    def core(self, **kw):
+        ls = LocalSchedulerCore(0, **kw)
+        ls.add_ready(task("old", noop, ["A0"], ["y0"]))
+        ls.add_ready(task("new", noop, ["A1"], ["y1"]))
+        return ls
+
+    def choose(self, ls, resident=(), **accounting):
+        before = ls.ready_count
+        d = ls.choose(set(resident), self.NBYTES, **accounting)
+        # A task handed out is claimed; waiting and syncing touch nothing.
+        assert ls.ready_count == before - (d.task is not None)
+        assert (d.task is not None) == (d.action in ("run", "force"))
+        return d.action, d.task and d.task.name, d.why
+
+    def test_reorder_off_runs_the_first_ready_whatever_is_resident(self):
+        ls = self.core(reorder=False)
+        assert self.choose(ls, {"A1"}, inflight=1, loading={"A0"}) == (
+            "run", "old", "")
+
+    def test_a_fully_resident_task_runs_ahead_of_a_bigger_partial_one(self):
+        ls = LocalSchedulerCore(0)
+        ls.add_ready(task("full", noop, ["A0"], ["y0"]))
+        ls.add_ready(task("partial", noop, ["big", "cold"], ["y1"]))
+        d = ls.choose({"A0", "big"}, {"A0": 100, "big": 1000, "cold": 10},
+                      inflight=1, syncing=True)
+        assert (d.action, d.task.name) == ("run", "full")
+
+    @pytest.mark.parametrize("in_flight", [
+        {"inflight": 1}, {"loading": {"A0"}}, {"syncing": True}])
+    def test_nothing_resident_and_something_in_flight_waits(self, in_flight):
+        assert self.choose(self.core(), unsynced=True, declined={"A1"},
+                           **in_flight) == ("wait", None, "")
+
+    def test_unsynced_completions_sync_before_anything_is_forced(self):
+        ls = self.core()
+        assert self.choose(ls, unsynced=True) == ("sync", None, "")
+        # The driver now has the request in flight: asked once, it waits...
+        assert self.choose(ls, syncing=True) == ("wait", None, "")
+        # ...and on ``synced`` with nothing new, no message is coming.
+        assert self.choose(ls) == ("force", "new", "nothing_loading")
+
+    @pytest.mark.parametrize("declined, why", [
+        ({"A1"}, "declined"), ({"A0"}, "nothing_loading"),
+        (set(), "nothing_loading")])
+    def test_force_takes_the_top_ranked_and_says_why(self, declined, why):
+        assert self.choose(self.core(), declined=declined) == (
+            "force", "new", why)
+
+    def test_an_empty_pool_waits(self):
+        ls = LocalSchedulerCore(0)
+        assert self.choose(ls, {"A0"}) == ("wait", None, "")
+        assert self.choose(ls, unsynced=True) == ("wait", None, "")
 
 
 class TestDirectory:

@@ -18,10 +18,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import DOoCEngine, DoocError, Program, StorageError
+from repro.core import (
+    DOoCEngine,
+    DoocError,
+    Program,
+    StorageError,
+    TaskFailedError,
+)
 from repro.core import iofilter
+from repro.core.procplane import ProcessWorkerPool, build_envelope
 from repro.core.storage import LocalStore
+from repro.core.task import run_task_body
+from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
+from repro.obs import Tracer
 from repro.core.shm import (
     SLAB_BYTES,
     SMALL_BLOCK_BYTES,
@@ -64,6 +74,15 @@ def fan_out_fn(ins, outs, meta):
 
 def write_input_fn(ins, outs, meta):
     ins["x"][:] = 0.0  # must raise: sealed buffers are frozen everywhere
+
+
+def scribble_fn(ins, outs, meta):
+    outs["y"][:] = 1.0
+    ins["x"][0] = 0  # must raise, however many blocks "x" has
+
+
+def saxpy_fn(ins, outs, meta):
+    outs["y"][:] = 2.0 * ins["x"] + ins["b"]
 
 
 def crash_once_fn(ins, outs, meta):
@@ -372,6 +391,100 @@ class TestFrozenAcrossProcesses:
         finally:
             eng.cleanup()
         # Even the failed run must not leak /dev/shm entries.
+        assert dev_shm_segments() == []
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+@pytest.mark.parametrize("plane", ["thread", "process"])
+class TestInputsAreFrozenEverywhere:
+    """What a body may do to an input depends on neither the plane nor the
+    layout: a one-block input is a sealed view, a multi-block one is
+    gathered into a buffer frozen like it."""
+
+    def test_a_body_writing_an_input_fails_the_task(
+            self, tmp_path, plane, blocks):
+        prog = Program("scribble", default_block_elems=64 // blocks)
+        prog.initial_array("x", np.ones(64))
+        prog.array("y", 64)
+        prog.add_task("bad", scribble_fn, ["x"], ["y"])
+        tracer = Tracer(enabled=True)
+        eng = DOoCEngine(n_nodes=1, workers=1, scratch_dir=tmp_path,
+                         worker_plane=plane, trace=tracer,
+                         task_max_attempts=2)
+        try:
+            with pytest.raises(FilterError, match="ValueError.*read-only") \
+                    as failure:
+                eng.run(prog, timeout=60)
+            assert isinstance(failure.value.cause, TaskFailedError)
+            # Reported, retried here, then escalated: the normal path.
+            names = [e.name for e in tracer.events()]
+            assert names.count("task_failed") == 2
+            assert names.count("task_retry") == 1
+            assert names.count("task_escalate") == 1
+            metrics = eng.stores[0].metrics.as_dict()
+            assert metrics["writes_abandoned"] == 2 * blocks
+            assert metrics.get("process_plane_fallbacks", 0) == 0
+            # What the body wrote before it failed was never published.
+            with pytest.raises(DoocError, match="never produced"):
+                eng.fetch("y")
+        finally:
+            eng.cleanup()
+        assert dev_shm_segments() == []
+
+
+class TestOneRunnerForBothPlanes:
+    """``run_task_body`` on plain arrays (the thread plane's tickets) and
+    the same operands as ``BlockHandle``s in a real worker process: the
+    same bytes out, the same ``bytes_copied``."""
+
+    @pytest.mark.parametrize("x_blocks, y_blocks, copied", [
+        (1, 1, 0), (3, 1, 48 * 8), (1, 3, 48 * 8)])
+    def test_same_bytes_same_copies(self, x_blocks, y_blocks, copied):
+        n = 48
+        x, b = np.arange(n, dtype=float), np.full(n, 0.5)
+        pool = SegmentPool(tag="parity")
+        workers = ProcessWorkerPool(1, 1, 0)
+        workers.start()
+        try:
+            def shared(values, blocks, writable=False):
+                """``values`` as ``blocks`` equal spans of shared memory:
+                the parent's views and the handles a child maps."""
+                views, handles = [], []
+                for part in np.split(values, blocks):
+                    key = pool.allocate(part.nbytes)
+                    view = pool.ndarray(key, len(part), "float64")
+                    view[:] = part
+                    view.flags.writeable = writable
+                    segment, offset = pool.locate(key)
+                    views.append(view)
+                    handles.append(BlockHandle(
+                        segment=segment, offset=offset, count=len(part),
+                        dtype="float64"))
+                return views, handles
+
+            x_views, x_handles = shared(x, x_blocks)
+            b_views, b_handles = shared(b, 1)
+            y_views, y_handles = shared(np.zeros(n), y_blocks, writable=True)
+            plain = [np.zeros(n // y_blocks) for _ in range(y_blocks)]
+            here = run_task_body(
+                saxpy_fn, {}, {"x": [v.copy() for v in x_views],
+                               "b": [v.copy() for v in b_views]},
+                {"y": plain})
+            bounds = np.arange(y_blocks + 1) * (n // y_blocks)
+            reply = workers.run_envelope(0, 0, build_envelope(
+                saxpy_fn, {}, {"x": x_handles, "b": b_handles},
+                {"y": {"dtype": "float64", "lo": 0, "hi": n,
+                       "parts": list(zip(y_handles, bounds, bounds[1:]))}},
+                {"x": (0,) * x_blocks, "b": (0,)}))
+            assert reply == {"ok": True, "bytes_copied": copied}
+            assert here == copied
+            want = (2.0 * x + b).tobytes()
+            assert np.concatenate(plain).tobytes() == want
+            assert np.concatenate(y_views).tobytes() == want
+            del x_views, b_views, y_views
+        finally:
+            workers.shutdown()
+            pool.close()
         assert dev_shm_segments() == []
 
 

@@ -127,9 +127,9 @@ def test_pick_drains_all_tasks_exactly_once(n_tasks, resident_mask, seed):
     nbytes = {f"A{i}": 100 for i in range(n_tasks)}
     picked = []
     while ls.ready_count:
-        picked.append(ls.pick(resident, nbytes).name)
+        picked.append(ls.choose(resident, nbytes).task.name)
     assert sorted(picked) == sorted(names)
-    assert ls.pick(resident, nbytes) is None
+    assert ls.choose(resident, nbytes).task is None
 
 
 @given(
@@ -205,7 +205,7 @@ def test_scheduler_cores_execute_any_dag_to_completion(problem, reorder):
         assert guard < 10_000, "executor failed to make progress"
         progressed = False
         for node, core in cores.items():
-            t = core.pick(set(resident[node]), sizes)
+            t = core.choose(set(resident[node]), sizes).task
             if t is None:
                 continue
             progressed = True

@@ -27,14 +27,14 @@ class TestCoreFifoMode:
         ls = LocalSchedulerCore(0, reorder=False)
         ls.add_ready(task("cold", noop, ["A0"], ["y0"]))
         ls.add_ready(task("hot", noop, ["A1"], ["y1"]))
-        picked = ls.pick(resident={"A1"}, nbytes={"A0": 1, "A1": 1})
+        picked = ls.choose(resident={"A1"}, nbytes={"A0": 1, "A1": 1}).task
         assert picked.name == "cold"  # strict FIFO
 
     def test_fifo_is_stable(self):
         ls = LocalSchedulerCore(0, reorder=False)
         for i in range(5):
             ls.add_ready(task(f"t{i}", noop, [], [f"y{i}"]))
-        order = [ls.pick(set(), {}).name for _ in range(5)]
+        order = [ls.choose(set(), {}).task.name for _ in range(5)]
         assert order == [f"t{i}" for i in range(5)]
 
 

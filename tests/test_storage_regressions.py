@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core import DOoCEngine, Program
-from repro.core.engine import _LocalSchedulerFilter, _StorageFilter
 from repro.core.errors import StorageError
 from repro.core.interval import Interval, whole_block
+from repro.core.local_scheduler import _LocalSchedulerFilter
 from repro.core.storage import LocalStore
+from repro.core.storage_filter import _StorageFilter
 
 
 def desc(name="a", length=100, block=50, dtype="float64"):
@@ -277,6 +278,31 @@ class TestForgetPrefetchWiring:
         # the request names the ready tasks' inputs, outputs excluded
         assert ctx.writes == [("to_storage", {"op": "map", "arrays": {"a"}})]
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
+
+    def test_lsched_filter_carries_out_what_the_core_decides(self):
+        """The rule is ``LocalSchedulerCore.choose``; what is left to the
+        filter is the ``sync`` message — one per batch of completions —
+        and the account of a forced dispatch."""
+        from repro.core.task import TaskSpec
+        from repro.obs import Tracer
+        from repro.obs.metrics import MetricsRegistry
+
+        tracer, metrics = Tracer(enabled=True), MetricsRegistry()
+        filt = _LocalSchedulerFilter(0, workers=1, nbytes={"a": 8, "y": 8},
+                                     tracer=tracer, metrics=metrics)
+        filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
+        filt._unsynced = True  # a completion went to the global scheduler
+        ctx = _RecordingCtx()
+        assert filt._choose(ctx, set(), {"a"}) is None
+        assert filt._choose(ctx, set(), {"a"}) is None  # asked; now waits
+        assert ctx.writes == [("to_gsched", {"op": "sync", "node": 0})]
+        assert "forced_dispatches" not in metrics.as_dict()
+        filt._syncing = False  # the ``synced`` reply
+        assert filt._choose(ctx, set(), {"a"}).name == "t"
+        assert len(ctx.writes) == 1 and filt.core.ready_count == 0
+        assert metrics.as_dict()["forced_dispatches"] == 1
+        (event,) = [e for e in tracer.events() if e.name == "forced_dispatch"]
+        assert event.args == {"task": "t", "why": "declined"}
 
 
 class TestPumpAllocsBehaviour:
