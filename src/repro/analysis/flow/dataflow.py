@@ -32,6 +32,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, dotted_expr
+from repro.analysis.lint import EFFECT_FUNCS
 
 __all__ = [
     "SealFact",
@@ -70,17 +71,6 @@ DEST_WRITE_FUNCS = frozenset({
 
 #: callables that grant read-only tickets (ticket.data is a sealed view)
 READ_GRANT_FUNCS = frozenset({"request_read"})
-
-#: LocalStore methods returning list[Effect] (mirror of rules.EFFECT_FUNCS;
-#: duplicated here so the flow package never imports the per-file rules)
-EFFECT_FUNCS = frozenset({
-    "release", "prefetch", "delete_array",
-    "on_loaded", "on_spilled", "on_remote_data",
-    "on_load_failed", "on_fetch_failed", "on_spill_failed",
-    "abandon_write", "rehome_local", "rehome_remote",
-    "_pump_allocs", "_wake_readers", "_reclaim", "_fail_waiters",
-    "_drive_read", "_alloc_then", "_purge_blocks",
-})
 
 _LOCKISH_FRAGMENTS = ("lock", "cond", "mutex", "sem")
 

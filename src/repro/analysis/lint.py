@@ -36,10 +36,22 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "DEFAULT_PATH_RELAXATIONS",
+    "EFFECT_FUNCS",
 ]
 
 #: code used when a file cannot be parsed at all
 PARSE_ERROR_CODE = "DOOC000"
+
+#: ``LocalStore`` methods returning ``list[Effect]`` the caller must execute
+#: (DOOC002, DOOC012); a test keeps it equal to the methods so annotated
+EFFECT_FUNCS = frozenset({
+    "release", "prefetch", "delete_array", "retain", "abandon_write",
+    "on_loaded", "on_spilled", "on_remote_data",
+    "on_load_failed", "on_fetch_failed", "on_spill_failed",
+    "rehome_local", "rehome_remote", "recover_remote",
+    "_apply", "_admit", "_deny", "_forget_blocks", "_purge_blocks",
+    "_pump_allocs", "_wake_readers", "_reclaim", "_fail_waiters",
+})
 
 #: directories whose files exercise the raw protocol on purpose (tests poke
 #: the storage state machine directly and assert on the returned effects)

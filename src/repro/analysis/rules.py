@@ -53,7 +53,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.lint import Violation, register
+from repro.analysis.lint import EFFECT_FUNCS, Violation, register
 from repro.obs.vocab import EVENT_NAMES
 
 __all__ = [
@@ -73,16 +73,6 @@ REQUEST_FUNCS = frozenset({
 RELEASE_FUNCS = frozenset({
     "release", "release_all", "_release_all",
     "abandon", "abandon_write", "_abort", "abort",
-})
-
-#: LocalStore methods returning ``list[Effect]`` the caller must execute
-EFFECT_FUNCS = frozenset({
-    "release", "prefetch", "delete_array", "retain",
-    "on_loaded", "on_spilled", "on_remote_data",
-    "on_load_failed", "on_fetch_failed", "on_spill_failed",
-    "abandon_write", "rehome_local", "rehome_remote",
-    "_pump_allocs", "_wake_readers", "_reclaim", "_fail_waiters",
-    "_drive_read", "_alloc_then", "_purge_blocks",
 })
 
 #: Tracer emit methods whose 4th positional argument is the event name

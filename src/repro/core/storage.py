@@ -1,4 +1,4 @@
-"""The per-node storage layer: a pure, effect-emitting state machine.
+"""The per-node storage layer: one block lifecycle, written as one table.
 
 This module implements the semantics of Section III-B:
 
@@ -13,12 +13,16 @@ This module implements the semantics of Section III-B:
   otherwise;
 * **prefetch** warms blocks ahead of use; loads and spills are asynchronous.
 
+``_TABLE`` maps every (state, event) pair of a block to its outcome, or
+to a refusal or an ignore (DESIGN.md §6 prints it); ``_apply`` alone
+changes a block's status, the bytes ``in_use`` charges for it and the
+transfers in flight.  Work waiting for memory is queued as data.
+
 The class is *pure*: every public method returns a list of
 :class:`Effect` records (``load``, ``spill``, ``drop``, ``fetch_remote``,
-``grant_read``, ``grant_write``) that the driver — the threaded storage
-filter, the DES testbed node, or a unit test — executes and answers via
-``on_loaded`` / ``on_spilled`` / ``on_remote_data``.  Purity is what lets
-the real engine and the simulator share one storage implementation.
+``grant_read``, ``grant_write``, ``deny``) that its driver — the storage
+filter or a unit test — executes and answers via ``on_loaded`` /
+``on_spilled`` / ``on_remote_data`` or their failure twins.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import itertools
 from collections import deque
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
-from typing import Any, Literal
+from typing import Any, Literal, NamedTuple
 
 import numpy as np
 
@@ -37,15 +41,16 @@ from repro.core.interval import Interval, Permission
 from repro.core.iofilter import block_buffer
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Effect", "Ticket", "LocalStore"]
+__all__ = ["Effect", "Ticket", "LocalStore", "STATES", "EVENTS"]
 
 
 @dataclass(frozen=True)
 class Effect:
     """An action the driver must perform on behalf of the store.
 
-    ``deny`` is the failure counterpart of ``grant_read``: the ticket's
-    backing I/O failed permanently, and the driver must route ``error``
+    ``deny`` is the failure counterpart of ``grant_read`` and
+    ``grant_write``: the ticket's backing I/O failed permanently, or no
+    memory can ever be found for it, and the driver must route ``error``
     back to the requester instead of a grant.
     """
 
@@ -89,9 +94,57 @@ class Ticket:
 # Block residency states
 _ABSENT = "absent"
 _LOADING = "loading"
+_FETCHING = "fetching"
 _RESIDENT = "resident"
 _SPILLING = "spilling"
-_FETCHING = "fetching"
+STATES = (_ABSENT, _LOADING, _FETCHING, _RESIDENT, _SPILLING)
+#: a request, a driver's answer, a reclaim, a ticket handed back, the array going
+EVENTS = ("read", "write", "prefetch", "loaded", "load_failed", "fetched",
+          "fetch_failed", "spilled", "spill_failed", "evict", "release",
+          "abandon", "forget")
+
+
+class Cell(NamedTuple):
+    """One event on a block in one state: the states it may move to ("a|b":
+    a guard picks), its ``_apply`` case ("refuse" raises) and counters."""
+
+    to: str
+    do: str
+    counter: str = ""
+
+
+_REFUSE, _IGNORE = Cell("", "refuse"), Cell("", "ignore")
+_STALE = Cell("", "ignore", "stale_blockdata")  # fetch replies may repeat
+_WAIT = Cell("", "wait", "read_waits")
+_GONE = Cell("absent", "forget")
+
+#: The block lifecycle: (state, event) -> outcome, rows in ``STATES`` order.
+_TABLE: dict[tuple[str, str], Cell] = {
+    (state, event): cell for event, cells in dict(
+        # An absent block's first waiter brings it in, once, for every waiter.
+        read=(Cell("loading|fetching", "demand", "read_waits"), _WAIT, _WAIT,
+              Cell("", "grant_read", "read_hits|read_waits"), _WAIT),
+        # Write-once: a sealed block refuses (request_write checks first).
+        write=(Cell("resident", "grant_write"), _REFUSE, _REFUSE, Cell("", "grant_write"), _REFUSE),
+        # Free headroom only: a prefetch never evicts and never queues.
+        prefetch=(Cell("loading|fetching", "warm", "prefetch_dropped"), _IGNORE, _IGNORE,
+                  _IGNORE, Cell("", "ignore", "prefetch_dropped")),
+        loaded=(_REFUSE, Cell("resident", "install", "loads|bytes_loaded"), _REFUSE,
+                _REFUSE, _REFUSE),
+        load_failed=(_REFUSE, Cell("absent", "unwind", "load_failures"), _REFUSE, _REFUSE, _REFUSE),
+        fetched=(_STALE, _STALE, Cell("resident", "install", "remote_fetches"), _STALE, _STALE),
+        fetch_failed=(_IGNORE, _IGNORE, Cell("absent", "unwind", "fetch_failures"),
+                      _IGNORE, _IGNORE),
+        spilled=(_REFUSE, _REFUSE, _REFUSE, _REFUSE,
+                 Cell("resident|absent", "spilled", "spills|bytes_spilled")),
+        spill_failed=(_REFUSE, _REFUSE, _REFUSE, _REFUSE,
+                      Cell("resident", "keep", "spill_failures")),
+        # LRU reclaim of an unpinned sealed block: drop it if it has a copy, else spill it.
+        evict=(_REFUSE, _REFUSE, _REFUSE, Cell("absent|spilling", "evict", "drops"), _REFUSE),
+        release=(_REFUSE, _REFUSE, _REFUSE, Cell("", "release"), _REFUSE),
+        abandon=(_REFUSE, _REFUSE, _REFUSE, Cell("absent", "abandon", "writes_abandoned"), _REFUSE),
+        forget=(Cell("", "forget"), _GONE, _GONE, _GONE, _GONE),
+    ).items() for state, cell in zip(STATES, cells, strict=True)}
 
 
 @dataclass
@@ -122,12 +175,13 @@ class _BlockState:
     def pinned(self) -> bool:
         return self.readers > 0 or self.writers > 0 or bool(self.read_waiters)
 
+    @property
+    def busy(self) -> bool:  # pinned or in transit: its array may not go now
+        return self.pinned or self.status in (_LOADING, _SPILLING, _FETCHING)
+
     def covers(self, lo: int, hi: int) -> bool:
         """Is [lo, hi) fully inside the written ranges?"""
         return any(wlo <= lo and hi <= whi for wlo, whi in self.written)
-
-    def overlaps_written(self, lo: int, hi: int) -> bool:
-        return any(lo < whi and wlo < hi for wlo, whi in self.written)
 
     def add_written(self, lo: int, hi: int) -> None:
         """Merge [lo, hi) into the written set."""
@@ -168,8 +222,10 @@ class LocalStore:
         self._write_tickets: dict[tuple[str, int], list[Ticket]] = {}
         #: (array, block) of every load or remote fetch in flight
         self._in_flight: set[tuple[str, int]] = set()
-        # FIFO of (needed_bytes, thunk) waiting for memory; thunk returns effects.
-        self._alloc_queue: deque[tuple[int, Any]] = deque()
+        #: (block, "read" | "write", ticket) waiting for memory
+        self._alloc_queue: deque[tuple[_BlockState, str, Ticket]] = deque()
+        #: (array, block) -> error of a spill that failed: not evicted again
+        self._spill_failed: dict[tuple[str, int], str] = {}
         self.metrics = MetricsRegistry(node)
         #: Optional :class:`repro.analysis.tickets.TicketAuditor`; when set
         #: (engine under ``DOOC_CHECKERS=1``) every grant/release/abandon is
@@ -177,9 +233,9 @@ class LocalStore:
         #: production — the hooks cost a single attribute test.
         self.auditor: Any = None
         #: Optional :class:`repro.core.opcache.DecodedOperandCache` shared
-        #: by this node's workers; when set, every buffer reclaim
-        #: (``_free``) and array deletion invalidates the entries decoded
-        #: from those bytes.  ``None`` when the cache is disabled.
+        #: by this node's workers; when set, every buffer reclaim and array
+        #: deletion invalidates the entries decoded from those bytes.
+        #: ``None`` when the cache is disabled.
         self.opcache: Any = None
 
     # -- array registration ----------------------------------------------------
@@ -198,17 +254,11 @@ class LocalStore:
         of the arrays as well as their sizes".
         """
         self.create_array(desc)
-        for b in desc.blocks():
-            st = self._state(desc.name, b)
-            st.on_disk = True
-            st.sealed = True
-            st.written = [desc.block_bounds(b)]
+        self._seal_on_disk(desc)
 
     def register_remote(self, desc: ArrayDesc) -> None:
         """Declare an array homed on another node (fetchable, cache-droppable)."""
-        if desc.name in self.arrays:
-            raise StorageError(f"array {desc.name!r} already exists on node {self.node}")
-        self.arrays[desc.name] = desc
+        self.create_array(desc)
         self._remote_arrays.add(desc.name)
 
     def delete_array(self, name: str) -> list[Effect]:
@@ -220,28 +270,11 @@ class LocalStore:
         retried by the driver once the pin is released).
         """
         desc = self._desc(name)
-        states = [
+        effects = self._forget_blocks(name, [
             st for b in desc.blocks()
-            if (st := self._blocks.get((name, b))) is not None
-        ]
-        for st in states:
-            if st.pinned or st.status in (_LOADING, _SPILLING, _FETCHING):
-                raise StorageError(
-                    f"cannot delete {name!r}: block {st.block} is in use "
-                    f"on node {self.node}"
-                )
-        effects: list[Effect] = []
-        for st in states:
-            if st.data is not None:
-                self._free(st)
-            effects.append(Effect("drop", name, st.block))
-            del self._blocks[(name, st.block)]
-        del self.arrays[name]
-        self._remote_arrays.discard(name)
-        if self.opcache is not None:
-            self.opcache.invalidate(name)
-        effects.extend(self._pump_allocs())
-        return effects
+            if (st := self._blocks.get((name, b))) is not None], "delete")
+        self._unregister(name)
+        return effects + self._pump_allocs()
 
     def retain(self, keep: Collection[str]) -> list[Effect]:
         """Between runs: forget every array not named in ``keep``.
@@ -263,24 +296,10 @@ class LocalStore:
         effects: list[Effect] = []
         for name in list(self.arrays):
             states = by_array.get(name, [])
-            if name in keep and not any(
-                    st.pinned or st.status in (_LOADING, _SPILLING, _FETCHING)
-                    for st in states):
+            if name in keep and not any(st.busy for st in states):
                 continue
-            for st in states:
-                if st.data is not None:
-                    self._free(st)
-                    effects.append(Effect("drop", name, st.block))
-                elif (name, st.block) in self._in_flight:
-                    self.in_use -= st.nbytes  # the reservation of the load
-                    self._in_flight.discard((name, st.block))
-                    if st.segment is not None:
-                        self.segment_pool.free(st.segment)
-                del self._blocks[(name, st.block)]
-            del self.arrays[name]
-            self._remote_arrays.discard(name)
-            if self.opcache is not None:
-                self.opcache.invalidate(name)
+            effects.extend(self._forget_blocks(name, states, "", force=True))
+            self._unregister(name)
         return effects
 
     def mark_on_disk(self, name: str) -> None:
@@ -305,219 +324,78 @@ class LocalStore:
     def request_read(self, interval: Interval) -> tuple[Ticket, list[Effect]]:
         """Ask for read access; the grant arrives as a ``grant_read`` effect
         (immediately in the returned list when possible)."""
-        desc = self._desc(interval.array)
-        interval.validate_against(desc)
+        st = self._block_of(interval)
         ticket = Ticket(next(self._tids), interval, Permission.READ)
-        st = self._state(interval.array, interval.block)
-        effects = self._drive_read(st, ticket)
-        return ticket, effects
+        st.lru = next(self._clock)
+        return ticket, self._apply(st, "read", ticket)
 
     def request_write(self, interval: Interval) -> tuple[Ticket, list[Effect]]:
         """Ask for write access to a never-written range."""
-        desc = self._desc(interval.array)
-        interval.validate_against(desc)
         if interval.array in self._remote_arrays:
             raise StorageError(
                 f"node {self.node} cannot write remote-homed array {interval.array!r}"
             )
-        st = self._state(interval.array, interval.block)
+        st = self._block_of(interval)
         if st.sealed or st.on_disk:
             raise ImmutabilityError(
                 f"block {interval.block} of {interval.array!r} is sealed"
             )
-        if st.overlaps_written(interval.lo, interval.hi):
+        taken = st.written + [(t.interval.lo, t.interval.hi) for t in
+                              self._write_tickets.get((interval.array, interval.block), [])]
+        if any(interval.lo < hi and lo < interval.hi for lo, hi in taken):
             raise ImmutabilityError(
                 f"range [{interval.lo}, {interval.hi}) of {interval.array!r} "
-                "overlaps an already-written range"
-            )
-        for other in self._outstanding_writes(interval.array, interval.block):
-            if interval.lo < other.interval.hi and other.interval.lo < interval.hi:
-                raise ImmutabilityError(
-                    f"range [{interval.lo}, {interval.hi}) of {interval.array!r} "
-                    "overlaps an outstanding write ticket"
-                )
+                "overlaps a range already written or being written")
         ticket = Ticket(next(self._tids), interval, Permission.WRITE)
-        st.writers += 1
-        self._write_tickets.setdefault((interval.array, interval.block), []).append(ticket)
-        effects = self._alloc_then(st, lambda: self._grant_write(st, ticket))
-        return ticket, effects
+        return ticket, self._apply(st, "write", ticket)
 
     def release(self, ticket: Ticket) -> list[Effect]:
         """Return an interval. Write releases publish the data."""
-        if ticket.released:
-            raise StorageError(f"ticket {ticket.tid} released twice")
-        if not ticket.granted:
-            raise StorageError(f"ticket {ticket.tid} released before being granted")
-        ticket.released = True
-        if self.auditor is not None:
-            self.auditor.note_released(self.node, ticket)
-        iv = ticket.interval
-        st = self._state(iv.array, iv.block)
-        st.lru = next(self._clock)
-        effects: list[Effect] = []
-        if ticket.permission is Permission.READ:
-            if st.readers <= 0:
-                raise StorageError("reader refcount underflow")
-            st.readers -= 1
-        else:
-            st.writers -= 1
-            key = (iv.array, iv.block)
-            outstanding = self._write_tickets[key]
-            outstanding.remove(ticket)
-            if not outstanding:
-                # Drop the emptied entry: without this the dict gained one
-                # dead key per written block for the life of the store.
-                del self._write_tickets[key]
-            st.add_written(iv.lo, iv.hi)
-            if st.sealed and st.data is not None:
-                # Fully written + released: write-once makes the buffer
-                # immutable from here on — freeze it so zero-copy read
-                # views (and peer serves of them) are provably safe.
-                st.data.flags.writeable = False
-            effects.extend(self._wake_readers(st))
-        effects.extend(self._pump_allocs())
-        return effects
+        return self._apply(self._handed_back(ticket, "released"), "release", ticket)
 
     def abandon_pending_allocs(self) -> None:
-        """Drop queued allocations (shutdown: pending prefetches only).
-
-        Must not be called while read/write grants may still be queued — the
-        driver guarantees all task work completed first.
-        """
+        """Drop queued allocations at shutdown: the driver guarantees all
+        task work completed first, so no queued grant is still wanted."""
         self._alloc_queue.clear()
 
     def prefetch(self, interval: Interval) -> list[Effect]:
         """Warm a block without pinning it (no grant is produced)."""
-        desc = self._desc(interval.array)
-        interval.validate_against(desc)
-        st = self._state(interval.array, interval.block)
-        if st.status == _RESIDENT or st.status in (_LOADING, _FETCHING):
-            return []
-        if st.status == _SPILLING:
-            self.metrics.inc("prefetch_dropped")
-            return []  # will be dropped; re-request later
-        if st.on_disk:
-            return self._alloc_then(st, lambda: self._begin_load(st),
-                                    prefetch=True)
-        if st.desc.name in self._remote_arrays:
-            return self._alloc_then(st, lambda: self._begin_fetch(st),
-                                    prefetch=True)
-        return []  # not yet written anywhere: nothing to warm
+        return self._apply(self._block_of(interval), "prefetch")
 
-    # -- async completions ---------------------------------------------------------
+    # -- completions ------------------------------------------------------------------
 
     def on_loaded(self, array: str, block: int, data: np.ndarray) -> list[Effect]:
         """Driver finished a ``load`` effect."""
-        st = self._state(array, block)
-        if st.status != _LOADING:
-            raise StorageError(f"unexpected load completion for {array}[{block}]")
-        self._install(st, data)
-        self.metrics.inc("loads", label=array)
-        self.metrics.inc("bytes_loaded", st.nbytes)
-        effects = self._wake_readers(st)
-        # The block just became evictable (if unpinned): queued allocations
-        # may now be satisfiable by reclaiming it.
-        effects.extend(self._pump_allocs())
-        return effects
+        return self._apply(self._state(array, block), "loaded", data=data)
 
     def on_remote_data(self, array: str, block: int, data: np.ndarray) -> list[Effect]:
-        """Driver finished a ``fetch_remote`` effect.
-
-        Duplicate deliveries (the fetch path retransmits requests whose
-        reply may merely be slow or dropped) are ignored rather than
-        treated as protocol violations.
-        """
-        st = self._state(array, block)
-        if st.status != _FETCHING:
-            self.metrics.inc("stale_blockdata")
-            return []
-        self._install(st, data)
-        st.remote = True
-        self.metrics.inc("remote_fetches")
-        effects = self._wake_readers(st)
-        effects.extend(self._pump_allocs())
-        return effects
+        """Driver finished a ``fetch_remote`` effect; a duplicate delivery
+        (fetches are retransmitted when the reply is slow) is ignored."""
+        return self._apply(self._state(array, block), "fetched", data=data)
 
     def on_spilled(self, array: str, block: int) -> list[Effect]:
         """Driver finished a ``spill`` effect: the block is now on disk."""
-        st = self._state(array, block)
-        if st.status != _SPILLING:
-            raise StorageError(f"unexpected spill completion for {array}[{block}]")
-        st.on_disk = True
-        self.metrics.inc("spills")
-        self.metrics.inc("bytes_spilled", st.nbytes)
-        if st.pinned:
-            # Someone requested it again while it was being written out;
-            # keep the resident copy.
-            st.status = _RESIDENT
-            return self._wake_readers(st)
-        self._free(st)
-        st.status = _ABSENT
-        effects = [Effect("drop", array, block)]
-        effects.extend(self._pump_allocs())
-        return effects
-
-    # -- failure completions ---------------------------------------------------------
-
-    def _fail_waiters(self, st: _BlockState, error: str) -> list[Effect]:
-        """Deny every blocked read waiter of ``st`` (fail fast, no stall)."""
-        effects = [
-            Effect("deny", st.desc.name, st.block, ticket=t, error=error)
-            for t in st.read_waiters
-        ]
-        st.read_waiters = []
-        return effects
+        return self._apply(self._state(array, block), "spilled")
 
     def on_load_failed(self, array: str, block: int, error: str) -> list[Effect]:
-        """Driver's ``load`` effect failed permanently (retries exhausted)."""
-        st = self._state(array, block)
-        if st.status != _LOADING:
-            raise StorageError(f"unexpected load failure for {array}[{block}]")
-        self._in_flight.discard((array, block))
-        self.in_use -= st.nbytes  # release the reservation made at _begin_load
-        if st.segment is not None:
-            # The destination segment pre-allocated at _begin_load holds
-            # nothing readable; return it before anyone can lease it.
-            self.segment_pool.free(st.segment)
-            st.segment = None
-        st.status = _ABSENT
-        self.metrics.inc("load_failures")
-        effects = self._fail_waiters(st, error)
-        effects.extend(self._pump_allocs())
-        return effects
+        """Driver's ``load`` effect failed permanently (retries exhausted):
+        its waiters are denied, so they fail fast instead of stalling."""
+        return self._apply(self._state(array, block), "load_failed", error=error)
 
     def on_fetch_failed(self, array: str, block: int, error: str) -> list[Effect]:
-        """Driver's ``fetch_remote`` effect failed permanently.
-
-        Duplicate failure notices (the fetch path may retransmit) after the
-        state already unwound are ignored.
-        """
-        st = self._state(array, block)
-        if st.status != _FETCHING:
-            return []
-        self._in_flight.discard((array, block))
-        self.in_use -= st.nbytes
-        st.status = _ABSENT
-        self.metrics.inc("fetch_failures")
-        effects = self._fail_waiters(st, error)
-        effects.extend(self._pump_allocs())
-        return effects
+        """Driver's ``fetch_remote`` effect failed permanently; a duplicate
+        notice (the fetch path may retransmit) is ignored."""
+        return self._apply(self._state(array, block), "fetch_failed", error=error)
 
     def on_spill_failed(self, array: str, block: int, error: str) -> list[Effect]:
-        """Driver's ``spill`` effect failed: keep the block resident.
-
-        The data is still in memory, so nothing is lost — the reclaim that
-        wanted this block's bytes simply stays queued and a later pump will
-        retry the spill (the I/O filter retries transient errors below this
-        level; a permanently unwritable scratch disk keeps the block pinned
-        in memory, degrading capacity rather than correctness).
-        """
-        st = self._state(array, block)
-        if st.status != _SPILLING:
-            raise StorageError(f"unexpected spill failure for {array}[{block}]")
-        st.status = _RESIDENT
-        self.metrics.inc("spill_failures")
-        return self._wake_readers(st)
+        """Driver's ``spill`` effect failed permanently (the I/O filter
+        retried it): the block stays resident, nothing is lost, and it is
+        no longer evicted, so the spill is not issued again.  What waited
+        for its bytes gets another reclaim or, when such blocks leave too
+        little of the budget, is denied with ``error`` and its task
+        retried: a dead scratch disk costs capacity, then the run, never a
+        hang."""
+        return self._apply(self._state(array, block), "spill_failed", error=error)
 
     # -- task abandonment / re-execution ----------------------------------------------
 
@@ -532,47 +410,15 @@ class LocalStore:
         """
         if ticket.permission is not Permission.WRITE:
             raise StorageError("abandon_write() is for write tickets")
-        if ticket.released:
-            raise StorageError(f"ticket {ticket.tid} released twice")
-        if not ticket.granted:
-            raise StorageError(
-                f"ticket {ticket.tid} abandoned before being granted")
-        ticket.released = True
-        if self.auditor is not None:
-            self.auditor.note_abandoned(self.node, ticket)
-        iv = ticket.interval
-        st = self._state(iv.array, iv.block)
-        st.writers -= 1
-        key = (iv.array, iv.block)
-        outstanding = self._write_tickets[key]
-        outstanding.remove(ticket)
-        if not outstanding:
-            del self._write_tickets[key]
-        self.metrics.inc("writes_abandoned")
-        if (not st.pinned and not st.written and st.data is not None
-                and st.status == _RESIDENT):
-            # No released range and no other user: the buffer holds only
-            # the failed task's partial output — discard it.
-            self._free(st)
-            st.status = _ABSENT
-        return self._pump_allocs()
+        return self._apply(self._handed_back(ticket, "abandoned"), "abandon", ticket)
 
     # -- rehoming (graceful degradation) -----------------------------------------------
 
     def _purge_blocks(self, name: str) -> list[Effect]:
         """Forget all block state of ``name`` (must be unpublished/unpinned)."""
-        effects: list[Effect] = []
-        for key, st in [(k, s) for k, s in self._blocks.items() if k[0] == name]:
-            if st.pinned or st.status in (_LOADING, _SPILLING, _FETCHING):
-                raise StorageError(
-                    f"cannot rehome {name!r}: block {st.block} is in use "
-                    f"on node {self.node}"
-                )
-            if st.data is not None:
-                self._free(st)
-            effects.append(Effect("drop", name, st.block))
-            del self._blocks[key]
-        return effects
+        return self._forget_blocks(
+            name, [st for key, st in self._blocks.items() if key[0] == name],
+            "rehome")
 
     def rehome_local(self, desc: ArrayDesc, *, on_disk: bool = False) -> list[Effect]:
         """This node becomes the home of a (never-written) rerouted array.
@@ -580,29 +426,24 @@ class LocalStore:
         With ``on_disk=True`` the array's bytes already sit in this node's
         scratch directory (node-loss recovery re-seeded an initial array
         from the shared filesystem), so every block is marked sealed and
-        loadable rather than awaiting a producer.
+        loadable rather than awaiting a producer.  A busy block refuses the
+        rehome with nothing changed.
         """
+        effects = self._purge_blocks(desc.name)
         if desc.name not in self.arrays:
             self.arrays[desc.name] = desc
         self._remote_arrays.discard(desc.name)
-        effects = self._purge_blocks(desc.name)
         if on_disk:
-            for b in desc.blocks():
-                st = self._state(desc.name, b)
-                st.on_disk = True
-                st.sealed = True
-                st.written = [desc.block_bounds(b)]
-        effects.extend(self._pump_allocs())
-        return effects
+            self._seal_on_disk(desc)
+        return effects + self._pump_allocs()
 
     def rehome_remote(self, name: str) -> list[Effect]:
         """A rerouted array's home moved elsewhere; keep a remote handle."""
         if name not in self.arrays:
             return []
-        self._remote_arrays.add(name)
         effects = self._purge_blocks(name)
-        effects.extend(self._pump_allocs())
-        return effects
+        self._remote_arrays.add(name)
+        return effects + self._pump_allocs()
 
     def ensure_remote(self, desc: ArrayDesc) -> None:
         """Register a remote handle if the array is unknown (reroute prep)."""
@@ -618,21 +459,17 @@ class LocalStore:
         or locally homed (a double failure moved it off this node too:
         demote to remote, dropping local state).
         """
-        if desc.name not in self.arrays:
-            self.register_remote(desc)
-            return []
-        if desc.name in self._remote_arrays:
+        if desc.name in self._remote_arrays or desc.name not in self.arrays:
+            self.ensure_remote(desc)
             return []
         return self.rehome_remote(desc.name)
 
     # -- introspection ---------------------------------------------------------------
 
     def availability_map(self) -> dict[tuple[str, int], bool]:
-        """(array, block) -> is resident and readable right now.
-
-        This is the map the local scheduler queries "to know which data are
-        available in memory and which are not".
-        """
+        """(array, block) -> is resident and readable right now, for every
+        block this store has state for (a test and debugging view; the
+        scheduler's question is :meth:`resident_among`)."""
         out = {}
         for key, st in self._blocks.items():
             out[key] = st.status == _RESIDENT and st.sealed
@@ -737,7 +574,7 @@ class LocalStore:
             for (a, b), tickets in list(self._write_tickets.items())
             for t in list(tickets)
         ]
-        alloc_queue = [{"bytes": need} for need, _ in list(self._alloc_queue)]
+        alloc_queue = [{"bytes": st.nbytes} for st, _, _ in list(self._alloc_queue)]
         # Non-zero recovery counters let the watchdog distinguish a node
         # that is *retrying* (faults being absorbed) from one that stalled.
         recovery = {
@@ -757,10 +594,190 @@ class LocalStore:
             "recovery": {k: v for k, v in recovery.items() if v},
         }
 
-    # -- internals ----------------------------------------------------------------------
+    # -- the transition function --------------------------------------------------------
 
-    def _outstanding_writes(self, array: str, block: int) -> list[Ticket]:
-        return self._write_tickets.get((array, block), [])
+    def _apply(self, st: _BlockState, event: str, ticket: Ticket | None = None, *,
+               data: np.ndarray | None = None, error: str = "",
+               admitted: bool = False, force: bool = False) -> list[Effect]:
+        """Carry out ``event`` on ``st`` as its cell of ``_TABLE`` says.
+
+        ``move`` changes status, ``in_use`` and the transfers in flight, to
+        a state the cell lists only.  A cell needing memory moves when it is
+        applied again ``admitted`` (:meth:`_admit`).  ``force``: between
+        runs, a busy block is unwound, and a drop is noted only for data.
+        """
+        cell = _TABLE[st.status, event]
+        key = (st.desc.name, st.block)
+
+        def move(to: str) -> None:
+            assert to in cell.to.split("|"), (st.status, event, to)
+            frm = st.status
+            if frm in (_LOADING, _FETCHING):
+                self._in_flight.discard(key)
+                if to == _ABSENT:  # unwound: the reservation goes back
+                    self.in_use -= st.nbytes
+                    if st.segment is not None:
+                        # The segment pre-allocated for the load holds
+                        # nothing readable: return it before anyone leases it.
+                        self.segment_pool.free(st.segment)
+                        st.segment = None
+            elif to == _ABSENT:  # resident or spilling: the buffer goes
+                self.in_use -= st.nbytes
+                self._spill_failed.pop(key, None)
+                self._release_buffer(st)
+            elif to in (_LOADING, _FETCHING):  # reserved; bytes come later
+                self.in_use += st.nbytes
+                self._in_flight.add(key)
+            elif frm == _ABSENT:  # a write grant's buffer
+                self.in_use += st.nbytes
+                self._new_buffer(st)
+            st.status = to
+
+        def count(name: str, n: int = 1, label: str | None = None) -> None:
+            assert name in cell.counter.split("|"), (st.status, event, name)
+            self.metrics.inc(name, n, label=label)
+
+        def transfer() -> list[Effect]:
+            if st.on_disk:
+                move(_LOADING)
+                if self.segment_pool is not None and st.segment is None:
+                    # Pre-allocate the destination segment so the I/O filter
+                    # can read the file bytes straight into shared memory
+                    # (no staging buffer, no copy — the load IS the fill).
+                    st.segment = self.segment_pool.allocate(st.nbytes)
+                return [Effect("load", *key, segment=st.segment or "")]
+            move(_FETCHING)
+            return [Effect("fetch_remote", *key)]
+
+        match cell.do:
+            case "refuse":
+                raise StorageError(f"unexpected {event} of {key} ({st.status}) on node {self.node}")
+            case "ignore":
+                if cell.counter:
+                    count(cell.counter)
+                return []
+            case "demand" | "wait" | "grant_read":
+                if admitted:  # a queued demand's turn, unless a prefetch
+                    # brought the block in meanwhile or its waiters were denied
+                    return transfer() if cell.do == "demand" and st.read_waiters else []
+                if cell.do == "grant_read" and st.covers(ticket.interval.lo,
+                                                         ticket.interval.hi):
+                    count("read_hits")
+                    return [self._grant_read(st, ticket)]
+                count("read_waits")
+                first = not st.read_waiters
+                st.read_waiters.append(ticket)
+                if cell.do == "demand" and first and (
+                        st.on_disk or key[0] in self._remote_arrays):
+                    return self._admit(st, event, ticket)
+                # A later waiter rides on the first one's allocation (a
+                # second one loaded the block twice — double the reservation
+                # and a completion nobody expected); a local block never
+                # written waits for its writer (read-before-write), and the
+                # grant of a block in transit follows its transfer.
+                return []
+            case "grant_write":
+                if not admitted:
+                    st.writers += 1
+                    self._write_tickets.setdefault(key, []).append(ticket)
+                    return self._admit(st, event, ticket)
+                if st.status == _ABSENT:
+                    move(_RESIDENT)
+                ticket.data = st.data[ticket.interval.local_slice(st.desc)]
+                ticket.handle = self._make_handle(st, ticket)
+                ticket.granted = True
+                if self.auditor is not None:
+                    self.auditor.note_granted(self.node, ticket)
+                return [Effect("grant_write", *key, ticket=ticket)]
+            case "warm":
+                if not (st.on_disk or key[0] in self._remote_arrays):
+                    return []  # not yet written anywhere: nothing to warm
+                if self.in_use + st.nbytes > self.budget:
+                    # Prefetch fills "the amount of memory available"
+                    # (Section III-C): an evicting prefetch pushes out the
+                    # still-hot block whose successor is about to become
+                    # ready, and a queued one can deadlock a small demand
+                    # behind a block the demanding task itself pins.
+                    count("prefetch_dropped")
+                    return []
+                return transfer()
+            case "install":
+                self._attach(st, data)
+                move(_RESIDENT)
+                st.sealed = True
+                st.written = [st.desc.block_bounds(st.block)]
+                if event == "fetched":
+                    st.remote = True
+                    count("remote_fetches")
+                else:
+                    count("loads", label=key[0])
+                    count("bytes_loaded", st.nbytes)
+                # The block just became evictable (if unpinned): queued
+                # allocations may now be satisfiable by reclaiming it.
+                return self._wake_readers(st) + self._pump_allocs()
+            case "unwind":
+                move(_ABSENT)
+                count(cell.counter)
+                return self._fail_waiters(st, error) + self._pump_allocs()
+            case "spilled":
+                st.on_disk = True
+                count("spills")
+                count("bytes_spilled", st.nbytes)
+                if st.pinned:
+                    # Someone requested it again while it was being written
+                    # out; keep the resident copy.
+                    move(_RESIDENT)
+                    return self._wake_readers(st)
+                move(_ABSENT)
+                return [Effect("drop", *key)] + self._pump_allocs()
+            case "keep":
+                move(_RESIDENT)
+                count("spill_failures")
+                self._spill_failed[key] = error
+                return self._wake_readers(st) + self._pump_allocs()
+            case "evict":
+                if st.on_disk or st.remote:
+                    # A persistent copy exists (local disk, or the owning
+                    # peer for cached remote blocks): dropping is safe.
+                    move(_ABSENT)
+                    count("drops")
+                    return [Effect("drop", *key)]
+                # Dirty (never persisted): must spill before the memory is
+                # reusable; freeing happens when the spill lands.
+                move(_SPILLING)
+                return [Effect("spill", *key, data=st.data)]
+            case "release":
+                st.lru = next(self._clock)
+                if ticket.permission is Permission.READ:
+                    if st.readers <= 0:
+                        raise StorageError("reader refcount underflow")
+                    st.readers -= 1
+                    return self._pump_allocs()
+                self._drop_write_ticket(st, ticket)
+                st.add_written(ticket.interval.lo, ticket.interval.hi)
+                if st.sealed:
+                    # Fully written + released: write-once makes the buffer
+                    # immutable from here on — freeze it so zero-copy read
+                    # views (and peer serves of them) are provably safe.
+                    st.data.flags.writeable = False
+                return self._wake_readers(st) + self._pump_allocs()
+            case "abandon":
+                self._drop_write_ticket(st, ticket)
+                count("writes_abandoned")
+                if not st.pinned and not st.written:
+                    # No released range and no other user: the buffer holds
+                    # only the failed task's partial output — discard it.
+                    move(_ABSENT)
+                return self._pump_allocs()
+            case "forget":
+                held = st.data is not None
+                if st.status != _ABSENT:
+                    move(_ABSENT)
+                del self._blocks[key]
+                return [Effect("drop", *key)] if held or not force else []
+        raise AssertionError(f"no case for {cell.do!r}")  # pragma: no cover
+
+    # -- what the cases share ---------------------------------------------------------
 
     def _desc(self, name: str) -> ArrayDesc:
         try:
@@ -780,51 +797,67 @@ class LocalStore:
             self._blocks[key] = st
         return st
 
-    def _drive_read(self, st: _BlockState, ticket: Ticket) -> list[Effect]:
-        iv = ticket.interval
-        st.lru = next(self._clock)
-        if st.status == _RESIDENT and st.covers(iv.lo, iv.hi):
-            self.metrics.inc("read_hits")
-            return [self._grant_read(st, ticket)]
-        self.metrics.inc("read_waits")
-        first_waiter = not st.read_waiters
-        st.read_waiters.append(ticket)
-        if st.status in (_LOADING, _FETCHING, _SPILLING):
-            return []  # grant will follow the in-flight transition
-        if st.status == _RESIDENT:
-            return []  # waiting for the range to be written & released
-        # ABSENT:
-        if not first_waiter:
-            # The first waiter's allocation is still queued for memory (a
-            # waiter pins the block, so nothing else leaves it absent): it
-            # brings the block in once, for every waiter.  A second queued
-            # allocation loaded it twice — double the reservation, and a
-            # completion nobody expected.
-            return []
-        if st.on_disk:
-            return self._alloc_then(
-                st, lambda: self._begin_demand(st, self._begin_load))
-        if st.desc.name in self._remote_arrays:
-            return self._alloc_then(
-                st, lambda: self._begin_demand(st, self._begin_fetch))
-        # Local array not written yet: read-before-write blocks until the
-        # writer releases (immutable-object paradigm).
-        return []
+    def _block_of(self, interval: Interval) -> _BlockState:
+        interval.validate_against(self._desc(interval.array))
+        return self._state(interval.array, interval.block)
 
-    def _begin_demand(self, st: _BlockState, begin) -> list[Effect]:
-        """A demand allocation's turn: bring the block in, unless a
-        prefetch already did while this waited in the queue.
+    def _handed_back(self, ticket: Ticket, verb: str) -> _BlockState:
+        """Mark a granted ticket ``verb`` ("released" or "abandoned")."""
+        if ticket.released:
+            raise StorageError(f"ticket {ticket.tid} released twice")
+        if not ticket.granted:
+            raise StorageError(f"ticket {ticket.tid} {verb} before being granted")
+        ticket.released = True
+        if self.auditor is not None:
+            getattr(self.auditor, f"note_{verb}")(self.node, ticket)
+        return self._state(ticket.interval.array, ticket.interval.block)
 
-        A reclaim frees whole blocks, so it can leave room nobody pumped
-        the queue for; a prefetch of the same block fits into it and
-        starts the transfer.  Starting it again reserved the block's bytes
-        twice — a second load then completes unexpectedly, a second
-        fetch's data is dropped as stale and its reservation never
-        returns.
-        """
-        if st.status != _ABSENT or not st.read_waiters:
-            return []
-        return begin(st)
+    def _seal_on_disk(self, desc: ArrayDesc) -> None:
+        """Every block of ``desc`` is written and its bytes are in scratch."""
+        for b in desc.blocks():
+            st = self._state(desc.name, b)
+            st.on_disk = True
+            st.sealed = True
+            st.written = [desc.block_bounds(b)]
+
+    def _forget_blocks(self, name: str, states: list[_BlockState], verb: str, *,
+                       force: bool = False) -> list[Effect]:
+        """Forget ``states`` of array ``name``, all or (when one is busy and
+        not ``force``) none; the array's registration is the caller's."""
+        if not force:
+            for st in states:
+                if st.busy:
+                    raise StorageError(
+                        f"cannot {verb} {name!r}: block {st.block} is in use "
+                        f"on node {self.node}")
+        return [e for st in states for e in self._apply(st, "forget", force=force)]
+
+    def _unregister(self, name: str) -> None:
+        del self.arrays[name]
+        self._remote_arrays.discard(name)
+        if self.opcache is not None:
+            self.opcache.invalidate(name)
+
+    def _drop_write_ticket(self, st: _BlockState, ticket: Ticket) -> None:
+        """A write ticket is done (released, abandoned or denied): unpin
+        the block and unlist the ticket."""
+        st.writers -= 1
+        key = (st.desc.name, st.block)
+        outstanding = self._write_tickets[key]
+        outstanding.remove(ticket)
+        if not outstanding:
+            # Drop the emptied entry: without this the dict gained one
+            # dead key per written block for the life of the store.
+            del self._write_tickets[key]
+
+    def _fail_waiters(self, st: _BlockState, error: str) -> list[Effect]:
+        """Deny every blocked read waiter of ``st`` (fail fast, no stall)."""
+        effects = [
+            Effect("deny", st.desc.name, st.block, ticket=t, error=error)
+            for t in st.read_waiters
+        ]
+        st.read_waiters = []
+        return effects
 
     def _grant_read(self, st: _BlockState, ticket: Ticket) -> Effect:
         assert st.data is not None
@@ -838,17 +871,6 @@ class LocalStore:
         if self.auditor is not None:
             self.auditor.note_granted(self.node, ticket)
         return Effect("grant_read", st.desc.name, st.block, ticket=ticket)
-
-    def _grant_write(self, st: _BlockState, ticket: Ticket) -> list[Effect]:
-        if st.data is None:
-            self._allocate_buffer(st)
-            st.status = _RESIDENT
-        ticket.data = st.data[ticket.interval.local_slice(st.desc)]
-        ticket.handle = self._make_handle(st, ticket)
-        ticket.granted = True
-        if self.auditor is not None:
-            self.auditor.note_granted(self.node, ticket)
-        return [Effect("grant_write", st.desc.name, st.block, ticket=ticket)]
 
     def _make_handle(self, st: _BlockState, ticket: Ticket) -> Any:
         """A picklable descriptor of the grant's span (pool mode only)."""
@@ -880,9 +902,9 @@ class LocalStore:
         st.read_waiters = still_waiting
         return effects
 
-    # -- memory management -----------------------------------------------------------
+    # -- buffers ------------------------------------------------------------------------
 
-    def _allocate_buffer(self, st: _BlockState) -> None:
+    def _new_buffer(self, st: _BlockState) -> None:
         if self.segment_pool is not None:
             # Segment-backed write buffer: fresh shm pages arrive zeroed,
             # as the thread plane's block_buffer does.
@@ -892,10 +914,9 @@ class LocalStore:
         else:
             st.data = block_buffer(st.desc.block_length(st.block),
                                    st.desc.dtype)
-        self.in_use += st.nbytes
 
-    def _install(self, st: _BlockState, data: np.ndarray) -> None:
-        # Memory was reserved by _begin_load/_begin_fetch; only attach data.
+    def _attach(self, st: _BlockState, data: np.ndarray) -> None:
+        # Memory was reserved when the transfer started; only attach data.
         # The delivered array becomes the block buffer: the driver must not
         # mutate it afterwards.
         expected = st.desc.block_length(st.block)
@@ -906,7 +927,7 @@ class LocalStore:
         if self.segment_pool is not None:
             # Every sealed buffer must live in a named segment so grants
             # can carry handles.  Loads arrive already in the segment
-            # pre-allocated by _begin_load; remote fetches arrive as wire
+            # pre-allocated when they started; remote fetches arrive as wire
             # bytes and are staged into a fresh segment here (the copy
             # models the network transfer, not data-plane overhead).
             if st.segment is None:
@@ -925,14 +946,9 @@ class LocalStore:
             # view handed out of it is provably immutable (no-op when the
             # driver delivered a zero-copy read-only view already).
             st.data.flags.writeable = False
-        self._in_flight.discard((st.desc.name, st.block))
-        st.status = _RESIDENT
-        st.sealed = True
-        st.written = [st.desc.block_bounds(st.block)]
 
-    def _free(self, st: _BlockState) -> None:
+    def _release_buffer(self, st: _BlockState) -> None:
         assert st.data is not None
-        self.in_use -= st.nbytes
         st.data = None
         if st.segment is not None:
             # Unlinks now or when the last worker lease drains; either way
@@ -946,87 +962,71 @@ class LocalStore:
         if self.opcache is not None:
             self.opcache.invalidate(st.desc.name, st.block)
 
-    def _alloc_then(self, st: _BlockState, thunk, *, prefetch: bool = False) -> list[Effect]:
-        """Run ``thunk`` once ``st``'s block fits in memory.
+    # -- memory: admission, reclaim, the allocation queue -------------------------------
 
-        Demand allocations (read/write grants) may evict (LRU reclaim) and
-        queue when memory is tight.  Prefetch allocations only ever use
-        *free* headroom and are dropped otherwise: the local scheduler
-        prefetches into "the amount of memory available" (Section III-C) —
-        an evicting prefetch would push out the most valuable block in the
-        store (the still-hot one whose successor task is about to become
-        ready), and a queued prefetch can deadlock a small demand behind a
-        block pinned by the demanding task itself.
-        """
-        need = st.nbytes
-        effects: list[Effect] = []
-        if prefetch:
-            if self.in_use + need <= self.budget:
-                result = thunk()
-                effects.extend([result] if isinstance(result, Effect) else result)
-            else:
-                self.metrics.inc("prefetch_dropped")
-            return effects
-        if self.in_use + need > self.budget:
-            effects.extend(self._reclaim(self.in_use + need - self.budget))
-        if self.in_use + need <= self.budget:
-            result = thunk()
-            effects.extend([result] if isinstance(result, Effect) else result)
-        else:
-            self._alloc_queue.append((need, thunk))
+    def _admit(self, st: _BlockState, event: str, ticket: Ticket) -> list[Effect]:
+        """A demand's first try for memory (a prefetch never queues): applied
+        now if it fits after a reclaim, denied if nothing left can ever make
+        room, queued otherwise."""
+        if denial := self._never_fits(st.nbytes):
+            return self._deny(st, event, ticket, denial)
+        fits, effects = self._fit(st, event, ticket)
+        if not fits:
+            self._alloc_queue.append((st, event, ticket))
             self.metrics.inc("allocs_queued")
             self.metrics.observe_max("alloc_queue_depth", len(self._alloc_queue))
         return effects
 
-    def _begin_load(self, st: _BlockState) -> list[Effect]:
-        self.in_use += st.nbytes  # reserve; the buffer arrives via on_loaded
-        st.status = _LOADING
-        self._in_flight.add((st.desc.name, st.block))
-        if self.segment_pool is not None and st.segment is None:
-            # Pre-allocate the destination segment so the I/O filter can
-            # read the file bytes straight into shared memory (no staging
-            # buffer, no copy — the load IS the segment fill).
-            st.segment = self.segment_pool.allocate(st.nbytes)
-        return [Effect("load", st.desc.name, st.block,
-                       segment=st.segment or "")]
+    def _fit(self, st: _BlockState, event: str,
+             ticket: Ticket) -> tuple[bool, list[Effect]]:
+        """Reclaim what the block lacks, then apply ``event`` if it fits: the
+        one reclaim-then-admit step of a first try and of every pump."""
+        effects: list[Effect] = []
+        if self.in_use + st.nbytes > self.budget:
+            effects = self._reclaim(self.in_use + st.nbytes - self.budget)
+        if self.in_use + st.nbytes > self.budget:
+            return False, effects
+        return True, effects + self._apply(st, event, ticket, admitted=True)
 
-    def _begin_fetch(self, st: _BlockState) -> list[Effect]:
-        self.in_use += st.nbytes  # reserve
-        st.status = _FETCHING
-        self._in_flight.add((st.desc.name, st.block))
-        return [Effect("fetch_remote", st.desc.name, st.block)]
+    def _never_fits(self, need: int) -> str:
+        """Why ``need`` bytes can never be found, or "": the budget less the
+        dirty blocks whose spill failed for good (they leave memory only
+        with their array) is too small."""
+        stuck = [(self._blocks[key].nbytes, error)
+                 for key, error in self._spill_failed.items()
+                 if not self._blocks[key].on_disk]
+        held = sum(nbytes for nbytes, _ in stuck)
+        if not stuck or need <= self.budget - held:
+            return ""
+        return (f"no room for {need} B: {held} B of the {self.budget} B budget "
+                f"are held by blocks whose spill failed ({stuck[-1][1]})")
+
+    def _deny(self, st: _BlockState, event: str, ticket: Ticket,
+              error: str) -> list[Effect]:
+        """Refuse an allocation that can never be made."""
+        if event == "read":
+            return self._fail_waiters(st, error)
+        self._drop_write_ticket(st, ticket)
+        return [Effect("deny", st.desc.name, st.block, ticket=ticket, error=error)]
 
     def _reclaim(self, want_bytes: int) -> list[Effect]:
         """Free at least ``want_bytes`` if possible: LRU over unpinned blocks."""
-        effects: list[Effect] = []
         candidates = sorted(
             (
                 st
-                for st in self._blocks.values()
+                for key, st in self._blocks.items()
                 if st.status == _RESIDENT and not st.pinned and st.sealed
+                and (st.on_disk or st.remote or key not in self._spill_failed)
             ),
             key=lambda s: s.lru,
         )
-        freed = 0
-        pending = 0  # bytes that will free once in-flight spills complete
+        effects: list[Effect] = []
+        freed = 0  # bytes freed now, or once the spills started here land
         for st in candidates:
-            if freed + pending >= want_bytes:
+            if freed >= want_bytes:
                 break
-            if st.on_disk or st.remote:
-                # A persistent copy exists (local disk, or the owning peer
-                # for cached remote blocks): dropping is safe.
-                freed += st.nbytes
-                self._free(st)
-                st.status = _ABSENT
-                self.metrics.inc("drops")
-                effects.append(Effect("drop", st.desc.name, st.block))
-            else:
-                # Dirty (never persisted): must spill before the memory is
-                # reusable; freeing happens in on_spilled.
-                st.status = _SPILLING
-                assert st.data is not None
-                pending += st.nbytes
-                effects.append(Effect("spill", st.desc.name, st.block, data=st.data))
+            freed += st.nbytes
+            effects.extend(self._apply(st, "evict"))
         return effects
 
     def _pump_allocs(self) -> list[Effect]:
@@ -1042,36 +1042,34 @@ class LocalStore:
         once an entry of ``need`` bytes fails to fit even after a reclaim,
         every remaining entry at least as large is skipped for the rest of
         the pass — admissions only consume memory, so retrying them can
-        only fail again.  (The previous implementation restarted the scan
-        from the head after every admission and re-ran the LRU reclaim
-        scan per entry per restart: O(n²) thunk scans with redundant spill
-        walks on deep queues.)  A further round runs only if the previous
-        one admitted something, which may have dropped enough clean blocks
-        to unblock a previously skipped entry.
+        only fail again.  (Restarting the scan from the head after every
+        admission re-ran the LRU reclaim per entry per restart: O(n²) scans
+        with redundant spill walks on deep queues.)  A further round runs
+        only if the previous one admitted something, which may have dropped
+        enough clean blocks to unblock a previously skipped entry.  An
+        entry that can never fit is denied, not kept.
         """
         effects: list[Effect] = []
         progress = True
         while progress and self._alloc_queue:
             progress = False
             min_failed: int | None = None  # smallest need that failed
-            still_blocked: deque[tuple[int, Any]] = deque()
+            still_blocked: deque[tuple[_BlockState, str, Ticket]] = deque()
             while self._alloc_queue:
-                need, thunk = self._alloc_queue.popleft()
-                if min_failed is not None and need >= min_failed:
-                    still_blocked.append((need, thunk))
+                entry = self._alloc_queue.popleft()
+                need = entry[0].nbytes
+                if denial := self._never_fits(need):
+                    effects.extend(self._deny(*entry, denial))
                     continue
-                if self.in_use + need > self.budget:
-                    effects.extend(
-                        self._reclaim(self.in_use + need - self.budget))
-                if self.in_use + need <= self.budget:
-                    result = thunk()
-                    if isinstance(result, Effect):
-                        effects.append(result)
-                    else:
-                        effects.extend(result)
+                if min_failed is not None and need >= min_failed:
+                    still_blocked.append(entry)
+                    continue
+                fits, more = self._fit(*entry)
+                effects.extend(more)
+                if fits:
                     progress = True
                 else:
                     min_failed = need
-                    still_blocked.append((need, thunk))
+                    still_blocked.append(entry)
             self._alloc_queue = still_blocked
         return effects

@@ -360,6 +360,22 @@ def test_dooc012_wrapped_effect_drop_flags():
     assert "result of _cleanup() discarded" in vs[0].message
 
 
+@pytest.mark.parametrize("wrapper, call", [
+    ("_keep", "store.retain(names)"),
+    ("_rehome", "store.recover_remote(names)"),
+])
+def test_dooc012_wrapped_retain_and_recover_remote_flag(wrapper, call):
+    src = (
+        f"def {wrapper}(store, names):\n"
+        f"    return {call}\n"
+        "def driver(store, names):\n"
+        f"    {wrapper}(store, names)\n"
+    )
+    vs = analyze_sources({"src/m.py": src})
+    assert [(v.code, v.line) for v in vs] == [("DOOC012", 4)]
+    assert f"result of {wrapper}() discarded" in vs[0].message
+
+
 def test_dooc012_bound_but_never_pumped_flags():
     src = (
         "def _cleanup(store, ticket):\n"

@@ -154,6 +154,32 @@ def test_dooc002_dropped_prefetch_flags():
     assert codes(lint_source(src)) == [("DOOC002", 2, 4)]
 
 
+@pytest.mark.parametrize("call", ["store.retain({'x'})",
+                                  "store.recover_remote(desc)"])
+def test_dooc002_dropped_retain_and_recover_remote_flag(call):
+    src = f"def driver(store, desc):\n    {call}\n"
+    assert codes(lint_source(src)) == [("DOOC002", 2, 4)]
+
+
+def test_effect_funcs_are_the_store_methods_that_return_effects():
+    """One list, shared by the per-file and the deep rules, equal to the
+    ``LocalStore`` methods annotated ``-> list[Effect]``: a renamed or new
+    method cannot fall out of it."""
+    import ast
+    import inspect
+
+    from repro.analysis import lint, rules
+    from repro.analysis.flow import dataflow
+    from repro.core.storage import LocalStore
+
+    (cls,) = ast.parse(inspect.getsource(LocalStore)).body
+    annotated = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)
+                 and f.returns is not None
+                 and ast.unparse(f.returns) == "list[Effect]"}
+    assert lint.EFFECT_FUNCS == annotated
+    assert rules.EFFECT_FUNCS is dataflow.EFFECT_FUNCS is lint.EFFECT_FUNCS
+
+
 # -- DOOC003: blocking calls under a lock ------------------------------------
 
 

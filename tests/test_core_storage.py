@@ -634,6 +634,81 @@ class TestOneTransferPerBlock:
                 ] == [reader.tid]
 
 
+class TestFailedSpill:
+    """A spill that failed for good (the I/O filter already retried it):
+    the block stays resident and is not evicted again, and what waited for
+    its bytes is admitted by another reclaim or, when nothing left can make
+    room, denied with the spill's error — never left queued with nothing
+    to wake it."""
+
+    a, b, c, d = (desc(name, 50, 50) for name in "abcd")  # 400 B blocks
+
+    def make(self, budget_blocks=1):
+        store = LocalStore(0, memory_budget=400 * budget_blocks)
+        store.create_array(self.a)
+        for d in (self.b, self.c, self.d):
+            store.register_on_disk(d)
+        write_whole_array(store, self.a)          # dirty, sealed, resident
+        return store
+
+    def queue_behind_the_spill(self, store):
+        reader, effects = store.request_read(whole_block(self.b, 0))
+        assert [(e.kind, e.array) for e in effects] == [("spill", "a")]
+        assert store.alloc_queue_depth == 1
+        return reader
+
+    def test_what_waited_on_it_is_denied_with_its_error(self):
+        store = self.make()
+        reader = self.queue_behind_the_spill(store)
+        effects = store.on_spill_failed("a", 0, "scratch disk gone")
+        assert [(e.kind, e.ticket.tid) for e in effects] == [("deny", reader.tid)]
+        assert "scratch disk gone" in effects[0].error
+        assert store.alloc_queue_depth == 0 and store.in_use == 400
+        assert store.peek_block("a", 0) is not None   # nothing was lost
+        assert store.metrics.get("spill_failures") == 1
+
+    def test_it_is_not_evicted_again(self):
+        store = self.make()
+        self.queue_behind_the_spill(store)
+        store.on_spill_failed("a", 0, "scratch disk gone")
+        _, effects = store.request_read(whole_block(self.c, 0))
+        assert [e.kind for e in effects] == ["deny"]   # no second spill
+        _, effects = store.request_read(whole_block(self.a, 0))
+        assert [e.kind for e in effects] == ["grant_read"]  # still readable
+
+    def test_a_write_that_can_never_fit_is_denied_and_unlisted(self):
+        """The denied write holds no pin, so its task's retry may ask for
+        the same range again (and is denied again, not refused)."""
+        store = self.make()
+        self.queue_behind_the_spill(store)
+        store.on_spill_failed("a", 0, "scratch disk gone")
+        out = desc("out", 50, 50)
+        store.create_array(out)
+        for _ in range(2):
+            ticket, effects = store.request_write(whole_block(out, 0))
+            assert [(e.kind, e.ticket) for e in effects] == [("deny", ticket)]
+            assert store._write_tickets == {} and not ticket.granted
+
+    def test_another_reclaim_admits_what_waited(self):
+        store = self.make(budget_blocks=2)
+        t, effects = store.request_read(whole_block(self.d, 0))
+        store.on_loaded("d", 0, np.zeros(50))
+        store.release(t)                          # clean, and newer than a
+        reader = self.queue_behind_the_spill(store)
+        effects = store.on_spill_failed("a", 0, "scratch disk gone")
+        assert [(e.kind, e.array) for e in effects] == [("drop", "d"), ("load", "b")]
+        effects = store.on_loaded("b", 0, np.ones(50))
+        assert [e.ticket.tid for e in effects] == [reader.tid]
+
+    def test_a_copy_on_disk_makes_it_droppable_again(self):
+        store = self.make()
+        self.queue_behind_the_spill(store)
+        store.on_spill_failed("a", 0, "scratch disk gone")
+        store.mark_on_disk("a")
+        _, effects = store.request_read(whole_block(self.c, 0))
+        assert [(e.kind, e.array) for e in effects] == [("drop", "a"), ("load", "c")]
+
+
 class TestRemoteArrays:
     def test_read_remote_triggers_fetch(self):
         d = desc(name="r", length=50, block=50)

@@ -5,6 +5,7 @@ seed matrix over the same assertions (see .github/workflows/ci.yml).
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,35 @@ from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_blocked_reference
 
 FAULT_SEED = int(os.environ.get("DOOC_FAULT_SEED", "0"))
+
+
+class StoreFaultsOnly(FaultPlan):
+    """The plan's I/O faults, drawn for spills (``store``) only."""
+
+    def io_fault(self, node, op, array, block, attempt):
+        if op != "store":
+            return None
+        return super().io_fault(node, op, array, block, attempt)
+
+
+#: three 4,096-element blocks and change: writing the fourth must spill
+SPILL_BUDGET = 3 * 4096 * 8 + 256
+
+
+def spilling_program():
+    """``y0..y3`` (4,096 elements each) written from a 16-element ``x``,
+    then ``z = y0 + y3``."""
+    prog = Program("spilling")
+    prog.initial_array("x", np.arange(16, dtype=float), home=0)
+    for i in range(4):
+        prog.array(f"y{i}", 4096)
+        prog.add_task(f"t{i}", lambda ins, outs, m, y=f"y{i}", c=float(i):
+                      outs[y].__setitem__(slice(None), ins["x"].sum() + c),
+                      ["x"], [f"y{i}"])
+    prog.array("z", 4096)
+    prog.add_task("add", lambda ins, outs, m: outs["z"].__setitem__(
+        slice(None), ins["y0"] + ins["y3"]), ["y0", "y3"], ["z"])
+    return prog
 
 
 def spmv_problem(n=512, k=4, seed=0):
@@ -70,6 +100,27 @@ class TestTransientIOFaults:
         assert totals["faults_injected"] > 0
         assert totals["io_retries"] >= totals["faults_injected"]
 
+    def test_transient_spill_faults_alone_change_no_bits(self, tmp_path):
+        """Spills that fail and then succeed on a retry: the same bits."""
+        def run(scratch, faults):
+            eng = DOoCEngine(
+                n_nodes=1, workers=1, scratch_dir=scratch,
+                memory_budget_per_node=SPILL_BUDGET, faults=faults,
+                io_retry=RetryPolicy(attempts=8, backoff_s=0.001))
+            report = eng.run(spilling_program(), timeout=60)
+            return eng.fetch("z"), report
+
+        clean, clean_report = run(tmp_path / "clean", None)
+        assert clean_report.total_spills > 0
+        np.testing.assert_array_equal(clean, np.full(4096, 2 * 120.0 + 3))
+        faulty, report = run(tmp_path / "faulty",
+                             StoreFaultsOnly(seed=FAULT_SEED, io_transient=0.5))
+        assert np.array_equal(clean, faulty)
+        assert report.total_spills == clean_report.total_spills
+        retries = sum(m.get("io_retries", 0) for m in report.metrics.values())
+        assert retries == sum(m.get("faults_injected", 0)
+                              for m in report.metrics.values())
+
     def test_metrics_absent_without_faults(self, tmp_path):
         prog = Program("quiet", default_block_elems=32)
         prog.initial_array("x", np.ones(64), home=0)
@@ -109,6 +160,26 @@ class TestPermanentIOFaults:
             eng.run(prog, timeout=60)
         assert not isinstance(excinfo.value, StallError)
         assert "never written" in str(excinfo.value.cause)
+
+    def test_spill_that_fails_for_good_ends_the_run(self, tmp_path):
+        """Every spill fails on every attempt.  The blocks that cannot be
+        spilled stay resident and are not evicted again; once they leave
+        too little of the budget for the write that waited on them, that
+        write is denied, and the run fails through the task-retry path
+        with the spill's error.  (The failed spill used to leave the write
+        queued with nothing to wake it: a StallError at the timeout.)"""
+        eng = DOoCEngine(
+            n_nodes=1, workers=1, scratch_dir=tmp_path,
+            memory_budget_per_node=SPILL_BUDGET,
+            faults=StoreFaultsOnly(seed=FAULT_SEED, io_permanent=1.0),
+            io_retry=RetryPolicy(attempts=2, backoff_s=0.001),
+            task_max_attempts=2)
+        start = time.monotonic()
+        with pytest.raises(FilterError) as excinfo:
+            eng.run(spilling_program(), timeout=60)
+        assert time.monotonic() - start < 10
+        assert not isinstance(excinfo.value, StallError)
+        assert "injected permanent store fault" in str(excinfo.value.cause)
 
     def test_worker_sees_io_failed_error(self, tmp_path):
         """The denied ticket reaches the worker as IOFailedError (visible

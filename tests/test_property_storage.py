@@ -1,10 +1,15 @@
 """Stateful property-based testing of the DOoC storage layer.
 
 A hypothesis rule machine drives a LocalStore through random interleavings
-of writes, reads, releases, prefetches, I/O completions, and checks the
-core invariants the paper's design rests on:
+of its public calls — writes, reads, releases, abandons, prefetches, I/O
+completions and failures, ``mark_on_disk``, deletes and ``retain`` — and
+checks the invariants the paper's design rests on:
 
-* memory accounting never goes negative nor above the budget;
+* memory accounting is exact: ``in_use`` is the bytes of the blocks that
+  hold data plus the reservations of the transfers in flight, and never
+  exceeds the budget;
+* two waiters, one transfer: a block is never loaded or fetched twice at
+  once;
 * write-once semantics hold under any interleaving;
 * every read that is eventually granted observes exactly the bytes that
   were written (immutability = no torn reads);
@@ -12,6 +17,9 @@ core invariants the paper's design rests on:
 * all effects reference tickets it created;
 * the scoped residency query (the ``map`` reply) says, for any set of
   names, what the block table says about those names.
+
+The machine never restates a transition: it calls the store, answers its
+effects the way a driver would, and checks what comes back.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
@@ -41,28 +48,22 @@ REMOTE_FILL = -1.0
 #: what a residency query may be asked about: written arrays, a remote
 #: array, a known array no block of which was ever touched, an unknown name
 QUERY_NAMES = [f"a{i}" for i in range(N_ARRAYS)] + [REMOTE, IDLE, UNKNOWN]
+#: the arrays a delete or a retain may forget (the machine registers them
+#: again, as a new run would)
+FORGETTABLE = [f"a{i}" for i in range(N_ARRAYS)] + [REMOTE, IDLE]
 
 
 class StorageMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = LocalStore(0, memory_budget=BUDGET_BLOCKS * BLOCK * 8)
-        self.descs = {}
-        for i in range(N_ARRAYS):
-            desc = ArrayDesc(f"a{i}", length=LENGTH, block_elems=BLOCK)
-            self.descs[desc.name] = desc
-            self.store.create_array(desc)
-        remote = ArrayDesc(REMOTE, length=REMOTE_BLOCKS * BLOCK,
-                           block_elems=BLOCK)
-        self.descs[REMOTE] = remote
-        self.store.register_remote(remote)
-        self.store.create_array(
-            ArrayDesc(IDLE, length=LENGTH, block_elems=BLOCK))
+        self.descs = {f"a{i}": ArrayDesc(f"a{i}", length=LENGTH, block_elems=BLOCK)
+                      for i in range(N_ARRAYS)}
+        self.descs[REMOTE] = ArrayDesc(REMOTE, length=REMOTE_BLOCKS * BLOCK,
+                                       block_elems=BLOCK)
+        self.descs[IDLE] = ArrayDesc(IDLE, length=LENGTH, block_elems=BLOCK)
         # model state
-        self.written: dict[tuple[str, int, int], float] = {  # (arr, lo, hi)->fill
-            (REMOTE, *remote.block_bounds(b)): REMOTE_FILL
-            for b in remote.blocks()}
-        self.covered: dict[str, set[int]] = {f"a{i}": set() for i in range(N_ARRAYS)}
+        self.written: dict[tuple[str, int, int], float] = {}  # (arr, lo, hi)->fill
         self.write_tickets: list[Ticket] = []
         self.read_tickets: list[Ticket] = []
         self.pending_loads: list[tuple[str, int]] = []
@@ -70,8 +71,35 @@ class StorageMachine(RuleBasedStateMachine):
         self.pending_fetches: list[int] = []
         self.spilled_data: dict[tuple[str, int], np.ndarray] = {}
         self.fill_counter = 0.0
+        for name in FORGETTABLE:
+            self._register(name)
 
     # -- helpers ----------------------------------------------------------------
+
+    def _register(self, name):
+        """(Re-)register ``name`` as a fresh run would see it."""
+        desc = self.descs[name]
+        if name == REMOTE:
+            self.store.register_remote(desc)
+            for b in desc.blocks():
+                self.written[(REMOTE, *desc.block_bounds(b))] = REMOTE_FILL
+        else:
+            self.store.create_array(desc)
+
+    def _forget(self, name):
+        """The store forgot ``name``: so does the model."""
+        self.written = {k: v for k, v in self.written.items() if k[0] != name}
+        self.write_tickets = [t for t in self.write_tickets
+                              if t.interval.array != name]
+        self.read_tickets = [t for t in self.read_tickets
+                             if t.interval.array != name]
+        self.pending_loads = [p for p in self.pending_loads if p[0] != name]
+        self.pending_spills = [p for p in self.pending_spills if p[0] != name]
+        if name == REMOTE:
+            self.pending_fetches = []
+        self.spilled_data = {k: v for k, v in self.spilled_data.items()
+                             if k[0] != name}
+        self._register(name)
 
     def _absorb(self, effects):
         for e in effects:
@@ -100,6 +128,8 @@ class StorageMachine(RuleBasedStateMachine):
             elif e.kind == "fetch_remote":
                 assert e.array == REMOTE
                 self.pending_fetches.append(e.block)
+            elif e.kind == "deny":
+                assert e.ticket is not None and not e.ticket.granted and e.error
 
     def _check_read(self, t: Ticket):
         """A granted read must see exactly the written values."""
@@ -112,6 +142,9 @@ class StorageMachine(RuleBasedStateMachine):
                     break
             assert expected is not None, "read granted over unwritten range"
             assert float(t.data[pos - iv.lo]) == expected
+
+    def _pick(self, data, items):
+        return items.pop(data.draw(st.integers(0, len(items) - 1)))
 
     # -- rules -------------------------------------------------------------------
 
@@ -133,8 +166,6 @@ class StorageMachine(RuleBasedStateMachine):
         except ImmutabilityError:
             return  # overlap with previous writes: correctly refused
         self._absorb(effects)
-        if not ticket.granted:
-            self.write_tickets.append(ticket)  # queued; will fill at grant
 
     @rule(ai=st.integers(0, N_ARRAYS - 1),
           block=st.integers(0, LENGTH // BLOCK - 1))
@@ -143,6 +174,18 @@ class StorageMachine(RuleBasedStateMachine):
         written array is 4 blocks against a budget of 3, so it is never
         resident whole: the remote array is the one that can be.)"""
         self.request_write((ai, block, 0, BLOCK))
+
+    @rule(ai=st.integers(0, N_ARRAYS - 1))
+    def produce_whole_array(self, ai):
+        """A task writes all of an array and releases what it is granted
+        at once, so arrays get sealed, spilled, persisted and loaded back
+        within a run of the machine."""
+        granted_before = set(map(id, self.write_tickets))
+        for block in range(LENGTH // BLOCK):
+            self.request_write((ai, block, 0, BLOCK))
+        for t in [t for t in self.write_tickets if id(t) not in granted_before]:
+            self._absorb(self.store.release(t))
+            self.write_tickets.remove(t)
 
     @rule(spec=intervals)
     def request_read(self, spec):
@@ -154,23 +197,36 @@ class StorageMachine(RuleBasedStateMachine):
         self._absorb(effects)
 
     @rule(data=st.data())
+    def read_back_a_persisted_block(self, data):
+        """Read a block whose bytes went to disk: a load, unless it is
+        still (or again) resident."""
+        if not self.spilled_data:
+            return
+        name, block = data.draw(st.sampled_from(sorted(self.spilled_data)))
+        _ticket, effects = self.store.request_read(
+            Interval(name, block, *self.descs[name].block_bounds(block)))
+        self._absorb(effects)
+
+    @rule(data=st.data())
     def release_a_write(self, data):
         ready = [t for t in self.write_tickets if t.granted and not t.released]
         if not ready:
             return
         t = data.draw(st.sampled_from(ready))
-        iv = t.interval
-        key = (iv.array, iv.lo, iv.hi)
-        if key not in self.written:
-            # Grant effect not yet absorbed is impossible (absorb is sync);
-            # but a queued ticket granted inside absorb is filled there.
-            self.fill_counter += 1.0
-            t.data[:] = self.fill_counter
-            self.written[key] = self.fill_counter
         self._absorb(self.store.release(t))
         self.write_tickets.remove(t)
-        for pos in range(iv.lo, iv.hi):
-            self.covered[iv.array].add(pos)
+
+    @rule(data=st.data())
+    def abandon_a_write(self, data):
+        """A failed task retracts its output: the range was never readable,
+        and may be written again."""
+        ready = [t for t in self.write_tickets if t.granted and not t.released]
+        if not ready:
+            return
+        t = data.draw(st.sampled_from(ready))
+        self._absorb(self.store.abandon_write(t))
+        self.write_tickets.remove(t)
+        del self.written[(t.interval.array, t.interval.lo, t.interval.hi)]
 
     @rule(data=st.data())
     def release_a_read(self, data):
@@ -181,23 +237,32 @@ class StorageMachine(RuleBasedStateMachine):
         self._absorb(self.store.release(t))
         self.read_tickets.remove(t)
 
-    @rule(data=st.data())
-    def serve_load(self, data):
+    @rule(data=st.data(), fail=st.integers(0, 3))
+    def serve_load(self, data, fail):
+        """One load in four fails for good: its waiters are denied."""
         if not self.pending_loads:
             return
-        idx = data.draw(st.integers(0, len(self.pending_loads) - 1))
-        array, block = self.pending_loads.pop(idx)
-        payload = self.spilled_data[(array, block)]
-        self._absorb(self.store.on_loaded(array, block, payload.copy()))
+        array, block = self._pick(data, self.pending_loads)
+        if fail == 0:
+            self._absorb(self.store.on_load_failed(array, block, "disk error"))
+        else:
+            payload = self.spilled_data[(array, block)]
+            self._absorb(self.store.on_loaded(array, block, payload.copy()))
 
-    @rule(data=st.data())
-    def serve_spill(self, data):
+    @rule(data=st.data(), fail=st.integers(0, 9))
+    def serve_spill(self, data, fail):
+        """One spill in ten fails for good: the block must stay resident,
+        unless a copy reached the disk another way (``mark_on_disk``)."""
         if not self.pending_spills:
             return
-        idx = data.draw(st.integers(0, len(self.pending_spills) - 1))
-        array, block, payload = self.pending_spills.pop(idx)
-        self.spilled_data[(array, block)] = payload
-        self._absorb(self.store.on_spilled(array, block))
+        array, block, payload = self._pick(data, self.pending_spills)
+        if fail == 0:
+            self._absorb(self.store.on_spill_failed(array, block, "disk full"))
+            assert (self.store.peek_block(array, block) is not None
+                    or self.store.block_on_disk(array, block))
+        else:
+            self.spilled_data[(array, block)] = payload
+            self._absorb(self.store.on_spilled(array, block))
 
     @rule(spec=intervals)
     def prefetch(self, spec):
@@ -216,14 +281,49 @@ class StorageMachine(RuleBasedStateMachine):
             _ticket, effects = self.store.request_read(iv)
             self._absorb(effects)
 
-    @rule(data=st.data())
-    def serve_fetch(self, data):
+    @rule(data=st.data(), fail=st.booleans())
+    def serve_fetch(self, data, fail):
         if not self.pending_fetches:
             return
-        idx = data.draw(st.integers(0, len(self.pending_fetches) - 1))
-        block = self.pending_fetches.pop(idx)
-        self._absorb(self.store.on_remote_data(
-            REMOTE, block, np.full(BLOCK, REMOTE_FILL)))
+        block = self._pick(data, self.pending_fetches)
+        if fail:
+            self._absorb(self.store.on_fetch_failed(REMOTE, block, "peer lost"))
+        else:
+            self._absorb(self.store.on_remote_data(
+                REMOTE, block, np.full(BLOCK, REMOTE_FILL)))
+
+    @rule(ai=st.integers(0, N_ARRAYS - 1))
+    def mark_on_disk(self, ai):
+        """The driver persisted a completely written array: its blocks are
+        dropped from now on, and loaded back from what was written."""
+        name = f"a{ai}"
+        try:
+            self.store.mark_on_disk(name)
+        except StorageError:
+            return  # not completely written: correctly refused
+        for b in self.descs[name].blocks():
+            resident = self.store.peek_block(name, b)
+            if resident is not None:
+                self.spilled_data[(name, b)] = resident.copy()
+            assert (name, b) in self.spilled_data
+
+    @rule(name=st.sampled_from(FORGETTABLE), keep=st.sets(st.sampled_from(FORGETTABLE)),
+          between_runs=st.booleans())
+    def delete_array_or_retain(self, name, keep, between_runs):
+        """A garbage-collected array goes unless a block of it is busy;
+        between runs, what is not kept, or is busy, is forgotten.  (One
+        rule for both, so the store's state is not reset too often to
+        grow.)"""
+        if between_runs:
+            self._absorb(self.store.retain(keep))
+        else:
+            try:
+                self._absorb(self.store.delete_array(name))
+            except StorageError:
+                return  # a block is pinned or in flight: nothing changed
+        for forgotten in FORGETTABLE:
+            if not self.store.has_array(forgotten):
+                self._forget(forgotten)
 
     def _whole_arrays(self, names):
         """Of ``names``: known, and every block resident and sealed — read
@@ -253,7 +353,21 @@ class StorageMachine(RuleBasedStateMachine):
 
     @invariant()
     def memory_accounting(self):
+        """``in_use`` is the bytes of the blocks holding data plus one
+        reservation per transfer the driver has been asked for and has not
+        answered."""
+        holding = sum(st.nbytes for st in self.store._blocks.values()
+                      if st.data is not None)
+        in_flight = [self.descs[a].block_nbytes(b) for a, b in self.pending_loads]
+        in_flight += [self.descs[REMOTE].block_nbytes(b) for b in self.pending_fetches]
+        assert self.store.in_use == holding + sum(in_flight)
         assert 0 <= self.store.in_use <= self.store.budget
+
+    @invariant()
+    def two_waiters_one_transfer(self):
+        transfers = self.pending_loads + [(REMOTE, b) for b in self.pending_fetches]
+        assert len(transfers) == len(set(transfers))
+        assert {a for a, _ in transfers} == self.store.loading_arrays()
 
     @invariant()
     def double_release_is_refused(self):
@@ -270,17 +384,7 @@ class StorageMachine(RuleBasedStateMachine):
         amap = self.store.availability_map()
         for (name, block), avail in amap.items():
             if avail:
-                blo, bhi = self.descs[name].block_bounds(block)
-                data = self.store.peek_block(name, block)
-                assert data is not None
-
-    @invariant()
-    def loading_arrays_matches_the_block_table(self):
-        """The in-flight set the scheduler waits on is kept incrementally;
-        it must say what a scan of the block states would."""
-        scanned = {name for (name, _b), st in self.store._blocks.items()
-                   if st.status in ("loading", "fetching")}
-        assert self.store.loading_arrays() == scanned
+                assert self.store.peek_block(name, block) is not None
 
 
 TestStorageStateMachine = StorageMachine.TestCase

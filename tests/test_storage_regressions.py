@@ -108,6 +108,22 @@ class TestDeleteArrayAtomicity:
         assert not store.has_array("a")
         assert store.in_use == 0
 
+    def test_refused_rehome_changes_nothing(self):
+        """A recovery rehome refused by a pin is parked and retried on
+        release.  The refused attempt used to mark the array remote and
+        free its unpinned blocks first; the retry then found it "already
+        remote" and never purged the local state."""
+        store, t_pin = self._store_with_pinned_tail()
+        in_use = store.in_use
+        with pytest.raises(StorageError, match="in use"):
+            store.recover_remote(desc())
+        assert not store.is_remote("a") and store.in_use == in_use
+        assert store.peek_block("a", 0) is not None
+        store.release(t_pin)
+        effects = store.recover_remote(desc())
+        assert [(e.kind, e.block) for e in effects] == [("drop", 0), ("drop", 1)]
+        assert store.is_remote("a") and store.in_use == 0
+
     def test_retried_delete_is_not_poisoned(self):
         # Pre-fix, the failed attempt deleted block 0's state, so the
         # retry (after unpinning) underflowed in_use / raised KeyError.
