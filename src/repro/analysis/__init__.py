@@ -4,23 +4,26 @@ Three layers (see docs/ANALYSIS.md):
 
 * **AST lint** (``python -m repro lint``): per-file repo-specific rules
   over the source tree — ticket-leak, dropped ``Effect`` lists,
-  blocking-under-lock, trace-vocabulary enforcement and friends — with
+  blocking-under-lock, trace-vocabulary enforcement, and one table of
+  "this call belongs in one module" fences — with
   ``# dooc: noqa[CODE]`` suppressions (:mod:`repro.analysis.lint`,
   :mod:`repro.analysis.rules`, :mod:`repro.analysis.cli`; run
   ``--list-rules`` for the live catalog).
 
-* **Whole-program dataflow** (``python -m repro lint --deep``): a
-  module-aware call graph plus alias/escape summaries power the
-  interprocedural rules — sealed-view mutation escape, static
-  lock-order cycles, effect drops through helpers
-  (:mod:`repro.analysis.flow`).
+* **Whole-program dataflow** (``python -m repro lint --deep``, which
+  also runs every per-file rule): a module-aware call graph plus
+  alias/escape summaries power the interprocedural rules — sealed-view
+  mutation escape, static lock-order cycles, effect drops through
+  helpers (:mod:`repro.analysis.flow`).
 
 * **Runtime checkers** (``DOOC_CHECKERS=1``): a lock-order recorder that
   fails runs whose cross-thread lock acquisition graph contains a cycle
   (:mod:`repro.analysis.lockorder`), a ticket-lifecycle auditor that names
   tickets granted but never released/abandoned
   (:mod:`repro.analysis.tickets`), and a pre-execution task-graph
-  validator (:mod:`repro.analysis.dagcheck`).
+  validator (:mod:`repro.analysis.dagcheck`).  Ticket leaks and lock
+  cycles are each checked statically and at run time because each half
+  catches seeded violations the other misses (docs/ANALYSIS.md).
 
 Submodules are imported lazily: the runtime modules (``datacutter``,
 ``core``) import from this package on their hot construction paths, and a

@@ -4,35 +4,33 @@
     python -m repro lint src tests --json
     python -m repro lint src --select DOOC001,DOOC002
     python -m repro lint tests --strict     # disable per-dir relaxations
-    python -m repro lint src --deep         # + whole-program rules
-    python -m repro lint src --deep --sarif lint.sarif
-    python -m repro lint src --deep --write-baseline
+    python -m repro lint src --deep         # every rule, whole-program too
+    python -m repro lint --list-rules       # the rule table docs/ANALYSIS.md embeds
 
-Exit status: 0 clean, 1 violations found, 2 usage error.
+Exit status: 0 clean, 1 violations found, 2 usage error (an unknown rule
+code, or a path that does not exist).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from pathlib import Path
+from collections import Counter
 
 from repro.analysis.lint import (
     DEEP_RULES,
     DEFAULT_PATH_RELAXATIONS,
-    RULES,
     all_rules,
+    iter_python_files,
     lint_paths,
 )
 
 
 def _codes(raw: str | None) -> list[str] | None:
-    if raw is None:
-        return None
-    return [c.strip().upper() for c in raw.split(",") if c.strip()]
+    return None if raw is None else [
+        c.strip().upper() for c in raw.split(",") if c.strip()]
 
 
 def _rule_span() -> str:
@@ -42,8 +40,9 @@ def _rule_span() -> str:
     return f"rules {codes[0]}..{codes[-1]}" if codes else "no rules"
 
 
-def rule_table_markdown() -> str:
-    """The docs/ANALYSIS.md rule table, generated from the registry."""
+def _rule_catalog() -> str:
+    """What ``--list-rules`` prints: the rule table (markdown, embedded in
+    docs/ANALYSIS.md) with the default relaxations beneath it."""
     lines = [
         "| Code | Name | Scope | What it catches |",
         "|------|------|-------|-----------------|",
@@ -54,19 +53,14 @@ def rule_table_markdown() -> str:
         scope = "program" if code in DEEP_RULES else "file"
         lines.append(f"| `{code}` | {rule.name} | {scope} "
                      f"| {rule.description} |")
+    lines += ["", "Default relaxations (lifted by `--strict` or `--select`):",
+              ""]
+    for prefix, codes in sorted(DEFAULT_PATH_RELAXATIONS.items()):
+        lines.append(f"- `{prefix}/`: " + ", ".join(sorted(codes)) + " off")
     return "\n".join(lines) + "\n"
 
 
-def _default_jobs() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 def main(argv: list[str] | None = None) -> int:
-    # Importing the rule modules populates both registries; the help
-    # text below is derived from them.
-    import repro.analysis.rules  # noqa: F401
-    import repro.analysis.flow.rules_deep  # noqa: F401
-
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
         description="Protocol-aware lint for the DOoC runtime "
@@ -84,51 +78,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit a JSON report (violations, file count, "
                              "wall time)")
-    parser.add_argument("--sarif", metavar="FILE",
-                        help="write a SARIF 2.1.0 report to FILE "
-                             "('-' for stdout)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="process-pool width for the per-file scan "
-                             "(default: min(8, cpu count); 1 = serial)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        default=".dooc-baseline.json",
-                        help="accepted-findings baseline to subtract "
-                             "(default: .dooc-baseline.json if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report every finding, baseline or not")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="record the current findings as the accepted "
-                             "baseline and exit 0")
     parser.add_argument("--strict", action="store_true",
                         help="disable the built-in per-directory "
                              "relaxations (tests/, benchmarks/, examples/)")
     parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    parser.add_argument("--rule-table", action="store_true",
-                        help="print the docs rule table (markdown) and exit")
+                        help="print the rule table and the default "
+                             "relaxations, then exit")
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for code, rule in sorted(all_rules().items()):
-            deep = "  [deep]" if code in DEEP_RULES else ""
-            print(f"{code}  {rule.name}: {rule.description}{deep}")
-        for prefix, codes in sorted(DEFAULT_PATH_RELAXATIONS.items()):
-            print(f"(default relaxation) {prefix}/: "
-                  + ", ".join(sorted(codes)) + " off")
-        return 0
-
-    if args.rule_table:
-        print(rule_table_markdown(), end="")
+        print(_rule_catalog(), end="")
         return 0
 
     select = _codes(args.select)
     ignore = _codes(args.ignore)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-
     started = time.monotonic()
     try:
         violations = lint_paths(args.paths, select=select, ignore=ignore,
-                                strict=args.strict, jobs=jobs)
+                                strict=args.strict)
         if args.deep:
             from repro.analysis.flow import deep_lint_paths
             violations = violations + deep_lint_paths(
@@ -139,53 +106,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     wall_time = time.monotonic() - started
 
-    from repro.analysis.lint import iter_python_files
-    n_files = len(iter_python_files(args.paths))
-
-    from repro.analysis.flow.baseline import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    if args.write_baseline:
-        n = write_baseline(args.baseline, violations)
-        print(f"baseline: wrote {n} finding(s) to {args.baseline}",
-              file=sys.stderr)
-        return 0
-    baselined = 0
-    if not args.no_baseline and Path(args.baseline).exists():
-        violations, baselined = apply_baseline(
-            violations, load_baseline(args.baseline))
-
-    active_rules = dict(RULES)
-    if args.deep:
-        active_rules.update(DEEP_RULES)
-    if args.sarif:
-        from repro.analysis.flow.sarif import render_sarif
-        text = render_sarif(violations, active_rules)
-        if args.sarif == "-":
-            print(text, end="")
-        else:
-            Path(args.sarif).write_text(text, encoding="utf-8")
-
     if args.as_json:
         print(json.dumps({
             "violations": [v.to_json() for v in violations],
-            "files": n_files,
+            "files": len(iter_python_files(args.paths)),
             "wall_time_s": round(wall_time, 3),
             "deep": args.deep,
-            "baselined": baselined,
         }, indent=2))
-    elif args.sarif != "-":
+    else:
         for v in violations:
             print(v.render())
         if violations:
-            counts: dict[str, int] = {}
-            for v in violations:
-                counts[v.code] = counts.get(v.code, 0) + 1
+            counts = Counter(v.code for v in violations)
             summary = ", ".join(f"{c} x{n}" for c, n in sorted(counts.items()))
-            suffix = f" ({baselined} baselined)" if baselined else ""
-            print(f"{len(violations)} violation(s): {summary}{suffix}",
+            print(f"{len(violations)} violation(s): {summary}",
                   file=sys.stderr)
     return 1 if violations else 0
 

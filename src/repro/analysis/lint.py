@@ -7,8 +7,8 @@ that the driver must execute, blocking calls must not run under runtime
 locks, and trace event names must come from the central vocabulary
 (:mod:`repro.obs.vocab`).  This module provides the machinery — the
 per-file and whole-program rule registries, ``# dooc: noqa[CODE]``
-suppressions, path walking with an optional process-pool fan-out —
-while :mod:`repro.analysis.rules` provides the per-file rules and
+suppressions, the per-directory relaxations and path walking — while
+:mod:`repro.analysis.rules` provides the per-file rules and
 :mod:`repro.analysis.flow.rules_deep` the interprocedural ones
 (``DOOC000`` is reserved for files the analyzer cannot parse; run
 ``python -m repro lint --list-rules`` for the live catalog).
@@ -245,11 +245,17 @@ def lint_file(path: Path | str, *,
 
 
 def iter_python_files(paths: Iterable["Path | str"]) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated .py file list."""
+    """Expand files/directories into a sorted, de-duplicated .py file list.
+
+    A path that does not exist is a usage error (``ValueError``), not an
+    empty tree: a typo in a path list must not lint clean.
+    """
     seen: set[Path] = set()
     out: list[Path] = []
     for raw in paths:
         p = Path(raw)
+        if not p.exists():
+            raise ValueError(f"no such file or directory: {raw}")
         if p.is_dir():
             candidates = sorted(p.rglob("*.py"))
         elif p.suffix == ".py":
@@ -263,43 +269,16 @@ def iter_python_files(paths: Iterable["Path | str"]) -> list[Path]:
     return out
 
 
-def _lint_file_task(args: tuple) -> list[Violation]:
-    """Process-pool entry: lint one file from picklable arguments."""
-    path, select, ignore, strict = args
-    return lint_file(path, select=select, ignore=ignore, strict=strict)
-
-
-#: below this many files the pool's spawn cost outweighs the win
-_PARALLEL_THRESHOLD = 16
-
-
 def lint_paths(paths: Iterable["Path | str"], *,
                select: Iterable[str] | None = None,
                ignore: Iterable[str] | None = None,
-               strict: bool = False,
-               jobs: int = 1) -> list[Violation]:
-    """Lint every ``.py`` file under ``paths`` (files or directories).
-
-    ``jobs > 1`` fans the per-file scan over a process pool.  Output is
-    deterministic either way: files are visited in sorted path order and
-    results are collected in submission order, so the violation list is
-    byte-identical to a serial run.
-    """
-    files = iter_python_files(paths)
+               strict: bool = False) -> list[Violation]:
+    """Lint every ``.py`` file under ``paths`` (files or directories), in
+    sorted path order."""
     select_t = tuple(select) if select else None
     ignore_t = tuple(ignore) if ignore else None
-    if jobs > 1 and len(files) >= _PARALLEL_THRESHOLD:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            tasks = [(str(f), select_t, ignore_t, strict) for f in files]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(_lint_file_task, tasks,
-                                       chunksize=max(1, len(tasks) // (jobs * 4))))
-            return [v for chunk in chunks for v in chunk]
-        except (OSError, ImportError):  # pragma: no cover - no fork/semaphores
-            pass  # sandboxed environments: fall through to the serial scan
     out: list[Violation] = []
-    for path in files:
+    for path in iter_python_files(paths):
         out.extend(lint_file(path, select=select_t, ignore=ignore_t,
                              strict=strict))
     return out

@@ -18,29 +18,13 @@ DOOC003   blocking call under a lock: ``time.sleep``, ``open``/``os.open``,
 DOOC004   unknown trace event: a string literal passed as the event name to
           ``Tracer.instant/complete/counter/span`` that is not part of the
           central vocabulary (:mod:`repro.obs.vocab`).
-DOOC005   non-atomic durable write: a bare ``open(..., "w"/"wb")``,
-          ``.write_bytes()`` or ``.write_text()`` on a ``.blk``/``.ckpt``
-          path.  Checkpoint payloads and manifests are recovery inputs —
-          a torn write silently poisons restart, so they must go through
-          ``repro.util.atomicio.atomic_write`` (temp + fsync + rename).
-DOOC006   raw shared memory: ``SharedMemory(...)`` constructed outside
-          ``repro.core.shm``.  Segments made elsewhere escape the pool's
-          lease refcounts, generation stamps and unlink sweeps — they
-          leak ``/dev/shm`` entries and break the crash-cleanup
-          invariant.  Allocate via ``SegmentPool`` / attach via
-          ``attach_view`` instead.
-DOOC007   direct compression call: ``zlib``/``lzma``/``bz2`` imported outside
-          ``repro.core.codecs``; on-disk formats stay self-describing only
-          if every encode/decode goes through the codec registry.
-DOOC008   raw mapping: ``mmap.mmap`` or ``libc.mmap`` called
-          outside ``repro.core.iofilter``.  A block's mapping holds no
-          file descriptor, is unmapped with the last view of it and is
-          read-only; the three guarantees live in one place, and a
-          mapping made elsewhere has none of them.
-DOOC013   sleep in the server: ``time.sleep(...)`` inside ``repro/server``;
-          its control plane parks on ``Event``/``Condition`` waits so
-          drains, deadlines and cancels can interrupt it.
 ========  ==================================================================
+
+DOOC005-008 and DOOC013 are one idea, "this call or import belongs in
+one place" — durable ``.blk``/``.ckpt`` writes in ``util/atomicio``,
+``SharedMemory`` in ``core/shm``, compression imports in ``core/codecs``,
+``mmap`` in ``core/iofilter``, and no ``time.sleep`` in ``server/``: the
+rows of :data:`FENCES`, checked by one function, :func:`check_fence`.
 
 The rules are deliberately lexical (single-function, no dataflow): they
 catch the protocol mistakes that actually bit this repo while staying fast
@@ -51,12 +35,15 @@ with ``# dooc: noqa[CODE]`` and a justification comment.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.lint import EFFECT_FUNCS, Violation, register
 from repro.obs.vocab import EVENT_NAMES
 
 __all__ = [
+    "FENCES",
     "REQUEST_FUNCS",
     "RELEASE_FUNCS",
     "EFFECT_FUNCS",
@@ -388,234 +375,138 @@ def check_trace_vocabulary(tree: ast.Module,
             )
 
 
-# -- DOOC005: non-atomic durable writes --------------------------------------
+# -- DOOC005-008, DOOC013: the fence table ------------------------------------
 
-#: filename fragments marking recovery-critical artifacts
-_DURABLE_FRAGMENTS = (".blk", ".ckpt")
 
-#: write modes of ``open`` that replace or extend a durable file
-_WRITE_MODES = frozenset("wax")
+def _in(path: str, place: str) -> bool:
+    """Is ``path`` the module ``place``, or a module directly inside the
+    package ``place``?"""
+    path = "/" + path.replace("\\", "/")
+    return (path.endswith("/" + place)
+            or path.rsplit("/", 1)[0].endswith("/" + place))
+
+
+def _call_to(name: str, receivers: tuple[str | None, ...] | None = None):
+    """Matcher for a call to ``name`` (on one of ``receivers``, if given)."""
+    def match(node: ast.AST, stmt: ast.stmt | None) -> str | None:
+        if (isinstance(node, ast.Call) and _call_name(node) == name
+                and (receivers is None or _receiver_name(node) in receivers)):
+            return f"{name}()"
+        return None
+    return match
 
 
 def _mentions_durable(node: ast.AST) -> bool:
-    return any(
-        isinstance(n, ast.Constant) and isinstance(n.value, str)
-        and any(f in n.value for f in _DURABLE_FRAGMENTS)
-        for n in ast.walk(node)
-    )
+    """Does ``node`` name a recovery-critical (.blk/.ckpt) artifact?"""
+    return any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+               and (".blk" in n.value or ".ckpt" in n.value)
+               for n in ast.walk(node))
 
 
-def _open_write_mode(call: ast.Call) -> bool:
+def _opens_to_write(call: ast.Call) -> bool:
     """Is this ``open(...)`` (or ``os.open``/``io.open``) opened to write?"""
-    if _call_name(call) != "open":
+    if _call_name(call) != "open" or _receiver_name(call) not in (
+            None, "os", "io"):
         return False
-    receiver = _receiver_name(call)
-    if receiver not in (None, "os", "io"):
-        return False
-    mode: ast.expr | None = None
-    if len(call.args) >= 2:
-        mode = call.args[1]
+    mode: ast.expr | None = call.args[1] if len(call.args) >= 2 else None
     for kw in call.keywords:
         if kw.arg == "mode":
             mode = kw.value
-    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
-        return False  # default mode is "r"; dynamic modes pass
-    return any(c in _WRITE_MODES for c in mode.value)
+    # the default mode is "r"; a dynamic mode passes
+    return (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            and any(c in "wax" for c in mode.value))
 
 
-@register(
-    "DOOC005",
-    "non-atomic-durable-write",
-    "checkpoint/manifest/block (.blk/.ckpt) files must be written via "
-    "repro.util.atomicio.atomic_write, not bare open()/write_bytes()",
+def _durable_write(node: ast.AST, stmt: ast.stmt | None) -> str | None:
+    """Matcher for a write whose call, or whose statement's header, names
+    a durable artifact.  Compound statements only contribute their
+    headers (a ``with`` body mentioning ``.blk`` must not taint an
+    unrelated ``open`` in the ``with`` line)."""
+    if not isinstance(node, ast.Call):
+        return None
+    if _opens_to_write(node):
+        writer = "open()"
+    elif (isinstance(node.func, ast.Attribute)
+          and node.func.attr in ("write_bytes", "write_text")):
+        writer = f"{node.func.attr}()"
+    else:
+        return None
+    header = (stmt.items if isinstance(stmt, (ast.With, ast.AsyncWith))
+              else [stmt] if isinstance(stmt, (ast.Assign, ast.AnnAssign,
+                                               ast.AugAssign, ast.Expr,
+                                               ast.Return))
+              else [])
+    return writer if any(map(_mentions_durable, [node, *header])) else None
+
+
+def _compression_import(node: ast.AST, stmt: ast.stmt | None) -> str | None:
+    names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+             else [node.module or ""] if isinstance(node, ast.ImportFrom)
+             else [])
+    names = [n for n in names if n.split(".")[0] in ("zlib", "lzma", "bz2")]
+    return f"import {', '.join(names)}" if names else None
+
+
+@dataclass(frozen=True)
+class Fence:
+    """One "this call or import belongs in one place" rule."""
+
+    code: str
+    name: str
+    description: str
+    #: (node, its innermost statement) -> what was matched, or None
+    fenced: Callable[[ast.AST, ast.stmt | None], str | None]
+    #: "outside <its home module>" or "inside <the package it is banned from>"
+    scope: str
+
+
+FENCES = (
+    Fence("DOOC005", "non-atomic-durable-write",
+          "checkpoint/manifest/block (.blk/.ckpt) files must be written via "
+          "repro.util.atomicio.atomic_write, not bare open()/write_bytes()",
+          _durable_write, "outside repro/util/atomicio.py"),
+    Fence("DOOC006", "raw-shared-memory",
+          "SharedMemory() constructed outside repro.core.shm; segments must "
+          "be allocated through SegmentPool / mapped through attach_view so "
+          "leases, generations and unlink sweeps stay coherent",
+          _call_to("SharedMemory"), "outside repro/core/shm.py"),
+    Fence("DOOC007", "direct-compression-call",
+          "zlib/lzma/bz2 used outside repro.core.codecs; compression must go "
+          "through the codec registry so on-disk formats stay "
+          "self-describing and DOOC_CODEC snapshot semantics hold",
+          _compression_import, "outside repro/core/codecs.py"),
+    Fence("DOOC008", "raw-mapping",
+          "mmap.mmap / libc.mmap called outside repro.core.iofilter; block "
+          "mappings hold no file descriptor, die with their last view and "
+          "are read-only only because one module makes them all",
+          _call_to("mmap"), "outside repro/core/iofilter.py"),
+    Fence("DOOC013", "sleep-in-server",
+          "time.sleep(...) inside repro/server; the job service's control "
+          "plane must park on threading.Event/Condition waits so drains, "
+          "deadlines and cancels can interrupt it — a sleeping thread "
+          "ignores SIGTERM for the rest of its nap",
+          _call_to("sleep", (None, "time")), "inside repro/server"),
 )
-def check_atomic_durable_writes(tree: ast.Module,
-                                path: str) -> Iterator[Violation]:
-    # The one legitimate bare writer is atomic_write itself (it writes the
-    # temp file it later renames); its definition is exempt wholesale.
-    exempt: set[int] = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == "atomic_write"):
-            exempt.update(id(n) for n in ast.walk(node))
-
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-
-    def durable_context(call: ast.Call) -> bool:
-        """The call itself, or its statement's header, names a durable
-        artifact.  Compound statements only contribute their headers (a
-        ``with`` body mentioning ``.blk`` must not taint an unrelated
-        ``open`` in the ``with`` line)."""
-        if _mentions_durable(call):
-            return True
-        node: ast.AST = call
-        while node in parents and not isinstance(node, ast.stmt):
-            node = parents[node]
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign,
-                             ast.Expr, ast.Return)):
-            return _mentions_durable(node)
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            return any(_mentions_durable(item) for item in node.items)
-        return False
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or id(node) in exempt:
-            continue
-        writer: str | None = None
-        if _open_write_mode(node):
-            writer = "open"
-        elif (isinstance(node.func, ast.Attribute)
-              and node.func.attr in ("write_bytes", "write_text")):
-            writer = node.func.attr
-        if writer is None or not durable_context(node):
-            continue
-        yield Violation(
-            "DOOC005", path, node.lineno, node.col_offset,
-            f"{writer}() writes a durable .blk/.ckpt artifact in place; a "
-            "crash mid-write poisons recovery — use "
-            "repro.util.atomicio.atomic_write (temp + fsync + rename)",
-        )
 
 
-# -- DOOC006: raw shared-memory construction ---------------------------------
-
-#: the one module allowed to construct SharedMemory (the pool itself)
-_SHM_HOME = ("repro", "core", "shm.py")
-
-
-def _is_module(path: str, home: tuple[str, str, str]) -> bool:
-    """Is ``path`` the one module a "home" rule exempts?"""
-    parts = path.replace("\\", "/").split("/")
-    return tuple(parts[-3:]) == home
-
-
-@register(
-    "DOOC006",
-    "raw-shared-memory",
-    "SharedMemory() constructed outside repro.core.shm; segments must be "
-    "allocated through SegmentPool / mapped through attach_view so leases, "
-    "generations and unlink sweeps stay coherent",
-)
-def check_raw_shared_memory(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if _is_module(path, _SHM_HOME):
+def check_fence(fence: Fence, tree: ast.Module,
+                path: str) -> Iterator[Violation]:
+    """The one checker of every :data:`FENCES` row."""
+    where, place = fence.scope.split()
+    if _in(path, place) != (where == "inside"):
         return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _call_name(node) != "SharedMemory":
-            continue
-        yield Violation(
-            "DOOC006", path, node.lineno, node.col_offset,
-            "raw SharedMemory(...) bypasses the segment pool's lease "
-            "refcounts and unlink sweep (a crash leaks /dev/shm); use "
-            "repro.core.shm.SegmentPool.allocate / attach_view",
-        )
+    stack: list[tuple[ast.AST, ast.stmt | None]] = [(tree, None)]
+    while stack:  # every node, paired with its innermost statement
+        node, stmt = stack.pop()
+        if isinstance(node, ast.stmt):
+            stmt = node
+        what = fence.fenced(node, stmt)
+        if what is not None:
+            yield Violation(fence.code, path, node.lineno, node.col_offset,
+                            f"{what}: {fence.description}")
+        stack.extend((child, stmt) for child in ast.iter_child_nodes(node))
 
 
-# -- DOOC007: direct compression-library use ---------------------------------
-
-#: the one module allowed to import zlib/lzma/bz2 (the codec registry)
-_CODECS_HOME = ("repro", "core", "codecs.py")
-
-#: stdlib compression modules the codec pipeline wraps
-_COMPRESSION_MODULES = ("zlib", "lzma", "bz2")
-
-
-@register(
-    "DOOC007",
-    "direct-compression-call",
-    "zlib/lzma/bz2 used outside repro.core.codecs; compression must go "
-    "through the codec registry so on-disk formats stay self-describing "
-    "and DOOC_CODEC snapshot semantics hold",
-)
-def check_direct_compression(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if _is_module(path, _CODECS_HOME):
-        return
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names
-                     if a.name.split(".")[0] in _COMPRESSION_MODULES]
-        elif isinstance(node, ast.ImportFrom):
-            root = (node.module or "").split(".")[0]
-            names = [root] if root in _COMPRESSION_MODULES else []
-        else:
-            continue
-        for name in names:
-            yield Violation(
-                "DOOC007", path, node.lineno, node.col_offset,
-                f"direct {name} use bypasses the codec registry (headers "
-                "would no longer name the codec and DOOC_CODEC would not "
-                "apply); encode/decode through repro.core.codecs instead",
-            )
-
-
-# -- DOOC008: memory mappings made outside the block loader ------------------
-
-#: the one module allowed to map memory (the block loader)
-_MAPPING_HOME = ("repro", "core", "iofilter.py")
-
-
-@register(
-    "DOOC008",
-    "raw-mapping",
-    "mmap.mmap / libc.mmap called outside repro.core.iofilter; block "
-    "mappings hold no file descriptor, die with their last view and are "
-    "read-only only because one module makes them all",
-)
-def check_raw_mapping(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if _is_module(path, _MAPPING_HOME):
-        return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _call_name(node) != "mmap":
-            continue
-        yield Violation(
-            "DOOC008", path, node.lineno, node.col_offset,
-            "raw mmap(...) escapes the block loader's guarantees (no "
-            "descriptor per mapping, munmap with the last view, read-only "
-            "pages); load through repro.core.iofilter.read_block",
-        )
-
-
-# -- DOOC013: time.sleep in the job-server control plane -----------------------
-
-#: directory whose modules must wait on Event/Condition, never sleep
-_SERVER_HOME = ("repro", "server")
-
-
-def _is_server_module(path: str) -> bool:
-    parts = path.replace("\\", "/").split("/")
-    return tuple(parts[-3:-1]) == _SERVER_HOME
-
-
-@register(
-    "DOOC013",
-    "sleep-in-server",
-    "time.sleep(...) inside repro/server; the job service's control plane "
-    "must park on threading.Event/Condition waits so drains, deadlines and "
-    "cancels can interrupt it — a sleeping thread ignores SIGTERM for the "
-    "rest of its nap",
-)
-def check_server_sleep(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if not _is_server_module(path):
-        return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        fn = node.func
-        named_sleep = (isinstance(fn, ast.Attribute) and fn.attr == "sleep"
-                       and isinstance(fn.value, ast.Name)
-                       and fn.value.id == "time")
-        bare_sleep = isinstance(fn, ast.Name) and fn.id == "sleep"
-        if not (named_sleep or bare_sleep):
-            continue
-        yield Violation(
-            "DOOC013", path, node.lineno, node.col_offset,
-            "time.sleep() in the job server blocks deadlines, preemption "
-            "and SIGTERM drain for its full duration; wait on a "
-            "threading.Event/Condition with a timeout instead",
-        )
+for _fence in FENCES:
+    register(_fence.code, _fence.name, _fence.description)(
+        partial(check_fence, _fence))

@@ -1,4 +1,4 @@
-"""Deep half of repro.analysis: whole-program rules, baseline, SARIF, CLI.
+"""Deep half of repro.analysis: whole-program rules and the CLI.
 
 Each seeded fixture is a miniature multi-module program carrying exactly
 the interprocedural defect its rule describes; the known-good fixtures
@@ -16,20 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import _rule_span, main as lint_main, rule_table_markdown
+from repro.analysis.cli import _rule_span, main as lint_main
 from repro.analysis.flow import analyze_sources, deep_lint_paths
-from repro.analysis.flow.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.lint import (
     DEEP_RULES,
     RULES,
-    Violation,
     all_rules,
-    lint_paths,
     lint_source,
 )
 
@@ -578,53 +570,7 @@ def test_bare_noqa_suppresses_every_registered_rule(code):
     assert _run_rule(code, "\n".join(lines) + "\n") == []
 
 
-# -- baseline ---------------------------------------------------------------------
-
-
-def test_baseline_roundtrip(tmp_path):
-    vs = analyze_sources({"src/m.py": EFFECT_WRAPPER})
-    bl = tmp_path / "baseline.json"
-    assert write_baseline(bl, vs, reason="legacy driver, tracked in #42") == 1
-    payload = json.loads(bl.read_text())
-    assert payload["version"] == 1
-    assert payload["findings"][0]["code"] == "DOOC012"
-    assert payload["findings"][0]["reason"] == "legacy driver, tracked in #42"
-
-    kept, suppressed = apply_baseline(vs, load_baseline(bl))
-    assert kept == [] and suppressed == 1
-
-
-def test_baseline_fingerprint_stable_across_line_drift():
-    a = Violation("DOOC012", "src/m.py", 4, 4, "result of _cleanup() discarded")
-    b = Violation("DOOC012", "src/m.py", 90, 4, "result of _cleanup() discarded")
-    assert fingerprint(a) == fingerprint(b)
-    c = Violation("DOOC012", "src/other.py", 4, 4,
-                  "result of _cleanup() discarded")
-    assert fingerprint(a) != fingerprint(c)
-
-
-def test_absent_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == set()
-
-
-# -- parallel scan ------------------------------------------------------------------
-
-
-def test_parallel_scan_matches_serial_and_is_sorted(tmp_path):
-    for i in range(24):  # above the process-pool threshold
-        (tmp_path / f"m{i:02d}.py").write_text(
-            "def leaky(store, iv):\n"
-            "    ticket, effects = store.request_read(iv)\n"
-        )
-    serial = lint_paths([tmp_path], jobs=1)
-    pooled = lint_paths([tmp_path], jobs=4)
-    key = [(v.path, v.line, v.col, v.code) for v in serial]
-    assert key == [(v.path, v.line, v.col, v.code) for v in pooled]
-    assert len(serial) == 24
-    assert key == sorted(key)
-
-
-# -- CLI + report formats -------------------------------------------------------------
+# -- CLI ------------------------------------------------------------------------------
 
 
 def test_cli_deep_finds_cross_file_escape(tmp_path, capsys):
@@ -639,55 +585,7 @@ def test_cli_deep_finds_cross_file_escape(tmp_path, capsys):
     assert payload["deep"] is True
     assert payload["files"] == 2
     assert payload["wall_time_s"] >= 0
-    assert payload["baselined"] == 0
     assert [v["code"] for v in payload["violations"]] == ["DOOC010"]
-
-
-def test_cli_sarif_schema(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(RULE_SEEDS["DOOC010"])
-    rc = lint_main(["--deep", "--sarif", "-", str(tmp_path)])
-    assert rc == 1
-    log = json.loads(capsys.readouterr().out)
-    assert log["version"] == "2.1.0"
-    run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"DOOC001", "DOOC010", "DOOC011", "DOOC012"} <= rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == "DOOC010"
-    loc = result["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"].endswith("bad.py")
-    assert loc["region"]["startLine"] == 4
-    assert loc["region"]["startColumn"] >= 1
-
-
-def test_cli_sarif_to_file(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(RULE_SEEDS["DOOC001"])
-    out = tmp_path / "lint.sarif"
-    rc = lint_main(["--sarif", str(out), str(bad)])
-    assert rc == 1
-    log = json.loads(out.read_text())
-    assert log["runs"][0]["results"][0]["ruleId"] == "DOOC001"
-
-
-def test_cli_baseline_workflow(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(RULE_SEEDS["DOOC001"])
-    bl = tmp_path / "baseline.json"
-
-    rc = lint_main(["--write-baseline", "--baseline", str(bl), str(bad)])
-    assert rc == 0
-    capsys.readouterr()
-
-    rc = lint_main(["--json", "--baseline", str(bl), str(bad)])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["violations"] == [] and payload["baselined"] == 1
-
-    # --no-baseline reports everything again
-    assert lint_main(["--no-baseline", "--baseline", str(bl), str(bad)]) == 1
 
 
 def test_cli_list_rules_marks_deep_rules(capsys):
@@ -695,17 +593,19 @@ def test_cli_list_rules_marks_deep_rules(capsys):
     out = capsys.readouterr().out
     for code in ("DOOC010", "DOOC011", "DOOC012"):
         assert code in out
-    assert "[deep]" in out
+    assert all(f"| `{c}` | {rule.name} | program |" in out
+               for c, rule in DEEP_RULES.items())
 
 
-def test_docs_rule_table_is_generated_from_registry():
-    table = rule_table_markdown()
+def test_docs_rule_table_is_generated_from_registry(capsys):
+    assert lint_main(["--list-rules"]) == 0
+    table = capsys.readouterr().out
     for code in all_rules():
         assert f"`{code}`" in table
     doc = (REPO / "docs" / "ANALYSIS.md").read_text(encoding="utf-8")
     assert table in doc, (
         "docs/ANALYSIS.md rule table is stale: regenerate it with "
-        "`python -m repro lint --rule-table`")
+        "`python -m repro lint --list-rules`")
 
 
 # -- the shipped tree is the ultimate fixture ------------------------------------------

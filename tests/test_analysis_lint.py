@@ -21,6 +21,7 @@ from repro.analysis.lint import (
     lint_paths,
     lint_source,
 )
+from repro.analysis.rules import FENCES, check_fence
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -275,17 +276,32 @@ def test_dooc005_reads_and_nondurable_writes_are_clean():
     assert lint_source(src, select=["DOOC005"]) == []
 
 
-def test_dooc005_atomic_write_implementation_is_exempt():
-    src = (
-        "import os, tempfile\n"
-        "def atomic_write(path, data):\n"
-        "    fd, tmp = tempfile.mkstemp(dir='.')\n"
-        "    with os.fdopen(fd, 'wb') as fh:\n"
-        "        fh.write(data)\n"
-        "        os.fsync(fh.fileno())\n"
-        "    os.replace(tmp, str(path) + '.blk')\n"
-    )
-    assert lint_source(src, select=["DOOC005"]) == []
+#: fence code -> (a seeded violation, a path it is flagged at, a path it
+#: is clean at: the row's home, or for DOOC013 anywhere outside server/)
+FENCE_SEEDS = {
+    "DOOC005": ("with open(str(path) + '.ckpt', 'wb') as fh:\n"
+                "    fh.write(data)\n",
+                "src/m.py", "src/repro/util/atomicio.py"),
+    "DOOC006": ("shm = SharedMemory(name='x', create=True, size=8)\n",
+                "src/m.py", "src/repro/core/shm.py"),
+    "DOOC007": ("import zlib\n", "src/m.py", "src/repro/core/codecs.py"),
+    "DOOC008": ("buf = mmap.mmap(-1, 4096)\n",
+                "src/m.py", "src/repro/core/iofilter.py"),
+    "DOOC013": ("time.sleep(0.5)\n", "src/repro/server/m.py", "src/m.py"),
+}
+
+
+@pytest.mark.parametrize("fence", FENCES, ids=lambda f: f.code)
+def test_fence_holds_in_its_scope_only(fence):
+    seed, flagged_at, clean_at = FENCE_SEEDS[fence.code]
+    assert [v.code for v in lint_source(seed, flagged_at,
+                                        select=[fence.code])] == [fence.code]
+    assert lint_source(seed, clean_at, select=[fence.code]) == []
+
+
+def test_fences_are_one_table_checked_by_one_function():
+    assert {f.code for f in FENCES} == set(FENCE_SEEDS)
+    assert all(RULES[f.code].check.func is check_fence for f in FENCES)
 
 
 def test_dooc005_relaxed_under_tests_dir(tmp_path):
@@ -473,6 +489,13 @@ def test_cli_flags_seeded_file_with_json(tmp_path, capsys):
     assert payload["files"] == 1
     assert payload["wall_time_s"] >= 0
     assert payload["deep"] is False
+
+
+def test_cli_missing_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir"
+    assert lint_main([str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert lint_main(["--json", "--deep", str(missing)]) == 2
 
 
 def test_cli_list_rules(capsys):
