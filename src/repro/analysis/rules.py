@@ -12,9 +12,10 @@ DOOC002   dropped effects: a ``LocalStore`` method returning
           ``list[Effect]`` called as a bare statement — the effects were
           never executed, so loads/spills/grants silently vanish.
 DOOC003   blocking call under a lock: ``time.sleep``, ``open``/``os.open``,
-          an untimed ``.wait()`` or ``.join()``, or ``subprocess`` work
-          inside a ``with <lock>:`` body stalls every thread contending on
-          that lock.
+          an untimed ``.join()``, an untimed ``.wait()`` on anything but
+          the one lock held (``with c: c.wait()`` is the monitor pattern),
+          or ``subprocess`` work inside a ``with <lock>:`` body stalls
+          every thread contending on that lock.
 DOOC004   unknown trace event: a string literal passed as the event name to
           ``Tracer.instant/complete/counter/span`` that is not part of the
           central vocabulary (:mod:`repro.obs.vocab`).
@@ -23,8 +24,9 @@ DOOC004   unknown trace event: a string literal passed as the event name to
 DOOC005-008 and DOOC013 are one idea, "this call or import belongs in
 one place" — durable ``.blk``/``.ckpt`` writes in ``util/atomicio``,
 ``SharedMemory`` in ``core/shm``, compression imports in ``core/codecs``,
-``mmap`` in ``core/iofilter``, and no ``time.sleep`` in ``server/``: the
-rows of :data:`FENCES`, checked by one function, :func:`check_fence`.
+``mmap`` in ``core/iofilter``, and no ``time.sleep`` in ``server/`` or
+``core/`` (DOOC014): the rows of :data:`FENCES`, checked by one function,
+:func:`check_fence`.
 
 The rules are deliberately lexical (single-function, no dataflow): they
 catch the protocol mistakes that actually bit this repo while staying fast
@@ -269,7 +271,9 @@ def check_dropped_effects(tree: ast.Module, path: str) -> Iterator[Violation]:
 # -- DOOC003: blocking calls under a lock ------------------------------------
 
 
-def _blocking_reason(call: ast.Call) -> str | None:
+def _blocking_reason(call: ast.Call, held: list[str]) -> str | None:
+    """Why ``call`` blocks under the locks ``held`` (their source text,
+    outermost first), or None."""
     name = _call_name(call)
     receiver = _receiver_name(call)
     if name == "sleep" and (receiver in (None, "time")):
@@ -280,8 +284,11 @@ def _blocking_reason(call: ast.Call) -> str | None:
         return "subprocess work under a lock blocks all contenders"
     if name == "wait" and not call.args and not any(
             kw.arg == "timeout" for kw in call.keywords):
-        return ("untimed .wait() under a lock cannot observe runtime "
-                "failure; pass a timeout")
+        if (isinstance(call.func, ast.Attribute)
+                and set(held) == {ast.unparse(call.func.value)}):
+            return None  # `with c: c.wait()`: the wait releases the lock
+        return ("untimed .wait() on another object under a lock parks "
+                "with the lock held")
     if name == "join" and not call.args and not any(
             kw.arg == "timeout" for kw in call.keywords):
         if receiver is None or _is_lockish(receiver):
@@ -295,37 +302,37 @@ def _blocking_reason(call: ast.Call) -> str | None:
 @register(
     "DOOC003",
     "blocking-under-lock",
-    "blocking call (sleep, file open, untimed wait/join, subprocess) "
-    "inside a `with <lock>:` body",
+    "blocking call (sleep, file open, untimed join, untimed wait on "
+    "anything but the lock held, subprocess) inside a `with <lock>:` body",
 )
 def check_blocking_under_lock(tree: ast.Module,
                               path: str) -> Iterator[Violation]:
     for body in _scopes(tree):
 
         def visit(stmts: list[ast.stmt],
-                  lock_depth: int) -> Iterator[Violation]:
+                  held: list[str]) -> Iterator[Violation]:
             for stmt in stmts:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                     continue
-                depth = lock_depth
+                inner = held
                 if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    if any(_is_lockish(_terminal_name(item.context_expr))
-                           for item in stmt.items):
-                        depth += 1
-                elif depth > 0:
+                    inner = held + [
+                        ast.unparse(item.context_expr) for item in stmt.items
+                        if _is_lockish(_terminal_name(item.context_expr))]
+                elif held:
                     for call in _calls_in(stmt):
-                        reason = _blocking_reason(call)
+                        reason = _blocking_reason(call, held)
                         if reason is not None:
                             yield Violation(
                                 "DOOC003", path, call.lineno,
                                 call.col_offset, reason)
                 for field in ("body", "orelse", "finalbody"):
-                    yield from visit(getattr(stmt, field, []) or [], depth)
+                    yield from visit(getattr(stmt, field, []) or [], inner)
                 for handler in getattr(stmt, "handlers", []) or []:
-                    yield from visit(handler.body, depth)
+                    yield from visit(handler.body, inner)
 
-        yield from visit(body, 0)
+        yield from visit(body, [])
 
 
 # -- DOOC004: trace vocabulary ----------------------------------------------
@@ -486,6 +493,11 @@ FENCES = (
           "deadlines and cancels can interrupt it — a sleeping thread "
           "ignores SIGTERM for the rest of its nap",
           _call_to("sleep", (None, "time")), "inside repro/server"),
+    Fence("DOOC014", "sleep-in-core",
+          "time.sleep(...) inside repro/core; control-plane threads park on "
+          "condition waits or stream reads and wake on a notification or a "
+          "deadline of their own, never on a tuned nap",
+          _call_to("sleep", (None, "time")), "inside repro/core"),
 )
 
 

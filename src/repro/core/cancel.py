@@ -2,9 +2,11 @@
 
 A :class:`CancelToken` is the one-way switch a supervisor hands to
 ``DOoCEngine.run(cancel=...)``.  Setting it does **not** kill threads or
-tear streams: the global scheduler notices the token, stops dispatching,
-broadcasts a drain request, and waits for every node to report its
-in-flight tasks finished before running the normal wind-down.  The run
+tear streams: the engine hooks the token (:meth:`CancelToken.on_cancel`)
+so that setting it posts one ``cancel`` message to the global scheduler,
+which stops dispatching, broadcasts a drain request, and waits for every
+node to report its in-flight tasks finished before running the normal
+wind-down.  The run
 then raises :class:`~repro.core.errors.RunCancelled` with every ticket
 released, /dev/shm unlinked, and nothing torn on disk — exactly the
 same exit hygiene as a successful run.
@@ -18,6 +20,7 @@ failed — ``run()`` raises only if the scheduler actually drained).
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 
 __all__ = ["CancelToken"]
 
@@ -35,6 +38,7 @@ class CancelToken:
         self._event = threading.Event()
         self._lock = threading.Lock()
         self._reason = "cancelled"
+        self._hooks: set[Callable[[], None]] = set()
 
     def cancel(self, reason: str = "cancelled") -> bool:
         """Request cancellation.  Returns True if this call flipped the
@@ -44,7 +48,21 @@ class CancelToken:
                 return False
             self._reason = str(reason)
             self._event.set()
-            return True
+            hooks, self._hooks = list(self._hooks), set()
+        for hook in hooks:
+            hook()
+        return True
+
+    def on_cancel(self, hook: Callable[[], None]) -> Callable[[], None]:
+        """Run ``hook`` once, on the cancelling thread — at once if the
+        token is already set.  Returns a function that unregisters it (a
+        no-op once it ran); a token shared by many runs needs that."""
+        with self._lock:
+            if not self._event.is_set():
+                self._hooks.add(hook)
+                return lambda: self._hooks.discard(hook)
+        hook()
+        return lambda: None
 
     def is_set(self) -> bool:
         return self._event.is_set()

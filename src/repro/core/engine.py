@@ -61,6 +61,7 @@ from repro.core.shm import SegmentLeakError, SegmentPool
 from repro.core.storage import LocalStore
 from repro.core.storage_filter import _StorageFilter
 from repro.core.worker import _WorkerFilter
+from repro.datacutter.buffers import DataBuffer
 from repro.datacutter.errors import FilterError
 from repro.datacutter.layout import DistributionPolicy, Layout
 from repro.datacutter.runtime import ThreadedRuntime
@@ -346,7 +347,7 @@ class DOoCEngine:
                             phase="start", program=program.name)
         started = time.monotonic()
         leaked_leases = self._execute(runtime, watchdog, recovery, proc_pool,
-                                      timeout)
+                                      timeout, cancel)
         self.tracer.instant(-1, "engine", "run", "phase", phase="end")
         if auditor is not None:
             # Every grant on every node must have been unwound by a release
@@ -539,9 +540,13 @@ class DOoCEngine:
                  watchdog: StallWatchdog | None,
                  recovery: _RecoveryContext | None,
                  proc_pool: ProcessWorkerPool | None,
-                 timeout: float) -> dict[str, int]:
+                 timeout: float,
+                 cancel: CancelToken | None) -> dict[str, int]:
         """Run the filter graph to completion, turning its failures into
-        named errors; returns the segment leases the run leaked."""
+        named errors; returns the segment leases the run leaked.  While it
+        runs, ``cancel`` posts one message to the global scheduler."""
+        unhook = (lambda: None) if cancel is None else cancel.on_cancel(
+            lambda: runtime.post("gsched", "in", DataBuffer({"op": "cancel"})))
         try:
             if watchdog is not None:
                 watchdog.start()
@@ -576,6 +581,7 @@ class DOoCEngine:
                     node=dead, lost_blocks=lost) from exc
             raise StallError(message, diagnosis) from exc
         finally:
+            unhook()
             if watchdog is not None:
                 watchdog.stop()
             if recovery is not None:

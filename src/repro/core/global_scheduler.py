@@ -154,10 +154,6 @@ class _GlobalSchedulerFilter(Filter):
 
     inputs = ("in",)
 
-    #: how often the scheduler re-checks an armed cancel token while
-    #: blocked on its control stream (only paid when a token is passed)
-    CANCEL_POLL_S = 0.05
-
     def __init__(self, dag: TaskDAG, assignment: dict[str, int], n_nodes: int,
                  *, gc_arrays: bool = False,
                  homes: dict[str, int] | None = None,
@@ -197,7 +193,6 @@ class _GlobalSchedulerFilter(Filter):
         #: reassigned tasks the corpse may have finished with the report
         #: still in flight: a second "done" for these is expected, not a bug
         self._dup_ok: set[str] = set()
-        self._last_check = 0.0
         #: deterministic round-robin cursor for homeless recovery placement
         self._failover_rr = 0
         if gc_arrays:
@@ -281,12 +276,11 @@ class _GlobalSchedulerFilter(Filter):
 
     # -- node-loss recovery ---------------------------------------------------
 
-    def _check_membership(self, ctx: FilterContext) -> None:
-        """Escalate silent nodes.  A completion the corpse managed to
-        report may still be queued when death fires; the plan then counts
-        that task as incomplete and reassigns it, and the late duplicate
-        "done" is absorbed via ``_dup_ok``."""
-        now = time.monotonic()
+    def _check_membership(self, ctx: FilterContext, now: float) -> None:
+        """Escalate nodes silent at ``now``.  A completion the corpse
+        managed to report may still be queued when death fires; the plan
+        then counts that task as incomplete and reassigns it, and the late
+        duplicate "done" is absorbed via ``_dup_ok``."""
         for node, state in self.membership.check(now):
             silent = self.membership.snapshot(now)[node]["silent_s"]
             if state == SUSPECT:
@@ -389,22 +383,15 @@ class _GlobalSchedulerFilter(Filter):
     def _all_vanished(self, ctx: FilterContext) -> NoReturn:
         """Every lsched control stream closed before the DAG completed.
 
-        The senders are gone, not slow.  With a failure detector armed,
-        give it its declaration window so the error names the dead node
-        (``NodeLostError`` out of ``_on_node_dead``) instead of a generic
-        protocol failure — this is how a single-node kill, where no
-        survivor is left to heartbeat, still fails loudly by name.
+        No heartbeat can arrive any more, so with a failure detector armed
+        its clock runs from deadline to deadline until ``_on_node_dead``
+        names the longest-silent node: a single-node kill, with no survivor
+        left to heartbeat, still fails by name (``NodeLostError``).
         """
         if self.membership is not None:
-            cfg = self.membership.config
-            deadline = (time.monotonic() + cfg.dead_after_s
-                        + 4 * cfg.heartbeat_s)
-            while time.monotonic() < deadline:
-                self._check_membership(ctx)  # may raise NodeLostError
-                time.sleep(cfg.poll_s)
-        raise SchedulingError(
-            "local schedulers vanished before the DAG completed"
-        )
+            while (due := self.membership.next_deadline()) is not None:
+                self._check_membership(ctx, due)  # may raise NodeLostError
+        raise SchedulingError("local schedulers vanished before the DAG completed")
 
     def _begin_cancel(self, ctx: FilterContext) -> None:
         """The token fired: stop dispatching and ask every node to drain.
@@ -415,10 +402,12 @@ class _GlobalSchedulerFilter(Filter):
         storage still drains strictly after all workers everywhere are
         idle, same as a completed run.
         """
+        if self.cancelled:
+            return  # the token check at start, then the posted message
         self.cancelled = True
         self._cancel_pending = set(self._live_nodes())
-        reason = self.cancel.reason if self.cancel is not None else "cancelled"
-        self.tracer.instant(-1, "gsched", "run", "run_cancel", reason=reason)
+        self.tracer.instant(-1, "gsched", "run", "run_cancel",
+                            reason=self.cancel.reason)
         self._broadcast(ctx, {"op": "cancel"})
 
     def process(self, ctx: FilterContext) -> None:
@@ -428,31 +417,22 @@ class _GlobalSchedulerFilter(Filter):
             self._begin_cancel(ctx)
         else:
             self._send(ctx, sorted(self.dag.ready_tasks()))
-        poll_s = (self.membership.config.poll_s
-                  if self.membership is not None else None)
-        wait_s = poll_s
-        if self.cancel is not None:
-            wait_s = (self.CANCEL_POLL_S if poll_s is None
-                      else min(poll_s, self.CANCEL_POLL_S))
         while True:
             if self.cancelled:
                 if not self._cancel_pending:
                     break  # every node drained: run the normal wind-down
             elif self.dag.done and not self._replaying:
                 break
+            wait_s = None  # untimed: every other wake-up is a message
             if self.membership is not None:
                 now = time.monotonic()
-                if now - self._last_check >= poll_s:
-                    self._last_check = now
-                    self._check_membership(ctx)
-            if (self.cancel is not None and not self.cancelled
-                    and self.cancel.is_set()):
-                self._begin_cancel(ctx)
-                continue
+                self._check_membership(ctx, now)
+                due = self.membership.next_deadline()
+                wait_s = None if due is None else max(due - now, 0.0)
             try:
                 _port, buf = ctx.read_any(["in"], timeout=wait_s)
             except TimeoutError:
-                continue  # loop back through the membership/cancel checks
+                continue  # a detector deadline is due
             if buf is END_OF_STREAM:
                 self._all_vanished(ctx)
             msg = buf.payload
@@ -462,6 +442,9 @@ class _GlobalSchedulerFilter(Filter):
             if msg["op"] == "sync":
                 # FIFO: what this node's completions made ready went first.
                 ctx.write(f"out_{msg['node']}", DataBuffer({"op": "synced"}))
+                continue
+            if msg["op"] == "cancel":
+                self._begin_cancel(ctx)
                 continue
             if msg["op"] == "cancel_drained":
                 self._cancel_pending.discard(msg["node"])

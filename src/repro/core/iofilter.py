@@ -588,7 +588,9 @@ class IOFilter(Filter):
                 self.tracer.instant(self.node, lane, "io", "io_retry",
                                     op=op, array=desc.name, block=block,
                                     attempt=attempt)
-                time.sleep(self.retry.delay(attempt, self._jitter_rng))
+                # A backoff between attempts of one command, not a liveness
+                # poll: nothing waits on this thread to notice an event.
+                time.sleep(self.retry.delay(attempt, self._jitter_rng))  # dooc: noqa[DOOC014]
             if self.injector is not None:
                 kind = self.injector.io_fault(op, desc.name, block, attempt)
                 if kind == "permanent":

@@ -31,16 +31,14 @@ class _StorageFilter(Filter):
     recovery: unanswered fetches and owner lookups are retransmitted after
     ``RETRANSMIT_S`` (a lost message must not strand a read waiter), and
     exhausted I/O retries arriving as ``io_error`` replies are turned into
-    fail-fast ticket denials instead of stalls.  All of the recovery
-    machinery is dormant — no clock reads, no timed waits — while the
-    pending sets are empty, so fault-free runs pay nothing for it.
+    fail-fast ticket denials instead of stalls.  Pending recovery work
+    carries its own deadlines (a delayed send's, a retransmit's); the loop
+    reads until the earliest one, and untimed while there is none, so
+    fault-free runs pay nothing for it.
     """
 
     inputs = ("req", "io_done", "peer_in")
 
-    #: read_any timeout while recovery work (delayed sends, unanswered
-    #: fetches/lookups) is pending; the read blocks indefinitely otherwise
-    RETRY_POLL_S = 0.05
     #: seconds before an unanswered fetch or lookup is retransmitted
     RETRANSMIT_S = 0.25
 
@@ -525,15 +523,18 @@ class _StorageFilter(Filter):
                 # in-flight release/peer message is still processed.
                 ctx.close("io_cmd")
                 self._io_closed = True
-            recovery = bool(self._delayed or self._fetch_pending
-                            or self._lookup_pending)
+            # the earliest deadline of pending recovery work, if any
+            due = min((d[0] for d in (*self._delayed,
+                                      *self._fetch_pending.values(),
+                                      *self._lookup_pending.values())),
+                      default=None)
             try:
-                port, buf = ctx.read_any(
-                    ports, timeout=self.RETRY_POLL_S if recovery else None)
+                port, buf = ctx.read_any(ports, timeout=None if due is None
+                                         else max(due - time.monotonic(), 0.0))
             except TimeoutError:
                 self._tick(ctx)
                 continue
-            if recovery:
+            if due is not None:
                 # Heavy traffic can starve the timeout path; check the
                 # deadlines between messages too.
                 self._tick(ctx)

@@ -26,15 +26,6 @@ from repro.datacutter.errors import FilterError, LayoutError, StreamClosedError
 from repro.datacutter.filters import Filter, FilterContext
 from repro.datacutter.layout import DistributionPolicy, Layout, StreamSpec
 
-_POLL_S = 0.05  # wait slice so blocked threads can observe runtime failure
-
-
-def _wait_slice(deadline: float | None) -> float:
-    """How long to wait on a condition: a poll slice, cut at ``deadline``."""
-    if deadline is None:
-        return _POLL_S
-    return min(_POLL_S, max(deadline - time.monotonic(), 0.0))
-
 
 class _Channel:
     """Bounded FIFO for one stream arriving at one consumer instance."""
@@ -97,7 +88,7 @@ class _StreamWriter:
                         raise StreamClosedError(
                             f"runtime failed while writing {self.stream.name!r}"
                         )
-                    channel.cond.wait(_POLL_S)
+                    channel.cond.wait()
                 channel.items.append(buffer)
                 channel.buffers_in += 1
                 channel.bytes_in += buffer.nbytes
@@ -145,23 +136,7 @@ class _InstanceRuntime:
         return all(ch.at_eos for ch in self.in_channels[port])
 
     def read(self, port: str, timeout: float | None = None):
-        if port not in self.in_channels:
-            if port in self.filter.inputs:
-                return END_OF_STREAM  # declared but unconnected: empty stream
-            raise LayoutError(f"filter {self.spec.name!r} has no input port {port!r}")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self.cond:
-            while True:
-                item = self._try_pop(port)
-                if item is not None:
-                    return item
-                if self._port_eos(port):
-                    return END_OF_STREAM
-                if self.runtime._failed.is_set():
-                    raise StreamClosedError("runtime failed while reading")
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(f"read({port!r}) timed out")
-                self.cond.wait(_wait_slice(deadline))
+        return self.read_any([port], timeout)[1]
 
     def read_any(self, ports: Sequence[str], timeout: float | None = None):
         for port in ports:
@@ -185,7 +160,11 @@ class _InstanceRuntime:
                     raise StreamClosedError("runtime failed while reading")
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(f"read_any({ports!r}) timed out")
-                self.cond.wait(_wait_slice(deadline))
+                # An item, end-of-stream and runtime failure all notify
+                # self.cond: the wait needs no slice, only the caller's
+                # own deadline.
+                self.cond.wait(None if deadline is None
+                               else deadline - time.monotonic())
 
     # -- writing ------------------------------------------------------------
 
@@ -217,7 +196,7 @@ class _InstanceRuntime:
             self.close_output(port)
 
     def stop_requested(self) -> bool:
-        return self.runtime._stop.is_set() or self.runtime._failed.is_set()
+        return self.runtime._failed.is_set()
 
 
 class ThreadedRuntime:
@@ -241,7 +220,6 @@ class ThreadedRuntime:
                 lock_recorder = LockOrderRecorder()
         self.lock_recorder = lock_recorder
         self._failed = threading.Event()
-        self._stop = threading.Event()
         self._errors: list[FilterError] = []
         self._errors_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
@@ -302,6 +280,14 @@ class ThreadedRuntime:
                 with inst.cond:
                     inst.cond.notify_all()
 
+    def post(self, name: str, port: str, buffer: DataBuffer) -> None:
+        """Deliver ``buffer`` to ``port`` of filter ``name`` (instance 0)
+        from a thread outside the layout, never waiting on capacity."""
+        inst = self.instances[name][0]
+        with inst.cond:
+            inst.in_channels[port][0].items.append(buffer)
+            inst.cond.notify_all()
+
     def start(self) -> None:
         if self._threads:
             raise RuntimeError("runtime already started")
@@ -325,7 +311,6 @@ class ThreadedRuntime:
                 remaining = max(deadline - time.monotonic(), 0.0)
             thread.join(remaining)
             if thread.is_alive():
-                self._stop.set()
                 self._failed.set()
                 self._wake_all()
                 if self.lock_recorder is not None:

@@ -51,17 +51,13 @@ class MembershipConfig:
                 "thresholds must satisfy "
                 "heartbeat_s < suspect_after_s < dead_after_s")
 
-    @property
-    def poll_s(self) -> float:
-        """How often the detector should re-examine silence."""
-        return self.heartbeat_s
-
 
 class MembershipTracker:
     """Tracks per-node liveness from timestamped heartbeats.
 
     Drive it with :meth:`beat` (a heartbeat arrived) and :meth:`check`
-    (time passed; returns newly fired transitions).  ``DEAD`` is
+    (time passed; returns newly fired transitions); :meth:`next_deadline`
+    says when the next ``check`` can fire anything.  ``DEAD`` is
     absorbing: a zombie's late beat is ignored, because eviction and
     re-homing have already been broadcast in its name.
     """
@@ -73,45 +69,53 @@ class MembershipTracker:
         self._state: dict[int, str] = {n: ALIVE for n in range(nodes)}
         self._last_beat: dict[int, float] | None = None  # set on first event
 
-    def _ages(self, now: float) -> dict[int, float]:
+    def _beats(self, now: float) -> dict[int, float]:
+        """Last beat per node; the clock starts at the first event."""
         if self._last_beat is None:
             self._last_beat = {n: now for n in self._state}
-        return {n: now - t for n, t in self._last_beat.items()}
+        return self._last_beat
 
     def beat(self, node: int, now: float) -> str | None:
         """Record a heartbeat; returns ``"alive"`` if a suspect recovered."""
         if node not in self._state:
             raise ValueError(f"unknown node {node}")
-        self._ages(now)
-        assert self._last_beat is not None
+        beats = self._beats(now)
         if self._state[node] == DEAD:
             return None  # too late: the cluster already moved on
-        self._last_beat[node] = now
+        beats[node] = now
         if self._state[node] == SUSPECT:
             self._state[node] = ALIVE
             return ALIVE
         return None
+
+    def _due(self, node: int, beats: dict[int, float]) -> float | None:
+        """When ``node``'s next transition fires (None: it is dead)."""
+        after = {ALIVE: self.config.suspect_after_s,
+                 SUSPECT: self.config.dead_after_s}.get(self._state[node])
+        return None if after is None else beats[node] + after
 
     def check(self, now: float) -> list[tuple[int, str]]:
         """Escalate silent nodes; returns ``[(node, new_state), ...]``.
 
         A node silent past ``dead_after_s`` yields both transitions in
         order (suspect, then dead) if the suspect phase was never observed
-        by a poll.
+        by a check.
         """
+        beats = self._beats(now)
         transitions: list[tuple[int, str]] = []
-        cfg = self.config
-        for node, age in sorted(self._ages(now).items()):
-            state = self._state[node]
-            if state == DEAD:
-                continue
-            if state == ALIVE and age >= cfg.suspect_after_s:
-                self._state[node] = state = SUSPECT
-                transitions.append((node, SUSPECT))
-            if state == SUSPECT and age >= cfg.dead_after_s:
-                self._state[node] = DEAD
-                transitions.append((node, DEAD))
+        for node in sorted(self._state):
+            while (due := self._due(node, beats)) is not None and now >= due:
+                self._state[node] = (SUSPECT if self._state[node] == ALIVE
+                                     else DEAD)
+                transitions.append((node, self._state[node]))
         return transitions
+
+    def next_deadline(self) -> float | None:
+        """The earliest time at which :meth:`check` fires a transition;
+        None if none can (every node is dead, or nothing was seen yet)."""
+        beats = self._last_beat or {}
+        return min((d for n in beats if (d := self._due(n, beats)) is not None),
+                   default=None)
 
     # -- introspection ------------------------------------------------------
 
@@ -127,8 +131,8 @@ class MembershipTracker:
 
     def snapshot(self, now: float) -> dict[int, dict]:
         """Per-node ``{"state": ..., "silent_s": ...}`` for diagnoses."""
-        ages = self._ages(now)
+        beats = self._beats(now)
         return {
-            n: {"state": self._state[n], "silent_s": round(ages[n], 3)}
+            n: {"state": self._state[n], "silent_s": round(now - beats[n], 3)}
             for n in sorted(self._state)
         }

@@ -443,7 +443,7 @@ def test_deep_registry_has_the_documented_rules():
 
 
 def test_help_text_rule_span_tracks_registry():
-    assert _rule_span() == "rules DOOC001..DOOC013"
+    assert _rule_span() == "rules DOOC001..DOOC014"
 
 
 def test_deep_rules_relaxed_under_tests_dir():
@@ -524,10 +524,16 @@ RULE_SEEDS = {
         "def worker_loop(self):\n"
         "    time.sleep(0.5)\n"
     ),
+    "DOOC014": (
+        "import time\n"
+        "def scheduler_loop(self):\n"
+        "    time.sleep(0.05)\n"
+    ),
 }
 
 #: rules whose scope is a specific directory need a matching seed path
-RULE_SEED_PATHS = {"DOOC013": "src/repro/server/m.py"}
+RULE_SEED_PATHS = {"DOOC013": "src/repro/server/m.py",
+                   "DOOC014": "src/repro/core/m.py"}
 
 
 def _run_rule(code: str, src: str):

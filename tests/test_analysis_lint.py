@@ -195,12 +195,33 @@ def test_dooc003_sleep_under_lock_flags():
 
 
 def test_dooc003_untimed_wait_under_lock_flags():
+    # waiting on another object parks with self.cond still held
     src = (
         "def park(self):\n"
         "    with self.cond:\n"
-        "        self.cond.wait()\n"
+        "        self.done.wait()\n"
     )
     assert codes(lint_source(src)) == [("DOOC003", 3, 8)]
+
+
+def test_dooc003_monitor_wait_is_clean():
+    src = (
+        "def park(self):\n"
+        "    with self.cond:\n"
+        "        while not self.items:\n"
+        "            self.cond.wait()\n"
+    )
+    assert lint_source(src) == []
+
+
+def test_dooc003_monitor_wait_under_a_second_lock_flags():
+    src = (
+        "def park(self):\n"
+        "    with self._lock:\n"
+        "        with self.cond:\n"
+        "            self.cond.wait()\n"
+    )
+    assert codes(lint_source(src)) == [("DOOC003", 4, 12)]
 
 
 def test_dooc003_timed_wait_is_clean():
@@ -277,7 +298,8 @@ def test_dooc005_reads_and_nondurable_writes_are_clean():
 
 
 #: fence code -> (a seeded violation, a path it is flagged at, a path it
-#: is clean at: the row's home, or for DOOC013 anywhere outside server/)
+#: is clean at: the row's home, or for DOOC013/014 anywhere outside the
+#: package the row bans it from)
 FENCE_SEEDS = {
     "DOOC005": ("with open(str(path) + '.ckpt', 'wb') as fh:\n"
                 "    fh.write(data)\n",
@@ -288,6 +310,7 @@ FENCE_SEEDS = {
     "DOOC008": ("buf = mmap.mmap(-1, 4096)\n",
                 "src/m.py", "src/repro/core/iofilter.py"),
     "DOOC013": ("time.sleep(0.5)\n", "src/repro/server/m.py", "src/m.py"),
+    "DOOC014": ("time.sleep(0.5)\n", "src/repro/core/m.py", "src/m.py"),
 }
 
 
@@ -365,7 +388,7 @@ def test_unknown_code_rejected():
 def test_registry_has_the_documented_rules():
     assert set(RULES) == {"DOOC001", "DOOC002", "DOOC003", "DOOC004",
                           "DOOC005", "DOOC006", "DOOC007", "DOOC008",
-                          "DOOC013"}
+                          "DOOC013", "DOOC014"}
 
 
 # -- DOOC006: raw shared-memory construction ---------------------------------

@@ -294,6 +294,19 @@ class TestCoreLayout:
     def test_pick_is_gone(self):
         assert not hasattr(LocalSchedulerCore, "pick")
 
+    def test_no_poll_constants_in_the_control_plane(self):
+        # Waits end on a notification or a computed deadline, never on a
+        # tuned slice (DESIGN.md, "Liveness").
+        src = self.CORE.parent
+        polls = re.compile(r"_POLL_S|_wait_slice|RETRY_POLL_S|CANCEL_POLL_S"
+                           r"|\bpoll_s\b")
+        hits = [f"{path.relative_to(src)}:{n}"
+                for pkg in ("core", "datacutter", "recovery")
+                for path in sorted((src / pkg).rglob("*.py"))
+                for n, line in enumerate(path.read_text().splitlines(), 1)
+                if polls.search(line)]
+        assert hits == []
+
 
 class TestPartitionSurfaces:
     def test_coords_and_part_range(self):

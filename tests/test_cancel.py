@@ -17,6 +17,7 @@ import pytest
 from repro.core.cancel import CancelToken
 from repro.core.engine import DOoCEngine, Program
 from repro.core.errors import RunCancelled
+from repro.datacutter.filters import FilterContext
 
 
 def _shm_litter():
@@ -68,6 +69,31 @@ class TestCancelToken:
         tok.cancel()
         assert tok.wait(0.01) is True
         assert tok.reason == "cancelled"
+
+    def test_hook_runs_once_on_the_cancelling_call(self):
+        tok = CancelToken()
+        seen = []
+        tok.on_cancel(lambda: seen.append(tok.reason))
+        tok.cancel("first")
+        tok.cancel("second")
+        assert seen == ["first"]
+
+    def test_hook_on_a_set_token_runs_at_once(self):
+        tok = CancelToken()
+        tok.cancel()
+        seen = []
+        unhook = tok.on_cancel(lambda: seen.append(1))
+        assert seen == [1]
+        unhook()  # a no-op once it ran
+
+    def test_unhooked_callback_never_runs(self):
+        tok = CancelToken()
+        seen = []
+        unhook = tok.on_cancel(lambda: seen.append(1))
+        unhook()
+        unhook()
+        tok.cancel()
+        assert seen == []
 
 
 class TestEngineCancellation:
@@ -155,6 +181,59 @@ class TestEngineCancellation:
             timer.cancel()
             eng.cleanup()
         assert _shm_litter() == []
+
+
+class TestCancelIsAMessage:
+    """Setting the token posts one message; nothing polls for it."""
+
+    @pytest.mark.parametrize("plane", ["thread", "process"])
+    def test_timer_cancel_mid_run(self, tmp_path, protocol_checkers, plane):
+        tok = CancelToken()
+        eng = DOoCEngine(n_nodes=2, workers=1, worker_plane=plane,
+                         scratch_dir=tmp_path)
+        timer = _cancel_after(tok, 0.15)
+        try:
+            with pytest.raises(RunCancelled, match="test"):
+                eng.run(_chain_program(60, delay=0.03, name=plane),
+                        timeout=60, cancel=tok)
+        finally:
+            timer.cancel()
+            eng.cleanup()
+        assert not tok._hooks  # the run took its hook with it
+        assert _shm_litter() == []
+
+    def test_one_token_serves_many_runs(self, tmp_path):
+        tok = CancelToken()
+        eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path)
+        try:
+            for rep in range(3):
+                eng.run(_chain_program(3, name=f"r{rep}"), timeout=30,
+                        cancel=tok)
+            assert not tok._hooks
+            tok.cancel("after the runs")  # posts into no finished run
+        finally:
+            eng.cleanup()
+
+    def test_fault_free_run_blocks_untimed(self, tmp_path, monkeypatch):
+        # An armed token and no membership: every filter — the global
+        # scheduler and the storage filters included — waits on its
+        # streams with no timeout, so nothing wakes on a clock.
+        calls = []
+        read_any = FilterContext.read_any
+
+        def spy(self, ports, timeout=None):
+            calls.append((self._rt.spec.name, timeout))
+            return read_any(self, ports, timeout)
+
+        monkeypatch.setattr(FilterContext, "read_any", spy)
+        eng = DOoCEngine(n_nodes=2, workers=2, scratch_dir=tmp_path)
+        try:
+            eng.run(_chain_program(12), timeout=30, cancel=CancelToken())
+        finally:
+            eng.cleanup()
+        callers = {name for name, _ in calls}
+        assert {"gsched", "storage@0", "storage@1"} <= callers
+        assert {t for _, t in calls} == {None}
 
 
 class TestTwoEnginesOneProcess:

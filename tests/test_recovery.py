@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ class TestMembership:
         with pytest.raises(ValueError):
             MembershipConfig(heartbeat_s=0.05, suspect_after_s=0.5,
                              dead_after_s=0.5)
-        assert MembershipConfig().poll_s == MembershipConfig().heartbeat_s
+        assert not hasattr(MembershipConfig(), "poll_s")  # no poll period
 
     def test_silence_escalates_alive_suspect_dead(self):
         t = MembershipTracker(2, MembershipConfig(0.05, 0.4, 1.2))
@@ -103,6 +104,46 @@ class TestMembership:
         assert t.state(0) == SUSPECT
         assert t.beat(0, 0.6) == ALIVE
         assert t.beat(0, 0.7) is None
+
+    def test_next_deadline_is_the_earliest_transition(self):
+        t = MembershipTracker(2, MembershipConfig(0.05, 0.4, 1.2))
+        assert t.next_deadline() is None  # nothing seen: no clock yet
+        t.beat(0, 0.0)
+        t.beat(1, 0.3)
+        assert t.next_deadline() == 0.0 + 0.4  # node 0 turns suspect
+        assert t.check(0.4) == [(0, SUSPECT)]
+        # suspect node 0 dies at 0 + 1.2; node 1 turns suspect at 0.7
+        assert t.next_deadline() == 0.3 + 0.4
+        assert t.check(0.7) == [(1, SUSPECT)]
+        assert t.next_deadline() == 0.0 + 1.2
+
+    def test_a_beat_moves_the_deadline(self):
+        t = MembershipTracker(1, MembershipConfig(0.05, 0.4, 1.2))
+        t.beat(0, 0.0)
+        assert t.next_deadline() == 0.4
+        t.beat(0, 0.25)
+        assert t.next_deadline() == 0.25 + 0.4
+        assert t.check(0.6) == []
+
+    def test_no_deadline_once_every_node_is_dead(self):
+        t = MembershipTracker(2, MembershipConfig(0.05, 0.4, 1.2))
+        t.beat(0, 0.0)
+        t.check(5.0)
+        assert t.dead_nodes() == [0, 1]
+        assert t.next_deadline() is None
+
+    def test_check_at_the_deadline_fires_it(self):
+        # the deadline and the check compare one sum, so stepping the
+        # clock from deadline to deadline always makes progress
+        t = MembershipTracker(3, MembershipConfig(0.05, 0.4, 1.2))
+        for node, at in ((0, 0.1), (1, 0.7), (2, 0.3)):
+            t.beat(node, at)
+        fired = []
+        while (due := t.next_deadline()) is not None:
+            step = t.check(due)
+            assert step
+            fired += step
+        assert [n for n, s in fired if s == DEAD] == [0, 2, 1]
 
     def test_snapshot_and_validation(self):
         t = MembershipTracker(2, MembershipConfig(0.05, 0.4, 1.2))
@@ -501,6 +542,25 @@ class TestEngineNodeLoss:
         faults = FaultPlan(node_kill=((0, 1),))
         with pytest.raises(NodeLostError):
             run_chain(tmp_path, "lonely", faults=faults, nodes=1)
+
+    def test_vanished_node_is_named_without_waiting(self, tmp_path):
+        # Once the last heartbeat stream has closed, no beat can arrive:
+        # the detector's clock is run forward instead of slept through
+        # (dead_after_s=3.0 used to cost 3 s of wall).
+        eng = DOoCEngine(
+            n_nodes=1, scratch_dir=tmp_path,
+            faults=FaultPlan(node_kill=((0, 1),)),
+            membership=MembershipConfig(heartbeat_s=0.05,
+                                        suspect_after_s=0.5,
+                                        dead_after_s=3.0))
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(NodeLostError) as err:
+                eng.run(chain_program(nodes=1), timeout=60.0)
+        finally:
+            eng.cleanup()
+        assert time.monotonic() - t0 < 1.0
+        assert err.value.node == 0
 
     def test_recovery_is_traced_and_counted(self, tmp_path):
         eng = DOoCEngine(
