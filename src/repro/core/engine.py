@@ -25,6 +25,11 @@ What is left here is :class:`DOoCEngine` — the named steps of ``run()``,
 the layout wiring the filters, the session, result access — and its
 :class:`RunReport`.
 
+The filter graph lives as long as the session (DESIGN.md, "Session
+lifetime"): between runs its threads wait parked, and a run starts by
+rebinding each filter (``begin(run)``) and posting one ``run`` message to
+the global scheduler; it ends on a barrier, not on the threads' exit.
+
 Nodes are threads sharing one address space; "remote" transfers are
 real messages through the peer protocol (the payload copy is genuine), so
 every protocol path of the paper executes, just without a physical wire.
@@ -32,6 +37,7 @@ every protocol path of the paper executes, just without a physical wire.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import shutil
@@ -56,7 +62,7 @@ from repro.core.iofilter import IOFilter, backing_identity, read_block, write_ar
 from repro.core.local_scheduler import _LocalSchedulerFilter
 from repro.core.procplane import ProcessWorkerPool
 from repro.core.program import Program
-from repro.core.session import EngineSession, FileBacking
+from repro.core.session import EngineSession, FileBacking, RunState
 from repro.core.shm import SegmentLeakError, SegmentPool
 from repro.core.storage import LocalStore
 from repro.core.storage_filter import _StorageFilter
@@ -139,6 +145,38 @@ def default_worker_count() -> int:
     but never fewer than 2 (compute/copy overlap needs at least two) and
     never more than 8 (beyond that, GIL'd glue code dominates)."""
     return max(2, min(8, _available_cpus()))
+
+
+def _node_dir(root: Path, node: int) -> Path:
+    return root / f"node{node}"
+
+
+def _reseed_array(root: Path, array: str, dead: int, new_home: int) -> None:
+    """Recover a lost *initial* array by re-reading its backing file.
+
+    In the paper's deployment input files live on a shared parallel
+    filesystem that outlives any compute node; here the corpse's scratch
+    directory plays that role (threads don't take disks with them), so
+    re-seeding is a byte copy into the new home's scratch.
+    """
+    from repro.core.iofilter import copy_array_files
+    copy_array_files(_node_dir(root, dead), _node_dir(root, new_home), array)
+
+
+#: seconds a parked graph may take to wind down once told to
+_STOP_S = 30.0
+
+
+def _stop_graph(runtime: ThreadedRuntime) -> None:
+    """End a graph whose session closed.  A parked one winds down as a
+    one-run graph always did: the global scheduler's shutdown broadcast,
+    then end of stream everywhere.  Any other has failed or wound down
+    already, or is stopped mid-run: its streams fail."""
+    if runtime.parked:
+        runtime.post("gsched", "in", DataBuffer({"op": "shutdown"}))
+        runtime.join(_STOP_S)
+    else:
+        runtime.abort()
 
 
 #: process-wide engine instance counter.  Stamped into every segment-pool
@@ -265,12 +303,20 @@ class DOoCEngine:
         #: runs reads store views, which survive the segment unlink).
         self._segment_pool: SegmentPool | None = None
         self._proc_pool: ProcessWorkerPool | None = None
-        self._run_seq = 0  # disambiguates segment names across runs
+        #: numbers runs: peer-message epochs, segment names
+        self._run_seq = 0
+        #: the session's filter graph, parked between runs, and what winds
+        #: it down (cleanup, a run that raised, or this engine's collection)
+        self._graph: ThreadedRuntime | None = None
+        self._graph_finalizer: weakref.finalize | None = None
+        #: nodes whose scratch directory exists
+        self._node_dirs: set[int] = set()
 
     def cleanup(self) -> None:
         """End the session and delete an engine-owned scratch directory
         now; the engine stays usable, its next run starting cold."""
         self._session.close()
+        self._close_graph()
         if self._proc_pool is not None:
             self._proc_pool.shutdown()
             self._proc_pool = None
@@ -279,10 +325,18 @@ class DOoCEngine:
             self._segment_pool = None
         if self._scratch_finalizer is not None:
             self._scratch_finalizer()
+            self._node_dirs.clear()
+
+    def _close_graph(self) -> None:
+        if self._graph_finalizer is not None:
+            self._graph_finalizer()
+        self._graph = self._graph_finalizer = None
 
     def node_scratch(self, node: int) -> Path:
-        path = self.scratch_root / f"node{node}"
-        path.mkdir(parents=True, exist_ok=True)
+        path = _node_dir(self.scratch_root, node)
+        if node not in self._node_dirs:
+            path.mkdir(parents=True, exist_ok=True)
+            self._node_dirs.add(node)
         return path
 
     def _membership_config(self) -> MembershipConfig | None:
@@ -297,18 +351,6 @@ class DOoCEngine:
             return MembershipConfig()
         return None
 
-    def _reseed_array(self, array: str, dead: int, new_home: int) -> None:
-        """Recover a lost *initial* array by re-reading its backing file.
-
-        In the paper's deployment input files live on a shared parallel
-        filesystem that outlives any compute node; here the corpse's
-        scratch directory plays that role (threads don't take disks with
-        them), so re-seeding is a byte copy into the new home's scratch.
-        """
-        from repro.core.iofilter import copy_array_files
-        copy_array_files(self.node_scratch(dead), self.node_scratch(new_home),
-                         array)
-
     # -- run ---------------------------------------------------------------------
 
     def run(self, program: Program, *, timeout: float = 300.0,
@@ -317,10 +359,21 @@ class DOoCEngine:
 
         The stores outlive the run (DESIGN.md, "Session lifetime"): the
         next run finds the arrays it declares again from unchanged
-        scratch files still resident.  Leaving by any exception closes
-        the session, so the run after a failure starts cold.
+        scratch files still resident.  So does the filter graph, parked:
+        the next run starts no thread.  Leaving by any exception closes
+        the session and stops the graph, so the run after a failure
+        starts cold.
         """
         carried = self._session.take()
+        try:
+            return self._run(program, carried, timeout, cancel)
+        except BaseException:
+            self._close_graph()  # the session is closed: its graph goes too
+            raise
+
+    def _run(self, program: Program, carried: dict[str, FileBacking] | None,
+             timeout: float, cancel: CancelToken | None) -> RunReport:
+        self._run_seq += 1
         auditor = self._validate(program)
         dag = program.build_dag()
         assignment, nbytes = self._place(program, dag)
@@ -335,13 +388,13 @@ class DOoCEngine:
             # stores just replaced above.
             old_pool.close()
         recovery = self._open_membership(program, assignment, nbytes)
-        layout = self._build_layout(program, dag, assignment, directories,
-                                    nbytes, injectors, recovery, cancel)
-        recorder = None
-        if self.protocol_checkers:
-            from repro.analysis.lockorder import LockOrderRecorder
-            recorder = LockOrderRecorder()
-        runtime = ThreadedRuntime(layout, lock_recorder=recorder)
+        runtime = self._bind_graph(program.name, RunState(
+            seq=self._run_seq, dag=dag, assignment=assignment,
+            homes=self._homes, descs=self._descs, nbytes=nbytes,
+            stores=self.stores, directories=directories, injectors=injectors,
+            recovery=recovery, cancel=cancel,
+            segment_pool=self._segment_pool, plane=proc_pool,
+            park=self.worker_plane == "thread"))
         watchdog = self._build_watchdog(runtime, recovery)
         self.tracer.instant(-1, "engine", "run", "phase",
                             phase="start", program=program.name)
@@ -370,11 +423,33 @@ class DOoCEngine:
                               recovery, watchdog)
         if self.worker_plane == "thread" and not (
                 recovery is not None and recovery.tracker.dead_nodes()):
-            # Reusable as they stand.  Not on the process plane, whose
-            # blocks lived in the segments this run just unlinked; not
-            # after a death, which left a corpse's store and moved homes.
+            # Reusable as they stand, and so is the graph, parked on the
+            # run's barrier.  Not on the process plane, whose blocks lived
+            # in the segments this run just unlinked; not after a death,
+            # which left a corpse's store and moved homes.
             self._session.commit(backing)
+        else:
+            self._close_graph()
         return report
+
+    def _bind_graph(self, name: str, run: RunState) -> ThreadedRuntime:
+        """The session's parked graph rebound to ``run``, or a new graph
+        started for it."""
+        if self._graph is not None:
+            self._graph.begin_run(lambda filt: filt.begin(run))
+            return self._graph
+        recorder = None
+        if self.protocol_checkers:
+            from repro.analysis.lockorder import LockOrderRecorder
+            recorder = LockOrderRecorder()
+        runtime = ThreadedRuntime(self._build_layout(name, run),
+                                  lock_recorder=recorder)
+        runtime.start()
+        self._graph = runtime
+        # Nothing in the graph refers to the engine, so an engine dropped
+        # without cleanup() is collected, and this winds its graph down.
+        self._graph_finalizer = weakref.finalize(self, _stop_graph, runtime)
+        return runtime
 
     def _validate(self, program: Program):
         """Under the protocol checkers, reject a malformed program by name
@@ -435,12 +510,12 @@ class DOoCEngine:
     def _open_worker_plane(self) -> ProcessWorkerPool | None:
         """Process plane: per-run segment pool + worker-process fleet.
 
-        Children are forked NOW, while this process is still
-        single-threaded (the runtime's threads have not started).
+        Children are forked NOW, before this run's filter threads start.
+        Other threads may be running: the graphs other engines keep parked,
+        a job server's.  A child runs only the task bodies it is sent.
         """
         self._segment_pool = self._proc_pool = None
         if self.worker_plane == "process":
-            self._run_seq += 1
             # e<engine>r<run>: two concurrent engines in one process get
             # disjoint /dev/shm namespaces.
             self._segment_pool = SegmentPool(
@@ -507,7 +582,8 @@ class DOoCEngine:
         lineage.sync()
         return _RecoveryContext(
             tracker=MembershipTracker(self.n_nodes, membership_cfg),
-            descs=self._descs, nbytes=nbytes, reseed=self._reseed_array,
+            descs=self._descs, nbytes=nbytes,
+            reseed=functools.partial(_reseed_array, self.scratch_root),
             metrics=MetricsRegistry(), lineage=lineage,
             node_recovery=self.node_recovery)
 
@@ -542,15 +618,23 @@ class DOoCEngine:
                  proc_pool: ProcessWorkerPool | None,
                  timeout: float,
                  cancel: CancelToken | None) -> dict[str, int]:
-        """Run the filter graph to completion, turning its failures into
-        named errors; returns the segment leases the run leaked.  While it
-        runs, ``cancel`` posts one message to the global scheduler."""
+        """Start the run with one message and wait for its end, turning the
+        graph's failures into named errors; returns the segment leases the
+        run leaked.  While it runs, ``cancel`` posts one message to the
+        global scheduler, and the wait wakes for the watchdog's checks."""
         unhook = (lambda: None) if cancel is None else cancel.on_cancel(
             lambda: runtime.post("gsched", "in", DataBuffer({"op": "cancel"})))
         try:
-            if watchdog is not None:
-                watchdog.start()
-            runtime.run(timeout=timeout)
+            runtime.post("gsched", "in", DataBuffer({"op": "run"}))
+            deadline = time.monotonic() + timeout
+            while True:
+                wake = None
+                if watchdog is not None:  # its deadline, on this clock
+                    wake = (time.monotonic() + watchdog.next_deadline()
+                            - self.tracer.now())
+                if runtime.wait_run(deadline, wake=wake):
+                    break
+                watchdog.check(self.tracer.now())
         except FilterError as exc:
             # A declared node loss that could not be recovered (no
             # survivors, or node_recovery=False) surfaces by name rather
@@ -582,8 +666,6 @@ class DOoCEngine:
             raise StallError(message, diagnosis) from exc
         finally:
             unhook()
-            if watchdog is not None:
-                watchdog.stop()
             if recovery is not None:
                 recovery.lineage.close()
             if proc_pool is not None:
@@ -626,70 +708,43 @@ class DOoCEngine:
                 lambda: recovery.tracker.snapshot(time.monotonic()))
         return watchdog
 
-    def _build_layout(self, program: Program, dag: TaskDAG,
-                      assignment: dict[str, int],
-                      directories: dict[int, DirectoryClient],
-                      nbytes: dict[str, int],
-                      injectors: dict[int, FaultInjector | None],
-                      recovery: _RecoveryContext | None,
-                      cancel: CancelToken | None) -> Layout:
-        n = self.n_nodes
-        heartbeat_s = (recovery.tracker.config.heartbeat_s
-                       if recovery is not None else None)
-        layout = Layout(program.name)
+    def _build_layout(self, name: str, run: RunState) -> Layout:
+        """The paper's Fig. 2 as a layout, its filters bound to ``run``.
+        The factories capture values, never the engine: the graph's
+        threads may outlive every reference to it."""
+        n, tracer, retry = self.n_nodes, self.tracer, self.io_retry
+        workers = self.workers_per_node
+        gsched = dict(gc_arrays=self.gc_arrays,
+                      max_reroutes=self.task_max_reroutes, tracer=tracer)
+        lsched = dict(prefetch_depth=self.prefetch_depth,
+                      reorder=self.scheduler_reorder, tracer=tracer,
+                      max_attempts=self.task_max_attempts)
+
+        def io_filter(node: int, scratch: Path) -> IOFilter:
+            filt = IOFilter(scratch, node=node, tracer=tracer, retry=retry)
+            filt.begin(run)
+            return filt
+
+        layout = Layout(name)
         layout.add_filter(
-            "gsched", lambda: _GlobalSchedulerFilter(
-                dag, assignment, n, gc_arrays=self.gc_arrays,
-                homes=self._homes, max_reroutes=self.task_max_reroutes,
-                tracer=self.tracer, recovery=recovery,
-                cancel=cancel))
+            "gsched", lambda: _GlobalSchedulerFilter(n, run, **gsched))
         for node in range(n):
-            store = self.stores[node]
-            directory = directories[node]
             scratch = self.node_scratch(node)
-            injector = injectors[node]
             layout.add_filter(
                 f"storage@{node}",
-                lambda node=node, store=store, directory=directory,
-                injector=injector: _StorageFilter(
-                    node, n, store, directory, self._descs, self.tracer,
-                    injector=injector),
-            )
+                lambda node=node: _StorageFilter(node, n, run, tracer))
             layout.add_filter(
                 f"io@{node}",
-                lambda node=node, scratch=scratch, store=store,
-                injector=injector: IOFilter(
-                    scratch, node=node, tracer=self.tracer,
-                    retry=self.io_retry, injector=injector,
-                    metrics=store.metrics,
-                    segment_pool=self._segment_pool),
-                instances=self.io_filters_per_node,
-                replicable=True,
-            )
+                lambda node=node, scratch=scratch: io_filter(node, scratch),
+                instances=self.io_filters_per_node, replicable=True)
             layout.add_filter(
                 f"lsched@{node}",
-                lambda node=node, store=store,
-                injector=injector: _LocalSchedulerFilter(
-                    node, self.workers_per_node, nbytes,
-                    prefetch_depth=self.prefetch_depth,
-                    reorder=self.scheduler_reorder,
-                    tracer=self.tracer,
-                    metrics=store.metrics,
-                    max_attempts=self.task_max_attempts,
-                    heartbeat_s=heartbeat_s,
-                    injector=injector),
-            )
+                lambda node=node: _LocalSchedulerFilter(node, workers, run,
+                                                        **lsched))
             layout.add_filter(
                 f"worker@{node}",
-                lambda node=node, store=store,
-                injector=injector: _WorkerFilter(
-                    node, self._descs, self.tracer, store.metrics,
-                    injector=injector, opcache=store.opcache,
-                    plane=self._proc_pool,
-                    segment_pool=self._segment_pool),
-                instances=self.workers_per_node,
-                replicable=True,
-            )
+                lambda node=node: _WorkerFilter(node, run, tracer),
+                instances=workers, replicable=True)
             # Control plane
             layout.connect("gsched", f"out_{node}", f"lsched@{node}", "in",
                            capacity=1024)

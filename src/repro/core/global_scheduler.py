@@ -18,10 +18,9 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.core.array import ArrayDesc
-from repro.core.cancel import CancelToken
 from repro.core.dag import TaskDAG
 from repro.core.errors import NodeLostError, SchedulingError, TaskFailedError
 from repro.core.task import TaskSpec
@@ -31,6 +30,9 @@ from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.lineage import LineageLog, plan_reconstruction
 from repro.recovery.membership import SUSPECT, MembershipTracker
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.session import RunState
 
 
 def failover_node(
@@ -154,34 +156,38 @@ class _GlobalSchedulerFilter(Filter):
 
     inputs = ("in",)
 
-    def __init__(self, dag: TaskDAG, assignment: dict[str, int], n_nodes: int,
-                 *, gc_arrays: bool = False,
-                 homes: dict[str, int] | None = None,
+    def __init__(self, n_nodes: int, run: RunState, *,
+                 gc_arrays: bool = False,
                  max_reroutes: int | None = None,
-                 tracer: Tracer | None = None,
-                 recovery: _RecoveryContext | None = None,
-                 cancel: CancelToken | None = None):
-        self.dag = dag
-        self.assignment = assignment
+                 tracer: Tracer | None = None):
         self.n_nodes = n_nodes
         self.gc_arrays = gc_arrays
-        #: array -> home node; shared with the engine so reroutes are
-        #: visible to post-run ``fetch()``
-        self.homes = homes if homes is not None else {}
         self.max_reroutes = max_reroutes
         self.tracer = tracer or Tracer(enabled=False)
+        self.outputs = tuple(f"out_{i}" for i in range(n_nodes))
+        self.begin(run)
+
+    def begin(self, run: RunState) -> None:
+        """Bind the next run: its DAG, placement and recovery; nothing of
+        the run before survives."""
+        self.dag: TaskDAG = run.dag
+        self.assignment = run.assignment
+        #: array -> home node; shared with the engine so reroutes are
+        #: visible to post-run ``fetch()``
+        self.homes = run.homes
         #: failure detector, lineage, re-seeding (None = node loss not tracked)
-        self.recovery = recovery
-        self.membership = recovery.tracker if recovery is not None else None
+        self.recovery = run.recovery
+        self.membership = (run.recovery.tracker if run.recovery is not None
+                           else None)
         #: cooperative cancellation token (None = run to completion)
-        self.cancel = cancel
+        self.cancel = run.cancel
+        self.park = run.park
         #: did this scheduler actually drain the run for a cancel?  The
         #: engine keys RunCancelled off this, not off the raw token, so a
         #: token set after the DAG completed does not fail a finished run.
         self.cancelled = False
         #: nodes whose drain acknowledgement is still outstanding
         self._cancel_pending: set[int] = set()
-        self.outputs = tuple(f"out_{i}" for i in range(n_nodes))
         self._consumers_left: dict[str, int] = {}
         self._tried: dict[str, set[int]] = {}  # task -> nodes that failed it
         self._reroutes: dict[str, int] = {}
@@ -195,10 +201,11 @@ class _GlobalSchedulerFilter(Filter):
         self._dup_ok: set[str] = set()
         #: deterministic round-robin cursor for homeless recovery placement
         self._failover_rr = 0
-        if gc_arrays:
-            for t in dag.tasks.values():
+        if self.gc_arrays:
+            for t in self.dag.tasks.values():
                 for array in t.outputs:
-                    self._consumers_left[array] = len(dag.consumers_of(array))
+                    self._consumers_left[array] = len(
+                        self.dag.consumers_of(array))
 
     def _live_nodes(self) -> list[int]:
         if self.membership is None:
@@ -411,6 +418,26 @@ class _GlobalSchedulerFilter(Filter):
         self._broadcast(ctx, {"op": "cancel"})
 
     def process(self, ctx: FilterContext) -> None:
+        """Between runs, wait for the engine's ``run``; run it; park on the
+        barrier, or wind the graph down (a ``shutdown`` from the engine, a
+        cancelled run, a node death, the process plane)."""
+        while True:
+            _port, buf = ctx.read_any(["in"])
+            if buf is END_OF_STREAM or buf.payload["op"] == "shutdown":
+                break
+            # Anything else but "run" is left over from the run that ended:
+            # a cancel posted after it finished, a heartbeat, a sync.
+            if buf.payload["op"] == "run" and not self._run(ctx):
+                break
+        for i in range(self.n_nodes):
+            ctx.write(f"out_{i}", DataBuffer({"op": "shutdown"}))
+
+    def _run(self, ctx: FilterContext) -> bool:
+        """Walk the DAG to completion (or drain it for a cancel); True if
+        the run ended on the barrier with the graph parked."""
+        if self.membership is not None:
+            # Every node beats from now on, whether it has work or not.
+            self._broadcast(ctx, {"op": "begin"})
         if self.cancel is not None and self.cancel.is_set():
             # Cancelled before dispatch: nothing runs, but the drain
             # handshake still happens so the exit path is the same.
@@ -420,7 +447,7 @@ class _GlobalSchedulerFilter(Filter):
         while True:
             if self.cancelled:
                 if not self._cancel_pending:
-                    break  # every node drained: run the normal wind-down
+                    return False  # every node drained: wind down
             elif self.dag.done and not self._replaying:
                 break
             wait_s = None  # untimed: every other wake-up is a message
@@ -476,6 +503,25 @@ class _GlobalSchedulerFilter(Filter):
                     node=self.assignment.get(msg["task"], -1))
             if self.gc_arrays and not self.cancelled:
                 self._collect(ctx, msg["task"])
-        for i in range(self.n_nodes):
-            ctx.write(f"out_{i}", DataBuffer({"op": "shutdown"}))
+        if not self.park or (self.membership is not None
+                             and self.membership.dead_nodes()):
+            return False  # a corpse's streams are closed: no next run
+        return self._end(ctx)
 
+    def _end(self, ctx: FilterContext) -> bool:
+        """The barrier that ends a run.  Every local scheduler is told, its
+        workers being idle; its storage answers once it holds no grant and
+        has no I/O in flight; the answer comes back through the local
+        scheduler, behind everything that node sent before.  With every
+        node's answer in, the graph is quiescent and the run ends."""
+        self._broadcast(ctx, {"op": "end"})
+        waiting = set(range(self.n_nodes))
+        while waiting:
+            _port, buf = ctx.read_any(["in"])
+            if buf is END_OF_STREAM:
+                self._all_vanished(ctx)
+            if buf.payload["op"] == "ended":
+                waiting.discard(buf.payload["node"])
+            # else a heartbeat, or a sync the "end" has answered
+        ctx.end_run()
+        return True

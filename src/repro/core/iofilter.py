@@ -51,6 +51,7 @@ import shutil
 import struct
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +64,9 @@ from repro.datacutter.filters import Filter, FilterContext
 from repro.faults import FaultInjector, InjectedIOError, RetryPolicy
 from repro.obs import MetricsRegistry, Tracer
 from repro.util.atomicio import atomic_write
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.session import RunState
 
 _SUFFIX = ".arr"
 _CHUNK_SUFFIX = ".arrc"
@@ -484,9 +488,12 @@ def read_array(scratch: Path, desc: ArrayDesc,
 
 
 def delete_array_file(scratch: Path, name: str) -> None:
-    path = array_path(scratch, name)
-    if path.exists():
-        os.unlink(path)
+    """Unlink an array's files, whichever layout backs it; a name with no
+    files is not an error."""
+    try:
+        os.unlink(array_path(scratch, name))
+    except FileNotFoundError:
+        pass
     cdir = chunk_dir(scratch, name)
     if cdir.is_dir():
         shutil.rmtree(cdir, ignore_errors=True)
@@ -535,6 +542,11 @@ def discover_arrays(scratch: Path) -> list[str]:
     return sorted(names)
 
 
+def _jitter_rng(node: int) -> random.Random:
+    """A node's retry-jitter stream, the same in every run."""
+    return random.Random(node * 2654435761 + 17)
+
+
 class IOFilter(Filter):
     """Executes load/store commands against a scratch directory.
 
@@ -566,7 +578,15 @@ class IOFilter(Filter):
         #: repro.core.shm.SegmentPool when loads must land in shared
         #: memory (process worker plane); None for plain heap loads
         self.segment_pool = segment_pool
-        self._jitter_rng = random.Random(node * 2654435761 + 17)
+        self._jitter_rng = _jitter_rng(node)
+
+    def begin(self, run: RunState) -> None:
+        """Bind the engine's next run (the constructor's keywords are the
+        first one's): its faults, counters and segment pool."""
+        self.injector = run.injectors.get(self.node)
+        self.metrics = run.stores[self.node].metrics
+        self.segment_pool = run.segment_pool
+        self._jitter_rng = _jitter_rng(self.node)
 
     def _inc(self, name: str, n: int = 1) -> None:
         if self.metrics is not None:
@@ -619,6 +639,9 @@ class IOFilter(Filter):
         tracer = self.tracer
         lane = f"io/{ctx.instance}"
         while True:
+            # Waiting, perhaps parked between runs, this thread holds no
+            # block: one the store has dropped must not stay resident.
+            buf = cmd = data = None
             buf = ctx.read("in")
             if buf is END_OF_STREAM:
                 return

@@ -29,15 +29,16 @@ import itertools
 import time
 from dataclasses import dataclass
 from collections.abc import Mapping
-from typing import AbstractSet, Literal, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Literal, NamedTuple
 
 from repro.core.errors import SchedulingError
 from repro.core.task import TaskSpec
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.filters import Filter, FilterContext
-from repro.faults import FaultInjector
 from repro.obs import Tracer
-from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.session import RunState
 
 
 @dataclass(frozen=True)
@@ -225,31 +226,40 @@ class _LocalSchedulerFilter(Filter):
     inputs = ("in", "from_workers", "from_storage")
     outputs = ("to_gsched", "to_workers", "to_storage")
 
-    def __init__(self, node: int, workers: int,
-                 nbytes: dict[str, int], *, prefetch_depth: int = 2,
-                 reorder: bool = True, tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 max_attempts: int = 3,
-                 heartbeat_s: float | None = None,
-                 injector: FaultInjector | None = None):
+    def __init__(self, node: int, workers: int, run: RunState, *,
+                 prefetch_depth: int = 2, reorder: bool = True,
+                 tracer: Tracer | None = None, max_attempts: int = 3):
         if max_attempts < 1:
             raise SchedulingError("max_attempts must be >= 1")
-        self.core = LocalSchedulerCore(node, prefetch_depth=prefetch_depth,
-                                       reorder=reorder)
         self.node = node
         self.workers = workers
-        self.nbytes = nbytes
+        self.prefetch_depth = prefetch_depth
+        self.reorder = reorder
         self.tracer = tracer or Tracer(enabled=False)
-        self.metrics = metrics
         self.max_attempts = max_attempts
+        #: idle worker instances; every one of them at a run's end, so
+        #: this outlives the run (a worker says "idle" once, at start)
+        self._idle: list[int] = []
+        self.begin(run)
+
+    def begin(self, run: RunState) -> None:
+        """Bind the next run: sizes, counters, liveness beacon, faults;
+        a fresh decision core."""
+        self.core = LocalSchedulerCore(self.node,
+                                       prefetch_depth=self.prefetch_depth,
+                                       reorder=self.reorder)
+        self.nbytes = run.nbytes
+        store = run.stores.get(self.node)
+        self.metrics = store.metrics if store is not None else None
         #: liveness beacon period (None = membership tracking off)
-        self.heartbeat_s = heartbeat_s
-        self.injector = injector
+        self.heartbeat_s = (run.recovery.tracker.config.heartbeat_s
+                            if run.recovery is not None else None)
+        self.injector = run.injectors.get(self.node)
         #: injected permanent death point: die after this many worker
         #: completions on this node (None = immortal)
-        self._kill_after = injector.kill_step() if injector is not None else None
+        self._kill_after = (self.injector.kill_step()
+                            if self.injector is not None else None)
         self._next_beat = 0.0
-        self._idle: list[int] = []
         self._parents: dict[str, int] = {}  # parent task -> remaining subtasks
         self._attempts: dict[str, int] = {}  # task -> attempts dispatched here
         self._inflight = 0
@@ -497,6 +507,14 @@ class _LocalSchedulerFilter(Filter):
             if port == "in":
                 if msg["op"] == "shutdown":
                     break
+                if msg["op"] == "end":
+                    # The DAG is done and the workers idle: no beacon
+                    # until the next run, and storage finishes the run.
+                    self.heartbeat_s = None
+                    ctx.write("to_storage", DataBuffer({"op": "end"}))
+                    continue
+                if msg["op"] == "begin":
+                    continue  # a run began: the beacon above went out
                 if msg["op"] == "cancel":
                     self._begin_cancel_drain(ctx)
                     continue
@@ -516,6 +534,11 @@ class _LocalSchedulerFilter(Filter):
                     for task in msg["tasks"]:
                         self.core.add_ready(task)
             elif port == "from_storage":
+                if msg["op"] == "ended":
+                    # Storage's half of the barrier, behind everything this
+                    # node sent the global scheduler during the run.
+                    ctx.write("to_gsched", DataBuffer(msg))
+                    continue
                 self._on_storage_note(msg)  # wake/dropped; then re-dispatch
             else:
                 # "idle" (a worker's first word), "done" or "failed": each

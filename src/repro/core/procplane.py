@@ -17,11 +17,13 @@ sealed, and call the body through the function the thread plane calls
 operands and what ``bytes_copied`` counts are the same on both planes by
 construction (gather/scatter for multi-block operands, nothing else).
 
-Children are forked *before* the runtime's threads start (fork and
-threads don't mix); a worker that dies mid-run is respawned with the
-``spawn`` start method, which is thread-safe at the cost of a module
-re-import.  Crashes surface as :class:`WorkerProcessCrash` and flow into
-the engine's existing task-retry machinery.
+Children are forked *before* the run's filter threads start (fork and
+threads don't mix; other engines' parked graphs may be waiting, but a
+child only runs the task bodies it is sent); a worker that dies mid-run
+is respawned with the ``spawn`` start method, which is thread-safe at the
+cost of a module re-import.  Crashes surface as
+:class:`WorkerProcessCrash` and flow into the engine's existing
+task-retry machinery.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class ProcessWorkerPool:
     """Per-run fleet of worker processes, one per (node, instance) slot.
 
     Built and started by ``DOoCEngine.run`` *before* the threaded
-    runtime spins up (so the initial ``fork`` happens while the parent
-    is single-threaded) and shut down in the run's ``finally``.
+    runtime spins up (so the initial ``fork`` happens before any thread
+    of this run exists) and shut down in the run's ``finally``.
     """
 
     def __init__(self, n_nodes: int, workers_per_node: int,

@@ -12,11 +12,17 @@ the *same, unchanged* scratch files.
 The session is open only between a run that returned its report and the
 start of the next one (``take``); a run that raised never re-opens it,
 so the run after it builds fresh stores.
+
+The filter graph lives exactly as long as the session: while it is open
+the engine keeps the graph parked, and starts the next run by rebinding
+each filter to a :class:`RunState` (``Filter.begin``) and posting one
+message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.array import ArrayDesc
 from repro.core.errors import StorageError
@@ -25,7 +31,48 @@ from repro.core.storage import LocalStore
 from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["FileBacking", "EngineSession"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.cancel import CancelToken
+    from repro.core.dag import TaskDAG
+    from repro.core.directory import DirectoryClient
+    from repro.core.global_scheduler import _RecoveryContext
+    from repro.core.procplane import ProcessWorkerPool
+    from repro.core.shm import SegmentPool
+    from repro.faults import FaultInjector
+
+__all__ = ["FileBacking", "EngineSession", "RunState"]
+
+
+@dataclass
+class RunState:
+    """What one run binds the engine's filters to.
+
+    The graph outlives its runs; each filter reads its per-run state from
+    here in ``begin(run)`` (a node's filters take their node's entry of
+    the per-node maps).  It holds nothing of the engine itself, so a
+    parked graph never keeps an unreferenced engine alive.
+    """
+
+    #: numbers the run; peer messages carry it, so one left over from
+    #: the run before is recognised and dropped
+    seq: int = 0
+    dag: TaskDAG | None = None
+    assignment: dict[str, int] = field(default_factory=dict)
+    #: array -> home node, shared with the engine (reroutes move homes)
+    homes: dict[str, int] = field(default_factory=dict)
+    descs: dict[str, ArrayDesc] = field(default_factory=dict)
+    nbytes: dict[str, int] = field(default_factory=dict)
+    stores: dict[int, LocalStore] = field(default_factory=dict)
+    directories: dict[int, DirectoryClient] = field(default_factory=dict)
+    #: node -> fault injector (absent or None: no faults there)
+    injectors: dict[int, FaultInjector | None] = field(default_factory=dict)
+    recovery: _RecoveryContext | None = None
+    cancel: CancelToken | None = None
+    segment_pool: SegmentPool | None = None
+    plane: ProcessWorkerPool | None = None
+    #: end on the barrier and park the graph for the next run (True), or
+    #: wind it down through end of stream
+    park: bool = True
 
 
 @dataclass(frozen=True)

@@ -557,9 +557,10 @@ class LocalStore:
     def debug_snapshot(self) -> dict:
         """Structured liveness dump for the stall watchdog.
 
-        Called from the watchdog thread while the owning filter may be
-        mutating the store, so it only reads (shallow copies first) and the
-        caller tolerates exceptions from torn iterations.
+        Called from the engine's wait (the watchdog's check) while the
+        owning filter may be mutating the store, so it only reads (shallow
+        copies first) and the caller tolerates exceptions from torn
+        iterations.
         """
         blocked_reads = []
         for (name, block), st in list(self._blocks.items()):

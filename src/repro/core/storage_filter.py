@@ -9,6 +9,7 @@ scheduler, fetches and owner lookups to peers — and feeds back the answers.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from repro.datacutter.errors import StreamClosedError
 from repro.datacutter.filters import Filter, FilterContext
 from repro.faults import FaultInjector
 from repro.obs import Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.session import RunState
 
 
 class _StorageFilter(Filter):
@@ -42,23 +46,38 @@ class _StorageFilter(Filter):
     #: seconds before an unanswered fetch or lookup is retransmitted
     RETRANSMIT_S = 0.25
 
-    def __init__(self, node: int, n_nodes: int, store: LocalStore,
-                 directory: DirectoryClient, descs: dict[str, ArrayDesc],
-                 tracer: Tracer | None = None,
-                 injector: FaultInjector | None = None):
+    def __init__(self, node: int, n_nodes: int, run: RunState,
+                 tracer: Tracer | None = None):
         self.node = node
         self.n_nodes = n_nodes
-        self.store = store
-        self.directory = directory
-        self.descs = descs
         self.tracer = tracer or Tracer(enabled=False)
-        self.injector = injector
         self.outputs = ("rep_workers", "rep_lsched", "io_cmd") + tuple(
             f"peer_out_{j}" for j in range(n_nodes) if j != node
         )
         self._outstanding_io = 0
-        self._draining = False
         self._io_closed = False
+        #: a "shutdown" or "die" arrived: the graph is winding down
+        self._closing = False
+        self.begin(run)
+
+    def begin(self, run: RunState) -> None:
+        """Bind the next run: the node's store, directory and faults, the
+        run's descriptors; no protocol state of the run before."""
+        self.store: LocalStore = run.stores[self.node]
+        self.directory: DirectoryClient = run.directories.get(self.node)
+        self.descs: dict[str, ArrayDesc] = run.descs
+        self.injector: FaultInjector | None = run.injectors.get(self.node)
+        #: stamped on every peer message; one from another run is dropped
+        self._seq = run.seq
+        #: no new work is started: the run is ending, or the graph
+        self._draining = False
+        #: the run's "end" arrived: answered once no grant is out and no
+        #: I/O in flight (``_maybe_end``)
+        self._ending = False
+        #: answered: the engine may use the store until the next run
+        self._ended = False
+        #: grants handed to workers and not yet handed back
+        self._lent = 0
         #: set by the "die" op (injected node loss): the filter keeps its
         #: threads' streams flowing but does no protocol work — a corpse
         #: must exit orderly, never crash the shared runtime
@@ -84,6 +103,7 @@ class _StorageFilter(Filter):
     # -- helpers --------------------------------------------------------------
 
     def _peer_send(self, ctx: FilterContext, peer: int, payload: dict) -> None:
+        payload["run"] = self._seq
         try:
             ctx.write(f"peer_out_{peer}", DataBuffer(payload))
         except StreamClosedError:
@@ -168,6 +188,7 @@ class _StorageFilter(Filter):
                 assert e.ticket is not None
                 tag = e.ticket.tag
                 if tag[0] == "worker":
+                    self._lent += 1
                     self._worker_reply(replies, tag[1])["tickets"].append(
                         e.ticket)
                 elif tag[0] == "peer":
@@ -273,6 +294,10 @@ class _StorageFilter(Filter):
                     "op": "lookup", "array": array, "from": self.node})
 
     def _handle_peer(self, ctx: FilterContext, msg: dict) -> None:
+        if self._ended or msg["run"] != self._seq:
+            # A peer still ending the run, or left over from the run
+            # before: nobody waits for it, and the store is not ours now.
+            return
         op = msg["op"]
         if op == "lookup":
             hit = self.store.has_array(msg["array"]) and not self.store.is_remote(msg["array"])
@@ -335,6 +360,7 @@ class _StorageFilter(Filter):
             # attempt — its reads released and its granted-but-unpublished
             # writes retracted.
             effects: list[Effect] = []
+            self._lent -= len(msg["tickets"])
             for ticket in msg["tickets"]:
                 if msg["abandon"] and ticket.permission is Permission.WRITE:
                     effects.extend(self.store.abandon_write(ticket))
@@ -376,6 +402,13 @@ class _StorageFilter(Filter):
         elif op == "delete":
             self.directory.invalidate(msg["array"])
             self._try_delete(ctx, msg["array"])
+        elif op == "end":
+            # The DAG is done and every worker idle, but releases may still
+            # be queued behind this on `req` (the worker and scheduler
+            # streams merge unordered there), and I/O may be in flight:
+            # ``_maybe_end`` answers once neither is.
+            self._drain()
+            self._ending = True
         elif op in ("shutdown", "die"):
             # Stop initiating work; processing continues until every inbound
             # stream reaches end-of-stream so that late releases still seal
@@ -385,17 +418,31 @@ class _StorageFilter(Filter):
             if op == "die":
                 self._dead = True
                 self._rehome_pending.clear()
-            self._draining = True
-            self._awaiting_owner.clear()
-            self._delayed.clear()
-            self._fetch_pending.clear()
-            self._lookup_pending.clear()
-            self.store.abandon_pending_allocs()
+            self._drain()
+            self._closing = True
             for j in range(self.n_nodes):
                 if j != self.node:
                     ctx.close(f"peer_out_{j}")
         else:  # pragma: no cover - defensive
             raise StorageError(f"unknown storage op {op!r}")
+
+    def _drain(self) -> None:
+        """Start no more work: abandon owner walks, retransmits, delayed
+        sends and queued allocations (nothing waits for them any more)."""
+        self._draining = True
+        self._awaiting_owner.clear()
+        self._delayed.clear()
+        self._fetch_pending.clear()
+        self._lookup_pending.clear()
+        self.store.abandon_pending_allocs()
+
+    def _maybe_end(self, ctx: FilterContext) -> None:
+        """Storage's half of the run's barrier: with every grant handed
+        back and no I/O in flight, nothing of the run is left here."""
+        if self._ending and self._lent == 0 and self._outstanding_io == 0:
+            self._ending, self._ended = False, True
+            ctx.write("rep_lsched", DataBuffer({"op": "ended",
+                                                "node": self.node}))
 
     def _handle_acquire(self, ctx: FilterContext, msg: dict) -> None:
         """Serve a task's one request: each read interval, then each write
@@ -516,13 +563,16 @@ class _StorageFilter(Filter):
     def process(self, ctx: FilterContext) -> None:
         ports = ["req", "io_done", "peer_in"]
         while True:
-            if self._draining and self._outstanding_io == 0 \
+            if self._closing and self._outstanding_io == 0 \
                     and not self._io_closed:
                 # Closing io_cmd lets the I/O filters exit, which EOSes
                 # io_done; the loop then runs to EOS of all ports, so every
                 # in-flight release/peer message is still processed.
                 ctx.close("io_cmd")
                 self._io_closed = True
+            # Waiting, perhaps parked between runs, this thread holds no
+            # block: one the store has dropped must not stay resident.
+            buf = msg = None
             # the earliest deadline of pending recovery work, if any
             due = min((d[0] for d in (*self._delayed,
                                       *self._fetch_pending.values(),
@@ -570,6 +620,7 @@ class _StorageFilter(Filter):
                     # parked delete or recovery rehome is waiting on.
                     self._retry_parked(ctx)
                 self._wake_scheduler(ctx)
+            self._maybe_end(ctx)
         if not self._io_closed:
             ctx.close("io_cmd")
             self._io_closed = True

@@ -8,6 +8,8 @@ slot's worker process (:mod:`repro.core.procplane`); either way through
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.array import ArrayDesc
 from repro.core.errors import DoocError, IOFailedError
 from repro.core.interval import (Interval, Permission, intervals_for_range,
@@ -25,6 +27,9 @@ from repro.faults import FaultInjector, InjectedTaskCrash
 from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.session import RunState
+
 
 class _WorkerFilter(Filter):
     """Executes task bodies against storage-granted views.
@@ -40,25 +45,25 @@ class _WorkerFilter(Filter):
     inputs = ("in", "from_storage")
     outputs = ("to_storage", "to_lsched")
 
-    def __init__(self, node: int, descs: dict[str, ArrayDesc],
-                 tracer: Tracer, metrics: MetricsRegistry,
-                 injector: FaultInjector | None = None,
-                 opcache: DecodedOperandCache | None = None,
-                 plane: ProcessWorkerPool | None = None,
-                 segment_pool: SegmentPool | None = None):
+    def __init__(self, node: int, run: RunState, tracer: Tracer):
         self.node = node
-        self.descs = descs
         self.tracer = tracer
-        self.metrics = metrics
-        self.injector = injector
+        self.begin(run)
+
+    def begin(self, run: RunState) -> None:
+        """Bind the next run: descriptors, counters, faults, planes."""
+        store = run.stores[self.node]
+        self.descs: dict[str, ArrayDesc] = run.descs
+        self.metrics: MetricsRegistry = store.metrics
+        self.injector: FaultInjector | None = run.injectors.get(self.node)
         #: node-shared decoded-operand cache (None = disabled); handed to
         #: task bodies through the OperandContext in ``meta``
-        self.opcache = opcache
+        self.opcache: DecodedOperandCache | None = store.opcache
         #: process worker plane: when set, task bodies ship to a worker
         #: process as block-handle envelopes; this thread stays the
         #: protocol endpoint (tickets, leases, failure reports)
-        self.plane = plane
-        self.segment_pool = segment_pool
+        self.plane: ProcessWorkerPool | None = run.plane
+        self.segment_pool: SegmentPool | None = run.segment_pool
 
     # -- storage round-trips ----------------------------------------------------
 

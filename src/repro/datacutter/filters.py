@@ -63,6 +63,11 @@ class FilterContext:
         """Signal that this instance will write no more on ``port``."""
         self._rt.close_output(port)
 
+    def end_run(self) -> None:
+        """Mark the end of the current run of a graph that outlives it:
+        whoever waits in ``ThreadedRuntime.wait_run`` returns."""
+        self._rt.runtime._end_run()
+
     @property
     def stop_requested(self) -> bool:
         """True once the runtime asked filters to wind down."""

@@ -11,6 +11,12 @@ Threads suit this middleware's workload: filters spend their time in file
 I/O and NumPy kernels, both of which release the GIL, so I/O genuinely
 overlaps computation — the property the paper's out-of-core pipeline relies
 on.
+
+A graph may also outlive one computation: its filters loop instead of
+returning, a filter marks the end of each *run* (``FilterContext.end_run``),
+and between runs its owner rebinds the parked filters
+(:meth:`ThreadedRuntime.begin_run`) and waits for the next end
+(:meth:`ThreadedRuntime.wait_run`).  No thread starts after the first run.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.errors import FilterError, LayoutError, StreamClosedError
@@ -116,6 +122,9 @@ class _InstanceRuntime:
         self.out_writers: dict[str, list[_StreamWriter]] = {}
         self._closed_ports: set[str] = set()
         self._read_rotation: dict[str, int] = {}
+        #: blocked in an untimed read: the thread touches nothing of its
+        #: filter until a buffer arrives (what ``begin_run`` waits for)
+        self.idle = False
 
     # -- reading ------------------------------------------------------------
 
@@ -163,8 +172,14 @@ class _InstanceRuntime:
                 # An item, end-of-stream and runtime failure all notify
                 # self.cond: the wait needs no slice, only the caller's
                 # own deadline.
-                self.cond.wait(None if deadline is None
-                               else deadline - time.monotonic())
+                if deadline is not None:
+                    self.cond.wait(deadline - time.monotonic())
+                    continue
+                self.idle = True
+                if self.runtime._binding:
+                    self.cond.notify_all()  # begin_run waits for this
+                self.cond.wait()
+                self.idle = False
 
     # -- writing ------------------------------------------------------------
 
@@ -223,6 +238,12 @@ class ThreadedRuntime:
         self._errors: list[FilterError] = []
         self._errors_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
+        #: guards the run state below; notified at a run's end, and as
+        #: each thread exits
+        self._state = threading.Condition()
+        self._live = 0
+        self._run_open = False
+        self._binding = False
         self.instances: dict[str, list[_InstanceRuntime]] = {}
         self._build()
 
@@ -273,6 +294,9 @@ class ThreadedRuntime:
                 self._failed.set()
             inst.close_all_outputs()
             self._wake_all()
+            with self._state:
+                self._live -= 1
+                self._state.notify_all()
 
     def _wake_all(self) -> None:
         for insts in self.instances.values():
@@ -288,9 +312,17 @@ class ThreadedRuntime:
             inst.in_channels[port][0].items.append(buffer)
             inst.cond.notify_all()
 
+    def _end_run(self) -> None:
+        with self._state:
+            self._run_open = False
+            self._state.notify_all()
+
     def start(self) -> None:
+        """Start every filter's thread; this opens the first run."""
         if self._threads:
             raise RuntimeError("runtime already started")
+        self._live = sum(len(insts) for insts in self.instances.values())
+        self._run_open = True
         for name, insts in self.instances.items():
             for inst in insts:
                 thread = threading.Thread(
@@ -330,6 +362,83 @@ class ThreadedRuntime:
         """start() + join(); the normal entry point."""
         self.start()
         self.join(timeout)
+
+    # -- runs of a graph that outlives them ---------------------------------
+
+    @property
+    def parked(self) -> bool:
+        """Every thread is alive, none failed, and no run is open."""
+        return (bool(self._threads) and not self._run_open
+                and self._live == len(self._threads)
+                and not self._failed.is_set())
+
+    def begin_run(self, bind: Callable[[Filter], None]) -> None:
+        """Open the next run of a parked graph.
+
+        Instance by instance, once its thread waits untimed for input,
+        zero the counters of the channels it reads (``stream_stats`` then
+        covers one run) and hand its filter to ``bind``, which rebinds the
+        filter's per-run state.  The caller then sends the run its first
+        message.
+        """
+        self._binding = True
+        try:
+            for insts in self.instances.values():
+                for inst in insts:
+                    with inst.cond:
+                        while not inst.idle:
+                            if (self._failed.is_set()
+                                    or self._live < len(self._threads)):
+                                raise StreamClosedError(
+                                    "the graph stopped between runs")
+                            inst.cond.wait()
+                        for channels in inst.in_channels.values():
+                            for ch in channels:
+                                ch.buffers_in = ch.bytes_in = 0
+                        bind(inst.filter)
+        finally:
+            self._binding = False
+        with self._state:
+            self._run_open = True
+
+    def wait_run(self, deadline: float | None = None, *,
+                 wake: float | None = None) -> bool:
+        """Wait for the open run to end: a filter called ``end_run`` (the
+        graph is parked), or every thread has exited.  True then; False at
+        ``wake`` (a ``time.monotonic`` instant) if the run is still going.
+
+        A filter failure waits for every thread to exit, then raises the
+        first error.  At ``deadline`` the graph fails: every thread blocked
+        on a stream wakes, and this raises ``TimeoutError``.
+        """
+        timed_out = False
+        with self._state:
+            while self._live and (self._run_open or self._failed.is_set()):
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    timed_out = True
+                    break
+                if wake is not None and now >= wake:
+                    return False
+                until = min((t for t in (deadline, wake) if t is not None),
+                            default=None)
+                self._state.wait(None if until is None else until - now)
+        if timed_out:
+            self.abort()
+            if self.lock_recorder is not None:
+                self.lock_recorder.check()  # a named deadlock beats a timeout
+            raise TimeoutError(
+                "run still going at its deadline (possible stream deadlock)")
+        if self._errors:
+            raise self._errors[0]
+        if self.lock_recorder is not None:
+            self.lock_recorder.check()
+        return True
+
+    def abort(self) -> None:
+        """Fail the graph: every thread blocked on a stream wakes and exits."""
+        self._failed.set()
+        self._wake_all()
 
     # -- introspection ----------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 ``DOoCEngine.run(timeout=...)`` used to die with a bare ``TimeoutError``
 when a run wedged — no indication of *what* was stuck.  The watchdog
-monitors the tracer's heartbeat (every traced event updates
+reads the tracer's heartbeat (every traced event updates
 ``Tracer.last_activity``, even with recording disabled); when no event has
 landed for a configurable quiet period mid-run it assembles a
 :class:`Diagnosis` from the live runtime state: blocked read waiters,
@@ -10,12 +10,15 @@ outstanding write tickets, queued allocations and memory pressure per
 store, plus each node's scheduler ready pool.  The diagnosis is delivered
 to a callback (the engine logs it and attaches it to the eventual timeout
 error) rather than raising — a stall may still resolve.
+
+It owns no thread and no clock: whoever waits for the run asks it for
+:meth:`StallWatchdog.next_deadline`, waits until then (or until the run
+ends), and calls :meth:`StallWatchdog.check`.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
@@ -126,30 +129,29 @@ class Diagnosis:
 
 
 class StallWatchdog:
-    """Background monitor turning silence into a diagnosis.
+    """Turns silence into a diagnosis, when asked.
 
     ``watch_store``/``watch_scheduler`` register best-effort snapshot
     sources: the runtime mutates them concurrently, so snapshot failures
-    are tolerated (a torn read beats a silent timeout).
+    are tolerated (a torn read beats a silent timeout).  Times are on the
+    tracer's clock.
     """
 
     def __init__(self, tracer: Tracer, *, quiet_s: float = 10.0,
                  on_stall: Callable[[Diagnosis], None] | None = None,
-                 poll_s: float | None = None,
                  log: bool = True):
         if quiet_s <= 0:
             raise ValueError("quiet_s must be positive")
         self.tracer = tracer
         self.quiet_s = quiet_s
-        self.poll_s = poll_s if poll_s is not None else max(quiet_s / 4.0, 0.01)
         self.on_stall = on_stall
         self.log = log
         self.last_diagnosis: Diagnosis | None = None
         self._stores: dict[int, object] = {}
         self._schedulers: dict[int, Callable[[], dict]] = {}
         self._membership: Callable[[], dict] | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        #: the ``last_activity`` already diagnosed: one report per stall
+        self._reported_at: float | None = None
 
     # -- registration ---------------------------------------------------------
 
@@ -199,43 +201,29 @@ class StallWatchdog:
         self.last_diagnosis = diag
         return diag
 
-    # -- lifecycle ------------------------------------------------------------
+    # -- what the waiter calls -----------------------------------------------
 
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("watchdog already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="obs-watchdog", daemon=True)
-        self._thread.start()
+    def next_deadline(self) -> float:
+        """The earliest time :meth:`check` could find a stall not yet
+        reported: ``quiet_s`` after the last event, or — that silence
+        being reported already — ``quiet_s`` from now."""
+        last = self.tracer.last_activity
+        if last != self._reported_at:
+            return last + self.quiet_s
+        return self.tracer.now() + self.quiet_s
 
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        reported_at = -1.0  # last_activity value we already diagnosed
-        while not self._stop.wait(self.poll_s):
-            last = self.tracer.last_activity
-            if self.tracer.now() - last < self.quiet_s:
-                continue
-            if last == reported_at:
-                continue  # still the same stall; one diagnosis is enough
-            reported_at = last
-            diag = self.diagnose()
-            if self.log:
-                print(diag.render(), file=sys.stderr)
-            if self.on_stall is not None:
-                try:
-                    self.on_stall(diag)
-                except Exception:  # noqa: BLE001 - callback must not kill us
-                    pass
-
-    def __enter__(self) -> StallWatchdog:
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def check(self, now: float) -> Diagnosis | None:
+        """Diagnose, log and report the stall ``now`` falls in, once."""
+        last = self.tracer.last_activity
+        if now - last < self.quiet_s or last == self._reported_at:
+            return None
+        self._reported_at = last
+        diag = self.diagnose()
+        if self.log:
+            print(diag.render(), file=sys.stderr)
+        if self.on_stall is not None:
+            try:
+                self.on_stall(diag)
+            except Exception:  # noqa: BLE001 - a callback must not end the wait
+                pass
+        return diag

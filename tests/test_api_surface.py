@@ -301,7 +301,7 @@ class TestCoreLayout:
         polls = re.compile(r"_POLL_S|_wait_slice|RETRY_POLL_S|CANCEL_POLL_S"
                            r"|\bpoll_s\b")
         hits = [f"{path.relative_to(src)}:{n}"
-                for pkg in ("core", "datacutter", "recovery")
+                for pkg in ("core", "datacutter", "recovery", "obs")
                 for path in sorted((src / pkg).rglob("*.py"))
                 for n, line in enumerate(path.read_text().splitlines(), 1)
                 if polls.search(line)]

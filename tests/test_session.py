@@ -2,11 +2,17 @@
 
 Stores (block table, LRU clock, decoded-operand cache) persist across
 runs of one engine; an array stays resident iff the next program declares
-it again from the same, unchanged scratch file.  Every failure, a node
-death, ``cleanup()`` and the process plane reset the session.
+it again from the same, unchanged scratch file.  So does the filter graph:
+its threads wait parked between runs.  Every failure, a node death,
+``cleanup()`` and the process plane reset the session and stop the graph.
 """
 
+import gc
 import os
+import shutil
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,11 +20,12 @@ import pytest
 from repro.core import DOoCEngine, DoocError, Program
 from repro.core.array import ArrayDesc
 from repro.core.cancel import CancelToken
-from repro.core.errors import RunCancelled
+from repro.core.errors import RunCancelled, StallError
 from repro.core.iofilter import delete_array_file, write_array
 from repro.core.shm import dev_shm_segments
 from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
+from repro.recovery import MembershipConfig
 from repro.spmv import program as spmv_program
 from repro.spmv.csr import CSRBlock
 from repro.spmv.csrfile import serialize_csr
@@ -447,3 +454,226 @@ class TestDiagonal:
         want = np.concatenate(
             [self.loop_diagonal(blocks[(u, u)]) for u in range(K)])
         assert op.diagonal().tobytes() == want.tobytes()
+
+
+# -- the filter graph's lifetime ---------------------------------------------
+
+def started_by(action) -> list[threading.Thread]:
+    """Every thread ``action`` started."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threading.Thread, "start", recording_start)
+        action()
+    return started
+
+
+def graph_started_by(action) -> set[threading.Thread]:
+    """The filter threads (``dc-<filter>#<i>``) ``action`` started."""
+    return {t for t in started_by(action) if t.name.startswith("dc-")}
+
+
+def assert_stopped(threads) -> None:
+    for thread in threads:
+        thread.join(5.0)  # failure paths leave threads to unwind alone
+    assert [t.name for t in threads if t.is_alive()] == []
+
+
+def scale_fn(ins, outs, meta):
+    outs[meta["out"]][:] = ins[meta["src"]] * 2.0
+
+
+def fail_fn(ins, outs, meta):
+    raise RuntimeError("a task that always fails")
+
+
+def sum_fn(ins, outs, meta):
+    outs["total"][:] = ins["d0"] + ins["d1"]
+
+
+def two_node_program(name, fn=scale_fn, n=64):
+    """``total = 2 c0 + 2 c1``, a doubling on each of two nodes."""
+    prog = Program(name, default_block_elems=n)
+    for i in (0, 1):
+        prog.initial_array(f"c{i}", np.arange(n, dtype=float) + i, home=i)
+        prog.array(f"d{i}", n)
+        prog.add_task(f"scale{i}", fn, [f"c{i}"], [f"d{i}"],
+                      src=f"c{i}", out=f"d{i}")
+    prog.array("total", n)
+    prog.add_task("sum", sum_fn, ["d0", "d1"], ["total"])
+    return prog
+
+
+TOTAL = 2.0 * (2 * np.arange(64, dtype=float) + 1)
+
+
+def run_checked(eng, name):
+    report = eng.run(two_node_program(name), timeout=60)
+    assert np.array_equal(eng.fetch("total"), TOTAL)
+    return report
+
+
+def wedge_program():
+    """A 32 KiB input pinned while its 32 KiB output waits for memory that
+    a 40 000-byte budget never frees (tests/test_watchdog.py)."""
+    n = 4096
+    prog = Program("wedge", default_block_elems=n)
+    prog.initial_array("x", np.arange(n, dtype=float))
+    prog.array("y", n)
+    prog.add_task("copy", copy_x_fn, ["x"], ["y"])
+    return prog
+
+
+def copy_x_fn(ins, outs, meta):
+    outs["y"][:] = ins["x"]
+
+
+def _cancelled(eng):
+    token = CancelToken()
+    token.cancel("test")
+    with pytest.raises(RunCancelled):
+        eng.run(two_node_program("cancelled"), timeout=60, cancel=token)
+
+
+def _node_dies(eng):
+    eng.faults = FaultPlan(node_kill=((1, 1),))
+    report = run_checked(eng, "death")  # recovered, and not committed
+    eng.faults = None
+    assert report.metrics[-1]["nodes_lost"] == 1
+
+
+def _from_scratch(name):
+    prog = Program("from-scratch", default_block_elems=64)
+    prog.initial_from_scratch(name, 64)
+    prog.array("y", 64)
+    prog.add_task("double", double_fn, [name], ["y"])
+    return prog
+
+
+#: every way a session ends -> (engine keywords, how it ends)
+ENDINGS = {
+    "filter_error": (
+        {"task_max_attempts": 1, "task_max_reroutes": 0},
+        lambda eng: pytest.raises(FilterError, eng.run,
+                                  two_node_program("bad", fail_fn),
+                                  timeout=60)),
+    "cancelled": ({}, _cancelled),
+    "stall_timeout": (
+        {"memory_budget_per_node": 40_000},
+        lambda eng: pytest.raises(StallError, eng.run, wedge_program(),
+                                  timeout=1)),
+    "missing_file": (
+        {},
+        lambda eng: pytest.raises(DoocError, eng.run, _from_scratch("gone"),
+                                  timeout=60)),
+    "cleanup": ({}, lambda eng: eng.cleanup()),
+    "process_plane": ({"worker_plane": "process"}, lambda eng: None),
+    # Three nodes: with two, the survivor's owner walk for the corpse's
+    # blocks has no peer left to probe.  No ticket audit: the corpse can
+    # drop its own worker's last release (both, ROADMAP item 11).
+    "node_death": (
+        {"n_nodes": 3, "protocol_checkers": False,
+         "membership": MembershipConfig(
+             heartbeat_s=0.02, suspect_after_s=0.1, dead_after_s=0.25)},
+        _node_dies),
+}
+
+
+class TestGraphLifetime:
+    def test_later_runs_start_no_thread(self, tmp_path, x):
+        """(a) Runs 2..N of one engine start no thread: the graph is kept,
+        parked, and rebound."""
+        op = OutOfCoreMatrix(make_blocks(), n_nodes=3, scratch_dir=tmp_path)
+        ys = []
+        first = started_by(lambda: ys.append(op.matvec(x)))
+        # the global scheduler; storage, I/O, local scheduler and workers
+        # on each node
+        assert len(first) == 1 + 3 * (3 + op.engine.workers_per_node)
+        for _ in range(3):
+            assert started_by(lambda: ys.append(op.matvec(x))) == []
+        assert all(np.array_equal(y, ys[0]) for y in ys)
+        op.engine.cleanup()
+
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_no_filter_thread_outlives_the_session(self, tmp_path, ending):
+        """(b) Whatever ends the session stops the graph, and the next run
+        builds a fresh one."""
+        kwargs, end = ENDINGS[ending]
+        eng = DOoCEngine(**{"n_nodes": 2, "workers": 1,
+                            "scratch_dir": tmp_path, **kwargs})
+        first = graph_started_by(lambda: run_checked(eng, "first"))
+        assert first
+        end(eng)
+        assert_stopped(first)
+        again = graph_started_by(lambda: run_checked(eng, "again"))
+        assert again and not again & first
+        eng.cleanup()
+        assert_stopped(again)
+
+    def test_dropped_engine_releases_its_threads(self, tmp_path):
+        """(c) Nothing the parked threads hold refers to the engine: an
+        engine dropped without ``cleanup()`` is collected, and that winds
+        its graph down."""
+        eng = DOoCEngine(n_nodes=2, workers=1, scratch_dir=tmp_path)
+        threads = graph_started_by(lambda: run_checked(eng, "first"))
+        run_checked(eng, "second")
+        assert threads and all(t.is_alive() for t in threads)
+        dropped = weakref.ref(eng)
+        del eng
+        gc.collect()
+        assert dropped() is None
+        assert [t.name for t in threads if t.is_alive()] == []
+
+    def test_reports_cover_one_run(self, tmp_path):
+        """(d) ``stream_stats`` and ``metrics`` count the run they report,
+        though the streams and threads outlive it."""
+        eng = DOoCEngine(n_nodes=2, workers=2, scratch_dir=tmp_path)
+        reports = [run_checked(eng, f"r{i}") for i in range(3)]
+        eng.cleanup()
+        told = "worker@0.to_lsched->lsched@0.from_workers"
+        # Each worker says "idle" once, when its thread starts; after that
+        # a run's count is its "done" reports alone.
+        dones = [r.stream_stats[told][0] for r in reports]
+        assert dones == [dones[1] + 2, dones[1], dones[1]] and dones[1] > 0
+        asked = "worker@1.to_storage->storage@1.req"  # acquire + release
+        assert len({r.stream_stats[asked][0] for r in reports}) == 1
+        loads = [r.metrics[0].get("loads", 0) for r in reports]
+        assert loads == [loads[0]] * 3 and loads[0] >= 1  # c0 is re-seeded
+
+    def test_many_runs_of_one_graph_under_thread_churn(
+            self, tmp_path, protocol_checkers):
+        """More workers than cores, a tiny switch interval, run after run
+        on one parked graph: every run is right, every grant is back
+        before it ends (the ticket auditor), and the stream counters hold
+        exactly that run's traffic — two storage requests per task."""
+        eng = DOoCEngine(n_nodes=3, workers=4, scratch_dir=tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(20):
+                report = run_checked(eng, f"r{i}")
+                asked = sum(report.stream_stats[
+                    f"worker@{n}.to_storage->storage@{n}.req"][0]
+                    for n in range(3))
+                assert asked == 2 * len(report.assignment)
+        finally:
+            sys.setswitchinterval(interval)
+            eng.cleanup()
+
+    def test_node_scratch_is_made_once_and_again_after_cleanup(self):
+        eng = DOoCEngine(n_nodes=2, workers=1)  # owns its scratch root
+        run_checked(eng, "first")
+        node1 = eng.node_scratch(1)
+        shutil.rmtree(node1)
+        # Made once: the engine does not look again (no syscall per call).
+        assert eng.node_scratch(1) == node1 and not node1.exists()
+        eng.cleanup()
+        assert not eng.scratch_root.exists()
+        run_checked(eng, "after-cleanup")  # the node directories come back
+        assert node1.is_dir() and eng.node_scratch(0).is_dir()
+        eng.cleanup()

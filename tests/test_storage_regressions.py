@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 from repro.core import DOoCEngine, Program
+from repro.core.directory import DirectoryClient
 from repro.core.errors import StorageError
 from repro.core.interval import Interval, whole_block
 from repro.core.local_scheduler import _LocalSchedulerFilter
+from repro.core.session import RunState
 from repro.core.storage import LocalStore
 from repro.core.storage_filter import _StorageFilter
+from repro.util.rng import RngTree
 
 
 def desc(name="a", length=100, block=50, dtype="float64"):
@@ -178,6 +181,18 @@ class _RecordingCtx:
         self.writes.append((port, buf.payload))
 
 
+def storage_filter(store, descs):
+    """Node 0's storage filter, bound to a one-node run over ``store``."""
+    return _StorageFilter(0, 1, RunState(stores={0: store}, descs=descs))
+
+
+def lsched_filter(nbytes, store=None, **kwargs):
+    """Node 0's one-worker scheduler filter, bound to a one-node run."""
+    stores = {} if store is None else {0: store}
+    return _LocalSchedulerFilter(
+        0, 1, RunState(nbytes=nbytes, stores=stores), **kwargs)
+
+
 class TestForgetPrefetchWiring:
     def test_scheduler_core_forgets(self):
         from repro.core.local_scheduler import LocalSchedulerCore
@@ -197,7 +212,7 @@ class TestForgetPrefetchWiring:
         from repro.core.storage import Effect
 
         store = LocalStore(0, memory_budget=1 << 20)
-        filt = _StorageFilter(0, 1, store, directory=None, descs={})
+        filt = storage_filter(store, {})
         ctx = _RecordingCtx()
         filt._execute(ctx, [Effect("drop", "a", 0)])
         assert ("rep_lsched", {"op": "dropped", "array": "a"}) in ctx.writes
@@ -205,7 +220,7 @@ class TestForgetPrefetchWiring:
     def test_lsched_filter_rearms_on_dropped_note(self):
         from repro.core.task import TaskSpec
 
-        filt = _LocalSchedulerFilter(0, workers=1, nbytes={"a": 8, "y": 8})
+        filt = lsched_filter({"a": 8, "y": 8})
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
         filt._on_storage_note({"op": "dropped", "array": "a"})
@@ -220,8 +235,7 @@ class TestForgetPrefetchWiring:
         store = LocalStore(0, memory_budget=128)
         store.register_on_disk(d_fit)
         store.register_on_disk(d_big)
-        filt = _StorageFilter(0, 1, store, directory=None,
-                              descs={"fit": d_fit, "big": d_big})
+        filt = storage_filter(store, {"fit": d_fit, "big": d_big})
         ctx = _RecordingCtx()
         for array in ("fit", "big"):  # 64 B load reserved, then 512 B asked
             filt._handle_request(ctx, {"op": "prefetch", "array": array})
@@ -241,7 +255,7 @@ class TestForgetPrefetchWiring:
         descs = {n: desc(n, 16, 8) for n in
                  ("whole", "idle", "loading", "spilling", "unsealed")}
         store = LocalStore(0, memory_budget=1 << 20)
-        filt = _StorageFilter(0, 1, store, directory=None, descs=descs)
+        filt = storage_filter(store, descs)
         ctx = _RecordingCtx()
 
         def write(name, blocks):
@@ -286,7 +300,7 @@ class TestForgetPrefetchWiring:
                 return DataBuffer({"op": "map", "resident": set(),
                                    "loading": set(), "declined": {"a"}})
 
-        filt = _LocalSchedulerFilter(0, workers=1, nbytes={"a": 8, "y": 8})
+        filt = lsched_filter({"a": 8, "y": 8})
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
         ctx = Ctx()
@@ -301,11 +315,10 @@ class TestForgetPrefetchWiring:
         and the account of a forced dispatch."""
         from repro.core.task import TaskSpec
         from repro.obs import Tracer
-        from repro.obs.metrics import MetricsRegistry
 
-        tracer, metrics = Tracer(enabled=True), MetricsRegistry()
-        filt = _LocalSchedulerFilter(0, workers=1, nbytes={"a": 8, "y": 8},
-                                     tracer=tracer, metrics=metrics)
+        tracer, store = Tracer(enabled=True), LocalStore(0, 1 << 20)
+        metrics = store.metrics
+        filt = lsched_filter({"a": 8, "y": 8}, store, tracer=tracer)
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         filt._unsynced = True  # a completion went to the global scheduler
         ctx = _RecordingCtx()
@@ -319,6 +332,49 @@ class TestForgetPrefetchWiring:
         assert metrics.as_dict()["forced_dispatches"] == 1
         (event,) = [e for e in tracer.events() if e.name == "forced_dispatch"]
         assert event.args == {"task": "t", "why": "declined"}
+
+
+class TestRunBarrier:
+    """Storage's half of the barrier that ends a run of a kept graph."""
+
+    ENDED = ("rep_lsched", {"op": "ended", "node": 0})
+
+    def test_the_end_is_answered_once_every_grant_is_back(self):
+        # The worker's release may be queued behind the scheduler's "end":
+        # the two streams merge unordered on `req`.
+        d = desc("a", 8, 8)
+        store = LocalStore(0, memory_budget=1 << 20)
+        store.create_array(d)
+        filt = storage_filter(store, {"a": d})
+        ctx = _RecordingCtx()
+        filt._handle_request(ctx, {
+            "op": "acquire", "reads": [], "writes": [whole_block(d, 0)],
+            "reply_to": ("worker", 0)})
+        (grants,) = [p for port, p in ctx.writes if port == "rep_workers"]
+        filt._handle_request(ctx, {"op": "end"})
+        filt._maybe_end(ctx)
+        assert self.ENDED not in ctx.writes
+        filt._handle_request(ctx, {"op": "release", "abandon": False,
+                                   "tickets": grants["tickets"]})
+        filt._maybe_end(ctx)
+        assert ctx.writes[-1] == self.ENDED
+
+    def test_a_peer_message_of_another_run_is_dropped(self):
+        d = desc("a", 8, 8)
+        store = LocalStore(0, memory_budget=1 << 20)
+        store.create_array(d)
+        directory = DirectoryClient(0, 2, RngTree(0).child("directory", 0))
+        filt = _StorageFilter(0, 2, RunState(
+            seq=7, stores={0: store}, descs={"a": d},
+            directories={0: directory}))
+        ctx = _RecordingCtx()
+        lookup = {"op": "lookup", "array": "a", "from": 1}
+        filt._handle_peer(ctx, {**lookup, "run": 6})
+        assert ctx.writes == []
+        filt._handle_peer(ctx, {**lookup, "run": 7})
+        assert ctx.writes == [("peer_out_1", {
+            "op": "lookup_reply", "array": "a", "hit": True, "owner": 0,
+            "run": 7})]
 
 
 class TestPumpAllocsBehaviour:

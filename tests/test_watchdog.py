@@ -2,7 +2,6 @@
 an opaque ``TimeoutError``."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -81,50 +80,68 @@ class TestDiagnosis:
         assert "no per-node state registered" in diag.render()
 
 
-class TestWatchdogThread:
+class TestWatchdogCheck:
+    """The watchdog owns no thread: its caller asks ``next_deadline``
+    when to look, and ``check`` reports a silence, once.  A fake clock
+    drives both."""
+
+    @staticmethod
+    def watched(hits):
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        dog = StallWatchdog(tracer, quiet_s=1.0, on_stall=hits.append,
+                            log=False)
+        return clock, tracer, dog
+
     def test_fires_once_per_stall(self):
-        tracer = Tracer()
-        tracer.instant(0, "x", "task", "task")  # heartbeat, then silence
         hits = []
-        dog = StallWatchdog(tracer, quiet_s=0.05, poll_s=0.01,
-                            on_stall=hits.append, log=False)
-        with dog:
-            time.sleep(0.3)
-        assert len(hits) == 1  # same stall reported once, not per poll
-        assert isinstance(hits[0], Diagnosis)
-        assert dog.last_diagnosis is hits[0]
+        clock, tracer, dog = self.watched(hits)
+        clock.t = 2.0
+        tracer.instant(0, "x", "task", "task")  # heartbeat, then silence
+        assert dog.next_deadline() == 3.0
+        assert dog.check(2.5) is None  # quiet, but not for quiet_s yet
+        clock.t = 3.0
+        diag = dog.check(3.0)
+        assert isinstance(diag, Diagnosis) and hits == [diag]
+        assert dog.last_diagnosis is diag
+        for t in (3.5, 10.0, 100.0):
+            clock.t = t
+            assert dog.check(t) is None
+        assert len(hits) == 1  # same stall reported once, not per look
+        # Reported: the next look is a quiet period ahead, never behind.
+        assert dog.next_deadline() == 101.0
 
     def test_activity_resets_the_clock(self):
-        tracer = Tracer()
         hits = []
-        stop = threading.Event()
-
-        def heartbeat():
-            while not stop.is_set():
-                tracer.instant(0, "x", "task", "task")
-                time.sleep(0.01)
-
-        dog = StallWatchdog(tracer, quiet_s=0.08, poll_s=0.01,
-                            on_stall=hits.append, log=False)
-        t = threading.Thread(target=heartbeat)
-        t.start()
-        with dog:
-            time.sleep(0.25)
-        stop.set()
-        t.join()
+        clock, tracer, dog = self.watched(hits)
+        for step in range(1, 50):
+            clock.t = step * 0.5
+            tracer.instant(0, "x", "task", "task")
+            assert dog.next_deadline() == clock.t + 1.0
+            assert dog.check(clock.t + 0.75) is None
         assert hits == []
 
     def test_new_stall_after_recovery_is_reported_again(self):
-        tracer = Tracer()
         hits = []
-        dog = StallWatchdog(tracer, quiet_s=0.05, poll_s=0.01,
-                            on_stall=hits.append, log=False)
-        with dog:
-            tracer.instant(0, "x", "task", "task")
-            time.sleep(0.15)          # first stall
-            tracer.instant(0, "x", "task", "task")  # recovery
-            time.sleep(0.15)          # second stall
+        clock, tracer, dog = self.watched(hits)
+        tracer.instant(0, "x", "task", "task")
+        clock.t = 1.5
+        assert dog.check(1.5) is not None  # first stall
+        tracer.instant(0, "x", "task", "task")  # recovery
+        assert dog.next_deadline() == 2.5
+        clock.t = 3.0
+        assert dog.check(3.0) is not None  # second stall
         assert len(hits) == 2
+
+    def test_a_failing_callback_does_not_end_the_wait(self):
+        def boom(diag):
+            raise RuntimeError("callback")
+
+        clock = FakeClock()
+        dog = StallWatchdog(Tracer(clock=clock), quiet_s=1.0, on_stall=boom,
+                            log=False)
+        clock.t = 5.0
+        assert dog.check(5.0) is dog.last_diagnosis is not None
 
 
 class TestEngineStall:
