@@ -3,9 +3,9 @@
 Three layers (see docs/ANALYSIS.md):
 
 * **AST lint** (``python -m repro lint``): per-file repo-specific rules
-  over the source tree — ticket-leak, dropped ``Effect`` lists,
-  blocking-under-lock, trace-vocabulary enforcement, and one table of
-  "this call belongs in one module" fences — with
+  over the source tree — dropped ``Effect`` lists, blocking-under-lock,
+  trace-vocabulary enforcement, and one table of "this call belongs in
+  one module" fences — with
   ``# dooc: noqa[CODE]`` suppressions (:mod:`repro.analysis.lint`,
   :mod:`repro.analysis.rules`, :mod:`repro.analysis.cli`; run
   ``--list-rules`` for the live catalog).
@@ -18,12 +18,14 @@ Three layers (see docs/ANALYSIS.md):
 
 * **Runtime checkers** (``DOOC_CHECKERS=1``): a lock-order recorder that
   fails runs whose cross-thread lock acquisition graph contains a cycle
-  (:mod:`repro.analysis.lockorder`), a ticket-lifecycle auditor that names
-  tickets granted but never released/abandoned
-  (:mod:`repro.analysis.tickets`), and a pre-execution task-graph
-  validator (:mod:`repro.analysis.dagcheck`).  Ticket leaks and lock
-  cycles are each checked statically and at run time because each half
-  catches seeded violations the other misses (docs/ANALYSIS.md).
+  (:mod:`repro.analysis.lockorder`), and a ticket-lifecycle auditor that
+  names tickets granted but never released/abandoned
+  (:mod:`repro.analysis.tickets`).  Lock cycles are checked statically
+  and at run time because each half catches seeded violations the other
+  misses; the ticket hand-offs' static half is a structural test,
+  ``tests/test_api_surface.py::TestTicketHandoffs`` (docs/ANALYSIS.md).
+  Malformed task graphs need no checker: :class:`~repro.core.dag.TaskDAG`
+  rejects them, by name, on every run.
 
 Submodules are imported lazily: the runtime modules (``datacutter``,
 ``core``) import from this package on their hot construction paths, and a
@@ -49,8 +51,6 @@ __all__ = [
     "TicketAuditor",
     "TicketLeakError",
     "WritableReadViewError",
-    "validate_tasks",
-    "DagValidationError",
 ]
 
 _TRUTHY = {"1", "true", "yes", "on"}
@@ -73,8 +73,6 @@ _LAZY = {
     "TicketAuditor": "repro.analysis.tickets",
     "TicketLeakError": "repro.analysis.tickets",
     "WritableReadViewError": "repro.analysis.tickets",
-    "validate_tasks": "repro.analysis.dagcheck",
-    "DagValidationError": "repro.analysis.dagcheck",
 }
 
 

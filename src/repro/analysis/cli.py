@@ -2,7 +2,7 @@
 
     python -m repro lint src
     python -m repro lint src tests --json
-    python -m repro lint src --select DOOC001,DOOC002
+    python -m repro lint src --select DOOC002,DOOC003
     python -m repro lint tests --strict     # disable per-dir relaxations
     python -m repro lint src --deep         # every rule, whole-program too
     python -m repro lint --list-rules       # the rule table docs/ANALYSIS.md embeds

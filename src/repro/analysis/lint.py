@@ -1,10 +1,9 @@
 """Protocol-aware lint framework for the DOoC runtime.
 
 The runtime's correctness rests on conventions no general-purpose linter
-knows about: tickets from ``request_read``/``request_write`` must reach a
-``release`` on every path, ``LocalStore`` methods return ``Effect`` lists
-that the driver must execute, blocking calls must not run under runtime
-locks, and trace event names must come from the central vocabulary
+knows about: ``LocalStore`` methods return ``Effect`` lists that the
+driver must execute, blocking calls must not run under runtime locks,
+and trace event names must come from the central vocabulary
 (:mod:`repro.obs.vocab`).  This module provides the machinery — the
 per-file and whole-program rule registries, ``# dooc: noqa[CODE]``
 suppressions, the per-directory relaxations and path walking — while
@@ -66,11 +65,11 @@ DEFAULT_PATH_RELAXATIONS: dict[str, frozenset[str]] = {
     # The deep rules (DOOC010..DOOC012) are relaxed there too: the
     # zero-copy tests mutate sealed views *on purpose* to prove the
     # runtime raises, and storage unit tests poke effect lists directly.
-    "tests": frozenset({"DOOC001", "DOOC002", "DOOC004", "DOOC005",
-                        "DOOC007", "DOOC010", "DOOC011", "DOOC012"}),
-    "benchmarks": frozenset({"DOOC001", "DOOC002", "DOOC004", "DOOC005",
-                             "DOOC007", "DOOC010", "DOOC011", "DOOC012"}),
-    "examples": frozenset({"DOOC001", "DOOC002", "DOOC012"}),
+    "tests": frozenset({"DOOC002", "DOOC004", "DOOC005", "DOOC007",
+                        "DOOC010", "DOOC011", "DOOC012"}),
+    "benchmarks": frozenset({"DOOC002", "DOOC004", "DOOC005", "DOOC007",
+                             "DOOC010", "DOOC011", "DOOC012"}),
+    "examples": frozenset({"DOOC002", "DOOC012"}),
 }
 
 

@@ -3,11 +3,6 @@
 Codes (stable; see docs/ANALYSIS.md for the catalog with rationale):
 
 ========  ==================================================================
-DOOC001   ticket leak: a ``request_read``/``request_write``/``_acquire``
-          result must reach a release on every path (``try/finally`` or an
-          exception handler that releases/aborts), unless ownership is
-          handed off to the driver protocol by tagging the ticket
-          (``ticket.tag = ...``).
 DOOC002   dropped effects: a ``LocalStore`` method returning
           ``list[Effect]`` called as a bare statement — the effects were
           never executed, so loads/spills/grants silently vanish.
@@ -20,6 +15,10 @@ DOOC004   unknown trace event: a string literal passed as the event name to
           ``Tracer.instant/complete/counter/span`` that is not part of the
           central vocabulary (:mod:`repro.obs.vocab`).
 ========  ==================================================================
+
+Ticket hand-offs have no rule here: the three places a ticket changes
+hands are pinned by ``tests/test_api_surface.py::TestTicketHandoffs``,
+and the runtime ``TicketAuditor`` names a leak on any other path.
 
 DOOC005-008 and DOOC013 are one idea, "this call or import belongs in
 one place" — durable ``.blk``/``.ckpt`` writes in ``util/atomicio``,
@@ -46,23 +45,9 @@ from repro.obs.vocab import EVENT_NAMES
 
 __all__ = [
     "FENCES",
-    "REQUEST_FUNCS",
-    "RELEASE_FUNCS",
     "EFFECT_FUNCS",
     "TRACER_METHODS",
 ]
-
-#: callables whose result carries tickets that must be released:
-#: ``LocalStore``'s two requests and the worker's one call for a whole task
-REQUEST_FUNCS = frozenset({
-    "request_read", "request_write", "_acquire",
-})
-
-#: callables that return, release or abandon tickets on a failure path
-RELEASE_FUNCS = frozenset({
-    "release", "release_all", "_release_all",
-    "abandon", "abandon_write", "_abort", "abort",
-})
 
 #: Tracer emit methods whose 4th positional argument is the event name
 TRACER_METHODS = frozenset({"instant", "complete", "counter", "span"})
@@ -128,106 +113,6 @@ def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
         yield from _calls_in(child)
     if isinstance(node, ast.Call):
         yield node
-
-
-def _contains_release(nodes: list[ast.stmt]) -> bool:
-    return any(_call_name(call) in RELEASE_FUNCS
-               for stmt in nodes for call in _calls_in(stmt))
-
-
-# -- DOOC001: ticket leaks ---------------------------------------------------
-
-
-def _guarding_try(stmt_stack: list[ast.stmt]) -> bool:
-    """Is the innermost statement protected by a releasing try?
-
-    A :class:`ast.Try` ancestor guards its body when its ``finally`` block
-    or one of its exception handlers reaches a release/abort call.
-    """
-    for ancestor in stmt_stack:
-        if not isinstance(ancestor, ast.Try):
-            continue
-        if _contains_release(ancestor.finalbody):
-            return True
-        for handler in ancestor.handlers:
-            if _contains_release(handler.body):
-                return True
-    return False
-
-
-def _bound_ticket_names(targets: list[ast.expr]) -> list[str]:
-    """Names that receive the ticket(s) from a request call."""
-    out: list[str] = []
-    for target in targets:
-        if isinstance(target, ast.Name):
-            out.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)) and target.elts:
-            # `(ticket, effects) = store.request_read(...)`: the ticket is
-            # the first element by the LocalStore API shape.
-            first = target.elts[0]
-            if isinstance(first, ast.Name):
-                out.append(first.id)
-    return out
-
-
-def _tagged_names(body: list[ast.stmt]) -> set[str]:
-    """Ticket variables handed to the driver protocol via ``x.tag = ...``."""
-    out: set[str] = set()
-    for stmt in _walk_scope(body):
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if (isinstance(target, ast.Attribute) and target.attr == "tag"
-                        and isinstance(target.value, ast.Name)):
-                    out.add(target.value.id)
-    return out
-
-
-@register(
-    "DOOC001",
-    "ticket-leak",
-    "ticket request result must be released on all paths "
-    "(try/finally, a releasing exception handler, or a ticket.tag handoff)",
-)
-def check_ticket_leak(tree: ast.Module, path: str) -> Iterator[Violation]:
-    for body in _scopes(tree):
-        tagged = _tagged_names(body)
-
-        def visit(stmts: list[ast.stmt],
-                  stack: list[ast.stmt]) -> Iterator[Violation]:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    continue
-                request: ast.Call | None = None
-                names: list[str] = []
-                if isinstance(stmt, ast.Assign) and isinstance(
-                        stmt.value, ast.Call):
-                    if _call_name(stmt.value) in REQUEST_FUNCS:
-                        request = stmt.value
-                        names = _bound_ticket_names(stmt.targets)
-                elif isinstance(stmt, ast.Expr) and isinstance(
-                        stmt.value, ast.Call):
-                    if _call_name(stmt.value) in REQUEST_FUNCS:
-                        request = stmt.value  # result discarded outright
-                if request is not None:
-                    handed_off = any(n in tagged for n in names)
-                    if not handed_off and not _guarding_try(stack + [stmt]):
-                        fn = _call_name(request)
-                        yield Violation(
-                            "DOOC001", path, stmt.lineno, stmt.col_offset,
-                            f"result of {fn}() is not guarded: wrap the "
-                            "use in try/finally (or an exception handler "
-                            "that releases/aborts), or hand the ticket to "
-                            "the driver via `ticket.tag = ...`",
-                        )
-                stack.append(stmt)
-                for field in ("body", "orelse", "finalbody"):
-                    yield from visit(getattr(stmt, field, []) or [], stack)
-                for handler in getattr(stmt, "handlers", []) or []:
-                    yield from visit(handler.body, stack)
-                stack.pop()
-
-        yield from visit(body, [])
 
 
 # -- DOOC002: dropped Effect lists -------------------------------------------

@@ -85,6 +85,13 @@ class TicketAuditor:
     # abandonment is a release for lifecycle purposes
     note_abandoned = note_released
 
+    def forget_node(self, node: str) -> None:
+        """``node`` died: its tickets died with it, so none is a leak."""
+        with self._lock:
+            for tid in [tid for tid, (n, _) in self._outstanding.items()
+                        if n == node]:
+                del self._outstanding[tid]
+
     # -- teardown ----------------------------------------------------------
 
     def outstanding(self) -> list[tuple[str, Ticket]]:

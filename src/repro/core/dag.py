@@ -24,18 +24,21 @@ class TaskDAG:
         self.initial_arrays = set(initial_arrays)
         for t in tasks:
             if t.name in self.tasks:
-                raise SchedulingError(f"duplicate task name {t.name!r}")
+                raise SchedulingError(
+                    f"duplicate task name {t.name!r}: every task needs a "
+                    "unique name for scheduling and tracing")
             self.tasks[t.name] = t
             for array in t.outputs:
                 if array in self.producer:
                     raise SchedulingError(
-                        f"array {array!r} written by both {self.producer[array]!r} "
-                        f"and {t.name!r}; arrays are immutable"
-                    )
+                        f"array {array!r} is written by both "
+                        f"{self.producer[array]!r} and {t.name!r}; arrays are "
+                        "immutable (write-once) — give the second result a "
+                        "new name")
                 if array in self.initial_arrays:
                     raise SchedulingError(
-                        f"array {array!r} is initial but task {t.name!r} writes it"
-                    )
+                        f"array {array!r} is declared initial but task "
+                        f"{t.name!r} writes it; initial arrays are inputs only")
                 self.producer[array] = t.name
 
         self.preds: dict[str, set[str]] = {name: set() for name in self.tasks}
@@ -48,9 +51,9 @@ class TaskDAG:
                     self.succs[p].add(t.name)
                 elif array not in self.initial_arrays:
                     raise SchedulingError(
-                        f"task {t.name!r} reads array {array!r} which nothing "
-                        "produces and which is not declared initial"
-                    )
+                        f"task {t.name!r} reads array {array!r}, which nothing "
+                        "produces and which is not declared initial — the "
+                        "read could never be satisfied")
         self._check_acyclic()
         self.completed: set[str] = set()
         self._remaining_preds: dict[str, int] = {
@@ -69,17 +72,27 @@ class TaskDAG:
                 if indeg[s] == 0:
                     queue.append(s)
         if seen != len(self.tasks):
-            # Function-level import: repro.analysis reaches back into
-            # repro.core, which is mid-import when this module loads.
-            from repro.analysis.dagcheck import find_task_cycle
+            cycle = self._cycle_among({n for n, d in indeg.items() if d > 0})
+            raise SchedulingError(
+                "task graph has a dependency cycle: " + " -> ".join(cycle)
+                + "; no task on this loop can ever become ready")
 
-            cycle = find_task_cycle(self.tasks, self.producer)
-            if cycle is not None:
-                raise SchedulingError(
-                    "task graph has a dependency cycle: " + " -> ".join(cycle)
-                )
-            cyclic = sorted(n for n, d in indeg.items() if d > 0)
-            raise SchedulingError(f"task graph has a cycle involving {cyclic[:5]}")
+    def _cycle_among(self, unsorted: set[str]) -> list[str]:
+        """A cycle through the tasks Kahn's pass left ``unsorted``, closed
+        (first == last) and starting at its least name.  Each of them
+        waits on another one of them, so walking back along those waits
+        comes round to a task already passed."""
+        path: list[str] = []
+        at: dict[str, int] = {}
+        n = min(unsorted)
+        while n not in at:
+            at[n] = len(path)
+            path.append(n)
+            n = min(self.preds[n] & unsorted)
+        loop = path[at[n]:][::-1]  # walked backwards: reverse
+        first = loop.index(min(loop))
+        loop = loop[first:] + loop[:first]
+        return loop + loop[:1]
 
     # -- execution bookkeeping -------------------------------------------------
 

@@ -264,8 +264,8 @@ class DOoCEngine:
         #: NodeLostError (False)
         self.node_recovery = node_recovery
         #: run the protocol checkers (lock-order recorder, ticket-lifecycle
-        #: auditor, pre-execution DAG validation)?  None defers to the
-        #: ``DOOC_CHECKERS`` environment flag; production runs pay nothing.
+        #: auditor)?  None defers to the ``DOOC_CHECKERS`` environment
+        #: flag; production runs pay nothing.
         if protocol_checkers is None:
             from repro.analysis import checkers_enabled
             protocol_checkers = checkers_enabled()
@@ -374,8 +374,11 @@ class DOoCEngine:
     def _run(self, program: Program, carried: dict[str, FileBacking] | None,
              timeout: float, cancel: CancelToken | None) -> RunReport:
         self._run_seq += 1
-        auditor = self._validate(program)
-        dag = program.build_dag()
+        dag = program.build_dag()  # rejects a malformed program by name
+        auditor = None
+        if self.protocol_checkers:
+            from repro.analysis.tickets import TicketAuditor
+            auditor = TicketAuditor()
         assignment, nbytes = self._place(program, dag)
         backing = self._seed(program)
         old_pool = self._segment_pool
@@ -450,18 +453,6 @@ class DOoCEngine:
         # without cleanup() is collected, and this winds its graph down.
         self._graph_finalizer = weakref.finalize(self, _stop_graph, runtime)
         return runtime
-
-    def _validate(self, program: Program):
-        """Under the protocol checkers, reject a malformed program by name
-        before any thread starts; returns the run's ticket auditor."""
-        if not self.protocol_checkers:
-            return None
-        from repro.analysis.dagcheck import validate_tasks
-        from repro.analysis.tickets import TicketAuditor
-        # TaskDAG would reject the same programs, but mid-construction and
-        # with less precise messages (e.g. a cycle candidate set, not a path).
-        validate_tasks(program.tasks, set(program.initial_data))
-        return TicketAuditor()
 
     def _place(self, program: Program,
                dag: TaskDAG) -> tuple[dict[str, int], dict[str, int]]:

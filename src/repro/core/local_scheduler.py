@@ -229,8 +229,6 @@ class _LocalSchedulerFilter(Filter):
     def __init__(self, node: int, workers: int, run: RunState, *,
                  prefetch_depth: int = 2, reorder: bool = True,
                  tracer: Tracer | None = None, max_attempts: int = 3):
-        if max_attempts < 1:
-            raise SchedulingError("max_attempts must be >= 1")
         self.node = node
         self.workers = workers
         self.prefetch_depth = prefetch_depth

@@ -253,6 +253,12 @@ class _StorageFilter(Filter):
         try:
             peer = self.directory.next_probe(array, 0)
         except LookupFailed:
+            if len(self.directory.evicted) == self.n_nodes - 1:
+                # No live peer is left to ask (on two nodes, the owner
+                # was the only one).  The blocks wait in
+                # ``_awaiting_owner`` for the array's recovery rehome
+                # (``_handle_rehome``).
+                return
             # Every peer answered "miss": possible transiently while a
             # reroute's rehome propagates, or after message loss confused
             # the walk.  Restart the walk instead of giving up — a genuine
@@ -418,6 +424,11 @@ class _StorageFilter(Filter):
             if op == "die":
                 self._dead = True
                 self._rehome_pending.clear()
+                if self.store.auditor is not None:
+                    # A release still queued behind "die" is discarded
+                    # with everything else; the corpse's tickets died
+                    # with it.
+                    self.store.auditor.forget_node(self.node)
             self._drain()
             self._closing = True
             for j in range(self.n_nodes):
@@ -491,7 +502,8 @@ class _StorageFilter(Filter):
         """An array's home moved (task reroute, or node-loss recovery).
 
         Recovery rehomes differ from reroute rehomes in two ways: blocks
-        may be mid-fetch from the dead owner (those waiters are failed so
+        may be mid-fetch from the dead owner, or waiting on an owner walk
+        that had no live peer left to ask (those waiters are failed so
         their tasks retry against the new home), and a survivor may hold
         pinned cached copies.  Either kind parks while a block of the array
         is pinned and is retried on release — cached copies stay byte-valid

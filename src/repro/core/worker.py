@@ -134,7 +134,8 @@ class _WorkerFilter(Filter):
 
         The whole ticket lifecycle lives inside one ``try`` so that every
         grant collected into ``held`` is unwound by ``_abort`` on *any*
-        failure — the structure the ``DOOC001`` lint rule checks for.
+        failure — the structure
+        ``tests/test_api_surface.py::TestTicketHandoffs`` pins.
         """
         held: list[Ticket] = []
         try:

@@ -38,8 +38,8 @@ def protocol_checkers(monkeypatch):
     """Force the runtime protocol checkers on for one test.
 
     Engines and runtimes constructed inside the test behave as under
-    ``DOOC_CHECKERS=1``: lock acquisitions are recorded, every ticket
-    grant is audited, and task sets are validated before threads start.
+    ``DOOC_CHECKERS=1``: lock acquisitions are recorded and every ticket
+    grant is audited.
     """
     monkeypatch.setenv("DOOC_CHECKERS", "1")
     return True

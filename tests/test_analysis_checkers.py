@@ -1,13 +1,15 @@
-"""Dynamic half of repro.analysis: lock order, ticket lifecycle, DAG checks."""
+"""Dynamic half of repro.analysis: lock order and ticket lifecycle; and
+the task-graph checks every run makes, with or without the checkers."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis.dagcheck import DagValidationError, validate_tasks
 from repro.analysis.lockorder import LockOrderRecorder, LockOrderViolation
 from repro.analysis.tickets import TicketAuditor, TicketLeakError
+from repro.core.dag import TaskDAG
 from repro.core.engine import DOoCEngine, Program
 from repro.core.errors import SchedulingError
 from repro.core.interval import Interval
@@ -160,11 +162,11 @@ def test_auditor_counts_abandonment_as_release():
     auditor.assert_clean()
 
 
-# -- DAG validation ----------------------------------------------------------
+# -- DAG validation: TaskDAG, on every run ----------------------------------
 
 
 def test_validate_tasks_accepts_a_clean_chain():
-    validate_tasks(
+    TaskDAG(
         [task("a", None, ["x"], ["y"]), task("b", None, ["y"], ["z"])],
         initial_arrays={"x"},
     )
@@ -176,8 +178,16 @@ def test_validate_tasks_names_the_cycle_path():
         task("t2", None, ["a"], ["b"]),
         task("t3", None, ["b"], ["c"]),
     ]
-    with pytest.raises(DagValidationError, match=r"t1 -> t2 -> t3 -> t1"):
-        validate_tasks(tasks, initial_arrays=set())
+    with pytest.raises(SchedulingError, match=r"t1 -> t2 -> t3 -> t1"):
+        TaskDAG(tasks, initial_arrays=set())
+
+
+def test_validate_tasks_names_a_self_loop():
+    # TaskSpec refuses a task that reads its own output, so only a spec
+    # built around it can make one; TaskDAG still names it.
+    looped = SimpleNamespace(name="t", inputs=("x",), outputs=("x",))
+    with pytest.raises(SchedulingError, match=r"cycle: t -> t;"):
+        TaskDAG([looped], initial_arrays=set())
 
 
 def test_validate_tasks_rejects_double_writer():
@@ -185,30 +195,22 @@ def test_validate_tasks_rejects_double_writer():
         task("t1", None, ["x"], ["y"]),
         task("t2", None, ["x"], ["y"]),
     ]
-    with pytest.raises(DagValidationError, match="write-once"):
-        validate_tasks(tasks, initial_arrays={"x"})
+    with pytest.raises(SchedulingError, match="write-once"):
+        TaskDAG(tasks, initial_arrays={"x"})
 
 
 def test_validate_tasks_rejects_read_of_never_written_array():
-    with pytest.raises(DagValidationError, match="never be satisfied"):
-        validate_tasks([task("t", None, ["ghost"], ["y"])],
-                       initial_arrays=set())
+    with pytest.raises(SchedulingError, match="never be satisfied"):
+        TaskDAG([task("t", None, ["ghost"], ["y"])], initial_arrays=set())
 
 
 def test_validate_tasks_rejects_duplicate_names():
     tasks = [task("t", None, ["x"], ["y"]), task("t", None, ["x"], ["z"])]
-    with pytest.raises(DagValidationError, match="duplicate task name"):
-        validate_tasks(tasks, initial_arrays={"x"})
-
-
-def test_dag_validation_error_is_a_scheduling_error():
-    # pytest.raises(SchedulingError) in older tests must keep matching.
-    assert issubclass(DagValidationError, SchedulingError)
+    with pytest.raises(SchedulingError, match="duplicate task name"):
+        TaskDAG(tasks, initial_arrays={"x"})
 
 
 def test_taskdag_cycle_message_names_the_path():
-    from repro.core.dag import TaskDAG
-
     tasks = [task("t1", None, ["b"], ["a"]), task("t2", None, ["a"], ["b"])]
     with pytest.raises(SchedulingError, match=r"t1 -> t2 -> t1"):
         TaskDAG(tasks, initial_arrays=set())
@@ -241,16 +243,49 @@ def test_engine_run_is_green_under_checkers(protocol_checkers):
         store.auditor.assert_clean()
 
 
-def test_engine_validates_dag_before_threads_start(protocol_checkers):
+def test_engine_validates_dag_before_threads_start():
     p = Program("cyclic")
     p.array("a", 8)
     p.array("b", 8)
     p.add_task("t1", None, ["b"], ["a"])
     p.add_task("t2", None, ["a"], ["b"])
     engine = DOoCEngine(n_nodes=1)
-    with pytest.raises(DagValidationError, match=r"t1 -> t2 -> t1"):
+    with pytest.raises(SchedulingError, match=r"t1 -> t2 -> t1"):
         engine.run(p, timeout=5)
     assert engine.stores == {}  # failed before any store was built
+
+
+def _malformed(defect):
+    """A program with one structural ``defect``."""
+    p = Program(defect)
+    p.initial_array("x", np.zeros(8))
+    for name in ("a", "b", "y"):
+        p.array(name, 8)
+    tasks = {
+        "duplicate": [("t", ["x"], ["a"]), ("t", ["x"], ["b"])],
+        "double_writer": [("t1", ["x"], ["a"]), ("t2", ["x"], ["a"])],
+        "writes_initial": [("t", [], ["x"])],
+        "unproduced_read": [("t", ["y"], ["a"])],
+        "cycle": [("t1", ["b"], ["a"]), ("t2", ["a"], ["b"])],
+    }[defect]
+    for name, ins, outs in tasks:
+        p.add_task(name, None, ins, outs)
+    return p
+
+
+@pytest.mark.parametrize("defect", ["duplicate", "double_writer",
+                                    "writes_initial", "unproduced_read",
+                                    "cycle"])
+def test_a_malformed_program_fails_alike_with_or_without_checkers(defect):
+    messages = []
+    for checkers in (False, True):
+        engine = DOoCEngine(n_nodes=1, protocol_checkers=checkers)
+        with pytest.raises(SchedulingError) as info:
+            engine.run(_malformed(defect), timeout=5)
+        assert type(info.value) is SchedulingError
+        assert engine.stores == {}
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_engine_checkers_off_by_default(monkeypatch):

@@ -443,7 +443,7 @@ def test_deep_registry_has_the_documented_rules():
 
 
 def test_help_text_rule_span_tracks_registry():
-    assert _rule_span() == "rules DOOC001..DOOC014"
+    assert _rule_span() == "rules DOOC002..DOOC014"
 
 
 def test_deep_rules_relaxed_under_tests_dir():
@@ -474,11 +474,6 @@ def test_unparseable_file_skipped_by_deep_pass():
 
 
 RULE_SEEDS = {
-    "DOOC001": (
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_read(iv)\n"
-        "    return effects\n"
-    ),
     "DOOC002": (
         "def driver(store, ticket):\n"
         "    store.release(ticket)\n"
@@ -561,7 +556,7 @@ def test_noqa_suppresses_every_registered_rule(code):
     assert _run_rule(code, "\n".join(lines) + "\n") == []
 
     # a noqa naming a different rule must NOT suppress this one
-    other = "DOOC002" if code == "DOOC001" else "DOOC001"
+    other = "DOOC003" if code == "DOOC002" else "DOOC002"
     lines = src.splitlines()
     lines[flagged - 1] += f"  # dooc: noqa[{other}]"
     assert codes(_run_rule(code, "\n".join(lines) + "\n")) == [code]

@@ -30,93 +30,6 @@ def codes(violations):
     return [(v.code, v.line, v.col) for v in violations]
 
 
-# -- DOOC001: ticket leaks ---------------------------------------------------
-
-
-def test_dooc001_unguarded_request_flags():
-    src = (
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_read(iv)\n"
-        "    return effects\n"
-    )
-    assert codes(lint_source(src)) == [("DOOC001", 2, 4)]
-
-
-def test_dooc001_try_with_releasing_finally_is_clean():
-    src = (
-        "def fine(store, iv, run):\n"
-        "    held = []\n"
-        "    try:\n"
-        "        ticket, effects = store.request_read(iv)\n"
-        "        held.append(ticket)\n"
-        "    finally:\n"
-        "        for t in held:\n"
-        "            run(store.release(t))\n"
-    )
-    assert lint_source(src) == []
-
-
-def test_dooc001_tag_handoff_is_clean():
-    # Event-driven sites hand the ticket to the reply path via .tag — the
-    # storage filter owns the release from then on.
-    src = (
-        "def handoff(store, iv, msg):\n"
-        "    ticket, effects = store.request_write(iv)\n"
-        "    ticket.tag = msg\n"
-        "    return effects\n"
-    )
-    assert lint_source(src) == []
-
-
-def test_dooc001_write_requests_are_covered_too():
-    src = (
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_write(iv)\n"
-        "    return effects\n"
-    )
-    assert codes(lint_source(src)) == [("DOOC001", 2, 4)]
-
-
-def test_dooc001_covers_the_workers_acquire():
-    # The worker asks for a task's every interval through one call; were it
-    # renamed without REQUEST_FUNCS following, the rule would go quiet on
-    # the one caller that holds tickets across a task body.
-    leaky = (
-        "def run(self, ctx, reads, writes, held):\n"
-        "    granted = self._acquire(ctx, reads, writes, held)\n"
-        "    return granted\n"
-    )
-    assert codes(lint_source(leaky)) == [("DOOC001", 2, 4)]
-    guarded = (
-        "def run(self, ctx, reads, writes):\n"
-        "    held = []\n"
-        "    try:\n"
-        "        granted = self._acquire(ctx, reads, writes, held)\n"
-        "        self._release_all(ctx, granted)\n"
-        "    except BaseException:\n"
-        "        self._abort(ctx, held)\n"
-        "        raise\n"
-    )
-    assert lint_source(guarded) == []
-
-
-def test_dooc001_still_checks_the_engines_worker():
-    # Not a seeded string: the real worker filter must contain a request
-    # call the rule recognises, and pass.
-    import ast
-    import inspect
-
-    from repro.analysis.rules import REQUEST_FUNCS
-    from repro.core import worker
-
-    source = inspect.getsource(worker._WorkerFilter)
-    calls = {node.func.attr for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)}
-    assert calls & REQUEST_FUNCS == {"_acquire"}
-    assert [v for v in lint_file(worker.__file__) if v.code == "DOOC001"] == []
-
-
 # -- DOOC002: dropped Effect lists -------------------------------------------
 
 
@@ -348,9 +261,8 @@ def test_unparseable_file_reports_dooc000():
 
 def test_noqa_suppresses_named_code():
     src = (
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_read(iv)  # dooc: noqa[DOOC001]\n"
-        "    return effects\n"
+        "def driver(store, ticket):\n"
+        "    store.release(ticket)  # dooc: noqa[DOOC002]\n"
     )
     assert lint_source(src) == []
 
@@ -366,17 +278,20 @@ def test_noqa_bare_suppresses_everything_on_the_line():
 def test_noqa_for_other_code_does_not_suppress():
     src = (
         "def driver(store, ticket):\n"
-        "    store.release(ticket)  # dooc: noqa[DOOC001]\n"
+        "    store.release(ticket)  # dooc: noqa[DOOC003]\n"
     )
     assert [v.code for v in lint_source(src)] == ["DOOC002"]
 
 
 def test_select_restricts_rules():
     src = (
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_read(iv)\n"
+        "import time\n"
+        "def warm(self, store, iv):\n"
+        "    with self._lock:\n"
+        "        time.sleep(0.1)\n"
         "    store.prefetch(iv)\n"
     )
+    assert [v.code for v in lint_source(src)] == ["DOOC003", "DOOC002"]
     assert [v.code for v in lint_source(src, select=["DOOC002"])] == ["DOOC002"]
 
 
@@ -386,7 +301,7 @@ def test_unknown_code_rejected():
 
 
 def test_registry_has_the_documented_rules():
-    assert set(RULES) == {"DOOC001", "DOOC002", "DOOC003", "DOOC004",
+    assert set(RULES) == {"DOOC002", "DOOC003", "DOOC004",
                           "DOOC005", "DOOC006", "DOOC007", "DOOC008",
                           "DOOC013", "DOOC014"}
 
@@ -462,22 +377,22 @@ def test_dooc008_reading_through_the_loader_is_clean():
 
 
 def test_violation_render_and_json_roundtrip():
-    v = Violation("DOOC001", "a.py", 3, 4, "leaked ticket")
-    assert v.render() == "a.py:3:4: DOOC001 leaked ticket"
-    assert v.to_json()["code"] == "DOOC001"
+    v = Violation("DOOC002", "a.py", 3, 4, "dropped effects")
+    assert v.render() == "a.py:3:4: DOOC002 dropped effects"
+    assert v.to_json()["code"] == "DOOC002"
 
 
 def test_path_relaxations_apply_to_tests_dir(tmp_path):
-    leaky = (
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_read(iv)\n"
+    poke = (
+        "def driver(store, ticket):\n"
+        "    store.release(ticket)\n"
     )
     test_file = tmp_path / "tests" / "test_x.py"
     test_file.parent.mkdir()
-    test_file.write_text(leaky)
-    assert lint_file(test_file) == []          # DOOC001 relaxed under tests/
-    assert codes(lint_file(test_file, strict=True)) == [("DOOC001", 2, 4)]
-    assert "DOOC001" in DEFAULT_PATH_RELAXATIONS["tests"]
+    test_file.write_text(poke)
+    assert lint_file(test_file) == []          # DOOC002 relaxed under tests/
+    assert codes(lint_file(test_file, strict=True)) == [("DOOC002", 2, 4)]
+    assert "DOOC002" in DEFAULT_PATH_RELAXATIONS["tests"]
 
 
 # -- the shipped tree is the ultimate fixture --------------------------------
@@ -502,13 +417,13 @@ def test_cli_exit_zero_on_clean_tree():
 def test_cli_flags_seeded_file_with_json(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "def leaky(store, iv):\n"
-        "    ticket, effects = store.request_read(iv)\n"
+        "def driver(store, ticket):\n"
+        "    store.release(ticket)\n"
     )
     rc = lint_main(["--json", str(bad)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert [v["code"] for v in payload["violations"]] == ["DOOC001"]
+    assert [v["code"] for v in payload["violations"]] == ["DOOC002"]
     assert payload["files"] == 1
     assert payload["wall_time_s"] >= 0
     assert payload["deep"] is False
@@ -524,8 +439,15 @@ def test_cli_missing_path_is_a_usage_error(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("DOOC001", "DOOC002", "DOOC003", "DOOC004"):
+    for code in ("DOOC002", "DOOC003", "DOOC004"):
         assert code in out
+
+
+def test_retired_ticket_leak_rule_is_an_unknown_code(capsys):
+    # DOOC001 is a structural test now (test_api_surface.TestTicketHandoffs)
+    assert lint_main(["--list-rules"]) == 0
+    assert "DOOC001" not in capsys.readouterr().out
+    assert lint_main(["--select", "DOOC001", str(REPO / "src")]) == 2
 
 
 def test_module_entry_point_runs():

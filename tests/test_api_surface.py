@@ -308,6 +308,100 @@ class TestCoreLayout:
         assert hits == []
 
 
+def own_nodes(fn):
+    """The nodes of ``fn``'s body, not those of a def nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(
+            c, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+
+
+def called_name(call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+class TestTicketHandoffs:
+    """Where a ticket changes hands, the code has one shape: the worker's
+    one ``_acquire`` sits in a ``try`` whose handler aborts what it holds,
+    and each request the storage filter makes tags its ticket (the tag
+    routes the grant and names who releases it) before the effects go
+    anywhere.  A new request site fails here until it is added on purpose;
+    the ``TicketAuditor`` (``DOOC_CHECKERS=1``) names a leak on any other
+    path at run time."""
+
+    CORE = Path(__file__).parents[1] / "src" / "repro" / "core"
+
+    #: (module, function, method) of every store request outside the store
+    REQUEST_SITES = [
+        ("storage_filter.py", "_StorageFilter._handle_acquire", "request_read"),
+        ("storage_filter.py", "_StorageFilter._handle_acquire", "request_write"),
+        ("storage_filter.py", "_StorageFilter._handle_peer", "request_read"),
+    ]
+
+    def calls(self, names):
+        """(module, qualified function, def, call) of every call in
+        ``repro/core`` to one of ``names``, by its innermost def."""
+        def defs(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield prefix + child.name, child
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    yield from defs(child, f"{prefix}{child.name}.")
+        for path in sorted(self.CORE.glob("*.py")):
+            for qualname, fn in defs(ast.parse(path.read_text()), ""):
+                for node in own_nodes(fn):
+                    if isinstance(node, ast.Call) and called_name(node) in names:
+                        yield path.name, qualname, fn, node
+
+    def test_the_one_acquire_is_aborted_on_any_failure(self):
+        sites = list(self.calls({"_acquire"}))
+        assert [s[:2] for s in sites] == [
+            ("worker.py", "_WorkerFilter._run_task")]
+        ((_, _, fn, call),) = sites
+        held = ast.unparse(call.args[-1])
+        handlers = [h for t in own_nodes(fn) if isinstance(t, ast.Try)
+                    and any(n is call for s in t.body for n in ast.walk(s))
+                    for h in t.handlers]
+        assert any(
+            (h.type is None or ast.unparse(h.type) == "BaseException")
+            and f"self._abort(ctx, {held})" in map(ast.unparse, h.body)
+            and isinstance(h.body[-1], ast.Raise) and h.body[-1].exc is None
+            for h in handlers), (
+            f"_acquire is not in a try whose handler catches BaseException, "
+            f"calls self._abort(ctx, {held}) and re-raises")
+
+    def test_store_requests_outside_the_store_are_the_known_three(self):
+        found = sorted((module, qualname, called_name(call))
+                       for module, qualname, _, call in self.calls(
+                           {"request_read", "request_write"})
+                       if module != "storage.py")
+        assert found == self.REQUEST_SITES
+
+    def test_each_request_tags_its_ticket_before_the_effects_run(self):
+        for module, qualname, fn, call in self.calls(
+                {"request_read", "request_write"}):
+            if module == "storage.py":
+                continue
+            (assign,) = [n for n in own_nodes(fn)
+                         if isinstance(n, ast.Assign) and n.value is call]
+            ticket, effects = (e.id for e in assign.targets[0].elts)
+            tagged = [n.lineno for n in own_nodes(fn)
+                      if isinstance(n, ast.Assign) and f"{ticket}.tag"
+                      in map(ast.unparse, n.targets)]
+            used = min(n.lineno for n in own_nodes(fn)
+                       if isinstance(n, ast.Name) and n.id == effects
+                       and isinstance(n.ctx, ast.Load)
+                       and n.lineno > call.lineno)
+            assert any(call.lineno < line < used for line in tagged), (
+                f"{qualname}: {ticket}.tag is not set between "
+                f"{called_name(call)}() (line {call.lineno}) and the first "
+                f"use of {effects} (line {used})")
+
+
 class TestPartitionSurfaces:
     def test_coords_and_part_range(self):
         p = GridPartition(10, 2)

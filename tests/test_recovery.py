@@ -455,15 +455,28 @@ def chain_program(n=2048, block=512, nodes=3, seed=0):
     return prog
 
 
+def pair_program(n=64):
+    """Node 1 squares its source; the sum reads that square and node 0's."""
+    prog = Program("recovery-pair", default_block_elems=n)
+    for i in (0, 1):
+        prog.initial_array(f"src{i}", np.arange(n, dtype=float) + i, home=i)
+        prog.array(f"sq{i}", n)
+        prog.add_task(f"square{i}", _square, [f"src{i}"], [f"sq{i}"],
+                      src=f"src{i}")
+    prog.array("out", n)
+    prog.add_task("sum", _total, ["sq0", "sq1"], ["out"])
+    return prog
+
+
 def run_chain(tmp_path, tag, *, faults=None, gc=False, recovery=True,
-              nodes=3):
+              nodes=3, program=None):
     eng = DOoCEngine(
         n_nodes=nodes, scratch_dir=tmp_path / tag, gc_arrays=gc,
         faults=faults, membership=FAST_DETECT if faults else None,
         node_recovery=recovery, watchdog_quiet_s=5.0,
     )
     try:
-        report = eng.run(chain_program(nodes=nodes), timeout=60.0)
+        report = eng.run(program or chain_program(nodes=nodes), timeout=60.0)
         return eng.fetch("out").copy(), report
     finally:
         eng.cleanup()
@@ -527,6 +540,30 @@ class TestEngineNodeLoss:
         assert engine.get("nodes_lost") == 1
         assert engine.get("tasks_replayed", 0) + \
             engine.get("tasks_reassigned", 0) >= 1
+
+    def test_survivor_without_peers_waits_for_the_rehome(self, tmp_path):
+        # Two nodes: node 0's fetch of node 1's square is cut by the death,
+        # and its owner walk has no live peer left to ask.  It waits for
+        # the recovery rehome instead of failing the lookup.
+        clean, _ = run_chain(tmp_path, "clean", nodes=2,
+                             program=pair_program())
+        survived, report = run_chain(
+            tmp_path, "killed", nodes=2, program=pair_program(),
+            faults=FaultPlan(node_kill=((1, 1),)))
+        assert survived.tobytes() == clean.tobytes()
+        assert report.metrics[-1]["nodes_lost"] == 1
+
+    def test_a_corpse_leaves_no_ticket_to_audit(self, tmp_path,
+                                                protocol_checkers):
+        # The dying node's last release can queue behind its "die" and be
+        # discarded with it; those tickets died with the node, so the
+        # audit must not report them.  Repeated: the race is one of order.
+        src = np.arange(64, dtype=float)
+        for attempt in range(20):
+            out, _ = run_chain(tmp_path, f"killed-{attempt}",
+                               program=pair_program(),
+                               faults=FaultPlan(node_kill=((1, 1),)))
+            assert np.array_equal(out, src ** 2 + (src + 1) ** 2)
 
     def test_recovery_disabled_raises_named_node_loss(self, tmp_path):
         faults = FaultPlan(node_kill=((1, 1),))

@@ -573,12 +573,8 @@ ENDINGS = {
                                   timeout=60)),
     "cleanup": ({}, lambda eng: eng.cleanup()),
     "process_plane": ({"worker_plane": "process"}, lambda eng: None),
-    # Three nodes: with two, the survivor's owner walk for the corpse's
-    # blocks has no peer left to probe.  No ticket audit: the corpse can
-    # drop its own worker's last release (both, ROADMAP item 11).
     "node_death": (
-        {"n_nodes": 3, "protocol_checkers": False,
-         "membership": MembershipConfig(
+        {"membership": MembershipConfig(
              heartbeat_s=0.02, suspect_after_s=0.1, dead_after_s=0.25)},
         _node_dies),
 }
