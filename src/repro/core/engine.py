@@ -480,14 +480,16 @@ class DOoCEngine:
         return assignment, nbytes
 
     def _seed(self, program: Program) -> dict[str, FileBacking]:
-        """Write the seeded initial arrays to their homes' scratch, and
-        identify the files behind the ones declared from scratch."""
+        """Write the seeded initial arrays to their homes' scratch (not
+        fsynced: a seed copies data the caller holds, so nothing needs it
+        after a crash), and identify the files behind the ones declared
+        from scratch."""
         backing: dict[str, FileBacking] = {}
         for name, data in program.initial_data.items():
             home = program.initial_home[name]
             scratch = self.node_scratch(home)
             if data is not None:
-                write_array(scratch, self._descs[name], data)
+                write_array(scratch, self._descs[name], data, durable=False)
                 continue
             identity = backing_identity(scratch, name)
             if identity is None:

@@ -216,17 +216,20 @@ def _raw_bytes(data: np.ndarray, desc: ArrayDesc) -> memoryview:
 
 
 def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
-                *, metrics: MetricsRegistry | None = None) -> None:
+                *, metrics: MetricsRegistry | None = None,
+                durable: bool = True) -> None:
     """Persist one block (creating/growing the backing as needed).
 
     Raw layout: :func:`repro.util.atomicio.atomic_write` splices the block
-    into a complete fsynced temporary and renames it over the array file,
-    so a crash mid-write never leaves a torn block — and its per-path lock
+    into a complete temporary and renames it over the array file, so a
+    crash mid-write never leaves a torn block — and its per-path lock
     serializes concurrent first-writes of different blocks.  An array of
     one block has nothing to splice into: the file is replaced by the
     block, without reading what stood there.  Compressed layouts write
     one self-contained chunk file per block, so the same atomic-rename
-    guarantee costs one small file, not a whole-array rewrite.
+    guarantee costs one small file, not a whole-array rewrite.  The
+    temporary is fsynced unless ``durable=False`` (a spill: scratch the
+    engine deletes itself).
     """
     expected = desc.block_length(block)
     if data.shape != (expected,):
@@ -239,11 +242,13 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
     if codec_name == "raw":
         atomic_write(array_path(scratch, desc.name), raw,
                      offset=(block_offset(desc, block)
-                             if desc.n_blocks > 1 else None))
+                             if desc.n_blocks > 1 else None),
+                     durable=durable)
         _inc(metrics, "disk_bytes_written", raw.nbytes)
     else:
         blob = pack_chunk(codec_name, raw, desc.itemsize)
-        atomic_write(chunk_path(scratch, desc.name, block), blob)
+        atomic_write(chunk_path(scratch, desc.name, block), blob,
+                     durable=durable)
         _inc(metrics, "disk_bytes_written", len(blob))
     _inc(metrics, "logical_bytes_written", raw.nbytes)
 
@@ -453,7 +458,8 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
 
 
 def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
-                *, metrics: MetricsRegistry | None = None) -> None:
+                *, metrics: MetricsRegistry | None = None,
+                durable: bool = True) -> None:
     """Persist a whole array (used to seed initial data).
 
     The raw layout seeds with a **single** atomic write of the complete
@@ -461,7 +467,10 @@ def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
     call re-ran ``atomic_write``'s read-splice-fsync-rename of the whole
     array file: O(blocks x file size) rewrite churn — one rename and one
     fsync per *block* — on every seed.)  Compressed layouts write one
-    chunk file per block; each is small and independently atomic.
+    chunk file per block; each is small and independently atomic.  Every
+    write is crash-atomic; it is also fsynced, so it survives a power
+    loss, unless the caller passes ``durable=False`` for scratch the
+    engine deletes within its session.
     """
     if data.shape != (desc.length,):
         raise StorageError(
@@ -469,14 +478,14 @@ def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
         )
     if desc_codec(desc) == "raw":
         raw = _raw_bytes(data, desc)
-        atomic_write(array_path(scratch, desc.name), raw)
+        atomic_write(array_path(scratch, desc.name), raw, durable=durable)
         _inc(metrics, "disk_bytes_written", raw.nbytes)
         return
     for b in desc.blocks():
         lo, hi = desc.block_bounds(b)
         write_block(scratch, desc, b,
                     np.asarray(data[lo:hi], dtype=desc.dtype),
-                    metrics=metrics)
+                    metrics=metrics, durable=durable)
 
 
 def read_array(scratch: Path, desc: ArrayDesc,
@@ -504,17 +513,19 @@ def copy_array_files(src: Path, dst: Path, name: str) -> None:
 
     Used by node-loss recovery: whichever layout backs the array at the
     source is reproduced at the destination, each file crash-atomically.
+    The copy is engine scratch, so it is not fsynced.
     """
     copied = False
     spath = array_path(src, name)
     if spath.exists():
-        atomic_write(array_path(dst, name), spath.read_bytes())
+        atomic_write(array_path(dst, name), spath.read_bytes(),
+                     durable=False)
         copied = True
     sdir = chunk_dir(src, name)
     if sdir.is_dir():
         for chunk in sorted(sdir.iterdir()):
             atomic_write(chunk_dir(dst, name) / chunk.name,
-                         chunk.read_bytes())
+                         chunk.read_bytes(), durable=False)
         copied = True
     if not copied:
         raise BlockMissingError(
@@ -682,7 +693,8 @@ class IOFilter(Filter):
             elif op == "store":
                 _, error = self._attempt(
                     lambda: write_block(self.scratch, desc, block,
-                                        cmd["data"], metrics=self.metrics),
+                                        cmd["data"], metrics=self.metrics,
+                                        durable=False),
                     op, desc, block, lane)
                 if error is None:
                     tracer.complete(self.node, lane, "io", "write", start,

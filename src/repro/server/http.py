@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -161,6 +162,25 @@ class DoocJobServer(ThreadingHTTPServer):
         self.manager.start()
         return self
 
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """Accept connections until :meth:`shutdown`.  The wait has no
+        timeout by default: ``shutdown`` wakes it."""
+        super().serve_forever(poll_interval)
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` now, not at its next poll.
+
+        Shutting the listening socket down wakes the loop's ``select``;
+        the base class then sets its stop flag and waits for the loop to
+        exit.  If the loop comes round before the flag is set, ``accept``
+        on the shut socket fails and ``socketserver`` ignores it.
+        """
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # shut or closed already: no loop left to wake
+            pass
+        super().shutdown()
+
     def drain(self, timeout: float = 60.0) -> dict:
         """Drain the manager (checkpointing running jobs) exactly once,
         then stop accepting connections."""
@@ -194,7 +214,7 @@ def serve(host: str = "127.0.0.1", port: int = 8787,
     print(f"dooc job server listening on http://{host}:{server.port} "
           f"(work dir {server.manager.work_dir})", flush=True)
     try:
-        server.serve_forever(poll_interval=0.2)
+        server.serve_forever()
     finally:
         server.server_close()
     return server.drain_manifest

@@ -82,14 +82,17 @@ class OutOfCoreMatrix:
         #: a supervisor sets it to interrupt a solver *inside* an SpMV
         #: (the solver sees RunCancelled propagate out of matvec).
         self.cancel = None
-        # Seed the sub-matrix files once, on their owning nodes.
+        # Seed the sub-matrix files once, on their owning nodes.  They are
+        # this operator's private copies (a new operator writes its own),
+        # so nothing reads them after a crash and they skip the fsync.
         for (u, v), b in blocks.items():
             raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
             self._a_raw_len[(u, v)] = len(raw)
             self._nnz[(u, v)] = b.nnz
             desc = ArrayDesc(a_name(u, v), length=len(raw), dtype="uint8",
                              block_elems=len(raw))
-            write_array(self.engine.node_scratch(self.owner(u, v)), desc, raw)
+            write_array(self.engine.node_scratch(self.owner(u, v)), desc, raw,
+                        durable=False)
 
     @property
     def shape(self) -> tuple[int, int]:

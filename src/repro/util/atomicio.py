@@ -1,14 +1,26 @@
-"""Crash-atomic file writes (temp file + fsync + rename).
+"""Crash-atomic file writes (temp file + rename, fsync when asked).
 
 A block, checkpoint payload, or manifest that is half-written when the
 process dies must never be observable: a reader sees either the previous
 complete content or the new complete content.  POSIX gives exactly one
 primitive with that guarantee — ``rename(2)`` within a filesystem — so
-every durable artifact in the tree funnels through :func:`atomic_write`:
+every array and checkpoint file is written through :func:`atomic_write`:
 write the full new content to a temporary file in the *same directory*,
-``fsync`` it, then ``os.replace`` it over the destination.  The lint rule
-``DOOC005`` (:mod:`repro.analysis.rules`) flags bare ``open(..., "w")`` /
+then ``os.replace`` it over the destination.  The lint rule ``DOOC005``
+(:mod:`repro.analysis.rules`) flags bare ``open(..., "w")`` /
 ``write_bytes`` on checkpoint/block paths that bypass this helper.
+
+Two promises, kept apart:
+
+* **crash-atomic, always** — the temp-file + rename above, on every
+  write;
+* **durable across power loss, only when asked** — ``durable=True`` (the
+  default) also calls ``fsync`` on the temporary before the rename.
+  Scratch that the engine writes for its own use (spills, per-run seeds,
+  the operator's sub-matrix copies, a node-loss re-seed) passes
+  ``durable=False``: nothing reads it after an OS crash, so flushing it
+  to the device buys nothing.  What a caller asks to keep — checkpoints,
+  ``persist``, the public seeding default — stays durable.
 
 Offset writes (one block spliced into a shared per-array file) are
 supported by rewriting the whole file: read-splice-replace, serialized by
@@ -41,7 +53,7 @@ def _path_lock(path: Path) -> threading.Lock:
 
 
 def atomic_write(path: str | Path, data, *,
-                 offset: int | None = None) -> None:
+                 offset: int | None = None, durable: bool = True) -> None:
     """Atomically replace ``path``'s content (or splice at ``offset``).
 
     ``data`` is any bytes-like object and is written from where it lies:
@@ -50,9 +62,12 @@ def atomic_write(path: str | Path, data, *,
     offset, ``data`` is spliced over the existing content at that byte
     position (zero-padding any gap, matching seek-past-end semantics);
     concurrent spliced writes to one path are serialized in-process.
-    In every case the destination is only ever replaced by a complete,
-    fsynced temporary — a crash at any point leaves the old content
-    intact, never a torn file.
+    In every case the destination is only ever replaced by a complete
+    temporary — a crash at any point leaves the old content intact,
+    never a torn file.  ``durable`` decides only whether that temporary
+    is flushed to the device (``fsync``) first, so the new content also
+    survives a power loss; pass ``False`` for scratch nobody reads after
+    the process.
     """
     path = Path(path)
     if offset is not None and offset < 0:
@@ -75,8 +90,9 @@ def atomic_write(path: str | Path, data, *,
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(content)
-                fh.flush()
-                os.fsync(fh.fileno())
+                if durable:
+                    fh.flush()
+                    os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             try:

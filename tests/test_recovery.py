@@ -294,6 +294,61 @@ class TestAtomicWrite:
         np.testing.assert_array_equal(read_block(tmp_path, desc, 0), first)
 
 
+class _TornFile:
+    """A temporary file whose ``write`` dies after two bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, data):
+        self.fh.write(memoryview(data)[:2])
+        self.fh.flush()
+        raise OSError("crash mid-write")
+
+
+class TestScratchWrites:
+    """``durable=False`` drops the fsync, not the temp file + rename."""
+
+    @pytest.mark.parametrize("offset", [None, 3], ids=["whole", "splice"])
+    @pytest.mark.parametrize("dies_in", ["write", "replace"])
+    def test_a_write_that_dies_changes_nothing(self, tmp_path, monkeypatch,
+                                               offset, dies_in):
+        p = tmp_path / "x.arr"
+        atomic_write(p, b"0123456789", durable=False)
+        if dies_in == "replace":
+            def dying_replace(src, dst):
+                raise OSError("crash at the rename")
+
+            monkeypatch.setattr("repro.util.atomicio.os.replace",
+                                dying_replace)
+        else:
+            fdopen = os.fdopen
+            monkeypatch.setattr("repro.util.atomicio.os.fdopen",
+                                lambda fd, mode: _TornFile(fdopen(fd, mode)))
+        with pytest.raises(OSError, match="crash"):
+            atomic_write(p, b"abcdefgh", offset=offset, durable=False)
+        monkeypatch.undo()
+        assert p.read_bytes() == b"0123456789"
+        assert list(tmp_path.iterdir()) == [p]  # no temporary left
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_only_a_durable_write_is_fsynced(self, tmp_path, monkeypatch,
+                                             durable):
+        calls = []
+        monkeypatch.setattr("repro.util.atomicio.os.fsync", calls.append)
+        p = tmp_path / "x.arr"
+        atomic_write(p, b"0123", durable=durable)
+        atomic_write(p, b"ab", offset=1, durable=durable)
+        assert p.read_bytes() == b"0ab3"
+        assert len(calls) == (2 if durable else 0)
+
+
 # -- directory eviction ------------------------------------------------------
 
 

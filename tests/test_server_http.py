@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -20,8 +21,7 @@ def server(tmp_path):
         engine={"memory_budget_per_node": 32 * 2**20},
         work_dir=tmp_path / "jobs",
     )).start()
-    thread = threading.Thread(target=srv.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
         yield srv
@@ -125,3 +125,26 @@ class TestRoutes:
         assert server.drain_manifest["undrained"] == []
         assert server.manager.get(rec["id"]).state in (
             JobState.PREEMPTED, JobState.DONE)
+
+
+class TestShutdown:
+    def test_idle_server_stops_without_waiting_out_a_poll(self, tmp_path):
+        """``shutdown`` wakes the accept loop itself: an idle server stops
+        at once, not at its next poll (``serve_forever`` has none)."""
+        for i in range(3):
+            srv = DoocJobServer(("127.0.0.1", 0), ServerConfig(
+                work_dir=tmp_path / f"jobs{i}"))
+            thread = threading.Thread(target=srv.serve_forever, daemon=True)
+            thread.start()
+            try:
+                # a served request: the loop is back in its wait
+                assert JobClient(f"http://127.0.0.1:{srv.port}").healthy()
+                start = time.perf_counter()
+                srv.shutdown()
+                stopped = time.perf_counter() - start
+                thread.join(timeout=5)
+                srv.shutdown()  # a second stop returns at once
+            finally:
+                srv.server_close()
+            assert not thread.is_alive()
+            assert stopped < 0.05

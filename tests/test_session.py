@@ -25,7 +25,8 @@ from repro.core.iofilter import delete_array_file, write_array
 from repro.core.shm import dev_shm_segments
 from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.recovery import MembershipConfig
+from repro.recovery import CheckpointManager, MembershipConfig
+from repro.solvers.jacobi import jacobi_solve
 from repro.spmv import program as spmv_program
 from repro.spmv.csr import CSRBlock
 from repro.spmv.csrfile import serialize_csr
@@ -673,3 +674,69 @@ class TestGraphLifetime:
         run_checked(eng, "after-cleanup")  # the node directories come back
         assert node1.is_dir() and eng.node_scratch(0).is_dir()
         eng.cleanup()
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Count ``os.fsync`` calls (they still happen)."""
+    calls = []
+    real = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return calls
+
+
+class TestFsyncCensus:
+    """Scratch the engine deletes itself is written crash-atomically but
+    not flushed to the device; what a caller asks to keep still is."""
+
+    def test_steady_jacobi_sweeps_make_no_fsync(self, tmp_path, fsyncs):
+        blocks = make_blocks()
+        b = np.random.default_rng(5).standard_normal(N)
+        op = OutOfCoreMatrix(blocks, n_nodes=3, scratch_dir=tmp_path,
+                             engine_kwargs={"faults": FaultPlan(
+                                 seed=FAULT_SEED, io_transient=0.05)})
+        per_sweep = []
+        result = jacobi_solve(
+            op, b, tol=0.0, max_iterations=6, fixpoint_exit=False,
+            callback=lambda it, res: per_sweep.append(len(fsyncs)))
+        op.engine.cleanup()
+        assert result.iterations == 6
+        # the operator's sub-matrix copies and the first sweep's seeds too
+        assert per_sweep == [0] * 6
+
+    def test_a_spilling_run_makes_no_fsync(self, tmp_path, fsyncs):
+        """The sizing of ``test_spilled_intermediates_are_unlinked_too``:
+        spills and reloads, with transient I/O faults retried."""
+        n = 6000
+        blocks = make_blocks(seed=2, n=n)
+        x = np.random.default_rng(7).standard_normal(n)
+        want = reference(blocks, x, 1, tmp_path / "f", policy="simple")
+        a_max = max(len(serialize_csr(b)) for b in blocks.values())
+        op = OutOfCoreMatrix(
+            blocks, n_nodes=1, workers=1, scratch_dir=tmp_path / "s",
+            policy="simple", memory_budget_per_node=a_max + 5 * n // K * 8,
+            engine_kwargs={
+                "opcache_bytes": 0,
+                "faults": FaultPlan(seed=FAULT_SEED, io_transient=0.05),
+                "io_retry": RetryPolicy(attempts=8, backoff_s=0.001)})
+        reports = capture_reports(op)
+        before = len(fsyncs)
+        assert np.array_equal(op.matvec(x), want)
+        op.engine.cleanup()
+        assert total(reports[-1], "spills") > 0
+        assert len(fsyncs) == before
+
+    def test_what_a_caller_keeps_is_still_fsynced(self, tmp_path, fsyncs):
+        eng = DOoCEngine(n_nodes=2, workers=1, scratch_dir=tmp_path / "s")
+        run_checked(eng, "kept")
+        assert fsyncs == []
+        eng.persist("total")
+        assert len(fsyncs) == 1  # the raw array file, one write
+        eng.cleanup()
+        CheckpointManager(tmp_path / "ckpt").save(1, {"x": np.ones(8)})
+        assert len(fsyncs) == 1 + 2  # the payload, then the manifest
