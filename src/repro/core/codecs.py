@@ -18,6 +18,14 @@ Design (zarr-style chunk+codec layering):
   into the buffer — one allocation and one copy per decoded block that
   ``bytes_copied`` does **not** count (it counts the data plane's
   gather/scatter copies only);
+* the zlib codecs skip what DEFLATE cannot shrink (as Blosc stores a
+  chunk its compressor cannot shrink): the input is judged in 256 KiB
+  segments, and a segment whose first and last 4 KiB each shrink by
+  less than 10 % at level 1 (the float64 values of a CSR block) is
+  written as DEFLATE *stored* blocks, which cost no match search to
+  write and a copy to inflate.  The payload is still one stock RFC 1950
+  stream — a bare ``zlib.decompress`` reads it — and an input with no
+  such segment encodes to exactly ``zlib.compress(data, level)``;
 * codecs are looked up by name in a registry (:func:`register_codec` /
   :func:`get_codec`), so block headers and checkpoint manifests can name
   their codec and new codecs plug in without touching the I/O layer;
@@ -34,7 +42,9 @@ other call site, so compression policy stays in one place.
 from __future__ import annotations
 
 import os
+import struct
 import zlib
+from itertools import groupby
 
 import numpy as np
 
@@ -60,6 +70,63 @@ CODEC_ENV = "DOOC_CODEC"
 def checksum(data) -> int:
     """CRC-32 of ``data`` (the chunk container's torn-payload detector)."""
     return zlib.crc32(memoryview(data)) & 0xFFFFFFFF
+
+
+#: the stored-segment rule (:func:`_deflate`): judge the input in
+#: segments of ``_SEGMENT`` bytes by compressing the first and the last
+#: ``_SAMPLE`` of each at level 1; one whose samples both shrink by less
+#: than ``_MIN_SAVING`` is stored
+_SEGMENT = 256 * 1024
+_SAMPLE = 4 * 1024
+_MIN_SAVING = 0.10
+#: the largest DEFLATE stored block (RFC 1951 §3.2.4: LEN is 16 bits)
+_STORED_MAX = 0xFFFF
+_STORED_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
+
+
+def _incompressible(segment: memoryview) -> bool:
+    """Both ends of ``segment`` resist DEFLATE.  Sampling the tail too
+    keeps a segment that straddles noise and a compressible region (a
+    shuffled block's mantissa plane running into the next plane's zero
+    high bytes) in the compressor."""
+    if len(segment) < _SAMPLE:
+        return False
+    return all(len(zlib.compress(sample, 1)) > (1 - _MIN_SAVING) * _SAMPLE
+               for sample in (segment[:_SAMPLE], segment[-_SAMPLE:]))
+
+
+def _deflate(data: memoryview, level: int) -> bytes:
+    """``data`` as one zlib (RFC 1950) stream, incompressible segments stored.
+
+    Each run of compressible segments goes through its own raw-deflate
+    compressor at ``level``; a run followed by stored blocks ends on a sync
+    flush, which byte-aligns the stream without ending it.  The
+    compressor is fresh per run: one that had not seen the stored bytes
+    in between would measure its back-references over the wrong window.
+    With nothing to store this is ``zlib.compress``, byte for byte.
+    """
+    n = len(data)
+    stored = [_incompressible(data[lo:lo + _SEGMENT])
+              for lo in range(0, n, _SEGMENT)]
+    if not any(stored):
+        return zlib.compress(data, level)
+    parts = [zlib.compress(b"", level)[:2]]  # CMF/FLG, FLEVEL for ``level``
+    lo = 0
+    for store, run in groupby(stored):
+        hi = min(n, lo + _SEGMENT * len(list(run)))
+        if store:
+            for off in range(lo, hi, _STORED_MAX):
+                end = min(hi, off + _STORED_MAX)
+                size = end - off
+                parts += (_STORED_HEADER.pack(end == n, size, size ^ 0xFFFF),
+                          data[off:end])
+        else:
+            deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+            parts += (deflate.compress(data[lo:hi]), deflate.flush(
+                zlib.Z_FINISH if hi == n else zlib.Z_SYNC_FLUSH))
+        lo = hi
+    parts.append(struct.pack(">I", zlib.adler32(data)))
+    return b"".join(parts)
 
 
 class Codec:
@@ -114,7 +181,11 @@ class RawCodec(Codec):
 
 
 class ZlibCodec(Codec):
-    """DEFLATE at a configurable level (the zarr default pipeline)."""
+    """DEFLATE at a configurable level (the zarr default pipeline).
+
+    Segments DEFLATE cannot shrink are stored, not compressed (the module
+    docstring's rule); the payload is one stock zlib stream either way.
+    """
 
     name = "zlib"
 
@@ -124,7 +195,7 @@ class ZlibCodec(Codec):
         self.level = level
 
     def encode(self, data, itemsize: int = 1) -> bytes:
-        return zlib.compress(memoryview(data).cast("B"), self.level)
+        return _deflate(memoryview(data).cast("B"), self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         out = memoryview(out).cast("B")
@@ -147,7 +218,9 @@ class ShuffleZlibCodec(Codec):
     slowly-varying high-order bytes of floating-point data together,
     which DEFLATE then squeezes far better than the interleaved layout —
     at level 1 the shuffle+deflate combination approaches zlib-6 ratios
-    at a fraction of the CPU cost on smooth numeric data.
+    at a fraction of the CPU cost on smooth numeric data.  The shuffled
+    bytes go through the same writer as :class:`ZlibCodec`'s, so byte
+    planes DEFLATE cannot shrink (low mantissa bytes) are stored.
     """
 
     name = "shuffle-zlib"
@@ -176,7 +249,7 @@ class ShuffleZlibCodec(Codec):
         if itemsize < 1 or len(data) % itemsize:
             raise CodecError(
                 f"cannot shuffle {len(data)} bytes by itemsize {itemsize}")
-        return zlib.compress(self._shuffle(data, itemsize), self.level)
+        return _deflate(memoryview(self._shuffle(data, itemsize)), self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         out = memoryview(out).cast("B")

@@ -662,14 +662,19 @@ class _StorageFilter(Filter):
         if not self.store.has_array(name):
             self._gc_pending.discard(name)
             return
-        was_local = not self.store.is_remote(name)
+        # Only a block that reached disk left a file: an array that lived
+        # and died in memory costs no I/O command (asked before
+        # delete_array forgets the blocks).
+        on_disk = not self.store.is_remote(name) and any(
+            self.store.block_on_disk(name, b)
+            for b in self.store.arrays[name].blocks())
         try:
             self._execute(ctx, self.store.delete_array(name))
         except StorageError:
             self._gc_pending.add(name)
             return
         self._gc_pending.discard(name)
-        if was_local and not self._io_closed:
+        if on_disk and not self._io_closed:
             # Skipped during the post-close drain: a stale scratch file is
             # harmless (rediscovery is gated on array registration).
             self._outstanding_io += 1

@@ -8,6 +8,7 @@ checkpoint/restart across a codec change is refused by name.
 """
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from repro.core import DOoCEngine, Program
 from repro.core.array import ArrayDesc
 from repro.core.codecs import (
+    _SAMPLE,
+    _SEGMENT,
     CODEC_ENV,
     Codec,
     RawCodec,
@@ -174,6 +177,102 @@ class TestRoundTrips:
         d = desc(length=5000, block=5000, codec="zlib")
         write_array(tmp_path, d, np.zeros(5000))
         assert chunk_path(tmp_path, "a", 0).stat().st_size < 5000 * 8 // 10
+
+
+def _csr_block_bytes(nrows=1024, nnz_per_row=256, seed=1):
+    """A serialized CSR sub-matrix as the benchmark builds one: one column
+    drawn from each of ``nnz_per_row`` equal strata per row, values
+    uniform on a small bound (float64 mantissas DEFLATE cannot shrink)."""
+    from repro.spmv.csr import CSRBlock
+    from repro.spmv.csrfile import serialize_csr
+
+    rng = np.random.default_rng(seed)
+    width = nrows // nnz_per_row
+    cols = (np.arange(nnz_per_row, dtype=np.int64) * width
+            + rng.integers(0, width, size=(nrows, nnz_per_row)))
+    bound = 1.0 / (3 * nnz_per_row)
+    return serialize_csr(CSRBlock(
+        nrows=nrows, ncols=nrows,
+        indptr=np.arange(nrows + 1, dtype=np.int64) * nnz_per_row,
+        indices=cols.ravel(),
+        values=rng.uniform(-bound, bound, size=nrows * nnz_per_row)))
+
+
+class TestStoredSegments:
+    """The zlib encoders store what DEFLATE cannot shrink, and the payload
+    stays one stock zlib stream."""
+
+    LENGTHS = [0, 1, _SAMPLE - 1, _SEGMENT - 1, _SEGMENT + 1,
+               3 * _SEGMENT + 7]
+    CODECS = [("zlib", 6), ("shuffle-zlib", 1)]
+
+    @staticmethod
+    def itemsize(data: bytes) -> int:
+        return 8 if len(data) % 8 == 0 else 1
+
+    @staticmethod
+    def parent_payload(name, level, data, itemsize):
+        """What the codec wrote before stored segments: one
+        ``zlib.compress`` at its level, of the shuffled bytes for
+        ``shuffle-zlib``."""
+        if name == "shuffle-zlib":
+            data = ShuffleZlibCodec._shuffle(memoryview(data), itemsize)
+        return zlib.compress(data, level)
+
+    def encode_checked(self, name, data, itemsize):
+        codec = get_codec(name)
+        payload = codec.encode(data, itemsize)
+        want = (ShuffleZlibCodec._shuffle(memoryview(data), itemsize)
+                if name == "shuffle-zlib" else data)
+        assert zlib.decompress(payload) == want  # a bare stock stream
+        out = bytearray(len(data))
+        codec.decode_into(payload, memoryview(out), itemsize)
+        assert bytes(out) == data
+        return payload
+
+    @pytest.mark.parametrize("name,level", CODECS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_random_bytes_grow_by_stored_block_headers_only(self, name,
+                                                            level, n):
+        data = np.random.default_rng(n).bytes(n)
+        payload = self.encode_checked(name, data, self.itemsize(data))
+        # 5 header bytes per stored block of at most 64 KiB, plus the
+        # zlib framing and a compressed tail shorter than the sample
+        assert len(payload) <= n + 5 * -(-n // 65536) + 16
+
+    @pytest.mark.parametrize("name,level", CODECS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_compressible_input_is_byte_identical_to_zlib_compress(
+            self, name, level, n):
+        rng = np.random.default_rng(5)
+        data = np.repeat(rng.integers(0, 9, n // 64 + 1, dtype=np.uint8),
+                         64)[:n].tobytes()
+        itemsize = self.itemsize(data)
+        payload = self.encode_checked(name, data, itemsize)
+        assert payload == self.parent_payload(name, level, data, itemsize)
+
+    @pytest.mark.parametrize("name,level", CODECS)
+    @pytest.mark.parametrize("itemsize", [1, 8])
+    def test_csr_block_stores_its_values_and_keeps_its_ratio(
+            self, name, level, itemsize):
+        data = _csr_block_bytes()
+        payload = self.encode_checked(name, data, itemsize)
+        parent = self.parent_payload(name, level, data, itemsize)
+        assert payload != parent  # some segment went in stored ...
+        assert len(payload) <= 1.05 * len(parent)  # ... at little cost
+
+    @pytest.mark.parametrize("name", ["zlib", "shuffle-zlib"])
+    def test_damaged_stored_segments_raise(self, name):
+        codec = get_codec(name)
+        data = _csr_block_bytes()
+        payload = codec.encode(data, 8)
+        out = memoryview(bytearray(len(data)))
+        with pytest.raises(CodecError):
+            codec.decode_into(payload[:-5000], out, 8)
+        flipped = bytearray(payload)
+        flipped[-5000] ^= 0x01  # inside the stored values: Adler-32 fails
+        with pytest.raises(CodecError):
+            codec.decode_into(bytes(flipped), out, 8)
 
 
 class TestCorruption:

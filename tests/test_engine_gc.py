@@ -116,3 +116,41 @@ class TestGarbageCollection:
         eng.run(prog, timeout=60)
         with pytest.raises(DoocError):
             eng.fetch("a1")
+
+
+class TestUnlinkOnlyWhatReachedDisk:
+    """A collected array that lived and died in memory left no file, so
+    deleting it sends no ``unlink`` to the I/O filter (spilled ones still
+    are unlinked: ``test_gc_unlinks_scratch_files``)."""
+
+    def test_steady_sweep_that_spilled_nothing_unlinks_nothing(self,
+                                                               tmp_path):
+        from repro.spmv.generator import symmetric_test_matrix
+        from repro.spmv.ooc_operator import OutOfCoreMatrix
+        from repro.spmv.partition import GridPartition
+
+        n = 512
+        a = symmetric_test_matrix(n, 8.0, np.random.default_rng(1),
+                                  diag_shift=3.5)
+        op = OutOfCoreMatrix(GridPartition(n, 2).split_matrix(a),
+                             scratch_dir=tmp_path,
+                             engine_kwargs={"trace": True})
+        reports = []
+        run = op.engine.run
+
+        def recording_run(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        op.engine.run = recording_run
+        try:
+            x = op.matvec(np.ones(n))  # the cold sweep loads A
+            for _ in range(3):
+                x = op.matvec(x)
+        finally:
+            op.engine.cleanup()
+        for report in reports[1:]:
+            io = [e.name for e in report.trace_events if e.cat == "io"]
+            assert "read" in io  # the sweep's seeded vector parts
+            assert report.total_spills == 0  # nothing else reached disk,
+            assert "unlink" not in io  # ... so nothing is unlinked
