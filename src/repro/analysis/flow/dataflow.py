@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, dotted_expr
 from repro.analysis.lint import EFFECT_FUNCS
+from repro.analysis.rules import (_SKIP_NESTED, _call_name, _calls_in,
+                                  _is_lockish)
 
 __all__ = [
     "SealFact",
@@ -71,9 +73,6 @@ DEST_WRITE_FUNCS = frozenset({
 
 #: callables that grant read-only tickets (ticket.data is a sealed view)
 READ_GRANT_FUNCS = frozenset({"request_read"})
-
-_LOCKISH_FRAGMENTS = ("lock", "cond", "mutex", "sem")
-
 
 @dataclass(frozen=True)
 class SealFact:
@@ -137,19 +136,6 @@ class FunctionSummary:
 
 
 # -- expression helpers -------------------------------------------------------
-
-
-def _is_lockish(name: str | None) -> bool:
-    return name is not None and any(
-        f in name.lower() for f in _LOCKISH_FRAGMENTS)
-
-
-def _call_name(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
 
 
 def _receiver(call: ast.Call) -> str | None:
@@ -270,20 +256,6 @@ def _lock_key(expr: ast.expr, info: FunctionInfo) -> str | None:
 
 
 # -- the summary pass ----------------------------------------------------------
-
-
-_SKIP_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                ast.Lambda)
-
-
-def _calls_in(node: ast.AST):
-    """Calls under a node, outermost-first, skipping nested defs/lambdas."""
-    if isinstance(node, ast.Call):
-        yield node
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, _SKIP_NESTED):
-            continue
-        yield from _calls_in(child)
 
 
 def summarize(info: FunctionInfo, graph: CallGraph) -> FunctionSummary:

@@ -43,6 +43,7 @@ from repro.analysis.flow.dataflow import (
     sealed_lookup,
 )
 from repro.analysis.lint import Violation, register_deep
+from repro.core.dag import find_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.flow import Program
@@ -233,9 +234,14 @@ def check_static_lock_order(program: "Program") -> Iterator[Violation]:
                         f"{callee.qualname} ({summ.info.path}:{ev.line})"
                         f"{via}; {key} acquired at {p}:{line}"))
 
-    cycle = _find_cycle({e: None for e in edges})
     seen_cycles: set[frozenset[str]] = set()
-    while cycle is not None:
+    while True:
+        succs: dict[str, list[str]] = {}
+        for held, taken in edges:
+            succs.setdefault(held, []).append(taken)
+        cycle = find_cycle(succs)
+        if cycle is None:
+            break
         sig = frozenset(cycle)
         if sig in seen_cycles:  # pragma: no cover - defensive
             break
@@ -254,50 +260,6 @@ def check_static_lock_order(program: "Program") -> Iterator[Violation]:
         # break the reported cycle and look for independent ones
         for held, taken in zip(cycle, cycle[1:]):
             edges.pop((held, taken), None)
-        cycle = _find_cycle({e: None for e in edges})
-
-
-def _find_cycle(edges: dict[tuple[str, str], object]) -> list[str] | None:
-    """A lock-key cycle (first node repeated at the end), or None."""
-    succs: dict[str, list[str]] = {}
-    for held, taken in edges:
-        succs.setdefault(held, []).append(taken)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    parent: dict[str, str] = {}
-
-    def dfs(node: str) -> list[str] | None:
-        color[node] = GREY
-        for nxt in sorted(succs.get(node, [])):
-            state = color.get(nxt, WHITE)
-            if state == GREY:
-                cycle = [node]
-                cur = node
-                while cur != nxt:
-                    cur = parent[cur]
-                    cycle.append(cur)
-                cycle.reverse()
-                cycle.append(nxt)
-                # rotate so the cycle starts at its smallest node and
-                # reads held -> taken along real edges
-                body = cycle[:-1]
-                pivot = body.index(min(body))
-                body = body[pivot:] + body[:pivot]
-                return [*body, body[0]]
-            if state == WHITE:
-                parent[nxt] = node
-                found = dfs(nxt)
-                if found:
-                    return found
-        color[node] = BLACK
-        return None
-
-    for node in sorted(succs):
-        if color.get(node, WHITE) == WHITE:
-            found = dfs(node)
-            if found:
-                return found
-    return None
 
 
 # -- DOOC012: interprocedural effect drop -------------------------------------

@@ -28,6 +28,8 @@ import threading
 import traceback
 from dataclasses import dataclass
 
+from repro.core.dag import find_cycle
+
 __all__ = ["LockOrderRecorder", "LockOrderViolation",
            "RecordingLock", "RecordingCondition"]
 
@@ -109,49 +111,16 @@ class LockOrderRecorder:
         with self._graph_lock:
             return sorted(self._edges)
 
-    def find_cycle(self) -> list[str] | None:
-        """A lock-name cycle in the acquisition graph, or None."""
+    def check(self) -> None:
+        """Raise :class:`LockOrderViolation` if an ordering cycle exists;
+        its ``cycle`` is closed and starts at its least lock."""
         with self._graph_lock:
             succs: dict[str, list[str]] = {}
             for held, taken in self._edges:
                 succs.setdefault(held, []).append(taken)
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: dict[str, int] = {}
-        parent: dict[str, str] = {}
-
-        def dfs(node: str) -> list[str] | None:
-            color[node] = GREY
-            for nxt in sorted(succs.get(node, [])):
-                if color.get(nxt, WHITE) == GREY:
-                    # unwind the grey path back to nxt
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-                if color.get(nxt, WHITE) == WHITE:
-                    parent[nxt] = node
-                    found = dfs(nxt)
-                    if found:
-                        return found
-            color[node] = BLACK
-            return None
-
-        for node in sorted(succs):
-            if color.get(node, WHITE) == WHITE:
-                found = dfs(node)
-                if found:
-                    return found
-        return None
-
-    def check(self) -> None:
-        """Raise :class:`LockOrderViolation` if an ordering cycle exists."""
-        cycle = self.find_cycle()
-        if cycle is None:
-            return
-        with self._graph_lock:
+            cycle = find_cycle(succs)
+            if cycle is None:
+                return
             lines = ["lock-order cycle detected (a deadlock waiting for the "
                      "right interleaving):",
                      "  cycle: " + " -> ".join(cycle)]

@@ -104,15 +104,19 @@ def _walk_scope(body: list[ast.stmt]) -> Iterator[ast.stmt]:
             yield from _walk_scope(handler.body)
 
 
+_SKIP_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                ast.Lambda)
+
+
 def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
-    """Every call under ``node``, not descending into nested defs/lambdas."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef, ast.Lambda)):
-            continue
-        yield from _calls_in(child)
+    """Every call under ``node``, outermost-first, not descending into
+    nested defs/lambdas."""
     if isinstance(node, ast.Call):
         yield node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _SKIP_NESTED):
+            continue
+        yield from _calls_in(child)
 
 
 # -- DOOC002: dropped Effect lists -------------------------------------------

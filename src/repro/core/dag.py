@@ -9,10 +9,50 @@ arrays).  The DAG tracks completion and maintains the ready frontier.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from repro.core.errors import SchedulingError
 from repro.core.task import TaskSpec
+
+
+def find_cycle(succs: Mapping[str, Iterable[str]]) -> list[str] | None:
+    """A cycle of the graph ``succs`` (node -> its successors), closed
+    (first == last) and starting at its least node; None if it has none.
+
+    Kahn's peel removes every node no cycle leads to.  Each node left
+    waits on another one left, so walking back along those waits from
+    the least of them comes round to a node already passed.  The walk
+    runs only when the peel leaves something.
+    """
+    indeg = dict.fromkeys(succs, 0)
+    for nexts in succs.values():
+        for s in nexts:
+            indeg[s] = indeg.get(s, 0) + 1
+    queue = deque(n for n, d in indeg.items() if d == 0)
+    while queue:
+        for s in succs.get(queue.popleft(), ()):
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                queue.append(s)
+    left = {n for n, d in indeg.items() if d > 0}
+    if not left:
+        return None
+    preds: dict[str, set[str]] = {n: set() for n in left}
+    for n in left:
+        for s in succs.get(n, ()):
+            if s in left:
+                preds[s].add(n)
+    path: list[str] = []
+    at: dict[str, int] = {}
+    n = min(left)
+    while n not in at:
+        at[n] = len(path)
+        path.append(n)
+        n = min(preds[n])
+    loop = path[at[n]:][::-1]  # walked backwards: reverse
+    first = loop.index(min(loop))
+    loop = loop[first:] + loop[:first]
+    return loop + loop[:1]
 
 
 class TaskDAG:
@@ -54,45 +94,15 @@ class TaskDAG:
                         f"task {t.name!r} reads array {array!r}, which nothing "
                         "produces and which is not declared initial — the "
                         "read could never be satisfied")
-        self._check_acyclic()
+        cycle = find_cycle(self.succs)
+        if cycle is not None:
+            raise SchedulingError(
+                "task graph has a dependency cycle: " + " -> ".join(cycle)
+                + "; no task on this loop can ever become ready")
         self.completed: set[str] = set()
         self._remaining_preds: dict[str, int] = {
             name: len(p) for name, p in self.preds.items()
         }
-
-    def _check_acyclic(self) -> None:
-        indeg = {n: len(p) for n, p in self.preds.items()}
-        queue = deque(n for n, d in indeg.items() if d == 0)
-        seen = 0
-        while queue:
-            n = queue.popleft()
-            seen += 1
-            for s in self.succs[n]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    queue.append(s)
-        if seen != len(self.tasks):
-            cycle = self._cycle_among({n for n, d in indeg.items() if d > 0})
-            raise SchedulingError(
-                "task graph has a dependency cycle: " + " -> ".join(cycle)
-                + "; no task on this loop can ever become ready")
-
-    def _cycle_among(self, unsorted: set[str]) -> list[str]:
-        """A cycle through the tasks Kahn's pass left ``unsorted``, closed
-        (first == last) and starting at its least name.  Each of them
-        waits on another one of them, so walking back along those waits
-        comes round to a task already passed."""
-        path: list[str] = []
-        at: dict[str, int] = {}
-        n = min(unsorted)
-        while n not in at:
-            at[n] = len(path)
-            path.append(n)
-            n = min(self.preds[n] & unsorted)
-        loop = path[at[n]:][::-1]  # walked backwards: reverse
-        first = loop.index(min(loop))
-        loop = loop[first:] + loop[:first]
-        return loop + loop[:1]
 
     # -- execution bookkeeping -------------------------------------------------
 

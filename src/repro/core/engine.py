@@ -10,7 +10,7 @@ the event loop of:
   owning a :class:`~repro.core.storage.LocalStore` over a per-node scratch
   directory, with complete peer-to-peer links to all other storage filters
   (random-peer directory lookups + block fetches);
-* one or more **I/O filters** per node (:mod:`repro.core.iofilter`), so
+* one **I/O filter** per node (:mod:`repro.core.iofilter`), so
   filesystem interaction is fully asynchronous;
 * a **local scheduler filter** per node (:mod:`repro.core.local_scheduler`)
   driving ``LocalSchedulerCore`` (splitting, data-aware reordering,
@@ -195,11 +195,9 @@ class DOoCEngine:
         *,
         n_nodes: int = 1,
         workers: int | None = None,
-        io_filters_per_node: int = 1,
         memory_budget_per_node: int = 256 * 2**20,
         opcache_bytes: int | None = None,
         scratch_dir: str | Path | None = None,
-        prefetch_depth: int = 2,
         rng_seed: int = 0,
         gc_arrays: bool = False,
         scheduler_reorder: bool = True,
@@ -209,9 +207,7 @@ class DOoCEngine:
         io_retry: RetryPolicy | None = None,
         task_max_attempts: int = 3,
         task_max_reroutes: int | None = None,
-        protocol_checkers: bool | None = None,
         membership: MembershipConfig | bool | None = None,
-        node_recovery: bool = True,
         worker_plane: str = "thread",
         codec: str | None = None,
     ):
@@ -220,13 +216,16 @@ class DOoCEngine:
             # scipy, so distinct ready tasks genuinely overlap; capped so a
             # many-core box doesn't drown a small run in idle threads.
             workers = default_worker_count()
-        if n_nodes < 1 or workers < 1 or io_filters_per_node < 1:
-            raise DoocError("n_nodes, workers and I/O filters must be >= 1")
+        if n_nodes < 1 or workers < 1:
+            raise DoocError("n_nodes and workers must be >= 1")
+        if memory_budget_per_node <= 0:
+            raise DoocError("memory_budget_per_node must be > 0")
         if task_max_attempts < 1:
             raise DoocError("task_max_attempts must be >= 1")
+        if task_max_reroutes is not None and task_max_reroutes < 0:
+            raise DoocError("task_max_reroutes must be >= 0")
         self.n_nodes = n_nodes
         self.workers_per_node = workers
-        self.io_filters_per_node = io_filters_per_node
         self.memory_budget_per_node = memory_budget_per_node
         #: on-disk block codec, snapshotted ONCE here: ``None`` samples
         #: DOOC_CODEC, and every descriptor the run spills is stamped with
@@ -245,7 +244,6 @@ class DOoCEngine:
         if opcache_bytes < 0:
             raise DoocError("opcache_bytes must be >= 0")
         self.opcache_bytes = int(opcache_bytes)
-        self.prefetch_depth = prefetch_depth
         self.gc_arrays = gc_arrays
         self.scheduler_reorder = scheduler_reorder
         #: deterministic fault plan (None or all-zero probabilities = off)
@@ -260,16 +258,11 @@ class DOoCEngine:
         #: turns on heartbeats + the alive/suspect/dead tracker; None
         #: auto-enables it exactly when the fault plan injects node kills
         self.membership = membership
-        #: on a declared death, reconstruct (True) or fail with a named
-        #: NodeLostError (False)
-        self.node_recovery = node_recovery
         #: run the protocol checkers (lock-order recorder, ticket-lifecycle
-        #: auditor)?  None defers to the ``DOOC_CHECKERS`` environment
-        #: flag; production runs pay nothing.
-        if protocol_checkers is None:
-            from repro.analysis import checkers_enabled
-            protocol_checkers = checkers_enabled()
-        self.protocol_checkers = bool(protocol_checkers)
+        #: auditor)?  The ``DOOC_CHECKERS`` flag, snapshotted here;
+        #: production runs pay nothing.
+        from repro.analysis import checkers_enabled
+        self.protocol_checkers = checkers_enabled()
         #: ``trace=True`` records the run timeline (see repro.obs); a
         #: caller-provided Tracer is used as-is (e.g. a sim-clocked one).
         self.tracer = trace if isinstance(trace, Tracer) else Tracer(enabled=bool(trace))
@@ -577,8 +570,7 @@ class DOoCEngine:
             tracker=MembershipTracker(self.n_nodes, membership_cfg),
             descs=self._descs, nbytes=nbytes,
             reseed=functools.partial(_reseed_array, self.scratch_root),
-            metrics=MetricsRegistry(), lineage=lineage,
-            node_recovery=self.node_recovery)
+            metrics=MetricsRegistry(), lineage=lineage)
 
     def _report(self, wall: float, assignment: dict[str, int],
                 runtime: ThreadedRuntime, recovery: _RecoveryContext | None,
@@ -630,8 +622,8 @@ class DOoCEngine:
                 watchdog.check(self.tracer.now())
         except FilterError as exc:
             # A declared node loss that could not be recovered (no
-            # survivors, or node_recovery=False) surfaces by name rather
-            # than as an opaque filter crash.
+            # survivors) surfaces by name rather than as an opaque filter
+            # crash.
             cause = self._node_loss_cause(runtime, exc)
             if cause is not None:
                 raise cause from exc
@@ -709,8 +701,7 @@ class DOoCEngine:
         workers = self.workers_per_node
         gsched = dict(gc_arrays=self.gc_arrays,
                       max_reroutes=self.task_max_reroutes, tracer=tracer)
-        lsched = dict(prefetch_depth=self.prefetch_depth,
-                      reorder=self.scheduler_reorder, tracer=tracer,
+        lsched = dict(reorder=self.scheduler_reorder, tracer=tracer,
                       max_attempts=self.task_max_attempts)
 
         def io_filter(node: int, scratch: Path) -> IOFilter:
@@ -728,8 +719,7 @@ class DOoCEngine:
                 lambda node=node: _StorageFilter(node, n, run, tracer))
             layout.add_filter(
                 f"io@{node}",
-                lambda node=node, scratch=scratch: io_filter(node, scratch),
-                instances=self.io_filters_per_node, replicable=True)
+                lambda node=node, scratch=scratch: io_filter(node, scratch))
             layout.add_filter(
                 f"lsched@{node}",
                 lambda node=node: _LocalSchedulerFilter(node, workers, run,

@@ -134,8 +134,6 @@ class _RecoveryContext:
     metrics: MetricsRegistry
     #: the durable journal of what ran where and what recovery did
     lineage: LineageLog
-    #: False turns detection into a named failure instead of recovery
-    node_recovery: bool = True
 
 
 class _GlobalSchedulerFilter(Filter):
@@ -339,12 +337,11 @@ class _GlobalSchedulerFilter(Filter):
             lost_blocks=plan.lost_blocks, reseed=plan.reseed,
             replay=plan.replay, reassign=plan.reassign)
         rc.lineage.sync()
-        if not survivors or not rc.node_recovery:
+        if not survivors:
             raise NodeLostError(
                 f"node {dead} declared dead with {len(plan.lost_arrays)} "
-                f"arrays ({plan.lost_blocks} blocks) homed on it"
-                + ("" if survivors else "; no survivors left to recover on")
-                + ("" if rc.node_recovery else "; node recovery is disabled"),
+                f"arrays ({plan.lost_blocks} blocks) homed on it; no "
+                "survivors left to recover on",
                 node=dead, lost_blocks=plan.lost_blocks)
         self._broadcast(ctx, {"op": "evict", "node": dead})
         for array in plan.reseed:

@@ -227,11 +227,10 @@ class _LocalSchedulerFilter(Filter):
     outputs = ("to_gsched", "to_workers", "to_storage")
 
     def __init__(self, node: int, workers: int, run: RunState, *,
-                 prefetch_depth: int = 2, reorder: bool = True,
-                 tracer: Tracer | None = None, max_attempts: int = 3):
+                 reorder: bool = True, tracer: Tracer | None = None,
+                 max_attempts: int = 3):
         self.node = node
         self.workers = workers
-        self.prefetch_depth = prefetch_depth
         self.reorder = reorder
         self.tracer = tracer or Tracer(enabled=False)
         self.max_attempts = max_attempts
@@ -243,9 +242,7 @@ class _LocalSchedulerFilter(Filter):
     def begin(self, run: RunState) -> None:
         """Bind the next run: sizes, counters, liveness beacon, faults;
         a fresh decision core."""
-        self.core = LocalSchedulerCore(self.node,
-                                       prefetch_depth=self.prefetch_depth,
-                                       reorder=self.reorder)
+        self.core = LocalSchedulerCore(self.node, reorder=self.reorder)
         self.nbytes = run.nbytes
         store = run.stores.get(self.node)
         self.metrics = store.metrics if store is not None else None

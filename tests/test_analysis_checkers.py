@@ -59,8 +59,12 @@ def test_inverted_acquisition_across_threads_names_the_cycle():
     message = str(info.value)
     assert "instance-A.cond" in message and "instance-B.cond" in message
     assert "held while taking" in message
-    # the cycle itself is machine-readable on the exception
-    assert set(info.value.cycle) == {"instance-A.cond", "instance-B.cond"}
+    # the cycle itself is machine-readable on the exception: closed, and
+    # starting at its least lock
+    assert info.value.cycle == [
+        "instance-A.cond", "instance-B.cond", "instance-A.cond"]
+    assert "  cycle: instance-A.cond -> instance-B.cond -> instance-A.cond" \
+        in message
 
 
 def test_condition_wrapping_supports_wait_and_notify():
@@ -276,10 +280,13 @@ def _malformed(defect):
 @pytest.mark.parametrize("defect", ["duplicate", "double_writer",
                                     "writes_initial", "unproduced_read",
                                     "cycle"])
-def test_a_malformed_program_fails_alike_with_or_without_checkers(defect):
+def test_a_malformed_program_fails_alike_with_or_without_checkers(
+        defect, monkeypatch):
     messages = []
-    for checkers in (False, True):
-        engine = DOoCEngine(n_nodes=1, protocol_checkers=checkers)
+    for checkers in ("0", "1"):
+        monkeypatch.setenv("DOOC_CHECKERS", checkers)
+        engine = DOoCEngine(n_nodes=1)
+        assert engine.protocol_checkers is (checkers == "1")
         with pytest.raises(SchedulingError) as info:
             engine.run(_malformed(defect), timeout=5)
         assert type(info.value) is SchedulingError
@@ -296,13 +303,3 @@ def test_engine_checkers_off_by_default(monkeypatch):
     engine.run(p, timeout=60)
     for store in engine.stores.values():
         assert store.auditor is None
-
-
-def test_engine_explicit_opt_in_overrides_env(monkeypatch):
-    monkeypatch.delenv("DOOC_CHECKERS", raising=False)
-    engine = DOoCEngine(n_nodes=1, protocol_checkers=True)
-    assert engine.protocol_checkers
-    p, x = _square_program()
-    engine.run(p, timeout=60)
-    for store in engine.stores.values():
-        store.auditor.assert_clean()

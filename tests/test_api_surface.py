@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.ci.mscheme import MSchemeSpace
 from repro.ci.nnz import estimate_total_nnz
 from repro.core.array import ArrayDesc
@@ -31,12 +32,10 @@ def noop(ins, outs, meta):
 
 
 ENGINE_PARAMETERS = [
-    "n_nodes", "workers", "io_filters_per_node", "memory_budget_per_node",
-    "opcache_bytes", "scratch_dir", "prefetch_depth", "rng_seed",
-    "gc_arrays", "scheduler_reorder", "trace", "watchdog_quiet_s", "faults",
-    "io_retry", "task_max_attempts", "task_max_reroutes",
-    "protocol_checkers", "membership", "node_recovery", "worker_plane",
-    "codec",
+    "n_nodes", "workers", "memory_budget_per_node", "opcache_bytes",
+    "scratch_dir", "rng_seed", "gc_arrays", "scheduler_reorder", "trace",
+    "watchdog_quiet_s", "faults", "io_retry", "task_max_attempts",
+    "task_max_reroutes", "membership", "worker_plane", "codec",
 ]
 
 
@@ -51,7 +50,9 @@ class TestEngineConstructor:
         assert re.findall(r"(\w+)=", row) == ENGINE_PARAMETERS
 
     @pytest.mark.parametrize("removed", [
-        {"data_plane": "legacy"}, {"workers_per_node": 2}])
+        {"data_plane": "legacy"}, {"workers_per_node": 2},
+        {"io_filters_per_node": 3}, {"prefetch_depth": 0},
+        {"node_recovery": False}, {"protocol_checkers": True}])
     def test_removed_spellings_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             DOoCEngine(**removed)
@@ -160,11 +161,25 @@ class TestCommandLine:
             assert spelled <= subs, f"{doc.name}: {sorted(spelled - subs)}"
 
     def test_the_second_bench_harness_is_gone(self, capsys):
-        from repro.__main__ import main
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.bench")
-        assert main(["bench"]) == 2
+        assert cli_main(["bench"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_list(self, capsys):
+        assert cli_main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "table3" in out and "fig7" in out
+
+    def test_fig1_runs(self, capsys):
+        assert cli_main(["fig1"]) == 0
+        out = capsys.readouterr().out
+        assert "memory hierarchy" in out
+        assert "regenerated" in out
+
+    def test_table4_with_nodes(self, capsys):
+        assert cli_main(["table4", "--nodes", "1", "--seed", "0"]) == 0
+        assert "Table IV" in capsys.readouterr().out
 
 
 class TestSimSurfaces:

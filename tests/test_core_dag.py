@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dag import TaskDAG
+from repro.core.dag import TaskDAG, find_cycle
 from repro.core.errors import SchedulingError
 from repro.core.task import TaskSpec, task
 
@@ -135,3 +135,30 @@ class TestTaskDAG:
         tasks, initial = spmv_like_tasks()
         dag = TaskDAG(tasks, initial)
         assert dag.consumers_of("x0_0") == ["mult_00", "mult_10"]
+
+
+class TestFindCycle:
+    """The one cycle finder: TaskDAG, the lock-order recorder and DOOC011
+    all name what it returns."""
+
+    def test_acyclic_graph_has_none(self):
+        assert find_cycle({"a": ["b", "c"], "b": ["c"], "c": []}) is None
+        assert find_cycle({}) is None
+
+    def test_self_loop_is_closed(self):
+        assert find_cycle({"t": ["t"]}) == ["t", "t"]
+
+    def test_of_two_disjoint_cycles_the_least_node_s_is_returned(self):
+        succs = {"x": ["y"], "y": ["x"], "c": ["d"], "d": ["e"], "e": ["c"]}
+        assert find_cycle(succs) == ["c", "d", "e", "c"]
+
+    def test_nodes_feeding_or_hanging_off_are_left_out(self):
+        # "a" feeds the cycle and "b" hangs off it; both sort before it.
+        succs = {"a": ["m"], "m": ["n", "b"], "n": ["p"], "p": ["m"],
+                 "b": []}
+        assert find_cycle(succs) == ["m", "n", "p", "m"]
+
+    def test_successors_missing_as_keys_are_nodes_too(self):
+        assert find_cycle({"a": ["b"]}) is None
+        assert find_cycle({"b": ["a"], "a": ["b"], "z": ["q"]}) == [
+            "a", "b", "a"]

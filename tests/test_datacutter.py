@@ -408,3 +408,52 @@ class TestReadAny:
         layout.connect("quiet", "out", "reader", "in")
         ThreadedRuntime(layout).run(timeout=10)
         assert len(waited) == 1 and 0.01 <= waited[0] < 0.03
+
+
+class TestFilterContext:
+    def test_placement_and_identity_visible_to_filters(self):
+        seen = []
+
+        class Probe(Filter):
+            def process(self, ctx):
+                seen.append((ctx.name, ctx.instance, ctx.instances, ctx.node))
+
+        layout = Layout("ctx")
+        layout.add_filter("probe", Probe, instances=3, replicable=True,
+                          placement=[5, 6, 7])
+        ThreadedRuntime(layout).run(timeout=20)
+        assert sorted(seen) == [
+            ("probe", 0, 3, 5), ("probe", 1, 3, 6), ("probe", 2, 3, 7)]
+
+    def test_placement_length_mismatch_rejected(self):
+        layout = Layout("bad")
+        with pytest.raises(LayoutError, match="placement"):
+            layout.add_filter("f", Filter, instances=2, replicable=True,
+                              placement=[0])
+
+    def test_stop_requested_visible_after_failure(self):
+        saw_stop = []
+
+        class Boom(Filter):
+            def process(self, ctx):
+                raise RuntimeError("x")
+
+        class Watcher(Filter):
+            inputs = ("in",)
+
+            def process(self, ctx):
+                while not ctx.stop_requested:
+                    try:
+                        buf = ctx.read("in", timeout=0.05)
+                    except TimeoutError:
+                        continue
+                    if buf is END_OF_STREAM:
+                        break
+                saw_stop.append(True)
+
+        layout = Layout("stop")
+        layout.add_filter("b", Boom)
+        layout.add_filter("w", Watcher)
+        with pytest.raises(Exception):
+            ThreadedRuntime(layout).run(timeout=20)
+        assert saw_stop == [True]

@@ -523,12 +523,12 @@ def pair_program(n=64):
     return prog
 
 
-def run_chain(tmp_path, tag, *, faults=None, gc=False, recovery=True,
-              nodes=3, program=None):
+def run_chain(tmp_path, tag, *, faults=None, gc=False, nodes=3,
+              program=None):
     eng = DOoCEngine(
         n_nodes=nodes, scratch_dir=tmp_path / tag, gc_arrays=gc,
         faults=faults, membership=FAST_DETECT if faults else None,
-        node_recovery=recovery, watchdog_quiet_s=5.0,
+        watchdog_quiet_s=5.0,
     )
     try:
         report = eng.run(program or chain_program(nodes=nodes), timeout=60.0)
@@ -620,20 +620,15 @@ class TestEngineNodeLoss:
                                faults=FaultPlan(node_kill=((1, 1),)))
             assert np.array_equal(out, src ** 2 + (src + 1) ** 2)
 
-    def test_recovery_disabled_raises_named_node_loss(self, tmp_path):
-        faults = FaultPlan(node_kill=((1, 1),))
-        with pytest.raises(NodeLostError) as err:
-            run_chain(tmp_path, "norec", faults=faults, recovery=False)
-        assert err.value.node == 1
-        assert err.value.lost_blocks > 0
-        assert "node 1" in str(err.value)
-        # Never reported as a generic stall/timeout: the corpse is named.
-        assert isinstance(err.value, StallError)  # old catch sites still work
-
     def test_no_survivor_raises_node_loss(self, tmp_path):
         faults = FaultPlan(node_kill=((0, 1),))
-        with pytest.raises(NodeLostError):
+        with pytest.raises(NodeLostError) as err:
             run_chain(tmp_path, "lonely", faults=faults, nodes=1)
+        assert err.value.node == 0
+        assert err.value.lost_blocks == 16
+        assert "node 0" in str(err.value)
+        # Never reported as a generic stall/timeout: the corpse is named.
+        assert isinstance(err.value, StallError)  # old catch sites still work
 
     def test_vanished_node_is_named_without_waiting(self, tmp_path):
         # Once the last heartbeat stream has closed, no beat can arrive:

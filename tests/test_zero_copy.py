@@ -191,8 +191,14 @@ class TestWorkerPoolConfig:
             DOoCEngine(n_nodes=1, workers=0)
 
     def test_negative_opcache_budget_rejected(self):
-        with pytest.raises(DoocError):
-            DOoCEngine(n_nodes=1, opcache_bytes=-1)
+        # ...and every other bad value is refused here, by its own name,
+        # rather than as a derived value's or inside run()
+        for bad in ({"opcache_bytes": -1}, {"memory_budget_per_node": -5},
+                    {"memory_budget_per_node": 0},
+                    {"task_max_reroutes": -1}):
+            [name] = bad
+            with pytest.raises(DoocError, match=f"^{name} must be"):
+                DOoCEngine(n_nodes=1, **bad)
 
 
 def make_problem(n=64, k=2, seed=7, density_per_row=6.0):
