@@ -56,8 +56,8 @@ class TicketAuditor:
 
     def __init__(self):
         self._lock = threading.Lock()
-        # tid -> (node, ticket); tids are globally unique per engine run.
-        self._outstanding: dict[int, tuple[str, Ticket]] = {}
+        # (node, tid) -> (node, ticket); each store numbers its own tickets
+        self._outstanding: dict[tuple[str, int], tuple[str, Ticket]] = {}
         self.granted_total = 0
         self.released_total = 0
 
@@ -74,12 +74,12 @@ class TicketAuditor:
                 "view — readers could mutate a sealed block shared "
                 "zero-copy with other tasks and peers")
         with self._lock:
-            self._outstanding[ticket.tid] = (node, ticket)
+            self._outstanding[node, ticket.tid] = (node, ticket)
             self.granted_total += 1
 
     def note_released(self, node: str, ticket: Ticket) -> None:
         with self._lock:
-            self._outstanding.pop(ticket.tid, None)
+            self._outstanding.pop((node, ticket.tid), None)
             self.released_total += 1
 
     # abandonment is a release for lifecycle purposes
@@ -88,9 +88,8 @@ class TicketAuditor:
     def forget_node(self, node: str) -> None:
         """``node`` died: its tickets died with it, so none is a leak."""
         with self._lock:
-            for tid in [tid for tid, (n, _) in self._outstanding.items()
-                        if n == node]:
-                del self._outstanding[tid]
+            for key in [key for key in self._outstanding if key[0] == node]:
+                del self._outstanding[key]
 
     # -- teardown ----------------------------------------------------------
 

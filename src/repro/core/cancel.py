@@ -4,12 +4,12 @@ A :class:`CancelToken` is the one-way switch a supervisor hands to
 ``DOoCEngine.run(cancel=...)``.  Setting it does **not** kill threads or
 tear streams: the engine hooks the token (:meth:`CancelToken.on_cancel`)
 so that setting it posts one ``cancel`` message to the global scheduler,
-which stops dispatching, broadcasts a drain request, and waits for every
-node to report its in-flight tasks finished before running the normal
-wind-down.  The run
-then raises :class:`~repro.core.errors.RunCancelled` with every ticket
-released, /dev/shm unlinked, and nothing torn on disk — exactly the
-same exit hygiene as a successful run.
+which stops dispatching and broadcasts it; each node drops its ready
+work, finishes what is in flight, and the run ends on the barrier a
+completed run ends on, the filter graph parked.  The run then raises
+:class:`~repro.core.errors.RunCancelled` with every ticket released,
+/dev/shm unlinked, and nothing torn on disk — exactly the same exit
+hygiene as a successful run — and the next run starts cold.
 
 The token is therefore safe to set from any thread at any time,
 including before ``run()`` starts (the run cancels before dispatching

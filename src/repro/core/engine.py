@@ -360,8 +360,10 @@ class DOoCEngine:
         carried = self._session.take()
         try:
             return self._run(program, carried, timeout, cancel)
-        except BaseException:
-            self._close_graph()  # the session is closed: its graph goes too
+        except BaseException as exc:
+            if not (isinstance(exc, RunCancelled) and self._graph is not None
+                    and self._graph.parked):
+                self._close_graph()  # the session is closed: its graph too
             raise
 
     def _run(self, program: Program, carried: dict[str, FileBacking] | None,
@@ -686,8 +688,9 @@ class DOoCEngine:
         for node, store in self.stores.items():
             watchdog.watch_store(node, store)
         for node in range(self.n_nodes):
-            lsched = runtime.instances[f"lsched@{node}"][0].filter
-            watchdog.watch_scheduler(node, lsched.debug_snapshot)
+            for name in (f"lsched@{node}", f"worker@{node}"):
+                for inst in runtime.instances[name]:
+                    watchdog.watch_scheduler(node, inst.filter.debug_snapshot)
         if recovery is not None:
             watchdog.watch_membership(
                 lambda: recovery.tracker.snapshot(time.monotonic()))

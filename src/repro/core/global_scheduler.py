@@ -8,7 +8,7 @@ graph.  Ties are broken toward the least-loaded node (by assigned input
 bytes), then the lowest node index — both deterministic.
 
 ``GlobalScheduler`` and ``failover_node`` are pure;
-``_GlobalSchedulerFilter`` is their event loop in the engine: it sends
+``_GlobalSchedulerFilter`` is their step function in the engine: it sends
 ready tasks where they were placed, reroutes one that keeps failing, and
 fails a dead node's tasks over by the same affinity rule.
 """
@@ -180,12 +180,15 @@ class _GlobalSchedulerFilter(Filter):
         #: cooperative cancellation token (None = run to completion)
         self.cancel = run.cancel
         self.park = run.park
-        #: did this scheduler actually drain the run for a cancel?  The
+        #: did this scheduler actually end the run for a cancel?  The
         #: engine keys RunCancelled off this, not off the raw token, so a
         #: token set after the DAG completed does not fail a finished run.
         self.cancelled = False
-        #: nodes whose drain acknowledgement is still outstanding
-        self._cancel_pending: set[int] = set()
+        #: a run is open: between its "run" and the end of its barrier
+        self._open = False
+        #: the barrier that ends the run: nodes whose "ended" is still
+        #: due (None: the run has not reached it)
+        self._waiting: set[int] | None = None
         self._consumers_left: dict[str, int] = {}
         self._tried: dict[str, set[int]] = {}  # task -> nodes that failed it
         self._reroutes: dict[str, int] = {}
@@ -318,12 +321,12 @@ class _GlobalSchedulerFilter(Filter):
         survivors.  Write-once makes all of it safe: replays produce the
         same bytes, and no survivor cache needs invalidation.
         """
-        if self.cancelled:
-            # The run is being torn down anyway: no reconstruction, just
-            # stop survivors probing the corpse and stop waiting for its
-            # drain ack (its in-flight work died with it).
+        if self._waiting is not None:
+            # The run is ending anyway: no reconstruction, just stop
+            # survivors probing the corpse and stop waiting for its end
+            # (its in-flight work died with it).
             self._broadcast(ctx, {"op": "evict", "node": dead})
-            self._cancel_pending.discard(dead)
+            self._waiting.discard(dead)
             return
         rc = self.recovery
         plan = plan_reconstruction(
@@ -385,140 +388,132 @@ class _GlobalSchedulerFilter(Filter):
         rc.lineage.record(kind, task=name, node=new_node)
 
     def _all_vanished(self, ctx: FilterContext) -> NoReturn:
-        """Every lsched control stream closed before the DAG completed.
-
-        No heartbeat can arrive any more, so with a failure detector armed
-        its clock runs from deadline to deadline until ``_on_node_dead``
-        names the longest-silent node: a single-node kill, with no survivor
-        left to heartbeat, still fails by name (``NodeLostError``).
-        """
+        """Every lsched control stream closed before the run ended.  No
+        heartbeat can come any more, so an armed detector's clock runs from
+        deadline to deadline until ``_on_node_dead`` names the longest-silent
+        node: a single-node kill still fails by name (``NodeLostError``)."""
         if self.membership is not None:
             while (due := self.membership.next_deadline()) is not None:
                 self._check_membership(ctx, due)  # may raise NodeLostError
         raise SchedulingError("local schedulers vanished before the DAG completed")
 
-    def _begin_cancel(self, ctx: FilterContext) -> None:
-        """The token fired: stop dispatching and ask every node to drain.
+    def _barrier(self, ctx: FilterContext, op: str) -> None:
+        """Ask every live node to end the run: ``end`` (the DAG is done,
+        the workers idle) or ``cancel`` (drop the ready work, finish what
+        is in flight).  Either way each local scheduler then sends its
+        storage ``end``; storage answers ``ended`` once it holds no grant
+        and has no I/O in flight, and the answer comes back through the
+        local scheduler, behind everything that node sent before."""
+        self._waiting = set(self._live_nodes())
+        self._broadcast(ctx, {"op": op})
 
-        The drain request goes to local schedulers, never to storage:
-        each node finishes (only) its in-flight tasks, acks, and the
-        normal shutdown broadcast below runs once every ack is in — so
-        storage still drains strictly after all workers everywhere are
-        idle, same as a completed run.
-        """
-        if self.cancelled:
-            return  # the token check at start, then the posted message
-        self.cancelled = True
-        self._cancel_pending = set(self._live_nodes())
-        self.tracer.instant(-1, "gsched", "run", "run_cancel",
-                            reason=self.cancel.reason)
-        self._broadcast(ctx, {"op": "cancel"})
+    def deadline(self) -> float | None:
+        """The failure detector's next deadline, while a run is open."""
+        if self.membership is None or not self._open:
+            return None
+        return self.membership.next_deadline()
 
-    def process(self, ctx: FilterContext) -> None:
-        """Between runs, wait for the engine's ``run``; run it; park on the
-        barrier, or wind the graph down (a ``shutdown`` from the engine, a
-        cancelled run, a node death, the process plane)."""
-        while True:
-            _port, buf = ctx.read_any(["in"])
-            if buf is END_OF_STREAM or buf.payload["op"] == "shutdown":
-                break
-            # Anything else but "run" is left over from the run that ended:
-            # a cancel posted after it finished, a heartbeat, a sync.
-            if buf.payload["op"] == "run" and not self._run(ctx):
-                break
-        for i in range(self.n_nodes):
-            ctx.write(f"out_{i}", DataBuffer({"op": "shutdown"}))
+    def on_deadline(self, ctx: FilterContext) -> bool:
+        self._check_membership(ctx, time.monotonic())
+        return self._advance(ctx)
 
-    def _run(self, ctx: FilterContext) -> bool:
-        """Walk the DAG to completion (or drain it for a cancel); True if
-        the run ended on the barrier with the graph parked."""
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
+        """Between runs, wait for the engine's ``run`` or ``shutdown``."""
+        if buf is END_OF_STREAM:
+            if self._open:
+                self._all_vanished(ctx)
+            return self._wind_down(ctx)
+        msg = buf.payload
+        op = msg["op"]
+        if not self._open:
+            if op == "shutdown":
+                return self._wind_down(ctx)
+            if op == "run":
+                self._start(ctx)
+                return self._advance(ctx)
+            # Anything else is left over from the run that ended: a cancel
+            # posted after it finished, a heartbeat, a sync.
+            return False
+        if op == "heartbeat":
+            self._heartbeat(ctx, msg["node"])
+        elif op == "sync":
+            # FIFO: what this node's completions made ready went first.
+            ctx.write(f"out_{msg['node']}", DataBuffer({"op": "synced"}))
+        elif op == "cancel":
+            self._cancel(ctx)
+        elif op == "ended":
+            self._waiting.discard(msg["node"])
+            if self.membership is not None:  # it beats no more this run
+                self.membership.quiet(msg["node"])
+        elif op == "failed":
+            if not self.cancelled:  # no reroutes for a run being torn down
+                self._reroute(ctx, msg)
+        else:
+            self._on_done(ctx, msg["task"])
+        return self._advance(ctx)
+
+    def _start(self, ctx: FilterContext) -> None:
+        self._open = True
         if self.membership is not None:
-            # Every node beats from now on, whether it has work or not.
+            # Every node beats from now on, whether it has work or not;
+            # the detector's clock starts here.
             self._broadcast(ctx, {"op": "begin"})
+            self._check_membership(ctx, time.monotonic())
         if self.cancel is not None and self.cancel.is_set():
-            # Cancelled before dispatch: nothing runs, but the drain
-            # handshake still happens so the exit path is the same.
-            self._begin_cancel(ctx)
+            self._cancel(ctx)  # before dispatch: nothing runs
         else:
             self._send(ctx, sorted(self.dag.ready_tasks()))
-        while True:
-            if self.cancelled:
-                if not self._cancel_pending:
-                    return False  # every node drained: wind down
-            elif self.dag.done and not self._replaying:
-                break
-            wait_s = None  # untimed: every other wake-up is a message
-            if self.membership is not None:
-                now = time.monotonic()
-                self._check_membership(ctx, now)
-                due = self.membership.next_deadline()
-                wait_s = None if due is None else max(due - now, 0.0)
-            try:
-                _port, buf = ctx.read_any(["in"], timeout=wait_s)
-            except TimeoutError:
-                continue  # a detector deadline is due
-            if buf is END_OF_STREAM:
-                self._all_vanished(ctx)
-            msg = buf.payload
-            if msg["op"] == "heartbeat":
-                self._heartbeat(ctx, msg["node"])
-                continue
-            if msg["op"] == "sync":
-                # FIFO: what this node's completions made ready went first.
-                ctx.write(f"out_{msg['node']}", DataBuffer({"op": "synced"}))
-                continue
-            if msg["op"] == "cancel":
-                self._begin_cancel(ctx)
-                continue
-            if msg["op"] == "cancel_drained":
-                self._cancel_pending.discard(msg["node"])
-                continue
-            if msg["op"] == "failed":
-                if self.cancelled:
-                    continue  # no reroutes for a run being torn down
-                self._reroute(ctx, msg)
-                continue
-            if msg["task"] in self._replaying:
-                # A reconstruction replay finished: the DAG already counts
-                # this task as complete, so only clear the replay flag.
-                self._replaying.discard(msg["task"])
-                if self.recovery is not None:
-                    self.recovery.lineage.record(
-                        "replay_done", task=msg["task"])
-                continue
-            if msg["task"] in self._dup_ok and msg["task"] in self.dag.completed:
-                # The corpse finished this task before dying; the survivor's
-                # re-execution already marked it complete (or vice versa).
-                self._dup_ok.discard(msg["task"])
-                continue
-            newly = self.dag.mark_complete(msg["task"])
-            if not self.cancelled:
-                self._send(ctx, newly)
-            if self.recovery is not None:
-                self.recovery.lineage.record(
-                    "complete", task=msg["task"],
-                    node=self.assignment.get(msg["task"], -1))
-            if self.gc_arrays and not self.cancelled:
-                self._collect(ctx, msg["task"])
-        if not self.park or (self.membership is not None
-                             and self.membership.dead_nodes()):
-            return False  # a corpse's streams are closed: no next run
-        return self._end(ctx)
 
-    def _end(self, ctx: FilterContext) -> bool:
-        """The barrier that ends a run.  Every local scheduler is told, its
-        workers being idle; its storage answers once it holds no grant and
-        has no I/O in flight; the answer comes back through the local
-        scheduler, behind everything that node sent before.  With every
-        node's answer in, the graph is quiescent and the run ends."""
-        self._broadcast(ctx, {"op": "end"})
-        waiting = set(range(self.n_nodes))
-        while waiting:
-            _port, buf = ctx.read_any(["in"])
-            if buf is END_OF_STREAM:
-                self._all_vanished(ctx)
-            if buf.payload["op"] == "ended":
-                waiting.discard(buf.payload["node"])
-            # else a heartbeat, or a sync the "end" has answered
+    def _cancel(self, ctx: FilterContext) -> None:
+        """The token fired: stop dispatching and end the run on the
+        barrier (once; a run already on it ends anyway)."""
+        if self._waiting is None:
+            self.cancelled = True
+            self.tracer.instant(-1, "gsched", "run", "run_cancel",
+                                reason=self.cancel.reason)
+            self._barrier(ctx, "cancel")
+
+    def _on_done(self, ctx: FilterContext, task: str) -> None:
+        if task in self._replaying:
+            # A reconstruction replay finished: the DAG already counts
+            # this task as complete, so only clear the replay flag.
+            self._replaying.discard(task)
+            if self.recovery is not None:
+                self.recovery.lineage.record("replay_done", task=task)
+            return
+        if task in self._dup_ok and task in self.dag.completed:
+            # The corpse finished this task before dying; the survivor's
+            # re-execution already marked it complete (or vice versa).
+            self._dup_ok.discard(task)
+            return
+        newly = self.dag.mark_complete(task)
+        if not self.cancelled:
+            self._send(ctx, newly)
+        if self.recovery is not None:
+            self.recovery.lineage.record(
+                "complete", task=task, node=self.assignment.get(task, -1))
+        if self.gc_arrays and not self.cancelled:
+            self._collect(ctx, task)
+
+    def _advance(self, ctx: FilterContext) -> bool:
+        """Start the barrier once the DAG is done; end the run once every
+        live node has answered it.  A graph that cannot park — the
+        process plane, a corpse's closed streams — winds down instead."""
+        parks = self.park and not (self.membership is not None
+                                   and self.membership.dead_nodes())
+        if self._waiting is None and (not self.dag.done or self._replaying):
+            return False
+        if self._waiting is None and parks:
+            self._barrier(ctx, "end")
+        if self._waiting:
+            return False
+        if not parks:
+            return self._wind_down(ctx)
+        self._open = False
         ctx.end_run()
+        return False
+
+    def _wind_down(self, ctx: FilterContext) -> bool:
+        for i in range(self.n_nodes):
+            ctx.write(f"out_{i}", DataBuffer({"op": "shutdown"}))
         return True

@@ -646,76 +646,47 @@ class IOFilter(Filter):
                             array=desc.name, block=block, error=repr(last))
         return None, last
 
-    def process(self, ctx: FilterContext) -> None:
-        tracer = self.tracer
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
+        if buf is END_OF_STREAM:
+            return True
         lane = f"io/{ctx.instance}"
-        while True:
-            # Waiting, perhaps parked between runs, this thread holds no
-            # block: one the store has dropped must not stay resident.
-            buf = cmd = data = None
-            buf = ctx.read("in")
-            if buf is END_OF_STREAM:
-                return
-            cmd = buf.payload
-            desc: ArrayDesc = cmd["desc"]
-            block: int = cmd["block"]
-            op: str = cmd["op"]
-            token = cmd.get("token")
-            start = tracer.now()
-            if op == "load":
-                segment = cmd.get("segment") or ""
-                if segment and self.segment_pool is not None:
-                    # Destination segment pre-allocated by the store:
-                    # readinto (or decode into) it directly, then hand
-                    # back the sealed (frozen) view.
-                    def _load_into(segment=segment):
-                        out = self.segment_pool.ndarray(
-                            segment, desc.block_length(block), desc.dtype)
-                        read_block_into(self.scratch, desc, block, out,
-                                        metrics=self.metrics)
-                        out.flags.writeable = False
-                        return out
-
-                    data, error = self._attempt(
-                        _load_into, op, desc, block, lane)
-                else:
-                    data, error = self._attempt(
-                        lambda: read_block(self.scratch, desc, block,
-                                           metrics=self.metrics),
-                        op, desc, block, lane)
-                if error is None:
-                    tracer.complete(self.node, lane, "io", "read", start,
-                                    array=desc.name, block=block)
-                    ctx.write("out", DataBuffer(
-                        {"op": "loaded", "desc": desc, "block": block,
-                         "data": data, "token": token}))
-                    continue
-            elif op == "store":
-                _, error = self._attempt(
-                    lambda: write_block(self.scratch, desc, block,
-                                        cmd["data"], metrics=self.metrics,
-                                        durable=False),
-                    op, desc, block, lane)
-                if error is None:
-                    tracer.complete(self.node, lane, "io", "write", start,
-                                    array=desc.name, block=block)
-                    ctx.write("out", DataBuffer(
-                        {"op": "stored", "desc": desc, "block": block,
-                         "token": token}))
-                    continue
-            elif op == "unlink":
-                _, error = self._attempt(
-                    lambda: delete_array_file(self.scratch, desc.name),
-                    op, desc, block, lane)
-                if error is None:
-                    tracer.complete(self.node, lane, "io", "unlink", start,
-                                    array=desc.name)
-                    ctx.write("out", DataBuffer(
-                        {"op": "unlinked", "desc": desc, "block": -1,
-                         "token": token}))
-                    continue
-            else:
-                raise StorageError(f"unknown I/O op {op!r}")
-            ctx.write("out", DataBuffer(
-                {"op": "io_error", "failed_op": op, "desc": desc,
-                 "block": block, "error": repr(error), "token": token}))
+        cmd = buf.payload
+        desc: ArrayDesc = cmd["desc"]
+        block: int = cmd["block"]
+        op: str = cmd["op"]
+        start = self.tracer.now()
+        if op == "load":
+            def fn():
+                if not (cmd.get("segment") and self.segment_pool is not None):
+                    return read_block(self.scratch, desc, block,
+                                      metrics=self.metrics)
+                # Destination segment pre-allocated by the store: readinto
+                # (or decode into) it directly, then hand back the sealed view.
+                out = self.segment_pool.ndarray(
+                    cmd["segment"], desc.block_length(block), desc.dtype)
+                read_block_into(self.scratch, desc, block, out,
+                                metrics=self.metrics)
+                out.flags.writeable = False
+                return out
+        elif op == "store":
+            def fn():
+                write_block(self.scratch, desc, block, cmd["data"],
+                            metrics=self.metrics, durable=False)
+        elif op == "unlink":
+            def fn():
+                delete_array_file(self.scratch, desc.name)
+        else:
+            raise StorageError(f"unknown I/O op {op!r}")
+        data, error = self._attempt(fn, op, desc, block, lane)
+        if error is not None:
+            reply = {"op": "io_error", "failed_op": op, "error": repr(error)}
+        else:
+            span, reply = {"load": ("read", {"op": "loaded", "data": data}),
+                           "store": ("write", {"op": "stored"}),
+                           "unlink": ("unlink", {"op": "unlinked"})}[op]
+            where = {"array": desc.name} if op == "unlink" else {
+                "array": desc.name, "block": block}
+            self.tracer.complete(self.node, lane, "io", span, start, **where)
+        ctx.write("out", DataBuffer(
+            {**reply, "desc": desc, "block": block, "token": cmd.get("token")}))
+        return False

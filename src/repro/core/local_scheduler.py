@@ -213,14 +213,16 @@ class LocalSchedulerCore:
 class _LocalSchedulerFilter(Filter):
     """Per-node scheduler: dispatch, split, prefetch.
 
-    The event loop around :class:`LocalSchedulerCore`.  Prefetch requests
-    keep a window of ready tasks memory-resident; they only fill free
-    memory, so out of core the store declines them, and what happens then
-    is the core's :meth:`~LocalSchedulerCore.choose`.  This filter keeps
-    the counts that rule is about — tasks in flight here, completions not
-    yet synced with the global scheduler, what the store said was loading
-    — and blocks whenever it says wait: each thing in flight ends in a
-    message (``done``/``failed``, ``wake``/``dropped``, ``synced``).
+    The step function around :class:`LocalSchedulerCore`.  Prefetch
+    requests keep a window of ready tasks memory-resident; they only fill
+    free memory, so out of core the store declines them, and what happens
+    then is the core's :meth:`~LocalSchedulerCore.choose`.  This filter
+    keeps the counts that rule is about — tasks in flight here,
+    completions not yet synced with the global scheduler, what the store
+    said was loading — and waits whenever it says wait: each thing in
+    flight ends in a message (``done``/``failed``, ``wake``/``dropped``,
+    ``synced``).  While the store's answer to a ``map`` query is out, the
+    filter listens to storage alone.
     """
 
     inputs = ("in", "from_workers", "from_storage")
@@ -263,10 +265,17 @@ class _LocalSchedulerFilter(Filter):
         #: scheduler / a sync request is unanswered
         self._unsynced = self._syncing = False
         self._loading: set[str] = set()  # as of the last map reply
-        #: a cancel drain is underway: no dispatch, no retries, no
-        #: escalation — only in-flight work finishes
+        #: the store's ``map`` reply is out: "map" asks before the
+        #: prefetch window, "prefetched" after it (None: not waiting)
+        self._awaiting: str | None = None
+        #: the run is cancelled: no dispatch, no retries, no escalation —
+        #: only in-flight work finishes, then the run ends as usual
         self._cancelling = False
-        self._drain_acked = False
+        #: the run's "end" went to storage / the node died (injected)
+        self._ended = self._dead = False
+
+    def listening(self) -> tuple[str, ...]:
+        return ("from_storage",) if self._awaiting else self.inputs
 
     def _on_storage_note(self, msg: dict) -> None:
         """A push note from storage: ``wake`` (residency changed; the
@@ -274,28 +283,62 @@ class _LocalSchedulerFilter(Filter):
         if msg["op"] == "dropped":
             self.core.forget_prefetch(msg["array"])
 
-    def _query_map(self, ctx: FilterContext) -> tuple[set[str], set[str]]:
+    def _query_map(self, ctx: FilterContext, stage: str) -> None:
         """Ask storage which inputs of the ready tasks are resident (the
-        only names ranking, prefetch planning and the choice test); returns
-        ``(resident, declined)``.
-        Declined prefetches are re-armed (memory may be free by the next
-        event); one whose load *failed* is not: the task's demand read,
-        dispatched unwarmed, reports the error."""
+        only names ranking, prefetch planning and the choice test), and
+        wait for the answer."""
         ctx.write("to_storage", DataBuffer(
             {"op": "map", "arrays": self.core.ready_inputs()}))
-        while True:
-            buf = ctx.read("from_storage")
-            if buf is END_OF_STREAM:
-                return set(), set()
-            msg = buf.payload
-            if msg["op"] == "map":
-                self._loading = msg["loading"]
-                for array in msg["declined"]:
-                    self.core.forget_prefetch(array)
-                return msg["resident"], msg["declined"]
-            # "wake"/"dropped" notes racing the reply are absorbed here;
-            # the dispatch about to run uses the fresher map anyway.
-            self._on_storage_note(msg)
+        self._awaiting = stage
+
+    def _on_map(self, ctx: FilterContext, msg: dict) -> None:
+        """The store answered ``map``.  Declined prefetches are re-armed
+        (memory may be free by the next event); one whose load *failed*
+        is not: the task's demand read, dispatched unwarmed, reports the
+        error."""
+        self._loading = msg["loading"]
+        resident, declined = msg["resident"], msg["declined"]
+        for array in declined:
+            self.core.forget_prefetch(array)
+        if self._awaiting == "map":
+            # Keep upcoming tasks warm regardless of whether we dispatch.
+            plan = self.core.prefetch_plan(resident, self.nbytes)
+            for array in plan:
+                self.tracer.instant(self.node, "sched", "sched", "prefetch",
+                                    array=array)
+                ctx.write("to_storage", DataBuffer(
+                    {"op": "prefetch", "array": array}))
+            if plan:
+                # Streams are FIFO: this reply tells accepted from declined.
+                self._query_map(ctx, "prefetched")
+                return
+        self._awaiting = None
+        task = self._choose(ctx, resident, declined)
+        if task is None:
+            return
+        subtasks = [task]
+        spare = len(self._idle) - 1
+        if task.splittable and spare > 0 and self.core.ready_count == 0:
+            subtasks = LocalSchedulerCore.split(task, spare + 1)
+            if len(subtasks) > 1:
+                self._parents[task.name] = len(subtasks)
+        for sub in subtasks:
+            if not self._idle:
+                # More subtasks than workers (split() may round up):
+                # requeue the remainder as ready work.
+                self.core.add_ready(sub)
+                continue
+            worker = self._idle.pop(0)
+            self._inflight += 1
+            attempt = self._attempts.get(sub.name, 0) + 1
+            self._attempts[sub.name] = attempt
+            self.tracer.instant(self.node, "sched", "task", "dispatch",
+                                task=sub.name, worker=worker,
+                                attempt=attempt)
+            ctx.write("to_workers", DataBuffer(
+                {"op": "task", "task": sub, "attempt": attempt},
+                {"__dest__": worker}))
+        self._dispatch(ctx)
 
     def _choose(self, ctx: FilterContext, resident: set[str],
                 declined: set[str]) -> TaskSpec | None:
@@ -322,86 +365,50 @@ class _LocalSchedulerFilter(Filter):
         return (self._kill_after is not None
                 and self._completions >= self._kill_after)
 
-    def _maybe_beat(self, ctx: FilterContext) -> None:
+    def deadline(self) -> float | None:
+        """The next liveness beacon, while the run wants one."""
+        return (None if self.heartbeat_s is None or self._dying
+                else self._next_beat)
+
+    def on_deadline(self, ctx: FilterContext) -> None:
         """Send the periodic liveness beacon to the global scheduler.
 
-        The beacon comes from this scheduler loop, not from task progress,
-        so a node mired in I/O retries or task re-executions still beats —
-        the failure detector only fires on genuine silence.  It is not
-        routed through the tracer: a beat is not runtime progress and must
-        not reset the stall watchdog's quiet clock.
+        The beacon comes from this scheduler's clock, not from task
+        progress, so a node mired in I/O retries or task re-executions
+        still beats — the failure detector only fires on genuine silence.
+        It is not routed through the tracer: a beat is not runtime
+        progress and must not reset the stall watchdog's quiet clock.
         """
-        if self.heartbeat_s is None or self._dying:
-            return
-        now = time.monotonic()
-        if now >= self._next_beat:
-            self._next_beat = now + self.heartbeat_s
-            self._inc("heartbeats_sent")
-            ctx.write("to_gsched", DataBuffer(
-                {"op": "heartbeat", "node": self.node}))
+        self._next_beat = time.monotonic() + self.heartbeat_s
+        self._inc("heartbeats_sent")
+        ctx.write("to_gsched", DataBuffer({"op": "heartbeat", "node": self.node}))
 
-    def _die(self, ctx: FilterContext) -> None:
-        """Permanent injected node death: fall silent, then drain.
-
-        The node's threads cannot simply vanish (they share the runtime
-        with the survivors), so death is modeled as the loudest possible
-        silence: workers are shut down, storage enters corpse mode, the
-        control stream to the global scheduler closes, and the filter
-        discards inbound traffic until every stream reaches end-of-stream.
-        """
-        if self.injector is not None:
-            self.injector.record_node_kill(self._completions)
+    def _stop(self, ctx: FilterContext, op: str) -> None:
+        """Shut the workers down and send storage ``op``."""
         for worker in range(self.workers):
             ctx.write("to_workers", DataBuffer(
                 {"op": "shutdown"}, {"__dest__": worker}))
-        ctx.write("to_storage", DataBuffer({"op": "die"}))
+        ctx.write("to_storage", DataBuffer({"op": op}))
+
+    def _die(self, ctx: FilterContext) -> None:
+        """Permanent injected node death, as the loudest possible silence
+        (the node's threads share the runtime with the survivors, so they
+        cannot just vanish): workers shut down, storage turns corpse, the
+        control stream to the global scheduler closes, and inbound traffic
+        is discarded until every stream reaches end-of-stream."""
+        if self.injector is not None:
+            self.injector.record_node_kill(self._completions)
+        self._stop(ctx, "die")
         ctx.close("to_gsched")
         ctx.close("to_storage")
-        while True:
-            _port, buf = ctx.read_any(["in", "from_workers", "from_storage"])
-            if buf is END_OF_STREAM:
-                return
+        self._dead = True
 
     def _dispatch(self, ctx: FilterContext) -> None:
-        if self._dying or self._cancelling:
-            return  # no new work on a node that is dying or draining
-        while self._idle and self.core.ready_count:
-            resident, declined = self._query_map(ctx)
-            # Keep upcoming tasks warm regardless of whether we dispatch.
-            plan = self.core.prefetch_plan(resident, self.nbytes)
-            for array in plan:
-                self.tracer.instant(self.node, "sched", "sched", "prefetch",
-                                    array=array)
-                ctx.write("to_storage", DataBuffer(
-                    {"op": "prefetch", "array": array}))
-            if plan:
-                # Streams are FIFO: this reply tells accepted from declined.
-                resident, declined = self._query_map(ctx)
-            task = self._choose(ctx, resident, declined)
-            if task is None:
-                break
-            subtasks = [task]
-            spare = len(self._idle) - 1
-            if task.splittable and spare > 0 and self.core.ready_count == 0:
-                subtasks = LocalSchedulerCore.split(task, spare + 1)
-                if len(subtasks) > 1:
-                    self._parents[task.name] = len(subtasks)
-            for sub in subtasks:
-                if not self._idle:
-                    # More subtasks than workers (split() may round up):
-                    # requeue the remainder as ready work.
-                    self.core.add_ready(sub)
-                    continue
-                worker = self._idle.pop(0)
-                self._inflight += 1
-                attempt = self._attempts.get(sub.name, 0) + 1
-                self._attempts[sub.name] = attempt
-                self.tracer.instant(self.node, "sched", "task", "dispatch",
-                                    task=sub.name, worker=worker,
-                                    attempt=attempt)
-                ctx.write("to_workers", DataBuffer(
-                    {"op": "task", "task": sub, "attempt": attempt},
-                    {"__dest__": worker}))
+        """With a worker idle and a task ready, ask storage for the map
+        (no new work on a node that is dying or cancelled)."""
+        if (self._idle and self.core.ready_count and not self._awaiting
+                and not self._dying and not self._cancelling):
+            self._query_map(ctx, "map")
 
     def debug_snapshot(self) -> dict:
         """Scheduler-side state for the stall watchdog (best effort)."""
@@ -411,6 +418,7 @@ class _LocalSchedulerFilter(Filter):
             "idle_workers": len(self._idle),
             "syncing": self._syncing,
             "loading": sorted(self._loading),
+            "awaiting": ["scheduler awaiting map"] if self._awaiting else [],
         }
 
     def _inc(self, name: str) -> None:
@@ -464,91 +472,75 @@ class _LocalSchedulerFilter(Filter):
             {"op": "failed", "task": task.name, "node": self.node,
              "error": msg["error"]}))
 
-    def _begin_cancel_drain(self, ctx: FilterContext) -> None:
-        """Global scheduler asked for a cancel drain: discard queued
-        ready work (no worker ever saw it, so dropping it is safe) and
-        let only in-flight tasks run to completion."""
-        self._cancelling = True
-        for t in list(self.core.pending_tasks()):
-            self.core.claim(t.name)
-        self._maybe_ack_drain(ctx)
+    def _end(self, ctx: FilterContext) -> None:
+        """Forward the run's end to storage, once: the DAG is done, or the
+        run is cancelled and nothing is in flight here any more."""
+        if not self._ended:
+            self._ended = True
+            if self._cancelling:
+                self.tracer.instant(self.node, "sched", "run", "cancel_drain")
+            ctx.write("to_storage", DataBuffer({"op": "end"}))
 
-    def _maybe_ack_drain(self, ctx: FilterContext) -> None:
-        """Tell the global scheduler this node is quiescent (once)."""
-        if (self._cancelling and not self._drain_acked
-                and self._inflight == 0):
-            self._drain_acked = True
-            self.tracer.instant(self.node, "sched", "run", "cancel_drain")
-            ctx.write("to_gsched", DataBuffer(
-                {"op": "cancel_drained", "node": self.node}))
-
-    def process(self, ctx: FilterContext) -> None:
-        self._maybe_beat(ctx)
-        while True:
-            if self._dying and self._inflight == 0:
-                self._die(ctx)
-                return
-            try:
-                port, buf = ctx.read_any(
-                    ["in", "from_workers", "from_storage"],
-                    timeout=None if self._dying else self.heartbeat_s)
-            except TimeoutError:
-                self._maybe_beat(ctx)
-                continue
-            self._maybe_beat(ctx)
-            if buf is END_OF_STREAM:
-                break
-            msg = buf.payload
-            if port == "in":
-                if msg["op"] == "shutdown":
-                    break
-                if msg["op"] == "end":
-                    # The DAG is done and the workers idle: no beacon
-                    # until the next run, and storage finishes the run.
-                    self.heartbeat_s = None
-                    ctx.write("to_storage", DataBuffer({"op": "end"}))
-                    continue
-                if msg["op"] == "begin":
-                    continue  # a run began: the beacon above went out
-                if msg["op"] == "cancel":
-                    self._begin_cancel_drain(ctx)
-                    continue
-                if msg["op"] == "gc":
-                    ctx.write("to_storage", DataBuffer(
-                        {"op": "delete", "array": msg["array"]}))
-                    continue
-                if msg["op"] in ("rehome", "ensure", "evict"):
-                    # Reroute/recovery bookkeeping from the global
-                    # scheduler, relayed to storage ahead of any
-                    # re-dispatched task.
-                    ctx.write("to_storage", DataBuffer(msg))
-                    continue
-                if msg["op"] == "synced":
-                    self._syncing = False
-                elif not self._cancelling:  # else: sent before the cancel
-                    for task in msg["tasks"]:
-                        self.core.add_ready(task)
-            elif port == "from_storage":
-                if msg["op"] == "ended":
-                    # Storage's half of the barrier, behind everything this
-                    # node sent the global scheduler during the run.
-                    ctx.write("to_gsched", DataBuffer(msg))
-                    continue
-                self._on_storage_note(msg)  # wake/dropped; then re-dispatch
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
+        if self._dead:
+            return buf is END_OF_STREAM
+        if buf is END_OF_STREAM:
+            port, buf = "in", DataBuffer({"op": "shutdown"})
+        msg = buf.payload
+        if port == "in":
+            op = msg["op"]
+            if op == "shutdown":
+                # Workers are idle by construction: the global scheduler
+                # only announces shutdown once every node's work is done.
+                self._stop(ctx, "shutdown")
+                return True
+            if op == "end":
+                self._end(ctx)  # the DAG is done and the workers idle
+            elif op == "cancel":
+                # No worker ever saw the ready work: drop it.
+                self._cancelling = True
+                for t in list(self.core.pending_tasks()):
+                    self.core.claim(t.name)
+            elif op == "gc":
+                ctx.write("to_storage", DataBuffer(
+                    {"op": "delete", "array": msg["array"]}))
+            elif op in ("rehome", "ensure", "evict"):
+                # Reroute/recovery bookkeeping from the global scheduler,
+                # relayed to storage ahead of any re-dispatched task.
+                ctx.write("to_storage", DataBuffer(msg))
+            elif op == "synced":
+                self._syncing = False
+                self._dispatch(ctx)
+            elif op == "tasks":  # none come after a cancel
+                for task in msg["tasks"]:
+                    self.core.add_ready(task)
+                self._dispatch(ctx)
+            # "begin": a run began, and with it the beacon
+        elif port == "from_storage":
+            if msg["op"] == "map":
+                self._on_map(ctx, msg)
+            elif msg["op"] == "ended":
+                # Storage's half of the barrier, behind everything this
+                # node sent the global scheduler during the run; no
+                # beacon until the next one.
+                self.heartbeat_s = None
+                ctx.write("to_gsched", DataBuffer(msg))
             else:
-                # "idle" (a worker's first word), "done" or "failed": each
-                # also says the worker instance that sent it is free.
-                if msg["op"] == "failed":
-                    self._on_failed(ctx, msg)
-                elif msg["op"] == "done":
-                    self._on_done(ctx, msg)
-                self._idle.append(msg["inst"])
-                self._maybe_ack_drain(ctx)
+                # "wake"/"dropped": re-dispatch, unless a map reply is due
+                # (it is fresher than the note anyway).
+                self._on_storage_note(msg)
+                self._dispatch(ctx)
+        else:
+            # "idle" (a worker's first word), "done" or "failed": each
+            # also says the worker instance that sent it is free.
+            if msg["op"] == "failed":
+                self._on_failed(ctx, msg)
+            elif msg["op"] == "done":
+                self._on_done(ctx, msg)
+            self._idle.append(msg["inst"])
             self._dispatch(ctx)
-        # Wind down: workers are idle by construction (the global scheduler
-        # only announces shutdown once the DAG is complete).
-        for worker in range(self.workers):
-            ctx.write("to_workers", DataBuffer(
-                {"op": "shutdown"}, {"__dest__": worker}))
-        ctx.write("to_storage", DataBuffer({"op": "shutdown"}))
-
+        if self._dying and not self._inflight:
+            self._die(ctx)
+        elif self._cancelling and not self._inflight:
+            self._end(ctx)
+        return False

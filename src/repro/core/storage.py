@@ -319,6 +319,13 @@ class LocalStore:
     def is_remote(self, name: str) -> bool:
         return name in self._remote_arrays
 
+    def unproduced(self, interval: Interval) -> bool:
+        """Homed here, and nothing of it is written, on disk or being
+        written: a read of the block could only wait."""
+        st = self._block_of(interval)
+        return not (st.status != _ABSENT or st.on_disk or st.written
+                    or st.writers or interval.array in self._remote_arrays)
+
     # -- requests ----------------------------------------------------------------
 
     def request_read(self, interval: Interval) -> tuple[Ticket, list[Effect]]:

@@ -468,6 +468,11 @@ class _StorageFilter(Filter):
                 try:
                     if write:
                         ticket, granted = self.store.request_write(iv)
+                    elif self.store.unproduced(iv):
+                        # Recovery re-produces a dispatched task's input:
+                        # waiting would hold a worker the replay may need.
+                        raise StorageError(
+                            f"{iv.array}[{iv.block}] is being reconstructed")
                     else:
                         ticket, granted = self.store.request_read(iv)
                 except StorageError as exc:
@@ -572,70 +577,52 @@ class _StorageFilter(Filter):
                 self._probe_next(ctx, array)
         self._delayed = [d for d in self._delayed if d[1] != dead]
 
-    def process(self, ctx: FilterContext) -> None:
-        ports = ["req", "io_done", "peer_in"]
-        while True:
-            if self._closing and self._outstanding_io == 0 \
-                    and not self._io_closed:
-                # Closing io_cmd lets the I/O filters exit, which EOSes
-                # io_done; the loop then runs to EOS of all ports, so every
-                # in-flight release/peer message is still processed.
-                ctx.close("io_cmd")
-                self._io_closed = True
-            # Waiting, perhaps parked between runs, this thread holds no
-            # block: one the store has dropped must not stay resident.
-            buf = msg = None
-            # the earliest deadline of pending recovery work, if any
-            due = min((d[0] for d in (*self._delayed,
-                                      *self._fetch_pending.values(),
-                                      *self._lookup_pending.values())),
-                      default=None)
-            try:
-                port, buf = ctx.read_any(ports, timeout=None if due is None
-                                         else max(due - time.monotonic(), 0.0))
-            except TimeoutError:
-                self._tick(ctx)
-                continue
-            if due is not None:
-                # Heavy traffic can starve the timeout path; check the
-                # deadlines between messages too.
-                self._tick(ctx)
-            if buf is END_OF_STREAM:
-                break
-            msg = buf.payload
-            if self._dead:
-                # Corpse mode: keep the stream accounting honest (io_done
-                # gates the io_cmd close above) but discard every message —
-                # survivors observe silence, retransmit, and evict us.
-                if port == "io_done":
-                    self._outstanding_io -= 1
-                continue
-            if port == "req":
-                self._handle_request(ctx, msg)
-            elif port == "peer_in":
-                self._handle_peer(ctx, msg)
-            else:  # io_done
-                self._outstanding_io -= 1
-                if msg["op"] == "loaded":
-                    self._end_io_span("load", msg["desc"].name, msg["block"])
-                    self._execute(ctx, self.store.on_loaded(
-                        msg["desc"].name, msg["block"], msg["data"]))
-                elif msg["op"] == "stored":
-                    self._end_io_span("spill", msg["desc"].name, msg["block"])
-                    self._execute(ctx, self.store.on_spilled(
-                        msg["desc"].name, msg["block"]))
-                elif msg["op"] == "io_error":
-                    self._on_io_error(ctx, msg)
-                # "unlinked": nothing to do beyond the accounting above
-                if not self._draining:
-                    # A finished load/spill may have unpinned a block a
-                    # parked delete or recovery rehome is waiting on.
-                    self._retry_parked(ctx)
-                self._wake_scheduler(ctx)
-            self._maybe_end(ctx)
-        if not self._io_closed:
+    def deadline(self) -> float | None:
+        """The earliest deadline of pending recovery work, if any."""
+        return min((d[0] for d in (*self._delayed,
+                                   *self._fetch_pending.values(),
+                                   *self._lookup_pending.values())),
+                   default=None)
+
+    on_deadline = _tick
+
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
+        if buf is END_OF_STREAM:
+            return True  # the runtime closes io_cmd, if still open
+        msg = buf.payload
+        if port == "io_done":
+            self._outstanding_io -= 1
+        if self._dead:
+            pass  # a corpse counts io_done (it gates the io_cmd close) only
+        elif port == "req":
+            self._handle_request(ctx, msg)
+        elif port == "peer_in":
+            self._handle_peer(ctx, msg)
+        else:  # io_done
+            if msg["op"] == "loaded":
+                self._end_io_span("load", msg["desc"].name, msg["block"])
+                self._execute(ctx, self.store.on_loaded(
+                    msg["desc"].name, msg["block"], msg["data"]))
+            elif msg["op"] == "stored":
+                self._end_io_span("spill", msg["desc"].name, msg["block"])
+                self._execute(ctx, self.store.on_spilled(
+                    msg["desc"].name, msg["block"]))
+            elif msg["op"] == "io_error":
+                self._on_io_error(ctx, msg)
+            # "unlinked": nothing to do beyond the accounting above
+            if not self._draining:
+                # A finished load/spill may have unpinned a block a parked
+                # delete or recovery rehome is waiting on.
+                self._retry_parked(ctx)
+            self._wake_scheduler(ctx)
+        self._maybe_end(ctx)
+        if self._closing and self._outstanding_io == 0 and not self._io_closed:
+            # Closing io_cmd lets the I/O filters exit, which EOSes io_done;
+            # the loop then runs to EOS of all ports, so every in-flight
+            # release/peer message is still processed.
             ctx.close("io_cmd")
             self._io_closed = True
+        return False
 
     def _on_io_error(self, ctx: FilterContext, msg: dict) -> None:
         """An I/O command exhausted its retries: fail the blocked tickets."""

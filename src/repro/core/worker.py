@@ -8,6 +8,7 @@ slot's worker process (:mod:`repro.core.procplane`); either way through
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.array import ArrayDesc
@@ -31,6 +32,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import RunState
 
 
+@dataclass
+class _Attempt:
+    """One task attempt of a worker, from its request to its releases."""
+
+    task: TaskSpec
+    attempt: int
+    started: float
+    #: array -> the intervals asked for, and how many there are
+    reads: dict[str, list[Interval]] = field(default_factory=dict)
+    writes: dict[str, list[Interval]] = field(default_factory=dict)
+    wanted: int = 0
+    #: grants received, each unwound by ``_abort`` if the attempt fails
+    held: list[Ticket] = field(default_factory=list)
+    errors: list[dict] = field(default_factory=list)
+
+
 class _WorkerFilter(Filter):
     """Executes task bodies against storage-granted views.
 
@@ -48,6 +65,8 @@ class _WorkerFilter(Filter):
     def __init__(self, node: int, run: RunState, tracer: Tracer):
         self.node = node
         self.tracer = tracer
+        #: the attempt whose grants are awaited (None: waiting for a task)
+        self._attempt: _Attempt | None = None
         self.begin(run)
 
     def begin(self, run: RunState) -> None:
@@ -65,124 +84,114 @@ class _WorkerFilter(Filter):
         self.plane: ProcessWorkerPool | None = run.plane
         self.segment_pool: SegmentPool | None = run.segment_pool
 
+    def listening(self) -> tuple[str, ...]:
+        return ("from_storage",) if self._attempt is not None else ("in",)
+
+    def debug_snapshot(self) -> dict:
+        """The grants this worker waits for, for the stall watchdog."""
+        a = self._attempt
+        return {"awaiting": [] if a is None else [
+            f"worker awaiting {a.wanted - len(a.held) - len(a.errors)} of "
+            f"{a.wanted} grants for {a.task.name}"]}
+
     # -- storage round-trips ----------------------------------------------------
 
-    def _acquire(self, ctx: FilterContext, reads: list[Interval],
-                 writes: list[Interval], held: list[Ticket]) -> list[Ticket]:
-        """Ask the store for every interval of a task in one message;
-        returns the tickets in request order, reads then writes.
-
-        Grants are appended to ``held`` as they arrive so that a failure
-        leaves no ticket untracked; every interval is answered (granted,
-        or refused with an error) before this raises, so nothing remains
-        outstanding.
-        """
-        start = self.tracer.now()
+    def _request(self, ctx: FilterContext, a: _Attempt) -> bool:
+        """Ask the store for every interval of the task in one message; a
+        task that asks for nothing runs at once."""
+        out_ranges: dict[str, tuple[int, int]] = a.task.meta.get(
+            "out_ranges", {})
+        a.reads = {n: whole_array(self.descs[n]) for n in a.task.inputs}
+        #: of each output, the [lo, hi) this task writes: all of it, or
+        #: the range a split gave this subtask
+        a.writes = {n: intervals_for_range(
+                        self.descs[n],
+                        *out_ranges.get(n, (0, self.descs[n].length)))
+                    for n in a.task.outputs}
+        reads = [iv for ivs in a.reads.values() for iv in ivs]
+        writes = [iv for ivs in a.writes.values() for iv in ivs]
+        a.wanted = len(reads) + len(writes)
         ctx.write("to_storage", DataBuffer(
             {"op": "acquire", "reads": reads, "writes": writes,
              "reply_to": ("worker", ctx.instance)}))
-        wanted = len(reads) + len(writes)
-        errors: list[dict] = []
-        while len(held) + len(errors) < wanted:
-            buf = ctx.read("from_storage")
-            if buf is END_OF_STREAM:
-                raise StreamClosedError(
-                    "storage replies closed while awaiting grants")
-            held.extend(buf.payload["tickets"])
-            errors.extend(buf.payload["errors"])
-        if errors:
-            # The backing I/O failed past its retry budget, or the store
-            # refused the request outright.
-            first = errors[0]
-            raise IOFailedError(
-                f"access to {first['array']}[{first['block']}] failed: "
-                f"{first['error']}")
-        self.tracer.complete(
-            self.node, f"worker/{ctx.instance}", "task", "grant_wait", start,
-            intervals=wanted)
-        by_iv = {(t.permission, t.interval.array, t.interval.block,
-                  t.interval.lo): t for t in held}
-        return [by_iv[(perm, iv.array, iv.block, iv.lo)]
-                for perm, ivs in ((Permission.READ, reads),
-                                  (Permission.WRITE, writes))
-                for iv in ivs]
-
-    def _release_all(self, ctx: FilterContext, tickets: list[Ticket], *,
-                     abandon: bool = False) -> None:
-        """Hand a task's tickets back in one message.  ``abandon``: the
-        attempt failed, so its write grants are retracted, not published."""
-        ctx.write("to_storage", DataBuffer(
-            {"op": "release", "tickets": tickets, "abandon": abandon}))
+        return self._on_grants(ctx, a)
 
     def _abort(self, ctx: FilterContext, held: list[Ticket]) -> None:
         """Unwind a failed attempt so a re-execution starts clean.
 
         Read grants are released (unpinning inputs frees memory other
         work may be queued on); write grants are abandoned — nothing they
-        covered was published, so the retry can request them again.
+        covered was published, so the retry can request them again.  The
+        task's tickets go back in one message, as a completed one's do.
         """
         if not held:
             return
         try:
-            self._release_all(ctx, list(held), abandon=True)
+            ctx.write("to_storage", DataBuffer(
+                {"op": "release", "tickets": list(held), "abandon": True}))
         except StreamClosedError:
             pass
 
-    def _run_task(self, ctx: FilterContext, task: TaskSpec,
-                  attempt: int) -> None:
-        """One task attempt, requests through releases.
-
-        The whole ticket lifecycle lives inside one ``try`` so that every
-        grant collected into ``held`` is unwound by ``_abort`` on *any*
-        failure — the structure
-        ``tests/test_api_surface.py::TestTicketHandoffs`` pins.
-        """
-        held: list[Ticket] = []
+    def _on_grants(self, ctx: FilterContext, a: _Attempt) -> bool:
+        """With every interval answered (granted, or refused with an
+        error), run the attempt through its releases; False while grants
+        are due.  The grants in ``held`` are unwound on *any* failure, by
+        the one ``try`` ``tests/test_api_surface.py::TestTicketHandoffs``
+        pins."""
+        held = a.held
+        if len(held) + len(a.errors) < a.wanted:
+            return False
         try:
-            out_ranges: dict[str, tuple[int, int]] = task.meta.get(
-                "out_ranges", {})
-            reads = {a: whole_array(self.descs[a]) for a in task.inputs}
-            #: of each output, the [lo, hi) this task writes: all of it,
-            #: or the range a split gave this subtask
-            writes = {a: intervals_for_range(
-                          self.descs[a],
-                          *out_ranges.get(a, (0, self.descs[a].length)))
-                      for a in task.outputs}
-            granted = self._acquire(
-                ctx, [iv for ivs in reads.values() for iv in ivs],
-                [iv for ivs in writes.values() for iv in ivs], held)
-            grants = iter(granted)
-            read_tickets = {a: [next(grants) for _ in ivs]
-                            for a, ivs in reads.items()}
-            write_tickets = {a: [next(grants) for _ in ivs]
-                             for a, ivs in writes.items()}
+            if a.errors:
+                # The backing I/O failed past its retry budget, or the
+                # store refused the request outright.
+                first = a.errors[0]
+                raise IOFailedError(
+                    f"access to {first['array']}[{first['block']}] failed: "
+                    f"{first['error']}")
+            self.tracer.complete(
+                self.node, f"worker/{ctx.instance}", "task", "grant_wait",
+                a.started, intervals=a.wanted)
+            by_iv = {(t.permission, t.interval.array, t.interval.block,
+                      t.interval.lo): t for t in held}
+            read_tickets, write_tickets = (
+                {n: [by_iv[perm, iv.array, iv.block, iv.lo] for iv in ivs]
+                 for n, ivs in asked.items()}
+                for perm, asked in ((Permission.READ, a.reads),
+                                    (Permission.WRITE, a.writes)))
+            # in request order: reads, then writes
+            granted = [t for ts in (*read_tickets.values(),
+                                    *write_tickets.values()) for t in ts]
+            task = a.task
             if self.injector is not None and self.injector.task_fault(
-                    task.name, attempt):
+                    task.name, a.attempt):
                 raise InjectedTaskCrash(
-                    f"injected crash of task {task.name!r} attempt {attempt} "
-                    f"on node {self.node}")
+                    f"injected crash of task {task.name!r} attempt "
+                    f"{a.attempt} on node {self.node}")
             #: the seal generations of the read grants: the freshness
             #: proof for a body's operand-cache keys, on either plane
-            generations = {a: tuple(t.generation for t in ts)
-                           for a, ts in read_tickets.items()}
+            generations = {n: tuple(t.generation for t in ts)
+                           for n, ts in read_tickets.items()}
             if self.plane is None or not self._run_remote(
                     ctx, task, granted, read_tickets, write_tickets,
                     generations):
                 copied = run_task_body(
                     task.fn, task.meta,
-                    {a: [t.data for t in ts]
-                     for a, ts in read_tickets.items()},
-                    {a: [t.data for t in ts]
-                     for a, ts in write_tickets.items()},
+                    {n: [t.data for t in ts]
+                     for n, ts in read_tickets.items()},
+                    {n: [t.data for t in ts]
+                     for n, ts in write_tickets.items()},
                     OperandContext(self.opcache, generations)
                     if self.opcache is not None else None)
                 if copied:
                     self.metrics.inc("bytes_copied", copied)
             held.clear()  # from here the normal release owns every ticket
-            self._release_all(ctx, granted)
+            ctx.write("to_storage", DataBuffer(
+                {"op": "release", "tickets": granted, "abandon": False}))
         except BaseException:
             self._abort(ctx, held)
             raise
+        return True
 
     def _run_remote(self, ctx: FilterContext, task: TaskSpec,
                     granted: list[Ticket],
@@ -236,38 +245,46 @@ class _WorkerFilter(Filter):
                 self.metrics.inc(counter, int(reply[counter]))
         return True
 
-    def process(self, ctx: FilterContext) -> None:
+    def init(self, ctx: FilterContext) -> None:
         ctx.write("to_lsched", DataBuffer({"op": "idle", "inst": ctx.instance}))
-        while True:
-            buf = ctx.read("in")
-            if buf is END_OF_STREAM:
-                return
-            msg = buf.payload
-            if msg["op"] == "shutdown":
-                return
-            task: TaskSpec = msg["task"]
-            attempt: int = msg.get("attempt", 1)
-            started = self.tracer.now()
-            try:
-                self._run_task(ctx, task, attempt)
-            except StreamClosedError:
-                raise  # runtime failure/shutdown, not a task failure
-            except Exception as exc:  # noqa: BLE001 - reported for re-execution
-                self.tracer.instant(
-                    self.node, f"worker/{ctx.instance}", "task",
-                    "task_failed", task=task.name, attempt=attempt,
-                    error=repr(exc))
-                ctx.write("to_lsched", DataBuffer(
-                    {"op": "failed", "task": task,
-                     "parent": task.meta.get("parent"),
-                     "attempt": attempt, "error": repr(exc),
-                     "inst": ctx.instance}))
-            else:
-                self.tracer.complete(
-                    self.node, f"worker/{ctx.instance}", "task", "task",
-                    started, task=task.name)
-                ctx.write("to_lsched", DataBuffer(
-                    {"op": "done", "task": task.name,
-                     "parent": task.meta.get("parent"),
-                     "inst": ctx.instance}))
 
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
+        a = self._attempt
+        if buf is END_OF_STREAM:
+            if a is not None:
+                raise StreamClosedError(
+                    "storage replies closed while awaiting grants")
+            return True
+        msg = buf.payload
+        if a is None:
+            if msg["op"] == "shutdown":
+                return True
+            self._attempt = a = _Attempt(msg["task"], msg.get("attempt", 1),
+                                         self.tracer.now())
+            step = self._request
+        else:
+            a.held.extend(msg["tickets"])
+            a.errors.extend(msg["errors"])
+            step = self._on_grants
+        try:
+            if not step(ctx, a):
+                return False  # grants still due
+        except StreamClosedError:
+            raise  # runtime failure/shutdown, not a task failure
+        except Exception as exc:  # noqa: BLE001 - reported for re-execution
+            self.tracer.instant(
+                self.node, f"worker/{ctx.instance}", "task", "task_failed",
+                task=a.task.name, attempt=a.attempt, error=repr(exc))
+            ctx.write("to_lsched", DataBuffer(
+                {"op": "failed", "task": a.task,
+                 "parent": a.task.meta.get("parent"), "attempt": a.attempt,
+                 "error": repr(exc), "inst": ctx.instance}))
+        else:
+            self.tracer.complete(
+                self.node, f"worker/{ctx.instance}", "task", "task",
+                a.started, task=a.task.name)
+            ctx.write("to_lsched", DataBuffer(
+                {"op": "done", "task": a.task.name,
+                 "parent": a.task.meta.get("parent"), "inst": ctx.instance}))
+        self._attempt = None
+        return False

@@ -1,13 +1,15 @@
 """Filter base class and the execution context handed to instances.
 
 Writing an application means subclassing :class:`Filter`, declaring input
-and output port names, and implementing :meth:`Filter.process` — "the key
-job left to application developers is writing the filter functions and
-determining the filter and stream layout".
+and output port names, and implementing the step function
+:meth:`Filter.on` (or a whole :meth:`Filter.process`) — "the key job left
+to application developers is writing the filter functions and determining
+the filter and stream layout".
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -44,7 +46,7 @@ class FilterContext:
 
     def read(self, port: str, timeout: float | None = None):
         """Next buffer on ``port`` (blocking); END_OF_STREAM when drained."""
-        return self._rt.read(port, timeout)
+        return self._rt.read_any([port], timeout)[1]
 
     def read_any(self, ports: Sequence[str], timeout: float | None = None):
         """Wait for a buffer on any of ``ports``.
@@ -71,14 +73,18 @@ class FilterContext:
     @property
     def stop_requested(self) -> bool:
         """True once the runtime asked filters to wind down."""
-        return self._rt.stop_requested()
+        return self._rt.runtime._failed.is_set()
 
 
 class Filter:
     """Base class for application components.
 
     Subclasses set ``inputs`` / ``outputs`` (tuples of port names) and
-    implement :meth:`process`.  ``init`` and ``finalize`` bracket the
+    implement the step function :meth:`on`, which the one read loop,
+    :meth:`process`, calls with each buffer; or they override
+    :meth:`process` itself.  A filter waiting for one reply names only
+    its port in :meth:`listening`; one that wakes on the clock returns an
+    instant from :meth:`deadline`.  ``init`` and ``finalize`` bracket the
     instance's lifetime.  A filter is *stateless* (safe to replicate) only
     if the author marks it so in the layout.
     """
@@ -89,13 +95,42 @@ class Filter:
     def init(self, ctx: FilterContext) -> None:
         """One-time setup before processing starts."""
 
-    def process(self, ctx: FilterContext) -> None:
-        """Main body: read buffers, compute, write buffers.
+    def listening(self) -> Sequence[str]:
+        """The ports the next read waits on (default: every input)."""
+        return self.inputs
 
-        Returning ends the instance; its remaining open output ports are
-        closed automatically.
-        """
+    def deadline(self) -> float | None:
+        """A ``time.monotonic()`` instant at which :meth:`on_deadline`
+        runs unless a buffer comes first; None waits untimed."""
+        return None
+
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool | None:
+        """Handle one buffer from ``port`` (``None, END_OF_STREAM`` once
+        every listened port has drained); True ends the instance."""
         raise NotImplementedError
+
+    def on_deadline(self, ctx: FilterContext) -> bool | None:
+        """The :meth:`deadline` passed first; True ends the instance."""
+
+    def process(self, ctx: FilterContext) -> None:
+        """The read loop.  Returning ends the instance; its remaining open
+        output ports are closed automatically."""
+        while True:
+            due = self.deadline()
+            if due is not None and time.monotonic() >= due:
+                if self.on_deadline(ctx):  # traffic must not starve it
+                    return
+                continue
+            # Waiting, perhaps parked between runs, the thread holds no
+            # buffer: a block the store has dropped must not stay resident.
+            port = buf = None
+            try:
+                port, buf = ctx.read_any(self.listening(), None if due is None
+                                         else max(due - time.monotonic(), 0.0))
+            except TimeoutError:
+                continue
+            if self.on(ctx, port, buf):
+                return
 
     def finalize(self, ctx: FilterContext) -> None:
         """One-time teardown after process() returns (even on error)."""
@@ -115,13 +150,11 @@ class FunctionFilter(Filter):
         self.fn = fn
         self.meta_through = meta_through
 
-    def process(self, ctx: FilterContext) -> None:
-        while True:
-            buf = ctx.read("in")
-            if buf is END_OF_STREAM:
-                return
-            result = self.fn(buf.payload)
-            if result is None:
-                continue
-            meta = buf.meta if self.meta_through else {}
-            ctx.write("out", DataBuffer(result, meta))
+    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
+        if buf is END_OF_STREAM:
+            return True
+        result = self.fn(buf.payload)
+        if result is not None:
+            ctx.write("out", DataBuffer(
+                result, buf.meta if self.meta_through else {}))
+        return False

@@ -141,12 +141,6 @@ class _InstanceRuntime:
                 return item
         return None
 
-    def _port_eos(self, port: str) -> bool:
-        return all(ch.at_eos for ch in self.in_channels[port])
-
-    def read(self, port: str, timeout: float | None = None):
-        return self.read_any([port], timeout)[1]
-
     def read_any(self, ports: Sequence[str], timeout: float | None = None):
         for port in ports:
             if port not in self.in_channels and port not in self.filter.inputs:
@@ -163,7 +157,7 @@ class _InstanceRuntime:
                     item = self._try_pop(port)
                     if item is not None:
                         return port, item
-                if all(self._port_eos(p) for p in live):
+                if all(ch.at_eos for p in live for ch in self.in_channels[p]):
                     return None, END_OF_STREAM
                 if self.runtime._failed.is_set():
                     raise StreamClosedError("runtime failed while reading")
@@ -209,9 +203,6 @@ class _InstanceRuntime:
     def close_all_outputs(self) -> None:
         for port in list(self.out_writers):
             self.close_output(port)
-
-    def stop_requested(self) -> bool:
-        return self.runtime._failed.is_set()
 
 
 class ThreadedRuntime:
@@ -281,22 +272,25 @@ class ThreadedRuntime:
             inst.filter.init(ctx)
             inst.filter.process(ctx)
         except BaseException as exc:  # noqa: BLE001 - must not kill the runtime silently
-            with self._errors_lock:
-                self._errors.append(FilterError(inst.spec.name, inst.instance, exc))
-            self._failed.set()
-            self._wake_all()
+            self._fail(inst, exc)
         finally:
             try:
                 inst.filter.finalize(ctx)
             except BaseException as exc:  # noqa: BLE001
-                with self._errors_lock:
-                    self._errors.append(FilterError(inst.spec.name, inst.instance, exc))
-                self._failed.set()
+                self._fail(inst, exc)
             inst.close_all_outputs()
             self._wake_all()
             with self._state:
                 self._live -= 1
                 self._state.notify_all()
+
+    def _fail(self, inst: _InstanceRuntime, exc: BaseException) -> FilterError:
+        """Record ``inst``'s failure; every thread blocked on a stream wakes."""
+        error = FilterError(inst.spec.name, inst.instance, exc)
+        with self._errors_lock:
+            self._errors.append(error)
+        self.abort()
+        return error
 
     def _wake_all(self) -> None:
         for insts in self.instances.values():
@@ -343,8 +337,7 @@ class ThreadedRuntime:
                 remaining = max(deadline - time.monotonic(), 0.0)
             thread.join(remaining)
             if thread.is_alive():
-                self._failed.set()
-                self._wake_all()
+                self.abort()
                 if self.lock_recorder is not None:
                     # A recorded ordering cycle is a better diagnosis than a
                     # bare timeout: name the deadlock if we saw one.

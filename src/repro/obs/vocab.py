@@ -91,9 +91,9 @@ EVENTS: dict[str, tuple[str, str, str]] = {
                                      "against bounded-stale views"),
     # -- run-level ----------------------------------------------------------
     "phase": ("run", "i", "run-level milestone (start/end, sim phases)"),
-    "run_cancel": ("run", "i", "cancel token seen; drain broadcast to nodes"),
-    "cancel_drain": ("run", "i", "a node finished its in-flight work after "
-                                 "a cancel and acknowledged the drain"),
+    "run_cancel": ("run", "i", "cancel token seen; cancel broadcast to nodes"),
+    "cancel_drain": ("run", "i", "a cancelled node finished its in-flight "
+                                 "work and reached the run's end barrier"),
     # -- job server (repro.server) -------------------------------------------
     "job_submit": ("job", "i", "server accepted a job submission"),
     "job_reject": ("job", "i", "admission control rejected a job"),

@@ -7,7 +7,8 @@ reads the tracer's heartbeat (every traced event updates
 landed for a configurable quiet period mid-run it assembles a
 :class:`Diagnosis` from the live runtime state: blocked read waiters,
 outstanding write tickets, queued allocations and memory pressure per
-store, plus each node's scheduler ready pool.  The diagnosis is delivered
+store, plus each node's scheduler ready pool and the reply each of its
+scheduling filters waits for.  The diagnosis is delivered
 to a callback (the engine logs it and attaches it to the eventual timeout
 error) rather than raising — a stall may still resolve.
 
@@ -114,6 +115,8 @@ class Diagnosis:
             if node.get("loading"):
                 lines.append("    scheduler waits for loads of: "
                              + ", ".join(node["loading"][:8]))
+            for waiting in node.get("awaiting", []):
+                lines.append(f"    {waiting}")
             if node.get("syncing"):
                 lines.append("    scheduler waits for the global scheduler's "
                              "sync reply")
@@ -148,7 +151,7 @@ class StallWatchdog:
         self.log = log
         self.last_diagnosis: Diagnosis | None = None
         self._stores: dict[int, object] = {}
-        self._schedulers: dict[int, Callable[[], dict]] = {}
+        self._schedulers: dict[int, list[Callable[[], dict]]] = {}
         self._membership: Callable[[], dict] | None = None
         #: the ``last_activity`` already diagnosed: one report per stall
         self._reported_at: float | None = None
@@ -161,8 +164,10 @@ class StallWatchdog:
 
     def watch_scheduler(self, node: int,
                         snapshot: Callable[[], dict]) -> None:
-        """Register a per-node scheduler snapshot callable."""
-        self._schedulers[node] = snapshot
+        """Register a snapshot callable of one of the node's scheduling
+        filters (its local scheduler, a worker); their ``awaiting`` lists
+        add up."""
+        self._schedulers.setdefault(node, []).append(snapshot)
 
     def watch_membership(self, snapshot: Callable[[], dict]) -> None:
         """Register the failure detector's per-node liveness snapshot.
@@ -191,10 +196,12 @@ class StallWatchdog:
                     entry.update(store.debug_snapshot())  # type: ignore[attr-defined]
                 except Exception as exc:  # noqa: BLE001 - concurrent mutation
                     entry["store_error"] = repr(exc)
-            snapshot = self._schedulers.get(node)
-            if snapshot is not None:
+            for snapshot in self._schedulers.get(node, []):
                 try:
-                    entry.update(snapshot())
+                    snap = dict(snapshot())
+                    awaiting = entry.get("awaiting", []) + snap.pop(
+                        "awaiting", [])
+                    entry.update(snap, awaiting=awaiting)
                 except Exception as exc:  # noqa: BLE001
                     entry["scheduler_error"] = repr(exc)
             diag.nodes.append(entry)

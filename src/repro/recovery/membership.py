@@ -68,6 +68,8 @@ class MembershipTracker:
         self.config = config or MembershipConfig()
         self._state: dict[int, str] = {n: ALIVE for n in range(nodes)}
         self._last_beat: dict[int, float] | None = None  # set on first event
+        #: nodes owing no beat until their next one (see :meth:`quiet`)
+        self._quiet: set[int] = set()
 
     def _beats(self, now: float) -> dict[int, float]:
         """Last beat per node; the clock starts at the first event."""
@@ -83,13 +85,22 @@ class MembershipTracker:
         if self._state[node] == DEAD:
             return None  # too late: the cluster already moved on
         beats[node] = now
+        self._quiet.discard(node)
         if self._state[node] == SUSPECT:
             self._state[node] = ALIVE
             return ALIVE
         return None
 
+    def quiet(self, node: int) -> None:
+        """``node`` has said all it will say for now (it answered the end
+        of a run): its silence escalates nothing until it beats again."""
+        self._quiet.add(node)
+
     def _due(self, node: int, beats: dict[int, float]) -> float | None:
-        """When ``node``'s next transition fires (None: it is dead)."""
+        """When ``node``'s next transition fires (None: it is dead, or
+        quiet)."""
+        if node in self._quiet:
+            return None
         after = {ALIVE: self.config.suspect_after_s,
                  SUSPECT: self.config.dead_after_s}.get(self._state[node])
         return None if after is None else beats[node] + after

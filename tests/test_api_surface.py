@@ -323,6 +323,25 @@ class TestCoreLayout:
         assert hits == []
 
 
+class TestOneReadSite:
+    """The engine's filters are step functions: ``Filter.process`` is
+    their one read loop, so nothing under ``repro/core`` reads a stream
+    itself (a nested read would hide a state from ``listening()``, and
+    from a runtime that delivers buffers one at a time)."""
+
+    def test_no_core_module_reads_a_stream(self):
+        core = Path(__file__).parents[1] / "src" / "repro" / "core"
+        reads = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+                 for path in sorted(core.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("read", "read_any")
+                 and ast.unparse(node.func.value) == "ctx"]
+        assert reads == [], "a filter under repro/core reads a stream: " + \
+            ", ".join(reads)
+
+
 def own_nodes(fn):
     """The nodes of ``fn``'s body, not those of a def nested in it."""
     stack = list(fn.body)
@@ -340,7 +359,7 @@ def called_name(call):
 
 class TestTicketHandoffs:
     """Where a ticket changes hands, the code has one shape: the worker's
-    one ``_acquire`` sits in a ``try`` whose handler aborts what it holds,
+    task body runs in a ``try`` whose handler aborts the grants it holds,
     and each request the storage filter makes tags its ticket (the tag
     routes the grant and names who releases it) before the effects go
     anywhere.  A new request site fails here until it is added on purpose;
@@ -356,38 +375,53 @@ class TestTicketHandoffs:
         ("storage_filter.py", "_StorageFilter._handle_peer", "request_read"),
     ]
 
-    def calls(self, names):
-        """(module, qualified function, def, call) of every call in
-        ``repro/core`` to one of ``names``, by its innermost def."""
-        def defs(node, prefix):
+    def defs(self):
+        """(path, qualified name, def) of every function in ``repro/core``."""
+        def walk(node, prefix):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield prefix + child.name, child
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                       ast.ClassDef)):
-                    yield from defs(child, f"{prefix}{child.name}.")
+                    yield from walk(child, f"{prefix}{child.name}.")
         for path in sorted(self.CORE.glob("*.py")):
-            for qualname, fn in defs(ast.parse(path.read_text()), ""):
-                for node in own_nodes(fn):
-                    if isinstance(node, ast.Call) and called_name(node) in names:
-                        yield path.name, qualname, fn, node
+            for qualname, fn in walk(ast.parse(path.read_text()), ""):
+                yield path, qualname, fn
+
+    def calls(self, names):
+        """(module, qualified function, def, call) of every call in
+        ``repro/core`` to one of ``names``, by its innermost def."""
+        for path, qualname, fn in self.defs():
+            for node in own_nodes(fn):
+                if isinstance(node, ast.Call) and called_name(node) in names:
+                    yield path.name, qualname, fn, node
 
     def test_the_one_acquire_is_aborted_on_any_failure(self):
-        sites = list(self.calls({"_acquire"}))
+        """A worker asks for a task's grants in one ``acquire`` message;
+        the handler that receives the last grant runs the body — the
+        worker's one ``run_task_body`` call — in a ``try`` whose ``except
+        BaseException`` calls ``self._abort(ctx, held)`` and re-raises."""
+        asks = [(path.name, qualname) for path, qualname, fn in self.defs()
+                for node in own_nodes(fn) if isinstance(node, ast.Dict)
+                and any(k is not None and ast.unparse(k) == "'op'"
+                        and ast.unparse(v) == "'acquire'"
+                        for k, v in zip(node.keys, node.values))]
+        assert asks == [("worker.py", "_WorkerFilter._request")]
+        sites = [s for s in self.calls({"run_task_body"})
+                 if s[0] == "worker.py"]  # not the process plane's child
         assert [s[:2] for s in sites] == [
-            ("worker.py", "_WorkerFilter._run_task")]
+            ("worker.py", "_WorkerFilter._on_grants")]
         ((_, _, fn, call),) = sites
-        held = ast.unparse(call.args[-1])
         handlers = [h for t in own_nodes(fn) if isinstance(t, ast.Try)
                     and any(n is call for s in t.body for n in ast.walk(s))
                     for h in t.handlers]
         assert any(
             (h.type is None or ast.unparse(h.type) == "BaseException")
-            and f"self._abort(ctx, {held})" in map(ast.unparse, h.body)
+            and "self._abort(ctx, held)" in map(ast.unparse, h.body)
             and isinstance(h.body[-1], ast.Raise) and h.body[-1].exc is None
             for h in handlers), (
-            f"_acquire is not in a try whose handler catches BaseException, "
-            f"calls self._abort(ctx, {held}) and re-raises")
+            "the task body does not run in a try whose handler catches "
+            "BaseException, calls self._abort(ctx, held) and re-raises")
 
     def test_store_requests_outside_the_store_are_the_known_three(self):
         found = sorted((module, qualname, called_name(call))

@@ -145,6 +145,17 @@ class TestMembership:
             fired += step
         assert [n for n, s in fired if s == DEAD] == [0, 2, 1]
 
+    def test_a_quiet_node_escalates_nothing_until_it_beats(self):
+        t = MembershipTracker(2, MembershipConfig(0.05, 0.4, 1.2))
+        t.beat(0, 0.0)
+        t.beat(1, 0.0)
+        t.quiet(1)  # it answered the end of the run
+        assert t.next_deadline() == 0.4
+        assert t.check(5.0) == [(0, SUSPECT), (0, DEAD)]
+        assert t.state(1) == ALIVE and t.next_deadline() is None
+        t.beat(1, 6.0)
+        assert t.next_deadline() == 6.0 + 0.4
+
     def test_snapshot_and_validation(self):
         t = MembershipTracker(2, MembershipConfig(0.05, 0.4, 1.2))
         t.beat(0, 1.0)

@@ -534,13 +534,6 @@ def copy_x_fn(ins, outs, meta):
     outs["y"][:] = ins["x"]
 
 
-def _cancelled(eng):
-    token = CancelToken()
-    token.cancel("test")
-    with pytest.raises(RunCancelled):
-        eng.run(two_node_program("cancelled"), timeout=60, cancel=token)
-
-
 def _node_dies(eng):
     eng.faults = FaultPlan(node_kill=((1, 1),))
     report = run_checked(eng, "death")  # recovered, and not committed
@@ -556,14 +549,15 @@ def _from_scratch(name):
     return prog
 
 
-#: every way a session ends -> (engine keywords, how it ends)
+#: every way a session ends -> (engine keywords, how it ends).  A cancel
+#: is not one of them: it ends the run on the barrier of a completed one,
+#: and the graph stays parked (``test_a_cancelled_run_parks_cold``).
 ENDINGS = {
     "filter_error": (
         {"task_max_attempts": 1, "task_max_reroutes": 0},
         lambda eng: pytest.raises(FilterError, eng.run,
                                   two_node_program("bad", fail_fn),
                                   timeout=60)),
-    "cancelled": ({}, _cancelled),
     "stall_timeout": (
         {"memory_budget_per_node": 40_000},
         lambda eng: pytest.raises(StallError, eng.run, wedge_program(),
@@ -611,6 +605,34 @@ class TestGraphLifetime:
         assert again and not again & first
         eng.cleanup()
         assert_stopped(again)
+
+    def test_a_cancelled_run_parks_cold(self, tmp_path, x, protocol_checkers):
+        """(b') A cancel ends the run on the same barrier as a completed
+        one, so the graph stays parked and the next run starts no thread;
+        the session was not committed, so that run is cold, and it is
+        bit-identical.  The engine's ticket and lease audits pass on both
+        runs, and no segment is left in /dev/shm."""
+        op = OutOfCoreMatrix(make_blocks(), n_nodes=3, scratch_dir=tmp_path)
+        reports = capture_reports(op)
+        want = op.matvec(x)
+        op.cancel = token = CancelToken()
+        mult = spmv_program._mult_fn
+
+        def cancelling_mult(ins, outs, meta):
+            token.cancel("test")
+            mult(ins, outs, meta)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spmv_program, "_mult_fn", cancelling_mult)
+            with pytest.raises(RunCancelled):
+                op.matvec(x)
+        op.cancel = None
+        ys = []
+        assert started_by(lambda: ys.append(op.matvec(x))) == []
+        assert matrix_loads(reports[-1]) == K * K
+        assert np.array_equal(ys[0], want)
+        assert dev_shm_segments() == []
+        op.engine.cleanup()
 
     def test_dropped_engine_releases_its_threads(self, tmp_path):
         """(c) Nothing the parked threads hold refers to the engine: an

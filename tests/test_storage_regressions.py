@@ -22,7 +22,9 @@ from repro.core.local_scheduler import _LocalSchedulerFilter
 from repro.core.session import RunState
 from repro.core.storage import LocalStore
 from repro.core.storage_filter import _StorageFilter
+from repro.datacutter.buffers import DataBuffer
 from repro.util.rng import RngTree
+from tests.test_delivery_orders import RecordingContext
 
 
 def desc(name="a", length=100, block=50, dtype="float64"):
@@ -169,18 +171,6 @@ class TestPrefetchDroppedMetric:
         assert store.metrics.get("prefetch_dropped") == before + 1
 
 
-class _RecordingCtx:
-    """Just enough FilterContext to capture ``_execute`` writes."""
-
-    instance = 0
-
-    def __init__(self):
-        self.writes = []
-
-    def write(self, port, buf):
-        self.writes.append((port, buf.payload))
-
-
 def storage_filter(store, descs):
     """Node 0's storage filter, bound to a one-node run over ``store``."""
     return _StorageFilter(0, 1, RunState(stores={0: store}, descs=descs))
@@ -213,7 +203,7 @@ class TestForgetPrefetchWiring:
 
         store = LocalStore(0, memory_budget=1 << 20)
         filt = storage_filter(store, {})
-        ctx = _RecordingCtx()
+        ctx = RecordingContext()
         filt._execute(ctx, [Effect("drop", "a", 0)])
         assert ("rep_lsched", {"op": "dropped", "array": "a"}) in ctx.writes
 
@@ -236,15 +226,15 @@ class TestForgetPrefetchWiring:
         store.register_on_disk(d_fit)
         store.register_on_disk(d_big)
         filt = storage_filter(store, {"fit": d_fit, "big": d_big})
-        ctx = _RecordingCtx()
+        ctx = RecordingContext()
         for array in ("fit", "big"):  # 64 B load reserved, then 512 B asked
-            filt._handle_request(ctx, {"op": "prefetch", "array": array})
-        ask = {"op": "map", "arrays": {"fit", "big"}}
-        filt._handle_request(ctx, ask)
+            filt.on(ctx, "req", DataBuffer({"op": "prefetch", "array": array}))
+        ask = DataBuffer({"op": "map", "arrays": {"fit", "big"}})
+        filt.on(ctx, "req", ask)
         assert ctx.writes[-1] == ("rep_lsched", {
             "op": "map", "resident": set(), "loading": {"fit"},
             "declined": {"big"}})
-        filt._handle_request(ctx, ask)
+        filt.on(ctx, "req", ask)
         assert ctx.writes[-1][1]["declined"] == set()  # reported once
 
     def test_map_reply_is_the_resident_subset_of_the_names_asked(self):
@@ -256,7 +246,7 @@ class TestForgetPrefetchWiring:
                  ("whole", "idle", "loading", "spilling", "unsealed")}
         store = LocalStore(0, memory_budget=1 << 20)
         filt = storage_filter(store, descs)
-        ctx = _RecordingCtx()
+        ctx = RecordingContext()
 
         def write(name, blocks):
             for b in blocks:
@@ -278,7 +268,7 @@ class TestForgetPrefetchWiring:
         store._blocks[("spilling", 1)].status = "spilling"
 
         def resident(names):
-            filt._handle_request(ctx, {"op": "map", "arrays": names})
+            filt.on(ctx, "req", DataBuffer({"op": "map", "arrays": names}))
             return ctx.writes[-1][1]["resident"]
 
         assert resident({"whole", "loading", "spilling", "unsealed",
@@ -289,25 +279,28 @@ class TestForgetPrefetchWiring:
         store.release(held)
         assert resident({"loading", "unsealed"}) == {"loading"}
         with pytest.raises(KeyError):
-            filt._handle_request(ctx, {"op": "map"})
+            filt.on(ctx, "req", DataBuffer({"op": "map"}))
 
     def test_lsched_filter_rearms_declined_from_map_reply(self):
         from repro.core.task import TaskSpec
-        from repro.datacutter.buffers import DataBuffer
-
-        class Ctx(_RecordingCtx):
-            def read(self, port):
-                return DataBuffer({"op": "map", "resident": set(),
-                                   "loading": set(), "declined": {"a"}})
 
         filt = lsched_filter({"a": 8, "y": 8})
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
-        ctx = Ctx()
-        assert filt._query_map(ctx) == (set(), {"a"})
-        # the request names the ready tasks' inputs, outputs excluded
+        ctx = RecordingContext()
+        filt.on(ctx, "from_workers", DataBuffer({"op": "idle", "inst": 0}))
+        # A worker is free: the request names the ready tasks' inputs,
+        # outputs excluded, and the filter listens for the reply alone.
         assert ctx.writes == [("to_storage", {"op": "map", "arrays": {"a"}})]
-        assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
+        assert filt.listening() == ("from_storage",)
+        assert filt.debug_snapshot()["awaiting"] == ["scheduler awaiting map"]
+        filt.on(ctx, "from_storage", DataBuffer(
+            {"op": "map", "resident": set(), "loading": set(),
+             "declined": {"a"}}))
+        # "a" was re-armed: the prefetch window asks for it again.
+        assert ctx.writes[1:] == [
+            ("to_storage", {"op": "prefetch", "array": "a"}),
+            ("to_storage", {"op": "map", "arrays": {"a"}})]
 
     def test_lsched_filter_carries_out_what_the_core_decides(self):
         """The rule is ``LocalSchedulerCore.choose``; what is left to the
@@ -321,7 +314,7 @@ class TestForgetPrefetchWiring:
         filt = lsched_filter({"a": 8, "y": 8}, store, tracer=tracer)
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         filt._unsynced = True  # a completion went to the global scheduler
-        ctx = _RecordingCtx()
+        ctx = RecordingContext()
         assert filt._choose(ctx, set(), {"a"}) is None
         assert filt._choose(ctx, set(), {"a"}) is None  # asked; now waits
         assert ctx.writes == [("to_gsched", {"op": "sync", "node": 0})]
@@ -346,17 +339,15 @@ class TestRunBarrier:
         store = LocalStore(0, memory_budget=1 << 20)
         store.create_array(d)
         filt = storage_filter(store, {"a": d})
-        ctx = _RecordingCtx()
-        filt._handle_request(ctx, {
+        ctx = RecordingContext()
+        filt.on(ctx, "req", DataBuffer({
             "op": "acquire", "reads": [], "writes": [whole_block(d, 0)],
-            "reply_to": ("worker", 0)})
+            "reply_to": ("worker", 0)}))
         (grants,) = [p for port, p in ctx.writes if port == "rep_workers"]
-        filt._handle_request(ctx, {"op": "end"})
-        filt._maybe_end(ctx)
+        filt.on(ctx, "req", DataBuffer({"op": "end"}))
         assert self.ENDED not in ctx.writes
-        filt._handle_request(ctx, {"op": "release", "abandon": False,
-                                   "tickets": grants["tickets"]})
-        filt._maybe_end(ctx)
+        filt.on(ctx, "req", DataBuffer({"op": "release", "abandon": False,
+                                        "tickets": grants["tickets"]}))
         assert ctx.writes[-1] == self.ENDED
 
     def test_a_peer_message_of_another_run_is_dropped(self):
@@ -367,11 +358,11 @@ class TestRunBarrier:
         filt = _StorageFilter(0, 2, RunState(
             seq=7, stores={0: store}, descs={"a": d},
             directories={0: directory}))
-        ctx = _RecordingCtx()
+        ctx = RecordingContext()
         lookup = {"op": "lookup", "array": "a", "from": 1}
-        filt._handle_peer(ctx, {**lookup, "run": 6})
+        filt.on(ctx, "peer_in", DataBuffer({**lookup, "run": 6}))
         assert ctx.writes == []
-        filt._handle_peer(ctx, {**lookup, "run": 7})
+        filt.on(ctx, "peer_in", DataBuffer({**lookup, "run": 7}))
         assert ctx.writes == [("peer_out_1", {
             "op": "lookup_reply", "array": "a", "hit": True, "owner": 0,
             "run": 7})]

@@ -175,6 +175,9 @@ class TestEngineStall:
         text = str(exc)
         assert "stall watchdog" in text
         assert "y[0]" in text and "awaiting grant" in text
+        # The worker names the state it waits in: x granted, y queued.
+        assert node0["awaiting"] == ["worker awaiting 1 of 2 grants for copy"]
+        assert "    worker awaiting 1 of 2 grants for copy" in text
 
     def test_hung_worker_beside_ready_work_is_diagnosed(self, tmp_path,
                                                         capsys):
