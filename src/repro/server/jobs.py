@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -73,19 +74,26 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise ValueError(
                 f"unknown job kind {self.kind!r}: expected one of {JOB_KINDS}")
-        if self.n < 8:
+        # each test is written to fail on NaN, which JSON bodies may carry
+        if not self.n >= 8:
             raise ValueError("n must be >= 8")
         if not 1 <= self.parts <= self.n // 4:
             raise ValueError("parts must be in [1, n/4]")
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValueError("iterations must be >= 1")
-        if self.nnz_per_row <= 0:
-            raise ValueError("nnz_per_row must be positive")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        if self.working_set_bytes is not None and self.working_set_bytes < 0:
+        # the symmetric generator puts nnz_per_row / 2 in each of n columns
+        if not (math.isfinite(self.nnz_per_row)
+                and 0 < self.nnz_per_row <= 2 * self.n):
+            raise ValueError(
+                f"nnz_per_row must be finite and in (0, 2n] = (0, {2 * self.n}]"
+                f", got {self.nnz_per_row!r}")
+        if self.deadline_s is not None and not (
+                math.isfinite(self.deadline_s) and self.deadline_s > 0):
+            raise ValueError(
+                f"deadline_s must be positive and finite, got {self.deadline_s!r}")
+        if self.working_set_bytes is not None and not self.working_set_bytes >= 0:
             raise ValueError("working_set_bytes must be non-negative")
-        if self.checkpoint_every < 1:
+        if not self.checkpoint_every >= 1:
             raise ValueError("checkpoint_every must be >= 1")
 
     @property

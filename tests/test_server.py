@@ -29,7 +29,7 @@ from repro.server import (
     estimate_working_set,
 )
 from repro.server.admission import AdmissionDecision, admit, fair_share_order
-from repro.server.jobs import JobRecord
+from repro.server.jobs import JOB_KINDS, JobRecord
 from repro.server.sweep import pid_alive, sweep
 
 
@@ -66,6 +66,28 @@ class TestJobSpec:
             _spec(deadline_s=0.0)
         with pytest.raises(ValueError, match="parts"):
             _spec(parts=40)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nnz_per_row", math.nan), ("nnz_per_row", math.inf),
+        ("nnz_per_row", -math.inf), ("nnz_per_row", 0.0),
+        ("nnz_per_row", 33.0),  # n=16 columns hold at most 2n = 32
+        ("deadline_s", math.nan), ("deadline_s", math.inf),
+        ("deadline_s", -1.0), ("n", math.nan), ("iterations", math.nan),
+        ("working_set_bytes", math.nan), ("checkpoint_every", math.nan)])
+    def test_rejects_what_cannot_run_by_field_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            _spec(**{"n": 16, field: value})
+
+    def test_densest_row_weight_is_accepted_and_runs(self):
+        mgr = _manager()
+        try:
+            recs = [mgr.submit(_spec(kind=k, n=16, nnz_per_row=32.0,
+                                     iterations=4)) for k in JOB_KINDS]
+            for rec in recs:
+                assert rec.done_event.wait(120), rec.state
+                assert rec.state == JobState.DONE, (rec.state, rec.outcome)
+        finally:
+            mgr.drain(timeout=10)
 
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="working_set_byes"):

@@ -75,6 +75,7 @@ class TestRoutes:
             method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
+        err.value.close()
         assert err.value.code == 429
 
     def test_bad_spec_is_400(self, client):
@@ -83,6 +84,24 @@ class TestRoutes:
                                               "bogus_field": 1})
         assert err.value.status == 400
         assert "bogus_field" in err.value.payload["error"]
+
+    def test_nan_body_is_400_and_queues_nothing(self, server, client):
+        before = client.stats()
+        # json.loads takes a bare NaN; the spec must not
+        body = ('{"tenant": "t", "kind": "cg", "n": 16, "parts": 2, '
+                '"nnz_per_row": NaN}')
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/jobs", data=body.encode(),
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 400
+        assert "nnz_per_row" in json.loads(err.value.read())["error"]
+        err.value.close()
+        after = client.stats()
+        assert client._request("GET", "/jobs") == []
+        assert (after["queue_depth"], after["metrics"]) == \
+            (before["queue_depth"], before["metrics"])
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServerError) as err:

@@ -30,6 +30,54 @@ from repro.spmv.reference import (
 )
 
 
+def _reference_row_columns(ncols, max_gap, rng):
+    """One gap-uniform row drawn the way the generator is specified: the
+    start, then batches of gaps until one crosses ``ncols``."""
+    start = int(rng.integers(0, max_gap))
+    if start >= ncols:
+        return np.zeros(0, dtype=np.int64)
+    pieces = [np.array([start], dtype=np.int64)]
+    last = start
+    mean_gap = (max_gap + 1) / 2.0
+    while True:
+        remaining = ncols - last
+        batch = max(int(remaining / mean_gap) + 8, 16)
+        gaps = rng.integers(1, max_gap + 1, size=batch)
+        cols = last + np.cumsum(gaps)
+        inside = cols[cols < ncols]
+        if inside.size:
+            pieces.append(inside.astype(np.int64))
+        if inside.size < cols.size:
+            break
+        last = int(cols[-1])
+    return np.concatenate(pieces)
+
+
+def _reference_gap_uniform_csr(nrows, ncols, d, rng, values="uniform"):
+    """The generator drawn row by row: the oracle for gap_uniform_csr."""
+    max_gap = max(int(round(2 * d)), 1)
+    rows = [_reference_row_columns(ncols, max_gap, rng) for _ in range(nrows)]
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    nnz = int(indptr[-1])
+    vals = rng.uniform(-1.0, 1.0, size=nnz) if values == "uniform" else np.ones(nnz)
+    return indptr, indices, vals
+
+
+def _same_state(a, b):
+    """Bit-generator states equal, arrays (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64)
+
+
 def random_csr(rng, nrows=20, ncols=30, density=0.2):
     m = sp.random(nrows, ncols, density=density, random_state=np.random.RandomState(
         int(rng.integers(0, 2**31))), format="csr")
@@ -235,8 +283,9 @@ class TestGapUniformGenerator:
     def test_reproducible(self):
         a = gap_uniform_csr(20, 50, 3.0, np.random.default_rng(42))
         b = gap_uniform_csr(20, 50, 3.0, np.random.default_rng(42))
+        np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_allclose(a.values, b.values)
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_values_modes(self):
         ones = gap_uniform_csr(5, 20, 2.0, np.random.default_rng(0), values="ones")
@@ -261,6 +310,51 @@ class TestGapUniformGenerator:
     def test_property_valid_csr_for_any_params(self, nrows, ncols, d):
         b = gap_uniform_csr(nrows, ncols, d, np.random.default_rng(0))
         assert b.nrows == nrows and b.ncols == ncols  # validated in __post_init__
+
+    @given(nrows=st.integers(0, 40), ncols=st.integers(1, 400),
+           d=st.one_of(st.floats(0.5, 40.0), st.floats(0.5, 5e6)),
+           seed=st.integers(0, 2**32 - 1),
+           bit_generator=st.sampled_from(BIT_GENERATORS),
+           half_word=st.booleans(),
+           values=st.sampled_from(["uniform", "ones"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_by_row_oracle(self, nrows, ncols, d, seed,
+                                           bit_generator, half_word, values):
+        """Bit for bit, and the stream left where the oracle leaves it."""
+        want_rng = np.random.Generator(bit_generator(seed))
+        got_rng = np.random.Generator(bit_generator(seed))
+        if half_word:  # start with half a 64-bit word kept in the state
+            want_rng.integers(0, 3)
+            got_rng.integers(0, 3)
+        indptr, indices, vals = _reference_gap_uniform_csr(
+            nrows, ncols, d, want_rng, values)
+        got = gap_uniform_csr(nrows, ncols, d, got_rng, values=values)
+        for want, have in ((indptr, got.indptr), (indices, got.indices),
+                           (vals, got.values)):
+            assert have.dtype == want.dtype
+            np.testing.assert_array_equal(have, want)
+        assert _same_state(got_rng.bit_generator.state,
+                           want_rng.bit_generator.state)
+        assert got_rng.integers(0, 2**40) == want_rng.integers(0, 2**40)
+
+    @pytest.mark.parametrize("shape", [(6, 3000, 1.0), (4, 100000, 1.0),
+                                       (30, 200, 0.5), (64, 64, 127.5)])
+    def test_matches_the_oracle_across_row_chunks(self, monkeypatch, shape):
+        """Rows whose gaps need several batches (some more than a chunk
+        holds), full rows, and a stream read a few rows at a time."""
+        import repro.spmv.generator as generator
+
+        monkeypatch.setattr(generator, "_CHUNK_VALUES", 100)
+        for seed in range(5):
+            want_rng = np.random.default_rng(seed)
+            got_rng = np.random.default_rng(seed)
+            indptr, indices, vals = _reference_gap_uniform_csr(
+                *shape, want_rng)
+            got = gap_uniform_csr(*shape, got_rng)
+            np.testing.assert_array_equal(got.indptr, indptr)
+            np.testing.assert_array_equal(got.indices, indices)
+            np.testing.assert_array_equal(got.values, vals)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_symmetric_matrix_is_symmetric(self):
         b = symmetric_test_matrix(64, 8.0, np.random.default_rng(12), diag_shift=20.0)
