@@ -171,8 +171,9 @@ def _parse_chunk(blob: bytes, what: str):
     payload)``.
 
     Every failure mode of a torn, truncated, or bit-flipped chunk file —
-    short header, bad magic, payload shorter than the header promises,
-    CRC mismatch — surfaces as a :class:`StorageError` naming ``what``.
+    short header, bad magic, a codec name that is not ASCII, payload
+    shorter than the header promises, CRC mismatch — surfaces as a
+    :class:`StorageError` naming ``what``.
     """
     if len(blob) < CHUNK_HEADER_NBYTES:
         raise StorageError(f"truncated chunk header for {what}")
@@ -188,7 +189,12 @@ def _parse_chunk(blob: bytes, what: str):
     if checksum(payload) != crc:
         raise StorageError(f"chunk checksum mismatch for {what} (torn write "
                            "or bit rot)")
-    return codec_name.rstrip(b"\0").decode("ascii"), raw_nbytes, payload
+    try:
+        name = codec_name.rstrip(b"\0").decode("ascii")
+    except UnicodeDecodeError:
+        raise StorageError(f"chunk codec name {codec_name!r} for {what} is "
+                           "not ASCII") from None
+    return name, raw_nbytes, payload
 
 
 def unpack_chunk_into(blob: bytes, out: memoryview, itemsize: int,

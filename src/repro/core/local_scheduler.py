@@ -20,7 +20,7 @@ plan of Fig. 5(b) *emerge* rather than be programmed:
 tracer or clock): its driver hands it residency snapshots and its own
 message counts, and carries out what it decides.  The engine's driver,
 ``_LocalSchedulerFilter`` below, is the only one today — the DES testbed
-models the same policy independently (ROADMAP item 6(b)).
+models the same policy independently (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class LocalSchedulerCore:
     def pending_tasks(self) -> list[TaskSpec]:
         return [e.task for e in self._ready.values()]
 
-    def ready_inputs(self) -> set[str]:
-        """Every input array of a ready task: the only names ``rank`` and
-        ``prefetch_plan`` test against ``resident``, so a residency
-        snapshot need cover no others."""
-        return {a for e in self._ready.values() for a in e.task.inputs}
-
     # -- decisions ---------------------------------------------------------------
 
     def _score(self, entry: _ReadyEntry, resident: AbstractSet[str],
@@ -134,8 +128,8 @@ class LocalSchedulerCore:
         for (``unsynced``), tasks they made ready (a resident one,
         perhaps) may be on their way: sync first.  Otherwise no message is
         coming, and the top-ranked task is forced: its demand reads load,
-        and may evict.  ``resident``, ``loading`` and ``declined`` are the
-        store's reply to the query that followed the last prefetches.
+        and may evict.  ``resident``, ``loading`` and ``declined`` are what
+        the store's notes have said so far.
         """
         ranked = self.rank(resident, nbytes)
         if not ranked:
@@ -159,16 +153,15 @@ class LocalSchedulerCore:
 
     def claim(self, name: str) -> TaskSpec:
         """Remove a ready task from the pool (the caller will run it)."""
-        entry = self._ready.pop(name)
-        self._prefetched.difference_update(entry.task.inputs)
-        return entry.task
+        return self._ready.pop(name).task
 
     def prefetch_plan(self, resident: AbstractSet[str],
                       nbytes: Mapping[str, int]) -> list[str]:
         """Arrays to warm for the next ``prefetch_depth`` preferred tasks.
 
-        Already-resident and already-requested arrays are skipped; the
-        caller should forward each name to the storage layer once.
+        Already-resident and already-requested arrays are skipped (until
+        :meth:`forget_prefetch`); the caller should forward each name to
+        the storage layer once.
         """
         plan: list[str] = []
         for t in self.rank(resident, nbytes)[: self.prefetch_depth]:
@@ -180,8 +173,8 @@ class LocalSchedulerCore:
         return plan
 
     def forget_prefetch(self, array: str) -> None:
-        """Allow an array to be prefetched again: the storage declined the
-        request (no free headroom) or has evicted the block since."""
+        """Allow an array to be prefetched again: the store freed memory
+        since it declined the request, or dropped the array."""
         self._prefetched.discard(array)
 
     # -- splitting ---------------------------------------------------------------
@@ -216,16 +209,16 @@ class _LocalSchedulerFilter(Filter):
     The step function around :class:`LocalSchedulerCore`.  Prefetch
     requests keep a window of ready tasks memory-resident; they only fill
     free memory, so out of core the store declines them, and what happens
-    then is the core's :meth:`~LocalSchedulerCore.choose`.  This filter
-    keeps the counts that rule is about — tasks in flight here,
-    completions not yet synced with the global scheduler, what the store
-    said was loading — and waits whenever it says wait: each thing in
-    flight ends in a message (``done``/``failed``, ``wake``/``dropped``,
-    ``synced``).  While the store's answer to a ``map`` query is out, the
-    filter listens to storage alone.
+    then is the core's :meth:`~LocalSchedulerCore.choose`.  The filter
+    never asks the store: its notes say what is ``resident`` or
+    ``dropped`` and answer each prefetch.  It keeps the counts the rule is
+    about — tasks in flight here, completions not yet synced with the
+    global scheduler, prefetches not yet answered — and waits whenever it
+    says wait: each ends in a message (``done``/``failed``, a note, ``synced``).
     """
 
-    inputs = ("in", "from_workers", "from_storage")
+    #: notes first: a choice sees every change the store has sent so far
+    inputs = ("from_storage", "in", "from_workers")
     outputs = ("to_gsched", "to_workers", "to_storage")
 
     def __init__(self, node: int, workers: int, run: RunState, *,
@@ -258,95 +251,54 @@ class _LocalSchedulerFilter(Filter):
                             if self.injector is not None else None)
         self._next_beat = 0.0
         self._parents: dict[str, int] = {}  # parent task -> remaining subtasks
-        self._attempts: dict[str, int] = {}  # task -> attempts dispatched here
+        self._attempts: dict[str, tuple[int, TaskSpec]] = {}  # (tries, spec)
         self._inflight = 0
         self._completions = 0
         #: completions were reported since the last sync with the global
         #: scheduler / a sync request is unanswered
         self._unsynced = self._syncing = False
-        self._loading: set[str] = set()  # as of the last map reply
-        #: the store's ``map`` reply is out: "map" asks before the
-        #: prefetch window, "prefetched" after it (None: not waiting)
-        self._awaiting: str | None = None
+        #: the store's residency as its notes tell it (seeded while the
+        #: graph is parked): arrays all resident, prefetched and not yet
+        #: answered, declined (-> bytes dropped since), named by any note
+        self._resident = store.resident_arrays() if store is not None else set()
+        self._loading: set[str] = set()
+        self._declined: dict[str, int] = {}
+        self._told: set[str] = set()
         #: the run is cancelled: no dispatch, no retries, no escalation —
         #: only in-flight work finishes, then the run ends as usual
         self._cancelling = False
         #: the run's "end" went to storage / the node died (injected)
         self._ended = self._dead = False
 
-    def listening(self) -> tuple[str, ...]:
-        return ("from_storage",) if self._awaiting else self.inputs
-
-    def _on_storage_note(self, msg: dict) -> None:
-        """A push note from storage: ``wake`` (residency changed; the
-        caller re-dispatches anyway) or ``dropped`` (evicted: re-arm)."""
-        if msg["op"] == "dropped":
-            self.core.forget_prefetch(msg["array"])
-
-    def _query_map(self, ctx: FilterContext, stage: str) -> None:
-        """Ask storage which inputs of the ready tasks are resident (the
-        only names ranking, prefetch planning and the choice test), and
-        wait for the answer."""
-        ctx.write("to_storage", DataBuffer(
-            {"op": "map", "arrays": self.core.ready_inputs()}))
-        self._awaiting = stage
-
-    def _on_map(self, ctx: FilterContext, msg: dict) -> None:
-        """The store answered ``map``.  Declined prefetches are re-armed
-        (memory may be free by the next event); one whose load *failed*
-        is not: the task's demand read, dispatched unwarmed, reports the
-        error."""
-        self._loading = msg["loading"]
-        resident, declined = msg["resident"], msg["declined"]
-        for array in declined:
+    def _on_note(self, msg: dict) -> None:
+        """A storage note about one array.  ``dropped`` re-arms it, and a
+        declined prefetch once the drops since add up to its size (only
+        freed memory can let it fit).  The others answer a prefetch; a
+        *failed* one is not re-armed: the task's demand read reports it."""
+        op, array = msg["op"], msg["array"]
+        self._told.add(array)
+        if op == "dropped":
+            self._resident.discard(array)
             self.core.forget_prefetch(array)
-        if self._awaiting == "map":
-            # Keep upcoming tasks warm regardless of whether we dispatch.
-            plan = self.core.prefetch_plan(resident, self.nbytes)
-            for array in plan:
-                self.tracer.instant(self.node, "sched", "sched", "prefetch",
-                                    array=array)
-                ctx.write("to_storage", DataBuffer(
-                    {"op": "prefetch", "array": array}))
-            if plan:
-                # Streams are FIFO: this reply tells accepted from declined.
-                self._query_map(ctx, "prefetched")
-                return
-        self._awaiting = None
-        task = self._choose(ctx, resident, declined)
-        if task is None:
+            for name in list(self._declined):
+                self._declined[name] += self.nbytes.get(array, 0)
+                if self._declined[name] >= self.nbytes.get(name, 0):
+                    del self._declined[name]
+                    self.core.forget_prefetch(name)
             return
-        subtasks = [task]
-        spare = len(self._idle) - 1
-        if task.splittable and spare > 0 and self.core.ready_count == 0:
-            subtasks = LocalSchedulerCore.split(task, spare + 1)
-            if len(subtasks) > 1:
-                self._parents[task.name] = len(subtasks)
-        for sub in subtasks:
-            if not self._idle:
-                # More subtasks than workers (split() may round up):
-                # requeue the remainder as ready work.
-                self.core.add_ready(sub)
-                continue
-            worker = self._idle.pop(0)
-            self._inflight += 1
-            attempt = self._attempts.get(sub.name, 0) + 1
-            self._attempts[sub.name] = attempt
-            self.tracer.instant(self.node, "sched", "task", "dispatch",
-                                task=sub.name, worker=worker,
-                                attempt=attempt)
-            ctx.write("to_workers", DataBuffer(
-                {"op": "task", "task": sub, "attempt": attempt},
-                {"__dest__": worker}))
-        self._dispatch(ctx)
+        self._loading.discard(array)
+        if op == "resident":
+            self._resident.add(array)
+            self._declined.pop(array, None)
+        elif op == "declined":
+            self._declined[array] = 0
 
-    def _choose(self, ctx: FilterContext, resident: set[str],
-                declined: set[str]) -> TaskSpec | None:
+    def _choose(self, ctx: FilterContext) -> TaskSpec | None:
         """Carry out what the core decides; returns the task to dispatch."""
         decision = self.core.choose(
-            resident, self.nbytes, declined=declined, loading=self._loading,
-            inflight=self._inflight, syncing=self._syncing,
-            unsynced=self._unsynced)
+            self._resident, self.nbytes, declined=frozenset(self._declined),
+            loading=self._loading, inflight=self._inflight,
+            syncing=self._syncing, unsynced=self._unsynced)
         if decision.action == "sync":
             # Streams are FIFO, so this is answered after whatever our
             # completions made ready has been sent.
@@ -404,11 +356,43 @@ class _LocalSchedulerFilter(Filter):
         self._dead = True
 
     def _dispatch(self, ctx: FilterContext) -> None:
-        """With a worker idle and a task ready, ask storage for the map
-        (no new work on a node that is dying or cancelled)."""
-        if (self._idle and self.core.ready_count and not self._awaiting
-                and not self._dying and not self._cancelling):
-            self._query_map(ctx, "map")
+        """While a worker is idle and a task ready (no new work on a node
+        that is dying or cancelled): keep the preferred tasks warm, the
+        prefetches marked ``loading`` until answered, then hand out (split
+        over the idle workers, if it may be) what the core chooses."""
+        while (self._idle and self.core.ready_count
+               and not self._dying and not self._cancelling):
+            for array in self.core.prefetch_plan(self._resident, self.nbytes):
+                self._loading.add(array)
+                self.tracer.instant(self.node, "sched", "sched", "prefetch",
+                                    array=array)
+                ctx.write("to_storage", DataBuffer(
+                    {"op": "prefetch", "array": array}))
+            task = self._choose(ctx)
+            if task is None:
+                return
+            subtasks = [task]
+            spare = len(self._idle) - 1
+            if task.splittable and spare > 0 and self.core.ready_count == 0:
+                subtasks = LocalSchedulerCore.split(task, spare + 1)
+                if len(subtasks) > 1:
+                    self._parents[task.name] = len(subtasks)
+            for sub in subtasks:
+                if not self._idle:
+                    # More subtasks than workers (split() may round up):
+                    # requeue the remainder as ready work.
+                    self.core.add_ready(sub)
+                    continue
+                worker = self._idle.pop(0)
+                self._inflight += 1
+                attempt = self._attempts.get(sub.name, (0,))[0] + 1
+                self._attempts[sub.name] = attempt, sub
+                self.tracer.instant(self.node, "sched", "task", "dispatch",
+                                    task=sub.name, worker=worker,
+                                    attempt=attempt)
+                ctx.write("to_workers", DataBuffer(
+                    {"op": "task", "task": sub, "attempt": attempt},
+                    {"__dest__": worker}))
 
     def debug_snapshot(self) -> dict:
         """Scheduler-side state for the stall watchdog (best effort)."""
@@ -417,8 +401,7 @@ class _LocalSchedulerFilter(Filter):
             "inflight": self._inflight,
             "idle_workers": len(self._idle),
             "syncing": self._syncing,
-            "loading": sorted(self._loading),
-            "awaiting": ["scheduler awaiting map"] if self._awaiting else [],
+            "loading": sorted(self._loading),  # prefetches not yet answered
         }
 
     def _inc(self, name: str) -> None:
@@ -428,7 +411,11 @@ class _LocalSchedulerFilter(Filter):
     def _on_done(self, ctx: FilterContext, msg: dict) -> None:
         self._inflight -= 1
         self._completions += 1
-        self._attempts.pop(msg["task"], None)
+        # The worker released before it said done: the outputs are
+        # resident unless a note about them came first (one still on its
+        # way corrects the view).
+        _, done = self._attempts.pop(msg["task"])
+        self._resident.update(a for a in done.outputs if a not in self._told)
         task = msg.get("parent") or msg["task"]
         if task in self._parents:
             self._parents[task] -= 1
@@ -517,18 +504,14 @@ class _LocalSchedulerFilter(Filter):
                 self._dispatch(ctx)
             # "begin": a run began, and with it the beacon
         elif port == "from_storage":
-            if msg["op"] == "map":
-                self._on_map(ctx, msg)
-            elif msg["op"] == "ended":
+            if msg["op"] == "ended":
                 # Storage's half of the barrier, behind everything this
                 # node sent the global scheduler during the run; no
                 # beacon until the next one.
                 self.heartbeat_s = None
                 ctx.write("to_gsched", DataBuffer(msg))
             else:
-                # "wake"/"dropped": re-dispatch, unless a map reply is due
-                # (it is fresher than the note anyway).
-                self._on_storage_note(msg)
+                self._on_note(msg)
                 self._dispatch(ctx)
         else:
             # "idle" (a worker's first word), "done" or "failed": each

@@ -4,6 +4,10 @@
 effects); this filter carries them out as messages — loads and spills to
 the I/O filters, grants to workers, residency notes to the local
 scheduler, fetches and owner lookups to peers — and feeds back the answers.
+The notes, on the one FIFO stream ``rep_lsched``, are all the scheduler
+knows of the store (it never asks); each names one array: ``resident``,
+``dropped``, ``declined`` (a prefetch found no headroom) or ``failed``.
+Every prefetch gets exactly one of ``resident``, ``declined``, ``failed``.
 """
 
 from __future__ import annotations
@@ -91,8 +95,6 @@ class _StorageFilter(Filter):
         # (span name, array, block) -> tracer start time of the transfer
         self._io_started: dict[tuple[str, str, int], float] = {}
         self._last_queue_depth = 0
-        # arrays with a prefetch declined since the last map reply
-        self._declined: set[str] = set()
         # injected-delay holding pen: (due monotonic time, peer, payload)
         self._delayed: list[tuple[float, int, dict]] = []
         # (array, block) -> (retransmit deadline, owner) of in-flight fetches
@@ -177,9 +179,7 @@ class _StorageFilter(Filter):
                 # counting on this block being resident.
                 self.tracer.instant(self.node, "storage", "storage", "drop",
                                     array=e.array, block=e.block)
-                if not self._draining:
-                    ctx.write("rep_lsched", DataBuffer(
-                        {"op": "dropped", "array": e.array}))
+                self._note(ctx, "dropped", e.array)
             elif e.kind == "fetch_remote":
                 self._io_started[
                     ("fetch_remote", e.array, e.block)] = self.tracer.now()
@@ -345,7 +345,7 @@ class _StorageFilter(Filter):
             self._end_io_span("fetch_remote", msg["array"], msg["block"])
             self._execute(ctx, self.store.on_remote_data(
                 msg["array"], msg["block"], msg["data"]))
-            self._wake_scheduler(ctx)
+            self._note_transfer(ctx, msg["array"])
         elif op == "fetch_failed":
             array, block = msg["array"], msg["block"]
             self._fetch_pending.pop((array, block), None)
@@ -353,7 +353,7 @@ class _StorageFilter(Filter):
             self.directory.invalidate(array)
             self._execute(ctx, self.store.on_fetch_failed(
                 array, block, msg["error"]))
-            self._wake_scheduler(ctx)
+            self._note(ctx, "failed", array)
         else:  # pragma: no cover - defensive
             raise StorageError(f"unknown peer op {op!r}")
 
@@ -373,6 +373,10 @@ class _StorageFilter(Filter):
                 else:
                     effects.extend(self.store.release(ticket))
             self._execute(ctx, effects)
+            for array in self.store.resident_among({  # what it published
+                    t.interval.array for t in msg["tickets"]
+                    if t.permission is Permission.WRITE and not msg["abandon"]}):
+                self._note(ctx, "resident", array)
             self._retry_parked(ctx)
         elif op == "rehome":
             self._handle_rehome(ctx, msg["array"], msg["home"],
@@ -386,25 +390,18 @@ class _StorageFilter(Filter):
             if msg["home"] != self.node:
                 self.store.ensure_remote(self.descs[msg["array"]])
         elif op == "prefetch":
-            desc = self.descs[msg["array"]]
+            array = msg["array"]
             dropped_before = self.store.metrics.get("prefetch_dropped")
-            for iv in whole_array(desc):
+            for iv in whole_array(self.descs[array]):
                 self._execute(ctx, self.store.prefetch(iv))
             dropped = self.store.metrics.get("prefetch_dropped") - dropped_before
             if dropped:
-                self._declined.add(msg["array"])
                 self.tracer.instant(self.node, "storage", "sched",
                                     "prefetch_dropped",
-                                    array=msg["array"], blocks=dropped)
-        elif op == "map":
-            # Served in order: the reply covers the prefetches sent before.
-            # ``resident`` answers for the arrays asked about, no others.
-            ctx.write("rep_lsched", DataBuffer(
-                {"op": "map",
-                 "resident": self.store.resident_among(msg["arrays"]),
-                 "loading": self.store.loading_arrays(),
-                 "declined": self._declined}))
-            self._declined = set()
+                                    array=array, blocks=dropped)
+                self._note(ctx, "declined", array)
+            else:
+                self._note_transfer(ctx, array)
         elif op == "delete":
             self.directory.invalidate(msg["array"])
             self._try_delete(ctx, msg["array"])
@@ -521,11 +518,12 @@ class _StorageFilter(Filter):
         inflight = [b for a, b in self._fetch_pending if a == array]
         for block in inflight:
             del self._fetch_pending[(array, block)]
-        if recover:
+        if recover and (parked or inflight):
             for block in sorted(set(parked) | set(inflight)):
                 self._execute(ctx, self.store.on_fetch_failed(
                     array, block,
                     f"owner of {array!r} died; re-homed to node {home}"))
+            self._note(ctx, "failed", array)
         try:
             if home == self.node:
                 effects = self.store.rehome_local(
@@ -549,7 +547,8 @@ class _StorageFilter(Filter):
                                 "reconstruct", array=array, home=home,
                                 seeded=on_disk)
         self._execute(ctx, effects)
-        self._wake_scheduler(ctx)
+        self._note(ctx, "resident" if self.store.resident_among({array})
+                   else "dropped", array)
 
     def _handle_evict(self, ctx: FilterContext, dead: int) -> None:
         """Apply a dead-node eviction: stop probing/fetching from it.
@@ -603,6 +602,7 @@ class _StorageFilter(Filter):
                 self._end_io_span("load", msg["desc"].name, msg["block"])
                 self._execute(ctx, self.store.on_loaded(
                     msg["desc"].name, msg["block"], msg["data"]))
+                self._note_transfer(ctx, msg["desc"].name)
             elif msg["op"] == "stored":
                 self._end_io_span("spill", msg["desc"].name, msg["block"])
                 self._execute(ctx, self.store.on_spilled(
@@ -614,7 +614,6 @@ class _StorageFilter(Filter):
                 # A finished load/spill may have unpinned a block a parked
                 # delete or recovery rehome is waiting on.
                 self._retry_parked(ctx)
-            self._wake_scheduler(ctx)
         self._maybe_end(ctx)
         if self._closing and self._outstanding_io == 0 and not self._io_closed:
             # Closing io_cmd lets the I/O filters exit, which EOSes io_done;
@@ -636,6 +635,7 @@ class _StorageFilter(Filter):
         if failed == "load":
             self._execute(ctx, self.store.on_load_failed(
                 name, msg["block"], msg["error"]))
+            self._note(ctx, "failed", name)
         elif failed == "store":
             self._execute(ctx, self.store.on_spill_failed(
                 name, msg["block"], msg["error"]))
@@ -668,8 +668,18 @@ class _StorageFilter(Filter):
             ctx.write("io_cmd", DataBuffer(
                 {"op": "unlink", "desc": self.descs[name], "block": -1}))
 
-    def _wake_scheduler(self, ctx: FilterContext) -> None:
-        """Nudge the local scheduler: residency just changed."""
+    def _note(self, ctx: FilterContext, op: str, array: str) -> None:
+        """Tell the local scheduler what just changed for ``array``."""
         if not self._draining:
-            ctx.write("rep_lsched", DataBuffer({"op": "wake"}))
+            ctx.write("rep_lsched", DataBuffer({"op": op, "array": array}))
+
+    def _note_transfer(self, ctx: FilterContext, array: str) -> None:
+        """A prefetch of ``array`` was served, or a transfer of it landed:
+        ``resident`` once all of it is; while a block is in transit its
+        landing answers; else a block is absent (a reclaim took it back,
+        or nothing was there to warm) and a prefetch is ``declined``."""
+        if self.store.resident_among({array}):
+            self._note(ctx, "resident", array)
+        elif array not in self.store.loading_arrays():
+            self._note(ctx, "declined", array)
 

@@ -113,7 +113,8 @@ class Diagnosis:
                     f"idle workers: {node.get('idle_workers', '?')}"
                 )
             if node.get("loading"):
-                lines.append("    scheduler waits for loads of: "
+                lines.append("    scheduler awaiting loading (prefetches "
+                             "not yet answered): "
                              + ", ".join(node["loading"][:8]))
             for waiting in node.get("awaiting", []):
                 lines.append(f"    {waiting}")

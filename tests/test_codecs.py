@@ -305,6 +305,15 @@ class TestCorruption:
         with pytest.raises(StorageError, match="bad chunk magic"):
             read_block(tmp_path, d, 0)
 
+    def test_non_ascii_codec_name_is_storage_error(self, tmp_path):
+        # The CRC covers the payload, not the header's codec-name field.
+        d, p = self._seed(tmp_path)
+        blob = bytearray(p.read_bytes())
+        blob[8] = 0xE9
+        p.write_bytes(bytes(blob))
+        with pytest.raises(StorageError, match="block 0 of 'a'"):
+            read_block(tmp_path, d, 0)
+
     def test_corrupt_payload_never_garbage_decodes(self, tmp_path):
         # Valid framing + CRC over a *wrong* payload: the codec's own
         # length/eof verification still refuses to install bytes.

@@ -14,6 +14,7 @@ from repro.core.iofilter import (
     IOFilter,
     array_path,
     block_offset,
+    chunk_path,
     delete_array_file,
     discover_arrays,
     escape_name,
@@ -371,6 +372,33 @@ class TestIOFilter:
         assert err["token"] == "t-dead"
         assert err["block"] == 0
         assert "error" in err
+
+    def test_non_ascii_codec_name_replies_io_error(self, tmp_path):
+        """A chunk whose codec-name field holds a non-ASCII byte is a
+        corrupt block like any other: the load is answered with
+        ``io_error`` and the next command is served."""
+        d = ArrayDesc("a", length=80, block_elems=40, codec="zlib")
+        write_array(tmp_path, d, np.arange(80.0))
+        path = chunk_path(tmp_path, d.name, 0)
+        blob = bytearray(path.read_bytes())
+        blob[8] = 0xE9
+        path.write_bytes(bytes(blob))
+        replies = []
+        layout = Layout("io")
+        layout.add_filter("drv", lambda: _Driver(
+            [{"op": "load", "desc": d, "block": 0, "token": "t-bad"},
+             {"op": "load", "desc": d, "block": 1, "token": "t-good"}],
+            replies))
+        layout.add_filter("io", lambda: IOFilter(
+            tmp_path, retry=RetryPolicy(attempts=2, backoff_s=0.0)))
+        layout.connect("drv", "cmd", "io", "in")
+        layout.connect("io", "out", "drv", "rep")
+        ThreadedRuntime(layout).run(timeout=30)
+        assert [r["op"] for r in replies] == ["io_error", "loaded"]
+        assert replies[0]["token"] == "t-bad"
+        assert "StorageError" in replies[0]["error"]
+        assert "block 0 of 'a'" in replies[0]["error"]
+        np.testing.assert_array_equal(replies[1]["data"], np.arange(40.0, 80.0))
 
     def test_injected_transient_fault_retried_to_success(self, tmp_path):
         d = desc(length=40, block=40)

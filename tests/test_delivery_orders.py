@@ -16,7 +16,10 @@ schedule deviates from that order at chosen steps, at most twice:
 
 After each schedule the run's output is bit-identical, or its error is a
 named one, and the ticket audit is clean; a failure prints the schedule
-and the delivery order that broke it.  Run the file alone with
+and the delivery order that broke it.  The out-of-core variant runs
+``ooc_program`` instead: node 0's prefetches find no headroom there, so
+the store's ``declined`` and ``dropped`` notes decide what it does.  Run
+the file alone with
 ``PYTHONPATH=src python -m pytest tests/test_delivery_orders.py``.
 """
 
@@ -27,16 +30,35 @@ import numpy as np
 import pytest
 
 import repro.core.engine as engine_module
-from repro.core import DOoCEngine
+from repro.core import DOoCEngine, Program
 from repro.core.errors import NodeLostError
 from repro.datacutter import END_OF_STREAM, ThreadedRuntime
 from repro.datacutter.filters import FilterContext
 from repro.recovery import MembershipConfig
-from tests.test_session import TOTAL, two_node_program
+from tests.test_session import TOTAL, scale_fn, two_node_program
 
 #: thresholds never reached: the runtime below declares node 1 dead itself
 MEMBERSHIP = MembershipConfig(heartbeat_s=60.0, suspect_after_s=120.0,
                               dead_after_s=180.0)
+
+
+#: room for three 512-byte blocks a node: ``ooc_program``'s third input
+#: is declined, and its task is forced once a drop re-arms it in vain
+OOC_BUDGET = 3 * 512
+
+
+def ooc_program(name, n=64):
+    """``d_i = 2 c_i`` for three inputs, all on node 0."""
+    prog = Program(name, default_block_elems=n)
+    for i in range(3):
+        prog.initial_array(f"c{i}", np.arange(n, dtype=float) + i, home=0)
+        prog.array(f"d{i}", n)
+        prog.add_task(f"scale{i}", scale_fn, [f"c{i}"], [f"d{i}"],
+                      src=f"c{i}", out=f"d{i}")
+    return prog
+
+
+OOC_WANT = {f"d{i}": 2.0 * (np.arange(64, dtype=float) + i) for i in range(3)}
 
 
 class RecordingContext(FilterContext):
@@ -237,10 +259,13 @@ class OneThreadRuntime(ThreadedRuntime):
         return True
 
 
-def run_schedule(scratch, schedule, *, death):
-    """One run of the two-node program under ``schedule``; returns the
-    runtime, and the error it raised (None: the output was checked)."""
+def run_schedule(scratch, schedule, *, death, ooc=False):
+    """One run of the two-node program (``ooc``: of ``ooc_program`` in
+    ``OOC_BUDGET``) under ``schedule``; returns the runtime, and the
+    error it raised (None: the output was checked)."""
     graphs = []
+    program, want = ((ooc_program("orders"), OOC_WANT) if ooc else
+                     (two_node_program("orders"), {"total": TOTAL}))
 
     def runtime(*args, **kwargs):
         graphs.append(OneThreadRuntime(*args, schedule=schedule, **kwargs))
@@ -248,14 +273,17 @@ def run_schedule(scratch, schedule, *, death):
 
     eng = DOoCEngine(n_nodes=2, workers=1, scratch_dir=scratch,
                      watchdog_quiet_s=None,
-                     membership=MEMBERSHIP if death else None)
+                     membership=MEMBERSHIP if death else None,
+                     **({"memory_budget_per_node": OOC_BUDGET} if ooc else {}))
     error = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "ThreadedRuntime", runtime)
         try:
             try:
-                eng.run(two_node_program("orders"), timeout=60)
-                assert np.array_equal(eng.fetch("total"), TOTAL), "wrong total"
+                eng.run(program, timeout=60)
+                for name, value in want.items():
+                    assert np.array_equal(eng.fetch(name), value), \
+                        f"wrong {name}"
             except NodeLostError as exc:  # named: which node, what it held
                 error = exc
             for store in eng.stores.values():
@@ -267,20 +295,21 @@ def run_schedule(scratch, schedule, *, death):
     return graphs[0], error
 
 
-def explore(scratch, first, second, *, death, window):
+def explore(scratch, first, second, *, death, window, ooc=False):
     """The default order; each schedule of one deviation of a kind in
     ``first``, at any step; and each of those with one of a kind in
     ``second`` added at most ``window`` steps later.  Yields (schedule,
     runtime, error)."""
-    graph, error = run_schedule(scratch, {}, death=death)
+    graph, error = run_schedule(scratch, {}, death=death, ooc=ooc)
     yield {}, graph, error
     for i, kind in itertools.product(range(len(graph.order)), first):
-        graph, error = run_schedule(scratch, {i: {kind}}, death=death)
+        graph, error = run_schedule(scratch, {i: {kind}}, death=death, ooc=ooc)
         yield {i: {kind}}, graph, error
         later = range(i + 1, min(i + 1 + window, len(graph.order)))
         for j, other in itertools.product(later, second):
             schedule = {i: {kind}, j: {other}}
-            yield (schedule, *run_schedule(scratch, schedule, death=death))
+            yield (schedule,
+                   *run_schedule(scratch, schedule, death=death, ooc=ooc))
 
 
 def failures(runs):
@@ -315,3 +344,14 @@ class TestDeliveryOrders:
         assert len(runs) > 600
         bad = list(failures(runs))
         assert not bad, "\n\n".join(bad[:1])
+
+    def test_every_order_out_of_core(self, tmp_path, protocol_checkers):
+        """No death, and node 0 short of memory: prefetches are declined
+        and re-armed by drops, a task is forced, an output spilled.  Each
+        buffer in turn is delivered last, and so is one more of the few
+        written after it."""
+        runs = list(explore(tmp_path, ["postpone"], ["postpone"],
+                            death=False, window=6, ooc=True))
+        bad = list(failures(runs))
+        assert not bad, "\n\n".join(bad[:1])
+        assert len(runs) > 300

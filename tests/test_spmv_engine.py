@@ -308,3 +308,43 @@ class TestLoadOrderIsNotAFunctionOfSpeed:
         assert 4 < len(loads) < 12  # reloads happen, and reuse too
         assert slow_loads == loads
         np.testing.assert_array_equal(slow_got, got)
+
+
+class TestTheStoreTellsTheSchedulerNeverAsks:
+    """Out of core, the local scheduler learns the store's residency from
+    notes (``resident``, ``dropped``, ``declined``, ``failed``) and never
+    polls it; a declined prefetch is asked for again only once a
+    ``dropped`` note says memory was freed.  TestLoadOrderIsNotAFunctionOfSpeed's
+    shape; counts, never seconds."""
+
+    def test_messages_per_task_and_no_blind_re_prefetch(self, tmp_path):
+        global_m, p, blocks, x0 = make_problem(n=100, k=2, seed=3,
+                                               density_per_row=20.0)
+        result = build_iterated_spmv(
+            blocks, p.split_vector(x0), iterations=3, n_nodes=1,
+            policy="simple")
+        from repro.spmv.csrfile import serialize_csr
+        a_bytes = sum(len(serialize_csr(b)) for b in blocks.values())
+        eng = DOoCEngine(n_nodes=1, workers=1,
+                         memory_budget_per_node=a_bytes // 3,
+                         scratch_dir=tmp_path, trace=True)
+        report = eng.run(result.program, timeout=120)
+        np.testing.assert_allclose(
+            result.fetch_final(eng),
+            iterated_spmv_reference(global_m, x0, 3), rtol=1e-9)
+        tasks = len(result.program.tasks)
+        asked, _ = report.stream_stats["lsched@0.to_storage->storage@0.req"]
+        told, _ = report.stream_stats[
+            "storage@0.rep_lsched->lsched@0.from_storage"]
+        # 15 a task while the scheduler polled the store before each
+        # dispatch and re-sent a declined prefetch at every event.
+        assert (asked + told) / tasks <= 7
+        dropped_since: dict[str, bool] = {}
+        for e in sorted(report.trace_events, key=lambda e: e.ts):
+            if (e.cat, e.name) == ("storage", "drop"):
+                dropped_since = dict.fromkeys(dropped_since, True)
+            elif (e.cat, e.name) == ("sched", "prefetch"):
+                array = e.args["array"]
+                assert dropped_since.get(array, True), (
+                    f"{array} prefetched twice with no drop between")
+                dropped_since[array] = False

@@ -9,6 +9,10 @@ bugs fixed alongside the observability layer:
   an evicted prefetched block stayed in the scheduler's ``_prefetched``
   set and was never re-warmed;
 * prefetches the store declines are now counted (``prefetch_dropped``).
+
+The scheduler's side of the store is the notes it is sent
+(``resident``, ``dropped``, ``declined``, ``failed``); the tests below
+deliver them through ``filt.on(ctx, port, buf)``.
 """
 
 import numpy as np
@@ -176,6 +180,11 @@ def storage_filter(store, descs):
     return _StorageFilter(0, 1, RunState(stores={0: store}, descs=descs))
 
 
+def notes(ctx):
+    """What a storage filter told its local scheduler so far."""
+    return [p for port, p in ctx.writes if port == "rep_lsched"]
+
+
 def lsched_filter(nbytes, store=None, **kwargs):
     """Node 0's one-worker scheduler filter, bound to a one-node run."""
     stores = {} if store is None else {0: store}
@@ -213,94 +222,148 @@ class TestForgetPrefetchWiring:
         filt = lsched_filter({"a": 8, "y": 8})
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
-        filt._on_storage_note({"op": "dropped", "array": "a"})
+        filt.on(RecordingContext(), "from_storage",
+                DataBuffer({"op": "dropped", "array": "a"}))
         assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
 
-
-    def test_map_reply_names_loading_and_declined_once(self):
-        """The scheduler's event-driven wait-or-force rule reads both off
-        the reply that follows its prefetches: what it may wait for, and
-        what the store refused (to be asked for again)."""
-        d_fit, d_big = desc("fit", 8, 8), desc("big", 64, 64)
+    def test_each_prefetch_is_answered_once(self):
+        """The scheduler's event-driven wait-or-force rule reads what it
+        may wait for off the notes: a prefetch that found headroom is
+        answered ``resident`` when its load lands, one that did not
+        ``declined`` at once, one whose load failed ``failed``; none of
+        them twice."""
+        d_fit, d_bad, d_big = (desc("fit", 8, 8), desc("bad", 8, 8),
+                               desc("big", 64, 64))
         store = LocalStore(0, memory_budget=128)
-        store.register_on_disk(d_fit)
-        store.register_on_disk(d_big)
-        filt = storage_filter(store, {"fit": d_fit, "big": d_big})
+        for d in (d_fit, d_bad, d_big):
+            store.register_on_disk(d)
+        filt = storage_filter(store, {d.name: d for d in (d_fit, d_bad, d_big)})
         ctx = RecordingContext()
-        for array in ("fit", "big"):  # 64 B load reserved, then 512 B asked
-            filt.on(ctx, "req", DataBuffer({"op": "prefetch", "array": array}))
-        ask = DataBuffer({"op": "map", "arrays": {"fit", "big"}})
-        filt.on(ctx, "req", ask)
-        assert ctx.writes[-1] == ("rep_lsched", {
-            "op": "map", "resident": set(), "loading": {"fit"},
-            "declined": {"big"}})
-        filt.on(ctx, "req", ask)
-        assert ctx.writes[-1][1]["declined"] == set()  # reported once
 
-    def test_map_reply_is_the_resident_subset_of_the_names_asked(self):
-        """``resident`` answers for the request's ``arrays`` and nothing
-        else: not for other resident arrays, not for a name the store does
-        not know, not for an array with a block loading, spilling or not
-        yet sealed.  The field is required."""
-        descs = {n: desc(n, 16, 8) for n in
-                 ("whole", "idle", "loading", "spilling", "unsealed")}
+        # 64 B loads reserved twice, then 512 B asked
+        for array in ("fit", "bad", "big"):
+            filt.on(ctx, "req", DataBuffer({"op": "prefetch", "array": array}))
+        assert notes(ctx) == [{"op": "declined", "array": "big"}]
+        assert [p["desc"].name for port, p in ctx.writes
+                if port == "io_cmd"] == ["fit", "bad"]
+        filt.on(ctx, "io_done", DataBuffer(
+            {"op": "loaded", "desc": d_fit, "block": 0, "data": np.zeros(8)}))
+        filt.on(ctx, "io_done", DataBuffer(
+            {"op": "io_error", "failed_op": "load", "desc": d_bad,
+             "block": 0, "error": "OSError()"}))
+        assert notes(ctx)[1:] == [{"op": "resident", "array": "fit"},
+                                  {"op": "failed", "array": "bad"}]
+
+    def test_resident_is_said_of_whole_sealed_arrays(self):
+        """``resident`` is said of an array once every block of it is
+        resident and sealed — by the load of its last block, or by the
+        release that publishes its last range — and not before: not while
+        a block is still loading, not after a partial write.  A prefetch
+        that meets a block being spilled is declined."""
+        descs = {n: desc(n, 16, 8) for n in ("loading", "spilling", "unsealed")}
         store = LocalStore(0, memory_budget=1 << 20)
         filt = storage_filter(store, descs)
         ctx = RecordingContext()
 
-        def write(name, blocks):
-            for b in blocks:
-                t, eff = store.request_write(whole_block(descs[name], b))
-                grant_of(eff).data[:] = 1.0
-                store.release(t)
+        def loaded(block):
+            filt.on(ctx, "io_done", DataBuffer(
+                {"op": "loaded", "desc": descs["loading"], "block": block,
+                 "data": np.zeros(8)}))
 
-        for name in ("whole", "idle", "spilling", "unsealed"):
-            store.create_array(descs[name])
+        def release(*tickets):
+            filt.on(ctx, "req", DataBuffer(
+                {"op": "release", "tickets": list(tickets), "abandon": False}))
+
         store.register_on_disk(descs["loading"])
-        write("whole", (0, 1))
-        write("idle", (0, 1))
-        write("spilling", (0, 1))
-        write("unsealed", (0,))
-        held, _ = store.request_write(Interval("unsealed", 1, 8, 12))
+        filt.on(ctx, "req", DataBuffer({"op": "prefetch", "array": "loading"}))
+        loaded(1)  # block 0 still in flight
+        assert notes(ctx) == []
+        loaded(0)
+        assert notes(ctx) == [{"op": "resident", "array": "loading"}]
+
+        store.create_array(descs["unsealed"])
+        tickets = []
+        for block, lo, hi in ((0, 0, 8), (1, 8, 12), (1, 12, 16)):
+            t, eff = store.request_write(Interval("unsealed", block, lo, hi))
+            grant_of(eff).data[:] = 1.0
+            tickets.append(t)
+        release(*tickets[:2])
+        assert len(notes(ctx)) == 1  # block 1 is half written
+        release(tickets[2])
+        assert notes(ctx)[1:] == [{"op": "resident", "array": "unsealed"}]
+
+        store.create_array(descs["spilling"])
         for b in (0, 1):
-            store.prefetch(whole_block(descs["loading"], b))
-        store.on_loaded("loading", 1, np.zeros(8))  # block 0 still in flight
+            t, eff = store.request_write(whole_block(descs["spilling"], b))
+            grant_of(eff).data[:] = 1.0
+            store.release(t)
         store._blocks[("spilling", 1)].status = "spilling"
+        filt.on(ctx, "req", DataBuffer({"op": "prefetch", "array": "spilling"}))
+        assert notes(ctx)[2:] == [{"op": "declined", "array": "spilling"}]
 
-        def resident(names):
-            filt.on(ctx, "req", DataBuffer({"op": "map", "arrays": names}))
-            return ctx.writes[-1][1]["resident"]
-
-        assert resident({"whole", "loading", "spilling", "unsealed",
-                         "unknown"}) == {"whole"}
-        assert resident({"idle"}) == {"idle"}
-        assert resident(set()) == set()
-        store.on_loaded("loading", 0, np.zeros(8))
-        store.release(held)
-        assert resident({"loading", "unsealed"}) == {"loading"}
-        with pytest.raises(KeyError):
-            filt.on(ctx, "req", DataBuffer({"op": "map"}))
-
-    def test_lsched_filter_rearms_declined_from_map_reply(self):
+    def test_lsched_filter_rearms_declined_once_drops_free_its_size(self):
+        """A prefetch never evicts and never queues, so only freed memory
+        can let a declined one succeed: ``dropped`` notes re-arm it once
+        the arrays they name add up to its size; no other note does."""
         from repro.core.task import TaskSpec
 
-        filt = lsched_filter({"a": 8, "y": 8})
+        nbytes = {"a": 16, "b": 8, "c": 8, "d": 8, "y": 8, "z": 8}
+        filt = _LocalSchedulerFilter(0, 2, RunState(nbytes=nbytes))
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
-        assert filt.core.prefetch_plan(frozenset(), filt.nbytes) == ["a"]
+        filt.core.add_ready(TaskSpec("u", lambda *a: None, ("b",), ("z",)))
         ctx = RecordingContext()
+
+        def note(op, array):
+            filt.on(ctx, "from_storage", DataBuffer({"op": op, "array": array}))
+
         filt.on(ctx, "from_workers", DataBuffer({"op": "idle", "inst": 0}))
-        # A worker is free: the request names the ready tasks' inputs,
-        # outputs excluded, and the filter listens for the reply alone.
-        assert ctx.writes == [("to_storage", {"op": "map", "arrays": {"a"}})]
-        assert filt.listening() == ("from_storage",)
-        assert filt.debug_snapshot()["awaiting"] == ["scheduler awaiting map"]
-        filt.on(ctx, "from_storage", DataBuffer(
-            {"op": "map", "resident": set(), "loading": set(),
-             "declined": {"a"}}))
-        # "a" was re-armed: the prefetch window asks for it again.
-        assert ctx.writes[1:] == [
-            ("to_storage", {"op": "prefetch", "array": "a"}),
-            ("to_storage", {"op": "map", "arrays": {"a"}})]
+        # A worker is free: the window asks for the ready tasks' inputs,
+        # outputs excluded, and waits for the answers.
+        assert ctx.writes == [("to_storage", {"op": "prefetch", "array": "b"}),
+                              ("to_storage", {"op": "prefetch", "array": "a"})]
+        assert filt.debug_snapshot()["loading"] == ["a", "b"]
+        note("resident", "b")  # "u" runs; "t" still waits for its answer
+        assert [p["task"].name for port, p in ctx.writes[2:]] == ["u"]
+        filt.on(ctx, "from_workers", DataBuffer({"op": "idle", "inst": 1}))
+        note("declined", "a")
+        note("resident", "c")
+        note("dropped", "c")  # 8 of the 16 bytes "a" needs
+        # "u" is in flight, so "t" waits; nothing re-armed "a".
+        assert len(ctx.writes) == 3 and filt.debug_snapshot()["loading"] == []
+        note("dropped", "d")
+        assert ctx.writes[3:] == [("to_storage", {"op": "prefetch", "array": "a"})]
+
+    def test_a_completion_makes_its_outputs_resident(self):
+        """A worker releases before it says ``done``, so the next choice
+        takes the finished task's outputs as resident without waiting for
+        storage's note; not when a note about them came first."""
+        from repro.core.task import TaskSpec
+
+        filt = lsched_filter(dict.fromkeys(("a", "y", "w", "z"), 8))
+        ctx = RecordingContext()
+
+        def task(name, reads, writes):
+            return TaskSpec(name, lambda *a: None, (reads,), (writes,))
+
+        def deliver(port, **msg):
+            filt.on(ctx, port, DataBuffer(msg))
+
+        deliver("from_storage", op="resident", array="a")
+        deliver("in", op="tasks", tasks=[task("t", "a", "y")])
+        deliver("from_workers", op="idle", inst=0)
+        deliver("in", op="tasks", tasks=[task("u", "y", "z")])
+        deliver("from_workers", op="done", task="t", inst=0)
+        # "u" runs at once: no prefetch of "y", no sync first.
+        port, last = ctx.writes[-1]
+        assert port == "to_workers" and last["task"].name == "u"
+        deliver("in", op="tasks", tasks=[task("v", "a", "w")])
+        deliver("from_workers", op="done", task="u", inst=0)
+        deliver("from_storage", op="resident", array="w")
+        deliver("from_storage", op="dropped", array="w")
+        deliver("in", op="tasks", tasks=[task("x", "w", "z")])
+        deliver("from_workers", op="done", task="v", inst=0)
+        assert ctx.writes[-1] == ("to_storage",
+                                  {"op": "prefetch", "array": "w"})
 
     def test_lsched_filter_carries_out_what_the_core_decides(self):
         """The rule is ``LocalSchedulerCore.choose``; what is left to the
@@ -314,13 +377,14 @@ class TestForgetPrefetchWiring:
         filt = lsched_filter({"a": 8, "y": 8}, store, tracer=tracer)
         filt.core.add_ready(TaskSpec("t", lambda *a: None, ("a",), ("y",)))
         filt._unsynced = True  # a completion went to the global scheduler
+        filt._declined = {"a": 0}  # the store's note
         ctx = RecordingContext()
-        assert filt._choose(ctx, set(), {"a"}) is None
-        assert filt._choose(ctx, set(), {"a"}) is None  # asked; now waits
+        assert filt._choose(ctx) is None
+        assert filt._choose(ctx) is None  # asked; now waits
         assert ctx.writes == [("to_gsched", {"op": "sync", "node": 0})]
         assert "forced_dispatches" not in metrics.as_dict()
         filt._syncing = False  # the ``synced`` reply
-        assert filt._choose(ctx, set(), {"a"}).name == "t"
+        assert filt._choose(ctx).name == "t"
         assert len(ctx.writes) == 1 and filt.core.ready_count == 0
         assert metrics.as_dict()["forced_dispatches"] == 1
         (event,) = [e for e in tracer.events() if e.name == "forced_dispatch"]
