@@ -8,7 +8,9 @@ asserts:
 
 * every job ended in a *structured* terminal state (done / rejected /
   deadline-exceeded / cancelled), never a hang or a watchdog stall;
-* the preemption victim resumed from a checkpoint;
+* a preempted victim resumed from the step its last ``job_preempt``
+  logged (the newest intact checkpoint its attempt left, ``None`` before
+  the first), and at least one preemption found a checkpoint;
 * the server exited 0 after the drain wrote its manifest;
 * /dev/shm and the scratch tempdir hold no ``dooc-*`` litter.
 
@@ -164,12 +166,24 @@ def main() -> int:
     if not resumed:
         print("FAIL: neither heavy bulk job was preempted")
         ok = False
+    # A victim resumes from the newest intact checkpoint its preempted
+    # attempt left, logged on its last job_preempt (None: preempted
+    # before its first chunk ended, so it starts over).
+    checkpointed = 0
     for rec in resumed:
+        preempts = [e for e in client.trace(rec["id"])["events"]
+                    if e["event"] == "job_preempt"]
+        checkpointed += sum(e["checkpoint"] is not None for e in preempts)
         if rec["state"] == JobState.DONE and \
-                rec["outcome"].get("restored_from") is None:
-            print(f"FAIL: preempted job {rec['id']} did not resume "
-                  "from a checkpoint")
+                rec["outcome"].get("restored_from") != preempts[-1][
+                    "checkpoint"]:
+            print(f"FAIL: preempted job {rec['id']} resumed from "
+                  f"{rec['outcome'].get('restored_from')}, not from its "
+                  f"newest checkpoint {preempts[-1]['checkpoint']}")
             ok = False
+    if resumed and not checkpointed:
+        print("FAIL: no preempted job had passed a checkpoint")
+        ok = False
 
     # graceful SIGTERM drain
     proc.send_signal(signal.SIGTERM)

@@ -24,8 +24,8 @@ DOOC005-008 and DOOC013 are one idea, "this call or import belongs in
 one place" — durable ``.blk``/``.ckpt`` writes in ``util/atomicio``,
 ``SharedMemory`` in ``core/shm``, compression imports in ``core/codecs``,
 ``mmap`` in ``core/iofilter``, and no ``time.sleep`` in ``server/`` or
-``core/`` (DOOC014): the rows of :data:`FENCES`, checked by one function,
-:func:`check_fence`.
+``core/``, nor a ``.poll`` on a tuned period in ``core/`` (DOOC014): the
+rows of :data:`FENCES`, checked by one function, :func:`check_fence`.
 
 The rules are deliberately lexical (single-function, no dataflow): they
 catch the protocol mistakes that actually bit this repo while staying fast
@@ -292,6 +292,19 @@ def _call_to(name: str, receivers: tuple[str | None, ...] | None = None):
     return match
 
 
+def _nap(node: ast.AST, stmt: ast.stmt | None) -> str | None:
+    """Matcher for a wait on a tuned period: ``time.sleep(...)``, or a
+    ``.poll(<non-zero constant>)`` (``poll(0)`` only looks)."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "poll"):
+        timeout = node.args[0] if node.args else next(
+            (k.value for k in node.keywords if k.arg == "timeout"), None)
+        if (isinstance(timeout, ast.Constant)
+                and type(timeout.value) in (int, float) and timeout.value):
+            return "poll()"
+    return _call_to("sleep", (None, "time"))(node, stmt)
+
+
 def _mentions_durable(node: ast.AST) -> bool:
     """Does ``node`` name a recovery-critical (.blk/.ckpt) artifact?"""
     return any(isinstance(n, ast.Constant) and isinstance(n.value, str)
@@ -383,10 +396,11 @@ FENCES = (
           "ignores SIGTERM for the rest of its nap",
           _call_to("sleep", (None, "time")), "inside repro/server"),
     Fence("DOOC014", "sleep-in-core",
-          "time.sleep(...) inside repro/core; control-plane threads park on "
-          "condition waits or stream reads and wake on a notification or a "
-          "deadline of their own, never on a tuned nap",
-          _call_to("sleep", (None, "time")), "inside repro/core"),
+          "time.sleep(...) or .poll(<non-zero constant>) inside repro/core; "
+          "control-plane threads park on condition waits, stream reads or "
+          "connection waits and wake on a notification or a deadline of "
+          "their own, never on a tuned nap",
+          _nap, "inside repro/core"),
 )
 
 

@@ -449,7 +449,7 @@ class _GlobalSchedulerFilter(Filter):
             if not self.cancelled:  # no reroutes for a run being torn down
                 self._reroute(ctx, msg)
         else:
-            self._on_done(ctx, msg["task"])
+            self._on_done(ctx, msg["tasks"])
         return self._advance(ctx)
 
     def _start(self, ctx: FilterContext) -> None:
@@ -473,27 +473,35 @@ class _GlobalSchedulerFilter(Filter):
                                 reason=self.cancel.reason)
             self._barrier(ctx, "cancel")
 
-    def _on_done(self, ctx: FilterContext, task: str) -> None:
-        if task in self._replaying:
-            # A reconstruction replay finished: the DAG already counts
-            # this task as complete, so only clear the replay flag.
-            self._replaying.discard(task)
-            if self.recovery is not None:
-                self.recovery.lineage.record("replay_done", task=task)
-            return
-        if task in self._dup_ok and task in self.dag.completed:
-            # The corpse finished this task before dying; the survivor's
-            # re-execution already marked it complete (or vice versa).
-            self._dup_ok.discard(task)
-            return
-        newly = self.dag.mark_complete(task)
+    def _on_done(self, ctx: FilterContext, names: list[str]) -> None:
+        """A node finished a batch: what its tasks made ready goes out in
+        one ``tasks`` message per node, ahead of what they let collect."""
+        completed: list[str] = []
+        newly: list[str] = []
+        for task in names:
+            if task in self._replaying:
+                # A reconstruction replay finished: the DAG already counts
+                # this task as complete, so only clear the replay flag.
+                self._replaying.discard(task)
+                if self.recovery is not None:
+                    self.recovery.lineage.record("replay_done", task=task)
+            elif task in self._dup_ok and task in self.dag.completed:
+                # The corpse finished this task before dying; the
+                # survivor's re-execution already marked it complete (or
+                # vice versa).
+                self._dup_ok.discard(task)
+            else:
+                newly += self.dag.mark_complete(task)
+                completed.append(task)
         if not self.cancelled:
             self._send(ctx, newly)
-        if self.recovery is not None:
-            self.recovery.lineage.record(
-                "complete", task=task, node=self.assignment.get(task, -1))
-        if self.gc_arrays and not self.cancelled:
-            self._collect(ctx, task)
+        for task in completed:
+            if self.recovery is not None:
+                self.recovery.lineage.record(
+                    "complete", task=task,
+                    node=self.assignment.get(task, -1))
+            if self.gc_arrays and not self.cancelled:
+                self._collect(ctx, task)
 
     def _advance(self, ctx: FilterContext) -> bool:
         """Start the barrier once the DAG is done; end the run once every

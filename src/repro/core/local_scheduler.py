@@ -4,7 +4,9 @@ The local scheduler "splits [tasks] to match the parallelism available on
 the node", marks tasks ready once their predecessors finish, prefers ready
 tasks "whose data input are available in memory", and "makes sure that
 there are a given number of ready tasks whose data are in memory by
-sending sufficient prefetch requests to the storage layer".
+sending sufficient prefetch requests to the storage layer".  It also
+merges: a worker is handed a *batch* of resident ready tasks at once
+(:meth:`LocalSchedulerCore.batch`).
 
 The preference order implemented here is what makes the back-and-forth
 plan of Fig. 5(b) *emerge* rather than be programmed:
@@ -49,14 +51,21 @@ class _ReadyEntry:
 
 class Decision(NamedTuple):
     """What :meth:`LocalSchedulerCore.choose` tells its driver: ``run``
-    ``task`` (its inputs are resident, or reordering is off); ``force`` it
-    although its demand reads will load, ``why`` being ``declined`` (the
-    store refused to prefetch one of its inputs) or ``nothing_loading``;
-    ``sync`` with the global scheduler first; or ``wait`` for a message."""
+    ``batch`` on one worker (its inputs are resident, or reordering is
+    off); ``force`` its one task although its demand reads will load,
+    ``why`` being ``declined`` (the store refused to prefetch one of its
+    inputs) or ``nothing_loading``; ``sync`` with the global scheduler
+    first; or ``wait`` for a message."""
 
     action: Literal["run", "force", "sync", "wait"]
-    task: TaskSpec | None = None
+    #: the tasks one worker gets, top-ranked first (empty: sync or wait)
+    batch: tuple[TaskSpec, ...] = ()
     why: str = ""
+
+    @property
+    def task(self) -> TaskSpec | None:
+        """The batch's top-ranked task (None: nothing is handed out)."""
+        return self.batch[0] if self.batch else None
 
 
 class LocalSchedulerCore:
@@ -115,41 +124,67 @@ class LocalSchedulerCore:
     def choose(self, resident: AbstractSet[str], nbytes: Mapping[str, int],
                *, declined: AbstractSet[str] = frozenset(),
                loading: AbstractSet[str] = frozenset(), inflight: int = 0,
-               syncing: bool = False, unsynced: bool = False) -> Decision:
-        """Decide what an idle worker gets, and *claim* the task if any.
+               syncing: bool = False, unsynced: bool = False,
+               idle: int = 1, room: int = 0) -> Decision:
+        """Decide what an idle worker gets, and *claim* it.
 
         Section III-C: "a task which is ready and whose data input are
-        available in memory is sent to the computing filter".  When none
-        is, the rule waits for events, never for the clock (DESIGN.md,
+        available in memory is sent to the computing filter" — with the
+        further resident ones :meth:`batch` lets ride along (``idle``:
+        the workers free now, this one included; ``room``: the bytes the
+        driver's view says are free).  When no ready task is resident,
+        the rule waits for events, never for the clock (DESIGN.md,
         section 6).  Whatever is in flight — a task running here
         (``inflight``), an input of a ready task in ``loading``, a
-        ``syncing`` request — ends in a message: wait for it.  With nothing
-        in flight but completions the global scheduler has not answered
-        for (``unsynced``), tasks they made ready (a resident one,
-        perhaps) may be on their way: sync first.  Otherwise no message is
-        coming, and the top-ranked task is forced: its demand reads load,
-        and may evict.  ``resident``, ``loading`` and ``declined`` are what
-        the store's notes have said so far.
+        ``syncing`` request — ends in a message: wait for it.  With
+        nothing in flight but completions the global scheduler has not
+        answered for (``unsynced``), tasks they made ready (a resident
+        one, perhaps) may be on their way: sync first.  Otherwise no
+        message is coming, and the top-ranked task is forced, alone: its
+        demand reads load, and may evict.  ``resident``, ``loading`` and
+        ``declined`` are what the store's notes have said so far.
         """
         ranked = self.rank(resident, nbytes)
         if not ranked:
             return Decision("wait")
         if not self.reorder:
             # Ablation: the naive plan runs strictly in readiness order,
-            # paying demand loads as they come (Fig. 5a).
-            return Decision("run", self.claim(ranked[0].name))
-        for t in ranked:
-            if all(a in resident for a in t.inputs):
-                return Decision("run", self.claim(t.name))
+            # one task a hand-off, paying demand loads as they come
+            # (Fig. 5a).
+            return Decision("run", (self.claim(ranked[0].name),))
+        hot = list(itertools.takewhile(
+            lambda t: all(a in resident for a in t.inputs), ranked))
+        if hot:
+            return Decision("run", tuple(
+                self.claim(t.name)
+                for t in self.batch(hot, nbytes, idle=idle, room=room)))
         if inflight or syncing or any(
                 a in loading for t in ranked for a in t.inputs):
             return Decision("wait")
         if unsynced:
             return Decision("sync")
         task = self.claim(ranked[0].name)
-        return Decision("force", task,
+        return Decision("force", (task,),
                         "declined" if declined.intersection(task.inputs)
                         else "nothing_loading")
+
+    def batch(self, hot: list[TaskSpec], nbytes: Mapping[str, int], *,
+              idle: int = 1, room: int = 0) -> list[TaskSpec]:
+        """The tasks one hand-off carries, out of ``hot`` (the ready tasks
+        with every input resident, in rank order): the first, then the
+        next ones while the batch is at most this worker's share of them,
+        ⌈len(hot) / idle⌉ — so no idle worker goes without — and their
+        outputs fit in ``room``, the driver's view of free memory (budget
+        less resident arrays less the outputs of tasks in flight) with
+        room to spare, so without an eviction.  Out of core that view is
+        full, and a batch is one task; so it is without a view (``room``
+        0)."""
+        share = -(-len(hot) // max(idle, 1))
+        for size, task in enumerate(hot[:share]):
+            room -= sum(nbytes.get(a, 0) for a in task.outputs)
+            if size and room <= 0:
+                return hot[:size]
+        return hot[:share]
 
     def claim(self, name: str) -> TaskSpec:
         """Remove a ready task from the pool (the caller will run it)."""
@@ -241,6 +276,8 @@ class _LocalSchedulerFilter(Filter):
         self.nbytes = run.nbytes
         store = run.stores.get(self.node)
         self.metrics = store.metrics if store is not None else None
+        #: the node's memory budget (0 without a store: batches of one)
+        self.budget = store.budget if store is not None else 0
         #: liveness beacon period (None = membership tracking off)
         self.heartbeat_s = (run.recovery.tracker.config.heartbeat_s
                             if run.recovery is not None else None)
@@ -253,6 +290,8 @@ class _LocalSchedulerFilter(Filter):
         self._parents: dict[str, int] = {}  # parent task -> remaining subtasks
         self._attempts: dict[str, tuple[int, TaskSpec]] = {}  # (tries, spec)
         self._inflight = 0
+        #: bytes the outputs of the tasks in flight here will take
+        self._inflight_bytes = 0
         self._completions = 0
         #: completions were reported since the last sync with the global
         #: scheduler / a sync request is unanswered
@@ -260,7 +299,10 @@ class _LocalSchedulerFilter(Filter):
         #: the store's residency as its notes tell it (seeded while the
         #: graph is parked): arrays all resident, prefetched and not yet
         #: answered, declined (-> bytes dropped since), named by any note
-        self._resident = store.resident_arrays() if store is not None else set()
+        self._resident: set[str] = set()
+        self._resident_bytes = 0
+        self._now_resident(store.resident_arrays() if store is not None
+                           else ())
         self._loading: set[str] = set()
         self._declined: dict[str, int] = {}
         self._told: set[str] = set()
@@ -278,7 +320,9 @@ class _LocalSchedulerFilter(Filter):
         op, array = msg["op"], msg["array"]
         self._told.add(array)
         if op == "dropped":
-            self._resident.discard(array)
+            if array in self._resident:
+                self._resident.discard(array)
+                self._resident_bytes -= self.nbytes.get(array, 0)
             self.core.forget_prefetch(array)
             for name in list(self._declined):
                 self._declined[name] += self.nbytes.get(array, 0)
@@ -288,17 +332,31 @@ class _LocalSchedulerFilter(Filter):
             return
         self._loading.discard(array)
         if op == "resident":
-            self._resident.add(array)
+            self._now_resident((array,))
             self._declined.pop(array, None)
         elif op == "declined":
             self._declined[array] = 0
 
-    def _choose(self, ctx: FilterContext) -> TaskSpec | None:
-        """Carry out what the core decides; returns the task to dispatch."""
+    def _now_resident(self, arrays) -> None:
+        """Add ``arrays`` to the resident view, and their bytes to its
+        total."""
+        for array in arrays:
+            if array not in self._resident:
+                self._resident.add(array)
+                self._resident_bytes += self.nbytes.get(array, 0)
+
+    def _outputs_bytes(self, task: TaskSpec) -> int:
+        return sum(self.nbytes.get(a, 0) for a in task.outputs)
+
+    def _choose(self, ctx: FilterContext) -> tuple[TaskSpec, ...] | None:
+        """Carry out what the core decides; returns the batch to hand to
+        one worker."""
         decision = self.core.choose(
             self._resident, self.nbytes, declined=frozenset(self._declined),
             loading=self._loading, inflight=self._inflight,
-            syncing=self._syncing, unsynced=self._unsynced)
+            syncing=self._syncing, unsynced=self._unsynced,
+            idle=len(self._idle),
+            room=self.budget - self._resident_bytes - self._inflight_bytes)
         if decision.action == "sync":
             # Streams are FIFO, so this is answered after whatever our
             # completions made ready has been sent.
@@ -309,7 +367,7 @@ class _LocalSchedulerFilter(Filter):
             self.tracer.instant(
                 self.node, "sched", "sched", "forced_dispatch",
                 task=decision.task.name, why=decision.why)
-        return decision.task
+        return decision.batch or None
 
     @property
     def _dying(self) -> bool:
@@ -368,31 +426,43 @@ class _LocalSchedulerFilter(Filter):
                                     array=array)
                 ctx.write("to_storage", DataBuffer(
                     {"op": "prefetch", "array": array}))
-            task = self._choose(ctx)
-            if task is None:
+            batch = self._choose(ctx)
+            if batch is None:
                 return
-            subtasks = [task]
+            (task, *more) = batch
             spare = len(self._idle) - 1
-            if task.splittable and spare > 0 and self.core.ready_count == 0:
+            if (not more and task.splittable and spare > 0
+                    and self.core.ready_count == 0):
                 subtasks = LocalSchedulerCore.split(task, spare + 1)
                 if len(subtasks) > 1:
                     self._parents[task.name] = len(subtasks)
-            for sub in subtasks:
-                if not self._idle:
-                    # More subtasks than workers (split() may round up):
-                    # requeue the remainder as ready work.
-                    self.core.add_ready(sub)
-                    continue
-                worker = self._idle.pop(0)
-                self._inflight += 1
-                attempt = self._attempts.get(sub.name, (0,))[0] + 1
-                self._attempts[sub.name] = attempt, sub
-                self.tracer.instant(self.node, "sched", "task", "dispatch",
-                                    task=sub.name, worker=worker,
-                                    attempt=attempt)
-                ctx.write("to_workers", DataBuffer(
-                    {"op": "task", "task": sub, "attempt": attempt},
-                    {"__dest__": worker}))
+                for sub in subtasks:
+                    if self._idle:
+                        self._hand_off(ctx, (sub,))
+                    else:
+                        # More subtasks than workers (split() may round
+                        # up): requeue the remainder as ready work.
+                        self.core.add_ready(sub)
+            else:
+                self._hand_off(ctx, batch)
+
+    def _hand_off(self, ctx: FilterContext, batch: tuple[TaskSpec, ...]) -> None:
+        """Give an idle worker ``batch`` in one message; each of its tasks
+        is in flight, on its next attempt."""
+        worker = self._idle.pop(0)
+        attempts = []
+        for task in batch:
+            attempt = self._attempts.get(task.name, (0,))[0] + 1
+            self._attempts[task.name] = attempt, task
+            attempts.append(attempt)
+            self._inflight += 1
+            self._inflight_bytes += self._outputs_bytes(task)
+            self.tracer.instant(self.node, "sched", "task", "dispatch",
+                                task=task.name, worker=worker,
+                                attempt=attempt)
+        ctx.write("to_workers", DataBuffer(
+            {"op": "run", "batch": batch, "attempts": tuple(attempts)},
+            {"__dest__": worker}))
 
     def debug_snapshot(self) -> dict:
         """Scheduler-side state for the stall watchdog (best effort)."""
@@ -408,56 +478,78 @@ class _LocalSchedulerFilter(Filter):
         if self.metrics is not None:
             self.metrics.inc(name)
 
-    def _on_done(self, ctx: FilterContext, msg: dict) -> None:
-        self._inflight -= 1
-        self._completions += 1
-        # The worker released before it said done: the outputs are
-        # resident unless a note about them came first (one still on its
-        # way corrects the view).
-        _, done = self._attempts.pop(msg["task"])
-        self._resident.update(a for a in done.outputs if a not in self._told)
-        task = msg.get("parent") or msg["task"]
-        if task in self._parents:
-            self._parents[task] -= 1
-            if self._parents[task]:
-                return  # sibling subtasks still running
-            del self._parents[task]
-        self._unsynced = True
-        ctx.write("to_gsched", DataBuffer({"op": "done", "task": task}))
+    def _on_report(self, ctx: FilterContext, msg: dict) -> None:
+        """A worker's one report on its batch: the tasks it ``done``, the
+        ones that ``failed`` (each spent an attempt), the ones it
+        ``returned`` unrun behind a failure (they spent none).  The
+        finished ones go to the global scheduler in one ``done``."""
+        finished = []
+        for name in msg["done"]:
+            task = self._settle(name)
+            self._completions += 1
+            # The worker released before it reported: the outputs are
+            # resident unless a note about them came first (one still on
+            # its way corrects the view).
+            self._now_resident(a for a in task.outputs if a not in self._told)
+            parent = task.meta.get("parent")
+            if parent in self._parents:
+                self._parents[parent] -= 1
+                if self._parents[parent]:
+                    continue  # sibling subtasks still running
+                del self._parents[parent]
+            finished.append(parent or name)
+        for failure in msg["failed"]:
+            self._on_failed(ctx, failure)
+        for name in msg["returned"]:
+            tries, task = self._attempts[name]
+            self._settle(name)
+            if not self._cancelling:
+                if tries > 1:
+                    self._attempts[name] = tries - 1, task
+                self.core.add_ready(task)
+        if finished:
+            self._unsynced = True
+            ctx.write("to_gsched", DataBuffer({"op": "done",
+                                               "tasks": finished}))
 
-    def _on_failed(self, ctx: FilterContext, msg: dict) -> None:
-        """A worker reported a failed attempt: re-execute or escalate."""
+    def _settle(self, name: str) -> TaskSpec:
+        """A task of a batch is no longer in flight; returns its spec."""
+        _, task = self._attempts.pop(name)
         self._inflight -= 1
-        task: TaskSpec = msg["task"]
-        attempt: int = msg["attempt"]
+        self._inflight_bytes -= self._outputs_bytes(task)
+        return task
+
+    def _on_failed(self, ctx: FilterContext, failure: dict) -> None:
+        """A failed attempt: re-execute or escalate."""
+        attempt, task = self._attempts[failure["task"]]
+        self._settle(task.name)
         if self._cancelling:
             # The run is being torn down: a failed attempt needs neither a
-            # retry nor an escalation, only its inflight slot back.
-            self._attempts.pop(task.name, None)
+            # retry nor an escalation.
             return
         if attempt < self.max_attempts:
             # Write-once makes re-execution safe: the failed attempt
             # published nothing, so the task simply becomes ready again.
+            self._attempts[task.name] = attempt, task
             self._inc("task_reexecutions")
             self.tracer.instant(self.node, "sched", "task", "task_retry",
                                 task=task.name, attempt=attempt,
-                                error=msg["error"])
+                                error=failure["error"])
             self.core.add_ready(task)
             return
-        self._attempts.pop(task.name, None)
-        if msg.get("parent") is not None:
+        if task.meta.get("parent") is not None:
             # A subtask of a split: sibling subtasks may already have
             # published ranges of the shared outputs, so rerouting the
             # parent would collide with write-once.  Local retries are the
             # only recourse (documented limitation, see docs/FAULTS.md).
             raise SchedulingError(
                 f"subtask {task.name!r} failed {attempt} times on node "
-                f"{self.node}: {msg['error']}")
+                f"{self.node}: {failure['error']}")
         self.tracer.instant(self.node, "sched", "task", "task_escalate",
-                            task=task.name, error=msg["error"])
+                            task=task.name, error=failure["error"])
         ctx.write("to_gsched", DataBuffer(
             {"op": "failed", "task": task.name, "node": self.node,
-             "error": msg["error"]}))
+             "error": failure["error"]}))
 
     def _end(self, ctx: FilterContext) -> None:
         """Forward the run's end to storage, once: the DAG is done, or the
@@ -514,12 +606,10 @@ class _LocalSchedulerFilter(Filter):
                 self._on_note(msg)
                 self._dispatch(ctx)
         else:
-            # "idle" (a worker's first word), "done" or "failed": each
-            # also says the worker instance that sent it is free.
-            if msg["op"] == "failed":
-                self._on_failed(ctx, msg)
-            elif msg["op"] == "done":
-                self._on_done(ctx, msg)
+            # "idle" (a worker's first word) or "done", its report on a
+            # batch: each also says the worker instance that sent it is free.
+            if msg["op"] == "done":
+                self._on_report(ctx, msg)
             self._idle.append(msg["inst"])
             self._dispatch(ctx)
         if self._dying and not self._inflight:

@@ -7,15 +7,16 @@ a long-lived child process; the filter thread stays the protocol
 endpoint (tickets, segment leases, counters, failure reports) and only
 the *compute* crosses the process boundary.
 
-What crosses is an **envelope** — the task function plus
-:class:`~repro.core.shm.BlockHandle` descriptors for every granted read
-and write span — and what comes back is a small status dict.  The block
-bytes themselves never travel: children map the named shared-memory
-segments and compute on read-only views of the very buffers the parent
-sealed, and call the body through the function the thread plane calls
-(:func:`repro.core.task.run_task_body`), so what a body may do to its
-operands and what ``bytes_copied`` counts are the same on both planes by
-construction (gather/scatter for multi-block operands, nothing else).
+What crosses is an **envelope** — a batch's bodies, each the task
+function plus :class:`~repro.core.shm.BlockHandle` descriptors for every
+granted read and write span — and what comes back is one small status
+dict.  The block bytes themselves never travel: children map the named
+shared-memory segments and compute on read-only views of the very
+buffers the parent sealed, and call each body through the function the
+thread plane calls (:func:`repro.core.task.run_task_body`), so what a
+body may do to its operands and what ``bytes_copied`` counts are the
+same on both planes by construction (gather/scatter for multi-block
+operands, nothing else).
 
 Children are forked *before* the run's filter threads start (fork and
 threads don't mix; other engines' parked graphs may be waiting, but a
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+from multiprocessing.connection import wait
 from typing import Any
 
 from repro.core.errors import DoocError
@@ -49,22 +51,36 @@ class EnvelopeUnpicklable(DoocError):
     """The task cannot be shipped to a process (closure, local def...)."""
 
 
-def _execute_envelope(envelope: dict, cache: DecodedOperandCache | None) -> dict:
-    """Run one task envelope in the worker process: map the handles,
-    then the same :func:`~repro.core.task.run_task_body` the thread
-    plane calls on its tickets' views."""
+def _execute_body(body: dict, cache: DecodedOperandCache | None) -> int:
+    """Run one task of an envelope in the worker process: map the
+    handles, then the same :func:`~repro.core.task.run_task_body` the
+    thread plane calls on its tickets' views; returns the bytes copied."""
     inputs = {array: [shm_mod.attach_view(h) for h in handles]
-              for array, handles in envelope["inputs"].items()}
+              for array, handles in body["inputs"].items()}
     outputs = {array: [shm_mod.attach_view(h, writable=True)
                        for h, _lo, _hi in spec["parts"]]
-               for array, spec in envelope["outputs"].items()}
-    context = None
-    hits0 = misses0 = 0
+               for array, spec in body["outputs"].items()}
+    context = (OperandContext(cache, body["generations"])
+               if cache is not None else None)
+    return run_task_body(body["fn"], body["meta"], inputs, outputs, context)
+
+
+def _execute_envelope(payload: bytes,
+                      cache: DecodedOperandCache | None) -> dict:
+    """Rebuild an envelope and run its bodies in order, stopping at the
+    first failure.  The reply says ``ok``; a failed one says how many
+    bodies ``ran`` before the failing one, and its ``error``."""
+    reply: dict = {"ok": True, "bytes_copied": 0}
     if cache is not None:
         hits0, misses0 = cache.hits, cache.misses
-        context = OperandContext(cache, envelope["generations"])
-    reply = {"ok": True, "bytes_copied": run_task_body(
-        envelope["fn"], envelope["meta"], inputs, outputs, context)}
+    ran = 0
+    try:
+        for body in pickle.loads(payload):
+            reply["bytes_copied"] += _execute_body(body, cache)
+            ran += 1
+    except BaseException as exc:  # noqa: BLE001 - report, don't die
+        reply.update(ok=False, ran=ran,
+                     error=f"{type(exc).__name__}: {exc}")
     if cache is not None:
         reply["opcache_hits"] = cache.hits - hits0
         reply["opcache_misses"] = cache.misses - misses0
@@ -89,12 +105,7 @@ def _child_main(conn, opcache_bytes: int) -> None:
                 break
             if not payload:  # shutdown sentinel
                 break
-            envelope = pickle.loads(payload)
-            try:
-                reply = _execute_envelope(envelope, cache)
-            except BaseException as exc:  # noqa: BLE001 - report, don't die
-                reply = {"ok": False,
-                         "error": f"{type(exc).__name__}: {exc}"}
+            reply = _execute_envelope(payload, cache)
             try:
                 conn.send(reply)
             except (BrokenPipeError, OSError):
@@ -166,19 +177,21 @@ class ProcessWorkerPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def run_envelope(self, node: int, instance: int, envelope: dict) -> dict:
-        """Ship an envelope to the slot's process and await its reply.
+    def run_envelope(self, node: int, instance: int, *bodies: dict) -> dict:
+        """Ship a batch's bodies (:func:`build_envelope`) to the slot's
+        process in one envelope and await its one reply: the child runs
+        them in order and stops at the first failure.
 
-        Raises :class:`EnvelopeUnpicklable` when the task can't cross a
+        Raises :class:`EnvelopeUnpicklable` when a task can't cross a
         process boundary (caller falls back to inline execution) and
-        :class:`WorkerProcessCrash` when the process dies mid-task (the
-        slot is respawned first, so the task's retry finds a live
+        :class:`WorkerProcessCrash` when the process dies mid-envelope
+        (the slot is respawned first, so the retries find a live
         worker).
         """
         key = (node % self.n_nodes, instance % self.workers_per_node)
         client = self._clients[key]
         try:
-            payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(bodies, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             raise EnvelopeUnpicklable(
                 f"task cannot be dispatched to a worker process: {exc}"
@@ -195,25 +208,24 @@ class ProcessWorkerPool:
                 f"worker process for slot {key} died: {exc}") from exc
 
     def _recv_reply(self, client: _Client) -> dict:
-        """Poll for the reply, watching for the process dying under us.
+        """Wait for the reply or the process's death, whichever is first.
 
         A plain blocking ``recv`` can hang forever after a SIGKILL when
-        a sibling (forked later) still holds the pipe's write end open —
-        poll + liveness check sidesteps pipe-fd inheritance entirely.
+        a sibling (forked later) still holds the pipe's write end open;
+        the process's sentinel becomes ready when it dies whoever holds
+        the pipe, so the wait wakes on either event and needs no timeout.
         """
-        while True:
-            if client.conn.poll(0.05):
-                try:
-                    return client.conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise WorkerProcessCrash(
-                        "worker process closed its pipe mid-task") from exc
-            if not client.proc.is_alive():
-                if client.conn.poll(0):
-                    return client.conn.recv()
+        wait([client.conn, client.proc.sentinel])
+        if client.conn.poll(0):
+            try:
+                return client.conn.recv()
+            except (EOFError, OSError) as exc:
                 raise WorkerProcessCrash(
-                    f"worker process exited (code {client.proc.exitcode}) "
-                    "with a task in flight")
+                    "worker process closed its pipe mid-task") from exc
+        client.proc.join()
+        raise WorkerProcessCrash(
+            f"worker process exited (code {client.proc.exitcode}) "
+            "with a task in flight")
 
     def _respawn(self, key: tuple[int, int], dead: _Client) -> None:
         """Replace a dead slot; ``spawn`` keeps a mid-run fork thread-safe."""
@@ -232,7 +244,7 @@ def build_envelope(fn: Any, meta: dict,
                    input_handles: dict[str, list],
                    output_specs: dict[str, dict],
                    generations: dict[str, tuple[int, ...]]) -> dict:
-    """Assemble the cross-process task description (parent side)."""
+    """Assemble one task's body of an envelope (parent side)."""
     meta = {k: v for k, v in meta.items() if k != OPERAND_CONTEXT_KEY}
     return {
         "fn": fn,

@@ -362,20 +362,20 @@ class _StorageFilter(Filter):
         if op == "acquire":
             self._handle_acquire(ctx, msg)
         elif op == "release":
-            # A task's tickets, all of them: released, or — a failed
-            # attempt — its reads released and its granted-but-unpublished
-            # writes retracted.
+            # A batch's tickets, all of them: ``tickets`` handed back —
+            # reads released, writes published — and ``abandon``, the
+            # granted-but-unpublished writes of the tasks that did not
+            # finish, retracted.
             effects: list[Effect] = []
-            self._lent -= len(msg["tickets"])
+            self._lent -= len(msg["tickets"]) + len(msg["abandon"])
             for ticket in msg["tickets"]:
-                if msg["abandon"] and ticket.permission is Permission.WRITE:
-                    effects.extend(self.store.abandon_write(ticket))
-                else:
-                    effects.extend(self.store.release(ticket))
+                effects.extend(self.store.release(ticket))
+            for ticket in msg["abandon"]:
+                effects.extend(self.store.abandon_write(ticket))
             self._execute(ctx, effects)
             for array in self.store.resident_among({  # what it published
                     t.interval.array for t in msg["tickets"]
-                    if t.permission is Permission.WRITE and not msg["abandon"]}):
+                    if t.permission is Permission.WRITE}):
                 self._note(ctx, "resident", array)
             self._retry_parked(ctx)
         elif op == "rehome":

@@ -167,6 +167,8 @@ class JobRecord:
     resume: bool = False
     #: the in-flight attempt's cancel token (None while not running)
     cancel: CancelToken | None = None
+    #: the job whose admission preempted this one last
+    preempted_by: str | None = None
     #: structured terminal payload: result on DONE, reason otherwise
     outcome: dict = field(default_factory=dict)
     events: list = field(default_factory=list)

@@ -38,7 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.server.admission import TenantQuota, admit, fair_share_order
 from repro.server.jobs import JobRecord, JobSpec, JobState
-from repro.server.runner import execute_attempt
+from repro.server.runner import execute_attempt, newest_checkpoint
 
 __all__ = ["ServerConfig", "JobManager"]
 
@@ -315,7 +315,7 @@ class JobManager:
         if freeable < need:
             return  # preempting everyone lighter still wouldn't fit
         for victim in chosen:
-            victim.log("job_preempt", by=head.id)
+            victim.preempted_by = head.id
             self.metrics.inc("jobs_preempted", label=victim.spec.tenant)
             self.tracer.instant(-1, "server", "job", "job_preempt",
                                 job=victim.id, by=head.id)
@@ -411,6 +411,12 @@ class JobManager:
                 rec.resume = True
                 rec.preemptions += 1
                 rec.cancel = None
+                if reason == "preempted":
+                    # What the next attempt resumes from: the attempt has
+                    # ended, so no checkpoint can land after this.
+                    rec.log("job_preempt", by=rec.preempted_by,
+                            checkpoint=newest_checkpoint(
+                                self.work_dir / rec.id))
                 if reason == "preempted" and not self._draining:
                     # Requeue immediately; fair share decides when it
                     # gets back in (state flips to QUEUED so pickers

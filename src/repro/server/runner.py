@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cancel import CancelToken
+from repro.recovery.checkpoint import CheckpointManager
 from repro.server.jobs import JobSpec
 from repro.spmv.csr import CSRBlock
 from repro.spmv.generator import symmetric_test_matrix
 from repro.spmv.partition import GridPartition
 
-__all__ = ["execute_attempt", "digest_vector"]
+__all__ = ["execute_attempt", "digest_vector", "newest_checkpoint"]
 
 
 def digest_vector(x: np.ndarray) -> str:
@@ -32,6 +33,17 @@ def digest_vector(x: np.ndarray) -> str:
     bit-identity witness for preemption/resume)."""
     arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     return hashlib.sha256(arr.tobytes()).hexdigest()[:32]
+
+
+def _checkpoint_dir(job_dir: str | Path) -> Path:
+    return Path(job_dir) / "ckpt"
+
+
+def newest_checkpoint(job_dir: str | Path) -> int | None:
+    """The step a resumed attempt of the job restores: its newest intact
+    checkpoint (None: there is none, and it starts over)."""
+    latest = CheckpointManager(_checkpoint_dir(job_dir)).load_latest()
+    return None if latest is None else latest.step
 
 
 def _build_problem(spec: JobSpec):
@@ -73,7 +85,7 @@ def execute_attempt(spec: JobSpec, *, job_dir: str | Path,
     a ``DoocError`` subclass if the run dies to an (injected) fault —
     the manager decides between retry and a terminal ``failed``.
     """
-    ckpt_dir = Path(job_dir) / "ckpt"
+    ckpt_dir = _checkpoint_dir(job_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     partition, blocks, vec = _build_problem(spec)
     if spec.kind == "spmv":

@@ -235,6 +235,25 @@ def test_fence_holds_in_its_scope_only(fence):
     assert lint_source(seed, clean_at, select=[fence.code]) == []
 
 
+def test_dooc014_flags_a_poll_on_a_tuned_period():
+    """A connection ``poll`` with a constant period is a nap like
+    ``time.sleep``; a look (``poll(0)``, ``poll()``), an untimed wait and a
+    computed deadline are not."""
+    src = (
+        "def recv(conn, left):\n"
+        "    while not conn.poll(0.05):\n"
+        "        pass\n"
+        "    if conn.poll(0) or conn.poll() or conn.poll(None) \\\n"
+        "            or conn.poll(left):\n"
+        "        return conn.recv()\n"
+        "    return conn.poll(timeout=1)\n"
+    )
+    assert codes(lint_source(src, "src/repro/core/m.py",
+                             select=["DOOC014"])) == [
+        ("DOOC014", 2, 14), ("DOOC014", 7, 11)]
+    assert lint_source(src, "src/m.py", select=["DOOC014"]) == []
+
+
 def test_fences_are_one_table_checked_by_one_function():
     assert {f.code for f in FENCES} == set(FENCE_SEEDS)
     assert all(RULES[f.code].check.func is check_fence for f in FENCES)

@@ -627,6 +627,51 @@ class TestAcquireUnwinds:
         assert dev_shm_segments() == []
 
 
+def _refuse_to_be_rebuilt():
+    raise RuntimeError("this object cannot be rebuilt")
+
+
+class _Unbuildable:
+    """Pickles in the parent; raises when the child unpickles it."""
+
+    def __reduce__(self):
+        return (_refuse_to_be_rebuilt, ())
+
+
+class TestAnEnvelopeTheChildCannotRebuild:
+    def test_the_task_fails_by_name_and_the_child_lives(self, tmp_path):
+        prog = Program("unbuildable", default_block_elems=64)
+        prog.initial_array("x", np.ones(64))
+        prog.array("y", 64)
+        prog.add_task("odd", scale_fn, ["x"], ["y"], payload=_Unbuildable())
+        eng = DOoCEngine(n_nodes=1, workers=1, scratch_dir=tmp_path,
+                         worker_plane="process", task_max_attempts=2)
+        pools = []
+        start = ProcessWorkerPool.start
+
+        def keep(pool):
+            pools.append(pool)
+            start(pool)
+
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ProcessWorkerPool, "start", keep)
+                with pytest.raises(
+                        FilterError,
+                        match="odd.*failed in worker process: "
+                              "RuntimeError: this object cannot be "
+                              "rebuilt") as failure:
+                    eng.run(prog, timeout=60)
+            assert isinstance(failure.value.cause, TaskFailedError)
+            metrics = eng.stores[0].metrics.as_dict()
+            assert metrics["task_reexecutions"] == 1
+            assert "worker_crashes" not in metrics
+            assert (pools[0].crashes, pools[0].respawns) == (0, 0)
+        finally:
+            eng.cleanup()
+        assert dev_shm_segments() == []
+
+
 class TestInlineFallback:
     def test_unpicklable_task_falls_back_to_inline(self, tmp_path):
         captured = []

@@ -205,11 +205,12 @@ class TestDispatchCostDoesNotGrowWithTheProgram:
 
 
 class TestATaskAsksOnce:
-    """A task costs the store three messages whatever it reads and writes:
-    one ``acquire`` naming every interval, one ``grants`` reply (in core
-    the scheduler dispatches a task when its inputs are resident, so no
-    grant has to wait), one ``release``.  And on the process plane a block
-    does not cost a shared-memory segment: small ones share slabs."""
+    """A hand-off — a batch of tasks — costs the store three messages
+    whatever its tasks read and write: one ``acquire`` naming every
+    interval, one ``grants`` reply (in core the scheduler hands out tasks
+    whose inputs are resident, so no grant has to wait), one ``release``;
+    and the local scheduler one ``done``.  And on the process plane a
+    block does not cost a shared-memory segment: small ones share slabs."""
 
     @pytest.mark.parametrize("plane", ["thread", "process"])
     def test_three_messages_a_task_and_segments_by_the_slab(
@@ -235,13 +236,19 @@ class TestATaskAsksOnce:
             got, iterated_spmv_blocked_reference(blocks, p, x0, 4))
         tasks = len(result.program.tasks)
         assert "forced_dispatches" not in report.metrics[0]  # the premise
+        sent, _ = report.stream_stats["lsched@0.to_workers->worker@0.in"]
+        # A process-plane graph does not park: each worker is also sent
+        # its "shutdown".
+        hand_offs = sent - (2 if plane == "process" else 0)
+        assert hand_offs < tasks  # in core, tasks share hand-offs
         asked, _ = report.stream_stats["worker@0.to_storage->storage@0.req"]
         told, _ = report.stream_stats[
             "storage@0.rep_workers->worker@0.from_storage"]
-        assert (asked, told) == (2 * tasks, tasks)
+        assert (asked, told) == (2 * hand_offs, hand_offs)
         done, _ = report.stream_stats[
             "worker@0.to_lsched->lsched@0.from_workers"]
-        assert done == tasks + 2  # each worker's first "idle", then one a task
+        # each worker's first "idle", then one report a hand-off
+        assert done == hand_offs + 2
         if plane == "thread":
             assert -1 not in report.metrics  # no pool, nothing to report
             return

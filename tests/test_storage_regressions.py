@@ -272,7 +272,7 @@ class TestForgetPrefetchWiring:
 
         def release(*tickets):
             filt.on(ctx, "req", DataBuffer(
-                {"op": "release", "tickets": list(tickets), "abandon": False}))
+                {"op": "release", "tickets": list(tickets), "abandon": []}))
 
         store.register_on_disk(descs["loading"])
         filt.on(ctx, "req", DataBuffer({"op": "prefetch", "array": "loading"}))
@@ -323,7 +323,8 @@ class TestForgetPrefetchWiring:
                               ("to_storage", {"op": "prefetch", "array": "a"})]
         assert filt.debug_snapshot()["loading"] == ["a", "b"]
         note("resident", "b")  # "u" runs; "t" still waits for its answer
-        assert [p["task"].name for port, p in ctx.writes[2:]] == ["u"]
+        assert [t.name for port, p in ctx.writes[2:] for t in p["batch"]] == [
+            "u"]
         filt.on(ctx, "from_workers", DataBuffer({"op": "idle", "inst": 1}))
         note("declined", "a")
         note("resident", "c")
@@ -348,20 +349,25 @@ class TestForgetPrefetchWiring:
         def deliver(port, **msg):
             filt.on(ctx, port, DataBuffer(msg))
 
+        def done(name):  # a worker's report on a batch of one
+            deliver("from_workers", op="done", done=[name], failed=[],
+                    returned=[], inst=0)
+
         deliver("from_storage", op="resident", array="a")
         deliver("in", op="tasks", tasks=[task("t", "a", "y")])
         deliver("from_workers", op="idle", inst=0)
         deliver("in", op="tasks", tasks=[task("u", "y", "z")])
-        deliver("from_workers", op="done", task="t", inst=0)
+        done("t")
         # "u" runs at once: no prefetch of "y", no sync first.
         port, last = ctx.writes[-1]
-        assert port == "to_workers" and last["task"].name == "u"
+        assert port == "to_workers" and [t.name for t in last["batch"]] == [
+            "u"]
         deliver("in", op="tasks", tasks=[task("v", "a", "w")])
-        deliver("from_workers", op="done", task="u", inst=0)
+        done("u")
         deliver("from_storage", op="resident", array="w")
         deliver("from_storage", op="dropped", array="w")
         deliver("in", op="tasks", tasks=[task("x", "w", "z")])
-        deliver("from_workers", op="done", task="v", inst=0)
+        done("v")
         assert ctx.writes[-1] == ("to_storage",
                                   {"op": "prefetch", "array": "w"})
 
@@ -384,7 +390,7 @@ class TestForgetPrefetchWiring:
         assert ctx.writes == [("to_gsched", {"op": "sync", "node": 0})]
         assert "forced_dispatches" not in metrics.as_dict()
         filt._syncing = False  # the ``synced`` reply
-        assert filt._choose(ctx).name == "t"
+        assert [t.name for t in filt._choose(ctx)] == ["t"]
         assert len(ctx.writes) == 1 and filt.core.ready_count == 0
         assert metrics.as_dict()["forced_dispatches"] == 1
         (event,) = [e for e in tracer.events() if e.name == "forced_dispatch"]
@@ -410,7 +416,7 @@ class TestRunBarrier:
         (grants,) = [p for port, p in ctx.writes if port == "rep_workers"]
         filt.on(ctx, "req", DataBuffer({"op": "end"}))
         assert self.ENDED not in ctx.writes
-        filt.on(ctx, "req", DataBuffer({"op": "release", "abandon": False,
+        filt.on(ctx, "req", DataBuffer({"op": "release", "abandon": [],
                                         "tickets": grants["tickets"]}))
         assert ctx.writes[-1] == self.ENDED
 
