@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 
 from repro.core.errors import SchedulingError
 from repro.core.task import TaskSpec
@@ -155,9 +156,15 @@ class TaskDAG:
     def consumers_of(self, array: str) -> list[str]:
         return sorted(t.name for t in self.tasks.values() if array in t.inputs)
 
-    def critical_path_length(self) -> int:
-        """Longest chain of tasks (unit weights)."""
+    @cached_property
+    def depth(self) -> dict[str, int]:
+        """Task -> the longest chain of tasks ending at it (a source is 1):
+        how far into the program it runs, whatever the schedule."""
         depth: dict[str, int] = {}
         for name in self.topological_order():
             depth[name] = 1 + max((depth[p] for p in self.preds[name]), default=0)
-        return max(depth.values(), default=0)
+        return depth
+
+    def critical_path_length(self) -> int:
+        """Longest chain of tasks (unit weights)."""
+        return max(self.depth.values(), default=0)

@@ -8,9 +8,13 @@ This module implements the semantics of Section III-B:
 * filters *request* intervals with read or write permission and *release*
   them; for reads, data stays pinned until release (reference counting);
 * blocks whose reference count is zero may be **reclaimed** under memory
-  pressure in LRU order — dropped if a copy exists on disk (or on the
-  owning peer, for remotely fetched blocks), spilled to disk first
-  otherwise;
+  pressure — dropped if a copy exists on disk (or on the owning peer, for
+  remotely fetched blocks), spilled to disk first otherwise.  Clean blocks
+  go before dirty ones, and among each the block whose next use on this
+  node is furthest away goes first (none left: first of all), LRU
+  breaking ties.  Next use comes from the run's plan (:meth:`plan_uses`,
+  retired by :meth:`retire_uses`); a store given no plan knows of no use,
+  so its order is clean before dirty, then LRU;
 * **prefetch** warms blocks ahead of use; loads and spills are asynchronous.
 
 ``_TABLE`` maps every (state, event) pair of a block to its outcome, or
@@ -28,8 +32,9 @@ filter or a unit test — executes and answers via ``on_loaded`` /
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any, Literal, NamedTuple
 
@@ -139,7 +144,8 @@ _TABLE: dict[tuple[str, str], Cell] = {
                  Cell("resident|absent", "spilled", "spills|bytes_spilled")),
         spill_failed=(_REFUSE, _REFUSE, _REFUSE, _REFUSE,
                       Cell("resident", "keep", "spill_failures")),
-        # LRU reclaim of an unpinned sealed block: drop it if it has a copy, else spill it.
+        # Reclaim of an unpinned sealed block (``_reclaim`` picks which):
+        # drop it if it has a copy, else spill it.
         evict=(_REFUSE, _REFUSE, _REFUSE, Cell("absent|spilling", "evict", "drops"), _REFUSE),
         release=(_REFUSE, _REFUSE, _REFUSE, Cell("", "release"), _REFUSE),
         abandon=(_REFUSE, _REFUSE, _REFUSE, Cell("absent", "abandon", "writes_abandoned"), _REFUSE),
@@ -226,6 +232,10 @@ class LocalStore:
         self._alloc_queue: deque[tuple[_BlockState, str, Ticket]] = deque()
         #: (array, block) -> error of a spill that failed: not evicted again
         self._spill_failed: dict[tuple[str, int], str] = {}
+        #: array -> {task of this node still to read it: the task's depth}
+        self._uses: dict[str, dict[str, int]] = {}
+        #: task -> the arrays it holds a use of
+        self._reads_of: dict[str, list[str]] = {}
         self.metrics = MetricsRegistry(node)
         #: Optional :class:`repro.analysis.tickets.TicketAuditor`; when set
         #: (engine under ``DOOC_CHECKERS=1``) every grant/release/abandon is
@@ -325,6 +335,32 @@ class LocalStore:
         st = self._block_of(interval)
         return not (st.status != _ABSENT or st.on_disk or st.written
                     or st.writers or interval.array in self._remote_arrays)
+
+    # -- the run's plan: what reclaim evicts first ---------------------------------
+
+    def plan_uses(self, uses: Mapping[str, Mapping[str, int]]) -> None:
+        """A run starts: ``uses`` maps each array to this node's tasks that
+        read it, each with its depth in the program (the longest chain of
+        tasks ending at it).  An array's next use is the smallest depth
+        not yet retired.  A hint for reclaim only: it never changes what a
+        task reads."""
+        self._uses = {a: dict(by_task) for a, by_task in uses.items()}
+        self._reads_of = {}
+        for a, by_task in self._uses.items():
+            for task in by_task:
+                self._reads_of.setdefault(task, []).append(a)
+
+    def retire_uses(self, tasks: Iterable[str]) -> None:
+        """``tasks`` asked for their inputs: their uses are spent.  Each
+        removes its own depth, not the smallest one (a later iteration's
+        read may run first); a task with no use left here is ignored."""
+        for task in tasks:
+            for a in self._reads_of.pop(task, ()):
+                del self._uses[a][task]
+
+    def _next_use(self, name: str) -> float:
+        """The smallest depth of a use of ``name`` not yet retired (none: ∞)."""
+        return min(self._uses.get(name, {}).values(), default=math.inf)
 
     # -- requests ----------------------------------------------------------------
 
@@ -712,6 +748,8 @@ class LocalStore:
             case "install":
                 self._attach(st, data)
                 move(_RESIDENT)
+                # Just brought in for a reader: not the next victim.
+                st.lru = next(self._clock)
                 st.sealed = True
                 st.written = [st.desc.block_bounds(st.block)]
                 if event == "fetched":
@@ -729,7 +767,7 @@ class LocalStore:
                 return self._fail_waiters(st, error) + self._pump_allocs()
             case "spilled":
                 st.on_disk = True
-                count("spills")
+                count("spills", label=key[0])
                 count("bytes_spilled", st.nbytes)
                 if st.pinned:
                     # Someone requested it again while it was being written
@@ -1018,7 +1056,12 @@ class LocalStore:
         return [Effect("deny", st.desc.name, st.block, ticket=ticket, error=error)]
 
     def _reclaim(self, want_bytes: int) -> list[Effect]:
-        """Free at least ``want_bytes`` if possible: LRU over unpinned blocks."""
+        """Free at least ``want_bytes`` if possible, over unpinned sealed
+        blocks: clean ones (a drop costs nothing) before dirty ones (a
+        spill costs a write), and among each the one whose next use is
+        furthest away first — no use left is furthest of all — then LRU.
+        A dirty block is spilled only when the clean ones cannot free it
+        all."""
         candidates = sorted(
             (
                 st
@@ -1026,7 +1069,8 @@ class LocalStore:
                 if st.status == _RESIDENT and not st.pinned and st.sealed
                 and (st.on_disk or st.remote or key not in self._spill_failed)
             ),
-            key=lambda s: s.lru,
+            key=lambda s: (not (s.on_disk or s.remote),
+                           -self._next_use(s.desc.name), s.lru),
         )
         effects: list[Effect] = []
         freed = 0  # bytes freed now, or once the spills started here land
@@ -1046,16 +1090,21 @@ class LocalStore:
         large one's memory ever frees (tasks pin their inputs while waiting
         for output grants).
 
+        Each entry's reclaim evicts in :meth:`_reclaim`'s order: clean
+        blocks before dirty ones, the furthest next use first, so a queued
+        demand spills a live intermediate only when dropping every clean
+        block cannot make its room.
+
         Each round is a *single pass* over the queue with a skip threshold:
         once an entry of ``need`` bytes fails to fit even after a reclaim,
         every remaining entry at least as large is skipped for the rest of
         the pass — admissions only consume memory, so retrying them can
         only fail again.  (Restarting the scan from the head after every
-        admission re-ran the LRU reclaim per entry per restart: O(n²) scans
-        with redundant spill walks on deep queues.)  A further round runs
-        only if the previous one admitted something, which may have dropped
-        enough clean blocks to unblock a previously skipped entry.  An
-        entry that can never fit is denied, not kept.
+        admission re-ran the reclaim's sort per entry per restart: O(n²)
+        scans with redundant spill walks on deep queues.)  A further round
+        runs only if the previous one admitted something, which may have
+        dropped enough clean blocks to unblock a previously skipped entry.
+        An entry that can never fit is denied, not kept.
         """
         effects: list[Effect] = []
         progress = True

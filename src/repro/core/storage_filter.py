@@ -68,6 +68,7 @@ class _StorageFilter(Filter):
         """Bind the next run: the node's store, directory and faults, the
         run's descriptors; no protocol state of the run before."""
         self.store: LocalStore = run.stores[self.node]
+        self.store.plan_uses(_uses_here(run, self.node))
         self.directory: DirectoryClient = run.directories.get(self.node)
         self.descs: dict[str, ArrayDesc] = run.descs
         self.injector: FaultInjector | None = run.injectors.get(self.node)
@@ -453,13 +454,15 @@ class _StorageFilter(Filter):
                                                 "node": self.node}))
 
     def _handle_acquire(self, ctx: FilterContext, msg: dict) -> None:
-        """Serve a task's one request: each read interval, then each write
-        interval, in the order given.  What the store grants at once
-        leaves as one reply; a grant that has to wait for a load or an
-        allocation follows when it is made."""
+        """Serve a batch's one request: retire the uses of the ``tasks``
+        it names from the store's plan, then ask for each read interval,
+        then each write interval, in the order given.  What the store
+        grants at once leaves as one reply; a grant that has to wait for a
+        load or an allocation follows when it is made."""
         tag = msg["reply_to"]
         effects: list[Effect] = []
         replies: dict[int, dict] = {}
+        self.store.retire_uses(msg["tasks"])
         for ivs, write in ((msg["reads"], False), (msg["writes"], True)):
             for iv in ivs:
                 try:
@@ -683,3 +686,16 @@ class _StorageFilter(Filter):
         elif array not in self.store.loading_arrays():
             self._note(ctx, "declined", array)
 
+
+def _uses_here(run: RunState, node: int) -> dict[str, dict[str, int]]:
+    """The store's plan for a run: each array read on ``node``, mapped to
+    the tasks placed there that read it, each with its depth in the DAG."""
+    uses: dict[str, dict[str, int]] = {}
+    if run.dag is None:
+        return uses
+    depth = run.dag.depth
+    for name, where in run.assignment.items():
+        if where == node:
+            for a in run.dag.tasks[name].inputs:
+                uses.setdefault(a, {})[name] = depth[name]
+    return uses

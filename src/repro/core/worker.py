@@ -132,6 +132,9 @@ class _WorkerFilter(Filter):
                    + [(Permission.WRITE, iv) for iv in writes])
         ctx.write("to_storage", DataBuffer(
             {"op": "acquire", "reads": reads, "writes": writes,
+             # whose uses of the store's plan this spends: a split
+             # subtask's are its parent's
+             "tasks": [t.meta.get("parent") or t.name for t in b.tasks],
              "reply_to": ("worker", ctx.instance)}))
         return self._on_grants(ctx, b)
 

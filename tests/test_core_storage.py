@@ -603,24 +603,29 @@ class TestOneTransferPerBlock:
         """A demand waits in the queue for a spill; another request's
         reclaim meanwhile drops a clean block, nobody pumps the queue for
         the room it leaves, and a prefetch of the demanded block fits into
-        it.  When the spill lands, the demand's turn must not load again."""
+        it.  When the spill lands, the demand's turn must not load again.
+        (Reclaim drops a clean block before it spills a dirty one, so the
+        block the second request drops is written out, and becomes clean,
+        only after the demand chose its spill.)"""
         store = LocalStore(0, memory_budget=1000)
         dirty, clean, pinned, want, big = (
             desc("dirty", 50, 50), desc("clean", 50, 50),
             desc("pinned", 25, 25), desc("want", 50, 50),
             desc("big", 125, 125))
-        store.create_array(dirty)
-        for d in (clean, pinned, want, big):
+        for d in (dirty, clean):
+            store.create_array(d)
+        for d in (pinned, want, big):
             store.register_on_disk(d)
-        t, _ = store.request_write(whole_block(dirty, 0))
-        t.data[:] = 1.0
-        store.release(t)                          # resident, never persisted
-        store.release(self.loaded(store, clean, 0))
+        for d in (dirty, clean):                  # resident, never persisted
+            t, _ = store.request_write(whole_block(d, 0))
+            t.data[:] = 1.0
+            store.release(t)
         self.loaded(store, pinned, 0)             # stays pinned
         assert store.in_use == 1000
         reader, effects = store.request_read(whole_block(want, 0))
-        assert [e.kind for e in effects] == ["spill"]   # LRU: the dirty one
+        assert [e.kind for e in effects] == ["spill"]   # both dirty: LRU's
         assert store.alloc_queue_depth == 1
+        store.mark_on_disk("clean")               # written out: droppable
         _, effects = store.request_read(whole_block(big, 0))
         assert [e.kind for e in effects] == ["drop"]    # room, and no pump
         assert store.in_use == 600
@@ -690,11 +695,17 @@ class TestFailedSpill:
             assert store._write_tickets == {} and not ticket.granted
 
     def test_another_reclaim_admits_what_waited(self):
-        store = self.make(budget_blocks=2)
-        t, effects = store.request_read(whole_block(self.d, 0))
-        store.on_loaded("d", 0, np.zeros(50))
-        store.release(t)                          # clean, and newer than a
+        """``d`` becomes clean (written out) only after ``b`` queued behind
+        the spill: a clean block is dropped before a dirty one is spilled."""
+        store = LocalStore(0, memory_budget=800)
+        for d in (self.a, self.d):
+            store.create_array(d)
+        for d in (self.b, self.c):
+            store.register_on_disk(d)
+        write_whole_array(store, self.a)          # dirty, sealed, resident
+        write_whole_array(store, self.d)          # likewise, newer than a
         reader = self.queue_behind_the_spill(store)
+        store.mark_on_disk("d")                   # clean, and newer than a
         effects = store.on_spill_failed("a", 0, "scratch disk gone")
         assert [(e.kind, e.array) for e in effects] == [("drop", "d"), ("load", "b")]
         effects = store.on_loaded("b", 0, np.ones(50))
@@ -707,6 +718,140 @@ class TestFailedSpill:
         store.mark_on_disk("a")
         _, effects = store.request_read(whole_block(self.c, 0))
         assert [(e.kind, e.array) for e in effects] == [("drop", "a"), ("load", "c")]
+
+
+def victim_order(blocks, uses=None, retired=()):
+    """The order a reclaim evicts ``blocks`` in: one resident, unpinned
+    400 B block per ``(name, dirty)``, touched in the order given (oldest
+    first), under the plan ``uses`` less the ``retired`` tasks; then a
+    read of a block as large as the whole budget."""
+    store = LocalStore(0, memory_budget=400 * len(blocks))
+    if uses is not None:
+        store.plan_uses(uses)
+    store.retire_uses(retired)
+    for name, dirty in blocks:
+        d = desc(name, 50, 50)
+        if dirty:
+            store.create_array(d)
+            write_whole_array(store, d)
+        else:
+            store.register_on_disk(d)
+            ticket, _ = store.request_read(whole_block(d, 0))
+            store.on_loaded(name, 0, np.zeros(50))
+            store.release(ticket)
+    big = desc("big", 50 * len(blocks), 50 * len(blocks))
+    store.register_on_disk(big)
+    _, effects = store.request_read(whole_block(big, 0))
+    return [(e.kind, e.array) for e in effects if e.kind in ("drop", "spill")]
+
+
+class TestEvictionOrder:
+    """Reclaim evicts clean blocks before dirty ones, and among each the
+    block whose next use on this node is furthest away first (no use
+    left: first of all), the least recently used breaking ties."""
+
+    #: (blocks oldest first, plan: array -> {task: depth}, tasks retired,
+    #: the victims in order)
+    CASES = {
+        "dead clean < far clean < near clean < dirty far < dirty near": (
+            [("dnear", True), ("dfar", True), ("near", False),
+             ("far", False), ("dead", False)],
+            {"dnear": {"t2": 2}, "dfar": {"t5": 5}, "near": {"t2": 2},
+             "far": {"t5": 5}},
+            (),
+            [("drop", "dead"), ("drop", "far"), ("drop", "near"),
+             ("spill", "dfar"), ("spill", "dnear")]),
+        "LRU breaks a tie of next use": (
+            [("b", False), ("a", False), ("c", True), ("d", True)],
+            {"a": {"t": 3}, "b": {"t": 3}, "c": {"t": 3}, "d": {"t": 3}},
+            (),
+            [("drop", "b"), ("drop", "a"), ("spill", "c"), ("spill", "d")]),
+        "no use left: LRU breaks the tie as well": (
+            [("b", False), ("a", False), ("c", True), ("d", True)],
+            {"a": {"t": 3}, "b": {"t": 3}, "c": {"t": 3}, "d": {"t": 3}},
+            ("t",),
+            [("drop", "b"), ("drop", "a"), ("spill", "c"), ("spill", "d")]),
+        "no plan: clean before dirty, then LRU": (
+            [("d1", True), ("c1", False), ("d2", True), ("c2", False)],
+            None,
+            (),
+            [("drop", "c1"), ("drop", "c2"), ("spill", "d1"),
+             ("spill", "d2")]),
+        "a retired use moves next use to the other depth": (
+            [("x", False), ("y", False)],
+            {"x": {"t2": 2, "t6": 6}, "y": {"t4": 4}},
+            ("t2",),
+            [("drop", "x"), ("drop", "y")]),
+        "retiring the later use leaves the earlier one": (
+            [("y", False), ("x", False)],
+            {"x": {"t2": 2, "t6": 6}, "y": {"t4": 4}},
+            ("t6",),
+            [("drop", "y"), ("drop", "x")]),
+        "before either retires, the nearer use keeps x": (
+            [("x", False), ("y", False)],
+            {"x": {"t2": 2, "t6": 6}, "y": {"t4": 4}},
+            (),
+            [("drop", "y"), ("drop", "x")]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_victim_order(self, case):
+        blocks, uses, retired, want = self.CASES[case]
+        assert victim_order(blocks, uses, retired) == want
+
+    def test_a_dirty_block_is_spilled_only_when_clean_ones_cannot_free_the_need(self):
+        """Room for one more block: the oldest clean block goes, not the
+        older dirty one; room for three: every clean block goes first,
+        and one dirty block is spilled for the rest."""
+        a, b, c, d = (desc(n, 50, 50) for n in "abcd")
+        store = LocalStore(0, memory_budget=1200)
+        store.create_array(a)
+        write_whole_array(store, a)                # dirty, oldest
+        for x in (b, c):
+            store.register_on_disk(x)
+            ticket, _ = store.request_read(whole_block(x, 0))
+            store.on_loaded(x.name, 0, np.zeros(50))
+            store.release(ticket)
+        store.register_on_disk(d)
+        _, effects = store.request_read(whole_block(d, 0))
+        assert [(e.kind, e.array) for e in effects] == [("drop", "b"), ("load", "d")]
+        big = desc("big", 150, 150)
+        store.register_on_disk(big)
+        store.on_loaded("d", 0, np.zeros(50))      # d's reader still pins it
+        _, effects = store.request_read(whole_block(big, 0))
+        assert [(e.kind, e.array) for e in effects] == [("drop", "c"), ("spill", "a")]
+
+    def test_a_block_just_loaded_is_not_the_next_victim(self):
+        """A prefetch brings back a block last released long ago: the
+        next reclaim must take the other block, not the one just loaded
+        for a reader that has not arrived yet."""
+        old, mid, other = (desc(n, 50, 50) for n in ("old", "mid", "other"))
+        tmp = desc("tmp", 50, 50)
+        store = LocalStore(0, memory_budget=800)
+        for d in (old, mid, other):
+            store.register_on_disk(d)
+        store.create_array(tmp)
+        ticket, _ = store.request_read(whole_block(old, 0))
+        store.on_loaded("old", 0, np.zeros(50))
+        store.release(ticket)                      # old's last use: long ago
+        writer, _ = store.request_write(whole_block(tmp, 0))
+        ticket, effects = store.request_read(whole_block(mid, 0))
+        assert [(e.kind, e.array) for e in effects] == [("drop", "old"), ("load", "mid")]
+        store.on_loaded("mid", 0, np.zeros(50))
+        store.release(ticket)
+        store.abandon_write(writer)                # room for one block
+        assert [e.kind for e in store.prefetch(whole_block(old, 0))] == ["load"]
+        store.on_loaded("old", 0, np.ones(50))     # warm, not yet read
+        _, effects = store.request_read(whole_block(other, 0))
+        assert [(e.kind, e.array) for e in effects] == [("drop", "mid"), ("load", "other")]
+        assert store.peek_block("old", 0) is not None
+
+    def test_a_task_with_no_use_left_here_retires_nothing(self):
+        """A retried task, a split's second subtask, a task placed on
+        another node: their acquire finds no use to retire."""
+        assert victim_order([("x", False), ("y", False)],
+                            {"x": {"t1": 1}, "y": {"t2": 2}},
+                            ("elsewhere", "t2", "t2")) == [("drop", "y"), ("drop", "x")]
 
 
 class TestRemoteArrays:

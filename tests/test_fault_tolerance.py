@@ -76,7 +76,10 @@ class TestTransientIOFaults:
                 blocks, p.split_vector(x0), iterations=4, n_nodes=2)
             eng = DOoCEngine(
                 n_nodes=2, workers=2, scratch_dir=scratch,
-                memory_budget_per_node=1 << 16, faults=faults,
+                # under a node's share of A (~40 KB): reclaim drops clean
+                # blocks before it spills, so only a budget this tight
+                # leaves it live intermediates to spill
+                memory_budget_per_node=1 << 15, faults=faults,
                 io_retry=RetryPolicy(attempts=6, backoff_s=0.001))
             report = eng.run(result.program, timeout=180)
             return result.fetch_final(eng), report

@@ -406,7 +406,7 @@ class TestSweepScratchIsUnlinked:
         op = OutOfCoreMatrix(
             blocks, n_nodes=1, workers=1, scratch_dir=tmp_path / "s",
             policy="simple",
-            memory_budget_per_node=a_max + 5 * part_bytes,
+            memory_budget_per_node=a_max + 3 * part_bytes,
             engine_kwargs={"opcache_bytes": 0})
         reports = capture_reports(op)
         standing = []
@@ -741,7 +741,7 @@ class TestFsyncCensus:
         a_max = max(len(serialize_csr(b)) for b in blocks.values())
         op = OutOfCoreMatrix(
             blocks, n_nodes=1, workers=1, scratch_dir=tmp_path / "s",
-            policy="simple", memory_budget_per_node=a_max + 5 * n // K * 8,
+            policy="simple", memory_budget_per_node=a_max + 3 * n // K * 8,
             engine_kwargs={
                 "opcache_bytes": 0,
                 "faults": FaultPlan(seed=FAULT_SEED, io_transient=0.05),

@@ -355,3 +355,86 @@ class TestTheStoreTellsTheSchedulerNeverAsks:
                 assert dropped_since.get(array, True), (
                     f"{array} prefetched twice with no drop between")
                 dropped_since[array] = False
+
+
+class TestEvictionByNextUse:
+    """``ooc_read``'s shape, small: one node, ``interleaved``, A four times
+    the budget, a vector part a four-hundredth of a sub-matrix.  Reclaim
+    drops the clean sub-matrix the node needs last before it spills a
+    live product, so nothing is spilled, and vector parts are loaded only
+    where they come from disk.  Under LRU the same run spilled 34
+    products and made 21 sub-matrix and 30-32 vector loads."""
+
+    K, T = 3, 3
+    #: sub-matrix loads under LRU (the one-thread driver and 20 threaded runs)
+    LRU_MATRIX_LOADS = 21
+    #: vector loads beyond the K initial parts: reloads of a dropped part
+    VECTOR_RELOADS = K
+
+    def problem(self):
+        _, p, blocks, x0 = make_problem(n=384 * self.K, k=self.K, seed=2,
+                                        density_per_row=192.0 * self.K)
+        return p, blocks, x0
+
+    def run(self, scratch, p, blocks, x0, **engine_kwargs):
+        """(matrix loads, vector loads, spills, report) of one run, whose
+        iterate is checked bit for bit."""
+        from repro.spmv.csrfile import serialize_csr
+
+        result = build_iterated_spmv(
+            blocks, p.split_vector(x0), iterations=self.T, n_nodes=1,
+            policy="interleaved")
+        a_bytes = sum(len(serialize_csr(b)) for b in blocks.values())
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=scratch,
+                         memory_budget_per_node=a_bytes // 4,
+                         **engine_kwargs)
+        try:
+            report = eng.run(result.program, timeout=120)
+            got = result.fetch_final(eng)
+        finally:
+            eng.cleanup()
+        np.testing.assert_array_equal(
+            got, iterated_spmv_blocked_reference(blocks, p, x0, self.T))
+        loads = report.metrics[0].get("loads_by_label", {})
+        matrix = sum(n for a, n in loads.items() if a.startswith("A_"))
+        return (matrix, sum(loads.values()) - matrix,
+                report.metrics[0].get("spills", 0), report)
+
+    def test_exact_counts_on_one_thread(self, tmp_path, monkeypatch):
+        import repro.core.engine as engine_module
+        from tests.test_delivery_orders import OneThreadRuntime
+
+        monkeypatch.setattr(engine_module, "ThreadedRuntime", OneThreadRuntime)
+        matrix, vectors, spills, _ = self.run(tmp_path, *self.problem(),
+                                              watchdog_quiet_s=None)
+        assert (matrix, vectors, spills) == (20, self.K + 2, 0)
+
+    def test_bounds_over_twenty_threaded_runs(self, tmp_path):
+        problem = self.problem()
+        for i in range(20):
+            matrix, vectors, spills, _ = self.run(tmp_path / str(i), *problem)
+            assert spills == 0, f"run {i}"
+            assert matrix <= self.LRU_MATRIX_LOADS, f"run {i}"
+            assert vectors <= self.K + self.VECTOR_RELOADS, f"run {i}"
+
+    def test_a_crashed_task_changes_no_bit(self, tmp_path,
+                                           protocol_checkers):
+        """A crash after the acquire spent the task's uses: its retry may
+        reload what reclaim took meanwhile, with the same bits (``run``
+        checks them).  The engine audits every ticket at the end of the
+        run."""
+        from dataclasses import dataclass
+
+        from repro.faults import FaultPlan
+
+        @dataclass(frozen=True)
+        class CrashFirstAttempts(FaultPlan):
+            """The first attempt of each task of iteration 2 crashes."""
+
+            def task_fault(self, node, task, attempt):
+                return attempt == 1 and task.split("_")[1:2] == ["2"]
+
+        _, _, _, report = self.run(tmp_path, *self.problem(),
+                                   faults=CrashFirstAttempts(task_crash=1.0))
+        # each multiply, partial sum and sum of iteration 2, once
+        assert report.metrics[0]["task_reexecutions"] == self.K ** 2 + 2 * self.K

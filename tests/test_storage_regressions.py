@@ -412,7 +412,7 @@ class TestRunBarrier:
         ctx = RecordingContext()
         filt.on(ctx, "req", DataBuffer({
             "op": "acquire", "reads": [], "writes": [whole_block(d, 0)],
-            "reply_to": ("worker", 0)}))
+            "tasks": [], "reply_to": ("worker", 0)}))
         (grants,) = [p for port, p in ctx.writes if port == "rep_workers"]
         filt.on(ctx, "req", DataBuffer({"op": "end"}))
         assert self.ENDED not in ctx.writes
