@@ -44,7 +44,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ConvergenceTracker", "ConvergenceReport", "SweepRecord"]
+__all__ = ["ConvergenceTracker", "ConvergenceReport", "SweepRecord",
+           "repeat_period"]
+
+
+def repeat_period(x_new, x, x_two_ago) -> int:
+    """1 if a sweep reproduced its input bit for bit (a fixpoint), 2 if
+    it reproduced the iterate before that (an exact 2-cycle), else 0.
+    A deterministic sweep that repeats once repeats forever."""
+    if np.array_equal(x_new, x):
+        return 1
+    if x_two_ago is not None and np.array_equal(x_new, x_two_ago):
+        return 2
+    return 0
 
 
 @dataclass(frozen=True)

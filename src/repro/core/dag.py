@@ -82,14 +82,17 @@ class TaskDAG:
                         f"{t.name!r} writes it; initial arrays are inputs only")
                 self.producer[array] = t.name
 
-        self.preds: dict[str, set[str]] = {name: set() for name in self.tasks}
-        self.succs: dict[str, set[str]] = {name: set() for name in self.tasks}
+        # Ordered sets (dicts of None) in declaration order: the order a
+        # completion makes its successors ready must not follow the hash
+        # seed, since dispatch, loads and spills follow it.
+        self.preds: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
+        self.succs: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
         for t in self.tasks.values():
             for array in t.inputs:
                 if array in self.producer:
                     p = self.producer[array]
-                    self.preds[t.name].add(p)
-                    self.succs[p].add(t.name)
+                    self.preds[t.name][p] = None
+                    self.succs[p][t.name] = None
                 elif array not in self.initial_arrays:
                     raise SchedulingError(
                         f"task {t.name!r} reads array {array!r}, which nothing "

@@ -69,7 +69,7 @@ from repro.core.storage_filter import _StorageFilter
 from repro.core.worker import _WorkerFilter
 from repro.datacutter.buffers import DataBuffer
 from repro.datacutter.errors import FilterError
-from repro.datacutter.layout import DistributionPolicy, Layout
+from repro.datacutter.layout import Layout
 from repro.datacutter.runtime import ThreadedRuntime
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
@@ -730,14 +730,14 @@ class DOoCEngine:
             layout.add_filter(
                 f"worker@{node}",
                 lambda node=node: _WorkerFilter(node, run, tracer),
-                instances=workers, replicable=True)
+                instances=workers)
             # Control plane
             layout.connect("gsched", f"out_{node}", f"lsched@{node}", "in",
                            capacity=1024)
             layout.connect(f"lsched@{node}", "to_gsched", "gsched", "in",
                            capacity=1024)
             layout.connect(f"lsched@{node}", "to_workers", f"worker@{node}", "in",
-                           policy=DistributionPolicy.DIRECTED, capacity=64)
+                           capacity=64)
             layout.connect(f"worker@{node}", "to_lsched", f"lsched@{node}",
                            "from_workers", capacity=64)
             # Storage plane
@@ -746,8 +746,7 @@ class DOoCEngine:
             layout.connect(f"lsched@{node}", "to_storage", f"storage@{node}",
                            "req", capacity=256)
             layout.connect(f"storage@{node}", "rep_workers", f"worker@{node}",
-                           "from_storage", policy=DistributionPolicy.DIRECTED,
-                           capacity=256)
+                           "from_storage", capacity=256)
             layout.connect(f"storage@{node}", "rep_lsched", f"lsched@{node}",
                            "from_storage", capacity=256)
             layout.connect(f"storage@{node}", "io_cmd", f"io@{node}", "in",

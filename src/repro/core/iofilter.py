@@ -572,9 +572,8 @@ class IOFilter(Filter):
     command with ``data`` filled for loads; a command that keeps failing
     after ``retry.attempts`` tries is answered with ``{"op": "io_error",
     "failed_op": ..., "error": ..., "token": ...}`` instead of killing the
-    filter thread.  Deploy "as many I/O filters as is necessary to
-    efficiently use the parallelism contained in the I/O subsystem" —
-    instances are stateless and replicable.
+    filter thread.  The engine deploys one per node, a single copy: the
+    storage filter's ``io_cmd`` stream names no destination copy.
     """
 
     inputs = ("in",)

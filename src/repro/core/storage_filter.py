@@ -374,9 +374,9 @@ class _StorageFilter(Filter):
             for ticket in msg["abandon"]:
                 effects.extend(self.store.abandon_write(ticket))
             self._execute(ctx, effects)
-            for array in self.store.resident_among({  # what it published
+            for array in sorted(self.store.resident_among({  # published
                     t.interval.array for t in msg["tickets"]
-                    if t.permission is Permission.WRITE}):
+                    if t.permission is Permission.WRITE})):
                 self._note(ctx, "resident", array)
             self._retry_parked(ctx)
         elif op == "rehome":

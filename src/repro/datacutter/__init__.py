@@ -2,9 +2,10 @@
 
 Computations are *filters* (components) exchanging untyped *data buffers*
 over unidirectional logical *streams*; a *layout* is the filter ontology
-describing filters, their placement on (logical) nodes, and stream
-connections.  Stateless filters may be declared *replicable*, letting the
-runtime create transparent copies for data parallelism; pipelined- and
+describing filters, how many copies of each, and stream connections.  A
+filter with several copies gets data parallelism: a producer addresses
+each buffer to one copy (``meta["__dest__"]``), as DOoC's local scheduler
+hands each batch to the worker it knows is idle; pipelined- and
 task-parallelism fall out of running filters concurrently.
 
 This reproduction executes layouts with real OS threads
@@ -23,7 +24,7 @@ from repro.datacutter.errors import (
     StreamClosedError,
 )
 from repro.datacutter.filters import Filter, FilterContext
-from repro.datacutter.layout import DistributionPolicy, Layout
+from repro.datacutter.layout import Layout
 from repro.datacutter.runtime import ThreadedRuntime
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "Filter",
     "FilterContext",
     "Layout",
-    "DistributionPolicy",
     "ThreadedRuntime",
     "DataCutterError",
     "LayoutError",

@@ -2,8 +2,8 @@
 
 DataCutter moves *untyped buffers* to minimize system overheads; we keep the
 same contract: a payload the middleware never interprets, plus a small
-metadata dict used for routing (hash distribution) and bookkeeping, plus a
-byte-size estimate used for flow-control accounting.
+metadata dict used for routing (``__dest__`` names a consumer copy) and
+bookkeeping, plus a byte-size estimate used for flow-control accounting.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def _estimate_nbytes(payload: Any) -> int:
 class DataBuffer:
     """One unit of data on a stream.
 
-    ``payload`` is opaque to the middleware.  ``meta`` carries routing keys
-    and application tags.  ``nbytes`` defaults to an estimate of the payload
+    ``payload`` is opaque to the middleware.  ``meta`` carries the routing
+    key ``__dest__`` and application tags.  ``nbytes`` defaults to an estimate of the payload
     size and is what bounded streams account against.
     """
 
@@ -90,12 +90,6 @@ class DataBuffer:
         self.nbytes = _estimate_nbytes(payload) if nbytes is None else int(nbytes)
         if self.nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-
-    def tagged(self, **meta: Any) -> DataBuffer:
-        """A shallow copy with extra metadata (payload shared)."""
-        merged = dict(self.meta)
-        merged.update(meta)
-        return DataBuffer(self.payload, merged, nbytes=self.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = type(self.payload).__name__

@@ -13,7 +13,7 @@ import time
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
+from repro.datacutter.buffers import DataBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datacutter.runtime import _InstanceRuntime
@@ -38,11 +38,6 @@ class FilterContext:
     @property
     def instances(self) -> int:
         return self._rt.spec.instances
-
-    @property
-    def node(self) -> int:
-        """Logical node this instance is placed on."""
-        return self._rt.spec.node_of(self._rt.instance)
 
     def read(self, port: str, timeout: float | None = None):
         """Next buffer on ``port`` (blocking); END_OF_STREAM when drained."""
@@ -70,11 +65,6 @@ class FilterContext:
         whoever waits in ``ThreadedRuntime.wait_run`` returns."""
         self._rt.runtime._end_run()
 
-    @property
-    def stop_requested(self) -> bool:
-        """True once the runtime asked filters to wind down."""
-        return self._rt.runtime._failed.is_set()
-
 
 class Filter:
     """Base class for application components.
@@ -85,8 +75,8 @@ class Filter:
     :meth:`process` itself.  A filter waiting for one reply names only
     its port in :meth:`listening`; one that wakes on the clock returns an
     instant from :meth:`deadline`.  ``init`` and ``finalize`` bracket the
-    instance's lifetime.  A filter is *stateless* (safe to replicate) only
-    if the author marks it so in the layout.
+    instance's lifetime.  Each copy of a filter is its own instance; a
+    producer addresses one by ``meta["__dest__"]``.
     """
 
     inputs: tuple[str, ...] = ()
@@ -135,26 +125,3 @@ class Filter:
     def finalize(self, ctx: FilterContext) -> None:
         """One-time teardown after process() returns (even on error)."""
 
-
-class FunctionFilter(Filter):
-    """Adapter turning a per-buffer function into a 1-in/1-out filter.
-
-    The function receives each payload from ``in`` and its return value is
-    forwarded on ``out`` (None return values are dropped).
-    """
-
-    inputs = ("in",)
-    outputs = ("out",)
-
-    def __init__(self, fn, *, meta_through: bool = True):
-        self.fn = fn
-        self.meta_through = meta_through
-
-    def on(self, ctx: FilterContext, port: str | None, buf) -> bool:
-        if buf is END_OF_STREAM:
-            return True
-        result = self.fn(buf.payload)
-        if result is not None:
-            ctx.write("out", DataBuffer(
-                result, buf.meta if self.meta_through else {}))
-        return False

@@ -1,14 +1,14 @@
 """Layouts: the filter ontology of an application.
 
-A layout names a set of filters (with instance counts and logical node
-placements) and the streams connecting their ports, mirroring DataCutter's
-"set of application tasks, streams, and the connections required for the
-computation".
+A layout names a set of filters (with instance counts) and the streams
+connecting their ports, mirroring DataCutter's "set of application
+tasks, streams, and the connections required for the computation".
+Ports are checked against the filters themselves when a runtime builds
+them (:class:`~repro.datacutter.runtime.ThreadedRuntime`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from collections.abc import Callable
 
@@ -16,66 +16,42 @@ from repro.datacutter.errors import LayoutError
 from repro.datacutter.filters import Filter
 
 
-class DistributionPolicy(enum.Enum):
-    """How buffers written on a stream are spread over consumer copies."""
-
-    ROUND_ROBIN = "round_robin"   # producer-local rotation (data parallelism)
-    BROADCAST = "broadcast"       # every consumer instance gets a copy
-    HASH = "hash"                 # meta[key] % instances picks the consumer
-    DIRECTED = "directed"         # meta['__dest__'] names the instance
-
-
 @dataclass(frozen=True)
 class FilterSpec:
-    """A filter declaration within a layout."""
+    """A filter declaration within a layout: ``instances`` copies, each
+    built by one call of ``factory``."""
 
     name: str
     factory: Callable[[], Filter]
     instances: int = 1
-    replicable: bool = False
-    #: logical node of each instance (len == instances); defaults to 0s.
-    placement: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.instances < 1:
             raise LayoutError(f"filter {self.name!r} needs >= 1 instance")
-        if self.instances > 1 and not self.replicable:
-            raise LayoutError(
-                f"filter {self.name!r} has {self.instances} instances but is "
-                "not replicable; only stateless filters may be copied"
-            )
-        if self.placement and len(self.placement) != self.instances:
-            raise LayoutError(
-                f"filter {self.name!r}: placement length {len(self.placement)} "
-                f"!= instances {self.instances}"
-            )
-
-    def node_of(self, instance: int) -> int:
-        return self.placement[instance] if self.placement else 0
 
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """A logical stream between two filter ports."""
+    """A logical stream between two filter ports.
+
+    A consumer with one copy gets every buffer; one with several gets
+    each buffer at the copy its ``meta["__dest__"]`` names.
+    """
 
     name: str
     src: str
     src_port: str
     dst: str
     dst_port: str
-    policy: DistributionPolicy = DistributionPolicy.ROUND_ROBIN
-    hash_key: str | None = None
     capacity: int = 16
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise LayoutError(f"stream {self.name!r} capacity must be >= 1")
-        if self.policy is DistributionPolicy.HASH and not self.hash_key:
-            raise LayoutError(f"stream {self.name!r}: HASH policy needs hash_key")
 
 
 class Layout:
-    """Builder + validator for an application's filter/stream graph."""
+    """Builder for an application's filter/stream graph."""
 
     def __init__(self, name: str = "layout"):
         self.name = name
@@ -88,19 +64,11 @@ class Layout:
         factory: Callable[[], Filter],
         *,
         instances: int = 1,
-        replicable: bool = False,
-        placement: list[int] | None = None,
     ) -> Layout:
         """Declare a filter; returns self for chaining."""
         if name in self.filters:
             raise LayoutError(f"duplicate filter name {name!r}")
-        self.filters[name] = FilterSpec(
-            name=name,
-            factory=factory,
-            instances=instances,
-            replicable=replicable,
-            placement=tuple(placement) if placement else (),
-        )
+        self.filters[name] = FilterSpec(name, factory, instances)
         return self
 
     def connect(
@@ -110,8 +78,6 @@ class Layout:
         dst: str,
         dst_port: str,
         *,
-        policy: DistributionPolicy = DistributionPolicy.ROUND_ROBIN,
-        hash_key: str | None = None,
         capacity: int = 16,
         name: str | None = None,
     ) -> Layout:
@@ -120,52 +86,5 @@ class Layout:
         if stream_name in self.streams:
             raise LayoutError(f"duplicate stream {stream_name!r}")
         self.streams[stream_name] = StreamSpec(
-            name=stream_name,
-            src=src,
-            src_port=src_port,
-            dst=dst,
-            dst_port=dst_port,
-            policy=policy,
-            hash_key=hash_key,
-            capacity=capacity,
-        )
+            stream_name, src, src_port, dst, dst_port, capacity)
         return self
-
-    # -- validation -----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check stream endpoints against declared filter ports.
-
-        Port declarations are read from a probe instance of each filter
-        (class attributes ``inputs`` / ``outputs``).
-        """
-        probes = {name: spec.factory() for name, spec in self.filters.items()}
-        for probe_name, probe in probes.items():
-            if not isinstance(probe, Filter):
-                raise LayoutError(
-                    f"factory of {probe_name!r} returned {type(probe).__name__}, "
-                    "not a Filter"
-                )
-        for stream in self.streams.values():
-            if stream.src not in self.filters:
-                raise LayoutError(f"stream {stream.name!r}: unknown filter {stream.src!r}")
-            if stream.dst not in self.filters:
-                raise LayoutError(f"stream {stream.name!r}: unknown filter {stream.dst!r}")
-            if stream.src_port not in probes[stream.src].outputs:
-                raise LayoutError(
-                    f"stream {stream.name!r}: {stream.src!r} has no output port "
-                    f"{stream.src_port!r} (has {probes[stream.src].outputs})"
-                )
-            if stream.dst_port not in probes[stream.dst].inputs:
-                raise LayoutError(
-                    f"stream {stream.name!r}: {stream.dst!r} has no input port "
-                    f"{stream.dst_port!r} (has {probes[stream.dst].inputs})"
-                )
-        # A port may fan out to several streams only for outputs; an input
-        # port fed by several streams merges them, which is allowed.
-
-    def inbound_streams(self, filter_name: str) -> list[StreamSpec]:
-        return [s for s in self.streams.values() if s.dst == filter_name]
-
-    def outbound_streams(self, filter_name: str) -> list[StreamSpec]:
-        return [s for s in self.streams.values() if s.src == filter_name]

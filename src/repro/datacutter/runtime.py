@@ -2,10 +2,11 @@
 
 Each filter instance runs on its own OS thread; each (stream, consumer
 instance) pair is a bounded FIFO *channel* guarded by the consumer's
-condition variable.  Writers block when a channel is full (credit-based
-backpressure), readers block when all their channels are empty.  A stream
-reaches end-of-stream at a consumer once every producer instance has closed
-it and the channel has drained.
+condition variable.  A buffer goes to the consumer's one copy, or to the
+copy its ``meta["__dest__"]`` names when there are several.  Writers block
+when a channel is full (credit-based backpressure), readers block when all
+their channels are empty.  A stream reaches end-of-stream at a consumer
+once every producer instance has closed it and the channel has drained.
 
 Threads suit this middleware's workload: filters spend their time in file
 I/O and NumPy kernels, both of which release the GIL, so I/O genuinely
@@ -21,7 +22,6 @@ and between runs its owner rebinds the parked filters
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import deque
@@ -30,7 +30,7 @@ from collections.abc import Callable, Sequence
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.errors import FilterError, LayoutError, StreamClosedError
 from repro.datacutter.filters import Filter, FilterContext
-from repro.datacutter.layout import DistributionPolicy, Layout, StreamSpec
+from repro.datacutter.layout import Layout, StreamSpec
 
 
 class _Channel:
@@ -54,51 +54,40 @@ class _Channel:
 
 
 class _StreamWriter:
-    """Producer-side handle distributing buffers over consumer channels."""
+    """Producer-side handle delivering buffers to a consumer's channels:
+    the one channel of a one-copy consumer, else the copy named by the
+    buffer's ``meta["__dest__"]``."""
 
     def __init__(self, stream: StreamSpec, channels: list[_Channel], runtime: ThreadedRuntime):
         self.stream = stream
         self.channels = channels
         self.runtime = runtime
-        self._rr = itertools.count()
 
-    def _targets(self, buffer: DataBuffer) -> list[_Channel]:
-        policy = self.stream.policy
+    def _target(self, buffer: DataBuffer) -> _Channel:
         n = len(self.channels)
-        if policy is DistributionPolicy.BROADCAST:
-            return self.channels
-        if policy is DistributionPolicy.ROUND_ROBIN:
-            return [self.channels[next(self._rr) % n]]
-        if policy is DistributionPolicy.HASH:
-            key = buffer.meta.get(self.stream.hash_key)
-            if key is None:
-                raise StreamClosedError(
-                    f"stream {self.stream.name!r}: buffer lacks hash key "
-                    f"{self.stream.hash_key!r}"
-                )
-            return [self.channels[hash(key) % n]]
-        # DIRECTED
+        if n == 1:
+            return self.channels[0]
         dest = buffer.meta.get("__dest__")
         if dest is None or not 0 <= int(dest) < n:
             raise StreamClosedError(
-                f"stream {self.stream.name!r}: DIRECTED buffer needs meta "
-                f"'__dest__' in [0, {n}), got {dest!r}"
+                f"stream {self.stream.name!r}: a buffer to {n} copies needs "
+                f"meta '__dest__' in [0, {n}), got {dest!r}"
             )
-        return [self.channels[int(dest)]]
+        return self.channels[int(dest)]
 
     def write(self, buffer: DataBuffer) -> None:
-        for channel in self._targets(buffer):
-            with channel.cond:
-                while len(channel.items) >= channel.capacity:
-                    if self.runtime._failed.is_set():
-                        raise StreamClosedError(
-                            f"runtime failed while writing {self.stream.name!r}"
-                        )
-                    channel.cond.wait()
-                channel.items.append(buffer)
-                channel.buffers_in += 1
-                channel.bytes_in += buffer.nbytes
-                channel.cond.notify_all()
+        channel = self._target(buffer)
+        with channel.cond:
+            while len(channel.items) >= channel.capacity:
+                if self.runtime._failed.is_set():
+                    raise StreamClosedError(
+                        f"runtime failed while writing {self.stream.name!r}"
+                    )
+                channel.cond.wait()
+            channel.items.append(buffer)
+            channel.buffers_in += 1
+            channel.bytes_in += buffer.nbytes
+            channel.cond.notify_all()
 
     def close(self) -> None:
         for channel in self.channels:
@@ -209,13 +198,6 @@ class ThreadedRuntime:
     """Runs a :class:`~repro.datacutter.layout.Layout` on OS threads."""
 
     def __init__(self, layout: Layout, *, lock_recorder=None):
-        layout.validate()
-        for stream in layout.streams.values():
-            if stream.src == stream.dst:
-                raise LayoutError(
-                    f"stream {stream.name!r} is a self-loop; split the filter "
-                    "into two stages instead"
-                )
         self.layout = layout
         if lock_recorder is None:
             # Function-level import: repro.analysis is lazy, but its checker
@@ -242,17 +224,40 @@ class ThreadedRuntime:
         # 1. instantiate filters; wrap each instance's condition *before*
         #    step 2 so every channel captures the recording proxy
         for name, spec in self.layout.filters.items():
-            insts = [
-                _InstanceRuntime(self, spec, i, spec.factory())
-                for i in range(spec.instances)
-            ]
+            insts = []
+            for i in range(spec.instances):
+                filt = spec.factory()
+                if not isinstance(filt, Filter):
+                    raise LayoutError(
+                        f"factory of {name!r} returned {type(filt).__name__}, "
+                        "not a Filter")
+                insts.append(_InstanceRuntime(self, spec, i, filt))
             if self.lock_recorder is not None:
                 for inst in insts:
                     inst.cond = self.lock_recorder.wrap_condition(
                         inst.cond, f"{name}#{inst.instance}.cond")
             self.instances[name] = insts
-        # 2. materialize channels per (stream, consumer instance)
+        # 2. check each stream's endpoints against the filters just built,
+        #    and materialize its channels per (stream, consumer instance)
         for stream in self.layout.streams.values():
+            for end in (stream.src, stream.dst):
+                if end not in self.instances:
+                    raise LayoutError(
+                        f"stream {stream.name!r}: unknown filter {end!r}")
+            if stream.src == stream.dst:
+                raise LayoutError(
+                    f"stream {stream.name!r} is a self-loop; split the filter "
+                    "into two stages instead")
+            outputs = self.instances[stream.src][0].filter.outputs
+            if stream.src_port not in outputs:
+                raise LayoutError(
+                    f"stream {stream.name!r}: {stream.src!r} has no output "
+                    f"port {stream.src_port!r} (has {outputs})")
+            inputs = self.instances[stream.dst][0].filter.inputs
+            if stream.dst_port not in inputs:
+                raise LayoutError(
+                    f"stream {stream.name!r}: {stream.dst!r} has no input "
+                    f"port {stream.dst_port!r} (has {inputs})")
             producers = self.layout.filters[stream.src].instances
             consumers = self.instances[stream.dst]
             channels = []

@@ -163,8 +163,7 @@ class JobManager:
     def submit(self, spec: JobSpec) -> JobRecord:
         """Admit (or reject) a job; returns its record either way."""
         with self._cond:
-            quota = self.config.quotas.get(spec.tenant,
-                                           self.config.default_quota)
+            quota = self._quota_of(spec.tenant)
             tenant_queued = sum(1 for r in self._queue
                                 if r.spec.tenant == spec.tenant)
             decision = admit(
@@ -249,13 +248,14 @@ class JobManager:
                                 self.config.quotas,
                                 self.config.default_quota, now)
 
+    def _tenant_at_cap_locked(self, tenant: str) -> bool:
+        """The tenant runs as many jobs as its quota lets it."""
+        running = sum(1 for r in self._running.values()
+                      if r.spec.tenant == tenant)
+        return running >= self._quota_of(tenant).max_running
+
     def _startable_locked(self, rec: JobRecord, now: float) -> bool:
-        if rec.not_before > now:
-            return False
-        quota = self._quota_of(rec.spec.tenant)
-        tenant_running = sum(1 for r in self._running.values()
-                             if r.spec.tenant == rec.spec.tenant)
-        if tenant_running >= quota.max_running:
+        if rec.not_before > now or self._tenant_at_cap_locked(rec.spec.tenant):
             return False
         return self._mem_used + rec.spec.working_set <= \
             self.config.memory_budget
@@ -284,12 +284,8 @@ class JobManager:
         now = time.monotonic()
         head = None
         for rec in self._fair_order_locked(now):
-            if rec.not_before > now:
-                continue
-            quota = self._quota_of(rec.spec.tenant)
-            tenant_running = sum(1 for r in self._running.values()
-                                 if r.spec.tenant == rec.spec.tenant)
-            if tenant_running >= quota.max_running:
+            if rec.not_before > now or self._tenant_at_cap_locked(
+                    rec.spec.tenant):
                 continue
             head = rec
             break

@@ -7,7 +7,7 @@ events.  Determinism is guaranteed by breaking ties on (time, priority,
 sequence number).
 
 On top of the kernel, :mod:`repro.sim.primitives` provides capacity-limited
-resources and mailbox stores, and :mod:`repro.sim.flow` provides a max-min
+resources and a reusable barrier, and :mod:`repro.sim.flow` provides a max-min
 fair fluid-flow bandwidth network used to model the SSD testbed's GPFS and
 InfiniBand fabric.
 """
@@ -15,25 +15,20 @@ InfiniBand fabric.
 from repro.sim.kernel import (
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.sim.primitives import Barrier, Container, Mutex, Resource, Store
+from repro.sim.primitives import Barrier, Resource
 from repro.sim.flow import FlowNetwork, Link
 
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
     "Resource",
-    "Store",
-    "Container",
-    "Mutex",
     "Barrier",
     "FlowNetwork",
     "Link",

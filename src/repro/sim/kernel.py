@@ -15,26 +15,16 @@ from typing import Any
 
 __all__ = [
     "SimulationError",
-    "Interrupt",
     "Event",
     "Timeout",
     "Process",
     "Environment",
     "AllOf",
-    "AnyOf",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, running a dead env, ...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event states
@@ -139,14 +129,13 @@ class Process(Event):
     raises its exception inside the generator (which may catch it).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: Environment, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process needs a generator, got {type(generator).__name__}")
         super().__init__(env)
         self._generator = generator
-        self._target: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
         init = Event(env)
         init.succeed()
@@ -156,28 +145,7 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._state == _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        if self._target is self:
-            raise SimulationError("process cannot interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._defused = True
-        interrupt_event.fail(Interrupt(cause))
-        # Detach from the currently awaited event, then resume with failure.
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        interrupt_event.callbacks.append(self._resume)  # type: ignore[union-attr]
-
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
-        self._target = None
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -185,24 +153,20 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_process = None
             if self._state == _PENDING:
                 self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
             if self._state == _PENDING:
                 self.fail(exc)
                 return
             raise
-        self.env._active_process = None
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {next_event!r}; processes must yield Events"
             )
         if next_event.env is not self.env:
             raise SimulationError("cannot wait on an event from another environment")
-        self._target = next_event
         if next_event.callbacks is None:
             # Already processed: resume immediately (same timestep).
             resume = Event(self.env)
@@ -216,10 +180,10 @@ class Process(Event):
             next_event.callbacks.append(self._resume)
 
 
-class Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every component event has fired; value is the value list."""
 
-    __slots__ = ("events", "_pending_count")
+    __slots__ = ("events",)
 
     def __init__(self, env: Environment, events: Iterable[Event]):
         super().__init__(env)
@@ -227,24 +191,13 @@ class Condition(Event):
         for ev in self.events:
             if ev.env is not env:
                 raise SimulationError("all condition events must share one environment")
-        self._pending_count = 0
         for ev in self.events:
             if ev.callbacks is None:
                 self._check(ev)
             else:
-                self._pending_count += 1
                 ev.callbacks.append(self._check)
         if not self.events and self._state == _PENDING:
             self.succeed([])
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Fires when every component event has fired; value is the value list."""
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self._state != _PENDING:
@@ -257,21 +210,6 @@ class AllOf(Condition):
             self.succeed([ev._value for ev in self.events])
 
 
-class AnyOf(Condition):
-    """Fires when the first component event fires; value is (event, value)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed((event, event._value))
-
-
 class Environment:
     """The event loop: schedules events and advances virtual time."""
 
@@ -279,16 +217,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Process | None = None
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
 
     def _schedule(self, event: Event, *, delay: float = 0.0, priority: int = 0) -> None:
         self._seq += 1
@@ -308,9 +241,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
@@ -319,10 +249,6 @@ class Environment:
             raise SimulationError("step() on an empty schedule")
         self._now, _, _, event = heapq.heappop(self._queue)
         event._run_callbacks()
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf when idle."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.

@@ -1,6 +1,7 @@
-"""Synchronization and capacity primitives for the DES kernel.
+"""Capacity and synchronization primitives for the DES kernel: a counted
+resource (cores, I/O slots) and a reusable barrier (global syncs).
 
-All primitives are strictly FIFO so simulations are deterministic and fair,
+Both are strictly FIFO so simulations are deterministic and fair,
 matching the paper's assumption that storage/scheduler queues serve requests
 in arrival order.
 """
@@ -9,11 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from typing import Any, Deque
+from typing import Deque
 
 from repro.sim.kernel import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Mutex", "Store", "Container", "Barrier"]
+__all__ = ["Resource", "Barrier"]
 
 
 class _Request(Event):
@@ -82,108 +83,6 @@ class Resource:
             self.in_use += req.amount
             self._granted.add(id(req))
             req.succeed(req)
-
-
-class Mutex(Resource):
-    """Capacity-1 resource; a readable name for critical sections."""
-
-    def __init__(self, env: Environment):
-        super().__init__(env, capacity=1)
-
-
-class Store:
-    """An unbounded-or-bounded FIFO mailbox of Python objects."""
-
-    def __init__(self, env: Environment, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be None or >= 1")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        """Event firing once the item has been accepted."""
-        ev = Event(self.env)
-        self._putters.append((ev, item))
-        self._settle()
-        return ev
-
-    def get(self) -> Event:
-        """Event firing with the oldest item."""
-        ev = Event(self.env)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and (self.capacity is None or len(self.items) < self.capacity):
-                ev, item = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed()
-                progress = True
-            while self._getters and self.items:
-                self._getters.popleft().succeed(self.items.popleft())
-                progress = True
-
-
-class Container:
-    """A continuous-level tank (e.g. bytes of free DRAM)."""
-
-    def __init__(self, env: Environment, capacity: float, init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init outside [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self.level = init
-        self._getters: Deque[tuple[Event, float]] = deque()
-        self._putters: Deque[tuple[Event, float]] = deque()
-
-    def put(self, amount: float) -> Event:
-        """Fires when ``amount`` fits below capacity."""
-        if amount <= 0:
-            raise ValueError("put amount must be positive")
-        if amount > self.capacity:
-            raise ValueError("put amount exceeds total capacity")
-        ev = Event(self.env)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Fires when ``amount`` can be drawn from the level."""
-        if amount <= 0:
-            raise ValueError("get amount must be positive")
-        if amount > self.capacity:
-            raise ValueError("get amount exceeds total capacity")
-        ev = Event(self.env)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and self.level + self._putters[0][1] <= self.capacity:
-                ev, amount = self._putters.popleft()
-                self.level += amount
-                ev.succeed()
-                progress = True
-            if self._getters and self._getters[0][1] <= self.level:
-                ev, amount = self._getters.popleft()
-                self.level -= amount
-                ev.succeed()
-                progress = True
 
 
 class Barrier:

@@ -56,7 +56,8 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceReport, ConvergenceTracker
+from repro.core.convergence import (ConvergenceReport, ConvergenceTracker,
+                                    repeat_period)
 from repro.recovery.checkpoint import CheckpointCadence
 
 MODES = ("sync", "incremental", "async")
@@ -163,7 +164,7 @@ def jacobi_solve(
             x_new = x + residual / diag
             # A deterministic sweep that reproduced x (or entered an exact
             # 2-cycle) will repeat forever: the residual cannot improve.
-            stagnant = fixpoint_exit and _stagnant(x_new, x, x_two_ago)
+            stagnant = fixpoint_exit and bool(repeat_period(x_new, x, x_two_ago))
             if workset is not None:
                 workset.observe(x, x_new, final=stagnant)
             if stagnant:
@@ -179,12 +180,6 @@ def jacobi_solve(
 
 def _save(ckpt: CheckpointCadence, it: int, x, history) -> None:
     ckpt.save(it, {"x": x, "history": np.asarray(history)}, {"iteration": it})
-
-
-def _stagnant(x_new, x, x_two_ago) -> bool:
-    """Exact period-1 fixpoint or period-2 limit cycle of the sweep."""
-    return bool(np.array_equal(x_new, x)
-                or (x_two_ago is not None and np.array_equal(x_new, x_two_ago)))
 
 
 def _require_workset_operator(operator, mode: str):

@@ -28,6 +28,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.convergence import repeat_period
 from repro.core.engine import DOoCEngine, Program
 from repro.core.opcache import cached_decode
 from repro.recovery.checkpoint import CheckpointCadence
@@ -369,9 +370,8 @@ def run_iterated_spmv(
             while done < iterations:
                 x_new = op.matvec(x, workset=workset)
                 done += 1
-                period1 = np.array_equal(x_new, x)
-                run.fixpoint = period1 or (
-                    x_two_ago is not None and np.array_equal(x_new, x_two_ago))
+                period = repeat_period(x_new, x, x_two_ago)
+                run.fixpoint = period > 0
                 workset.observe(x, x_new, final=run.fixpoint)
                 if run.fixpoint:
                     # x(done) repeats x(done-1) or x(done-2): every later
@@ -379,7 +379,7 @@ def run_iterated_spmv(
                     # period-2 cycle alternates x_new / x, so pick the
                     # phase whose parity matches the requested count T
                     # (else x(T) == x(done-1), the current x).
-                    if period1 or (iterations - done) % 2 == 0:
+                    if period == 1 or (iterations - done) % 2 == 0:
                         x = x_new
                     done = iterations
                     break

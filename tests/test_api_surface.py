@@ -18,7 +18,7 @@ from repro.core.engine import DOoCEngine
 from repro.core.local_scheduler import LocalSchedulerCore
 from repro.core.storage import LocalStore
 from repro.core.task import task
-from repro.datacutter import Filter, Layout
+from repro.datacutter import Filter
 from repro.experiments import EXPERIMENTS
 from repro.lanczos.basis import DiskBasis
 from repro.sim import Environment, FlowNetwork, Link, Resource
@@ -202,38 +202,16 @@ class TestSimSurfaces:
         env.run()
         assert res.queue_length == 2  # one granted, two waiting
 
-    def test_process_is_alive_and_active_process(self):
+    def test_process_is_alive(self):
         env = Environment()
-        seen = []
 
         def proc():
-            seen.append(env.active_process)
             yield env.timeout(1.0)
 
         p = env.process(proc())
         assert p.is_alive
         env.run()
         assert not p.is_alive
-        assert seen == [p]
-        assert env.active_process is None
-
-
-class TestLayoutSurfaces:
-    def test_inbound_outbound_streams(self):
-        class F(Filter):
-            inputs = ("in",)
-            outputs = ("out",)
-
-            def process(self, ctx):
-                pass
-
-        layout = Layout("t")
-        layout.add_filter("a", F)
-        layout.add_filter("b", F)
-        layout.connect("a", "out", "b", "in", name="s1")
-        assert [s.name for s in layout.outbound_streams("a")] == ["s1"]
-        assert [s.name for s in layout.inbound_streams("b")] == ["s1"]
-        assert layout.inbound_streams("a") == []
 
 
 class TestStorageSurfaces:

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from repro.core.convergence import ConvergenceTracker
+from repro.core.convergence import ConvergenceTracker, repeat_period
 from repro.obs.metrics import MetricsRegistry
 from repro.solvers import jacobi_solve
 from repro.spmv.csr import CSRBlock
@@ -131,6 +131,17 @@ class _StubTracer:
 
 def parts(*vectors):
     return {v: np.asarray(x, dtype=np.float64) for v, x in enumerate(vectors)}
+
+
+def test_repeat_period_is_bitwise():
+    """The one stagnation check both drives call: a bitwise fixpoint, a
+    bitwise 2-cycle, or neither (one ulp off is no repeat)."""
+    a, b = np.array([1.0, 2.0]), np.array([1.0, 3.0])
+    off = np.nextafter(a, np.inf)
+    assert repeat_period(a.copy(), a, None) == 1
+    assert repeat_period(a.copy(), b, a) == 2
+    assert repeat_period(off, a, a) == 0
+    assert repeat_period(a.copy(), b, None) == 0
 
 
 class TestConvergenceTracker:

@@ -48,9 +48,9 @@ class TestTaskDAG:
     def test_derived_dependencies(self):
         tasks, initial = spmv_like_tasks()
         dag = TaskDAG(tasks, initial)
-        assert dag.preds["sum_0"] == {"mult_00", "mult_01"}
-        assert dag.succs["mult_00"] == {"sum_0"}
-        assert dag.preds["mult_00"] == set()
+        assert list(dag.preds["sum_0"]) == ["mult_00", "mult_01"]
+        assert list(dag.succs["mult_00"]) == ["sum_0"]
+        assert list(dag.preds["mult_00"]) == []
 
     def test_ready_and_completion_flow(self):
         tasks, initial = spmv_like_tasks()

@@ -8,14 +8,13 @@ import pytest
 from repro.datacutter import (
     END_OF_STREAM,
     DataBuffer,
-    DistributionPolicy,
     Filter,
     FilterError,
     Layout,
     LayoutError,
+    StreamClosedError,
     ThreadedRuntime,
 )
-from repro.datacutter.filters import FunctionFilter
 
 
 class TestDataBuffer:
@@ -33,28 +32,39 @@ class TestDataBuffer:
         with pytest.raises(ValueError):
             DataBuffer(b"", nbytes=-1)
 
-    def test_tagged_copies_meta_shares_payload(self):
-        arr = np.arange(3)
-        buf = DataBuffer(arr, {"a": 1})
-        tag = buf.tagged(b=2)
-        assert tag.meta == {"a": 1, "b": 2}
-        assert buf.meta == {"a": 1}
-        assert tag.payload is arr
-
     def test_eos_is_falsy_singleton(self):
         assert not END_OF_STREAM
         assert END_OF_STREAM is type(END_OF_STREAM)()
 
 
 class Source(Filter):
+    """Writes ``items``, addressed to ``copies`` consumer copies in turn."""
+
     outputs = ("out",)
 
-    def __init__(self, items):
+    def __init__(self, items, copies=1):
         self.items = items
+        self.copies = copies
 
     def process(self, ctx):
-        for item in self.items:
-            ctx.write("out", DataBuffer(item, {"key": item}))
+        for i, item in enumerate(self.items):
+            ctx.write("out", DataBuffer(item, {"__dest__": i % self.copies}))
+
+
+class Transform(Filter):
+    """Forwards ``fn(payload)`` from ``in`` to ``out``."""
+
+    inputs = ("in",)
+    outputs = ("out",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def on(self, ctx, port, buf):
+        if buf is END_OF_STREAM:
+            return True
+        ctx.write("out", DataBuffer(self.fn(buf.payload)))
+        return False
 
 
 class Collect(Filter):
@@ -72,15 +82,13 @@ class Collect(Filter):
             self.sink.append((ctx.instance, buf.payload))
 
 
-def run_layout(items, *, workers=1, policy=DistributionPolicy.ROUND_ROBIN,
-               hash_key=None, transform=lambda x: x * 10):
+def run_layout(items, *, workers=1, transform=lambda x: x * 10):
     sink = []
     layout = Layout("test")
-    layout.add_filter("src", lambda: Source(items))
-    layout.add_filter("work", lambda: FunctionFilter(transform),
-                      instances=workers, replicable=True)
+    layout.add_filter("src", lambda: Source(items, workers))
+    layout.add_filter("work", lambda: Transform(transform), instances=workers)
     layout.add_filter("col", lambda: Collect(sink))
-    layout.connect("src", "out", "work", "in", policy=policy, hash_key=hash_key)
+    layout.connect("src", "out", "work", "in")
     layout.connect("work", "out", "col", "in")
     ThreadedRuntime(layout).run(timeout=20)
     return sink
@@ -96,15 +104,12 @@ class TestPipelines:
         assert sorted(p for _, p in sink) == [i * 10 for i in range(40)]
 
     def test_round_robin_spreads_work(self):
+        """A producer addressing four copies in turn gives each its share."""
         counts = [0, 0, 0, 0]
         lock = threading.Lock()
-
-        def spy(x):
-            return x
-
         sink = []
         layout = Layout("rr")
-        layout.add_filter("src", lambda: Source(list(range(16))))
+        layout.add_filter("src", lambda: Source(list(range(16)), copies=4))
 
         class Tally(Filter):
             inputs = ("in",)
@@ -119,36 +124,12 @@ class TestPipelines:
                         counts[ctx.instance] += 1
                     ctx.write("out", buf)
 
-        layout.add_filter("work", Tally, instances=4, replicable=True)
+        layout.add_filter("work", Tally, instances=4)
         layout.add_filter("col", lambda: Collect(sink))
         layout.connect("src", "out", "work", "in")
         layout.connect("work", "out", "col", "in")
         ThreadedRuntime(layout).run(timeout=20)
         assert counts == [4, 4, 4, 4]
-
-    def test_broadcast_copies_to_all_instances(self):
-        sink = []
-        layout = Layout("bc")
-        layout.add_filter("src", lambda: Source([7]))
-        layout.add_filter("col", lambda: Collect(sink), instances=3, replicable=True)
-        layout.connect("src", "out", "col", "in",
-                       policy=DistributionPolicy.BROADCAST)
-        ThreadedRuntime(layout).run(timeout=20)
-        assert sorted(i for i, _ in sink) == [0, 1, 2]
-        assert all(p == 7 for _, p in sink)
-
-    def test_hash_policy_is_sticky(self):
-        sink = []
-        layout = Layout("hash")
-        layout.add_filter("src", lambda: Source([5, 5, 5, 9, 9]))
-        layout.add_filter("col", lambda: Collect(sink), instances=4, replicable=True)
-        layout.connect("src", "out", "col", "in",
-                       policy=DistributionPolicy.HASH, hash_key="key")
-        ThreadedRuntime(layout).run(timeout=20)
-        by_payload = {}
-        for inst, payload in sink:
-            by_payload.setdefault(payload, set()).add(inst)
-        assert all(len(insts) == 1 for insts in by_payload.values())
 
     def test_directed_policy_routes_by_dest(self):
         sink = []
@@ -162,11 +143,45 @@ class TestPipelines:
 
         layout = Layout("dir")
         layout.add_filter("src", DirectedSource)
-        layout.add_filter("col", lambda: Collect(sink), instances=3, replicable=True)
-        layout.connect("src", "out", "col", "in",
-                       policy=DistributionPolicy.DIRECTED)
+        layout.add_filter("col", lambda: Collect(sink), instances=3)
+        layout.connect("src", "out", "col", "in")
         ThreadedRuntime(layout).run(timeout=20)
         assert sorted(sink) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_one_copy_consumer_needs_no_meta(self):
+        sink = []
+
+        class Bare(Filter):
+            outputs = ("out",)
+
+            def process(self, ctx):
+                for item in (1, 2):
+                    ctx.write("out", DataBuffer(item))
+
+        layout = Layout("bare")
+        layout.add_filter("src", Bare)
+        layout.add_filter("col", lambda: Collect(sink))
+        layout.connect("src", "out", "col", "in")
+        ThreadedRuntime(layout).run(timeout=20)
+        assert sink == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("meta", [{}, {"__dest__": 3}, {"__dest__": -1}])
+    def test_many_copy_consumer_needs_a_dest_in_range(self, meta):
+        class Stray(Filter):
+            outputs = ("out",)
+
+            def process(self, ctx):
+                ctx.write("out", DataBuffer(1, meta))
+
+        layout = Layout("stray")
+        layout.add_filter("src", Stray)
+        layout.add_filter("col", lambda: Collect([]), instances=3)
+        layout.connect("src", "out", "col", "in", name="to-col")
+        with pytest.raises(FilterError) as excinfo:
+            ThreadedRuntime(layout).run(timeout=20)
+        assert excinfo.value.filter_name == "src"
+        assert isinstance(excinfo.value.cause, StreamClosedError)
+        assert "'to-col'" in str(excinfo.value.cause)
 
     def test_merging_two_streams_on_one_input_port(self):
         sink = []
@@ -217,9 +232,8 @@ class TestPipelines:
 
         sink = []
         layout = Layout("pipe")
-        layout.add_filter("src", lambda: Source(list(range(30))))
-        layout.add_filter("w1", lambda: FunctionFilter(slowish), instances=3,
-                          replicable=True)
+        layout.add_filter("src", lambda: Source(list(range(30)), copies=3))
+        layout.add_filter("w1", lambda: Transform(slowish), instances=3)
         layout.add_filter("col", lambda: Collect(sink))
         layout.connect("src", "out", "w1", "in")
         layout.connect("w1", "out", "col", "in")
@@ -287,11 +301,6 @@ class TestErrors:
         with pytest.raises(LayoutError, match="duplicate"):
             layout.add_filter("x", lambda: Source([2]))
 
-    def test_non_replicable_multi_instance_rejected(self):
-        layout = Layout("bad")
-        with pytest.raises(LayoutError, match="not replicable"):
-            layout.add_filter("s", lambda: Source([1]), instances=2)
-
     def test_self_loop_rejected(self):
         class Loop(Filter):
             inputs = ("in",)
@@ -305,14 +314,6 @@ class TestErrors:
         layout.connect("l", "out", "l", "in")
         with pytest.raises(LayoutError, match="self-loop"):
             ThreadedRuntime(layout)
-
-    def test_hash_without_key_rejected(self):
-        layout = Layout("h")
-        layout.add_filter("src", lambda: Source([1]))
-        layout.add_filter("col", lambda: Collect([]))
-        with pytest.raises(LayoutError, match="needs hash_key"):
-            layout.connect("src", "out", "col", "in",
-                           policy=DistributionPolicy.HASH)
 
     def test_unconnected_declared_input_reads_eos(self):
         sink = []
@@ -411,49 +412,30 @@ class TestReadAny:
 
 
 class TestFilterContext:
-    def test_placement_and_identity_visible_to_filters(self):
+    def test_identity_visible_to_filters(self):
         seen = []
 
         class Probe(Filter):
             def process(self, ctx):
-                seen.append((ctx.name, ctx.instance, ctx.instances, ctx.node))
+                seen.append((ctx.name, ctx.instance, ctx.instances))
 
         layout = Layout("ctx")
-        layout.add_filter("probe", Probe, instances=3, replicable=True,
-                          placement=[5, 6, 7])
+        layout.add_filter("probe", Probe, instances=3)
         ThreadedRuntime(layout).run(timeout=20)
-        assert sorted(seen) == [
-            ("probe", 0, 3, 5), ("probe", 1, 3, 6), ("probe", 2, 3, 7)]
+        assert sorted(seen) == [("probe", 0, 3), ("probe", 1, 3), ("probe", 2, 3)]
 
-    def test_placement_length_mismatch_rejected(self):
-        layout = Layout("bad")
-        with pytest.raises(LayoutError, match="placement"):
-            layout.add_filter("f", Filter, instances=2, replicable=True,
-                              placement=[0])
+    def test_each_copy_is_built_once(self):
+        """The runtime checks ports against the filters it runs: no probe
+        instance is built beside them."""
+        built = []
 
-    def test_stop_requested_visible_after_failure(self):
-        saw_stop = []
+        def factory():
+            built.append(1)
+            return Collect([])
 
-        class Boom(Filter):
-            def process(self, ctx):
-                raise RuntimeError("x")
-
-        class Watcher(Filter):
-            inputs = ("in",)
-
-            def process(self, ctx):
-                while not ctx.stop_requested:
-                    try:
-                        buf = ctx.read("in", timeout=0.05)
-                    except TimeoutError:
-                        continue
-                    if buf is END_OF_STREAM:
-                        break
-                saw_stop.append(True)
-
-        layout = Layout("stop")
-        layout.add_filter("b", Boom)
-        layout.add_filter("w", Watcher)
-        with pytest.raises(Exception):
-            ThreadedRuntime(layout).run(timeout=20)
-        assert saw_stop == [True]
+        layout = Layout("once")
+        layout.add_filter("src", lambda: Source([1, 2], copies=2))
+        layout.add_filter("col", factory, instances=2)
+        layout.connect("src", "out", "col", "in")
+        ThreadedRuntime(layout).run(timeout=20)
+        assert len(built) == 2

@@ -24,7 +24,12 @@ the file alone with
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +40,10 @@ from repro.core.errors import NodeLostError
 from repro.datacutter import END_OF_STREAM, ThreadedRuntime
 from repro.datacutter.filters import FilterContext
 from repro.recovery import MembershipConfig
+from repro.spmv.csrfile import serialize_csr
+from repro.spmv.program import build_iterated_spmv
 from tests.test_session import TOTAL, scale_fn, two_node_program
+from tests.test_spmv_engine import make_problem
 
 #: thresholds never reached: the runtime below declares node 1 dead itself
 MEMBERSHIP = MembershipConfig(heartbeat_s=60.0, suspect_after_s=120.0,
@@ -355,3 +363,58 @@ class TestDeliveryOrders:
         bad = list(failures(runs))
         assert not bad, "\n\n".join(bad[:1])
         assert len(runs) > 300
+
+
+def one_thread_spmv(scratch) -> dict:
+    """Three interleaved SpMV iterations on one node, a quarter of A in
+    memory, run by :class:`OneThreadRuntime` in its default order: the
+    delivery order, and the node's load and spill counts."""
+    _, p, blocks, x0 = make_problem(n=768, k=3, density_per_row=192)
+    result = build_iterated_spmv(blocks, p.split_vector(x0), iterations=3,
+                                 n_nodes=1, policy="interleaved")
+    budget = sum(len(serialize_csr(b)) for b in blocks.values()) // 4
+    graphs = []
+
+    def runtime(*args, **kwargs):
+        graphs.append(OneThreadRuntime(*args, **kwargs))
+        return graphs[-1]
+
+    eng = DOoCEngine(n_nodes=1, workers=1, scratch_dir=scratch,
+                     memory_budget_per_node=budget, watchdog_quiet_s=None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "ThreadedRuntime", runtime)
+        try:
+            metrics = eng.run(result.program, timeout=60).metrics[0]
+        finally:
+            eng.cleanup()
+    return {"order": graphs[0].order, "loads": metrics.get("loads", 0),
+            "spills": metrics.get("spills", 0)}
+
+
+class TestOrderIsNotAFunctionOfTheHashSeed:
+    def test_one_order_for_every_hash_seed(self, tmp_path):
+        """What becomes ready, and in which order, follows the program's
+        declarations, never ``PYTHONHASHSEED``: four interpreters with
+        four hash seeds deliver the same buffers in the same order, and
+        load and spill alike."""
+        root = Path(__file__).resolve().parent.parent
+        script = ("import json, sys; from tests.test_delivery_orders import "
+                  "one_thread_spmv; print(json.dumps(one_thread_spmv(sys.argv[1])))")
+        runs = []
+        for seed in range(4):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / str(seed))],
+                cwd=root, capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": str(seed),
+                     "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                    str(root)])})
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert runs[0]["loads"] > 0
+        for seed, run in enumerate(runs[1:], 1):
+            assert (run["loads"], run["spills"]) == (runs[0]["loads"],
+                                                     runs[0]["spills"]), seed
+            first = next((i for i, (a, b) in enumerate(zip(
+                run["order"], runs[0]["order"])) if a != b), None)
+            assert run["order"] == runs[0]["order"], (
+                f"hash seed {seed} parts from seed 0 at delivery {first}")

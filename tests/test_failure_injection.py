@@ -14,7 +14,7 @@ from repro.datacutter import (
     Layout,
     ThreadedRuntime,
 )
-from repro.sim import Environment, FlowNetwork, Interrupt, Link, Resource
+from repro.sim import Environment, FlowNetwork, Link
 from repro.util.rng import spawn
 
 
@@ -63,7 +63,7 @@ class TestDataCutterFailures:
                 raise ValueError("dead consumer")
 
         layout = Layout("l")
-        layout.add_filter("src", Src, instances=3, replicable=True)
+        layout.add_filter("src", Src, instances=3)
         layout.add_filter("dst", CrashSoon)
         layout.connect("src", "out", "dst", "in", capacity=2)
         with pytest.raises(FilterError):
@@ -119,36 +119,6 @@ class TestEngineFailures:
 
 
 class TestSimFailures:
-    def test_interrupt_during_resource_wait_keeps_resource_sane(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        outcome = []
-
-        def holder():
-            req = yield res.request()
-            yield env.timeout(10.0)
-            res.release(req)
-
-        def waiter():
-            try:
-                yield res.request()
-            except Interrupt:
-                outcome.append("interrupted")
-
-        def attacker(target):
-            yield env.timeout(1.0)
-            target.interrupt()
-
-        env.process(holder())
-        w = env.process(waiter())
-        env.process(attacker(w))
-        env.run()
-        assert outcome == ["interrupted"]
-        # NOTE: the interrupted waiter's queued request remains in the FIFO
-        # (it is granted at t=10 with nobody listening).  The resource
-        # accounting itself must stay consistent:
-        assert res.in_use <= res.capacity
-
     def test_failed_transfer_size_rejected_before_any_state_change(self):
         env = Environment()
         net = FlowNetwork(env)

@@ -12,7 +12,6 @@ from repro.ci.mscheme import SpeciesCounter
 from repro.datacutter import (
     END_OF_STREAM,
     DataBuffer,
-    DistributionPolicy,
     Filter,
     Layout,
     ThreadedRuntime,
@@ -143,24 +142,29 @@ def test_flow_network_schedule_is_deterministic(seed, n_flows):
 class _Src(Filter):
     outputs = ("out",)
 
-    def __init__(self, items):
+    def __init__(self, items, dest):
         self.items = items
+        self.dest = dest  # (index, item) -> the next stage's copy
 
     def process(self, ctx):
-        for x in self.items:
-            ctx.write("out", DataBuffer(x, {"key": x % 7}))
+        for i, x in enumerate(self.items):
+            ctx.write("out", DataBuffer(x, {"__dest__": self.dest(i, x)}))
 
 
 class _Pass(Filter):
     inputs = ("in",)
     outputs = ("out",)
 
+    def __init__(self, dest):
+        self.dest = dest
+
     def process(self, ctx):
-        while True:
+        for i in itertools.count():
             buf = ctx.read("in")
             if buf is END_OF_STREAM:
                 return
-            ctx.write("out", buf)
+            ctx.write("out", DataBuffer(
+                buf.payload, {"__dest__": self.dest(i, buf.payload)}))
 
 
 class _Sink(Filter):
@@ -177,26 +181,32 @@ class _Sink(Filter):
             self.out.append(buf.payload)
 
 
+def _addressing(how, copies):
+    """Which copy of the next stage gets an item: in turn, or by key."""
+    if how == "rotate":
+        return lambda i, x: i % copies
+    return lambda i, x: x % 7 % copies
+
+
 @given(
     n_items=st.integers(0, 60),
     stage_instances=st.lists(st.integers(1, 4), min_size=1, max_size=3),
     capacity=st.integers(1, 8),
-    policy=st.sampled_from([DistributionPolicy.ROUND_ROBIN,
-                            DistributionPolicy.HASH]),
+    how=st.sampled_from(["rotate", "key"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_random_pipelines_conserve_items(n_items, stage_instances, capacity,
-                                         policy):
+                                         how):
     sink: list = []
+    dests = [_addressing(how, c) for c in [*stage_instances, 1]]
     layout = Layout("fuzz")
-    layout.add_filter("src", lambda: _Src(list(range(n_items))))
+    layout.add_filter("src", lambda: _Src(list(range(n_items)), dests[0]))
     prev = "src"
     for si, inst in enumerate(stage_instances):
         name = f"s{si}"
-        layout.add_filter(name, _Pass, instances=inst, replicable=True)
-        layout.connect(prev, "out", name, "in", capacity=capacity,
-                       policy=policy, hash_key="key" if
-                       policy is DistributionPolicy.HASH else None)
+        layout.add_filter(name, lambda d=dests[si + 1]: _Pass(d),
+                          instances=inst)
+        layout.connect(prev, "out", name, "in", capacity=capacity)
         prev = name
     layout.add_filter("sink", lambda: _Sink(sink))
     layout.connect(prev, "out", "sink", "in", capacity=capacity)

@@ -21,8 +21,12 @@ from repro.core import DOoCEngine, DoocError, Program
 from repro.core.array import ArrayDesc
 from repro.core.cancel import CancelToken
 from repro.core.errors import RunCancelled, StallError
-from repro.core.iofilter import delete_array_file, write_array
+from repro.core.global_scheduler import _GlobalSchedulerFilter
+from repro.core.iofilter import IOFilter, delete_array_file, write_array
+from repro.core.local_scheduler import _LocalSchedulerFilter
 from repro.core.shm import dev_shm_segments
+from repro.core.storage_filter import _StorageFilter
+from repro.core.worker import _WorkerFilter
 from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.recovery import CheckpointManager, MembershipConfig
@@ -575,6 +579,12 @@ ENDINGS = {
 }
 
 
+#: the engine's filters: one global scheduler; storage, I/O, local
+#: scheduler and ``workers`` workers on each node
+FILTER_CLASSES = (_GlobalSchedulerFilter, _StorageFilter, IOFilter,
+                  _LocalSchedulerFilter, _WorkerFilter)
+
+
 class TestGraphLifetime:
     def test_later_runs_start_no_thread(self, tmp_path, x):
         """(a) Runs 2..N of one engine start no thread: the graph is kept,
@@ -589,6 +599,21 @@ class TestGraphLifetime:
             assert started_by(lambda: ys.append(op.matvec(x))) == []
         assert all(np.array_equal(y, ys[0]) for y in ys)
         op.engine.cleanup()
+
+    def test_each_filter_is_built_once(self, tmp_path, monkeypatch):
+        """A cold run builds the graph's filters and nothing beside them:
+        the runtime checks the ports against the instances it runs."""
+        built = {cls: 0 for cls in FILTER_CLASSES}
+        for cls in FILTER_CLASSES:
+            def counting(self, *args, __init=cls.__init__, __cls=cls,
+                         **kwargs):
+                built[__cls] += 1
+                __init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        eng = DOoCEngine(n_nodes=2, workers=2, scratch_dir=tmp_path)
+        run_checked(eng, "once")
+        eng.cleanup()
+        assert [built[cls] for cls in FILTER_CLASSES] == [1, 2, 2, 2, 4]
 
     @pytest.mark.parametrize("ending", sorted(ENDINGS))
     def test_no_filter_thread_outlives_the_session(self, tmp_path, ending):

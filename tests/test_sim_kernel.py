@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim import Environment, Event, SimulationError
 from repro.sim.kernel import AllOf
 
 
@@ -94,38 +94,6 @@ def test_unhandled_process_failure_surfaces():
         env.run()
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def attacker(target):
-        yield env.timeout(4.0)
-        target.interrupt("preempted")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run()
-    assert log == [(4.0, "preempted")]
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
 def test_all_of_collects_values_in_order():
     env = Environment()
 
@@ -137,21 +105,6 @@ def test_all_of_collects_values_in_order():
     p = env.process(proc())
     assert env.run(p) == ["a", "b", "c"]
     assert env.now == 3.0
-
-
-def test_any_of_returns_first():
-    env = Environment()
-
-    def proc():
-        fast = env.timeout(1.0, "fast")
-        slow = env.timeout(5.0, "slow")
-        winner, value = yield env.any_of([fast, slow])
-        assert winner is fast
-        return value
-
-    p = env.process(proc())
-    assert env.run(p) == "fast"
-    assert env.now == 1.0
 
 
 def test_all_of_empty_fires_immediately():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Container / Barrier."""
+"""Unit tests for Resource / Barrier."""
 
 import pytest
 
-from repro.sim import Barrier, Container, Environment, Mutex, Resource, Store
+from repro.sim import Barrier, Environment, Resource
 from repro.sim.kernel import SimulationError
 
 
@@ -88,7 +88,7 @@ def test_resource_release_unknown_request_is_error():
 
 def test_mutex_context_manager_style():
     env = Environment()
-    lock = Mutex(env)
+    lock = Resource(env, capacity=1)
     inside = []
 
     def proc(i):
@@ -102,102 +102,6 @@ def test_mutex_context_manager_style():
     env.process(proc(1))
     env.run()
     assert inside == [(0, "in", 0.0), (0, "out", 1.0), (1, "in", 1.0), (1, "out", 2.0)]
-
-
-def test_store_fifo_and_blocking_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((item, env.now))
-
-    def producer():
-        yield env.timeout(1.0)
-        yield store.put("x")
-        yield env.timeout(1.0)
-        yield store.put("y")
-        yield store.put("z")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [("x", 1.0), ("y", 2.0), ("z", 2.0)]
-
-
-def test_store_bounded_blocks_producer():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put(1)
-        times.append(("put1", env.now))
-        yield store.put(2)
-        times.append(("put2", env.now))
-
-    def consumer():
-        yield env.timeout(5.0)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [("put1", 0.0), ("put2", 5.0)]
-
-
-def test_container_levels_and_blocking():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=4.0)
-    log = []
-
-    def drainer():
-        yield tank.get(6.0)  # blocks until level >= 6
-        log.append(("got", env.now, tank.level))
-
-    def filler():
-        yield env.timeout(2.0)
-        yield tank.put(3.0)
-
-    env.process(drainer())
-    env.process(filler())
-    env.run()
-    assert log == [("got", 2.0, 1.0)]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=5.0, init=5.0)
-    log = []
-
-    def putter():
-        yield tank.put(2.0)
-        log.append(env.now)
-
-    def getter():
-        yield env.timeout(3.0)
-        yield tank.get(4.0)
-
-    env.process(putter())
-    env.process(getter())
-    env.run()
-    assert log == [3.0]
-    assert tank.level == 3.0
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0.0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=1.0, init=2.0)
-    tank = Container(env, capacity=1.0)
-    with pytest.raises(ValueError):
-        tank.get(0.0)
-    with pytest.raises(ValueError):
-        tank.put(2.0)
 
 
 def test_barrier_releases_all_at_once_and_reuses():
