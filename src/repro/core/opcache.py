@@ -10,8 +10,10 @@ times — pure overhead the paper's overlap argument never accounts for.
 ``(array, seal-generation)``: the generation is a per-block counter the
 storage layer bumps whenever a block's buffer is reclaimed (spill-drop,
 evict, delete, rehome), so a cache entry can never outlive the bytes it
-was decoded from.  The cache is bounded (LRU by decoded size) and
-thread-safe — worker filters of one node share it.  It lives as long as
+was decoded from.  The cache is bounded (LRU by the bytes an entry
+keeps alive: its granted block's, since a decoded SpMV sub-matrix is
+views of that block with no arrays of its own) and thread-safe —
+worker filters of one node share it.  It lives as long as
 the node's store, across engine runs (:mod:`repro.core.session`): a
 block retained from one run to the next keeps its generation, hence its
 entry; ``metrics`` is re-bound to each run's registry between runs.
@@ -164,14 +166,14 @@ class OperandContext:
 
 
 def cached_decode(meta: dict, array: str, raw: Any,
-                  decode: Callable[[Any], Any],
-                  size_of: Callable[[Any], int] | None = None) -> Any:
+                  decode: Callable[[Any], Any]) -> Any:
     """Decode ``raw`` (the granted view of ``array``) through the cache.
 
     Falls back to a plain ``decode(raw)`` when no operand context was
     injected (direct calls, cache disabled) or the array's generations
-    are unknown.  ``size_of`` estimates the decoded size for the LRU
-    accounting; the raw buffer's size is used when omitted.
+    are unknown.  An entry is charged the bytes of ``raw``: a decode
+    that keeps views of the granted block (the SpMV sub-matrix) pins all
+    of it for as long as the entry lives.
     """
     ctx = meta.get(OPERAND_CONTEXT_KEY)
     if not isinstance(ctx, OperandContext) or ctx.cache is None:
@@ -183,9 +185,6 @@ def cached_decode(meta: dict, array: str, raw: Any,
     if value is not None:
         return value
     value = decode(raw)
-    if size_of is not None:
-        nbytes = size_of(value)
-    else:
-        nbytes = int(getattr(raw, "nbytes", 0)) or len(raw)
-    ctx.cache.put(array, gens, value, nbytes)
+    ctx.cache.put(array, gens, value,
+                  int(getattr(raw, "nbytes", 0)) or len(raw))
     return value

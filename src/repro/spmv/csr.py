@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,28 +18,47 @@ class CSRError(ValueError):
     """Malformed CSR structure."""
 
 
-def matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _max_column(indices: np.ndarray) -> float:
+    """The largest column index, or infinity if one is negative: in one
+    pass for signed integers, read as the unsigned type of their width,
+    where a negative index reads as huge."""
+    if indices.dtype.kind == "i":
+        return int(indices.view(indices.dtype.str.replace("i", "u")).max())
+    return indices.max() if indices.min() >= 0 else np.inf
+
+
+def matvec_into(a: CSRBlock | sp.csr_matrix, x: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
     """``out[:] = a @ x`` with no temporary: the one in-place kernel.
 
-    ``out`` is zeroed and accumulated into by the compiled ``csr_matvec``
-    call that SciPy's own ``a @ x`` makes on a zeroed result of its own,
-    so every float sum — and so every bit of the product — is the same.
-    The routine writes through a raw pointer, hence the strictness about
-    ``out``: anything SciPy would have to convert first would receive the
-    product in a copy.
+    ``a`` is a :class:`CSRBlock` (multiplied by its own arrays, whatever
+    their index width: the engine's operand is a sub-matrix's views of
+    its store block) or a SciPy CSR matrix.  ``out`` is zeroed and
+    accumulated into by the compiled ``csr_matvec`` call that SciPy's
+    own ``a @ x`` makes on a zeroed result of its own; the int64 and
+    int32 instantiations run the same row loop, so every float sum — and
+    so every bit of the product — is the same.  The routine writes
+    through a raw pointer, hence the strictness about ``out``: anything
+    SciPy would have to convert first would receive the product in a
+    copy; and about the index arrays, which it would convert to one
+    width by copying one of them.
     """
     nrows, ncols = a.shape
+    data = a.values if isinstance(a, CSRBlock) else a.data
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ncols,):
         raise CSRError(f"x has shape {x.shape}, want ({ncols},)")
     if out.shape != (nrows,):
         raise CSRError(f"out has shape {out.shape}, want ({nrows},)")
-    if not (a.dtype == out.dtype == np.float64 and out.flags.c_contiguous
+    if not (data.dtype == out.dtype == np.float64 and out.flags.c_contiguous
             and out.flags.writeable):
         raise CSRError("in-place matvec needs float64 values and a writable "
                        "C-contiguous float64 out")
+    if a.indptr.dtype != a.indices.dtype or a.indptr.dtype.kind != "i":
+        raise CSRError("in-place matvec needs indptr and indices of one "
+                       f"integer dtype, got {a.indptr.dtype}/{a.indices.dtype}")
     out.fill(0.0)
-    _sparsetools.csr_matvec(nrows, ncols, a.indptr, a.indices, a.data, x, out)
+    _sparsetools.csr_matvec(nrows, ncols, a.indptr, a.indices, data, x, out)
     return out
 
 
@@ -77,7 +95,7 @@ class CSRBlock:
                 f"indices/values shapes {indices.shape}/{values.shape} disagree "
                 f"with indptr nnz {nnz}"
             )
-        if nnz and (indices.min() < 0 or indices.max() >= self.ncols):
+        if nnz and _max_column(indices) >= self.ncols:
             raise CSRError("column index out of range")
 
     # -- properties -----------------------------------------------------------
@@ -122,12 +140,6 @@ class CSRBlock:
         return sp.csr_matrix((self.values, indices, indptr),
                              shape=self.shape, copy=False)
 
-    @cached_property
-    def _operand(self) -> sp.csr_matrix:
-        """The SciPy form ``matvec`` multiplies by, built on first use:
-        the block is frozen, so it never goes stale."""
-        return self.to_scipy()
-
     @classmethod
     def from_scipy(cls, m) -> CSRBlock:
         csr = sp.csr_matrix(m)
@@ -146,11 +158,11 @@ class CSRBlock:
     # -- kernels -----------------------------------------------------------------
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """y = A @ x using SciPy's compiled kernel, into ``out`` if given
-        (see :func:`matvec_into`)."""
+        """y = A @ x using SciPy's compiled kernel over this block's own
+        arrays, into ``out`` if given (see :func:`matvec_into`)."""
         if out is None:
             out = np.empty(self.nrows)
-        return matvec_into(self._operand, x, out)
+        return matvec_into(self, x, out)
 
     def matvec_python(self, x: np.ndarray) -> np.ndarray:
         """Reference row-loop kernel (for differential testing)."""

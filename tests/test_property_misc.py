@@ -97,11 +97,13 @@ def test_in_place_kernel_equals_scipy_product_bit_for_bit(block, data):
                                     max_size=block.ncols)), dtype=np.float64)
     out = np.array(data.draw(st.lists(floats, min_size=block.nrows,
                                       max_size=block.nrows)), dtype=np.float64)
-    a = block.to_scipy()
-    want = a @ x
-    assert matvec_into(a, x, out) is out
-    assert out.tobytes() == want.tobytes()
-    # ... and CSRBlock.matvec is that kernel over the block's cached form
+    want = block.to_scipy() @ x
+    # the kernel over the block's own int64 arrays and over SciPy's form
+    for a in (block, block.to_scipy()):
+        dirty = out.copy()
+        assert matvec_into(a, x, dirty) is dirty
+        assert dirty.tobytes() == want.tobytes()
+    # ... and CSRBlock.matvec is that kernel over the block's own arrays
     dirty = np.full(block.nrows, np.nan)
     assert block.matvec(x, out=dirty).tobytes() == want.tobytes()
     assert block.matvec(x).tobytes() == want.tobytes()

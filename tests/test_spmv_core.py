@@ -127,17 +127,21 @@ class TestCSRBlock:
         wide = np.ones(2 * b.ncols)
         np.testing.assert_array_equal(b.matvec(wide[::2]), b.matvec(x))
 
-    def test_matvec_builds_the_scipy_form_once(self, monkeypatch):
+    def test_matvec_builds_no_scipy_form(self, monkeypatch):
+        # the block multiplies by its own arrays: no SciPy copy of its
+        # indices is built, cached or allocated, however often it is used
+        import repro.spmv.csr as csr
+
         b = random_csr(np.random.default_rng(5))
         built = []
-        to_scipy = CSRBlock.to_scipy
-        monkeypatch.setattr(
-            CSRBlock, "to_scipy",
-            lambda self: built.append(self) or to_scipy(self))
+        monkeypatch.setattr(CSRBlock, "to_scipy",
+                            lambda self: built.append(self))
+        monkeypatch.setattr(csr, "block_buffer",
+                            lambda *args: built.append(args))
         x = np.ones(b.ncols)
         for _ in range(3):
             b.matvec(x)
-        assert built == [b]
+        assert built == []
 
     def test_to_scipy_hands_out_a_matrix_the_caller_owns(self):
         # examples/markov_chain.py rewrites what to_scipy() returns
@@ -165,6 +169,34 @@ class TestCSRBlock:
         with pytest.raises(CSRError):
             CSRBlock(1, 2, np.array([0, 2]), np.array([0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("indices, dtype, ok", [
+        ([-1], np.int64, False),
+        ([7], np.int64, False),              # == ncols
+        ([-2 ** 63], np.int64, False),
+        ([-1], np.int32, False),
+        ([6], np.int64, True),               # ncols - 1
+        ([6], np.int32, True),
+        ([], np.int64, True),                # an empty block
+    ])
+    def test_column_range_is_checked_in_one_unsigned_pass(self, indices,
+                                                          dtype, ok):
+        def block():
+            nnz = len(indices)
+            return CSRBlock(1, 7, np.array([0, nnz]),
+                            np.array(indices, dtype=dtype), np.ones(nnz))
+
+        if ok:
+            assert block().indices.tolist() == indices
+        else:
+            with pytest.raises(CSRError, match="column index out of range"):
+                block()
+
+    def test_in_place_kernel_refuses_mixed_index_dtypes(self):
+        b = CSRBlock(1, 3, np.array([0, 1]), np.array([1], dtype=np.int32),
+                     np.array([1.0]))
+        with pytest.raises(CSRError, match="one integer dtype"):
+            b.matvec(np.ones(3))
+
     def test_empty(self):
         b = CSRBlock.empty(3, 4)
         assert b.nnz == 0
@@ -190,33 +222,26 @@ class TestCSRFile:
         b2 = deserialize_csr(arr)
         np.testing.assert_allclose(b2.to_dense(), b.to_dense())
 
-    def test_decode_casts_once_and_shares_the_values(self, monkeypatch):
-        """The engine's decode (``_decode_a``): ``data`` is the raw
-        block's own memory, the index arrays are the int32 ones cast into
-        allocator memory — SciPy kept them, it did not copy them again —
-        and the product is the one the file's int64 arrays give."""
+    def test_decode_copies_nothing(self, monkeypatch):
+        """The engine's decode (``_decode_a``) allocates nothing: its
+        three arrays are views of the raw block, and the product over
+        the file's int64 indices has the bytes of SciPy's ``a @ x``."""
         import repro.spmv.csr as csr
         from repro.spmv.program import _decode_a
 
         b = random_csr(np.random.default_rng(7), nrows=40, ncols=25)
         raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
-        handed_out, allocate = [], csr.block_buffer
-
-        def recording(count, dtype):
-            handed_out.append(allocate(count, dtype))
-            return handed_out[-1]
-
-        monkeypatch.setattr(csr, "block_buffer", recording)
+        allocated = []
+        monkeypatch.setattr(csr, "block_buffer",
+                            lambda *args: allocated.append(args))
         a = _decode_a(raw)
-        assert np.shares_memory(a.data, raw)
-        assert a.indptr.dtype == a.indices.dtype == np.int32
-        indptr, indices = handed_out
-        assert np.shares_memory(a.indptr, indptr)
-        assert np.shares_memory(a.indices, indices)
+        assert allocated == []
+        for arr in (a.indptr, a.indices, a.values):
+            assert np.shares_memory(arr, raw)
         x = np.random.default_rng(8).normal(size=b.ncols)
         reference = sp.csr_matrix((b.values, b.indices, b.indptr),
                                   shape=b.shape)
-        assert (a @ x).tobytes() == (reference @ x).tobytes()
+        assert a.matvec(x).tobytes() == (reference @ x).tobytes()
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

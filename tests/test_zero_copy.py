@@ -308,6 +308,32 @@ class TestCachedDecode:
                       lambda r: calls.append(1) or "d")
         assert calls == [1] and len(cache) == 0
 
+    def test_an_spmv_entry_is_charged_its_granted_block(self, tmp_path):
+        """A cached sub-matrix is views of its store block and keeps all
+        of it alive, so its charge is that block's bytes."""
+        from repro.spmv.csrfile import serialize_csr
+
+        rng = np.random.default_rng(11)
+        p = GridPartition(120, 2)
+        blocks = p.split_matrix(
+            gap_uniform_csr(120, 120, choose_gap_parameter(120, 6.0), rng))
+        result = build_iterated_spmv(blocks, p.split_vector(np.ones(120)),
+                                     iterations=2, n_nodes=1)
+        eng = DOoCEngine(n_nodes=1, workers=1, scratch_dir=tmp_path)
+        try:
+            eng.run(result.program, timeout=60)
+            cache = eng.stores[0].opcache
+            with cache._lock:
+                entries = {key[0]: entry
+                           for key, entry in cache._entries.items()}
+        finally:
+            eng.cleanup()
+        assert sorted(entries) == [f"A_{u}_{v}" for u, v in sorted(blocks)]
+        for (u, v), block in blocks.items():
+            value, nbytes = entries[f"A_{u}_{v}"]
+            assert nbytes == len(serialize_csr(block))
+            assert value.values.base is not None  # a view, not a copy
+
 
 class TestOpcacheConcurrentPut:
     """Accounting under racing put()s of the same key must not drift.
