@@ -13,11 +13,14 @@ Design (zarr-style chunk+codec layering):
   back; ``decode_into`` fills a **caller-provided buffer** (a pooled
   shared-memory segment on the process worker plane), so the store never
   sees a staging block.  ``raw`` copies the payload into it once; the
-  zlib codecs hand the payload to :mod:`zlib` as it is, inflate to a
-  temporary ``bytes`` of the block's size, then copy (or unshuffle) that
-  into the buffer — one allocation and one copy per decoded block that
-  ``bytes_copied`` does **not** count (it counts the data plane's
-  gather/scatter copies only);
+  zlib codecs inflate the payload where it lies (a mapping of the chunk
+  file's pages, for a large chunk) in bounded pieces, each written
+  straight into the buffer — contiguously for ``zlib``, into its byte
+  plane for ``shuffle-zlib`` — so no block-sized temporary is ever built
+  (:func:`_inflate_into`).  Those piece copies are cache-sized and not
+  counted by ``bytes_copied`` (it counts the data plane's gather/scatter
+  copies only).  A stream that ends short of the buffer, runs past it,
+  or is followed by trailing bytes is a :class:`CodecError`;
 * the zlib codecs skip what DEFLATE cannot shrink (as Blosc stores a
   chunk its compressor cannot shrink): the input is judged in 256 KiB
   segments, and a segment whose first and last 4 KiB each shrink by
@@ -82,6 +85,12 @@ _MIN_SAVING = 0.10
 #: the largest DEFLATE stored block (RFC 1951 §3.2.4: LEN is 16 bits)
 _STORED_MAX = 0xFFFF
 _STORED_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
+#: the streaming inflate (:func:`_inflate_into`): the payload is fed
+#: ``_INFLATE_IN`` bytes at a time, so ``unconsumed_tail`` never copies
+#: more than that, and each call returns at most ``_INFLATE_OUT`` bytes,
+#: however far one input piece expands (an all-zero block: ≈ 1000×)
+_INFLATE_IN = 64 * 1024
+_INFLATE_OUT = 128 * 1024
 
 
 def _incompressible(segment: memoryview) -> bool:
@@ -129,14 +138,68 @@ def _deflate(data: memoryview, level: int) -> bytes:
     return b"".join(parts)
 
 
+def _inflate_into(payload, out: memoryview, planes: int, what: str) -> None:
+    """Inflate the zlib stream ``payload`` straight into ``out``.
+
+    The stream fills ``planes`` equal byte planes of ``out``: plane ``p``
+    is byte ``p`` of every ``planes``-byte element (``zlib`` has one
+    plane, so the stream lands in order; ``shuffle-zlib`` has one per
+    byte of its item).  The payload is read where it lies, ``_INFLATE_IN``
+    bytes at a time, and each inflated piece of at most ``_INFLATE_OUT``
+    bytes is written to its place in ``out`` at once: decoding holds one
+    piece, never a block.  A payload that does not inflate to exactly
+    ``len(out)`` bytes, or that has bytes after the end of its stream, is
+    a :class:`CodecError` naming ``what``.
+    """
+    payload = memoryview(payload).cast("B")
+    nbytes = len(out)
+    # Stream byte p * rows + j goes to dest[j, p].  np.asarray, not
+    # np.frombuffer: frombuffer views are sealed by data-plane convention
+    # (DOOC010), and this is caller-owned writable scratch.
+    dest = np.asarray(out).reshape(-1, planes)
+    rows = len(dest)
+    d = zlib.decompressobj()
+    data = payload[:0]
+    done = fed = 0
+    full = False  # the last piece hit _INFLATE_OUT: output may be pending
+    try:
+        while not d.eof and (data or full or fed < len(payload)):
+            if not data:
+                data = payload[fed:fed + _INFLATE_IN]
+                fed += len(data)
+            piece = d.decompress(data, _INFLATE_OUT)
+            data = d.unconsumed_tail
+            full = len(piece) == _INFLATE_OUT
+            if len(piece) > nbytes - done:
+                raise CodecError(
+                    f"{what} payload decodes past {nbytes} bytes (corrupt)")
+            src = np.frombuffer(piece, dtype=np.uint8)
+            while len(src):
+                p, j = divmod(done, rows)
+                k = min(len(src), rows - j)
+                dest[j:j + k, p] = src[:k]
+                src = src[k:]
+                done += k
+    except zlib.error as exc:
+        raise CodecError(f"{what} payload does not decode: {exc}") from exc
+    if not d.eof or done != nbytes:
+        raise CodecError(
+            f"{what} payload decoded to {done} bytes, want {nbytes} "
+            "(truncated or corrupt)")
+    trailing = len(d.unused_data) + len(payload) - fed
+    if trailing:
+        raise CodecError(f"{what} payload has {trailing} trailing bytes "
+                         "after the end of its zlib stream")
+
+
 class Codec:
     """One reversible bytes→bytes transform, named for self-description.
 
     ``itemsize`` is the element width of the block being coded; codecs
     that exploit numeric layout (byte shuffling) need it, byte-oriented
-    codecs ignore it.  Encoding is lossless: ``decode(encode(b)) == b``
-    for every input, which is what keeps solver results bit-identical
-    across codec choices.
+    codecs ignore it.  Encoding is lossless: ``decode_into`` of
+    ``encode(b)`` fills its buffer with ``b`` for every input, which is
+    what keeps solver results bit-identical across codec choices.
     """
 
     name: str = ""
@@ -156,12 +219,6 @@ class Codec:
         surface as a clean error, never as a garbage block.
         """
         raise NotImplementedError
-
-    def decode(self, payload, raw_nbytes: int, itemsize: int = 1) -> bytes:
-        """Decode to a fresh immutable buffer of ``raw_nbytes`` bytes."""
-        out = bytearray(raw_nbytes)
-        self.decode_into(payload, memoryview(out), itemsize)
-        return bytes(out)
 
 
 class RawCodec(Codec):
@@ -198,17 +255,7 @@ class ZlibCodec(Codec):
         return _deflate(memoryview(data).cast("B"), self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
-        out = memoryview(out).cast("B")
-        d = zlib.decompressobj()
-        try:
-            raw = d.decompress(payload, len(out) + 1)
-        except zlib.error as exc:
-            raise CodecError(f"zlib payload does not decode: {exc}") from exc
-        if len(raw) != len(out) or not d.eof:
-            raise CodecError(
-                f"zlib payload decoded to {len(raw)} bytes, want {len(out)} "
-                "(truncated or corrupt)")
-        out[:] = raw
+        _inflate_into(payload, memoryview(out).cast("B"), 1, self.name)
 
 
 class ShuffleZlibCodec(Codec):
@@ -235,15 +282,6 @@ class ShuffleZlibCodec(Codec):
         arr = np.frombuffer(data, dtype=np.uint8)
         return arr.reshape(-1, itemsize).T.tobytes()
 
-    @staticmethod
-    def _unshuffle_into(raw: bytes, out: memoryview, itemsize: int) -> None:
-        planes = np.frombuffer(raw, dtype=np.uint8).reshape(itemsize, -1)
-        # Scatter straight into the caller's buffer.  np.asarray (not
-        # np.frombuffer) is deliberate: frombuffer views are sealed by
-        # data-plane convention (DOOC010), while this is the one place a
-        # decode writes into caller-owned writable scratch.
-        np.asarray(out)[:] = planes.T.reshape(-1)
-
     def encode(self, data, itemsize: int = 1) -> bytes:
         data = memoryview(data).cast("B")
         if itemsize < 1 or len(data) % itemsize:
@@ -256,17 +294,7 @@ class ShuffleZlibCodec(Codec):
         if itemsize < 1 or len(out) % itemsize:
             raise CodecError(
                 f"cannot unshuffle {len(out)} bytes by itemsize {itemsize}")
-        d = zlib.decompressobj()
-        try:
-            raw = d.decompress(payload, len(out) + 1)
-        except zlib.error as exc:
-            raise CodecError(
-                f"shuffle-zlib payload does not decode: {exc}") from exc
-        if len(raw) != len(out) or not d.eof:
-            raise CodecError(
-                f"shuffle-zlib payload decoded to {len(raw)} bytes, want "
-                f"{len(out)} (truncated or corrupt)")
-        self._unshuffle_into(raw, out, itemsize)
+        _inflate_into(payload, out, itemsize, self.name)
 
 
 _REGISTRY: dict[str, Codec] = {}

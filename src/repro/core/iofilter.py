@@ -20,9 +20,9 @@ A load takes one path per kind of destination, with no switch between
 them: a raw block of ``_MMAP_MIN_BYTES`` and more is a read-only mapping
 of its own bytes in the array file — not a copy of them
 (:class:`_FileMapping`); a smaller one is read into a heap buffer; a
-compressed one is decoded into a buffer of its own; a process-plane load
-lands in the shared-memory segment the store allocated for it
-(:func:`read_block_into`).
+compressed one is decoded into a buffer of its own, from a mapping of its
+chunk file when that is as large; a process-plane load lands in the
+shared-memory segment the store allocated for it (:func:`read_block_into`).
 
 ``IOFilter`` (a DataCutter filter) performs the actual reads/writes so
 "the interactions with the file system [are] completely asynchronous" —
@@ -166,38 +166,50 @@ def pack_chunk(codec_name: str, raw, itemsize: int) -> bytes:
     return header + payload
 
 
-def _parse_chunk(blob: bytes, what: str):
-    """Validate a chunk container's framing: ``(codec_name, raw_nbytes,
-    payload)``.
+def _chunk_header(header, file_nbytes: int, what: str):
+    """Validate a chunk container's header against the length of the file
+    holding it: ``(codec_name, raw_nbytes, crc)``.
 
-    Every failure mode of a torn, truncated, or bit-flipped chunk file —
-    short header, bad magic, a codec name that is not ASCII, payload
-    shorter than the header promises, CRC mismatch — surfaces as a
+    A short header, bad magic, a codec name that is not ASCII, or a file
+    shorter (or longer) than the header promises is a
     :class:`StorageError` naming ``what``.
     """
-    if len(blob) < CHUNK_HEADER_NBYTES:
+    if len(header) < CHUNK_HEADER_NBYTES:
         raise StorageError(f"truncated chunk header for {what}")
     magic, codec_name, raw_nbytes, payload_nbytes, crc = \
-        _CHUNK_HEADER.unpack_from(blob, 0)
+        _CHUNK_HEADER.unpack_from(header, 0)
     if magic != CHUNK_MAGIC:
         raise StorageError(f"bad chunk magic {magic!r} for {what}")
-    payload = memoryview(blob)[CHUNK_HEADER_NBYTES:]
-    if len(payload) != payload_nbytes:
+    if file_nbytes - CHUNK_HEADER_NBYTES != payload_nbytes:
         raise StorageError(
             f"chunk for {what} truncated: header promises {payload_nbytes} "
-            f"payload bytes, file holds {len(payload)}")
-    if checksum(payload) != crc:
-        raise StorageError(f"chunk checksum mismatch for {what} (torn write "
-                           "or bit rot)")
+            f"payload bytes, file holds {file_nbytes - CHUNK_HEADER_NBYTES}")
     try:
         name = codec_name.rstrip(b"\0").decode("ascii")
     except UnicodeDecodeError:
         raise StorageError(f"chunk codec name {codec_name!r} for {what} is "
                            "not ASCII") from None
+    return name, raw_nbytes, crc
+
+
+def _parse_chunk(blob, what: str):
+    """Validate a chunk container's framing: ``(codec_name, raw_nbytes,
+    payload)``.
+
+    Every failure mode of a torn, truncated, or bit-flipped chunk file —
+    :func:`_chunk_header`'s, and a CRC mismatch — surfaces as a
+    :class:`StorageError` naming ``what``.  ``payload`` is a view of
+    ``blob``, not a copy.
+    """
+    name, raw_nbytes, crc = _chunk_header(blob, len(blob), what)
+    payload = memoryview(blob)[CHUNK_HEADER_NBYTES:]
+    if checksum(payload) != crc:
+        raise StorageError(f"chunk checksum mismatch for {what} (torn write "
+                           "or bit rot)")
     return name, raw_nbytes, payload
 
 
-def unpack_chunk_into(blob: bytes, out: memoryview, itemsize: int,
+def unpack_chunk_into(blob, out: memoryview, itemsize: int,
                       what: str) -> None:
     """Verify and decode a chunk container straight into ``out``.
 
@@ -259,14 +271,29 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
     _inc(metrics, "logical_bytes_written", raw.nbytes)
 
 
-def _read_chunk_blob(scratch: Path, desc: ArrayDesc, block: int) -> bytes:
+def _read_chunk_blob(scratch: Path, desc: ArrayDesc, block: int, what: str):
+    """The bytes of ``block``'s chunk file.
+
+    A file of ``_MMAP_MIN_BYTES`` and more is a read-only mapping of the
+    page cache's own pages (:class:`_FileMapping`), which the decoder
+    reads in place; a smaller one is read into a ``bytes``.  A torn file
+    (shorter than its header promises) is a named error decided from the
+    header and ``fstat`` before anything is mapped, so it can never become
+    a ``SIGBUS`` on a mapped page.
+    """
     path = chunk_path(scratch, desc.name, block)
     try:
-        return path.read_bytes()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise BlockMissingError(
             f"block {block} of {desc.name!r} was never written: "
             f"no chunk file {path}") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _MMAP_MIN_BYTES:
+            return fh.read()
+        _chunk_header(fh.read(CHUNK_HEADER_NBYTES), size, what)
+        return np.asarray(_FileMapping(fh.fileno(), 0, size))
 
 
 def _layout(scratch: Path, desc: ArrayDesc) -> str:
@@ -436,8 +463,10 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
     The segment-pool load path: ``out`` is a writable view over a
     shared-memory segment.  Raw blocks ``readinto`` it directly from the
     file, with no intermediate block buffer; compressed blocks are
-    decoded by their codec's ``decode_into``, which for the zlib codecs
-    inflates to a temporary first (see :mod:`repro.core.codecs`).
+    decoded by their codec's ``decode_into`` from the chunk file's pages
+    (mapped when large, see :func:`_read_chunk_blob`) straight into
+    ``out``, in pieces, with no block-sized temporary (see
+    :mod:`repro.core.codecs`).
     """
     want = desc.block_nbytes(block)
     if out.nbytes != want:
@@ -446,9 +475,9 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
             f"{out.nbytes} bytes, want {want}")
     dest = memoryview(out).cast("B")
     if _layout(scratch, desc) == "chunk":
-        blob = _read_chunk_blob(scratch, desc, block)
-        unpack_chunk_into(blob, dest, desc.itemsize,
-                          f"block {block} of {desc.name!r}")
+        what = f"block {block} of {desc.name!r}"
+        blob = _read_chunk_blob(scratch, desc, block, what)
+        unpack_chunk_into(blob, dest, desc.itemsize, what)
         _inc(metrics, "disk_bytes_read", len(blob))
         _inc(metrics, "logical_bytes_read", want)
         return out

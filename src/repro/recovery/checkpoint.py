@@ -209,19 +209,21 @@ class CheckpointManager:
             if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
                 raise RecoveryError(
                     f"checksum mismatch on {blk.name} (step {step})")
-            dtype = np.dtype(entry["dtype"])
-            raw_nbytes = int(entry.get(
-                "raw_nbytes",
-                int(np.prod(entry["shape"], dtype=np.int64)) * dtype.itemsize))
+            arr = np.empty(entry["shape"], dtype=np.dtype(entry["dtype"]))
+            raw_nbytes = int(entry.get("raw_nbytes", arr.nbytes))
+            if raw_nbytes != arr.nbytes:
+                raise RecoveryError(
+                    f"payload {blk.name} holds {raw_nbytes} raw bytes, its "
+                    f"shape and dtype want {arr.nbytes} (step {step})")
             try:
-                raw = get_codec(entry_codec).decode(
-                    payload, raw_nbytes, dtype.itemsize)
+                get_codec(entry_codec).decode_into(
+                    payload, memoryview(arr.reshape(-1).view(np.uint8)),
+                    arr.dtype.itemsize)
             except CodecError as exc:
                 raise RecoveryError(
                     f"payload {blk.name} does not decode (step {step}): "
                     f"{exc}") from exc
-            arrays[name] = np.frombuffer(
-                raw, dtype=dtype).reshape(entry["shape"]).copy()
+            arrays[name] = arr
         return Checkpoint(step=step, arrays=arrays,
                           extra=manifest.get("extra", {}))
 

@@ -9,6 +9,7 @@ vectors.  Each sub-matrix is labeled by its coordinates on the grid."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Callable, Iterator
 from typing import Dict
 
@@ -36,11 +37,14 @@ class GridPartition:
     k: int
 
     def __post_init__(self) -> None:
-        split_bounds(self.n, self.k)  # validates
+        _ = self.bounds  # validates n and k, and computes the bounds once
 
-    @property
+    @cached_property
     def bounds(self) -> np.ndarray:
-        return split_bounds(self.n, self.k)
+        """The k+1 part boundaries (read-only: every caller shares them)."""
+        b = split_bounds(self.n, self.k)
+        b.flags.writeable = False
+        return b
 
     def part_range(self, u: int) -> tuple[int, int]:
         if not 0 <= u < self.k:

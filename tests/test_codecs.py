@@ -88,7 +88,9 @@ class TestRegistry:
         register_codec(Xor(), replace=True)
         try:
             c = get_codec("test-xor")
-            assert c.decode(c.encode(b"hello"), 5) == b"hello"
+            out = bytearray(5)
+            c.decode_into(c.encode(b"hello"), memoryview(out))
+            assert out == b"hello"
         finally:
             from repro.core import codecs
             codecs._REGISTRY.pop("test-xor", None)
@@ -137,7 +139,9 @@ class TestRoundTrips:
         raw = data.tobytes()
         c = get_codec(codec)
         itemsize = data.dtype.itemsize
-        assert c.decode(c.encode(raw, itemsize), len(raw), itemsize) == raw
+        out = bytearray(len(raw))
+        c.decode_into(c.encode(raw, itemsize), memoryview(out), itemsize)
+        assert out == raw
 
     @pytest.mark.parametrize("codec", ["zlib", "shuffle-zlib"])
     def test_block_files_round_trip_with_partial_last_block(self, codec,
@@ -166,7 +170,8 @@ class TestRoundTrips:
         # plane k holds byte k of every element
         assert shuffled[:8] == bytes(data[i * 8] for i in range(8))
         out = bytearray(len(data))
-        ShuffleZlibCodec._unshuffle_into(shuffled, memoryview(out), 8)
+        ShuffleZlibCodec().decode_into(zlib.compress(shuffled), memoryview(out),
+                                       8)
         assert bytes(out) == data
 
     def test_shuffle_rejects_misaligned(self):
@@ -273,6 +278,182 @@ class TestStoredSegments:
         flipped[-5000] ^= 0x01  # inside the stored values: Adler-32 fails
         with pytest.raises(CodecError):
             codec.decode_into(bytes(flipped), out, 8)
+
+
+def _block_of(kind: str, nbytes: int = 8 * 2**20) -> bytes:
+    """An ``nbytes`` block: all zeros (the largest expansion per input
+    piece) or serialized CSR, as the benchmark stores A."""
+    if kind == "zeros":
+        return bytes(nbytes)
+    return _csr_block_bytes(nrows=nbytes // (16 * 256))
+
+
+class TestStreamingDecode:
+    """The zlib codecs inflate in bounded pieces straight into ``out``;
+    every way a payload can be wrong is still a CodecError."""
+
+    CODECS = ["zlib", "shuffle-zlib"]
+
+    @pytest.mark.parametrize("name", CODECS)
+    @pytest.mark.parametrize("kind", ["zeros", "csr"])
+    def test_block_decodes_with_less_than_a_mebibyte(self, name, kind):
+        import tracemalloc
+
+        codec = get_codec(name)
+        raw = _block_of(kind)
+        payload = codec.encode(raw, 8)
+        out = np.empty(len(raw) // 8)
+        tracemalloc.start()
+        try:
+            codec.decode_into(payload, memoryview(out), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == raw
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("name", CODECS)
+    @pytest.mark.parametrize("n", [0, 1, 8, 13 * 8, 1000 * 8 + 1])
+    def test_tiny_pieces_cross_every_boundary(self, name, n, monkeypatch):
+        # Pieces of a few bytes split planes, stored blocks and the
+        # stream's end at every offset the defaults would hide.
+        from repro.core import codecs
+
+        monkeypatch.setattr(codecs, "_INFLATE_IN", 7)
+        monkeypatch.setattr(codecs, "_INFLATE_OUT", 13)
+        itemsize = 8 if n % 8 == 0 else 1
+        rng = np.random.default_rng(n)
+        for raw in (bytes(n), rng.bytes(n)):
+            codec = get_codec(name)
+            out = bytearray(n)
+            codec.decode_into(codec.encode(raw, itemsize), memoryview(out),
+                              itemsize)
+            assert out == raw
+
+    @pytest.mark.parametrize("name", CODECS)
+    @pytest.mark.parametrize("kind", ["zeros", "csr"])
+    def test_damaged_payloads_raise(self, name, kind):
+        codec = get_codec(name)
+        raw = _block_of(kind, 2**20)
+        payload = codec.encode(raw, 8)
+        out = memoryview(bytearray(len(raw)))
+        with pytest.raises(CodecError, match="truncated or corrupt"):
+            codec.decode_into(payload[:-9], out, 8)
+        refused = 0
+        for at in range(2, len(payload), max(1, len(payload) // 16)):
+            flipped = bytearray(payload)
+            flipped[at] ^= 0x10
+            try:
+                codec.decode_into(bytes(flipped), out, 8)
+            except CodecError:
+                refused += 1
+            else:  # a flip DEFLATE reads as the same bytes (a run of 0s)
+                assert bytes(out) == raw
+        assert refused
+        with pytest.raises(CodecError, match=f"past {len(raw) - 8} bytes"):
+            codec.decode_into(payload, out[:-8], 8)
+        with pytest.raises(CodecError, match="truncated or corrupt"):
+            codec.decode_into(payload, memoryview(bytearray(len(raw) + 8)), 8)
+
+    @pytest.mark.parametrize("name", CODECS)
+    @pytest.mark.parametrize("junk", [b"\0", b"junk", bytes(100_000)])
+    def test_trailing_bytes_are_refused_by_count(self, name, junk):
+        codec = get_codec(name)
+        raw = np.arange(512.0).tobytes()
+        out = memoryview(bytearray(len(raw)))
+        with pytest.raises(CodecError,
+                           match=f"{len(junk)} trailing bytes after the end"):
+            codec.decode_into(codec.encode(raw, 8) + junk, out, 8)
+
+
+class TestMappedChunks:
+    """A chunk file of ``_MMAP_MIN_BYTES`` and more is decoded from a
+    mapping of its pages; a smaller one is read; a torn one is refused
+    before anything is mapped."""
+
+    def _seed(self, tmp_path, codec, length):
+        d = desc(length=length, block=length, codec=codec)
+        data = np.random.default_rng(3).standard_normal(length)
+        write_array(tmp_path, d, data)
+        return d, data, chunk_path(tmp_path, "a", 0)
+
+    @staticmethod
+    def _count_mappings(monkeypatch):
+        from repro.core import iofilter
+
+        made = []
+
+        class Counting(iofilter._FileMapping):
+            __slots__ = ()
+
+            def __init__(self, fd, offset, nbytes):
+                made.append(nbytes)
+                super().__init__(fd, offset, nbytes)
+
+        monkeypatch.setattr(iofilter, "_FileMapping", Counting)
+        return made
+
+    @pytest.mark.parametrize("codec", ["zlib", "shuffle-zlib"])
+    def test_large_chunk_is_decoded_from_its_mapping(self, codec, tmp_path,
+                                                     monkeypatch):
+        from repro.core.iofilter import _MMAP_MIN_BYTES
+
+        d, data, path = self._seed(tmp_path, codec, 40_000)
+        size = path.stat().st_size
+        assert size >= _MMAP_MIN_BYTES
+        made = self._count_mappings(monkeypatch)
+        metrics = MetricsRegistry()
+        np.testing.assert_array_equal(
+            read_block(tmp_path, d, 0, metrics=metrics), data)
+        out = np.empty(40_000)
+        read_block_into(tmp_path, d, 0, out, metrics=metrics)
+        np.testing.assert_array_equal(out, data)
+        assert made == [size, size]
+        assert metrics.get("disk_bytes_read") == 2 * size
+        assert "bytes_mapped" not in metrics.as_dict()  # decoded: no view
+
+    def test_small_chunk_is_read_not_mapped(self, tmp_path, monkeypatch):
+        from repro.core.iofilter import _MMAP_MIN_BYTES
+
+        d, data, path = self._seed(tmp_path, "zlib", 1000)
+        assert path.stat().st_size < _MMAP_MIN_BYTES
+        made = self._count_mappings(monkeypatch)
+        np.testing.assert_array_equal(read_block(tmp_path, d, 0), data)
+        assert made == []
+
+    @pytest.mark.parametrize("keep", [10, 100_000, -1])
+    def test_torn_large_chunk_is_refused_before_mapping(self, tmp_path,
+                                                        monkeypatch, keep):
+        d, _, path = self._seed(tmp_path, "zlib", 40_000)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep])
+        made = self._count_mappings(monkeypatch)
+        with pytest.raises(StorageError, match="truncated"):
+            read_block(tmp_path, d, 0)
+        assert made == []
+
+    def test_bit_flipped_large_chunk_fails_checksum(self, tmp_path):
+        d, _, path = self._seed(tmp_path, "zlib", 40_000)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            read_block(tmp_path, d, 0)
+
+    def test_trailing_bytes_inside_a_framed_chunk(self, tmp_path):
+        # Framing and CRC intact, stream followed by junk: the codec's
+        # refusal reaches the reader as the StorageError it is.
+        from repro.core.codecs import checksum
+        from repro.core.iofilter import _CHUNK_HEADER, CHUNK_MAGIC
+
+        raw = np.arange(40.0).tobytes()
+        payload = get_codec("zlib").encode(raw) + b"junk"
+        chunk_dir(tmp_path, "a").mkdir()
+        chunk_path(tmp_path, "a", 0).write_bytes(_CHUNK_HEADER.pack(
+            CHUNK_MAGIC, b"zlib".ljust(16, b"\0"), len(raw), len(payload),
+            checksum(payload)) + payload)
+        with pytest.raises(CodecError, match="4 trailing bytes"):
+            read_block(tmp_path, desc(length=40, block=40, codec="zlib"), 0)
 
 
 class TestCorruption:
@@ -458,6 +639,28 @@ class TestCheckpointCodecs:
         mpath.write_text(json.dumps(manifest))
         np.testing.assert_array_equal(mgr.load(1).arrays["x"],
                                       np.arange(8.0))
+
+    def test_load_decodes_into_the_array_it_returns(self, tmp_path):
+        mgr = CheckpointManager(tmp_path, codec="shuffle-zlib")
+        grid = np.arange(24.0).reshape(4, 6)
+        mgr.save(2, {"grid": grid, "it": np.array([7], dtype=np.int32)})
+        arrays = mgr.load(2).arrays
+        np.testing.assert_array_equal(arrays["grid"], grid)
+        np.testing.assert_array_equal(arrays["it"], [7])
+        assert arrays["it"].dtype == np.int32
+        for arr in arrays.values():
+            assert arr.flags.owndata and arr.flags.writeable
+
+    def test_raw_size_disagreeing_with_shape_rejected(self, tmp_path):
+        import json
+        mgr = CheckpointManager(tmp_path, codec="zlib")
+        mgr.save(1, {"x": np.arange(8.0)})
+        mpath = tmp_path / "ckpt-00000001.ckpt"
+        manifest = json.loads(mpath.read_text())
+        manifest["blocks"]["x"]["shape"] = [4]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(RecoveryError, match="holds 64 raw bytes"):
+            mgr.load(1)
 
     def test_corrupt_compressed_payload_rejected(self, tmp_path):
         mgr = CheckpointManager(tmp_path, codec="zlib")

@@ -399,6 +399,26 @@ class TestPartition:
         with pytest.raises(ValueError):
             split_bounds(10, 0)
 
+    def test_bounds_are_computed_once(self, monkeypatch):
+        import repro.spmv.partition as partition
+
+        calls = []
+
+        def counting(n, k):
+            calls.append((n, k))
+            return split_bounds(n, k)
+
+        monkeypatch.setattr(partition, "split_bounds", counting)
+        p = GridPartition(10, 3)
+        x = np.arange(10.0)
+        for _ in range(3):
+            assert [p.part_length(u) for u in range(3)] == [3, 3, 4]
+            assert p.part_range(2) == (6, 10)
+            np.testing.assert_array_equal(p.join_vector(p.split_vector(x)), x)
+        assert calls == [(10, 3)]
+        np.testing.assert_array_equal(p.bounds, split_bounds(10, 3))
+        assert not p.bounds.flags.writeable  # shared by every caller
+
     def test_split_and_join_vector(self):
         p = GridPartition(10, 3)
         x = np.arange(10.0)
