@@ -222,7 +222,8 @@ class Codec:
 
 
 class RawCodec(Codec):
-    """Identity codec: the fixed-offset ``.arr`` layout, no container."""
+    """Identity codec: a block's file is its bytes, with no container
+    (the ``.arr`` layout of :mod:`repro.core.iofilter`)."""
 
     name = "raw"
 

@@ -1,24 +1,27 @@
 """Scratch-directory block I/O.
 
 Each node's storage filter uses a scratch directory as its out-of-core
-backing store.  Two on-disk layouts coexist, selected by the array's
-codec (:mod:`repro.core.codecs`) and self-describing to readers:
+backing store.  A block is one file, and the array's descriptor says
+which (zarr's layout, where each chunk has its own key):
 
-* ``raw`` (codec unset): one binary file per array (``<name>.arr``),
-  blocks at fixed offsets — the original fixed-stride layout;
-* any other codec: a zarr-style chunk directory (``<name>.arrc/``) with
-  one container file per block (``<block>.blk``), each a small header
-  (magic, codec name, raw/payload sizes, CRC-32) followed by the encoded
-  payload.  Variable-length compressed blocks never splice into a shared
-  file, so a chunk write is a single whole-file atomic write.
+* ``raw`` (codec unset), one block: the file ``<name>.arr`` holds it;
+* ``raw``, several blocks: the directory ``<name>.arr/`` holds one file
+  per block (``<block>.blk``), each exactly the block's bytes;
+* any other codec (:mod:`repro.core.codecs`): the chunk directory
+  ``<name>.arrc/`` holds one container file per block (``<block>.blk``),
+  each a small header (magic, codec name, raw/payload sizes, CRC-32)
+  followed by the encoded payload.
 
-Readers probe the layout on disk rather than trusting the descriptor, and
-chunk headers name their own codec — an array seeded raw stays readable
-under an engine whose default codec is ``zlib`` and vice versa.
+Writing a block therefore replaces one whole file by one atomic rename,
+whatever the codec.  Readers probe for a chunk directory rather than
+trusting the descriptor's codec, and chunk headers name their own codec
+— an array seeded raw stays readable under an engine whose default codec
+is ``zlib`` and vice versa.  A raw array is read with the blocking it
+was written with.
 
 A load takes one path per kind of destination, with no switch between
 them: a raw block of ``_MMAP_MIN_BYTES`` and more is a read-only mapping
-of its own bytes in the array file — not a copy of them
+of its own file — not a copy of it
 (:class:`_FileMapping`); a smaller one is read into a heap buffer; a
 compressed one is decoded into a buffer of its own, from a mapping of its
 chunk file when that is as large; a process-plane load lands in the
@@ -35,7 +38,7 @@ command whose retries are exhausted is answered with a structured
 never dies on an I/O error, so the storage layer can fail the blocked
 tickets fast instead of stranding them.  A
 :class:`~repro.core.errors.BlockMissingError` (block never written: file
-absent, chunk absent, or offset past EOF) is **not** retried — the bytes
+or chunk file absent) is **not** retried — the bytes
 were never there, so backoff cannot help; the named type lets recovery
 tell a reconstructable miss from real corruption.
 """
@@ -122,30 +125,34 @@ def desc_codec(desc: ArrayDesc) -> str:
     return desc.codec or "raw"
 
 
+def raw_block_path(scratch: Path, desc: ArrayDesc, block: int) -> Path:
+    """The file that holds raw ``block`` of ``desc``: the array's ``.arr``
+    file when it has one block, ``<name>.arr/<block>.blk`` otherwise."""
+    desc.block_bounds(block)
+    path = array_path(scratch, desc.name)
+    return path if desc.n_blocks == 1 else path / f"{block:08d}.blk"
+
+
 def backing_identity(scratch: Path, name: str) -> tuple | None:
     """``(file, st_ino, st_size, st_mtime_ns)`` of every file readers of
-    ``name`` would open (the layout :func:`_layout` picks); ``None`` when
-    nothing backs it.
+    ``name`` would open (the layout :func:`_layout` picks: the chunk
+    directory, else the ``.arr`` file or directory); ``None`` when nothing
+    backs it.
 
     Equal identities at two moments mean the bytes between them are the
     same: every writer in this package replaces a file through
     ``atomic_write``'s rename, which gives it a new inode.
     """
-    cdir = chunk_dir(scratch, name)
+    path = chunk_dir(scratch, name)
+    if not path.is_dir():
+        path = array_path(scratch, name)
     try:
-        files = (sorted(cdir.iterdir()) if cdir.is_dir()
-                 else [array_path(scratch, name)])
+        files = sorted(path.iterdir()) if path.is_dir() else [path]
         stats = [(f.name, os.stat(f)) for f in files]
     except FileNotFoundError:
         return None
     return tuple((fname, st.st_ino, st.st_size, st.st_mtime_ns)
                  for fname, st in stats)
-
-
-def block_offset(desc: ArrayDesc, block: int) -> int:
-    """Byte offset of ``block`` within the array's raw backing file."""
-    desc.block_bounds(block)
-    return block * desc.block_elems * desc.itemsize
 
 
 def _inc(metrics, name: str, n: int) -> None:
@@ -236,18 +243,13 @@ def _raw_bytes(data: np.ndarray, desc: ArrayDesc) -> memoryview:
 def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
                 *, metrics: MetricsRegistry | None = None,
                 durable: bool = True) -> None:
-    """Persist one block (creating/growing the backing as needed).
+    """Persist one block: replace its one file (see the module notes).
 
-    Raw layout: :func:`repro.util.atomicio.atomic_write` splices the block
-    into a complete temporary and renames it over the array file, so a
-    crash mid-write never leaves a torn block — and its per-path lock
-    serializes concurrent first-writes of different blocks.  An array of
-    one block has nothing to splice into: the file is replaced by the
-    block, without reading what stood there.  Compressed layouts write
-    one self-contained chunk file per block, so the same atomic-rename
-    guarantee costs one small file, not a whole-array rewrite.  The
-    temporary is fsynced unless ``durable=False`` (a spill: scratch the
-    engine deletes itself).
+    :func:`repro.util.atomicio.atomic_write` writes the block's bytes (or
+    its chunk container) to a temporary and renames it over the block's
+    file, so a crash mid-write never leaves a torn block, and nothing
+    else of the array is read or rewritten.  The temporary is fsynced
+    unless ``durable=False`` (a spill: scratch the engine deletes itself).
     """
     expected = desc.block_length(block)
     if data.shape != (expected,):
@@ -258,16 +260,12 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
     raw = _raw_bytes(data, desc)
     codec_name = desc_codec(desc)
     if codec_name == "raw":
-        atomic_write(array_path(scratch, desc.name), raw,
-                     offset=(block_offset(desc, block)
-                             if desc.n_blocks > 1 else None),
-                     durable=durable)
-        _inc(metrics, "disk_bytes_written", raw.nbytes)
+        path, blob = raw_block_path(scratch, desc, block), raw
     else:
+        path = chunk_path(scratch, desc.name, block)
         blob = pack_chunk(codec_name, raw, desc.itemsize)
-        atomic_write(chunk_path(scratch, desc.name, block), blob,
-                     durable=durable)
-        _inc(metrics, "disk_bytes_written", len(blob))
+    atomic_write(path, blob, durable=durable)
+    _inc(metrics, "disk_bytes_written", memoryview(blob).nbytes)
     _inc(metrics, "logical_bytes_written", raw.nbytes)
 
 
@@ -293,7 +291,7 @@ def _read_chunk_blob(scratch: Path, desc: ArrayDesc, block: int, what: str):
         if size < _MMAP_MIN_BYTES:
             return fh.read()
         _chunk_header(fh.read(CHUNK_HEADER_NBYTES), size, what)
-        return np.asarray(_FileMapping(fh.fileno(), 0, size))
+        return np.asarray(_FileMapping(fh.fileno(), size))
 
 
 def _layout(scratch: Path, desc: ArrayDesc) -> str:
@@ -319,8 +317,8 @@ _MAP_FAILED = ctypes.c_void_p(-1).value
 
 
 class _FileMapping:
-    """A read-only private mapping of one byte range of a file, exposed
-    through the array interface.
+    """A read-only private mapping of the first ``nbytes`` of a file,
+    exposed through the array interface.
 
     Every mapping in the package is made here, which is what keeps three
     properties in one place (lint rule ``DOOC008``).  It holds **no file
@@ -339,21 +337,18 @@ class _FileMapping:
 
     __slots__ = ("_addr", "_length", "__array_interface__")
 
-    def __init__(self, fd: int, offset: int, nbytes: int):
+    def __init__(self, fd: int, nbytes: int):
         self._length = 0  # nothing to unmap until the call succeeds
-        skew = offset % mmap.ALLOCATIONGRANULARITY
-        length = nbytes + skew
-        addr = _libc.mmap(None, length, mmap.PROT_READ,
+        addr = _libc.mmap(None, nbytes, mmap.PROT_READ,
                           mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0),
-                          fd, offset - skew)
+                          fd, 0)
         if addr == _MAP_FAILED:
             err = ctypes.get_errno()
-            raise OSError(err, f"mmap of {nbytes} bytes at offset {offset}: "
-                               f"{os.strerror(err)}")
-        self._addr, self._length = addr, length
+            raise OSError(err, f"mmap of {nbytes} bytes: {os.strerror(err)}")
+        self._addr, self._length = addr, nbytes
         self.__array_interface__ = {
             "version": 3, "shape": (nbytes,), "typestr": "|u1",
-            "data": (addr + skew, True)}
+            "data": (addr, True)}
 
     def __del__(self, _munmap=_libc.munmap):  # bound: globals go first at exit
         if self._length:
@@ -389,25 +384,23 @@ def block_buffer(count: int, dtype=np.uint8) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype)
 
 
-def _short_read(desc: ArrayDesc, block: int, path: Path,
+def _wrong_size(desc: ArrayDesc, block: int, path: Path,
                 got: int, want: int) -> StorageError:
     return StorageError(
-        f"short read of block {block} of {desc.name!r} from {path}: "
-        f"got {got} of {want} bytes (torn or truncated file)")
+        f"block {block} of {desc.name!r} in {path} holds {got} bytes, want "
+        f"{want} (torn or truncated file, or another blocking)")
 
 
 @contextlib.contextmanager
 def _raw_block_file(scratch: Path, desc: ArrayDesc, block: int):
-    """Open the raw array file for reading ``block``: yields ``(file,
-    offset)``.
+    """Open the file of raw ``block``: yields it, with its size checked.
 
-    Whether the block is missing (no file, or offset past its end) or
-    torn (the file ends inside it) is decided from ``fstat`` before a
-    byte is read or mapped, so a short file is a named error and can
-    never become a ``SIGBUS`` on a mapped page.
+    A missing file is a :class:`BlockMissingError`; a file that does not
+    hold exactly the block — torn, or written with another blocking — is
+    a :class:`StorageError` decided from ``fstat`` before a byte is read
+    or mapped, so it can never become a ``SIGBUS`` on a mapped page.
     """
-    path = array_path(scratch, desc.name)
-    offset = block_offset(desc, block)
+    path = raw_block_path(scratch, desc, block)
     want = desc.block_nbytes(block)
     try:
         fh = open(path, "rb")
@@ -415,15 +408,16 @@ def _raw_block_file(scratch: Path, desc: ArrayDesc, block: int):
         raise BlockMissingError(
             f"block {block} of {desc.name!r} was never written: "
             f"no backing file {path}") from None
+    except (IsADirectoryError, NotADirectoryError):
+        raise StorageError(
+            f"{array_path(scratch, desc.name)} holds {desc.name!r} with "
+            f"another blocking than {desc.n_blocks} block(s); re-seed "
+            "it") from None
     with fh:
         size = os.fstat(fh.fileno()).st_size
-        if offset >= size:
-            raise BlockMissingError(
-                f"block {block} of {desc.name!r} was never written: "
-                f"offset {offset} past end of {path} ({size} bytes)")
-        if size - offset < want:
-            raise _short_read(desc, block, path, size - offset, want)
-        yield fh, offset
+        if size != want:
+            raise _wrong_size(desc, block, path, size, want)
+        yield fh
 
 
 def read_block(scratch: Path, desc: ArrayDesc, block: int,
@@ -435,7 +429,7 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
     of the data plane wants to hand out.  A large raw block is not copied
     at all: the array is a view of the page cache's own pages (see
     :class:`_FileMapping`), which every later holder of the block shares.
-    That is sound because array files are written once and replaced only
+    That is sound because block files are written once and replaced only
     by ``atomic_write``'s rename: a replaced or unlinked file leaves the
     mapping on the old inode, with the bytes that were loaded.  Small
     blocks are read into a heap buffer, compressed ones decoded into a
@@ -443,8 +437,8 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
     """
     want = desc.block_nbytes(block)
     if want >= _MMAP_MIN_BYTES and _layout(scratch, desc) == "raw":
-        with _raw_block_file(scratch, desc, block) as (fh, offset):
-            mapping = _FileMapping(fh.fileno(), offset, want)
+        with _raw_block_file(scratch, desc, block) as fh:
+            mapping = _FileMapping(fh.fileno(), want)
         _inc(metrics, "disk_bytes_read", want)
         _inc(metrics, "logical_bytes_read", want)
         _inc(metrics, "bytes_mapped", want)
@@ -481,11 +475,10 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
         _inc(metrics, "disk_bytes_read", len(blob))
         _inc(metrics, "logical_bytes_read", want)
         return out
-    with _raw_block_file(scratch, desc, block) as (fh, offset):
-        fh.seek(offset)
+    with _raw_block_file(scratch, desc, block) as fh:
         got = fh.readinto(dest)
     if got != want:
-        raise _short_read(desc, block, array_path(scratch, desc.name),
+        raise _wrong_size(desc, block, raw_block_path(scratch, desc, block),
                           got, want)
     _inc(metrics, "disk_bytes_read", want)
     _inc(metrics, "logical_bytes_read", want)
@@ -495,32 +488,30 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
 def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
                 *, metrics: MetricsRegistry | None = None,
                 durable: bool = True) -> None:
-    """Persist a whole array (used to seed initial data).
-
-    The raw layout seeds with a **single** atomic write of the complete
-    file.  (It used to call :func:`write_block` per block, and every such
-    call re-ran ``atomic_write``'s read-splice-fsync-rename of the whole
-    array file: O(blocks x file size) rewrite churn — one rename and one
-    fsync per *block* — on every seed.)  Compressed layouts write one
-    chunk file per block; each is small and independently atomic.  Every
-    write is crash-atomic; it is also fsynced, so it survives a power
-    loss, unless the caller passes ``durable=False`` for scratch the
-    engine deletes within its session.
+    """Persist a whole array (used to seed initial data): one
+    :func:`write_block` per block, each file independently crash-atomic.
+    Every file is also fsynced, so it survives a power loss, unless the
+    caller passes ``durable=False`` for scratch the engine deletes within
+    its session.  The array seeded before in another layout is deleted
+    first: a chunk directory would shadow raw blocks, and a raw file
+    stands where a directory of several blocks goes (or the reverse).
     """
     if data.shape != (desc.length,):
         raise StorageError(
             f"array {desc.name!r} has length {desc.length}, got {data.shape}"
         )
-    if desc_codec(desc) == "raw":
-        raw = _raw_bytes(data, desc)
-        atomic_write(array_path(scratch, desc.name), raw, durable=durable)
-        _inc(metrics, "disk_bytes_written", raw.nbytes)
-        return
+    path = array_path(scratch, desc.name)
+    if desc_codec(desc) != "raw":
+        other = path.exists()
+    else:
+        other = chunk_dir(scratch, desc.name).is_dir() or (
+            path.is_file() if desc.n_blocks > 1 else path.is_dir())
+    if other:
+        delete_array_file(scratch, desc.name)
     for b in desc.blocks():
         lo, hi = desc.block_bounds(b)
-        write_block(scratch, desc, b,
-                    np.asarray(data[lo:hi], dtype=desc.dtype),
-                    metrics=metrics, durable=durable)
+        write_block(scratch, desc, b, data[lo:hi], metrics=metrics,
+                    durable=durable)
 
 
 def read_array(scratch: Path, desc: ArrayDesc,
@@ -531,16 +522,20 @@ def read_array(scratch: Path, desc: ArrayDesc,
     ])
 
 
+def _backings(scratch: Path, name: str) -> list[Path]:
+    """Every file or directory of ``name`` on disk, in either layout."""
+    return [path for path in (array_path(scratch, name),
+                              chunk_dir(scratch, name)) if path.exists()]
+
+
 def delete_array_file(scratch: Path, name: str) -> None:
     """Unlink an array's files, whichever layout backs it; a name with no
     files is not an error."""
-    try:
-        os.unlink(array_path(scratch, name))
-    except FileNotFoundError:
-        pass
-    cdir = chunk_dir(scratch, name)
-    if cdir.is_dir():
-        shutil.rmtree(cdir, ignore_errors=True)
+    for path in _backings(scratch, name):
+        if path.is_dir():
+            shutil.rmtree(path, ignore_errors=True)
+        else:
+            path.unlink(missing_ok=True)
 
 
 def copy_array_files(src: Path, dst: Path, name: str) -> None:
@@ -550,21 +545,14 @@ def copy_array_files(src: Path, dst: Path, name: str) -> None:
     source is reproduced at the destination, each file crash-atomically.
     The copy is engine scratch, so it is not fsynced.
     """
-    copied = False
-    spath = array_path(src, name)
-    if spath.exists():
-        atomic_write(array_path(dst, name), spath.read_bytes(),
-                     durable=False)
-        copied = True
-    sdir = chunk_dir(src, name)
-    if sdir.is_dir():
-        for chunk in sorted(sdir.iterdir()):
-            atomic_write(chunk_dir(dst, name) / chunk.name,
-                         chunk.read_bytes(), durable=False)
-        copied = True
-    if not copied:
+    paths = _backings(src, name)
+    if not paths:
         raise BlockMissingError(
             f"array {name!r} has no backing files under {src}")
+    for path in paths:
+        for f in sorted(path.iterdir()) if path.is_dir() else [path]:
+            atomic_write(Path(dst) / f.relative_to(src), f.read_bytes(),
+                         durable=False)
 
 
 def discover_arrays(scratch: Path) -> list[str]:
@@ -572,19 +560,16 @@ def discover_arrays(scratch: Path) -> list[str]:
 
     Mirrors the paper's storage start-up: "the storage looks for files in
     that directory and records the name of the arrays as well as their
-    sizes".  Both layouts are discovered — raw ``.arr`` files and
-    compressed ``.arrc`` chunk directories.
+    sizes".  Every layout is discovered — raw ``.arr`` files and
+    directories, and compressed ``.arrc`` chunk directories.
     """
     root = Path(scratch)
     if not root.exists():
         return []
     names = set()
-    for path in root.glob(f"*{_SUFFIX}"):
-        if path.is_file():
-            names.add(unescape_name(path.name[: -len(_SUFFIX)]))
-    for path in root.glob(f"*{_CHUNK_SUFFIX}"):
-        if path.is_dir():
-            names.add(unescape_name(path.name[: -len(_CHUNK_SUFFIX)]))
+    for suffix in (_SUFFIX, _CHUNK_SUFFIX):
+        for path in root.glob(f"*{suffix}"):
+            names.add(unescape_name(path.name[: -len(suffix)]))
     return sorted(names)
 
 

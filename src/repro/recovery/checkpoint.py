@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.codecs import get_codec, resolve_codec
 from repro.core.errors import CodecError, CodecMismatchError, RecoveryError
-from repro.core.iofilter import escape_name, unescape_name
+from repro.core.iofilter import escape_name
 from repro.util.atomicio import atomic_write
 
 __all__ = ["Checkpoint", "CheckpointManager", "CheckpointCadence",
@@ -108,8 +108,12 @@ class CheckpointManager:
         codec = get_codec(self.codec)
         blocks = {}
         for name, value in arrays.items():
-            arr = np.ascontiguousarray(value)
-            payload = codec.encode(arr.tobytes(), arr.dtype.itemsize)
+            arr = np.asarray(value)
+            # The codec reads the array's own buffer (one copy only when
+            # it is not C-contiguous); the manifest keeps its own shape.
+            flat = np.ascontiguousarray(arr).reshape(-1)
+            payload = codec.encode(memoryview(flat.view(np.uint8)),
+                                   arr.dtype.itemsize)
             fname = self._block_name(step, name)
             atomic_write(self.dir / fname, payload)
             # sha256 covers the *encoded* on-disk bytes: load verifies
@@ -303,16 +307,5 @@ def restore_rng(snapshot: dict) -> np.random.Generator:
     if cls is None:
         raise RecoveryError(f"unknown bit generator {name!r}")
     bitgen = cls()
-    state = snapshot["state"]
-    if isinstance(state, dict) and "state" in state and isinstance(
-            state["state"], dict):
-        # JSON round-trips dict keys as-is; state ints may arrive as-is too.
-        bitgen.state = state
-    else:
-        bitgen.state = state
+    bitgen.state = snapshot["state"]
     return np.random.Generator(bitgen)
-
-
-# `unescape_name` is re-exported so tooling reading a checkpoint directory
-# can map .blk files back to array names without importing core internals.
-_ = unescape_name

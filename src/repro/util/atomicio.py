@@ -22,81 +22,46 @@ Two promises, kept apart:
   to the device buys nothing.  What a caller asks to keep — checkpoints,
   ``persist``, the public seeding default — stays durable.
 
-Offset writes (one block spliced into a shared per-array file) are
-supported by rewriting the whole file: read-splice-replace, serialized by
-a per-path in-process lock (all writers of a scratch file are threads of
-one engine process).  That trades bandwidth for the atomicity guarantee —
-"trading performance for semantic simplicity", as the storage layer's
-reassembly copy already does.
+Only whole files are written: every block has a file of its own
+(:mod:`repro.core.iofilter`), so no write reads, splices or locks what
+another wrote.  Concurrent writers of one path each rename a complete
+temporary of their own; the last rename wins.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import threading
 from pathlib import Path
 
 __all__ = ["atomic_write"]
 
-_REGISTRY_LOCK = threading.Lock()
-_PATH_LOCKS: dict[str, threading.Lock] = {}
 
-
-def _path_lock(path: Path) -> threading.Lock:
-    key = os.fspath(path)
-    with _REGISTRY_LOCK:
-        lock = _PATH_LOCKS.get(key)
-        if lock is None:
-            lock = _PATH_LOCKS[key] = threading.Lock()
-        return lock
-
-
-def atomic_write(path: str | Path, data, *,
-                 offset: int | None = None, durable: bool = True) -> None:
-    """Atomically replace ``path``'s content (or splice at ``offset``).
+def atomic_write(path: str | Path, data, *, durable: bool = True) -> None:
+    """Atomically replace ``path``'s content with ``data``.
 
     ``data`` is any bytes-like object and is written from where it lies:
     a block goes from its own buffer to the file with no copy in between.
-    With ``offset=None`` the file becomes exactly ``data``.  With an
-    offset, ``data`` is spliced over the existing content at that byte
-    position (zero-padding any gap, matching seek-past-end semantics);
-    concurrent spliced writes to one path are serialized in-process.
-    In every case the destination is only ever replaced by a complete
-    temporary — a crash at any point leaves the old content intact,
-    never a torn file.  ``durable`` decides only whether that temporary
-    is flushed to the device (``fsync``) first, so the new content also
-    survives a power loss; pass ``False`` for scratch nobody reads after
-    the process.
+    The destination is only ever replaced by a complete temporary — a
+    crash at any point leaves the old content intact, never a torn file.
+    ``durable`` decides only whether that temporary is flushed to the
+    device (``fsync``) first, so the new content also survives a power
+    loss; pass ``False`` for scratch nobody reads after the process.
     """
     path = Path(path)
-    if offset is not None and offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with _path_lock(path):
-        if offset is None:
-            content = data
-        else:
-            try:
-                existing = path.read_bytes()
-            except FileNotFoundError:
-                existing = b""
-            end = offset + memoryview(data).nbytes
-            content = bytearray(max(len(existing), end))
-            content[: len(existing)] = existing
-            content[offset:end] = data
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(content)
-                if durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -386,9 +386,9 @@ class TestMappedChunks:
         class Counting(iofilter._FileMapping):
             __slots__ = ()
 
-            def __init__(self, fd, offset, nbytes):
+            def __init__(self, fd, nbytes):
                 made.append(nbytes)
-                super().__init__(fd, offset, nbytes)
+                super().__init__(fd, nbytes)
 
         monkeypatch.setattr(iofilter, "_FileMapping", Counting)
         return made
@@ -723,9 +723,10 @@ class TestPruneExactness:
 
 
 class TestSeedWriteChurn:
-    """Seeding an array must not rewrite the file once per block."""
+    """Seeding an array writes each block's file once, and nothing else."""
 
-    def test_raw_seed_is_one_rename_one_fsync(self, tmp_path, monkeypatch):
+    def test_raw_seed_is_one_rename_one_fsync_per_block(self, tmp_path,
+                                                        monkeypatch):
         counts = {"replace": 0, "fsync": 0}
         real_replace, real_fsync = os.replace, os.fsync
 
@@ -741,10 +742,11 @@ class TestSeedWriteChurn:
         monkeypatch.setattr(os, "fsync", counting_fsync)
         d = desc(length=1000, block=100)  # 10 blocks
         write_array(tmp_path, d, np.arange(1000.0))
-        # One whole-file atomic write — not one rename+fsync per block
-        # re-splicing an ever-growing file (O(blocks x file size)).
-        assert counts["replace"] == 1
-        assert counts["fsync"] == 1
+        # One atomic write of each block's own file — not a re-splice of
+        # an ever-growing shared file per block (O(blocks x file size)).
+        assert counts["replace"] == 10
+        assert counts["fsync"] == 10
+        assert sum(f.stat().st_size for f in tmp_path.rglob("*.blk")) == 8000
         np.testing.assert_array_equal(read_array(tmp_path, d),
                                       np.arange(1000.0))
 

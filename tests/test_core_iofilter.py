@@ -13,11 +13,11 @@ from repro.core.errors import BlockMissingError, StorageError
 from repro.core.iofilter import (
     IOFilter,
     array_path,
-    block_offset,
     chunk_path,
     delete_array_file,
     discover_arrays,
     escape_name,
+    raw_block_path,
     read_array,
     read_block,
     unescape_name,
@@ -39,14 +39,6 @@ class TestBlockIO:
         write_array(tmp_path, d, data)
         np.testing.assert_array_equal(read_array(tmp_path, d), data)
 
-    def test_block_offsets(self, tmp_path):
-        d = desc(length=100, block=40)
-        assert block_offset(d, 0) == 0
-        assert block_offset(d, 1) == 40 * 8
-        assert block_offset(d, 2) == 80 * 8
-        with pytest.raises(StorageError):
-            block_offset(d, 3)
-
     def test_out_of_order_block_writes(self, tmp_path):
         d = desc(length=100, block=40)
         write_block(tmp_path, d, 2, np.full(20, 2.0))
@@ -65,9 +57,9 @@ class TestBlockIO:
             write_array(tmp_path, d, np.zeros(99))
 
     def test_never_written_block_is_a_missing_block(self, tmp_path):
-        # Seek past EOF means the block was never written — a
-        # reconstructable miss, not corruption (it used to masquerade as
-        # the same "short read" StorageError as a torn file).
+        # No file for the block means it was never written — a
+        # reconstructable miss, not corruption (a torn file is a
+        # StorageError).
         d = desc(length=100, block=40)
         write_block(tmp_path, d, 0, np.zeros(40))
         with pytest.raises(BlockMissingError, match="never written"):
@@ -79,11 +71,42 @@ class TestBlockIO:
         # A file truncated *mid-block* is corruption, not a missing block.
         d = desc(length=100, block=40)
         write_block(tmp_path, d, 0, np.zeros(40))
-        path = array_path(tmp_path, d.name)
+        path = raw_block_path(tmp_path, d, 0)
         path.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(StorageError, match="short read") as ei:
+        with pytest.raises(StorageError, match="holds 100 bytes, want 320") \
+                as ei:
             read_block(tmp_path, d, 0)
         assert not isinstance(ei.value, BlockMissingError)
+
+    def test_another_blocking_is_a_named_error(self, tmp_path):
+        # A raw array is read with the blocking it was written with.
+        one, three = desc("a", length=100, block=100), desc("a")
+        write_array(tmp_path, one, np.arange(100.0))
+        with pytest.raises(StorageError, match="another blocking") as ei:
+            read_block(tmp_path, three, 0)
+        assert not isinstance(ei.value, BlockMissingError)
+        write_array(tmp_path, three, np.arange(100.0))
+        with pytest.raises(StorageError, match="another blocking"):
+            read_block(tmp_path, one, 0)
+        with pytest.raises(StorageError, match="holds 320 bytes, want 160"):
+            read_block(tmp_path, desc("a", block=20), 0)
+
+    @pytest.mark.parametrize("before", [
+        dict(block=40), dict(block=100), dict(block=100, codec="zlib"),
+        dict(block=40, codec="zlib")])
+    @pytest.mark.parametrize("after", [
+        dict(block=40), dict(block=100), dict(block=100, codec="zlib")])
+    def test_a_seed_replaces_any_earlier_layout(self, tmp_path, before,
+                                                after):
+        old = ArrayDesc("a", length=100, block_elems=before["block"],
+                        codec=before.get("codec"))
+        new = ArrayDesc("a", length=100, block_elems=after["block"],
+                        codec=after.get("codec"))
+        write_array(tmp_path, old, np.zeros(100))
+        write_array(tmp_path, new, np.arange(100.0))
+        np.testing.assert_array_equal(read_array(tmp_path, new),
+                                      np.arange(100.0))
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_name_mangling_round_trips(self, tmp_path):
         d = ArrayDesc("dir/like\\name", length=10, block_elems=10)
@@ -104,9 +127,8 @@ class TestBlockIO:
 
     def test_concurrent_first_writes_do_not_zero_each_other(self, tmp_path):
         """Regression: two threads writing different blocks of a *new*
-        file concurrently.  The old ``open(path, "wb")`` creation path
-        truncated the file, so whichever writer opened second could zero
-        the other's block.  ``os.open(O_CREAT | O_RDWR)`` never truncates."""
+        array concurrently must not zero each other's block.  Each block
+        has a file of its own, in a directory both may create."""
         d = desc(length=80, block=40)
         want0, want1 = np.full(40, 1.0), np.full(40, 2.0)
         for _round_no in range(50):
@@ -200,15 +222,17 @@ class TestWritesReadTheBlockInPlace:
             want = np.asarray(data, dtype=np.float64).tobytes()
             assert array_path(tmp_path, d.name).read_bytes() == want, label
 
-    def test_spliced_raw_block_still_lands_at_its_offset(self, tmp_path,
-                                                         handed):
+    def test_several_raw_blocks_own_files(self, tmp_path, handed):
         d = ArrayDesc("multi", length=2 * self.N, block_elems=self.N)
         blocks = [np.full(self.N, 1.0), np.full(self.N, 2.0)]
         for b in (1, 0):
             write_block(tmp_path, d, b, blocks[b])
             assert np.shares_memory(handed["file"][-1], blocks[b])
-        assert array_path(tmp_path, "multi").read_bytes() == (
-            blocks[0].tobytes() + blocks[1].tobytes())
+        assert sorted(p.name for p in array_path(tmp_path, "multi").iterdir()
+                      ) == ["00000000.blk", "00000001.blk"]
+        for b in (0, 1):
+            assert raw_block_path(tmp_path, d, b).read_bytes() == \
+                blocks[b].tobytes()
 
     def test_zlib_encoder_reads_the_input_buffer(self, tmp_path, handed):
         from repro.core.iofilter import chunk_path
@@ -247,6 +271,125 @@ class TestWritesReadTheBlockInPlace:
         assert peaks["contiguous"] < 0.5 * nbytes, peaks
         assert nbytes <= peaks["strided"] < 1.5 * nbytes, peaks
         assert nbytes <= peaks["wrong dtype"] < 1.5 * nbytes, peaks
+
+
+class TestEveryLayout:
+    """One body over every codec and blocking (zarr's
+    ``test_nbytes_stored`` runs one body over every store): a block is one
+    file, the bytes come back bit for bit, and ``disk_bytes_written`` is
+    what the files hold."""
+
+    BLOCK = 20_000  # float64 elements: 160 KB, so raw loads are mapped
+
+    @staticmethod
+    def files(root):
+        return {str(p.relative_to(root)): p.stat().st_size
+                for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("read", ["read_block", "read_block_into"])
+    @pytest.mark.parametrize("write", ["write_array", "write_block"])
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    @pytest.mark.parametrize("codec", ["raw", "zlib", "shuffle-zlib"])
+    def test_layout_bytes_and_counters(self, tmp_path, codec, n_blocks,
+                                       write, read):
+        from repro.core.iofilter import CHUNK_MAGIC, read_block_into
+        from repro.obs import MetricsRegistry
+
+        length = (n_blocks - 1) * self.BLOCK + 7_000
+        d = ArrayDesc("a/b", length=length, codec=codec,
+                      block_elems=self.BLOCK if n_blocks > 1 else length)
+        data = np.random.default_rng(n_blocks).integers(
+            0, 50, length).astype(np.float64)
+        metrics = MetricsRegistry()
+        if write == "write_array":
+            write_array(tmp_path, d, data, metrics=metrics)
+        else:
+            for b in reversed(d.blocks()):
+                lo, hi = d.block_bounds(b)
+                write_block(tmp_path, d, b, data[lo:hi], metrics=metrics)
+
+        files = self.files(tmp_path)
+        if codec == "raw" and n_blocks == 1:
+            assert list(files) == ["a%2Fb.arr"]
+        else:
+            where = "a%2Fb.arr" if codec == "raw" else "a%2Fb.arrc"
+            assert sorted(files) == [f"{where}/{b:08d}.blk"
+                                     for b in d.blocks()]
+        for b in d.blocks():
+            lo, hi = d.block_bounds(b)
+            if codec == "raw":
+                assert raw_block_path(tmp_path, d, b).read_bytes() == \
+                    data[lo:hi].tobytes()
+            else:
+                assert chunk_path(tmp_path, d.name, b).read_bytes() \
+                    .startswith(CHUNK_MAGIC)
+        snap = metrics.as_dict()
+        assert snap["disk_bytes_written"] == sum(files.values())
+        assert snap["logical_bytes_written"] == d.nbytes
+        assert discover_arrays(tmp_path) == ["a/b"]
+
+        if read == "read_block":
+            got = [read_block(tmp_path, d, b) for b in d.blocks()]
+        else:
+            got = [read_block_into(tmp_path, d, b,
+                                   np.empty(d.block_length(b)))
+                   for b in d.blocks()]
+        assert np.concatenate(got).tobytes() == data.tobytes()
+
+    def test_raw_blocks_are_written_without_reading_the_array(
+            self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        def no_read(self):
+            raise AssertionError(f"read {self} while writing a block")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read)
+        d = desc(length=160, block=40)
+        blocks = [np.full(40, float(b)) for b in d.blocks()]
+        for b in (3, 1, 0, 2):
+            write_block(tmp_path, d, b, blocks[b])
+        monkeypatch.undo()
+        for b in d.blocks():
+            assert raw_block_path(tmp_path, d, b).read_bytes() == \
+                blocks[b].tobytes()
+
+    def test_block_writes_write_each_byte_once(self, tmp_path, monkeypatch):
+        """16 blocks of 512 KiB written one at a time put 8 MiB through
+        the file writes — what ``disk_bytes_written`` says and what the
+        files hold (a shared file rewrote 68 MiB for them)."""
+        from repro.obs import MetricsRegistry
+
+        written = []
+        fdopen = os.fdopen
+
+        class Counting:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                written.append(memoryview(data).nbytes)
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr("repro.util.atomicio.os.fdopen",
+                            lambda fd, mode: Counting(fdopen(fd, mode)))
+        block = 512 * 1024 // 8
+        d = desc(length=16 * block, block=block)
+        metrics = MetricsRegistry()
+        for b in d.blocks():
+            write_block(tmp_path, d, b, np.full(block, float(b)),
+                        metrics=metrics, durable=False)
+        on_disk = sum(f.stat().st_size for f in tmp_path.rglob("*.blk"))
+        assert sum(written) == metrics.get("disk_bytes_written") \
+            == on_disk == 8 << 20
 
 
 class TestNameMangling:
@@ -431,8 +574,12 @@ def _big_desc(name="m", blocks=2, block=BIG, dtype="float64"):
 
 
 def _lines_mapping(path):
+    """The lines of this process's mappings of ``path``, or of the files
+    under it when it is a directory."""
     with open("/proc/self/maps") as fh:
-        return [line for line in fh if line.rstrip().endswith(str(path))]
+        return [line for line in fh
+                if line.rstrip().endswith(str(path))
+                or f"{path}/" in line]
 
 
 class TestMappedLoads:
@@ -452,8 +599,8 @@ class TestMappedLoads:
 
         itemsize = np.dtype(dtype).itemsize
         least = -(-_MMAP_MIN_BYTES // itemsize)
-        # Odd-ish block sizes put every block after the first at an
-        # offset that is no multiple of the page size.
+        # Odd-ish block sizes: no block's length is a multiple of the
+        # page size.
         block_elems = data.draw(st.integers(least, least + 3000))
         ragged = data.draw(st.integers(1, block_elems))
         d = ArrayDesc("m", length=(n_blocks - 1) * block_elems + ragged,
@@ -493,7 +640,7 @@ class TestMappedLoads:
         old = np.arange(d.length, dtype=float)
         write_array(tmp_path, d, old)
         view = read_block(tmp_path, d, 1)
-        atomic_write(array_path(tmp_path, d.name), (old + 1).tobytes())
+        atomic_write(raw_block_path(tmp_path, d, 1), (old[BIG:] + 1).tobytes())
         np.testing.assert_array_equal(view, old[BIG:])
         np.testing.assert_array_equal(read_block(tmp_path, d, 1),
                                       old[BIG:] + 1)
@@ -505,23 +652,23 @@ class TestMappedLoads:
         # mapped file would be a SIGBUS, not an exception.
         d = _big_desc()
         write_array(tmp_path, d, np.zeros(d.length))
-        path = array_path(tmp_path, d.name)
-        os.truncate(path, BIG * 8 + 100)
+        path = raw_block_path(tmp_path, d, 1)
+        os.truncate(path, 100)
         with pytest.raises(
                 StorageError,
-                match=rf"short read of block 1 of 'm' from .*: got 100 of "
-                      rf"{BIG * 8} bytes \(torn or truncated file\)") as ei:
+                match=rf"block 1 of 'm' in .*00000001\.blk holds 100 bytes, "
+                      rf"want {BIG * 8} \(torn or truncated file") as ei:
             read_block(tmp_path, d, 1)
         assert not isinstance(ei.value, BlockMissingError)
-        os.truncate(path, BIG * 8)
+        os.unlink(path)
         with pytest.raises(
                 BlockMissingError,
-                match=rf"block 1 of 'm' was never written: offset {BIG * 8} "
-                      rf"past end of .* \({BIG * 8} bytes\)"):
+                match=r"block 1 of 'm' was never written: no backing file "
+                      r".*00000001\.blk"):
             read_block(tmp_path, d, 1)
         np.testing.assert_array_equal(read_block(tmp_path, d, 0),
                                       np.zeros(BIG))
-        os.unlink(path)
+        os.unlink(raw_block_path(tmp_path, d, 0))
         with pytest.raises(BlockMissingError, match="no backing file"):
             read_block(tmp_path, d, 0)
 

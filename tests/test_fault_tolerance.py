@@ -150,10 +150,11 @@ class TestPermanentIOFaults:
         prog.array("y", desc_len)
         prog.add_task("t", lambda i, o, m: o["y"].__setitem__(
             slice(None), i["ghost"]), ["ghost"], ["y"])
-        # Backing file exists but holds only half the bytes: block 1's
-        # offset is past EOF — a missing (never-written) block, which the
-        # I/O filter refuses to retry (retries cannot conjure bytes).
-        path = array_path(scratch, "ghost")
+        # Only block 0's file exists: block 1 is a missing (never-written)
+        # block, which the I/O filter refuses to retry (retries cannot
+        # conjure bytes).
+        path = array_path(scratch, "ghost") / f"{0:08d}.blk"
+        path.parent.mkdir()
         path.write_bytes(b"\x00" * (block * 8))
         eng = DOoCEngine(
             n_nodes=1, scratch_dir=tmp_path,

@@ -264,14 +264,26 @@ class TestAtomicWrite:
         atomic_write(p, b"two")
         assert p.read_bytes() == b"two"
 
-    def test_offset_splice_and_padding(self, tmp_path):
-        p = tmp_path / "x.blk"
-        atomic_write(p, b"zz", offset=4)  # seek-past-end zero-pads
-        assert p.read_bytes() == b"\x00\x00\x00\x00zz"
-        atomic_write(p, b"AB", offset=1)
-        assert p.read_bytes() == b"\x00AB\x00zz"
-        with pytest.raises(ValueError):
-            atomic_write(p, b"x", offset=-1)
+    def test_writing_many_paths_keeps_nothing_per_path(self, tmp_path):
+        import gc
+        import tracemalloc
+
+        def write(prefix):
+            for i in range(2000):
+                atomic_write(tmp_path / f"{prefix}{i}.blk", b"x", durable=False)
+            gc.collect()
+
+        # A first batch lets the interpreter's own tables (pathlib interns
+        # each file name) reach their size; the second must keep nothing.
+        write("warm")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write("f")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024, kept
 
     def test_crash_before_rename_leaves_old_content(self, tmp_path,
                                                     monkeypatch):
@@ -326,11 +338,12 @@ class _TornFile:
 class TestScratchWrites:
     """``durable=False`` drops the fsync, not the temp file + rename."""
 
-    @pytest.mark.parametrize("offset", [None, 3], ids=["whole", "splice"])
+    @pytest.mark.parametrize("where", ["x.arr", "x.arr/00000001.blk"],
+                             ids=["whole", "block"])
     @pytest.mark.parametrize("dies_in", ["write", "replace"])
     def test_a_write_that_dies_changes_nothing(self, tmp_path, monkeypatch,
-                                               offset, dies_in):
-        p = tmp_path / "x.arr"
+                                               where, dies_in):
+        p = tmp_path / where
         atomic_write(p, b"0123456789", durable=False)
         if dies_in == "replace":
             def dying_replace(src, dst):
@@ -343,10 +356,10 @@ class TestScratchWrites:
             monkeypatch.setattr("repro.util.atomicio.os.fdopen",
                                 lambda fd, mode: _TornFile(fdopen(fd, mode)))
         with pytest.raises(OSError, match="crash"):
-            atomic_write(p, b"abcdefgh", offset=offset, durable=False)
+            atomic_write(p, b"abcdefgh", durable=False)
         monkeypatch.undo()
         assert p.read_bytes() == b"0123456789"
-        assert list(tmp_path.iterdir()) == [p]  # no temporary left
+        assert list(p.parent.iterdir()) == [p]  # no temporary left
 
     @pytest.mark.parametrize("durable", [True, False])
     def test_only_a_durable_write_is_fsynced(self, tmp_path, monkeypatch,
@@ -355,7 +368,7 @@ class TestScratchWrites:
         monkeypatch.setattr("repro.util.atomicio.os.fsync", calls.append)
         p = tmp_path / "x.arr"
         atomic_write(p, b"0123", durable=durable)
-        atomic_write(p, b"ab", offset=1, durable=durable)
+        atomic_write(p, b"0ab3", durable=durable)
         assert p.read_bytes() == b"0ab3"
         assert len(calls) == (2 if durable else 0)
 
@@ -439,6 +452,29 @@ class TestCheckpointManager:
         assert ckpt.step == 3
         assert ckpt.arrays["x"].tobytes() == x.tobytes()
         assert ckpt.extra == {"iteration": 3}
+
+    def test_zero_d_and_strided_arrays_keep_their_shape(self, tmp_path):
+        strided = np.arange(12.0).reshape(3, 4)[:, ::2]
+        CheckpointManager(tmp_path).save(
+            1, {"s": np.float64(3.0), "m": strided})
+        ckpt = CheckpointManager(tmp_path).load(1)
+        assert ckpt.arrays["s"].shape == ()
+        assert ckpt.arrays["s"] == 3.0
+        np.testing.assert_array_equal(ckpt.arrays["m"], strided)
+
+    def test_raw_save_encodes_from_the_array_buffer(self, tmp_path):
+        import tracemalloc
+
+        x = np.ones(1 << 20)  # 8 MiB of float64
+        mgr = CheckpointManager(tmp_path, codec="raw")
+        tracemalloc.start()
+        try:
+            mgr.save(1, {"x": x})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert mgr.load(1).arrays["x"].tobytes() == x.tobytes()
 
     def test_load_latest_falls_back_past_corrupt_manifest(self, tmp_path):
         mgr = CheckpointManager(tmp_path)

@@ -299,21 +299,23 @@ class TestFileIdentity:
             write_array(eng.node_scratch(node),
                         ArrayDesc("c", n, block_elems=n), data + node)
 
-        def run(home, block_elems):
+        def run(home, dtype):
             prog = Program("p", default_block_elems=n)
-            prog.initial_from_scratch("c", n, home=home,
-                                      block_elems=block_elems)
+            prog.initial_from_scratch("c", n, home=home, dtype=dtype)
             prog.array("y", n)
             prog.add_task("double", double_fn, ["c"], ["y"])
             report = eng.run(prog, timeout=60)
             return report.total_loads, eng.fetch("y")
 
-        assert run(0, n)[0] == 1
-        assert run(0, n)[0] == 0           # identical declaration: carried
-        loads, y = run(0, n // 2)          # other blocking: both blocks load
-        assert loads == 2 and np.array_equal(y, 2.0 * data)
-        loads, y = run(1, n // 2)          # other home: that node's file
-        assert loads == 2 and np.array_equal(y, 2.0 * (data + 1))
+        # A raw array is read with the blocking it was written with, so
+        # the same file under another descriptor differs in its dtype.
+        assert run(0, "float64")[0] == 1
+        assert run(0, "float64")[0] == 0   # identical declaration: carried
+        loads, y = run(0, "int64")         # other dtype: loads again
+        assert loads == 1 and np.array_equal(y, 2.0 * data.view(np.int64))
+        loads, y = run(1, "int64")         # other home: that node's file
+        assert loads == 1 and np.array_equal(
+            y, 2.0 * (data + 1).view(np.int64))
 
     def test_persisted_output_is_carried_without_a_read(self, tmp_path):
         """``persist`` writes a completed array out and adopts the
