@@ -52,7 +52,6 @@ class SimNode:
     spmv_flops_per_core: float
     bytes_read: float = 0.0
     bytes_sent: float = 0.0
-    flops_done: float = 0.0
     #: summed read service time; concurrent reads count twice here — the
     #: union is ``repro.obs.span_union_seconds`` over the tracer's "io" lane
     io_busy: float = 0.0
@@ -239,17 +238,8 @@ class SimCluster:
         try:
             duration = flops / (cores * node.spmv_flops_per_core)
             yield self.env.timeout(duration)
-            node.flops_done += flops
         finally:
             node.cores.release(req)
         self.tracer.complete(node.index, "compute", "task", "task",
                              start, end=self.env.now, label=label)
         return self.env.now - start
-
-    # -- metrics -------------------------------------------------------------
-
-    def total_bytes_read(self) -> float:
-        return sum(n.bytes_read for n in self.nodes)
-
-    def total_flops(self) -> float:
-        return sum(n.flops_done for n in self.nodes)

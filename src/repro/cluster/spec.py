@@ -37,11 +37,6 @@ class NodeSpec:
         if self.local_ssd_bytes_per_s < 0:
             raise ValueError("local SSD bandwidth must be non-negative")
 
-    @property
-    def spmv_flops(self) -> float:
-        """Aggregate node SpMV throughput when all cores participate."""
-        return self.cores * self.spmv_flops_per_core
-
 
 @dataclass(frozen=True)
 class SSDSpec:

@@ -172,9 +172,6 @@ class ProcessWorkerPool:
             client.conn.close()
         self._clients.clear()
 
-    def alive_count(self) -> int:
-        return sum(1 for c in self._clients.values() if c.proc.is_alive())
-
     # -- dispatch ------------------------------------------------------------
 
     def run_envelope(self, node: int, instance: int, *bodies: dict) -> dict:

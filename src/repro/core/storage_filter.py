@@ -3,7 +3,8 @@
 :mod:`repro.core.storage` decides (a pure state machine returning
 effects); this filter carries them out as messages — loads and spills to
 the I/O filters, grants to workers, residency notes to the local
-scheduler, fetches and owner lookups to peers — and feeds back the answers.
+scheduler, the fetches and owner lookups the node's ``DirectoryClient``
+asks of its peers — and feeds back the answers.
 The notes, on the one FIFO stream ``rep_lsched``, are all the scheduler
 knows of the store (it never asks); each names one array: ``resident``,
 ``dropped``, ``declined`` (a prefetch found no headroom) or ``failed``.
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.array import ArrayDesc
-from repro.core.directory import DirectoryClient, LookupFailed
+from repro.core.directory import DirectoryClient, Send
 from repro.core.errors import StorageError
 from repro.core.interval import Interval, Permission, whole_array
 from repro.core.storage import Effect, LocalStore, Ticket
@@ -35,20 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover
 class _StorageFilter(Filter):
     """Per-node storage service: the event loop around LocalStore.
 
-    Besides the fault-free protocol, this filter owns the node's peer-fault
-    recovery: unanswered fetches and owner lookups are retransmitted after
-    ``RETRANSMIT_S`` (a lost message must not strand a read waiter), and
-    exhausted I/O retries arriving as ``io_error`` replies are turned into
-    fail-fast ticket denials instead of stalls.  Pending recovery work
-    carries its own deadlines (a delayed send's, a retransmit's); the loop
-    reads until the earliest one, and untimed while there is none, so
-    fault-free runs pay nothing for it.
+    Besides the fault-free protocol, this filter sends the node's
+    peer-fault recovery: the directory keeps the fetches and owner lookups
+    in flight and hands back their retransmits when due (a lost message
+    must not strand a read waiter), and exhausted I/O retries arriving as
+    ``io_error`` replies are turned into fail-fast ticket denials instead
+    of stalls.  Pending recovery work carries its own deadlines (a delayed
+    send's, a retransmit's); the loop reads until the earliest one, and
+    untimed while there is none, so fault-free runs pay nothing for it.
     """
 
     inputs = ("req", "io_done", "peer_in")
-
-    #: seconds before an unanswered fetch or lookup is retransmitted
-    RETRANSMIT_S = 0.25
 
     def __init__(self, node: int, n_nodes: int, run: RunState,
                  tracer: Tracer | None = None):
@@ -89,8 +87,6 @@ class _StorageFilter(Filter):
         self._dead = False
         # array -> (home, on_disk, recover) of rehomes blocked on a pin
         self._rehome_pending: dict[str, tuple[int, bool, bool]] = {}
-        # array -> blocks awaiting owner resolution
-        self._awaiting_owner: dict[str, list[int]] = {}
         # arrays whose GC delete raced an in-flight pin; retried on release
         self._gc_pending: set[str] = set()
         # (span name, array, block) -> tracer start time of the transfer
@@ -98,10 +94,6 @@ class _StorageFilter(Filter):
         self._last_queue_depth = 0
         # injected-delay holding pen: (due monotonic time, peer, payload)
         self._delayed: list[tuple[float, int, dict]] = []
-        # (array, block) -> (retransmit deadline, owner) of in-flight fetches
-        self._fetch_pending: dict[tuple[str, int], tuple[float, int]] = {}
-        # array -> (retransmit deadline, probed peer) of in-flight lookups
-        self._lookup_pending: dict[str, tuple[float, int]] = {}
 
     # -- helpers --------------------------------------------------------------
 
@@ -184,7 +176,8 @@ class _StorageFilter(Filter):
             elif e.kind == "fetch_remote":
                 self._io_started[
                     ("fetch_remote", e.array, e.block)] = self.tracer.now()
-                self._start_fetch(ctx, e.array, e.block)
+                self._ask(ctx, self.directory.fetch(
+                    e.array, e.block, time.monotonic()))
             elif e.kind in ("grant_read", "grant_write"):
                 assert e.ticket is not None
                 tag = e.ticket.tag
@@ -229,53 +222,30 @@ class _StorageFilter(Filter):
             self.tracer.complete(self.node, "storage", "storage", name,
                                  start, array=array, block=block)
 
-    def _start_fetch(self, ctx: FilterContext, array: str, block: int) -> None:
-        # The global map is partitioned, not replicated: this node does not
-        # know where a remote array lives and must resolve the owner through
-        # the random-peer walk (cached after the first resolution).
-        cached = self.directory.start_lookup(array, 0)
-        if cached is not None:
-            self._send_fetch(ctx, cached, array, block)
-            return
-        pending = self._awaiting_owner.setdefault(array, [])
-        pending.append(block)
-        if len(pending) == 1:  # first block starts the walk
-            self._probe_next(ctx, array)
-
-    def _send_fetch(self, ctx: FilterContext, owner: int, array: str,
-                    block: int) -> None:
-        self._fetch_pending[(array, block)] = (
-            time.monotonic() + self.RETRANSMIT_S, owner)
-        self._peer_write(ctx, owner, {
-            "op": "fetch", "array": array, "block": block, "from": self.node})
-
-    def _probe_next(self, ctx: FilterContext, array: str) -> None:
-        """Advance (or restart) the owner walk for ``array``."""
-        try:
-            peer = self.directory.next_probe(array, 0)
-        except LookupFailed:
-            if len(self.directory.evicted) == self.n_nodes - 1:
-                # No live peer is left to ask (on two nodes, the owner
-                # was the only one).  The blocks wait in
-                # ``_awaiting_owner`` for the array's recovery rehome
-                # (``_handle_rehome``).
-                return
-            # Every peer answered "miss": possible transiently while a
-            # reroute's rehome propagates, or after message loss confused
-            # the walk.  Restart the walk instead of giving up — a genuine
-            # orphan shows up as lookup_restarts climbing in the diagnosis.
-            self.store.metrics.inc("lookup_restarts")
-            self.tracer.instant(self.node, "storage", "storage",
-                                "lookup_restart", array=array)
-            self.directory.start_lookup(array, 0)
-            peer = self.directory.next_probe(array, 0)
-        self._lookup_pending[array] = (
-            time.monotonic() + self.RETRANSMIT_S, peer)
-        self._peer_write(ctx, peer, {
-            "op": "lookup", "array": array, "from": self.node})
+    def _ask(self, ctx: FilterContext, sends: list[Send]) -> None:
+        """Write the directory's requests; count and trace its retries."""
+        for req in sends:
+            if req.why == "retry":
+                self.store.metrics.inc(f"{req.op}_retransmits")
+                args = ({"block": req.block, "owner": req.peer}
+                        if req.op == "fetch" else {"peer": req.peer})
+                self.tracer.instant(self.node, "storage", "storage",
+                                    f"{req.op}_retry", array=req.array, **args)
+            elif req.why == "restart":
+                # Every live peer answered "miss": possible transiently
+                # while a reroute's rehome propagates, or after message
+                # loss confused the walk.  A genuine orphan shows up as
+                # lookup_restarts climbing in the diagnosis.
+                self.store.metrics.inc("lookup_restarts")
+                self.tracer.instant(self.node, "storage", "storage",
+                                    "lookup_restart", array=req.array)
+            payload = {"op": req.op, "array": req.array, "from": self.node}
+            if req.op == "fetch":
+                payload["block"] = req.block
+            self._peer_write(ctx, req.peer, payload)
 
     def _tick(self, ctx: FilterContext) -> None:
-        """Flush due delayed messages; retransmit overdue fetches/lookups."""
+        """Flush due delayed messages; send the retransmits now due."""
         now = time.monotonic()
         if self._delayed:
             due = [d for d in self._delayed if d[0] <= now]
@@ -283,22 +253,7 @@ class _StorageFilter(Filter):
                 self._delayed = [d for d in self._delayed if d[0] > now]
                 for _, peer, payload in due:
                     self._peer_send(ctx, peer, payload)
-        for key, (deadline, owner) in list(self._fetch_pending.items()):
-            if deadline <= now:
-                array, block = key
-                self.store.metrics.inc("fetch_retransmits")
-                self.tracer.instant(self.node, "storage", "storage",
-                                    "fetch_retry", array=array, block=block,
-                                    owner=owner)
-                self._send_fetch(ctx, owner, array, block)
-        for array, (deadline, peer) in list(self._lookup_pending.items()):
-            if deadline <= now:
-                self._lookup_pending[array] = (now + self.RETRANSMIT_S, peer)
-                self.store.metrics.inc("lookup_retransmits")
-                self.tracer.instant(self.node, "storage", "storage",
-                                    "lookup_retry", array=array, peer=peer)
-                self._peer_write(ctx, peer, {
-                    "op": "lookup", "array": array, "from": self.node})
+        self._ask(ctx, self.directory.due(now))
 
     def _handle_peer(self, ctx: FilterContext, msg: dict) -> None:
         if self._ended or msg["run"] != self._seq:
@@ -312,17 +267,8 @@ class _StorageFilter(Filter):
                 "op": "lookup_reply", "array": msg["array"], "hit": hit,
                 "owner": self.node})
         elif op == "lookup_reply":
-            array = msg["array"]
-            self._lookup_pending.pop(array, None)
-            if array not in self._awaiting_owner:
-                return  # walk abandoned (drain) or duplicate reply
-            if msg["hit"]:
-                self.directory.probe_hit(array, 0, msg["owner"])
-                for block in self._awaiting_owner.pop(array):
-                    self._send_fetch(ctx, msg["owner"], array, block)
-            else:
-                self.directory.probe_miss(array, 0)
-                self._probe_next(ctx, array)
+            self._ask(ctx, self.directory.lookup_reply(
+                msg["array"], msg["owner"], msg["hit"], time.monotonic()))
         elif op == "fetch":
             if self._draining:
                 return  # requester is winding down too; drop the request
@@ -342,14 +288,14 @@ class _StorageFilter(Filter):
             ticket.tag = ("peer", msg["from"])
             self._execute(ctx, effects)
         elif op == "blockdata":
-            self._fetch_pending.pop((msg["array"], msg["block"]), None)
+            self.directory.fetched(msg["array"], msg["block"])
             self._end_io_span("fetch_remote", msg["array"], msg["block"])
             self._execute(ctx, self.store.on_remote_data(
                 msg["array"], msg["block"], msg["data"]))
             self._note_transfer(ctx, msg["array"])
         elif op == "fetch_failed":
             array, block = msg["array"], msg["block"]
-            self._fetch_pending.pop((array, block), None)
+            self.directory.fetched(array, block)
             # The cached owner may be stale (reroute): next fetch re-walks.
             self.directory.invalidate(array)
             self._execute(ctx, self.store.on_fetch_failed(
@@ -439,10 +385,8 @@ class _StorageFilter(Filter):
         """Start no more work: abandon owner walks, retransmits, delayed
         sends and queued allocations (nothing waits for them any more)."""
         self._draining = True
-        self._awaiting_owner.clear()
+        self.directory.clear()
         self._delayed.clear()
-        self._fetch_pending.clear()
-        self._lookup_pending.clear()
         self.store.abandon_pending_allocs()
 
     def _maybe_end(self, ctx: FilterContext) -> None:
@@ -515,14 +459,9 @@ class _StorageFilter(Filter):
         under write-once and an unpublished output is readable by nobody, so
         waiting is safe.
         """
-        self.directory.invalidate(array)
-        parked = self._awaiting_owner.pop(array, None) or []
-        self._lookup_pending.pop(array, None)
-        inflight = [b for a, b in self._fetch_pending if a == array]
-        for block in inflight:
-            del self._fetch_pending[(array, block)]
-        if recover and (parked or inflight):
-            for block in sorted(set(parked) | set(inflight)):
+        waiting = self.directory.rehome(array)
+        if recover and waiting:
+            for block in waiting:
                 self._execute(ctx, self.store.on_fetch_failed(
                     array, block,
                     f"owner of {array!r} died; re-homed to node {home}"))
@@ -554,37 +493,24 @@ class _StorageFilter(Filter):
                    else "dropped", array)
 
     def _handle_evict(self, ctx: FilterContext, dead: int) -> None:
-        """Apply a dead-node eviction: stop probing/fetching from it.
-
-        In-flight fetches whose owner just died are restarted through the
-        owner walk (the directory now excludes the corpse); their read
-        waiters stay parked, so no task attempt is burned.  If the lost
-        array is being reconstructed, the follow-up recovery rehome fails
-        these restarted walks over to the new home.
-        """
+        """Apply a dead-node eviction: ask the corpse nothing more.  What
+        was asked of it goes to the survivors (``DirectoryClient.evict``);
+        if the lost array is being reconstructed, the follow-up recovery
+        rehome fails those blocks over to the new home."""
         if dead == self.node or dead in self.directory.evicted:
             return
-        self.directory.evict(dead)
         self.store.metrics.inc("peer_evictions")
         self.tracer.instant(self.node, "storage", "recovery", "node_evict",
                             dead=dead)
-        for key, (_deadline, owner) in list(self._fetch_pending.items()):
-            if owner == dead:
-                array, block = key
-                del self._fetch_pending[key]
-                self._start_fetch(ctx, array, block)
-        for array, (_deadline, peer) in list(self._lookup_pending.items()):
-            if peer == dead:
-                del self._lookup_pending[array]
-                self._probe_next(ctx, array)
+        self._ask(ctx, self.directory.evict(dead, time.monotonic()))
         self._delayed = [d for d in self._delayed if d[1] != dead]
 
     def deadline(self) -> float | None:
         """The earliest deadline of pending recovery work, if any."""
-        return min((d[0] for d in (*self._delayed,
-                                   *self._fetch_pending.values(),
-                                   *self._lookup_pending.values())),
-                   default=None)
+        dues = [d[0] for d in self._delayed]
+        if (retransmit := self.directory.deadline()) is not None:
+            dues.append(retransmit)
+        return min(dues, default=None)
 
     on_deadline = _tick
 

@@ -117,9 +117,6 @@ class CSRBlock:
         """2 flops per stored nonzero (multiply + add)."""
         return 2 * self.nnz
 
-    def row_nnz(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     # -- conversions -----------------------------------------------------------
 
     def to_scipy(self) -> sp.csr_matrix:

@@ -1,4 +1,4 @@
-"""Shared utilities: unit handling, seeded RNG trees, online statistics."""
+"""Shared utilities: unit handling and seeded RNG trees."""
 
 from repro.util.units import (
     KB,
@@ -11,11 +11,8 @@ from repro.util.units import (
     TiB,
     format_bytes,
     format_rate,
-    format_seconds,
-    parse_bytes,
 )
 from repro.util.rng import RngTree, spawn
-from repro.util.stats import OnlineStats, Percentiles
 
 __all__ = [
     "KB",
@@ -28,10 +25,6 @@ __all__ = [
     "TiB",
     "format_bytes",
     "format_rate",
-    "format_seconds",
-    "parse_bytes",
     "RngTree",
     "spawn",
-    "OnlineStats",
-    "Percentiles",
 ]

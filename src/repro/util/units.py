@@ -1,4 +1,4 @@
-"""Byte / rate / time unit constants and formatting helpers.
+"""Byte / rate unit constants and formatting helpers.
 
 The paper mixes decimal storage units (GB/s bandwidth figures, TB matrix
 sizes) with binary memory sizes; we follow the same convention: decimal for
@@ -6,8 +6,6 @@ bandwidth and file sizes, binary for DRAM capacities.
 """
 
 from __future__ import annotations
-
-import re
 
 KB = 10**3
 MB = 10**6
@@ -22,20 +20,6 @@ TiB = 2**40
 _DECIMAL = [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")]
 _BINARY = [(TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")]
 
-_SUFFIXES = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "kib": KiB,
-    "mib": MiB,
-    "gib": GiB,
-    "tib": TiB,
-}
-
-_PARSE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([A-Za-z]*)\s*$")
-
 
 def format_bytes(n: float, *, binary: bool = False, digits: int = 2) -> str:
     """Render a byte count with an auto-selected unit suffix."""
@@ -49,39 +33,6 @@ def format_bytes(n: float, *, binary: bool = False, digits: int = 2) -> str:
 def format_rate(bytes_per_second: float, *, digits: int = 2) -> str:
     """Render a bandwidth in decimal units per second (paper convention)."""
     return f"{format_bytes(bytes_per_second, digits=digits)}/s"
-
-
-def format_seconds(seconds: float) -> str:
-    """Render a duration compactly (µs to hours)."""
-    if seconds < 0:
-        return "-" + format_seconds(-seconds)
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    if seconds < 120.0:
-        return f"{seconds:.2f} s"
-    if seconds < 7200.0:
-        return f"{seconds / 60.0:.1f} min"
-    return f"{seconds / 3600.0:.2f} h"
-
-
-def parse_bytes(text: str | int | float) -> int:
-    """Parse a human byte size such as ``"4 GB"`` or ``"24GiB"`` to bytes.
-
-    Bare numbers are interpreted as bytes.  Raises :class:`ValueError` on
-    unrecognized suffixes.
-    """
-    if isinstance(text, (int, float)):
-        return int(text)
-    match = _PARSE_RE.match(text)
-    if not match:
-        raise ValueError(f"unparseable byte size: {text!r}")
-    value, suffix = match.groups()
-    suffix = suffix.lower() or "b"
-    if suffix not in _SUFFIXES:
-        raise ValueError(f"unknown byte-size suffix {suffix!r} in {text!r}")
-    return int(float(value) * _SUFFIXES[suffix])
 
 
 def gbit_to_bytes(gbits_per_second: float) -> float:

@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core import DOoCEngine, Program
-from repro.core.shm import dev_shm_segments
+from repro.core.shm import SEGMENT_PREFIX, dev_shm_segments
 from repro.faults import FaultPlan
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_blocked_reference
 from tests.test_spmv_engine import make_problem
+
+#: this process's pool segments (a segment's name carries the pid that
+#: made it): a suite running beside this one cannot fail the leak checks
+OWN_SEGMENTS = f"{SEGMENT_PREFIX}-{os.getpid()}-"
 
 HAND_OFFS = "lsched@0.to_workers->worker@0.in"
 
@@ -145,7 +149,7 @@ class TestAFailureInsideABatch:
         assert _total(report, "writes_abandoned") == 2
         names = [e.name for e in report.trace_events]
         assert names.count("task_failed") == 1
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 class TestAProcessCrashInsideABatch:
@@ -168,7 +172,7 @@ class TestAProcessCrashInsideABatch:
         assert sorted(sent[4:]) == [("t1", 2), ("t2", 2), ("t3", 2)]
         assert _total(report, "worker_crashes") == 1
         assert _total(report, "task_reexecutions") == 3
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 class TestTheAblationHandsOutOneTaskAtATime:

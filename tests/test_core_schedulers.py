@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dag import TaskDAG
-from repro.core.directory import DirectoryClient, LookupFailed
+from repro.core.directory import RETRANSMIT_S, DirectoryClient, Send
 from repro.core.errors import DoocError, SchedulingError
 from repro.core.global_scheduler import GlobalScheduler
 from repro.core.local_scheduler import LocalSchedulerCore
@@ -248,72 +248,121 @@ class TestWaitOrForce:
 
 
 class TestDirectory:
+    """The directory is pure: driven here with an explicit ``now`` and
+    the messages it returns, no threads."""
+
     def rng(self, seed=0):
         return np.random.default_rng(seed)
 
+    def resolve(self, d, array, owner):
+        """Fetch block 0 of ``array``; its first probe is answered by a
+        hit from ``owner``."""
+        d.fetch(array, 0, now=0.0)
+        d.lookup_reply(array, owner, True, now=0.0)
+
     def test_walk_terminates_and_caches(self):
         d = DirectoryClient(0, 4, self.rng())
-        assert d.start_lookup("arr", 0) is None
+        (probe,) = d.fetch("arr", 0, now=0.0)
         probed = set()
         # Drive: everyone misses except node 3.
         for _ in range(3):
-            peer = d.next_probe("arr", 0)
-            assert peer not in probed and peer != 0
-            probed.add(peer)
-            if peer == 3:
-                d.probe_hit("arr", 0, 3)
+            assert probe.op == "lookup" and probe.why == ""
+            assert probe.peer not in probed and probe.peer != 0
+            probed.add(probe.peer)
+            if probe.peer == 3:
+                assert d.lookup_reply("arr", 3, True, now=0.0) == [
+                    Send("fetch", 3, "arr", 0)]
                 break
-            d.probe_miss("arr", 0)
-        assert d.resolved[("arr", 0)] == 3
-        assert d.start_lookup("arr", 0) == 3  # cached
-        assert not d.in_flight("arr", 0)
+            (probe,) = d.lookup_reply("arr", probe.peer, False, now=0.0)
+        assert d.resolved["arr"] == 3
+        assert d.fetch("arr", 1, now=0.0) == [Send("fetch", 3, "arr", 1)]
+        assert d.lookup_reply("arr", 3, True, now=0.0) == []  # walk closed
 
-    def test_exhausted_walk_raises(self):
+    def test_exhausted_walk_restarts(self):
         d = DirectoryClient(0, 3, self.rng())
-        d.start_lookup("ghost", 0)
-        d.next_probe("ghost", 0)
-        d.probe_miss("ghost", 0)
-        d.next_probe("ghost", 0)
-        d.probe_miss("ghost", 0)
-        with pytest.raises(LookupFailed):
-            d.next_probe("ghost", 0)
+        (first,) = d.fetch("ghost", 0, now=0.0)
+        (second,) = d.lookup_reply("ghost", first.peer, False, now=0.0)
+        assert {first.peer, second.peer} == {1, 2}
+        (again,) = d.lookup_reply("ghost", second.peer, False, now=0.0)
+        assert again.op == "lookup" and again.why == "restart"
+        assert again.peer in (1, 2)
+        (after,) = d.lookup_reply("ghost", again.peer, False, now=0.0)
+        assert after.why == "" and after.peer == 3 - again.peer
 
     def test_never_probes_self_or_repeats(self):
         for seed in range(20):
             d = DirectoryClient(2, 6, self.rng(seed))
-            d.start_lookup("a", 1)
+            (probe,) = d.fetch("a", 1, now=0.0)
             seen = set()
             for _ in range(5):
-                p = d.next_probe("a", 1)
-                assert p != 2 and p not in seen
-                seen.add(p)
-                d.probe_miss("a", 1)
+                assert probe.peer != 2 and probe.peer not in seen
+                assert probe.why == ""
+                seen.add(probe.peer)
+                (probe,) = d.lookup_reply("a", probe.peer, False, now=0.0)
+            assert probe.why == "restart"
 
     def test_coalesces_duplicate_lookups(self):
         d = DirectoryClient(0, 4, self.rng())
-        d.start_lookup("a", 0)
-        d.start_lookup("a", 0)  # joins the same walk
-        assert d.in_flight("a", 0)
-        p = d.next_probe("a", 0)
-        d.probe_hit("a", 0, p)
-        assert not d.in_flight("a", 0)
+        (probe,) = d.fetch("a", 0, now=0.0)
+        assert d.fetch("a", 1, now=0.0) == []  # joins the same walk
+        assert d.lookup_reply("a", probe.peer, True, now=0.0) == [
+            Send("fetch", probe.peer, "a", 0), Send("fetch", probe.peer, "a", 1)]
 
-    def test_protocol_misuse_rejected(self):
+    def test_a_reply_without_a_walk_is_ignored(self):
         d = DirectoryClient(0, 4, self.rng())
-        with pytest.raises(DoocError):
-            d.next_probe("a", 0)
-        with pytest.raises(DoocError):
-            d.probe_hit("a", 0, 1)
-        with pytest.raises(DoocError):
-            d.probe_miss("a", 0)
+        assert d.lookup_reply("a", 1, True, now=0.0) == []
+        assert d.lookup_reply("a", 1, False, now=0.0) == []
+        d.fetched("a", 0)
+        assert d.resolved == {} and d.deadline() is None
+        assert d.due(now=10.0) == []
 
     def test_invalidate_clears_cache(self):
         d = DirectoryClient(0, 2, self.rng())
-        d.start_lookup("a", 0)
-        p = d.next_probe("a", 0)
-        d.probe_hit("a", 0, p)
+        self.resolve(d, "a", 1)
         d.invalidate("a")
-        assert d.start_lookup("a", 0) is None
+        assert d.fetch("a", 1, now=0.0) == [Send("lookup", 1, "a")]
+
+    def test_a_due_lookup_is_resent_to_the_same_peer(self):
+        d = DirectoryClient(0, 4, self.rng())
+        (probe,) = d.fetch("a", 0, now=1.0)
+        assert d.deadline() == 1.0 + RETRANSMIT_S
+        assert d.due(now=1.1) == []
+        assert d.due(now=1.0 + RETRANSMIT_S) == [
+            Send("lookup", probe.peer, "a", why="retry")]
+        assert d.deadline() == 1.0 + 2 * RETRANSMIT_S  # rescheduled
+        assert d.due(now=1.3) == []
+
+    def test_a_due_fetch_is_resent_to_its_owner(self):
+        d = DirectoryClient(0, 4, self.rng())
+        self.resolve(d, "a", 2)
+        d.fetched("a", 0)
+        assert d.deadline() is None  # the hit closed the lookup
+        assert d.fetch("a", 5, now=2.0) == [Send("fetch", 2, "a", 5)]
+        assert d.due(now=2.0 + RETRANSMIT_S) == [
+            Send("fetch", 2, "a", 5, "retry")]
+        d.fetched("a", 5)
+        assert d.deadline() is None and d.due(now=9.0) == []
+
+    def test_a_rehome_returns_the_waiting_blocks(self):
+        d = DirectoryClient(0, 4, self.rng())
+        self.resolve(d, "a", 2)  # block 0 in flight to node 2
+        d.fetch("a", 3, now=0.0)
+        d.fetch("b", 7, now=0.0)  # another array's walk is left alone
+        (probe,) = d.fetch("c", 4, now=0.0)
+        d.fetch("c", 1, now=0.0)
+        assert d.rehome("a") == [0, 3]
+        assert d.rehome("c") == [1, 4]
+        assert "a" not in d.resolved
+        assert d.lookup_reply("c", probe.peer, True, now=0.0) == []
+        assert [s.array for s in d.due(now=1.0)] == ["b"]
+
+    def test_no_live_peer_left_parks_the_blocks(self):
+        d = DirectoryClient(0, 2, self.rng())
+        assert d.fetch("a", 0, now=0.0) == [Send("lookup", 1, "a")]
+        assert d.evict(1, now=0.1) == []  # the owner was the only peer
+        assert d.fetch("a", 1, now=0.2) == []
+        assert d.deadline() is None and d.due(now=5.0) == []
+        assert d.rehome("a") == [0, 1]
 
     def test_bad_node_rejected(self):
         with pytest.raises(DoocError):

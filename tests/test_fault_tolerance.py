@@ -12,12 +12,16 @@ import pytest
 
 from repro.core import DOoCEngine, IOFailedError, Program, StallError
 from repro.core.iofilter import array_path
-from repro.core.shm import dev_shm_segments
+from repro.core.shm import SEGMENT_PREFIX, dev_shm_segments
 from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_blocked_reference
+
+#: this process's pool segments (a segment's name carries the pid that
+#: made it): a suite running beside this one cannot fail the leak checks
+OWN_SEGMENTS = f"{SEGMENT_PREFIX}-{os.getpid()}-"
 
 FAULT_SEED = int(os.environ.get("DOOC_FAULT_SEED", "0"))
 
@@ -336,4 +340,4 @@ class TestFaultsAcrossPlanesAndCodecs:
             m.get("faults_injected_by_label", {}).get("task_crash", 0)
             for m in metrics)
         assert sum(m.get("task_reexecutions", 0) for m in metrics) == crashes
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []

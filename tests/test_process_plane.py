@@ -33,6 +33,7 @@ from repro.datacutter import FilterError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import Tracer
 from repro.core.shm import (
+    SEGMENT_PREFIX,
     SLAB_BYTES,
     SMALL_BLOCK_BYTES,
     BlockHandle,
@@ -46,6 +47,10 @@ from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
 from repro.spmv.reference import iterated_spmv_reference
+
+#: this process's pool segments (a segment's name carries the pid that
+#: made it): a suite running beside this one cannot fail the leak checks
+OWN_SEGMENTS = f"{SEGMENT_PREFIX}-{os.getpid()}-"
 
 
 FAULT_SEED = int(os.environ.get("DOOC_FAULT_SEED", "0"))
@@ -116,28 +121,28 @@ class TestSegmentPool:
         a, b = pool.allocate(64), pool.allocate(64)
         (slab, off_a), (slab_b, off_b) = pool.locate(a), pool.locate(b)
         assert slab == slab_b and off_a != off_b  # one segment, two spans
-        assert a not in dev_shm_segments() and b not in dev_shm_segments()
-        assert dev_shm_segments() == [slab] and pool.created == 1
+        assert not {a, b} & set(dev_shm_segments(prefix=OWN_SEGMENTS))
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == [slab] and pool.created == 1
         pool.free(a)
         pool.free(b)
         # Empty, but still the slab the next small block is carved from.
-        assert dev_shm_segments() == [slab]
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == [slab]
         # A block of a quarter slab or more has a segment to itself, named
         # by its key, and takes it along when it goes.
         big = pool.allocate(SMALL_BLOCK_BYTES)
         assert pool.locate(big) == (big, 0)
-        assert dev_shm_segments() == sorted([slab, big])
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == sorted([slab, big])
         pool.free(big)
-        assert dev_shm_segments() == [slab]
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == [slab]
         # The slab goes once it is full (closed to new blocks) and empty.
         fill = [pool.allocate(SMALL_BLOCK_BYTES - 64) for _ in range(5)]
         assert pool.locate(fill[-1])[0] != slab
-        assert slab in dev_shm_segments()  # closed, but not empty yet
+        assert slab in dev_shm_segments(prefix=OWN_SEGMENTS)  # closed, but not empty yet
         for key in fill[:-1]:
             pool.free(key)
-        assert slab not in dev_shm_segments()
+        assert slab not in dev_shm_segments(prefix=OWN_SEGMENTS)
         pool.close()
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
     def test_lease_defers_unlink_until_release(self):
         pool = SegmentPool(tag="t2")
@@ -147,9 +152,9 @@ class TestSegmentPool:
         pool.free(key)
         # Freed but leased: the name must survive (an in-flight task may
         # still attach by name).
-        assert segment in dev_shm_segments()
+        assert segment in dev_shm_segments(prefix=OWN_SEGMENTS)
         pool.release(segment)
-        assert segment not in dev_shm_segments()
+        assert segment not in dev_shm_segments(prefix=OWN_SEGMENTS)
         # The same for a slab, which a lease on any of its blocks pins.
         small = pool.allocate(64)
         slab, _ = pool.locate(small)
@@ -157,9 +162,9 @@ class TestSegmentPool:
         pool.free(small)
         for _ in range(5):  # roll the pool over to a new slab
             pool.free(pool.allocate(SMALL_BLOCK_BYTES - 64))
-        assert slab in dev_shm_segments()
+        assert slab in dev_shm_segments(prefix=OWN_SEGMENTS)
         pool.release(slab)
-        assert slab not in dev_shm_segments()
+        assert slab not in dev_shm_segments(prefix=OWN_SEGMENTS)
         pool.close()
 
     def test_release_underflow_rejected(self):
@@ -185,10 +190,10 @@ class TestSegmentPool:
         pool = SegmentPool(tag="t5")
         keys = [pool.allocate(16) for _ in range(3)]
         keys.append(pool.allocate(SMALL_BLOCK_BYTES))
-        assert len(dev_shm_segments()) == 2
+        assert len(dev_shm_segments(prefix=OWN_SEGMENTS)) == 2
         pool.close()
         pool.close()
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
         with pytest.raises(StorageError, match="not in pool"):
             pool.locate(keys[0])
         with pytest.raises(StorageError, match="closed"):
@@ -262,7 +267,7 @@ class TestProcessPlaneEndToEnd:
         # Per-process operand caches hit once each sub-matrix is decoded.
         assert _total(process_report, "opcache_hits") > 0
         assert _total(process_report, "process_plane_fallbacks", ) == 0
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
     def test_out_of_core_run_stays_zero_copy(self, tmp_path):
         # 8 x 32 KiB arrays through a ~64 KiB budget: spills and segment
@@ -284,7 +289,7 @@ class TestProcessPlaneEndToEnd:
             eng.cleanup()
         assert report.total_spills > 0
         assert _total(report, "bytes_copied") == 0
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
     def test_out_of_core_churn_keeps_slack_under_a_slab(self, tmp_path):
         # 3 MiB of 32 KiB blocks written, spilled and read back through
@@ -311,7 +316,7 @@ class TestProcessPlaneEndToEnd:
         pool = report.metrics[-1]
         assert 3 <= pool["shm_segments_created"] <= 8
         assert 0 < pool["shm_slack_peak_bytes"] < 1 * SLAB_BYTES
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
     def test_segments_unlinked_after_normal_teardown(self, tmp_path):
         prog, want = _chain_program()
@@ -321,7 +326,7 @@ class TestProcessPlaneEndToEnd:
             eng.run(prog, timeout=60)
             # The run's finally already unlinked every segment and audited
             # the leases; fetch still reads the sealed views.
-            assert dev_shm_segments() == []
+            assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
             assert eng._segment_pool.lease_counts() == {}
             np.testing.assert_array_equal(eng.fetch("a3"), want)
         finally:
@@ -337,7 +342,7 @@ class TestProcessPlaneEndToEnd:
                 np.testing.assert_array_equal(eng.fetch("a3"), want)
         finally:
             eng.cleanup()
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
     def test_runs_leave_no_descriptors_open(self, tmp_path):
@@ -374,7 +379,7 @@ class TestProcessPlaneEndToEnd:
                 assert open_fds() == before
         finally:
             resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 class TestFrozenAcrossProcesses:
@@ -391,7 +396,7 @@ class TestFrozenAcrossProcesses:
         finally:
             eng.cleanup()
         # Even the failed run must not leak /dev/shm entries.
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
@@ -429,7 +434,7 @@ class TestInputsAreFrozenEverywhere:
                 eng.fetch("y")
         finally:
             eng.cleanup()
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 class TestOneRunnerForBothPlanes:
@@ -485,7 +490,7 @@ class TestOneRunnerForBothPlanes:
         finally:
             workers.shutdown()
             pool.close()
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 class TestWorkerCrashRecovery:
@@ -505,7 +510,7 @@ class TestWorkerCrashRecovery:
             # run raises here; the child died holding both attached.
             report = eng.run(prog, timeout=120)
             assert eng._segment_pool.lease_counts() == {}
-            assert dev_shm_segments() == []
+            assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
             np.testing.assert_array_equal(eng.fetch("y"), x * 2.0)
         finally:
             eng.cleanup()
@@ -513,7 +518,7 @@ class TestWorkerCrashRecovery:
         assert eng._proc_pool is None or eng._proc_pool.respawns >= 1
         # The crashed child died holding attachments; the parent owns the
         # lease lifecycle, so nothing survives in /dev/shm.
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 @pytest.mark.parametrize("plane", ["thread", "process"])
@@ -548,7 +553,7 @@ class TestAcquireUnwinds:
         # z's write was granted beside the refusal, and taken back.
         assert _total(report, "writes_abandoned") >= 1
         assert _total(report, "process_plane_fallbacks") == 0
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
         return report
 
     def test_a_rejected_interval_among_grants(
@@ -624,7 +629,7 @@ class TestAcquireUnwinds:
                      FaultPlan(seed=FAULT_SEED, task_crash=0.3))
         assert _total(crashy, "task_reexecutions") == _total(
             crashy, "writes_abandoned") > 0
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 def _refuse_to_be_rebuilt():
@@ -669,7 +674,7 @@ class TestAnEnvelopeTheChildCannotRebuild:
             assert (pools[0].crashes, pools[0].respawns) == (0, 0)
         finally:
             eng.cleanup()
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
 
 class TestInlineFallback:
@@ -693,4 +698,4 @@ class TestInlineFallback:
             eng.cleanup()
         assert captured  # ran in-process
         assert _total(report, "process_plane_fallbacks") >= 1
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []

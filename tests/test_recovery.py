@@ -24,7 +24,7 @@ import pytest
 from repro.core import DOoCEngine, Program
 from repro.core.array import ArrayDesc
 from repro.core.dag import TaskDAG
-from repro.core.directory import DirectoryClient, LookupFailed
+from repro.core.directory import RETRANSMIT_S, DirectoryClient, Send
 from repro.core.errors import (
     DoocError,
     NodeLostError,
@@ -379,64 +379,77 @@ class TestScratchWrites:
 class TestDirectoryEviction:
     def test_probes_skip_evicted_peers(self):
         d = DirectoryClient(0, 6, np.random.default_rng(FAULT_SEED))
-        d.evict(3)
-        d.evict(5)
-        assert d.start_lookup("a", 0) is None
+        assert d.evict(3, now=0.0) == [] and d.evict(5, now=0.0) == []
+        (probe,) = d.fetch("a", 0, now=0.0)
         probed = set()
         for _ in range(3):  # the three live peers: 1, 2, 4
-            peer = d.next_probe("a", 0)
-            probed.add(peer)
-            d.probe_miss("a", 0)
+            assert probe.why == ""
+            probed.add(probe.peer)
+            (probe,) = d.lookup_reply("a", probe.peer, False, now=0.0)
         assert probed == {1, 2, 4}
+        assert probe.why == "restart" and probe.peer in probed
 
     def test_walk_bounded_by_live_peers(self):
         n = 6
         d = DirectoryClient(0, n, np.random.default_rng(FAULT_SEED))
-        d.evict(1)
-        d.start_lookup("a", 0)
+        d.evict(1, now=0.0)
+        (probe,) = d.fetch("a", 0, now=0.0)
         probes = 0
-        with pytest.raises(LookupFailed):
-            while True:
-                d.next_probe("a", 0)
-                probes += 1
-                d.probe_miss("a", 0)
+        while probe.why != "restart":
+            probes += 1
+            (probe,) = d.lookup_reply("a", probe.peer, False, now=0.0)
         n_live = n - 1  # one corpse
         assert probes <= n_live - 1
 
     def test_eviction_drops_cached_owner(self):
         d = DirectoryClient(0, 4, np.random.default_rng(0))
-        d.start_lookup("a", 0)
-        d.next_probe("a", 0)
-        d.probe_hit("a", 0, owner=2)
-        assert d.start_lookup("a", 0) == 2  # cached
-        d.evict(2)
-        assert d.start_lookup("a", 0) is None  # re-homed: walk again
+        d.fetch("a", 0, now=0.0)
+        d.lookup_reply("a", 2, True, now=0.0)
+        d.fetched("a", 0)
+        assert d.fetch("a", 1, now=0.0) == [Send("fetch", 2, "a", 1)]  # cached
+        d.fetched("a", 1)
+        d.evict(2, now=0.0)
+        (probe,) = d.fetch("a", 2, now=0.0)  # re-homed: walk again
+        assert probe.op == "lookup" and probe.peer != 2
 
     def test_in_flight_walk_fails_over_past_the_corpse(self):
         d = DirectoryClient(0, 4, np.random.default_rng(FAULT_SEED))
-        d.start_lookup("a", 0)
-        first = d.next_probe("a", 0)
-        d.probe_miss("a", 0)
-        dead = next(n for n in range(1, 4) if n != first)
-        d.evict(dead)  # dies mid-walk
-        remaining = set()
-        while True:
-            try:
-                peer = d.next_probe("a", 0)
-            except LookupFailed:
-                break
-            remaining.add(peer)
-            d.probe_miss("a", 0)
-        assert dead not in remaining
+        (first,) = d.fetch("a", 0, now=0.0)
+        (probe,) = d.lookup_reply("a", first.peer, False, now=0.0)
+        dead = next(n for n in range(1, 4) if n not in (first.peer, probe.peer))
+        assert d.evict(dead, now=0.0) == []  # dies mid-walk, not asked
+        (probe,) = d.lookup_reply("a", probe.peer, False, now=0.0)
+        assert probe.why == "restart" and probe.peer != dead
+
+    def test_eviction_rewalks_a_fetch_in_flight_to_the_corpse(self):
+        d = DirectoryClient(0, 4, np.random.default_rng(FAULT_SEED))
+        d.fetch("a", 0, now=0.0)
+        assert d.lookup_reply("a", 2, True, now=0.0) == [
+            Send("fetch", 2, "a", 0)]
+        (probe,) = d.evict(2, now=1.0)
+        assert probe.op == "lookup" and probe.array == "a"
+        assert probe.peer in (1, 3)
+        # The fetch to the corpse is gone; only the new walk retransmits.
+        assert d.due(now=5.0) == [Send("lookup", probe.peer, "a", why="retry")]
+        assert d.lookup_reply("a", probe.peer, True, now=5.0) == [
+            Send("fetch", probe.peer, "a", 0)]
+
+    def test_eviction_moves_a_lookup_off_the_corpse(self):
+        d = DirectoryClient(0, 4, np.random.default_rng(FAULT_SEED))
+        (probe,) = d.fetch("a", 0, now=0.0)
+        (moved,) = d.evict(probe.peer, now=1.0)
+        assert moved.op == "lookup" and moved.array == "a" and moved.why == ""
+        assert moved.peer not in (0, probe.peer)
+        assert d.deadline() == 1.0 + RETRANSMIT_S
 
     def test_evict_validation(self):
         d = DirectoryClient(0, 4, np.random.default_rng(0))
         with pytest.raises(DoocError):
-            d.evict(0)  # cannot evict self
+            d.evict(0, now=0.0)  # cannot evict self
         with pytest.raises(DoocError):
-            d.evict(9)
-        d.evict(1)
-        d.evict(1)  # idempotent
+            d.evict(9, now=0.0)
+        d.evict(1, now=0.0)
+        assert d.evict(1, now=0.0) == []  # idempotent
 
 
 # -- checkpoint manager ------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.core.errors import RunCancelled, StallError
 from repro.core.global_scheduler import _GlobalSchedulerFilter
 from repro.core.iofilter import IOFilter, delete_array_file, write_array
 from repro.core.local_scheduler import _LocalSchedulerFilter
-from repro.core.shm import dev_shm_segments
+from repro.core.shm import SEGMENT_PREFIX, dev_shm_segments
 from repro.core.storage_filter import _StorageFilter
 from repro.core.worker import _WorkerFilter
 from repro.datacutter import FilterError
@@ -38,6 +38,10 @@ from repro.spmv.generator import symmetric_test_matrix
 from repro.spmv.ooc_operator import OutOfCoreMatrix, _block_diagonal
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import a_name
+
+#: this process's pool segments (a segment's name carries the pid that
+#: made it): a suite running beside this one cannot fail the leak checks
+OWN_SEGMENTS = f"{SEGMENT_PREFIX}-{os.getpid()}-"
 
 N, K = 240, 3
 
@@ -231,7 +235,7 @@ class TestSessionEnds:
             report = eng.run(prog, timeout=60)
             assert np.array_equal(eng.fetch("y"), 2.0 * data)
             assert report.total_loads == 1  # "c" again: nothing carried
-            assert dev_shm_segments() == []
+            assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
         eng.cleanup()
 
 
@@ -658,7 +662,7 @@ class TestGraphLifetime:
         assert started_by(lambda: ys.append(op.matvec(x))) == []
         assert matrix_loads(reports[-1]) == K * K
         assert np.array_equal(ys[0], want)
-        assert dev_shm_segments() == []
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
         op.engine.cleanup()
 
     def test_dropped_engine_releases_its_threads(self, tmp_path):

@@ -177,7 +177,9 @@ class TestPrefetchDroppedMetric:
 
 def storage_filter(store, descs):
     """Node 0's storage filter, bound to a one-node run over ``store``."""
-    return _StorageFilter(0, 1, RunState(stores={0: store}, descs=descs))
+    return _StorageFilter(0, 1, RunState(
+        stores={0: store}, descs=descs,
+        directories={0: DirectoryClient(0, 1, RngTree(0).child("directory", 0))}))
 
 
 def notes(ctx):

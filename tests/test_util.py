@@ -1,41 +1,20 @@
-"""Tests for units, RNG trees, and online statistics."""
-
-import math
+"""Tests for units and RNG trees."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.util import (
     GB,
     GiB,
-    OnlineStats,
-    Percentiles,
     RngTree,
     format_bytes,
     format_rate,
-    format_seconds,
-    parse_bytes,
     spawn,
 )
 from repro.util.units import gbit_to_bytes
 
 
 class TestUnits:
-    def test_round_trip_parse_format(self):
-        assert parse_bytes("4 GB") == 4 * GB
-        assert parse_bytes("24GiB") == 24 * GiB
-        assert parse_bytes("1.5 gb") == int(1.5 * GB)
-        assert parse_bytes(1024) == 1024
-        assert parse_bytes(10.7) == 10
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_bytes("ten GB")
-        with pytest.raises(ValueError):
-            parse_bytes("5 parsecs")
-
     def test_format_bytes_decimal_and_binary(self):
         assert format_bytes(20 * GB) == "20.00 GB"
         assert format_bytes(24 * GiB, binary=True) == "24.00 GiB"
@@ -43,14 +22,6 @@ class TestUnits:
 
     def test_format_rate(self):
         assert format_rate(18.5 * GB) == "18.50 GB/s"
-
-    def test_format_seconds_ranges(self):
-        assert format_seconds(5e-7).endswith("us")
-        assert format_seconds(0.005).endswith("ms")
-        assert format_seconds(42.0) == "42.00 s"
-        assert format_seconds(600.0) == "10.0 min"
-        assert format_seconds(7200.0) == "2.00 h"
-        assert format_seconds(-42.0) == "-42.00 s"
 
     def test_qdr_infiniband_is_4_gbytes(self):
         assert gbit_to_bytes(32.0) == pytest.approx(4 * GB)
@@ -84,68 +55,3 @@ class TestRng:
         _ = t.subtree("a")  # creating another subtree must not disturb "b"
         after = t.subtree("b").child("x").random(4)
         assert np.array_equal(before, after)
-
-
-class TestOnlineStats:
-    def test_empty_stats(self):
-        s = OnlineStats()
-        assert s.n == 0
-        assert math.isnan(s.mean)
-        assert s.variance == 0.0
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        xs = rng.normal(10.0, 3.0, size=500)
-        s = OnlineStats()
-        for x in xs:
-            s.add(float(x))
-        assert s.mean == pytest.approx(float(np.mean(xs)))
-        assert s.variance == pytest.approx(float(np.var(xs, ddof=1)))
-        assert s.min == pytest.approx(float(xs.min()))
-        assert s.max == pytest.approx(float(xs.max()))
-
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=0, max_size=50),
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=0, max_size=50),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_merge_equals_sequential(self, left, right):
-        merged = OnlineStats()
-        for x in left:
-            merged.add(x)
-        other = OnlineStats()
-        for x in right:
-            other.add(x)
-        merged.merge(other)
-
-        seq = OnlineStats()
-        for x in left + right:
-            seq.add(x)
-
-        assert merged.n == seq.n
-        if seq.n:
-            assert merged.mean == pytest.approx(seq.mean, rel=1e-9, abs=1e-6)
-            assert merged.variance == pytest.approx(seq.variance, rel=1e-6, abs=1e-3)
-
-
-class TestPercentiles:
-    def test_quantiles(self):
-        p = Percentiles()
-        for x in [1, 2, 3, 4, 5]:
-            p.add(x)
-        assert p.median == 3.0
-        assert p.quantile(0.0) == 1.0
-        assert p.quantile(1.0) == 5.0
-        assert p.quantile(0.25) == 2.0
-
-    def test_interpolation(self):
-        p = Percentiles(samples=[0.0, 10.0])
-        assert p.quantile(0.3) == pytest.approx(3.0)
-
-    def test_errors(self):
-        p = Percentiles()
-        with pytest.raises(ValueError):
-            p.quantile(0.5)
-        p.add(1.0)
-        with pytest.raises(ValueError):
-            p.quantile(1.5)
