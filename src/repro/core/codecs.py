@@ -21,14 +21,26 @@ Design (zarr-style chunk+codec layering):
   counted by ``bytes_copied`` (it counts the data plane's gather/scatter
   copies only).  A stream that ends short of the buffer, runs past it,
   or is followed by trailing bytes is a :class:`CodecError`;
+* ``zlib`` puts the ``delta32`` filter in front of DEFLATE (zarr's
+  filter-then-compressor pipeline): each little-endian 4-byte word
+  becomes itself minus the word before it, mod 2**32 (a tail of fewer
+  than 4 bytes stays as it is).  The filter knows nothing of the block's
+  structure, yet turns a sub-matrix's sorted 4-byte indices into small,
+  repetitive deltas; it is exactly invertible, so decoding stays
+  bit-identical.  It is applied a piece at a time on the way into the
+  compressor and undone by an in-place running sum over each inflated
+  piece's completed words, so neither direction builds a block-sized
+  temporary.  A ``zlib`` payload is one stock stream of the delta-coded
+  bytes;
 * the zlib codecs skip what DEFLATE cannot shrink (as Blosc stores a
   chunk its compressor cannot shrink): the input is judged in 256 KiB
   segments, and a segment whose first and last 4 KiB each shrink by
   less than 10 % at level 1 (the float64 values of a CSR block) is
   written as DEFLATE *stored* blocks, which cost no match search to
-  write and a copy to inflate.  The payload is still one stock RFC 1950
-  stream — a bare ``zlib.decompress`` reads it — and an input with no
-  such segment encodes to exactly ``zlib.compress(data, level)``;
+  write and a copy to inflate.  The segments are judged after the
+  filter.  The payload is still one stock RFC 1950 stream — a bare
+  ``zlib.decompress`` reads it — and an input with no such segment
+  encodes to exactly ``zlib.compress`` of the (filtered) bytes;
 * codecs are looked up by name in a registry (:func:`register_codec` /
   :func:`get_codec`), so block headers and checkpoint manifests can name
   their codec and new codecs plug in without touching the I/O layer;
@@ -91,35 +103,80 @@ _STORED_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
 #: however far one input piece expands (an all-zero block: ≈ 1000×)
 _INFLATE_IN = 64 * 1024
 _INFLATE_OUT = 128 * 1024
+#: the ``delta32`` filter's word, and how many input bytes the encoder
+#: filters and hands to the compressor at a time
+_WORD = np.dtype("<u4")
+_FILTER_PIECE = 64 * 1024
 
 
-def _incompressible(segment: memoryview) -> bool:
-    """Both ends of ``segment`` resist DEFLATE.  Sampling the tail too
-    keeps a segment that straddles noise and a compressible region (a
-    shuffled block's mantissa plane running into the next plane's zero
-    high bytes) in the compressor."""
-    if len(segment) < _SAMPLE:
+def _delta32(data: memoryview, lo: int, hi: int) -> np.ndarray:
+    """Bytes ``lo:hi`` of ``data`` after the ``delta32`` filter: word
+    ``k`` becomes word ``k`` minus word ``k - 1`` mod 2**32 (word -1 is
+    0); the tail of fewer than 4 bytes is left as it is.  A word's delta
+    reads only ``data``, so any range filters on its own, into a new
+    array the size of the whole words it touches."""
+    whole = len(data) - len(data) % 4
+    start = lo - lo % 4
+    stop = max(start, min(hi + -hi % 4, whole))  # the words lo:hi touches
+    out = np.frombuffer(data, np.uint8, max(stop, hi) - start, start).copy()
+    first = int(start == 0)  # word 0 is its own delta
+    count = (stop - start) // 4 - first
+    if count > 0:
+        at = start + 4 * first
+        np.subtract(np.frombuffer(data, _WORD, count, at),
+                    np.frombuffer(data, _WORD, count, at - 4),
+                    out=out[4 * first:stop - start].view(_WORD))
+    return out[lo - start:hi - start]
+
+
+def _undelta32(words: np.ndarray, lo: int, hi: int) -> int:
+    """Undo ``delta32`` over ``words[lo:hi]`` in place, ``words[:lo]``
+    being restored already: a running sum carried on from word
+    ``lo - 1``.  Returns ``hi``, where the next call carries on."""
+    run = words[lo:hi]
+    if len(run):
+        if lo:
+            run[:1] += words[lo - 1:lo]  # array arithmetic wraps silently
+        np.add.accumulate(run, dtype=_WORD, out=run)
+    return hi
+
+
+def _incompressible(view, lo: int, hi: int) -> bool:
+    """Both ends of the segment ``lo:hi`` resist DEFLATE, read as
+    ``view(a, b)`` returns them (the bytes the compressor would see).
+    Sampling the tail too keeps a segment that straddles noise and a
+    compressible region (a shuffled block's mantissa plane running into
+    the next plane's zero high bytes) in the compressor."""
+    if hi - lo < _SAMPLE:
         return False
-    return all(len(zlib.compress(sample, 1)) > (1 - _MIN_SAVING) * _SAMPLE
-               for sample in (segment[:_SAMPLE], segment[-_SAMPLE:]))
+    return all(len(zlib.compress(view(a, a + _SAMPLE), 1))
+               > (1 - _MIN_SAVING) * _SAMPLE for a in (lo, hi - _SAMPLE))
 
 
-def _deflate(data: memoryview, level: int) -> bytes:
-    """``data`` as one zlib (RFC 1950) stream, incompressible segments stored.
+def _deflate(data: memoryview, level: int, delta: bool = False) -> bytearray:
+    """``data`` as one zlib (RFC 1950) stream, incompressible segments
+    stored; with ``delta``, the stream of its ``delta32`` form.
 
-    Each run of compressible segments goes through its own raw-deflate
-    compressor at ``level``; a run followed by stored blocks ends on a sync
-    flush, which byte-aligns the stream without ending it.  The
+    The input is read a piece at a time (filtered on the way when
+    ``delta``), so nothing block-sized is made beside the payload.  Each
+    run of compressible segments goes through its own raw-deflate
+    compressor at ``level``; a run followed by stored blocks ends on a
+    sync flush, which byte-aligns the stream without ending it.  The
     compressor is fresh per run: one that had not seen the stored bytes
     in between would measure its back-references over the wrong window.
-    With nothing to store this is ``zlib.compress``, byte for byte.
+    With nothing to store this is ``zlib.compress`` of the (filtered)
+    bytes, byte for byte: DEFLATE's output does not depend on how its
+    input is split.
     """
     n = len(data)
-    stored = [_incompressible(data[lo:lo + _SEGMENT])
-              for lo in range(0, n, _SEGMENT)]
-    if not any(stored):
-        return zlib.compress(data, level)
-    parts = [zlib.compress(b"", level)[:2]]  # CMF/FLG, FLEVEL for ``level``
+    view = ((lambda lo, hi: memoryview(_delta32(data, lo, hi))) if delta
+            else (lambda lo, hi: data[lo:hi]))
+    # An empty input is one compressible segment: the stream still needs
+    # its one (empty) final block.
+    stored = [_incompressible(view, lo, min(n, lo + _SEGMENT))
+              for lo in range(0, max(n, 1), _SEGMENT)]
+    out = bytearray(zlib.compress(b"", level)[:2])  # CMF/FLG for ``level``
+    adler = zlib.adler32(b"")
     lo = 0
     for store, run in groupby(stored):
         hi = min(n, lo + _SEGMENT * len(list(run)))
@@ -127,18 +184,25 @@ def _deflate(data: memoryview, level: int) -> bytes:
             for off in range(lo, hi, _STORED_MAX):
                 end = min(hi, off + _STORED_MAX)
                 size = end - off
-                parts += (_STORED_HEADER.pack(end == n, size, size ^ 0xFFFF),
-                          data[off:end])
+                piece = view(off, end)
+                adler = zlib.adler32(piece, adler)
+                out += _STORED_HEADER.pack(end == n, size, size ^ 0xFFFF)
+                out += piece
         else:
             deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
-            parts += (deflate.compress(data[lo:hi]), deflate.flush(
-                zlib.Z_FINISH if hi == n else zlib.Z_SYNC_FLUSH))
+            for off in range(lo, hi, _FILTER_PIECE):
+                piece = view(off, min(hi, off + _FILTER_PIECE))
+                adler = zlib.adler32(piece, adler)
+                out += deflate.compress(piece)
+            out += deflate.flush(zlib.Z_FINISH if hi == n
+                                 else zlib.Z_SYNC_FLUSH)
         lo = hi
-    parts.append(struct.pack(">I", zlib.adler32(data)))
-    return b"".join(parts)
+    out += struct.pack(">I", adler)
+    return out
 
 
-def _inflate_into(payload, out: memoryview, planes: int, what: str) -> None:
+def _inflate_into(payload, out: memoryview, planes: int, what: str,
+                  delta: bool = False) -> None:
     """Inflate the zlib stream ``payload`` straight into ``out``.
 
     The stream fills ``planes`` equal byte planes of ``out``: plane ``p``
@@ -147,9 +211,11 @@ def _inflate_into(payload, out: memoryview, planes: int, what: str) -> None:
     byte of its item).  The payload is read where it lies, ``_INFLATE_IN``
     bytes at a time, and each inflated piece of at most ``_INFLATE_OUT``
     bytes is written to its place in ``out`` at once: decoding holds one
-    piece, never a block.  A payload that does not inflate to exactly
-    ``len(out)`` bytes, or that has bytes after the end of its stream, is
-    a :class:`CodecError` naming ``what``.
+    piece, never a block.  With ``delta`` (one plane only) the stream is
+    the ``delta32`` form, undone in ``out`` over the words each piece
+    completes.  A payload that does not inflate to exactly ``len(out)``
+    bytes, or that has bytes after the end of its stream, is a
+    :class:`CodecError` naming ``what``.
     """
     payload = memoryview(payload).cast("B")
     nbytes = len(out)
@@ -158,6 +224,8 @@ def _inflate_into(payload, out: memoryview, planes: int, what: str) -> None:
     # (DOOC010), and this is caller-owned writable scratch.
     dest = np.asarray(out).reshape(-1, planes)
     rows = len(dest)
+    words = dest.reshape(-1)[: nbytes - nbytes % 4].view(_WORD)
+    restored = 0  # words[:restored] hold their bytes again
     d = zlib.decompressobj()
     data = payload[:0]
     done = fed = 0
@@ -180,6 +248,8 @@ def _inflate_into(payload, out: memoryview, planes: int, what: str) -> None:
                 dest[j:j + k, p] = src[:k]
                 src = src[k:]
                 done += k
+            if delta:  # a piece may end inside a word: that one waits
+                restored = _undelta32(words, restored, done // 4)
     except zlib.error as exc:
         raise CodecError(f"{what} payload does not decode: {exc}") from exc
     if not d.eof or done != nbytes:
@@ -239,10 +309,13 @@ class RawCodec(Codec):
 
 
 class ZlibCodec(Codec):
-    """DEFLATE at a configurable level (the zarr default pipeline).
+    """``delta32`` then DEFLATE at a configurable level (zarr's
+    filter-then-compressor pipeline).
 
-    Segments DEFLATE cannot shrink are stored, not compressed (the module
-    docstring's rule); the payload is one stock zlib stream either way.
+    The word deltas turn sorted 4-byte indices into short repeats DEFLATE
+    can find; segments it still cannot shrink are stored, not compressed
+    (the module docstring's rules).  The payload is one stock zlib stream
+    of the delta-coded bytes either way.
     """
 
     name = "zlib"
@@ -252,11 +325,12 @@ class ZlibCodec(Codec):
             raise CodecError(f"zlib level {level} outside 0..9")
         self.level = level
 
-    def encode(self, data, itemsize: int = 1) -> bytes:
-        return _deflate(memoryview(data).cast("B"), self.level)
+    def encode(self, data, itemsize: int = 1) -> bytearray:
+        return _deflate(memoryview(data).cast("B"), self.level, delta=True)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
-        _inflate_into(payload, memoryview(out).cast("B"), 1, self.name)
+        _inflate_into(payload, memoryview(out).cast("B"), 1, self.name,
+                      delta=True)
 
 
 class ShuffleZlibCodec(Codec):
@@ -283,7 +357,7 @@ class ShuffleZlibCodec(Codec):
         arr = np.frombuffer(data, dtype=np.uint8)
         return arr.reshape(-1, itemsize).T.tobytes()
 
-    def encode(self, data, itemsize: int = 1) -> bytes:
+    def encode(self, data, itemsize: int = 1) -> bytearray:
         data = memoryview(data).cast("B")
         if itemsize < 1 or len(data) % itemsize:
             raise CodecError(

@@ -91,14 +91,18 @@ class DirectoryClient:
     def lookup_reply(self, array: str, owner: int, hit: bool,
                      now: float) -> list[Send]:
         """Peer ``owner`` answered a lookup: on a hit the waiting blocks
-        are fetched from it, on a miss the walk asks the next peer.  A
-        reply with no walk open (a duplicate, or the walk is closed) is
-        ignored."""
+        are fetched from it, on a miss from the peer asked last the walk
+        asks the next peer.  A reply with no walk open (a duplicate, or
+        the walk is closed) is ignored, and so is a miss from any other
+        peer: it answers a lookup the walk has moved past (the original
+        of a retransmit, arriving late), and advancing on it would skip
+        the answer still due.  A hit is the answer whoever sends it."""
         walk = self._walks.get(array)
         if walk is None:
             return []
         if not hit:
-            return self._probe(array, walk, now)
+            return self._probe(array, walk, now) if owner == walk.asked \
+                else []
         del self._walks[array]
         self.resolved[array] = owner
         return [s for b in walk.waiting for s in self.fetch(array, b, now)]

@@ -42,6 +42,15 @@ class UnknownCodecError(CodecError):
     """A codec name (header, manifest, DOOC_CODEC) is not registered."""
 
 
+class ChunkFormatError(StorageError):
+    """A chunk file was written in an earlier container format.
+
+    Its ``zlib`` payload predates the ``delta32`` filter, so decoding it
+    now would install different bytes: it is refused by name instead, and
+    never retried (its bytes will not change).  Re-seed the array.
+    """
+
+
 class IOFailedError(StorageError):
     """A block I/O operation failed permanently (retries exhausted).
 
@@ -106,6 +115,15 @@ class RunCancelled(DoocError):
 
 class RecoveryError(DoocError):
     """Checkpoint/restart or lineage machinery failed (corrupt manifest...)."""
+
+
+class CheckpointFormatError(RecoveryError):
+    """A checkpoint manifest was written in an earlier format version.
+
+    Its ``zlib`` payloads predate the ``delta32`` filter, so decoding them
+    now would restore different bytes: refused by name, like a codec
+    change, rather than skipped as corrupt.
+    """
 
 
 class CodecMismatchError(RecoveryError):

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.core.array import ArrayDesc
 from repro.core.codecs import checksum, get_codec
-from repro.core.errors import BlockMissingError, StorageError
+from repro.core.errors import BlockMissingError, ChunkFormatError, StorageError
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.filters import Filter, FilterContext
 from repro.faults import FaultInjector, InjectedIOError, RetryPolicy
@@ -76,7 +76,9 @@ _CHUNK_SUFFIX = ".arrc"
 
 #: chunk container framing: magic, codec name (NUL-padded ASCII),
 #: raw byte count, encoded payload byte count, CRC-32 of the payload
-CHUNK_MAGIC = b"DOOCCHK1"
+CHUNK_MAGIC = b"DOOCCHK2"
+#: the same framing before ``zlib`` payloads were delta-coded: refused
+_CHUNK_MAGIC_V1 = b"DOOCCHK1"
 _CHUNK_HEADER = struct.Struct("<8s16sQQI")
 CHUNK_HEADER_NBYTES = _CHUNK_HEADER.size
 
@@ -179,12 +181,17 @@ def _chunk_header(header, file_nbytes: int, what: str):
 
     A short header, bad magic, a codec name that is not ASCII, or a file
     shorter (or longer) than the header promises is a
-    :class:`StorageError` naming ``what``.
+    :class:`StorageError` naming ``what``; a chunk of the earlier format
+    is a :class:`ChunkFormatError`.
     """
     if len(header) < CHUNK_HEADER_NBYTES:
         raise StorageError(f"truncated chunk header for {what}")
     magic, codec_name, raw_nbytes, payload_nbytes, crc = \
         _CHUNK_HEADER.unpack_from(header, 0)
+    if magic == _CHUNK_MAGIC_V1:
+        raise ChunkFormatError(
+            f"chunk for {what} has the format before delta-coded zlib "
+            f"payloads ({magic!r}, want {CHUNK_MAGIC!r}); re-seed the array")
     if magic != CHUNK_MAGIC:
         raise StorageError(f"bad chunk magic {magic!r} for {what}")
     if file_nbytes - CHUNK_HEADER_NBYTES != payload_nbytes:
@@ -630,6 +637,7 @@ class IOFilter(Filter):
         :class:`BlockMissingError` short-circuits the retry loop: the
         block was never on disk, so no amount of backoff will produce it
         — the named error reaches the storage layer on the first attempt.
+        So does a :class:`ChunkFormatError`: an old file stays old.
         """
         last: BaseException | None = None
         for attempt in range(self.retry.attempts):
@@ -655,7 +663,7 @@ class IOFilter(Filter):
                     continue
             try:
                 return fn(), None
-            except BlockMissingError as exc:
+            except (BlockMissingError, ChunkFormatError) as exc:
                 last = exc
                 break  # retries cannot conjure never-written bytes
             except (OSError, StorageError) as exc:

@@ -771,9 +771,10 @@ class LocalStore:
                 count("bytes_spilled", st.nbytes)
                 if st.pinned:
                     # Someone requested it again while it was being written
-                    # out; keep the resident copy.
+                    # out; keep the resident copy.  The allocation that
+                    # spilled it still waits for room: reclaim again.
                     move(_RESIDENT)
-                    return self._wake_readers(st)
+                    return self._wake_readers(st) + self._pump_allocs()
                 move(_ABSENT)
                 return [Effect("drop", *key)] + self._pump_allocs()
             case "keep":

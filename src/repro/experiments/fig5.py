@@ -71,7 +71,10 @@ def run(*, iterations: int = 3, seed: int = 3,
     rng = np.random.default_rng(seed)
     n = 150
     p = GridPartition(n, k)
-    d = choose_gap_parameter(n, 20.0)
+    # ~28 nonzeros a row: a 50 x 50 sub-matrix serializes to ~6 KB with
+    # 4-byte indices, 15x a 400 B vector part, so the budget below
+    # holds one sub-matrix and the vectors, never two sub-matrices.
+    d = choose_gap_parameter(n, 28.0)
     global_m = gap_uniform_csr(n, n, d, rng)
     blocks = p.split_matrix(global_m)
     x0 = rng.normal(size=n)

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.codecs import get_codec, resolve_codec
-from repro.core.errors import CodecError, CodecMismatchError, RecoveryError
+from repro.core.errors import (CheckpointFormatError, CodecError,
+                               CodecMismatchError, RecoveryError)
 from repro.core.iofilter import escape_name
 from repro.util.atomicio import atomic_write
 
@@ -43,7 +44,9 @@ __all__ = ["Checkpoint", "CheckpointManager", "CheckpointCadence",
 
 MANIFEST_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 PAYLOAD_RE = re.compile(r"^ckpt-(\d{8})-.+\.blk$")
-FORMAT_VERSION = 1
+#: 2: ``zlib`` payloads are delta-coded (:mod:`repro.core.codecs`); a
+#: version-1 manifest is refused by name, never decoded to other bytes
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -193,8 +196,15 @@ class CheckpointManager:
             raise RecoveryError(f"no checkpoint manifest for step {step}")
         except (OSError, ValueError) as exc:
             raise RecoveryError(f"unreadable manifest {path.name}: {exc}")
-        if not isinstance(manifest, dict) or manifest.get("step") != step \
-                or manifest.get("format") != FORMAT_VERSION:
+        if not isinstance(manifest, dict) or manifest.get("step") != step:
+            raise RecoveryError(f"malformed manifest {path.name}")
+        version = manifest.get("format")
+        if type(version) is int and 0 < version < FORMAT_VERSION:
+            raise CheckpointFormatError(
+                f"checkpoint step {step} has format {version}, before "
+                f"delta-coded zlib payloads; this version reads format "
+                f"{FORMAT_VERSION} only")
+        if version != FORMAT_VERSION:
             raise RecoveryError(f"malformed manifest {path.name}")
         arrays: dict[str, np.ndarray] = {}
         for name, entry in manifest.get("blocks", {}).items():
@@ -240,11 +250,11 @@ class CheckpointManager:
         for step in reversed(self.steps()):
             try:
                 ckpt = self.load(step)
-            except CodecMismatchError:
+            except (CodecMismatchError, CheckpointFormatError):
                 # Not corruption: the checkpoint is intact but encoded
-                # under a different codec.  Falling back past it would
-                # silently restart from older state (or from scratch) —
-                # surface the named refusal instead.
+                # under a different codec or format.  Falling back past it
+                # would silently restart from older state (or from
+                # scratch) — surface the named refusal instead.
                 raise
             except RecoveryError as exc:
                 if self.tracer is not None:

@@ -73,8 +73,8 @@ class CSRBlock:
 
     nrows: int
     ncols: int
-    indptr: np.ndarray   # int64, nrows + 1
-    indices: np.ndarray  # int64, nnz
+    indptr: np.ndarray   # integer, nrows + 1
+    indices: np.ndarray  # integer, nnz
     values: np.ndarray   # float64, nnz
 
     def __post_init__(self) -> None:
@@ -122,14 +122,16 @@ class CSRBlock:
     def to_scipy(self) -> sp.csr_matrix:
         """A SciPy matrix the caller owns, over this block's ``values``.
 
-        SciPy wants 32-bit indices wherever they fit and, handed the
-        file format's 64-bit ones, scans them for their range and then
-        copies them down on the heap.  The range is known here (validated
-        at construction), so they are cast once, into allocator memory,
-        and SciPy keeps what it is given.
+        SciPy wants 32-bit indices wherever they fit.  32-bit ones (a
+        sub-matrix file's) are handed to it as they are; 64-bit ones it
+        would scan for their range and then copy down on the heap, so,
+        the range being known here (validated at construction), they are
+        cast once, into allocator memory, and SciPy keeps what it is
+        given.
         """
         indptr, indices = self.indptr, self.indices
-        if max(self.nrows, self.ncols, self.nnz) < _INT32_LIMIT:
+        if indices.dtype == np.int64 and \
+                max(self.nrows, self.ncols, self.nnz) < _INT32_LIMIT:
             indptr = block_buffer(self.nrows + 1, np.int32)
             indptr[:] = self.indptr
             indices = block_buffer(self.nnz, np.int32)

@@ -1,18 +1,27 @@
 """Binary CRS file format for sub-matrix storage.
 
-Layout (little-endian):
+Layout (little-endian); ``w`` is the index width the header names, 4
+whenever ``max(nrows, ncols, nnz) < 2**31`` and 8 otherwise:
 
-=========  ======  =====================================
-offset     dtype   field
-=========  ======  =====================================
-0          8s      magic ``b"DOOCCSR1"``
-8          i64     nrows
-16         i64     ncols
-24         i64     nnz
-32         i64[n+1]  indptr
-...        i64[nnz]  indices
-...        f64[nnz]  values
-=========  ======  =====================================
+=========  =========  =============================================
+offset     dtype      field
+=========  =========  =============================================
+0          8s         magic ``b"DOOCCSR2"``
+8          i64        nrows
+16         i64        ncols
+24         i64        nnz
+32         i64        index width ``w`` (4 or 8)
+40         i{w}[n+1]  indptr
+...        i{w}[nnz]  indices
+...        u8[0..7]   zero padding, so that ``values`` starts 8-aligned
+...        f64[nnz]   values
+=========  =========  =============================================
+
+Both index arrays have the one width: the in-place kernel
+(:func:`repro.spmv.csr.matvec_into`) multiplies by them where they lie,
+and SciPy's kernel takes one index type.  A file of the earlier format,
+magic ``b"DOOCCSR1"``, is still read: its header stops at ``nnz`` (32
+bytes), its indices are int64 and it has no padding.  Nothing writes it.
 
 The same byte layout doubles as the in-memory serialization used to park a
 sub-matrix in a DOoC global array (one uint8 block), so the storage layer
@@ -29,56 +38,87 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.spmv.csr import CSRBlock, CSRError
+from repro.spmv.csr import _INT32_LIMIT, CSRBlock, CSRError
 from repro.util.atomicio import atomic_write
 
-MAGIC = b"DOOCCSR1"
-_HEADER = struct.Struct("<8sqqq")
+MAGIC = b"DOOCCSR2"
+_HEADER = struct.Struct("<8sqqqq")
+#: the format before the index width: int64 indices, no width field
+_MAGIC_V1 = b"DOOCCSR1"
+_HEADER_V1 = struct.Struct("<8sqqq")
 
 
-def csr_nbytes(nrows: int, nnz: int) -> int:
+def index_width(nrows: int, ncols: int, nnz: int) -> int:
+    """Bytes per index a file of this shape stores: 4 when every index
+    and row pointer fits an int32, else 8."""
+    return 4 if max(nrows, ncols, nnz) < _INT32_LIMIT else 8
+
+
+def _offsets(start: int, nrows: int, nnz: int, width: int):
+    """(indices, values, end) byte offsets of a payload after ``start``."""
+    indices = start + width * (nrows + 1)
+    values = indices + width * nnz
+    values += -values % 8
+    return indices, values, values + 8 * nnz
+
+
+def csr_nbytes(nrows: int, ncols: int, nnz: int) -> int:
     """Size in bytes of the serialized form."""
-    return _HEADER.size + 8 * (nrows + 1) + 8 * nnz + 8 * nnz
+    return _offsets(_HEADER.size, nrows, nnz,
+                    index_width(nrows, ncols, nnz))[2]
 
 
-def serialize_csr(block: CSRBlock) -> bytes:
-    """Serialize to the binary CRS layout."""
-    header = _HEADER.pack(MAGIC, block.nrows, block.ncols, block.nnz)
-    return b"".join(
-        [
-            header,
-            np.ascontiguousarray(block.indptr, dtype="<i8").tobytes(),
-            np.ascontiguousarray(block.indices, dtype="<i8").tobytes(),
-            np.ascontiguousarray(block.values, dtype="<f8").tobytes(),
-        ]
-    )
+def serialize_csr(block: CSRBlock) -> np.ndarray:
+    """Serialize to the binary CRS layout: one uint8 buffer, each field
+    cast into its place (no per-field ``bytes`` to join)."""
+    nrows, ncols, nnz = block.nrows, block.ncols, block.nnz
+    width = index_width(nrows, ncols, nnz)
+    indices, values, end = _offsets(_HEADER.size, nrows, nnz, width)
+    out = np.zeros(end, dtype=np.uint8)  # the padding stays zero
+    _HEADER.pack_into(out, 0, MAGIC, nrows, ncols, nnz, width)
+    index = f"<i{width}"
+    out[_HEADER.size:indices].view(index)[:] = block.indptr
+    out[indices:indices + width * nnz].view(index)[:] = block.indices
+    out[values:].view("<f8")[:] = block.values
+    return out
+
+
+def _parse_header(head, what: str) -> tuple[int, int, int, int, int]:
+    """``(nrows, ncols, nnz, width, header bytes)`` of either format."""
+    magic = bytes(head[:8])
+    if magic == _MAGIC_V1 and len(head) >= _HEADER_V1.size:
+        _, nrows, ncols, nnz = _HEADER_V1.unpack_from(head, 0)
+        return nrows, ncols, nnz, 8, _HEADER_V1.size
+    if magic == MAGIC and len(head) >= _HEADER.size:
+        _, nrows, ncols, nnz, width = _HEADER.unpack_from(head, 0)
+        if width not in (4, 8):
+            raise CSRError(f"{what} names index width {width}; want 4 or 8")
+        return nrows, ncols, nnz, width, _HEADER.size
+    if magic in (MAGIC, _MAGIC_V1) or len(head) < 8:
+        raise CSRError(f"{what} too short for a CRS header")
+    raise CSRError(f"bad magic {magic!r}; {what} is not a binary CRS buffer")
 
 
 def deserialize_csr(raw) -> CSRBlock:
     """Parse the binary CRS layout (accepts bytes or a uint8 ndarray).
 
-    Array views are taken zero-copy when the buffer alignment allows.
+    The three arrays are views of ``raw``, in the width the file stores
+    (no copy); ``values`` is 8-aligned wherever ``raw`` is.
     """
     buf = memoryview(np.asarray(raw, dtype=np.uint8)).cast("B") \
         if isinstance(raw, np.ndarray) else memoryview(raw)
-    if len(buf) < _HEADER.size:
-        raise CSRError("buffer too short for a CRS header")
-    magic, nrows, ncols, nnz = _HEADER.unpack_from(buf, 0)
-    if magic != MAGIC:
-        raise CSRError(f"bad magic {magic!r}; not a binary CRS buffer")
-    expected = csr_nbytes(nrows, nnz)
+    nrows, ncols, nnz, width, start = _parse_header(buf, "buffer")
+    indices, values, expected = _offsets(start, nrows, nnz, width)
     if len(buf) < expected:
         raise CSRError(
             f"buffer has {len(buf)} bytes; header promises {expected}"
         )
-    off = _HEADER.size
-    indptr = np.frombuffer(buf, dtype="<i8", count=nrows + 1, offset=off)
-    off += 8 * (nrows + 1)
-    indices = np.frombuffer(buf, dtype="<i8", count=nnz, offset=off)
-    off += 8 * nnz
-    values = np.frombuffer(buf, dtype="<f8", count=nnz, offset=off)
-    return CSRBlock(nrows=nrows, ncols=ncols,
-                    indptr=indptr, indices=indices, values=values)
+    index = f"<i{width}"
+    return CSRBlock(
+        nrows=nrows, ncols=ncols,
+        indptr=np.frombuffer(buf, dtype=index, count=nrows + 1, offset=start),
+        indices=np.frombuffer(buf, dtype=index, count=nnz, offset=indices),
+        values=np.frombuffer(buf, dtype="<f8", count=nnz, offset=values))
 
 
 def write_csr_file(path: str | Path, block: CSRBlock) -> int:
@@ -102,9 +142,4 @@ def peek_csr_header(path: str | Path) -> tuple[int, int, int]:
     """(nrows, ncols, nnz) without reading the payload arrays."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise CSRError(f"{path} too short for a CRS header")
-    magic, nrows, ncols, nnz = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise CSRError(f"{path} is not a binary CRS file")
-    return nrows, ncols, nnz
+    return _parse_header(head, str(path))[:3]

@@ -86,7 +86,7 @@ class OutOfCoreMatrix:
         # this operator's private copies (a new operator writes its own),
         # so nothing reads them after a crash and they skip the fsync.
         for (u, v), b in blocks.items():
-            raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
+            raw = serialize_csr(b)
             self._a_raw_len[(u, v)] = len(raw)
             self._nnz[(u, v)] = b.nnz
             desc = ArrayDesc(a_name(u, v), length=len(raw), dtype="uint8",

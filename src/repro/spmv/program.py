@@ -49,10 +49,10 @@ def _decode_a(raw: np.ndarray) -> CSRBlock:
     """Serialized bytes -> the validated sub-matrix the multiply takes.
 
     Its three arrays are views of the granted block (no copy: the kernel
-    multiplies by the file's int64 indices), so the decode is the
-    structure checks alone — safe to cache, because sealed buffers are
-    immutable and the operand cache is invalidated (by seal generation)
-    whenever the backing bytes are reclaimed.
+    multiplies by the file's indices, in the width the file stores), so
+    the decode is the structure checks alone — safe to cache, because
+    sealed buffers are immutable and the operand cache is invalidated (by
+    seal generation) whenever the backing bytes are reclaimed.
     """
     return deserialize_csr(raw)
 
@@ -211,7 +211,7 @@ def build_iterated_spmv(
 
     # Sub-matrices: serialized bytes, one DOoC block each, on their nodes.
     for (u, v), b in blocks.items():
-        raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
+        raw = serialize_csr(b)
         prog.initial_array(a_name(u, v), raw, home=owner(u, v),
                            block_elems=len(raw))
 

@@ -8,10 +8,14 @@ checkpoint/restart across a codec change is refused by name.
 """
 
 import os
+import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DOoCEngine, Program
 from repro.core.array import ArrayDesc
@@ -30,6 +34,8 @@ from repro.core.codecs import (
 )
 from repro.core.errors import (
     BlockMissingError,
+    CheckpointFormatError,
+    ChunkFormatError,
     CodecError,
     CodecMismatchError,
     RecoveryError,
@@ -53,6 +59,15 @@ from repro.recovery.checkpoint import CheckpointManager
 def desc(name="a", length=100, block=40, dtype="float64", codec=None):
     return ArrayDesc(name, length=length, block_elems=block, dtype=dtype,
                      codec=codec)
+
+
+def delta32(data: bytes) -> bytes:
+    """The ``zlib`` codec's filter, written without the code under test:
+    each little-endian 4-byte word minus the word before it, mod 2**32,
+    and the tail of fewer than 4 bytes as it is."""
+    whole = len(data) - len(data) % 4
+    words = np.frombuffer(data[:whole], dtype="<u4")
+    return np.diff(words, prepend=np.uint32(0)).tobytes() + data[whole:]
 
 
 class TestRegistry:
@@ -200,7 +215,8 @@ def _csr_block_bytes(nrows=1024, nnz_per_row=256, seed=1):
         nrows=nrows, ncols=nrows,
         indptr=np.arange(nrows + 1, dtype=np.int64) * nnz_per_row,
         indices=cols.ravel(),
-        values=rng.uniform(-bound, bound, size=nrows * nnz_per_row)))
+        values=rng.uniform(-bound, bound, size=nrows * nnz_per_row))
+    ).tobytes()
 
 
 class TestStoredSegments:
@@ -216,20 +232,23 @@ class TestStoredSegments:
         return 8 if len(data) % 8 == 0 else 1
 
     @staticmethod
-    def parent_payload(name, level, data, itemsize):
-        """What the codec wrote before stored segments: one
-        ``zlib.compress`` at its level, of the shuffled bytes for
-        ``shuffle-zlib``."""
+    def filtered(name, data, itemsize):
+        """The bytes the codec hands DEFLATE: the shuffled bytes for
+        ``shuffle-zlib``, the delta-coded ones for ``zlib``."""
         if name == "shuffle-zlib":
-            data = ShuffleZlibCodec._shuffle(memoryview(data), itemsize)
-        return zlib.compress(data, level)
+            return ShuffleZlibCodec._shuffle(memoryview(data), itemsize)
+        return delta32(data)
+
+    def parent_payload(self, name, level, data, itemsize):
+        """What the codec wrote before stored segments: one
+        ``zlib.compress`` at its level of the filtered bytes."""
+        return zlib.compress(self.filtered(name, data, itemsize), level)
 
     def encode_checked(self, name, data, itemsize):
         codec = get_codec(name)
         payload = codec.encode(data, itemsize)
-        want = (ShuffleZlibCodec._shuffle(memoryview(data), itemsize)
-                if name == "shuffle-zlib" else data)
-        assert zlib.decompress(payload) == want  # a bare stock stream
+        # a bare stock stream
+        assert zlib.decompress(payload) == self.filtered(name, data, itemsize)
         out = bytearray(len(data))
         codec.decode_into(payload, memoryview(out), itemsize)
         assert bytes(out) == data
@@ -260,7 +279,10 @@ class TestStoredSegments:
     @pytest.mark.parametrize("itemsize", [1, 8])
     def test_csr_block_stores_its_values_and_keeps_its_ratio(
             self, name, level, itemsize):
-        data = _csr_block_bytes()
+        # ooc_zlib's block (2048 rows of 256): its 4-byte indices are a
+        # third of it, so byte planes of 8 still hold whole segments of
+        # values
+        data = _csr_block_bytes(nrows=2048)
         payload = self.encode_checked(name, data, itemsize)
         parent = self.parent_payload(name, level, data, itemsize)
         assert payload != parent  # some segment went in stored ...
@@ -364,6 +386,111 @@ class TestStreamingDecode:
         with pytest.raises(CodecError,
                            match=f"{len(junk)} trailing bytes after the end"):
             codec.decode_into(codec.encode(raw, 8) + junk, out, 8)
+
+
+class TestDelta32:
+    """The ``zlib`` codec's word-delta filter is exactly invertible at any
+    length and however the inflated stream is cut into pieces, and its
+    mod-2**32 arithmetic wraps without a warning."""
+
+    @given(data=st.binary(max_size=600).filter(lambda b: len(b) % 4),
+           piece=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_at_lengths_and_pieces_that_split_words(self, data,
+                                                               piece):
+        from repro.core import codecs
+
+        codec = get_codec("zlib")
+        payload = codec.encode(data)
+        assert zlib.decompress(payload) == delta32(data)
+        out = bytearray(len(data))
+        # Pieces of 1..64 bytes end inside a word at every offset.
+        with mock.patch.object(codecs, "_INFLATE_OUT", piece), \
+                mock.patch.object(codecs, "_INFLATE_IN", 3):
+            codec.decode_into(payload, memoryview(out))
+        assert out == data
+
+    def test_wraparound_is_silent_and_exact(self):
+        # Every delta below wraps: alternating 0 and 2**32 - 1 words.
+        data = np.tile(np.array([0, 2**32 - 1], dtype="<u4"), 50_000
+                       ).tobytes() + b"\xff\x01"
+        codec = get_codec("zlib")
+        out = np.empty(len(data), dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codec.decode_into(codec.encode(data), memoryview(out))
+        assert out.tobytes() == data
+
+    def test_segments_are_judged_after_the_filter(self):
+        # An arithmetic ramp of random start is noise to DEFLATE until the
+        # filter turns it into one repeated delta: nothing is stored.
+        ramp = (np.uint32(123456789) + np.arange(2 * _SEGMENT // 4,
+                                                 dtype=np.uint32) * 40503)
+        data = ramp.astype("<u4").tobytes()
+        payload = get_codec("zlib").encode(data)
+        assert bytes(payload) == zlib.compress(delta32(data), 6)
+        assert len(payload) < len(data) // 100
+
+
+class TestEarlierFormats:
+    """A ``zlib`` chunk or checkpoint written before the filter would
+    decode to other bytes: each is refused by name, never decoded."""
+
+    @staticmethod
+    def earlier_chunk(raw: bytes) -> bytes:
+        """A ``zlib`` chunk as the earlier format wrote it, built without
+        the code under test: magic ``DOOCCHK1``, payload not filtered."""
+        import struct
+
+        payload = zlib.compress(raw, 6)
+        return struct.pack("<8s16sQQI", b"DOOCCHK1", b"zlib".ljust(16, b"\0"),
+                           len(raw), len(payload),
+                           zlib.crc32(payload)) + payload
+
+    @pytest.mark.parametrize("nbytes", [800, 512 * 1024])  # read, mapped
+    def test_earlier_zlib_chunk_is_refused_by_name(self, tmp_path, nbytes):
+        d = desc(length=nbytes // 8, block=nbytes // 8, codec="zlib")
+        raw = np.arange(nbytes // 8, dtype=np.float64).tobytes()
+        chunk_dir(tmp_path, "a").mkdir()
+        chunk_path(tmp_path, "a", 0).write_bytes(self.earlier_chunk(raw))
+        with pytest.raises(ChunkFormatError, match="DOOCCHK1.*re-seed"):
+            read_block(tmp_path, d, 0)
+        out = np.full(nbytes // 8, -1.0)
+        with pytest.raises(ChunkFormatError):
+            read_block_into(tmp_path, d, 0, out)
+        assert (out == -1.0).all()  # nothing was decoded into it
+
+    def test_earlier_chunk_is_not_retried(self, tmp_path):
+        from repro.core.iofilter import IOFilter
+
+        d = desc(length=100, block=100, codec="zlib")
+        chunk_dir(tmp_path, "a").mkdir()
+        chunk_path(tmp_path, "a", 0).write_bytes(
+            self.earlier_chunk(np.zeros(100).tobytes()))
+        metrics = MetricsRegistry()
+        io = IOFilter(tmp_path, metrics=metrics)
+        result, error = io._attempt(lambda: read_block(tmp_path, d, 0),
+                                    "load", d, 0, "io")
+        assert result is None and isinstance(error, ChunkFormatError)
+        assert "io_retries" not in metrics.as_dict()
+
+    def test_earlier_checkpoint_is_refused_by_name(self, tmp_path):
+        import json
+
+        mgr = CheckpointManager(tmp_path, codec="zlib")
+        mgr.save(1, {"x": np.arange(64.0)})
+        mpath = tmp_path / "ckpt-00000001.ckpt"
+        manifest = json.loads(mpath.read_text())
+        manifest["format"] = 1
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointFormatError, match="format 1"):
+            mgr.load(1)
+        # load_latest surfaces it: skipping it would restart from scratch
+        with pytest.raises(CheckpointFormatError):
+            mgr.load_latest()
+        manifest["format"] = "two"
+        mpath.write_text(json.dumps(manifest))
+        assert mgr.load_latest() is None  # junk is corruption, skipped
 
 
 class TestMappedChunks:

@@ -187,13 +187,15 @@ class TestWritesReadTheBlockInPlace:
 
     @staticmethod
     def chunk_bytes(raw: bytes) -> bytes:
-        """A zlib chunk file as the format defines it (and as every commit
-        before this one wrote it), built without the code under test."""
+        """A zlib chunk file as the format defines it, built without the
+        code under test: one ``zlib.compress`` of the delta-coded bytes."""
         import struct
         import zlib
 
-        payload = zlib.compress(raw, 6)
-        return struct.pack("<8s16sQQI", b"DOOCCHK1", b"zlib".ljust(16, b"\0"),
+        from tests.test_codecs import delta32
+
+        payload = zlib.compress(delta32(raw), 6)
+        return struct.pack("<8s16sQQI", b"DOOCCHK2", b"zlib".ljust(16, b"\0"),
                            len(raw), len(payload),
                            zlib.crc32(payload)) + payload
 

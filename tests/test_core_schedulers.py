@@ -332,6 +332,23 @@ class TestDirectory:
         assert d.deadline() == 1.0 + 2 * RETRANSMIT_S  # rescheduled
         assert d.due(now=1.3) == []
 
+    def test_a_late_miss_from_a_peer_left_behind_is_ignored(self):
+        # 3 nodes: lookup to one peer, retransmit to it, its miss moves
+        # the walk to the other; the duplicate miss (the answer to the
+        # retransmit) must not restart the walk while that answer is due.
+        d = DirectoryClient(0, 3, self.rng())
+        (first,) = d.fetch("a", 0, now=0.0)
+        other = 3 - first.peer
+        assert d.due(now=RETRANSMIT_S) == [
+            Send("lookup", first.peer, "a", why="retry")]
+        assert d.lookup_reply("a", first.peer, False, now=0.3) == [
+            Send("lookup", other, "a")]
+        assert d.lookup_reply("a", first.peer, False, now=0.31) == []
+        assert d.deadline() == 0.3 + RETRANSMIT_S  # still asking ``other``
+        # A hit is the answer whoever sends it, late or not.
+        assert d.lookup_reply("a", first.peer, True, now=0.32) == [
+            Send("fetch", first.peer, "a", 0)]
+
     def test_a_due_fetch_is_resent_to_its_owner(self):
         d = DirectoryClient(0, 4, self.rng())
         self.resolve(d, "a", 2)

@@ -433,6 +433,31 @@ class TestOutOfCore:
         assert "grant_read" in kinds
         assert "drop" not in kinds
 
+    def test_a_spill_kept_for_a_reader_reclaims_again(self):
+        """The allocation whose reclaim spilled block 0 still needs room
+        when a reader keeps block 0 resident: the store reclaims again
+        (spills block 1) instead of leaving the allocation queued with
+        nothing left to wake it.  Without this an SpMV run on a budget of
+        one sub-matrix stalled: the write held its grant, the sub-matrix
+        load waited for room, and the vector whose spill was to make
+        that room had been asked for again."""
+        d = desc(length=150, block=50)
+        store = LocalStore(0, memory_budget=800)
+        store.create_array(d)
+        for b in [0, 1]:
+            t, _ = store.request_write(whole_block(d, b))
+            t.data[:] = float(b)
+            store.release(t)
+        writer, effects = store.request_write(whole_block(d, 2))
+        assert [(e.kind, e.block) for e in effects] == [("spill", 0)]
+        reader, _ = store.request_read(whole_block(d, 0))
+        effects = store.on_spilled("a", 0)
+        assert [(e.kind, e.block) for e in effects] == [
+            ("grant_read", 0), ("spill", 1)]
+        effects = store.on_spilled("a", 1)
+        assert [(e.kind, e.block) for e in effects] == [
+            ("drop", 1), ("grant_write", 2)]
+
     def test_availability_map(self):
         d, store = self.make()
         t, effects = store.request_read(whole_block(d, 0))

@@ -208,7 +208,7 @@ class TestCSRFile:
         rng = np.random.default_rng(4)
         b = random_csr(rng)
         raw = serialize_csr(b)
-        assert len(raw) == csr_nbytes(b.nrows, b.nnz)
+        assert len(raw) == csr_nbytes(b.nrows, b.ncols, b.nnz)
         b2 = deserialize_csr(raw)
         assert b2.shape == b.shape
         np.testing.assert_array_equal(b2.indptr, b.indptr)
@@ -224,24 +224,83 @@ class TestCSRFile:
 
     def test_decode_copies_nothing(self, monkeypatch):
         """The engine's decode (``_decode_a``) allocates nothing: its
-        three arrays are views of the raw block, and the product over
-        the file's int64 indices has the bytes of SciPy's ``a @ x``."""
+        three arrays are views of the raw block, the indices the file's
+        int32 ones, and the product over them allocates nothing either
+        and has the bytes of SciPy's ``a @ x``."""
+        import tracemalloc
+
         import repro.spmv.csr as csr
+        from repro.spmv.csr import matvec_into
         from repro.spmv.program import _decode_a
 
-        b = random_csr(np.random.default_rng(7), nrows=40, ncols=25)
+        b = random_csr(np.random.default_rng(7), nrows=400, ncols=250)
         raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
         allocated = []
         monkeypatch.setattr(csr, "block_buffer",
                             lambda *args: allocated.append(args))
         a = _decode_a(raw)
         assert allocated == []
+        assert a.indptr.dtype == a.indices.dtype == np.int32
         for arr in (a.indptr, a.indices, a.values):
             assert np.shares_memory(arr, raw)
         x = np.random.default_rng(8).normal(size=b.ncols)
+        out = np.empty(b.nrows)
+        tracemalloc.start()
+        try:
+            matvec_into(a, x, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.indices.nbytes // 8  # no copy of any index array
         reference = sp.csr_matrix((b.values, b.indices, b.indptr),
                                   shape=b.shape)
-        assert a.matvec(x).tobytes() == (reference @ x).tobytes()
+        assert out.tobytes() == (reference @ x).tobytes()
+
+    @pytest.mark.parametrize("ncols,width", [(30, 4), (2**31, 8)])
+    @pytest.mark.parametrize("nnz", [5, 6])  # 6: the int32 layout pads
+    def test_round_trip_at_both_widths(self, ncols, width, nnz):
+        # Two rows; a block wider than 2**31 columns needs 8-byte indices.
+        cols = [0, 7, ncols - 1, 3, 4, ncols - 2][:nnz]
+        b = CSRBlock(nrows=2, ncols=ncols, indptr=np.array([0, 3, nnz]),
+                     indices=np.array(cols), values=np.arange(1.0, nnz + 1))
+        raw = serialize_csr(b)
+        assert raw.dtype == np.uint8 and bytes(raw[:8]) == b"DOOCCSR2"
+        assert len(raw) == csr_nbytes(2, ncols, nnz)
+        got = deserialize_csr(raw)
+        assert got.indptr.dtype == got.indices.dtype == np.dtype(f"<i{width}")
+        np.testing.assert_array_equal(got.indptr, b.indptr)
+        np.testing.assert_array_equal(got.indices, b.indices)
+        assert got.values.tobytes() == b.values.tobytes()
+        start = got.values.ctypes.data - raw.ctypes.data
+        assert start % 8 == 0 and got.values.flags.aligned
+        pad = start - (40 + width * 3 + width * nnz)
+        assert pad == (4 if (width, nnz) == (4, 6) else 0)
+        assert not raw[start - pad:start].any()  # zero bytes
+
+    def test_earlier_format_is_read(self, tmp_path):
+        """A ``DOOCCSR1`` file (int64 indices, a header of 32 bytes, no
+        width) is read as it lies, built here without the code under
+        test."""
+        import struct
+
+        b = random_csr(np.random.default_rng(9))
+        old = struct.pack("<8sqqq", b"DOOCCSR1", b.nrows, b.ncols, b.nnz) \
+            + b.indptr.astype("<i8").tobytes() \
+            + b.indices.astype("<i8").tobytes() + b.values.tobytes()
+        got = deserialize_csr(old)
+        assert got.indices.dtype == np.int64
+        np.testing.assert_array_equal(got.to_dense(), b.to_dense())
+        path = tmp_path / "old.bin"
+        path.write_bytes(old)
+        assert peek_csr_header(path) == (b.nrows, b.ncols, b.nnz)
+        np.testing.assert_array_equal(read_csr_file(path).to_dense(),
+                                      b.to_dense())
+
+    def test_unknown_index_width_is_refused(self):
+        raw = serialize_csr(random_csr(np.random.default_rng(10)))
+        raw[32:40] = np.frombuffer((2).to_bytes(8, "little"), np.uint8)
+        with pytest.raises(CSRError, match="index width 2"):
+            deserialize_csr(raw)
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

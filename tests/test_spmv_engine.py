@@ -137,10 +137,11 @@ class TestFig5LoadCounts:
         memory for one sub-matrix; per-node *matrix* loads must track the
         back-and-forth count (3 first iteration, ~2 after), not 3/iter."""
         iterations, k = 3, 3
-        # Dense-ish 50x50 blocks (~16 KB serialized) dwarf the 400 B
-        # vectors, so the budget below truly fits only one sub-matrix.
+        # 50x50 blocks of ~190 nonzeros (~5.5-6 KB serialized with 4-byte
+        # indices) dwarf the 400 B vectors, so the budget below truly fits
+        # only one sub-matrix.
         global_m, p, blocks, x0 = make_problem(n=150, k=k, seed=3,
-                                               density_per_row=20.0)
+                                               density_per_row=28.0)
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=iterations, n_nodes=k,
             policy="simple", owner=column_owner(k, k))
@@ -217,11 +218,11 @@ class TestATaskAsksOnce:
             self, tmp_path, plane):
         from repro.core.shm import SLAB_BYTES, SMALL_BLOCK_BYTES
 
-        # 1024 x 1024 sub-matrices of ~20 nonzeros a row: a third of a
-        # mebibyte each, so they get segments of their own; the vectors
-        # (8 KiB a part) are carved from slabs.
+        # 1024 x 1024 sub-matrices of ~28 nonzeros a row: a third of a
+        # mebibyte each (4-byte indices), so they get segments of their
+        # own; the vectors (8 KiB a part) are carved from slabs.
         global_m, p, blocks, x0 = make_problem(n=2048, k=2, seed=5,
-                                               density_per_row=40.0)
+                                               density_per_row=56.0)
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=4, n_nodes=1,
             policy="simple")
@@ -275,8 +276,10 @@ class TestLoadOrderIsNotAFunctionOfSpeed:
         # (With room for two, the first two prefetches go into free memory
         # and whichever lands first runs first -- that overlap of I/O and
         # compute is wanted, and is one place where speed still shows.)
+        # ~28 nonzeros a row keep a sub-matrix ~9 KB with 4-byte indices,
+        # so the budget's room beside one holds the few 400 B vectors.
         global_m, p, blocks, x0 = make_problem(n=100, k=2, seed=3,
-                                               density_per_row=20.0)
+                                               density_per_row=28.0)
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=3, n_nodes=1,
             policy="simple")
@@ -326,7 +329,7 @@ class TestTheStoreTellsTheSchedulerNeverAsks:
 
     def test_messages_per_task_and_no_blind_re_prefetch(self, tmp_path):
         global_m, p, blocks, x0 = make_problem(n=100, k=2, seed=3,
-                                               density_per_row=20.0)
+                                               density_per_row=28.0)
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=3, n_nodes=1,
             policy="simple")
