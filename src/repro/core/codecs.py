@@ -4,8 +4,9 @@ The paper's thesis is that the dominant cost of an out-of-core solver is
 moving sub-matrices between the filesystem and memory — so the cheapest
 byte is the one never read.  This module shrinks the bytes: every block
 that crosses the spill/load boundary can be encoded by a named codec, and
-the on-disk chunk container (:mod:`repro.core.iofilter`) records which one,
-so readers self-describe.
+the on-disk chunk container (:mod:`repro.core.iofilter`) records which one:
+a chunk decodes by its header's codec, and an array declared from scratch
+runs under the codec its files were written with.
 
 Design (zarr-style chunk+codec layering):
 
@@ -141,6 +142,26 @@ def _undelta32(words: np.ndarray, lo: int, hi: int) -> int:
     return hi
 
 
+def _shuffled(data: memoryview, itemsize: int):
+    """The byte-plane transpose of ``data``, a range at a time:
+    ``view(lo, hi)`` returns bytes ``lo:hi`` of the block shuffled into
+    ``itemsize`` planes (byte ``p * rows + j`` is byte ``p`` of element
+    ``j``), gathered into a new array of ``hi - lo`` bytes."""
+    planes = np.frombuffer(data, np.uint8).reshape(-1, itemsize)
+    rows = len(planes)
+
+    def view(lo: int, hi: int) -> memoryview:
+        out = np.empty(hi - lo, np.uint8)
+        at = 0
+        while at < len(out):
+            p, j = divmod(lo + at, rows)
+            k = min(len(out) - at, rows - j)
+            out[at:at + k] = planes[j:j + k, p]
+            at += k
+        return memoryview(out)
+    return view
+
+
 def _incompressible(view, lo: int, hi: int) -> bool:
     """Both ends of the segment ``lo:hi`` resist DEFLATE, read as
     ``view(a, b)`` returns them (the bytes the compressor would see).
@@ -153,12 +174,14 @@ def _incompressible(view, lo: int, hi: int) -> bool:
                > (1 - _MIN_SAVING) * _SAMPLE for a in (lo, hi - _SAMPLE))
 
 
-def _deflate(data: memoryview, level: int, delta: bool = False) -> bytearray:
-    """``data`` as one zlib (RFC 1950) stream, incompressible segments
-    stored; with ``delta``, the stream of its ``delta32`` form.
+def _deflate(n: int, view, level: int) -> bytearray:
+    """The ``n`` bytes ``view(lo, hi)`` reads as one zlib (RFC 1950)
+    stream, incompressible segments stored.
 
-    The input is read a piece at a time (filtered on the way when
-    ``delta``), so nothing block-sized is made beside the payload.  Each
+    ``view`` returns the bytes the compressor sees — the block itself,
+    its ``delta32`` form, or its byte planes — a piece at a time (made
+    on the way by the filter or the shuffle), so nothing block-sized is
+    made beside the payload.  Each
     run of compressible segments goes through its own raw-deflate
     compressor at ``level``; a run followed by stored blocks ends on a
     sync flush, which byte-aligns the stream without ending it.  The
@@ -168,9 +191,6 @@ def _deflate(data: memoryview, level: int, delta: bool = False) -> bytearray:
     bytes, byte for byte: DEFLATE's output does not depend on how its
     input is split.
     """
-    n = len(data)
-    view = ((lambda lo, hi: memoryview(_delta32(data, lo, hi))) if delta
-            else (lambda lo, hi: data[lo:hi]))
     # An empty input is one compressible segment: the stream still needs
     # its one (empty) final block.
     stored = [_incompressible(view, lo, min(n, lo + _SEGMENT))
@@ -292,8 +312,10 @@ class Codec:
 
 
 class RawCodec(Codec):
-    """Identity codec: a block's file is its bytes, with no container
-    (the ``.arr`` layout of :mod:`repro.core.iofilter`)."""
+    """Identity codec: a block's file is its bytes, with no container.
+    It is the one codec whose files take the ``.arr`` suffix; every
+    other codec's are framed chunks named ``.arrc``
+    (:func:`repro.core.iofilter.block_path`)."""
 
     name = "raw"
 
@@ -326,7 +348,10 @@ class ZlibCodec(Codec):
         self.level = level
 
     def encode(self, data, itemsize: int = 1) -> bytearray:
-        return _deflate(memoryview(data).cast("B"), self.level, delta=True)
+        data = memoryview(data).cast("B")
+        return _deflate(len(data),
+                        lambda lo, hi: memoryview(_delta32(data, lo, hi)),
+                        self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         _inflate_into(payload, memoryview(out).cast("B"), 1, self.name,
@@ -341,8 +366,9 @@ class ShuffleZlibCodec(Codec):
     which DEFLATE then squeezes far better than the interleaved layout —
     at level 1 the shuffle+deflate combination approaches zlib-6 ratios
     at a fraction of the CPU cost on smooth numeric data.  The shuffled
-    bytes go through the same writer as :class:`ZlibCodec`'s, so byte
-    planes DEFLATE cannot shrink (low mantissa bytes) are stored.
+    bytes go through the same writer as :class:`ZlibCodec`'s, a piece at
+    a time (:func:`_shuffled`), so byte planes DEFLATE cannot shrink (low
+    mantissa bytes) are stored and no shuffled block is ever built.
     """
 
     name = "shuffle-zlib"
@@ -352,17 +378,12 @@ class ShuffleZlibCodec(Codec):
             raise CodecError(f"zlib level {level} outside 0..9")
         self.level = level
 
-    @staticmethod
-    def _shuffle(data: memoryview, itemsize: int) -> bytes:
-        arr = np.frombuffer(data, dtype=np.uint8)
-        return arr.reshape(-1, itemsize).T.tobytes()
-
     def encode(self, data, itemsize: int = 1) -> bytearray:
         data = memoryview(data).cast("B")
         if itemsize < 1 or len(data) % itemsize:
             raise CodecError(
                 f"cannot shuffle {len(data)} bytes by itemsize {itemsize}")
-        return _deflate(memoryview(self._shuffle(data, itemsize)), self.level)
+        return _deflate(len(data), _shuffled(data, itemsize), self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         out = memoryview(out).cast("B")

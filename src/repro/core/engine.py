@@ -58,7 +58,8 @@ from repro.core.errors import DoocError, NodeLostError, RunCancelled, StallError
 from repro.core.global_scheduler import (GlobalScheduler,
                                          _GlobalSchedulerFilter,
                                          _RecoveryContext)
-from repro.core.iofilter import IOFilter, backing_identity, read_block, write_array
+from repro.core.iofilter import (IOFilter, backing_codec, backing_identity,
+                                 read_block, write_array)
 from repro.core.local_scheduler import _LocalSchedulerFilter
 from repro.core.procplane import ProcessWorkerPool
 from repro.core.program import Program
@@ -454,8 +455,8 @@ class DOoCEngine:
         """Fix the run's descriptors, array homes and task assignment."""
         # Stamp the engine's codec snapshot onto every descriptor that
         # doesn't pin one of its own: spills, loads, and checkpoints all
-        # see the same codec for the whole run.  (Pre-seeded files keep
-        # working regardless — readers probe the on-disk layout.)
+        # see the same codec for the whole run.  An array declared from
+        # scratch takes its files' codec instead (``_seed``).
         self._descs = {
             name: d if d.codec is not None else replace(d, codec=self.codec)
             for name, d in program.arrays.items()
@@ -478,7 +479,8 @@ class DOoCEngine:
         """Write the seeded initial arrays to their homes' scratch (not
         fsynced: a seed copies data the caller holds, so nothing needs it
         after a crash), and identify the files behind the ones declared
-        from scratch."""
+        from scratch, whose descriptors take the codec those files were
+        written with: a load opens the file its descriptor names."""
         backing: dict[str, FileBacking] = {}
         for name, data in program.initial_data.items():
             home = program.initial_home[name]
@@ -492,7 +494,9 @@ class DOoCEngine:
                     f"initial array {name!r} declared from scratch but "
                     f"no backing file exists on node {home}"
                 )
-            backing[name] = FileBacking(self._descs[name], home, identity)
+            desc = self._descs[name] = replace(
+                self._descs[name], codec=backing_codec(scratch, identity))
+            backing[name] = FileBacking(desc, home, identity)
         return backing
 
     def _open_worker_plane(self) -> ProcessWorkerPool | None:

@@ -1,23 +1,25 @@
 """Scratch-directory block I/O.
 
 Each node's storage filter uses a scratch directory as its out-of-core
-backing store.  A block is one file, and the array's descriptor says
-which (zarr's layout, where each chunk has its own key):
+backing store.  A block is one file, named by the array's descriptor
+alone (:func:`block_path`, zarr's one key per chunk):
 
-* ``raw`` (codec unset), one block: the file ``<name>.arr`` holds it;
-* ``raw``, several blocks: the directory ``<name>.arr/`` holds one file
-  per block (``<block>.blk``), each exactly the block's bytes;
-* any other codec (:mod:`repro.core.codecs`): the chunk directory
-  ``<name>.arrc/`` holds one container file per block (``<block>.blk``),
-  each a small header (magic, codec name, raw/payload sizes, CRC-32)
-  followed by the encoded payload.
+* the suffix is the codec's class: ``.arr`` for ``raw`` (codec unset),
+  ``.arrc`` for any other codec (:mod:`repro.core.codecs`);
+* an array of one block is the file ``<name>.arr`` or ``<name>.arrc``;
+  one of several blocks is the directory of that name, holding one
+  ``<block:08d>.blk`` per block;
+* a raw file is exactly the block's bytes; an encoded one is a small
+  header (magic, codec name, raw/payload sizes, CRC-32) followed by the
+  encoded payload.
 
 Writing a block therefore replaces one whole file by one atomic rename,
-whatever the codec.  Readers probe for a chunk directory rather than
-trusting the descriptor's codec, and chunk headers name their own codec
-— an array seeded raw stays readable under an engine whose default codec
-is ``zlib`` and vice versa.  A raw array is read with the blocking it
-was written with.
+whatever the codec, and a load opens the one file the descriptor names
+and asks the file system about no other path.  An array is read with the
+codec and blocking it was written with: the engine stamps the codec of
+an array declared from scratch from its files once per run
+(:func:`backing_codec`), and a file where a directory belongs, or the
+reverse, is a :class:`StorageError` that says to re-seed.
 
 A load takes one path per kind of destination, with no switch between
 them: a raw block of ``_MMAP_MIN_BYTES`` and more is a read-only mapping
@@ -37,8 +39,8 @@ command whose retries are exhausted is answered with a structured
 ``io_error`` reply carrying the original ``token`` — the filter itself
 never dies on an I/O error, so the storage layer can fail the blocked
 tickets fast instead of stranding them.  A
-:class:`~repro.core.errors.BlockMissingError` (block never written: file
-or chunk file absent) is **not** retried — the bytes
+:class:`~repro.core.errors.BlockMissingError` (block never written: its
+file absent) is **not** retried — the bytes
 were never there, so backoff cannot help; the named type lets recovery
 tell a reconstructable miss from real corruption.
 """
@@ -107,19 +109,10 @@ def unescape_name(safe: str) -> str:
 
 
 def array_path(scratch: Path, name: str) -> Path:
-    """File backing ``name`` under the raw layout (array names may contain
-    '/' -> subdirs not allowed; they are mangled to keep one flat
+    """The file of a one-block raw array ``name`` (array names may
+    contain '/' -> subdirs not allowed; they are mangled to keep one flat
     directory)."""
     return Path(scratch) / f"{escape_name(name)}{_SUFFIX}"
-
-
-def chunk_dir(scratch: Path, name: str) -> Path:
-    """Chunk directory backing ``name`` under a compressed layout."""
-    return Path(scratch) / f"{escape_name(name)}{_CHUNK_SUFFIX}"
-
-
-def chunk_path(scratch: Path, name: str, block: int) -> Path:
-    return chunk_dir(scratch, name) / f"{block:08d}.blk"
 
 
 def desc_codec(desc: ArrayDesc) -> str:
@@ -127,34 +120,52 @@ def desc_codec(desc: ArrayDesc) -> str:
     return desc.codec or "raw"
 
 
-def raw_block_path(scratch: Path, desc: ArrayDesc, block: int) -> Path:
-    """The file that holds raw ``block`` of ``desc``: the array's ``.arr``
-    file when it has one block, ``<name>.arr/<block>.blk`` otherwise."""
+def block_path(scratch: Path, desc: ArrayDesc, block: int) -> Path:
+    """The one file that holds ``block`` of ``desc``: ``<name>.arr``
+    (raw) or ``<name>.arrc`` (encoded) when the array has one block,
+    ``<block:08d>.blk`` in the directory of that name otherwise."""
     desc.block_bounds(block)
-    path = array_path(scratch, desc.name)
+    suffix = _SUFFIX if desc_codec(desc) == "raw" else _CHUNK_SUFFIX
+    path = Path(scratch) / f"{escape_name(desc.name)}{suffix}"
     return path if desc.n_blocks == 1 else path / f"{block:08d}.blk"
 
 
+def _backings(scratch: Path, name: str) -> list[Path]:
+    """Every file or directory of ``name`` on disk, under either suffix."""
+    stem = escape_name(name)
+    return [path for suffix in (_SUFFIX, _CHUNK_SUFFIX)
+            if (path := Path(scratch) / f"{stem}{suffix}").exists()]
+
+
 def backing_identity(scratch: Path, name: str) -> tuple | None:
-    """``(file, st_ino, st_size, st_mtime_ns)`` of every file readers of
-    ``name`` would open (the layout :func:`_layout` picks: the chunk
-    directory, else the ``.arr`` file or directory); ``None`` when nothing
-    backs it.
+    """``(file, st_ino, st_size, st_mtime_ns)`` of every file that backs
+    ``name`` (``file`` relative to ``scratch``, in order: a directory's
+    block files by block); ``None`` when nothing backs it.
 
     Equal identities at two moments mean the bytes between them are the
     same: every writer in this package replaces a file through
     ``atomic_write``'s rename, which gives it a new inode.
     """
-    path = chunk_dir(scratch, name)
-    if not path.is_dir():
-        path = array_path(scratch, name)
+    root = Path(scratch)
     try:
-        files = sorted(path.iterdir()) if path.is_dir() else [path]
-        stats = [(f.name, os.stat(f)) for f in files]
+        files = [f for path in _backings(root, name)
+                 for f in (sorted(path.iterdir()) if path.is_dir() else [path])]
+        stats = [(f.relative_to(root).as_posix(), os.stat(f)) for f in files]
     except FileNotFoundError:
         return None
     return tuple((fname, st.st_ino, st.st_size, st.st_mtime_ns)
-                 for fname, st in stats)
+                 for fname, st in stats) or None
+
+
+def backing_codec(scratch: Path, identity: tuple) -> str:
+    """The codec of the files :func:`backing_identity` named: ``raw``
+    for an ``.arr`` backing, the codec the first chunk's header names for
+    an ``.arrc`` one."""
+    fname, _, size, _ = identity[0]
+    if fname.partition("/")[0].endswith(_SUFFIX):
+        return "raw"
+    with open(Path(scratch) / fname, "rb") as fh:
+        return _chunk_header(fh.read(CHUNK_HEADER_NBYTES), size, fname)[0]
 
 
 def _inc(metrics, name: str, n: int) -> None:
@@ -162,8 +173,10 @@ def _inc(metrics, name: str, n: int) -> None:
         metrics.inc(name, int(n))
 
 
-def pack_chunk(codec_name: str, raw, itemsize: int) -> bytes:
-    """Frame one block's bytes as a self-describing chunk container."""
+def pack_chunk(codec_name: str, raw, itemsize: int) -> tuple:
+    """Frame one block's bytes as a self-describing chunk container:
+    ``(header, payload)``, the file's two parts, written one after the
+    other without a joined copy."""
     codec = get_codec(codec_name)
     payload = codec.encode(raw, itemsize)
     name_bytes = codec_name.encode("ascii")
@@ -172,7 +185,7 @@ def pack_chunk(codec_name: str, raw, itemsize: int) -> bytes:
     header = _CHUNK_HEADER.pack(
         CHUNK_MAGIC, name_bytes.ljust(16, b"\0"),
         len(memoryview(raw).cast("B")), len(payload), checksum(payload))
-    return header + payload
+    return header, payload
 
 
 def _chunk_header(header, file_nbytes: int, what: str):
@@ -266,52 +279,12 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
         )
     raw = _raw_bytes(data, desc)
     codec_name = desc_codec(desc)
-    if codec_name == "raw":
-        path, blob = raw_block_path(scratch, desc, block), raw
-    else:
-        path = chunk_path(scratch, desc.name, block)
-        blob = pack_chunk(codec_name, raw, desc.itemsize)
-    atomic_write(path, blob, durable=durable)
-    _inc(metrics, "disk_bytes_written", memoryview(blob).nbytes)
+    parts = ((raw,) if codec_name == "raw"
+             else pack_chunk(codec_name, raw, desc.itemsize))
+    atomic_write(block_path(scratch, desc, block), *parts, durable=durable)
+    _inc(metrics, "disk_bytes_written",
+         sum(memoryview(part).nbytes for part in parts))
     _inc(metrics, "logical_bytes_written", raw.nbytes)
-
-
-def _read_chunk_blob(scratch: Path, desc: ArrayDesc, block: int, what: str):
-    """The bytes of ``block``'s chunk file.
-
-    A file of ``_MMAP_MIN_BYTES`` and more is a read-only mapping of the
-    page cache's own pages (:class:`_FileMapping`), which the decoder
-    reads in place; a smaller one is read into a ``bytes``.  A torn file
-    (shorter than its header promises) is a named error decided from the
-    header and ``fstat`` before anything is mapped, so it can never become
-    a ``SIGBUS`` on a mapped page.
-    """
-    path = chunk_path(scratch, desc.name, block)
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise BlockMissingError(
-            f"block {block} of {desc.name!r} was never written: "
-            f"no chunk file {path}") from None
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _MMAP_MIN_BYTES:
-            return fh.read()
-        _chunk_header(fh.read(CHUNK_HEADER_NBYTES), size, what)
-        return np.asarray(_FileMapping(fh.fileno(), size))
-
-
-def _layout(scratch: Path, desc: ArrayDesc) -> str:
-    """Which layout backs this array on disk right now?
-
-    Readers self-describe from the filesystem: the chunk directory wins
-    when present (a compressed writer created it), the raw file
-    otherwise.  Neither existing is a missing *array* — reported as a
-    missing block so sparse/never-written reads stay reconstructable.
-    """
-    if chunk_dir(scratch, desc.name).is_dir():
-        return "chunk"
-    return "raw"
 
 
 _libc = ctypes.CDLL(None, use_errno=True)
@@ -391,24 +364,21 @@ def block_buffer(count: int, dtype=np.uint8) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype)
 
 
-def _wrong_size(desc: ArrayDesc, block: int, path: Path,
-                got: int, want: int) -> StorageError:
-    return StorageError(
-        f"block {block} of {desc.name!r} in {path} holds {got} bytes, want "
-        f"{want} (torn or truncated file, or another blocking)")
-
-
 @contextlib.contextmanager
-def _raw_block_file(scratch: Path, desc: ArrayDesc, block: int):
-    """Open the file of raw ``block``: yields it, with its size checked.
+def _open_block(scratch: Path, desc: ArrayDesc, block: int):
+    """Open the one file of ``block`` (:func:`block_path`): yields it
+    with its size.
 
-    A missing file is a :class:`BlockMissingError`; a file that does not
-    hold exactly the block — torn, or written with another blocking — is
-    a :class:`StorageError` decided from ``fstat`` before a byte is read
-    or mapped, so it can never become a ``SIGBUS`` on a mapped page.
+    A missing file is a :class:`BlockMissingError`; a file where the
+    descriptor puts a directory, or the reverse (another blocking, or a
+    one-block ``.arrc/`` directory of the layout before one file per
+    block), is a :class:`StorageError` that says to re-seed.  A raw file
+    that does not hold exactly the block — torn, or written with another
+    blocking — is a :class:`StorageError` decided from ``fstat`` before a
+    byte is read or mapped, so it can never become a ``SIGBUS`` on a
+    mapped page.
     """
-    path = raw_block_path(scratch, desc, block)
-    want = desc.block_nbytes(block)
+    path = block_path(scratch, desc, block)
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -417,14 +387,19 @@ def _raw_block_file(scratch: Path, desc: ArrayDesc, block: int):
             f"no backing file {path}") from None
     except (IsADirectoryError, NotADirectoryError):
         raise StorageError(
-            f"{array_path(scratch, desc.name)} holds {desc.name!r} with "
-            f"another blocking than {desc.n_blocks} block(s); re-seed "
-            "it") from None
+            f"{path if desc.n_blocks == 1 else path.parent} holds "
+            f"{desc.name!r} in another layout than {desc.n_blocks} "
+            "block(s) of one file each (another blocking, or written "
+            "before one file per block); re-seed it") from None
     with fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != want:
-            raise _wrong_size(desc, block, path, size, want)
-        yield fh
+        want = desc.block_nbytes(block)
+        if desc_codec(desc) == "raw" and size != want:
+            raise StorageError(
+                f"block {block} of {desc.name!r} in {path} holds {size} "
+                f"bytes, want {want} (torn or truncated file, or another "
+                "blocking)")
+        yield fh, size
 
 
 def read_block(scratch: Path, desc: ArrayDesc, block: int,
@@ -443,8 +418,8 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
     buffer of their own.
     """
     want = desc.block_nbytes(block)
-    if want >= _MMAP_MIN_BYTES and _layout(scratch, desc) == "raw":
-        with _raw_block_file(scratch, desc, block) as fh:
+    if want >= _MMAP_MIN_BYTES and desc_codec(desc) == "raw":
+        with _open_block(scratch, desc, block) as (fh, _):
             mapping = _FileMapping(fh.fileno(), want)
         _inc(metrics, "disk_bytes_read", want)
         _inc(metrics, "logical_bytes_read", want)
@@ -464,10 +439,13 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
     The segment-pool load path: ``out`` is a writable view over a
     shared-memory segment.  Raw blocks ``readinto`` it directly from the
     file, with no intermediate block buffer; compressed blocks are
-    decoded by their codec's ``decode_into`` from the chunk file's pages
-    (mapped when large, see :func:`_read_chunk_blob`) straight into
-    ``out``, in pieces, with no block-sized temporary (see
-    :mod:`repro.core.codecs`).
+    decoded by their codec's ``decode_into`` straight into ``out``, in
+    pieces, with no block-sized temporary (see :mod:`repro.core.codecs`),
+    from the chunk file's pages: a read-only mapping of them
+    (:class:`_FileMapping`) when the file is ``_MMAP_MIN_BYTES`` and
+    more, a ``bytes`` read otherwise.  A torn chunk file (shorter than
+    its header promises) is a named error decided from the header and
+    ``fstat`` before anything is mapped.
     """
     want = desc.block_nbytes(block)
     if out.nbytes != want:
@@ -475,19 +453,19 @@ def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
             f"destination for block {block} of {desc.name!r} holds "
             f"{out.nbytes} bytes, want {want}")
     dest = memoryview(out).cast("B")
-    if _layout(scratch, desc) == "chunk":
-        what = f"block {block} of {desc.name!r}"
-        blob = _read_chunk_blob(scratch, desc, block, what)
-        unpack_chunk_into(blob, dest, desc.itemsize, what)
-        _inc(metrics, "disk_bytes_read", len(blob))
-        _inc(metrics, "logical_bytes_read", want)
-        return out
-    with _raw_block_file(scratch, desc, block) as fh:
-        got = fh.readinto(dest)
-    if got != want:
-        raise _wrong_size(desc, block, raw_block_path(scratch, desc, block),
-                          got, want)
-    _inc(metrics, "disk_bytes_read", want)
+    what = f"block {block} of {desc.name!r}"
+    with _open_block(scratch, desc, block) as (fh, size):
+        if desc_codec(desc) == "raw":
+            if fh.readinto(dest) != want:
+                raise StorageError(f"short read of {what}")
+        else:
+            if size < _MMAP_MIN_BYTES:
+                blob = fh.read()
+            else:
+                _chunk_header(fh.read(CHUNK_HEADER_NBYTES), size, what)
+                blob = np.asarray(_FileMapping(fh.fileno(), size))
+            unpack_chunk_into(blob, dest, desc.itemsize, what)
+    _inc(metrics, "disk_bytes_read", size)
     _inc(metrics, "logical_bytes_read", want)
     return out
 
@@ -499,22 +477,14 @@ def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
     :func:`write_block` per block, each file independently crash-atomic.
     Every file is also fsynced, so it survives a power loss, unless the
     caller passes ``durable=False`` for scratch the engine deletes within
-    its session.  The array seeded before in another layout is deleted
-    first: a chunk directory would shadow raw blocks, and a raw file
-    stands where a directory of several blocks goes (or the reverse).
+    its session.  Whatever backed the name before is deleted first, so
+    the array's files are exactly its blocks' under ``desc``.
     """
     if data.shape != (desc.length,):
         raise StorageError(
             f"array {desc.name!r} has length {desc.length}, got {data.shape}"
         )
-    path = array_path(scratch, desc.name)
-    if desc_codec(desc) != "raw":
-        other = path.exists()
-    else:
-        other = chunk_dir(scratch, desc.name).is_dir() or (
-            path.is_file() if desc.n_blocks > 1 else path.is_dir())
-    if other:
-        delete_array_file(scratch, desc.name)
+    delete_array_file(scratch, desc.name)
     for b in desc.blocks():
         lo, hi = desc.block_bounds(b)
         write_block(scratch, desc, b, data[lo:hi], metrics=metrics,
@@ -529,15 +499,9 @@ def read_array(scratch: Path, desc: ArrayDesc,
     ])
 
 
-def _backings(scratch: Path, name: str) -> list[Path]:
-    """Every file or directory of ``name`` on disk, in either layout."""
-    return [path for path in (array_path(scratch, name),
-                              chunk_dir(scratch, name)) if path.exists()]
-
-
 def delete_array_file(scratch: Path, name: str) -> None:
-    """Unlink an array's files, whichever layout backs it; a name with no
-    files is not an error."""
+    """Unlink an array's files, under either suffix; a name with no files
+    is not an error."""
     for path in _backings(scratch, name):
         if path.is_dir():
             shutil.rmtree(path, ignore_errors=True)
@@ -548,8 +512,8 @@ def delete_array_file(scratch: Path, name: str) -> None:
 def copy_array_files(src: Path, dst: Path, name: str) -> None:
     """Re-seed an array's backing bytes into another scratch directory.
 
-    Used by node-loss recovery: whichever layout backs the array at the
-    source is reproduced at the destination, each file crash-atomically.
+    Used by node-loss recovery: the files that back the array at the
+    source are reproduced at the destination, each file crash-atomically.
     The copy is engine scratch, so it is not fsynced.
     """
     paths = _backings(src, name)
@@ -567,8 +531,7 @@ def discover_arrays(scratch: Path) -> list[str]:
 
     Mirrors the paper's storage start-up: "the storage looks for files in
     that directory and records the name of the arrays as well as their
-    sizes".  Every layout is discovered — raw ``.arr`` files and
-    directories, and compressed ``.arrc`` chunk directories.
+    sizes".  Both suffixes are discovered, as files and as directories.
     """
     root = Path(scratch)
     if not root.exists():

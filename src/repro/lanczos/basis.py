@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.array import ArrayDesc
 from repro.core.iofilter import (
-    array_path,
+    backing_identity,
     delete_array_file,
     read_array,
     write_array,
@@ -147,7 +147,7 @@ class DiskBasis:
         if count < 0:
             raise ValueError("count must be >= 0")
         for i in range(count):
-            if not array_path(self.scratch, f"q{i}").exists():
+            if backing_identity(self.scratch, f"q{i}") is None:
                 raise FileNotFoundError(
                     f"basis vector {i} missing from {self.scratch}")
         self._count = count

@@ -37,11 +37,13 @@ from pathlib import Path
 __all__ = ["atomic_write"]
 
 
-def atomic_write(path: str | Path, data, *, durable: bool = True) -> None:
-    """Atomically replace ``path``'s content with ``data``.
+def atomic_write(path: str | Path, *parts, durable: bool = True) -> None:
+    """Atomically replace ``path``'s content with ``parts``, one after
+    the other.
 
-    ``data`` is any bytes-like object and is written from where it lies:
-    a block goes from its own buffer to the file with no copy in between.
+    Each part is any bytes-like object and is written from where it
+    lies: a block goes from its own buffer to the file with no copy in
+    between, and a chunk's header and payload are never joined.
     The destination is only ever replaced by a complete temporary — a
     crash at any point leaves the old content intact, never a torn file.
     ``durable`` decides only whether that temporary is flushed to the
@@ -54,7 +56,8 @@ def atomic_write(path: str | Path, data, *, durable: bool = True) -> None:
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
             if durable:
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -43,8 +43,7 @@ from repro.core.errors import (
     UnknownCodecError,
 )
 from repro.core.iofilter import (
-    chunk_dir,
-    chunk_path,
+    block_path,
     pack_chunk,
     read_array,
     read_block,
@@ -68,6 +67,12 @@ def delta32(data: bytes) -> bytes:
     whole = len(data) - len(data) % 4
     words = np.frombuffer(data[:whole], dtype="<u4")
     return np.diff(words, prepend=np.uint32(0)).tobytes() + data[whole:]
+
+
+def shuffle(data: bytes, itemsize: int) -> bytes:
+    """The ``shuffle-zlib`` codec's byte planes, written without the code
+    under test: byte ``k`` of every element, for each ``k`` in turn."""
+    return np.frombuffer(data, np.uint8).reshape(-1, itemsize).T.tobytes()
 
 
 class TestRegistry:
@@ -164,24 +169,15 @@ class TestRoundTrips:
         d = desc(length=100, block=40, codec=codec)  # last block = 20 elems
         data = np.sin(np.arange(100.0))
         write_array(tmp_path, d, data)
-        assert chunk_dir(tmp_path, "a").is_dir()
+        assert (tmp_path / "a.arrc").is_dir()
         np.testing.assert_array_equal(read_array(tmp_path, d), data)
         out = np.empty(20)
         read_block_into(tmp_path, d, 2, out)
         np.testing.assert_array_equal(out, data[80:])
 
-    def test_compressed_blocks_readable_without_desc_codec(self, tmp_path):
-        # Readers self-describe from the chunk header: a desc that lost
-        # its codec stamp (or carries a different one) still reads fine.
-        d = desc(codec="zlib")
-        data = np.arange(100.0)
-        write_array(tmp_path, d, data)
-        np.testing.assert_array_equal(
-            read_array(tmp_path, desc(codec=None)), data)
-
     def test_shuffle_groups_byte_planes(self):
         data = np.arange(8, dtype="<f8").tobytes()
-        shuffled = ShuffleZlibCodec._shuffle(memoryview(data), 8)
+        shuffled = shuffle(data, 8)
         # plane k holds byte k of every element
         assert shuffled[:8] == bytes(data[i * 8] for i in range(8))
         out = bytearray(len(data))
@@ -196,7 +192,7 @@ class TestRoundTrips:
     def test_compressible_data_actually_shrinks(self, tmp_path):
         d = desc(length=5000, block=5000, codec="zlib")
         write_array(tmp_path, d, np.zeros(5000))
-        assert chunk_path(tmp_path, "a", 0).stat().st_size < 5000 * 8 // 10
+        assert block_path(tmp_path, d, 0).stat().st_size < 5000 * 8 // 10
 
 
 def _csr_block_bytes(nrows=1024, nnz_per_row=256, seed=1):
@@ -236,7 +232,7 @@ class TestStoredSegments:
         """The bytes the codec hands DEFLATE: the shuffled bytes for
         ``shuffle-zlib``, the delta-coded ones for ``zlib``."""
         if name == "shuffle-zlib":
-            return ShuffleZlibCodec._shuffle(memoryview(data), itemsize)
+            return shuffle(data, itemsize)
         return delta32(data)
 
     def parent_payload(self, name, level, data, itemsize):
@@ -333,6 +329,26 @@ class TestStreamingDecode:
             tracemalloc.stop()
         assert out.tobytes() == raw
         assert peak < 2**20
+
+    @pytest.mark.parametrize("name", CODECS)
+    def test_block_encodes_beside_its_payload_only(self, name):
+        # The filter and the shuffle reach the compressor a piece at a
+        # time: an 8 MiB block of random values (stored, so its payload is
+        # as large) peaks below the block and one mebibyte; a whole
+        # shuffled copy made it twice that.
+        import tracemalloc
+
+        raw = np.random.default_rng(8).standard_normal(2**20).tobytes()
+        codec = get_codec(name)
+        tracemalloc.start()
+        try:
+            payload = codec.encode(raw, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zlib.decompress(payload) == (
+            shuffle(raw, 8) if name == "shuffle-zlib" else delta32(raw))
+        assert peak <= len(raw) + 2**20, peak
 
     @pytest.mark.parametrize("name", CODECS)
     @pytest.mark.parametrize("n", [0, 1, 8, 13 * 8, 1000 * 8 + 1])
@@ -451,8 +467,7 @@ class TestEarlierFormats:
     def test_earlier_zlib_chunk_is_refused_by_name(self, tmp_path, nbytes):
         d = desc(length=nbytes // 8, block=nbytes // 8, codec="zlib")
         raw = np.arange(nbytes // 8, dtype=np.float64).tobytes()
-        chunk_dir(tmp_path, "a").mkdir()
-        chunk_path(tmp_path, "a", 0).write_bytes(self.earlier_chunk(raw))
+        block_path(tmp_path, d, 0).write_bytes(self.earlier_chunk(raw))
         with pytest.raises(ChunkFormatError, match="DOOCCHK1.*re-seed"):
             read_block(tmp_path, d, 0)
         out = np.full(nbytes // 8, -1.0)
@@ -464,8 +479,7 @@ class TestEarlierFormats:
         from repro.core.iofilter import IOFilter
 
         d = desc(length=100, block=100, codec="zlib")
-        chunk_dir(tmp_path, "a").mkdir()
-        chunk_path(tmp_path, "a", 0).write_bytes(
+        block_path(tmp_path, d, 0).write_bytes(
             self.earlier_chunk(np.zeros(100).tobytes()))
         metrics = MetricsRegistry()
         io = IOFilter(tmp_path, metrics=metrics)
@@ -502,7 +516,7 @@ class TestMappedChunks:
         d = desc(length=length, block=length, codec=codec)
         data = np.random.default_rng(3).standard_normal(length)
         write_array(tmp_path, d, data)
-        return d, data, chunk_path(tmp_path, "a", 0)
+        return d, data, block_path(tmp_path, d, 0)
 
     @staticmethod
     def _count_mappings(monkeypatch):
@@ -575,12 +589,12 @@ class TestMappedChunks:
 
         raw = np.arange(40.0).tobytes()
         payload = get_codec("zlib").encode(raw) + b"junk"
-        chunk_dir(tmp_path, "a").mkdir()
-        chunk_path(tmp_path, "a", 0).write_bytes(_CHUNK_HEADER.pack(
+        d = desc(length=40, block=40, codec="zlib")
+        block_path(tmp_path, d, 0).write_bytes(_CHUNK_HEADER.pack(
             CHUNK_MAGIC, b"zlib".ljust(16, b"\0"), len(raw), len(payload),
             checksum(payload)) + payload)
         with pytest.raises(CodecError, match="4 trailing bytes"):
-            read_block(tmp_path, desc(length=40, block=40, codec="zlib"), 0)
+            read_block(tmp_path, d, 0)
 
 
 class TestCorruption:
@@ -589,7 +603,7 @@ class TestCorruption:
     def _seed(self, tmp_path, codec="zlib"):
         d = desc(length=80, block=40, codec=codec)
         write_array(tmp_path, d, np.arange(80.0))
-        return d, chunk_path(tmp_path, "a", 0)
+        return d, block_path(tmp_path, d, 0)
 
     def test_truncated_chunk_is_storage_error(self, tmp_path):
         d, p = self._seed(tmp_path)
@@ -626,9 +640,8 @@ class TestCorruption:
         # Valid framing + CRC over a *wrong* payload: the codec's own
         # length/eof verification still refuses to install bytes.
         d = desc(length=40, block=40, codec="zlib")
-        blob = pack_chunk("zlib", np.arange(20.0).tobytes(), 8)
-        chunk_dir(tmp_path, "a").mkdir()
-        chunk_path(tmp_path, "a", 0).write_bytes(blob)
+        blob = b"".join(pack_chunk("zlib", np.arange(20.0).tobytes(), 8))
+        block_path(tmp_path, d, 0).write_bytes(blob)
         with pytest.raises(StorageError):
             read_block(tmp_path, d, 0)
 
@@ -644,7 +657,7 @@ class TestCorruption:
         out = np.empty(40)
         with pytest.raises(StorageError, match="truncated"):
             read_block_into(tmp_path, d, 0, out)
-        chunk_path(tmp_path, "a", 1).unlink()
+        block_path(tmp_path, d, 1).unlink()
         with pytest.raises(BlockMissingError):
             read_block_into(tmp_path, d, 1, out)
 
@@ -734,6 +747,48 @@ class TestEngineEndToEnd:
         logical = sum(m.get("logical_bytes_read", 0)
                       for m in report.metrics.values())
         assert 0 < disk < logical
+
+
+class TestCrossCodecSeeds:
+    """An array declared from scratch runs under the codec its files were
+    written with, whatever the engine's: the engine learns it once per
+    run, and on the thread plane the array stays resident into the
+    session's next run (the process plane starts every run cold)."""
+
+    @staticmethod
+    def program(run: int) -> Program:
+        prog = Program(f"cross-{run}")
+        prog.initial_from_scratch("x", 1000, block_elems=400)  # a directory
+        prog.initial_from_scratch("c", 64, block_elems=64)     # a file
+        prog.array("y", 1000, block_elems=400)
+
+        def scale(ins, outs, meta):
+            outs["y"][:] = ins["x"] * 1.1 + ins["c"][run]
+        prog.add_task("scale", scale, ["x", "c"], ["y"])
+        return prog
+
+    @pytest.mark.parametrize("plane", ["thread", "process"])
+    @pytest.mark.parametrize("seeded,engine", [
+        ("raw", "zlib"), ("zlib", "raw"), ("shuffle-zlib", "zlib")])
+    def test_seed_under_other_codec(self, tmp_path, seeded, engine, plane):
+        x = np.sin(np.arange(1000.0))
+        c = np.cos(np.arange(64.0))
+        eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path, codec=engine,
+                         worker_plane=plane)
+        try:
+            scratch = eng.node_scratch(0)
+            write_array(scratch, desc("x", 1000, 400, codec=seeded), x)
+            write_array(scratch, desc("c", 64, 64, codec=seeded), c)
+            for run in range(2):
+                report = eng.run(self.program(run), timeout=120)
+                assert np.array_equal(eng.fetch("y"), x * 1.1 + c[run])
+                loads = report.metrics[0].get("loads_by_label", {})
+                if run == 0 or plane == "process":  # it carries nothing
+                    assert loads == {"x": 3, "c": 1}, loads
+                else:  # carried resident: nothing of them is read again
+                    assert "x" not in loads and "c" not in loads, loads
+        finally:
+            eng.cleanup()
 
 
 class TestCheckpointCodecs:

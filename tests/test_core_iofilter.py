@@ -13,11 +13,10 @@ from repro.core.errors import BlockMissingError, StorageError
 from repro.core.iofilter import (
     IOFilter,
     array_path,
-    chunk_path,
+    block_path,
     delete_array_file,
     discover_arrays,
     escape_name,
-    raw_block_path,
     read_array,
     read_block,
     unescape_name,
@@ -71,7 +70,7 @@ class TestBlockIO:
         # A file truncated *mid-block* is corruption, not a missing block.
         d = desc(length=100, block=40)
         write_block(tmp_path, d, 0, np.zeros(40))
-        path = raw_block_path(tmp_path, d, 0)
+        path = block_path(tmp_path, d, 0)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(StorageError, match="holds 100 bytes, want 320") \
                 as ei:
@@ -90,6 +89,24 @@ class TestBlockIO:
             read_block(tmp_path, one, 0)
         with pytest.raises(StorageError, match="holds 320 bytes, want 160"):
             read_block(tmp_path, desc("a", block=20), 0)
+
+    def test_a_one_block_chunk_directory_is_a_named_error(self, tmp_path):
+        # One-block encoded arrays were once a chunk directory; that is
+        # refused with a word to re-seed, not taken for a missing block
+        # (test_another_blocking_is_a_named_error is the raw twin).
+        one = ArrayDesc("a", length=100, block_elems=100, codec="zlib")
+        write_array(tmp_path, one, np.arange(100.0))
+        path = block_path(tmp_path, one, 0)
+        blob = path.read_bytes()
+        path.unlink()
+        path.mkdir()
+        (path / "00000000.blk").write_bytes(blob)
+        with pytest.raises(StorageError, match="re-seed") as ei:
+            read_block(tmp_path, one, 0)
+        assert not isinstance(ei.value, BlockMissingError)
+        write_array(tmp_path, one, np.arange(100.0))
+        np.testing.assert_array_equal(read_array(tmp_path, one),
+                                      np.arange(100.0))
 
     @pytest.mark.parametrize("before", [
         dict(block=40), dict(block=100), dict(block=100, codec="zlib"),
@@ -172,9 +189,9 @@ class TestWritesReadTheBlockInPlace:
         seen = {"file": [], "encoder": []}
         write = iofilter.atomic_write
 
-        def atomic_write(path, data, **kwargs):
-            seen["file"].append(np.frombuffer(data, dtype=np.uint8))
-            write(path, data, **kwargs)
+        def atomic_write(path, *parts, **kwargs):
+            seen["file"].append(np.frombuffer(parts[-1], dtype=np.uint8))
+            write(path, *parts, **kwargs)
 
         def encode(data, itemsize=1):
             seen["encoder"].append(np.frombuffer(data, dtype=np.uint8))
@@ -233,12 +250,10 @@ class TestWritesReadTheBlockInPlace:
         assert sorted(p.name for p in array_path(tmp_path, "multi").iterdir()
                       ) == ["00000000.blk", "00000001.blk"]
         for b in (0, 1):
-            assert raw_block_path(tmp_path, d, b).read_bytes() == \
+            assert block_path(tmp_path, d, b).read_bytes() == \
                 blocks[b].tobytes()
 
     def test_zlib_encoder_reads_the_input_buffer(self, tmp_path, handed):
-        from repro.core.iofilter import chunk_path
-
         for label, data, shares in self.inputs():
             d = ArrayDesc(f"z{label[0]}", length=self.N, block_elems=self.N,
                           codec="zlib")
@@ -247,7 +262,30 @@ class TestWritesReadTheBlockInPlace:
             handed["encoder"].clear()
             assert np.shares_memory(given, data) == shares, label
             want = self.chunk_bytes(np.asarray(data, np.float64).tobytes())
-            assert chunk_path(tmp_path, d.name, 0).read_bytes() == want, label
+            assert block_path(tmp_path, d, 0).read_bytes() == want, label
+
+    def test_a_chunk_file_is_written_without_joining_its_parts(
+            self, tmp_path):
+        """Header and payload go to the file one after the other: an 8 MiB
+        block of random values (stored, so its payload is as large) peaks
+        below its payload and one mebibyte, not at twice the payload."""
+        import tracemalloc
+
+        from repro.core.iofilter import pack_chunk
+
+        data = np.random.default_rng(4).standard_normal(2**20)
+        d = ArrayDesc("r", length=len(data), block_elems=len(data),
+                      codec="zlib")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_block(tmp_path, d, 0, data)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        header, payload = pack_chunk("zlib", data, 8)
+        assert block_path(tmp_path, d, 0).read_bytes() == header + payload
+        assert peak <= len(payload) + 2**20, (peak, len(payload))
 
     @pytest.mark.parametrize("codec", [None, "zlib"])
     def test_copies_made_on_the_way_to_the_file(self, tmp_path, codec):
@@ -311,20 +349,18 @@ class TestEveryLayout:
                 write_block(tmp_path, d, b, data[lo:hi], metrics=metrics)
 
         files = self.files(tmp_path)
-        if codec == "raw" and n_blocks == 1:
-            assert list(files) == ["a%2Fb.arr"]
-        else:
-            where = "a%2Fb.arr" if codec == "raw" else "a%2Fb.arrc"
-            assert sorted(files) == [f"{where}/{b:08d}.blk"
-                                     for b in d.blocks()]
+        # one rule: the codec's suffix, and a directory for several blocks
+        where = "a%2Fb.arr" if codec == "raw" else "a%2Fb.arrc"
+        assert sorted(files) == ([where] if n_blocks == 1 else [
+            f"{where}/{b:08d}.blk" for b in d.blocks()])
         for b in d.blocks():
             lo, hi = d.block_bounds(b)
+            path = block_path(tmp_path, d, b)
+            assert path.relative_to(tmp_path).as_posix() in files
             if codec == "raw":
-                assert raw_block_path(tmp_path, d, b).read_bytes() == \
-                    data[lo:hi].tobytes()
+                assert path.read_bytes() == data[lo:hi].tobytes()
             else:
-                assert chunk_path(tmp_path, d.name, b).read_bytes() \
-                    .startswith(CHUNK_MAGIC)
+                assert path.read_bytes().startswith(CHUNK_MAGIC)
         snap = metrics.as_dict()
         assert snap["disk_bytes_written"] == sum(files.values())
         assert snap["logical_bytes_written"] == d.nbytes
@@ -336,6 +372,49 @@ class TestEveryLayout:
             got = [read_block_into(tmp_path, d, b,
                                    np.empty(d.block_length(b)))
                    for b in d.blocks()]
+        assert np.concatenate(got).tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("read", ["read_block", "read_block_into"])
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    @pytest.mark.parametrize("codec", ["raw", "zlib", "shuffle-zlib"])
+    def test_a_load_touches_only_the_file_it_opens(
+            self, tmp_path, monkeypatch, codec, n_blocks, read):
+        """The descriptor names the file: a load opens ``block_path`` and
+        asks the file system about no other path (no layout probe)."""
+        import builtins
+        from pathlib import Path
+
+        from repro.core.iofilter import read_block_into
+
+        length = (n_blocks - 1) * self.BLOCK + 7_000
+        d = ArrayDesc("a", length=length, codec=codec,
+                      block_elems=self.BLOCK if n_blocks > 1 else length)
+        data = np.arange(length, dtype=np.float64)
+        write_array(tmp_path, d, data)
+        touched = []
+
+        def spy(fn):
+            def call(path, *args, **kwargs):
+                if not isinstance(path, int):  # a descriptor names no path
+                    touched.append(Path(path))
+                return fn(path, *args, **kwargs)
+            return call
+
+        for owner, name in [(os, "stat"), (os, "lstat"), (os, "listdir"),
+                            (os, "scandir"), (builtins, "open"),
+                            (Path, "is_dir"), (Path, "is_file"),
+                            (Path, "exists")]:
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+        got = []
+        for b in d.blocks():
+            del touched[:]
+            if read == "read_block":
+                got.append(read_block(tmp_path, d, b))
+            else:
+                got.append(read_block_into(tmp_path, d, b,
+                                           np.empty(d.block_length(b))))
+            assert touched == [block_path(tmp_path, d, b)], touched
+        monkeypatch.undo()
         assert np.concatenate(got).tobytes() == data.tobytes()
 
     def test_raw_blocks_are_written_without_reading_the_array(
@@ -352,7 +431,7 @@ class TestEveryLayout:
             write_block(tmp_path, d, b, blocks[b])
         monkeypatch.undo()
         for b in d.blocks():
-            assert raw_block_path(tmp_path, d, b).read_bytes() == \
+            assert block_path(tmp_path, d, b).read_bytes() == \
                 blocks[b].tobytes()
 
     def test_block_writes_write_each_byte_once(self, tmp_path, monkeypatch):
@@ -524,7 +603,7 @@ class TestIOFilter:
         ``io_error`` and the next command is served."""
         d = ArrayDesc("a", length=80, block_elems=40, codec="zlib")
         write_array(tmp_path, d, np.arange(80.0))
-        path = chunk_path(tmp_path, d.name, 0)
+        path = block_path(tmp_path, d, 0)
         blob = bytearray(path.read_bytes())
         blob[8] = 0xE9
         path.write_bytes(bytes(blob))
@@ -642,7 +721,7 @@ class TestMappedLoads:
         old = np.arange(d.length, dtype=float)
         write_array(tmp_path, d, old)
         view = read_block(tmp_path, d, 1)
-        atomic_write(raw_block_path(tmp_path, d, 1), (old[BIG:] + 1).tobytes())
+        atomic_write(block_path(tmp_path, d, 1), (old[BIG:] + 1).tobytes())
         np.testing.assert_array_equal(view, old[BIG:])
         np.testing.assert_array_equal(read_block(tmp_path, d, 1),
                                       old[BIG:] + 1)
@@ -654,7 +733,7 @@ class TestMappedLoads:
         # mapped file would be a SIGBUS, not an exception.
         d = _big_desc()
         write_array(tmp_path, d, np.zeros(d.length))
-        path = raw_block_path(tmp_path, d, 1)
+        path = block_path(tmp_path, d, 1)
         os.truncate(path, 100)
         with pytest.raises(
                 StorageError,
@@ -670,7 +749,7 @@ class TestMappedLoads:
             read_block(tmp_path, d, 1)
         np.testing.assert_array_equal(read_block(tmp_path, d, 0),
                                       np.zeros(BIG))
-        os.unlink(raw_block_path(tmp_path, d, 0))
+        os.unlink(block_path(tmp_path, d, 0))
         with pytest.raises(BlockMissingError, match="no backing file"):
             read_block(tmp_path, d, 0)
 
