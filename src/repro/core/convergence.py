@@ -8,17 +8,11 @@ before and after the update and freezes the ones that went stationary, so
 drivers can stop generating tasks (and stop re-reading sub-matrix files)
 for them.
 
-The freeze rule decides which verdict a run can be held to
-(docs/ITERATION.md, "Verdict applicability"):
-
-* ``tol == 0.0`` (the default) freezes a partition only when its iterate
-  is **bitwise** stationary (``np.array_equal``).  Re-multiplying an
-  unchanged ``x_v`` is deterministic, so reusing the cached products is
-  bit-identical to recomputing them — synchronous incremental runs keep
-  the bit-identity verdict against the SciPy reference.
-* ``tol > 0.0`` freezes on a relative update-norm threshold.  That is a
-  numerical approximation (the classic delta-iteration trade), so runs
-  using it get a convergence-bound verdict instead.
+The freeze rule is **bitwise** (``np.array_equal``): re-multiplying an
+unchanged ``x_v`` is deterministic, so reusing stored products is
+bit-identical to recomputing them, and incremental runs keep the
+bit-identity verdict against the SciPy reference (docs/ITERATION.md,
+"Verdict applicability").
 
 Floating-point Jacobi sweeps rarely land on an exact period-1 fixpoint:
 near convergence the per-element update ``r_i / d_i`` sits right at the
@@ -27,15 +21,17 @@ between two adjacent floats* forever (the residual floor and the
 absorption threshold are the same order, ``eps * |x|``).  The tracker
 therefore also detects exact **period-2 limit cycles** — ``x_v(t)``
 bitwise equal to ``x_v(t-2)`` — and freezes those partitions with *both*
-phase values.  Product caches are content-addressed by the incoming
-iterate bits, so a cycling partition's multiply is still reproduced
-exactly; a partition is thawed the moment its iterate matches none of
-its frozen phases.
+phase values.
 
-A frozen partition is *not* retired for good: the tracker re-compares on
-every sweep and thaws any partition whose iterate moved again (a tiny
-update can be absorbed one sweep and resolvable the next), so dropout
-never changes the computed values — only the work done to reach them.
+The tracker is the one record of the workset: each frozen phase keeps,
+beside its bits, what the driver stored for it (a ``SweepWorkset``, the
+names of the phase's block products).  Only the tracker thaws a
+partition: when :meth:`~ConvergenceTracker.observe` sees its iterate
+move again (a tiny update can be absorbed one sweep and resolvable the
+next), or when a sweep's incoming part matches none of its phases
+(:meth:`~ConvergenceTracker.select`).  So stored values never meet an
+iterate they were not made from, and dropout changes only the work
+done, never the computed values.
 """
 
 from __future__ import annotations
@@ -78,7 +74,6 @@ class ConvergenceReport:
     """Per-sweep workset history of one incremental drive."""
 
     k: int                            #: partition count
-    tol: float                        #: freeze threshold (0.0 = bitwise)
     sweeps: list[SweepRecord] = field(default_factory=list)
     fixpoint_sweep: int | None = None  #: sweep at which everything froze
 
@@ -103,40 +98,42 @@ class ConvergenceReport:
         return all(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
+@dataclass
+class _Phase:
+    bits: np.ndarray     #: one frozen value of a partition
+    stored: object = None  #: what the driver stored for it, if anything
+
+
 class ConvergenceTracker:
     """Decides, sweep by sweep, which partitions stay in the workset.
 
-    The tracker is the single authority on frozen/active state; drivers
-    call :meth:`observe` once per sweep with the iterate's parts before
-    and after the update and mirror the returned ``newly_frozen`` /
-    ``reentered`` sets into their product caches.  Decisions are recorded
-    in a :class:`ConvergenceReport` and, when a ``tracer`` is given,
-    emitted as ``converge``-category trace events (``block_converged``,
+    Drivers call :meth:`observe` once per sweep with the iterate's parts
+    before and after the update.  Decisions are recorded in a
+    :class:`ConvergenceReport` and, when a ``tracer`` is given, emitted as
+    ``converge``-category trace events (``block_converged``,
     ``block_reentered``, ``workset_size``, ``fixpoint``), so dropout is
     visible in the same Chrome timeline as the tasks it removes.
     """
 
-    def __init__(self, k: int, *, tol: float = 0.0, tracer=None,
-                 metrics=None, node: int = -1):
+    def __init__(self, k: int, *, tracer=None, metrics=None, node: int = -1):
         if k < 1:
             raise ValueError("k must be >= 1")
-        if tol < 0.0:
-            raise ValueError("tol must be >= 0")
         self.k = k
-        self.tol = tol
         self.tracer = tracer
         self.node = node
         if metrics is None:
             from repro.obs.metrics import MetricsRegistry
             metrics = MetricsRegistry()
         self.metrics = metrics
-        #: frozen partition -> its phase values (1 entry = stationary,
-        #: 2 entries = exact period-2 limit cycle)
-        self._frozen: dict[int, list[np.ndarray]] = {}
+        #: frozen partition -> its phases (1 = stationary, 2 = an exact
+        #: period-2 limit cycle; a driver's :meth:`freeze` may add more)
+        self._frozen: dict[int, list[_Phase]] = {}
+        #: what was stored for phases thawed since :meth:`released`
+        self._released: list = []
         #: partition -> its iterate two sweeps ago (limit-cycle detection)
         self._two_ago: dict[int, np.ndarray] = {}
         self._sweep = 0
-        self.report = ConvergenceReport(k=k, tol=tol)
+        self.report = ConvergenceReport(k=k)
 
     @property
     def frozen(self) -> frozenset[int]:
@@ -151,13 +148,48 @@ class ConvergenceTracker:
 
     def phases(self, v: int) -> tuple[np.ndarray, ...]:
         """The frozen phase values of partition ``v`` (empty if active)."""
-        return tuple(self._frozen.get(v, ()))
+        return tuple(p.bits for p in self._frozen.get(v, ()))
 
-    def _stationary(self, old: np.ndarray, new: np.ndarray) -> bool:
-        if self.tol == 0.0:
-            return bool(np.array_equal(old, new))
-        scale = max(float(np.linalg.norm(new)), 1.0)
-        return float(np.linalg.norm(new - old)) <= self.tol * scale
+    def _match(self, v: int, bits) -> _Phase | None:
+        return next((p for p in self._frozen.get(v, ())
+                     if np.array_equal(p.bits, bits)), None)
+
+    def freeze(self, v: int, bits, stored) -> None:
+        """Record ``bits`` as a frozen phase of partition ``v`` with what
+        the driver stored for it; a phase already recorded takes
+        ``stored`` in place of what it held, which is released."""
+        phase = self._match(v, bits)
+        if phase is None:
+            phase = _Phase(np.array(bits, dtype=np.float64, copy=True))
+            self._frozen.setdefault(v, []).append(phase)
+        elif phase.stored is not None:
+            self._released.append(phase.stored)
+        phase.stored = stored
+
+    def thaw(self, v: int) -> None:
+        """Return partition ``v`` to the workset; what was stored for its
+        phases goes to :meth:`released`."""
+        self._released.extend(p.stored for p in self._frozen.pop(v, ())
+                              if p.stored is not None)
+
+    def released(self) -> list:
+        """What was stored for the phases thawed since the last call, for
+        the driver to free."""
+        out, self._released = self._released, []
+        return out
+
+    def select(self, parts: dict[int, np.ndarray]) -> dict[int, object]:
+        """What was stored for the phase each frozen partition's incoming
+        part ``parts[v]`` matches (``None`` if nothing yet).  A frozen
+        partition whose part matches none of its phases is thawed."""
+        chosen = {}
+        for v in sorted(self._frozen):
+            phase = self._match(v, parts[v])
+            if phase is None:
+                self.thaw(v)
+            else:
+                chosen[v] = phase.stored
+        return chosen
 
     def observe(self, prev_parts: dict[int, np.ndarray],
                 new_parts: dict[int, np.ndarray], *,
@@ -177,18 +209,19 @@ class ConvergenceTracker:
             two_ago = self._two_ago.get(v)
             self._two_ago[v] = np.array(old, dtype=np.float64, copy=True)
             if v in self._frozen:
-                if not any(np.array_equal(p, new) for p in self._frozen[v]):
-                    del self._frozen[v]
+                if self._match(v, new) is None:
+                    self.thaw(v)
                     reentered.append(v)
-            elif self._stationary(old, new):
-                self._frozen[v] = [np.array(new, dtype=np.float64, copy=True)]
-                newly_frozen.append(v)
-            elif (self.tol == 0.0 and two_ago is not None
-                  and np.array_equal(two_ago, new)):
-                # Exact period-2 limit cycle: freeze both phases.
-                self._frozen[v] = [np.array(new, dtype=np.float64, copy=True),
-                                   np.array(old, dtype=np.float64, copy=True)]
-                newly_frozen.append(v)
+                continue
+            if np.array_equal(old, new):
+                phases = (new,)
+            elif two_ago is not None and np.array_equal(two_ago, new):
+                phases = (new, old)  # an exact period-2 limit cycle
+            else:
+                continue
+            for bits in phases:
+                self.freeze(v, bits, None)
+            newly_frozen.append(v)
         record = SweepRecord(
             sweep=self._sweep, active=active,
             frozen=tuple(sorted(self._frozen)),

@@ -98,7 +98,6 @@ def jacobi_solve(
     mode: str = "sync",
     staleness: int = 2,
     seed: int = 0,
-    fixpoint_exit: bool = True,
 ) -> JacobiResult:
     """Solve A x = b by Jacobi sweeps with out-of-core SpMVs."""
     if mode not in MODES:
@@ -128,7 +127,7 @@ def jacobi_solve(
     if mode == "async":
         return _solve_async(operator, b, x, diag, b_norm, tol,
                             max_iterations, callback, ckpt, history, start,
-                            staleness, seed, fixpoint_exit)
+                            staleness, seed)
     # Sync and incremental sweeps are one loop: the incremental one hands
     # the operator a workset (frozen columns are served from stored
     # products) and tells it what each sweep did.  Both take the same
@@ -162,12 +161,11 @@ def jacobi_solve(
             if res_norm <= tol * b_norm:
                 return result(converged=True)
             x_new = x + residual / diag
+            if workset is not None:
+                workset.observe(x, x_new)
             # A deterministic sweep that reproduced x (or entered an exact
             # 2-cycle) will repeat forever: the residual cannot improve.
-            stagnant = fixpoint_exit and bool(repeat_period(x_new, x, x_two_ago))
-            if workset is not None:
-                workset.observe(x, x_new, final=stagnant)
-            if stagnant:
+            if repeat_period(x_new, x, x_two_ago):
                 return result(converged=False, fixpoint=True)
             x_two_ago = x
             x = x_new
@@ -193,13 +191,12 @@ def _require_workset_operator(operator, mode: str):
 
 
 def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,
-                 callback, ckpt, history, start, staleness, seed,
-                 fixpoint_exit):
+                 callback, ckpt, history, start, staleness, seed):
     """Bounded-staleness chaotic relaxation with a confirmation sweep."""
     partition = _require_workset_operator(operator, "async")
     tracer = getattr(getattr(operator, "engine", None), "tracer", None)
     k = partition.k
-    tracker = ConvergenceTracker(k, tol=0.0, tracer=tracer)
+    tracker = ConvergenceTracker(k, tracer=tracer)
     rng = np.random.default_rng(seed)
     coords = [(u, v) for u in range(k) for v in range(k)]
     #: iterate versions, newest first; versions[age] is ``age`` rounds old
@@ -235,7 +232,7 @@ def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,
         x_new = x + residual / diag
         tracker.observe(versions[0], partition.split_vector(x_new),
                         tasks_scheduled=sweep_tasks)
-        if fixpoint_exit and np.array_equal(x_new, x):
+        if np.array_equal(x_new, x):
             return result(converged=res_norm <= tol * b_norm, fixpoint=True)
         x = x_new
         versions.insert(0, partition.split_vector(x))

@@ -19,9 +19,10 @@ offset     dtype      field
 
 Both index arrays have the one width: the in-place kernel
 (:func:`repro.spmv.csr.matvec_into`) multiplies by them where they lie,
-and SciPy's kernel takes one index type.  A file of the earlier format,
-magic ``b"DOOCCSR1"``, is still read: its header stops at ``nnz`` (32
-bytes), its indices are int64 and it has no padding.  Nothing writes it.
+and SciPy's kernel takes one index type.  A buffer of the earlier format,
+magic ``b"DOOCCSR1"`` (int64 indices, no width field), is refused by name
+with a :class:`~repro.spmv.csr.CSRError` that says to re-seed it, as
+``DOOCCHK1`` chunks and format-1 checkpoints are.
 
 The same byte layout doubles as the in-memory serialization used to park a
 sub-matrix in a DOoC global array (one uint8 block), so the storage layer
@@ -43,9 +44,6 @@ from repro.util.atomicio import atomic_write
 
 MAGIC = b"DOOCCSR2"
 _HEADER = struct.Struct("<8sqqqq")
-#: the format before the index width: int64 indices, no width field
-_MAGIC_V1 = b"DOOCCSR1"
-_HEADER_V1 = struct.Struct("<8sqqq")
 
 
 def index_width(nrows: int, ncols: int, nnz: int) -> int:
@@ -84,17 +82,18 @@ def serialize_csr(block: CSRBlock) -> np.ndarray:
 
 
 def _parse_header(head, what: str) -> tuple[int, int, int, int, int]:
-    """``(nrows, ncols, nnz, width, header bytes)`` of either format."""
+    """``(nrows, ncols, nnz, width, header bytes)`` of a ``DOOCCSR2``
+    header."""
     magic = bytes(head[:8])
-    if magic == _MAGIC_V1 and len(head) >= _HEADER_V1.size:
-        _, nrows, ncols, nnz = _HEADER_V1.unpack_from(head, 0)
-        return nrows, ncols, nnz, 8, _HEADER_V1.size
+    if magic == b"DOOCCSR1":
+        raise CSRError(f"{what} has the format before the index width "
+                       f"({magic!r}, want {MAGIC!r}); re-seed the sub-matrix")
     if magic == MAGIC and len(head) >= _HEADER.size:
         _, nrows, ncols, nnz, width = _HEADER.unpack_from(head, 0)
         if width not in (4, 8):
             raise CSRError(f"{what} names index width {width}; want 4 or 8")
         return nrows, ncols, nnz, width, _HEADER.size
-    if magic in (MAGIC, _MAGIC_V1) or len(head) < 8:
+    if magic == MAGIC or len(head) < 8:
         raise CSRError(f"{what} too short for a CRS header")
     raise CSRError(f"bad magic {magic!r}; {what} is not a binary CRS buffer")
 

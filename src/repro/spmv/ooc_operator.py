@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from collections.abc import Callable
-from typing import Dict
 
 import numpy as np
 
@@ -124,12 +123,14 @@ class OutOfCoreMatrix:
             raise ValueError("workset belongs to a different operator")
         p = self.partition
         parts = p.split_vector(x)
+        stored = {}
         if workset is not None:
-            active, _ = workset.refresh(parts)
+            stored = workset.refresh(parts)
+            active = [v for v in range(self.k) if v not in stored]
             mode = "workset"
             meta = {"workset_sweep": self.matvec_count,  # this sweep's number
                     "workset_active": tuple(active),
-                    "workset_frozen": tuple(sorted(workset.frozen))}
+                    "workset_frozen": tuple(sorted(stored))}
         elif frontier:
             active = [v for v in range(self.k) if np.any(parts[v])]
             mode, meta = "frontier", {"frontier": tuple(active)}
@@ -139,8 +140,7 @@ class OutOfCoreMatrix:
         # takes the exact input position a fresh multiply would fill; a
         # frontier-inactive column contributes exactly zero: no input.
         live = frozenset(active)
-        stored = workset.frozen if workset is not None else frozenset()
-        feeds = {u: {v: v if v in live else workset.product(u, v)
+        feeds = {u: {v: v if v in live else stored[v][u]
                      for v in range(self.k) if v in live or v in stored}
                  for u in range(self.k)}
         t, rows, _ = self._sweep("matvec", mode, active,
@@ -250,10 +250,11 @@ class OutOfCoreMatrix:
         One slim multiply-only program whose outputs are terminal and
         named to outlive it; each is persisted once on the node that
         produced it, and the names are returned by row.
-        :class:`SweepWorkset` calls this once when column ``v`` freezes;
-        because the multiply kernel is deterministic, the stored products
-        are bit-identical to what later sweeps would have recomputed from
-        the stationary ``x_v`` (:meth:`drop_products` unlinks them).
+        :class:`SweepWorkset` calls this once per frozen phase of column
+        ``v``; because the multiply kernel is deterministic, the stored
+        products are bit-identical to what later sweeps would have
+        recomputed from the stationary ``x_v`` (:meth:`drop_products`
+        unlinks them).
         """
         x_v = np.asarray(x_v, dtype=np.float64)
         want = (self.partition.part_length(v),)
@@ -350,120 +351,77 @@ def _block_diagonal(block: CSRBlock) -> np.ndarray:
 class SweepWorkset:
     """Stored products of frozen columns for incremental sweeps.
 
-    When a :class:`~repro.core.convergence.ConvergenceTracker` declares a
-    column stationary, ``freeze(v, x_v)`` computes ``A_{u,v} @ x_v`` for
-    every row once (one slim column-products program) and writes the
-    products to scratch; later ``matvec(x, workset=...)`` calls declare
-    those files in place of fresh multiplies — the frozen column's
-    sub-matrix files drop off the per-sweep read path entirely, and the
-    products, unchanged files read by run after run, stay resident in the
-    engine's stores like the sub-matrices do.
-
     The workset owns the :class:`~repro.core.convergence.ConvergenceTracker`
-    that decides (``tracker``); a drive calls :meth:`observe` once per
-    sweep and never freezes or thaws by hand.
+    (``tracker``), the one record of which columns are frozen, at which
+    phases, and under which product names; a drive calls :meth:`observe`
+    once per sweep and never freezes or thaws by hand.  The workset only
+    computes, attaches and unlinks products: the first sweep that meets a
+    frozen phase runs one slim column-products program for it and writes
+    ``A_{u,v} @ x_v`` for every row to scratch; that sweep and the later
+    ones declare those files in place of fresh multiplies — the frozen
+    column's sub-matrix files drop off the per-sweep read path entirely,
+    and the products, unchanged files read by run after run, stay
+    resident in the engine's stores like the sub-matrices do.
 
-    The store is **content-addressed by the iterate's bits**: a frozen
-    column may hold up to two phase entries (near convergence, Jacobi
-    iterates often settle into an exact period-2 last-ulp oscillation
-    rather than a period-1 fixpoint), and ``refresh`` selects whichever
-    entry matches the incoming ``x_v`` bitwise.  A frozen column whose
-    ``x_v`` matches *no* stored phase is thawed automatically, so stale
-    products can never change the result — dropout removes work, never
-    accuracy.  ``close()`` unlinks whatever is still stored.
+    Products are **content-addressed by the iterate's bits**: a column
+    frozen on an exact period-2 last-ulp oscillation has two phases, and
+    each sweep uses the one its incoming ``x_v`` matches bitwise.  A
+    frozen column whose ``x_v`` matches *no* phase is thawed by the
+    tracker, so stale products can never change the result — dropout
+    removes work, never accuracy.  Products of a thawed column are
+    unlinked; ``close()`` unlinks whatever is still stored.
     """
-
-    #: phase entries kept per frozen column (period-1 or period-2 cycles)
-    MAX_PHASES = 2
 
     def __init__(self, operator: OutOfCoreMatrix):
         self.operator = operator
-        #: column -> list of (x bits, product-array-names-by-row) entries
-        self._entries: Dict[int, list[tuple[np.ndarray, Dict[int, str]]]] = {}
-        #: column -> products selected by the last ``refresh``
-        self._selected: Dict[int, Dict[int, str]] = {}
-        #: freeze-time product tasks spent so far (dropout accounting)
-        self.aux_tasks = 0
-        #: the authority on which columns are frozen (bitwise rule)
-        self.tracker = ConvergenceTracker(operator.k, tol=0.0,
+        self.tracker = ConvergenceTracker(operator.k,
                                           tracer=operator.engine.tracer)
         #: product tasks spent since the last ``observe`` reported them
         self._pending_aux = 0
 
-    def observe(self, x: np.ndarray, x_new: np.ndarray, *,
-                final: bool = False) -> SweepRecord:
+    @property
+    def frozen(self) -> frozenset[int]:
+        return self.tracker.frozen
+
+    def observe(self, x: np.ndarray, x_new: np.ndarray) -> SweepRecord:
         """The workset step, once per sweep: tell the tracker that the
-        sweep just run through the operator took ``x`` to ``x_new``, thaw
-        the columns that moved again and — unless the drive is about to
-        exit (``final``) — store the products of the newly stationary
-        ones, every phase of a period-2 cycle."""
+        sweep just run through the operator took ``x`` to ``x_new``; it
+        thaws the columns that moved again and freezes the newly
+        stationary ones."""
         p = self.operator.partition
-        new_parts = p.split_vector(x_new)
         record = self.tracker.observe(
-            p.split_vector(x), new_parts,
+            p.split_vector(x), p.split_vector(x_new),
             tasks_scheduled=self.operator.last_sweep["tasks"],
             aux_tasks=self._pending_aux)
         self._pending_aux = 0
-        for v in record.reentered:
-            self.thaw(v)
-        if not final:
-            for v in record.newly_frozen:
-                for phase in self.tracker.phases(v) or (new_parts[v],):
-                    self._pending_aux += self.freeze(v, phase)
+        self._unlink_released()
         return record
 
-    @property
-    def frozen(self) -> frozenset[int]:
-        return frozenset(self._entries)
-
-    def freeze(self, v: int, x_v: np.ndarray) -> int:
-        """Store column ``v``'s products at phase value ``x_v``; returns
-        the number of auxiliary (product) tasks spent."""
-        x_v = np.array(x_v, dtype=np.float64, copy=True)
-        entries = self._entries.setdefault(v, [])
-        if any(np.array_equal(x_v, cached) for cached, _ in entries):
-            return 0
+    def freeze(self, v: int, x_v: np.ndarray) -> dict[int, str]:
+        """Freeze column ``v`` at phase value ``x_v`` with its products
+        stored; returns their names by row."""
         products = self.operator.column_products(v, x_v)
-        entries.append((x_v, products))
-        for _, evicted in entries[:-self.MAX_PHASES]:
-            self.operator.drop_products(evicted)
-        del entries[:-self.MAX_PHASES]
-        self._selected.setdefault(v, products)
-        self.aux_tasks += self.operator.k
-        return self.operator.k
+        self._pending_aux += self.operator.k
+        self.tracker.freeze(v, x_v, products)
+        self._unlink_released()
+        return products
 
-    def thaw(self, v: int) -> None:
-        for _, products in self._entries.pop(v, ()):
-            self.operator.drop_products(products)
-        self._selected.pop(v, None)
+    def refresh(self, parts: dict[int, np.ndarray],
+                ) -> dict[int, dict[int, str]]:
+        """The products of each frozen column at the phase its incoming
+        part matches, by column and row, stored now if the phase has none
+        yet; the tracker thaws a column whose part matches no phase."""
+        chosen = self.tracker.select(parts)
+        self._unlink_released()
+        return {v: products or self.freeze(v, parts[v])
+                for v, products in chosen.items()}
 
     def close(self) -> None:
         """Thaw every column (unlinks the stored products)."""
-        for v in list(self._entries):
-            self.thaw(v)
+        for v in self.tracker.frozen:
+            self.tracker.thaw(v)
+        self._unlink_released()
 
-    def product(self, u: int, v: int) -> str:
-        """Name of the array holding ``A_{u,v} @ x_v`` for the phase the
-        last ``refresh`` selected."""
-        return self._selected[v][u]
-
-    def refresh(self, parts: Dict[int, np.ndarray],
-                ) -> tuple[list[int], tuple[int, ...]]:
-        """Select the phase entry matching each frozen column's incoming
-        iterate; thaw columns that match none.  Returns the active column
-        list and the columns thawed."""
-        thawed = []
-        for v in sorted(self._entries):
-            selected = None
-            for cached, products in self._entries[v]:
-                if np.array_equal(parts[v], cached):
-                    selected = products
-                    break
-            if selected is None:
-                thawed.append(v)
-            else:
-                self._selected[v] = selected
-        for v in thawed:
-            self.thaw(v)
-        active = [v for v in range(self.operator.k) if v not in self._entries]
-        return active, tuple(thawed)
+    def _unlink_released(self) -> None:
+        for products in self.tracker.released():
+            self.operator.drop_products(products)

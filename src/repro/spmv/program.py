@@ -276,7 +276,6 @@ def run_iterated_spmv(
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
     resume: bool = False,
-    run_timeout: float | None = 120.0,
     engine_kwargs: dict | None = None,
     cancel=None,
     incremental: bool = False,
@@ -344,8 +343,7 @@ def run_iterated_spmv(
                 owner=owner, vector_block_elems=vector_block_elems)
             eng = DOoCEngine(n_nodes=n_nodes, **dict(engine_kwargs or {}))
             try:
-                run.reports.append(eng.run(built.program, timeout=run_timeout,
-                                           cancel=cancel))
+                run.reports.append(eng.run(built.program, cancel=cancel))
                 parts = {u: eng.fetch(name)
                          for u, name in enumerate(built.final_vector_names())}
             finally:
@@ -367,7 +365,7 @@ def run_iterated_spmv(
                 done += 1
                 period = repeat_period(x_new, x, x_two_ago)
                 run.fixpoint = period > 0
-                workset.observe(x, x_new, final=run.fixpoint)
+                workset.observe(x, x_new)
                 if run.fixpoint:
                     # x(done) repeats x(done-1) or x(done-2): every later
                     # iterate is determined.  Period-1 keeps x_new; a

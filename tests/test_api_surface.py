@@ -82,7 +82,7 @@ class TestApplicationLayerSignatures:
         return {
             "build_iterated_spmv": (build_iterated_spmv, sweep),
             "run_iterated_spmv": (run_iterated_spmv, [
-                *sweep, *checkpointed, "run_timeout", "engine_kwargs",
+                *sweep, *checkpointed, "engine_kwargs",
                 "cancel", "incremental"]),
             "OutOfCoreMatrix": (OutOfCoreMatrix.__init__, [
                 "self", "blocks", "n_nodes", "workers",
@@ -90,7 +90,7 @@ class TestApplicationLayerSignatures:
                 "rng_seed", "gc_arrays", "engine_kwargs"]),
             "repro.solvers.jacobi_solve": (jacobi_solve, [
                 "operator", "b", "x0", "tol", "max_iterations", "callback",
-                *checkpointed, "mode", "staleness", "seed", "fixpoint_exit"]),
+                *checkpointed, "mode", "staleness", "seed"]),
             "repro.solvers.conjugate_gradient_solve": (
                 conjugate_gradient_solve, [
                     "operator", "b", "x0", "tol", "max_iterations",

@@ -148,8 +148,8 @@ class TestConvergenceTracker:
     def test_validation(self):
         with pytest.raises(ValueError):
             ConvergenceTracker(0)
-        with pytest.raises(ValueError):
-            ConvergenceTracker(2, tol=-1e-9)
+        with pytest.raises(TypeError):
+            ConvergenceTracker(2, tol=0.0)  # the freeze test is bitwise
 
     def test_bitwise_freeze_shrinks_workset(self):
         t = ConvergenceTracker(2)
@@ -193,10 +193,24 @@ class TestConvergenceTracker:
         rec = t.observe(parts(a), parts([9.0, 9.0]))
         assert rec.reentered == (0,) and t.phases(0) == ()
 
-    def test_tolerance_freeze_is_norm_based(self):
-        t = ConvergenceTracker(1, tol=1e-3)
-        rec = t.observe(parts([100.0]), parts([100.0 + 1e-2]))
-        assert rec.newly_frozen == (0,)  # relative update 1e-4 < tol
+    def test_stored_values_follow_their_phases(self):
+        """What a driver stored for a phase comes back from ``select`` for
+        the part that matches it, and from ``released`` once the phase
+        is replaced or thawed, by ``select`` or by ``observe``."""
+        t = ConvergenceTracker(2)
+        t.observe(parts([1.0], [2.0]), parts([1.0], [3.0]))  # 0 freezes
+        assert t.select(parts([1.0], [3.0])) == {0: None}
+        t.freeze(0, [1.0], "p0")
+        t.freeze(1, [3.0], "p1")  # a freeze the driver asks for
+        assert t.frozen == {0, 1} and t.released() == []
+        assert t.select(parts([1.0], [3.0])) == {0: "p0", 1: "p1"}
+        t.freeze(1, [3.0], "p1 again")
+        assert t.released() == ["p1"]
+        assert t.select(parts([1.0], [4.0])) == {0: "p0"}  # 1 matches none
+        assert t.frozen == {0} and t.released() == ["p1 again"]
+        rec = t.observe(parts([1.0], [4.0]), parts([2.0], [5.0]))
+        assert rec.active == (1,) and rec.reentered == (0,)
+        assert t.frozen == frozenset() and t.released() == ["p0"]
 
     def test_report_accessors(self):
         t = ConvergenceTracker(2)

@@ -355,8 +355,15 @@ def copy_y_fn(ins, outs, meta):
 
 
 class TestFrozenProducts:
-    def test_products_are_unlinked_when_the_workset_closes(self, tmp_path):
+    @staticmethod
+    def stored(op):
         from repro.core.iofilter import discover_arrays
+
+        return [name for node in range(op.engine.n_nodes)
+                for name in discover_arrays(op.engine.node_scratch(node))
+                if name.startswith("frozen")]
+
+    def test_products_are_unlinked_when_the_workset_closes(self, tmp_path):
         from repro.spmv.ooc_operator import SweepWorkset
 
         op = OutOfCoreMatrix(make_blocks(), n_nodes=3, scratch_dir=tmp_path)
@@ -366,18 +373,65 @@ class TestFrozenProducts:
         workset = SweepWorkset(op)
         workset.freeze(1, parts[1])
 
-        def stored():
-            return [name for node in range(3)
-                    for name in discover_arrays(op.engine.node_scratch(node))
-                    if name.startswith("frozen")]
-
-        assert len(stored()) == K
+        assert len(self.stored(op)) == K
         assert np.array_equal(op.matvec(x, workset=workset), want)
         assert op.last_sweep["active"] == (0, 2)
         workset.close()
-        assert stored() == []
+        assert self.stored(op) == []
         assert np.array_equal(op.matvec(x, workset=workset), want)
         assert op.last_sweep["active"] == (0, 1, 2)
+
+    def test_the_tracker_is_the_one_record(self, tmp_path):
+        """The workset keeps no copy of the tracker's frozen columns: a
+        sweep whose part matches no stored phase thaws the column in the
+        tracker, a direct freeze goes through it, the next record's
+        workset is what the sweep multiplied, and a thawed column's
+        products are unlinked."""
+        from repro.spmv.ooc_operator import SweepWorkset
+
+        op = OutOfCoreMatrix(make_blocks(), n_nodes=3, scratch_dir=tmp_path)
+        p = op.partition
+        workset = SweepWorkset(op)
+
+        def moved(x, *columns):
+            out = x.copy()
+            for v in columns:
+                lo, hi = p.part_range(v)
+                out[lo:hi] += 1.0
+            return out
+
+        def sweep(x):
+            want = op.matvec(x)
+            assert np.array_equal(op.matvec(x, workset=workset), want)
+            assert workset.frozen == workset.tracker.frozen
+            return op.last_sweep["active"]
+
+        try:
+            x = np.random.default_rng(4).standard_normal(N)
+            sweep(x)
+            x1 = moved(x, 0, 2)  # column 1 stays put and freezes
+            workset.observe(x, x1)
+            assert workset.tracker.frozen == {1}
+            assert sweep(x1) == (0, 2)
+            assert len(self.stored(op)) == K
+            x2 = moved(x1, 1)  # column 1 matches no stored phase
+            assert sweep(x2) == (0, 1, 2)
+            assert self.stored(op) == []
+            x3 = moved(x2, 0, 1, 2)
+            assert workset.observe(x2, x3).active == op.last_sweep["active"]
+
+            workset.freeze(2, p.split_vector(x3)[2])
+            assert workset.frozen == workset.tracker.frozen == {2}
+            assert len(self.stored(op)) == K
+            assert sweep(x3) == (0, 1)
+            record = workset.observe(x3, moved(x3, 0, 1, 2))
+            assert record.active == op.last_sweep["active"]
+            assert record.reentered == (2,)
+            assert workset.frozen == workset.tracker.frozen == frozenset()
+            assert self.stored(op) == []
+        finally:
+            workset.close()
+            op.engine.cleanup()
 
 
 class TestSweepScratchIsUnlinked:
@@ -755,7 +809,7 @@ class TestFsyncCensus:
                                  seed=FAULT_SEED, io_transient=0.05)})
         per_sweep = []
         result = jacobi_solve(
-            op, b, tol=0.0, max_iterations=6, fixpoint_exit=False,
+            op, b, tol=0.0, max_iterations=6,
             callback=lambda it, res: per_sweep.append(len(fsyncs)))
         op.engine.cleanup()
         assert result.iterations == 6

@@ -277,24 +277,25 @@ class TestCSRFile:
         assert pad == (4 if (width, nnz) == (4, 6) else 0)
         assert not raw[start - pad:start].any()  # zero bytes
 
-    def test_earlier_format_is_read(self, tmp_path):
-        """A ``DOOCCSR1`` file (int64 indices, a header of 32 bytes, no
-        width) is read as it lies, built here without the code under
-        test."""
+    def test_earlier_format_is_refused_by_name(self, tmp_path):
+        """A ``DOOCCSR1`` buffer (int64 indices, a header of 32 bytes, no
+        width), built here without the code under test, is a
+        ``CSRError`` that names the format and says to re-seed, from the
+        buffer and from a file alike."""
         import struct
 
         b = random_csr(np.random.default_rng(9))
         old = struct.pack("<8sqqq", b"DOOCCSR1", b.nrows, b.ncols, b.nnz) \
             + b.indptr.astype("<i8").tobytes() \
             + b.indices.astype("<i8").tobytes() + b.values.tobytes()
-        got = deserialize_csr(old)
-        assert got.indices.dtype == np.int64
-        np.testing.assert_array_equal(got.to_dense(), b.to_dense())
         path = tmp_path / "old.bin"
         path.write_bytes(old)
-        assert peek_csr_header(path) == (b.nrows, b.ncols, b.nnz)
-        np.testing.assert_array_equal(read_csr_file(path).to_dense(),
-                                      b.to_dense())
+        for read in (lambda: deserialize_csr(old),
+                     lambda: deserialize_csr(np.frombuffer(old, np.uint8)),
+                     lambda: peek_csr_header(path),
+                     lambda: read_csr_file(path)):
+            with pytest.raises(CSRError, match="DOOCCSR1.*re-seed"):
+                read()
 
     def test_unknown_index_width_is_refused(self):
         raw = serialize_csr(random_csr(np.random.default_rng(10)))
