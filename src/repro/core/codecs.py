@@ -4,9 +4,10 @@ The paper's thesis is that the dominant cost of an out-of-core solver is
 moving sub-matrices between the filesystem and memory — so the cheapest
 byte is the one never read.  This module shrinks the bytes: every block
 that crosses the spill/load boundary can be encoded by a named codec, and
-the on-disk chunk container (:mod:`repro.core.iofilter`) records which one:
-a chunk decodes by its header's codec, and an array declared from scratch
-runs under the codec its files were written with.
+the on-disk chunk container (:mod:`repro.core.iofilter`, magic
+``DOOCCHK3``) records which one: a chunk decodes by its header's codec,
+and an array declared from scratch runs under the codec its files were
+written with.
 
 Design (zarr-style chunk+codec layering):
 
@@ -15,33 +16,29 @@ Design (zarr-style chunk+codec layering):
   shared-memory segment on the process worker plane), so the store never
   sees a staging block.  ``raw`` copies the payload into it once; the
   zlib codecs inflate the payload where it lies (a mapping of the chunk
-  file's pages, for a large chunk) in bounded pieces, each written
-  straight into the buffer — contiguously for ``zlib``, into its byte
-  plane for ``shuffle-zlib`` — so no block-sized temporary is ever built
-  (:func:`_inflate_into`).  Those piece copies are cache-sized and not
-  counted by ``bytes_copied`` (it counts the data plane's gather/scatter
-  copies only).  A stream that ends short of the buffer, runs past it,
-  or is followed by trailing bytes is a :class:`CodecError`;
-* ``zlib`` puts the ``delta32`` filter in front of DEFLATE (zarr's
-  filter-then-compressor pipeline): each little-endian 4-byte word
-  becomes itself minus the word before it, mod 2**32 (a tail of fewer
-  than 4 bytes stays as it is).  The filter knows nothing of the block's
-  structure, yet turns a sub-matrix's sorted 4-byte indices into small,
-  repetitive deltas; it is exactly invertible, so decoding stays
-  bit-identical.  It is applied a piece at a time on the way into the
-  compressor and undone by an in-place running sum over each inflated
-  piece's completed words, so neither direction builds a block-sized
-  temporary.  A ``zlib`` payload is one stock stream of the delta-coded
-  bytes;
-* the zlib codecs skip what DEFLATE cannot shrink (as Blosc stores a
-  chunk its compressor cannot shrink): the input is judged in 256 KiB
-  segments, and a segment whose first and last 4 KiB each shrink by
-  less than 10 % at level 1 (the float64 values of a CSR block) is
-  written as DEFLATE *stored* blocks, which cost no match search to
-  write and a copy to inflate.  The segments are judged after the
-  filter.  The payload is still one stock RFC 1950 stream — a bare
-  ``zlib.decompress`` reads it — and an input with no such segment
-  encodes to exactly ``zlib.compress`` of the (filtered) bytes;
+  file's pages, for a large chunk) a piece at a time, so no block-sized
+  temporary is ever built in either direction (:func:`_deflate`,
+  :func:`_inflate_into`; those cache-sized copies are not counted by
+  ``bytes_copied``).  A stream that ends short of the buffer, runs past
+  it, or is followed by trailing bytes is a :class:`CodecError`;
+* the zlib codecs filter and deflate only what shrinks (zarr's
+  filter-then-compressor pipeline, Blosc's shuffle within blocks).  A
+  256 KiB segment is *filtered* — filtered, byte-shuffled inside each
+  64 KiB piece, deflated at level 1, each byte plane of 4 KiB or more to
+  a DEFLATE block (its own Huffman code) — when it is shorter than
+  4 KiB or a sample at each end (4 KiB of every plane), coded so,
+  shrinks by 10 %.  Any other (a CSR block's values under ``zlib``) is
+  *raw*: stored as it is, with no match search, and only inflated;
+* ``zlib``'s filter is ``delta32`` (each little-endian 4-byte word minus
+  the one before, mod 2**32; a tail of under 4 bytes stays) and its
+  shuffle is by 4, so sorted 4-byte indices become small deltas whose
+  high bytes line up as runs of zeros.  ``shuffle-zlib`` only shuffles,
+  by the item size.  Both are exactly invertible: decoding is
+  bit-identical;
+* the payload is one stock RFC 1950 stream (a bare ``zlib.decompress``
+  reads it) of the segment map — bit ``i % 8`` of byte ``i // 8`` set
+  when segment ``i`` is filtered, none past the last — then each
+  segment in its form;
 * codecs are looked up by name in a registry (:func:`register_codec` /
   :func:`get_codec`), so block headers and checkpoint manifests can name
   their codec and new codecs plug in without touching the I/O layer;
@@ -88,13 +85,13 @@ def checksum(data) -> int:
     return zlib.crc32(memoryview(data)) & 0xFFFFFFFF
 
 
-#: the stored-segment rule (:func:`_deflate`): judge the input in
-#: segments of ``_SEGMENT`` bytes by compressing the first and the last
-#: ``_SAMPLE`` of each at level 1; one whose samples both shrink by less
-#: than ``_MIN_SAVING`` is stored
+#: the segment rule (:func:`_shrinks`; ``_SAMPLE`` is also the least
+#: byte plane that gets a code of its own, :func:`_parts`), and the
+#: pieces a filtered segment is shuffled in (a segment is whole pieces)
 _SEGMENT = 256 * 1024
 _SAMPLE = 4 * 1024
 _MIN_SAVING = 0.10
+_PIECE = 64 * 1024
 #: the largest DEFLATE stored block (RFC 1951 §3.2.4: LEN is 16 bits)
 _STORED_MAX = 0xFFFF
 _STORED_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
@@ -104,10 +101,7 @@ _STORED_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
 #: however far one input piece expands (an all-zero block: ≈ 1000×)
 _INFLATE_IN = 64 * 1024
 _INFLATE_OUT = 128 * 1024
-#: the ``delta32`` filter's word, and how many input bytes the encoder
-#: filters and hands to the compressor at a time
-_WORD = np.dtype("<u4")
-_FILTER_PIECE = 64 * 1024
+_WORD = np.dtype("<u4")  # the ``delta32`` filter's word
 
 
 def _delta32(data: memoryview, lo: int, hi: int) -> np.ndarray:
@@ -130,146 +124,181 @@ def _delta32(data: memoryview, lo: int, hi: int) -> np.ndarray:
     return out[lo - start:hi - start]
 
 
-def _undelta32(words: np.ndarray, lo: int, hi: int) -> int:
+def _undelta32(words: np.ndarray, lo: int, hi: int) -> None:
     """Undo ``delta32`` over ``words[lo:hi]`` in place, ``words[:lo]``
     being restored already: a running sum carried on from word
-    ``lo - 1``.  Returns ``hi``, where the next call carries on."""
+    ``lo - 1``."""
     run = words[lo:hi]
-    if len(run):
-        if lo:
-            run[:1] += words[lo - 1:lo]  # array arithmetic wraps silently
-        np.add.accumulate(run, dtype=_WORD, out=run)
-    return hi
+    if lo and len(run):
+        run[:1] += words[lo - 1:lo]  # array arithmetic wraps silently
+    np.add.accumulate(run, dtype=_WORD, out=run)
 
 
-def _shuffled(data: memoryview, itemsize: int):
-    """The byte-plane transpose of ``data``, a range at a time:
-    ``view(lo, hi)`` returns bytes ``lo:hi`` of the block shuffled into
-    ``itemsize`` planes (byte ``p * rows + j`` is byte ``p`` of element
-    ``j``), gathered into a new array of ``hi - lo`` bytes."""
-    planes = np.frombuffer(data, np.uint8).reshape(-1, itemsize)
-    rows = len(planes)
-
-    def view(lo: int, hi: int) -> memoryview:
-        out = np.empty(hi - lo, np.uint8)
-        at = 0
-        while at < len(out):
-            p, j = divmod(lo + at, rows)
-            k = min(len(out) - at, rows - j)
-            out[at:at + k] = planes[j:j + k, p]
-            at += k
-        return memoryview(out)
-    return view
+def _shuffle(piece: np.ndarray, width: int) -> np.ndarray:
+    """The byte planes of ``piece``'s whole ``width``-byte items (byte
+    ``p * rows + j`` is byte ``p`` of item ``j``), then its tail of fewer
+    than ``width`` bytes, as a new array."""
+    whole = len(piece) - len(piece) % width
+    out = piece.copy()
+    out[:whole].reshape(width, -1)[...] = piece[:whole].reshape(-1, width).T
+    return out
 
 
-def _incompressible(view, lo: int, hi: int) -> bool:
-    """Both ends of the segment ``lo:hi`` resist DEFLATE, read as
-    ``view(a, b)`` returns them (the bytes the compressor would see).
-    Sampling the tail too keeps a segment that straddles noise and a
-    compressible region (a shuffled block's mantissa plane running into
-    the next plane's zero high bytes) in the compressor."""
-    if hi - lo < _SAMPLE:
-        return False
-    return all(len(zlib.compress(view(a, a + _SAMPLE), 1))
-               > (1 - _MIN_SAVING) * _SAMPLE for a in (lo, hi - _SAMPLE))
+def _unshuffle(piece: np.ndarray, dest: np.ndarray, width: int) -> None:
+    """Write the inverse of :func:`_shuffle` of ``piece`` into ``dest``,
+    a plane at a time (one transposed copy runs 3x slower)."""
+    whole = len(piece) - len(piece) % width
+    items = dest[:whole].reshape(-1, width)
+    for p, plane in enumerate(piece[:whole].reshape(width, -1)):
+        items[:, p] = plane
+    dest[whole:] = piece[whole:]
 
 
-def _deflate(n: int, view, level: int) -> bytearray:
-    """The ``n`` bytes ``view(lo, hi)`` reads as one zlib (RFC 1950)
-    stream, incompressible segments stored.
+def _parts(data: memoryview, lo: int, hi: int, width: int,
+           delta: bool) -> list:
+    """Bytes ``lo:hi`` of ``data`` filtered (``delta32``-coded when
+    ``delta``, then shuffled by ``width``) as the parts that each end a
+    DEFLATE block: its byte planes, then any tail of fewer than
+    ``width`` bytes, when it has several planes of at least ``_SAMPLE``
+    bytes (each gets its own Huffman code), else the whole."""
+    piece = _shuffle(_delta32(data, lo, hi) if delta
+                     else np.frombuffer(data, np.uint8, hi - lo, lo), width)
+    plane = (hi - lo) // width
+    if width == 1 or plane < _SAMPLE:
+        return [piece]
+    return [piece[at:at + plane] for at in range(0, hi - lo, plane)]
 
-    ``view`` returns the bytes the compressor sees — the block itself,
-    its ``delta32`` form, or its byte planes — a piece at a time (made
-    on the way by the filter or the shuffle), so nothing block-sized is
-    made beside the payload.  Each
-    run of compressible segments goes through its own raw-deflate
-    compressor at ``level``; a run followed by stored blocks ends on a
-    sync flush, which byte-aligns the stream without ending it.  The
-    compressor is fresh per run: one that had not seen the stored bytes
-    in between would measure its back-references over the wrong window.
-    With nothing to store this is ``zlib.compress`` of the (filtered)
-    bytes, byte for byte: DEFLATE's output does not depend on how its
-    input is split.
+
+def _shrinks(data: memoryview, lo: int, hi: int, width: int,
+             delta: bool) -> bool:
+    """The segment ``lo:hi`` is shorter than ``_SAMPLE``, or a sample at
+    each end (``_SAMPLE`` bytes of every byte plane, at most a piece),
+    coded in its :func:`_parts`, shrinks by ``_MIN_SAVING`` at level 1.
+    Sampling both ends keeps a segment that runs from indices into
+    values (a CSR block's) raw when the values do not."""
+    size = min(_SAMPLE * width, _PIECE, hi - lo)
+    return hi - lo < _SAMPLE or all(
+        sum(len(zlib.compress(part, 1))
+            for part in _parts(data, a, a + size, width, delta))
+        <= (1 - _MIN_SAVING) * size for a in (lo, hi - size))
+
+
+def _deflate(data: memoryview, width: int, delta: bool,
+             level: int) -> bytearray:
+    """``data`` as one zlib (RFC 1950) stream: the segment map, then each
+    segment filtered and deflated, or raw in stored blocks.
+
+    Filtered bytes are made a piece at a time, in :func:`_parts`, and
+    raw ones are read where they lie.  The map leads the first run of
+    segments.  Each run of filtered segments has its own raw-deflate
+    compressor at ``level`` (one that had not seen the stored bytes in
+    between would measure its back-references over the wrong window); a
+    run followed by stored blocks ends on a sync flush, which byte-aligns
+    the stream.
     """
-    # An empty input is one compressible segment: the stream still needs
-    # its one (empty) final block.
-    stored = [_incompressible(view, lo, min(n, lo + _SEGMENT))
-              for lo in range(0, max(n, 1), _SEGMENT)]
+    n = len(data)
+    if not n:  # no segment, so an empty map
+        return bytearray(zlib.compress(b"", level))
+    kinds = [_shrinks(data, lo, min(n, lo + _SEGMENT), width, delta)
+             for lo in range(0, n, _SEGMENT)]
+    head = np.packbits(kinds, bitorder="little").tobytes()
     out = bytearray(zlib.compress(b"", level)[:2])  # CMF/FLG for ``level``
     adler = zlib.adler32(b"")
     lo = 0
-    for store, run in groupby(stored):
+    for filtered, run in groupby(kinds):
         hi = min(n, lo + _SEGMENT * len(list(run)))
-        if store:
-            for off in range(lo, hi, _STORED_MAX):
-                end = min(hi, off + _STORED_MAX)
-                size = end - off
-                piece = view(off, end)
-                adler = zlib.adler32(piece, adler)
-                out += _STORED_HEADER.pack(end == n, size, size ^ 0xFFFF)
-                out += piece
-        else:
+        if filtered:
             deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
-            for off in range(lo, hi, _FILTER_PIECE):
-                piece = view(off, min(hi, off + _FILTER_PIECE))
-                adler = zlib.adler32(piece, adler)
-                out += deflate.compress(piece)
+            adler = zlib.adler32(head, adler)
+            out += deflate.compress(head)
+            for off in range(lo, hi, _PIECE):
+                for part in _parts(data, off, min(hi, off + _PIECE), width,
+                                   delta):
+                    adler = zlib.adler32(part, adler)
+                    out += deflate.compress(part)
+                    out += deflate.flush(zlib.Z_BLOCK)
             out += deflate.flush(zlib.Z_FINISH if hi == n
                                  else zlib.Z_SYNC_FLUSH)
-        lo = hi
+        else:
+            while lo < hi:
+                piece = data[lo:min(hi, lo + _STORED_MAX - len(head))]
+                adler = zlib.adler32(piece, zlib.adler32(head, adler))
+                lo, size = lo + len(piece), len(head) + len(piece)
+                out += _STORED_HEADER.pack(lo == n, size, size ^ 0xFFFF)
+                out += head
+                out += piece
+                head = b""
+        lo, head = hi, b""
     out += struct.pack(">I", adler)
     return out
 
 
-def _inflate_into(payload, out: memoryview, planes: int, what: str,
-                  delta: bool = False) -> None:
-    """Inflate the zlib stream ``payload`` straight into ``out``.
+def _inflate_into(payload, out: memoryview, width: int, delta: bool,
+                  what: str) -> None:
+    """Inflate the zlib stream ``payload`` (as :func:`_deflate` writes
+    it) straight into ``out``.
 
-    The stream fills ``planes`` equal byte planes of ``out``: plane ``p``
-    is byte ``p`` of every ``planes``-byte element (``zlib`` has one
-    plane, so the stream lands in order; ``shuffle-zlib`` has one per
-    byte of its item).  The payload is read where it lies, ``_INFLATE_IN``
-    bytes at a time, and each inflated piece of at most ``_INFLATE_OUT``
-    bytes is written to its place in ``out`` at once: decoding holds one
-    piece, never a block.  With ``delta`` (one plane only) the stream is
-    the ``delta32`` form, undone in ``out`` over the words each piece
-    completes.  A payload that does not inflate to exactly ``len(out)``
-    bytes, or that has bytes after the end of its stream, is a
-    :class:`CodecError` naming ``what``.
+    The payload is read where it lies, ``_INFLATE_IN`` bytes at a time,
+    and inflated at most ``_INFLATE_OUT`` bytes at a time.  A raw
+    segment inflates straight into its place in ``out``; a filtered
+    piece inflates into a piece-sized buffer, is unshuffled into its
+    place and, with ``delta``, restored there by a running sum.  A map
+    that marks a segment past the last, a payload that does not inflate
+    to exactly ``len(out)`` bytes, or one with bytes after the end of its
+    stream, is a :class:`CodecError` naming ``what``.
     """
     payload = memoryview(payload).cast("B")
     nbytes = len(out)
-    # Stream byte p * rows + j goes to dest[j, p].  np.asarray, not
-    # np.frombuffer: frombuffer views are sealed by data-plane convention
-    # (DOOC010), and this is caller-owned writable scratch.
-    dest = np.asarray(out).reshape(-1, planes)
-    rows = len(dest)
-    words = dest.reshape(-1)[: nbytes - nbytes % 4].view(_WORD)
-    restored = 0  # words[:restored] hold their bytes again
+    segments = -(-nbytes // _SEGMENT)
+    # np.asarray, not np.frombuffer: frombuffer views are sealed by
+    # data-plane convention (DOOC010), and this is caller-owned scratch.
+    dest = np.asarray(out)
+    words = dest[: nbytes - nbytes % 4].view(_WORD)
     d = zlib.decompressobj()
     data = payload[:0]
-    done = fed = 0
-    full = False  # the last piece hit _INFLATE_OUT: output may be pending
-    try:
-        while not d.eof and (data or full or fed < len(payload)):
-            if not data:
+    fed = 0
+
+    def fill(into: np.ndarray) -> int:
+        """Inflate the stream's next ``len(into)`` bytes into ``into``;
+        returns how many (fewer only at the stream's end)."""
+        nonlocal data, fed
+        got = 0
+        while got < len(into) and not d.eof:  # past it, input is unused
+            part = d.decompress(data, min(len(into) - got, _INFLATE_OUT))
+            data = d.unconsumed_tail
+            into[got:got + len(part)] = np.frombuffer(part, np.uint8)
+            got += len(part)
+            if not part and not data:
+                if fed == len(payload):
+                    break
                 data = payload[fed:fed + _INFLATE_IN]
                 fed += len(data)
-            piece = d.decompress(data, _INFLATE_OUT)
-            data = d.unconsumed_tail
-            full = len(piece) == _INFLATE_OUT
-            if len(piece) > nbytes - done:
-                raise CodecError(
-                    f"{what} payload decodes past {nbytes} bytes (corrupt)")
-            src = np.frombuffer(piece, dtype=np.uint8)
-            while len(src):
-                p, j = divmod(done, rows)
-                k = min(len(src), rows - j)
-                dest[j:j + k, p] = src[:k]
-                src = src[k:]
-                done += k
-            if delta:  # a piece may end inside a word: that one waits
-                restored = _undelta32(words, restored, done // 4)
+        return got
+
+    segmap = np.zeros(-(-segments // 8), np.uint8)  # short: all raw
+    piece = np.empty(min(nbytes, _PIECE) or 1, np.uint8)
+    done = 0
+    try:
+        fill(segmap)
+        kinds = np.unpackbits(segmap, bitorder="little")
+        if kinds[segments:].any():
+            raise CodecError(f"{what} payload's segment map marks a segment "
+                             f"past the last of {segments} (corrupt)")
+        while done < nbytes:
+            end = min(nbytes, done + _PIECE)
+            filtered = kinds[done // _SEGMENT]
+            got = fill(piece[:end - done] if filtered else dest[done:end])
+            if got < end - done:
+                done += got
+                break
+            if filtered:
+                _unshuffle(piece[:end - done], dest[done:end], width)
+                if delta:  # pieces end on a word, but for the block's tail
+                    _undelta32(words, done // 4, end // 4)
+            done = end
+        if done == nbytes and fill(piece[:1]):
+            raise CodecError(
+                f"{what} payload decodes past {nbytes} bytes (corrupt)")
     except zlib.error as exc:
         raise CodecError(f"{what} payload does not decode: {exc}") from exc
     if not d.eof or done != nbytes:
@@ -331,66 +360,46 @@ class RawCodec(Codec):
 
 
 class ZlibCodec(Codec):
-    """``delta32`` then DEFLATE at a configurable level (zarr's
-    filter-then-compressor pipeline).
-
-    The word deltas turn sorted 4-byte indices into short repeats DEFLATE
-    can find; segments it still cannot shrink are stored, not compressed
-    (the module docstring's rules).  The payload is one stock zlib stream
-    of the delta-coded bytes either way.
-    """
+    """``delta32`` and a 4-byte shuffle, then DEFLATE at ``level``, over
+    the segments that shrink; the others stored as they are (the module
+    docstring's rules)."""
 
     name = "zlib"
-
-    def __init__(self, level: int = 6):
-        if not 0 <= level <= 9:
-            raise CodecError(f"zlib level {level} outside 0..9")
-        self.level = level
-
-    def encode(self, data, itemsize: int = 1) -> bytearray:
-        data = memoryview(data).cast("B")
-        return _deflate(len(data),
-                        lambda lo, hi: memoryview(_delta32(data, lo, hi)),
-                        self.level)
-
-    def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
-        _inflate_into(payload, memoryview(out).cast("B"), 1, self.name,
-                      delta=True)
-
-
-class ShuffleZlibCodec(Codec):
-    """Byte-shuffle + fast DEFLATE (the lz4/blosc-style pipeline).
-
-    Transposing the block to ``itemsize`` byte planes groups the
-    slowly-varying high-order bytes of floating-point data together,
-    which DEFLATE then squeezes far better than the interleaved layout —
-    at level 1 the shuffle+deflate combination approaches zlib-6 ratios
-    at a fraction of the CPU cost on smooth numeric data.  The shuffled
-    bytes go through the same writer as :class:`ZlibCodec`'s, a piece at
-    a time (:func:`_shuffled`), so byte planes DEFLATE cannot shrink (low
-    mantissa bytes) are stored and no shuffled block is ever built.
-    """
-
-    name = "shuffle-zlib"
+    _delta = True
 
     def __init__(self, level: int = 1):
         if not 0 <= level <= 9:
             raise CodecError(f"zlib level {level} outside 0..9")
         self.level = level
 
+    def _width(self, nbytes: int, itemsize: int) -> int:
+        return 4  # the delta32 word
+
     def encode(self, data, itemsize: int = 1) -> bytearray:
         data = memoryview(data).cast("B")
-        if itemsize < 1 or len(data) % itemsize:
-            raise CodecError(
-                f"cannot shuffle {len(data)} bytes by itemsize {itemsize}")
-        return _deflate(len(data), _shuffled(data, itemsize), self.level)
+        return _deflate(data, self._width(len(data), itemsize), self._delta,
+                        self.level)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         out = memoryview(out).cast("B")
-        if itemsize < 1 or len(out) % itemsize:
+        _inflate_into(payload, out, self._width(len(out), itemsize),
+                      self._delta, self.name)
+
+
+class ShuffleZlibCodec(ZlibCodec):
+    """Byte-shuffle by the item size + fast DEFLATE (the Blosc pipeline):
+    byte planes group the slowly-varying high-order bytes of numeric
+    data, which DEFLATE squeezes better than the interleaved layout.
+    :class:`ZlibCodec`'s writer and reader, without the word deltas."""
+
+    name = "shuffle-zlib"
+    _delta = False
+
+    def _width(self, nbytes: int, itemsize: int) -> int:
+        if itemsize < 1 or nbytes % itemsize:
             raise CodecError(
-                f"cannot unshuffle {len(out)} bytes by itemsize {itemsize}")
-        _inflate_into(payload, out, itemsize, self.name)
+                f"cannot shuffle {nbytes} bytes by itemsize {itemsize}")
+        return itemsize
 
 
 _REGISTRY: dict[str, Codec] = {}

@@ -45,9 +45,11 @@ class UnknownCodecError(CodecError):
 class ChunkFormatError(StorageError):
     """A chunk file was written in an earlier container format.
 
-    Its ``zlib`` payload predates the ``delta32`` filter, so decoding it
-    now would install different bytes: it is refused by name instead, and
-    never retried (its bytes will not change).  Re-seed the array.
+    Its payload predates the current ``zlib`` / ``shuffle-zlib`` stream
+    (``DOOCCHK1``: no ``delta32`` filter; ``DOOCCHK2``: no segment map),
+    so decoding it now would install different bytes: it is refused by
+    name instead, and never retried (its bytes will not change).  Re-seed
+    the array.
     """
 
 
@@ -120,9 +122,10 @@ class RecoveryError(DoocError):
 class CheckpointFormatError(RecoveryError):
     """A checkpoint manifest was written in an earlier format version.
 
-    Its ``zlib`` payloads predate the ``delta32`` filter, so decoding them
-    now would restore different bytes: refused by name, like a codec
-    change, rather than skipped as corrupt.
+    Its compressed payloads predate the current ``zlib`` /
+    ``shuffle-zlib`` stream (format 1: no ``delta32`` filter; format 2: no
+    segment map), so decoding them now would restore different bytes:
+    refused by name, like a codec change, rather than skipped as corrupt.
     """
 
 

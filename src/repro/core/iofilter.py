@@ -78,9 +78,13 @@ _CHUNK_SUFFIX = ".arrc"
 
 #: chunk container framing: magic, codec name (NUL-padded ASCII),
 #: raw byte count, encoded payload byte count, CRC-32 of the payload
-CHUNK_MAGIC = b"DOOCCHK2"
-#: the same framing before ``zlib`` payloads were delta-coded: refused
-_CHUNK_MAGIC_V1 = b"DOOCCHK1"
+CHUNK_MAGIC = b"DOOCCHK3"
+#: the same framing's earlier magics, each refused (by what its payloads
+#: lack) rather than decoded into other bytes
+_EARLIER_MAGICS = {
+    b"DOOCCHK1": "before delta-coded zlib payloads",
+    b"DOOCCHK2": "before zlib payloads kept raw segments unfiltered",
+}
 _CHUNK_HEADER = struct.Struct("<8s16sQQI")
 CHUNK_HEADER_NBYTES = _CHUNK_HEADER.size
 
@@ -194,17 +198,17 @@ def _chunk_header(header, file_nbytes: int, what: str):
 
     A short header, bad magic, a codec name that is not ASCII, or a file
     shorter (or longer) than the header promises is a
-    :class:`StorageError` naming ``what``; a chunk of the earlier format
+    :class:`StorageError` naming ``what``; a chunk of an earlier format
     is a :class:`ChunkFormatError`.
     """
     if len(header) < CHUNK_HEADER_NBYTES:
         raise StorageError(f"truncated chunk header for {what}")
     magic, codec_name, raw_nbytes, payload_nbytes, crc = \
         _CHUNK_HEADER.unpack_from(header, 0)
-    if magic == _CHUNK_MAGIC_V1:
+    if magic in _EARLIER_MAGICS:
         raise ChunkFormatError(
-            f"chunk for {what} has the format before delta-coded zlib "
-            f"payloads ({magic!r}, want {CHUNK_MAGIC!r}); re-seed the array")
+            f"chunk for {what} has the format {_EARLIER_MAGICS[magic]} "
+            f"({magic!r}, want {CHUNK_MAGIC!r}); re-seed the array")
     if magic != CHUNK_MAGIC:
         raise StorageError(f"bad chunk magic {magic!r} for {what}")
     if file_nbytes - CHUNK_HEADER_NBYTES != payload_nbytes:

@@ -44,9 +44,10 @@ __all__ = ["Checkpoint", "CheckpointManager", "CheckpointCadence",
 
 MANIFEST_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 PAYLOAD_RE = re.compile(r"^ckpt-(\d{8})-.+\.blk$")
-#: 2: ``zlib`` payloads are delta-coded (:mod:`repro.core.codecs`); a
-#: version-1 manifest is refused by name, never decoded to other bytes
-FORMAT_VERSION = 2
+#: 3: ``zlib`` and ``shuffle-zlib`` payloads lead with a segment map and
+#: store raw segments unfiltered (:mod:`repro.core.codecs`); a manifest of
+#: an earlier version is refused by name, never decoded to other bytes
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -202,7 +203,7 @@ class CheckpointManager:
         if type(version) is int and 0 < version < FORMAT_VERSION:
             raise CheckpointFormatError(
                 f"checkpoint step {step} has format {version}, before "
-                f"delta-coded zlib payloads; this version reads format "
+                f"the current zlib payloads; this version reads format "
                 f"{FORMAT_VERSION} only")
         if version != FORMAT_VERSION:
             raise RecoveryError(f"malformed manifest {path.name}")

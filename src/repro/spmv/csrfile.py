@@ -22,7 +22,7 @@ Both index arrays have the one width: the in-place kernel
 and SciPy's kernel takes one index type.  A buffer of the earlier format,
 magic ``b"DOOCCSR1"`` (int64 indices, no width field), is refused by name
 with a :class:`~repro.spmv.csr.CSRError` that says to re-seed it, as
-``DOOCCHK1`` chunks and format-1 checkpoints are.
+chunks and checkpoints of earlier formats are.
 
 The same byte layout doubles as the in-memory serialization used to park a
 sub-matrix in a DOoC global array (one uint8 block), so the storage layer

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import DOoCEngine, Program
 from repro.core.array import ArrayDesc
 from repro.core.codecs import (
+    _PIECE,
     _SAMPLE,
     _SEGMENT,
     CODEC_ENV,
@@ -70,9 +71,62 @@ def delta32(data: bytes) -> bytes:
 
 
 def shuffle(data: bytes, itemsize: int) -> bytes:
-    """The ``shuffle-zlib`` codec's byte planes, written without the code
-    under test: byte ``k`` of every element, for each ``k`` in turn."""
-    return np.frombuffer(data, np.uint8).reshape(-1, itemsize).T.tobytes()
+    """A byte shuffle, written without the code under test: byte ``k`` of
+    every whole ``itemsize``-byte element, for each ``k`` in turn, then
+    the tail of fewer than ``itemsize`` bytes as it is."""
+    whole = len(data) - len(data) % itemsize
+    return (np.frombuffer(data[:whole], np.uint8).reshape(-1, itemsize)
+            .T.tobytes() + data[whole:])
+
+
+def inflated(name: str, data: bytes, itemsize: int, kinds) -> bytes:
+    """What a ``zlib`` or ``shuffle-zlib`` payload inflates to, written
+    without the code under test: the segment map (bit ``i % 8`` of byte
+    ``i // 8`` set when segment ``i`` is filtered), then each 256 KiB
+    segment as it is or, filtered, in 64 KiB pieces, each shuffled by 4
+    after ``delta32`` over the whole block (``zlib``) or by ``itemsize``
+    (``shuffle-zlib``)."""
+    coded, width = (delta32(data), 4) if name == "zlib" else (data, itemsize)
+    parts = [np.packbits(np.array(kinds, bool), bitorder="little").tobytes()]
+    for i, filtered in enumerate(kinds):
+        lo, hi = i * _SEGMENT, min(len(data), (i + 1) * _SEGMENT)
+        parts += ([shuffle(coded[a:min(hi, a + _PIECE)], width)
+                   for a in range(lo, hi, _PIECE)] if filtered
+                  else [data[lo:hi]])
+    return b"".join(parts)
+
+
+def deflated(name: str, data: bytes, itemsize: int) -> bytes:
+    """The payload of a block whose segments are all filtered, written
+    without the code under test: one level-1 compressor over
+    ``inflated``'s stream, ending a DEFLATE block after each part of
+    every piece (its byte planes when it has several of at least 4 KiB,
+    else the piece whole)."""
+    width = 4 if name == "zlib" else itemsize
+    stream = inflated(name, data, itemsize,
+                      [True] * -(-len(data) // _SEGMENT))
+    head = len(stream) - len(data)  # the map
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS)
+    body = deflate.compress(stream[:head])
+    for at in range(head, len(stream), _PIECE):
+        piece = stream[at:at + _PIECE]
+        plane = len(piece) // width
+        step = plane if width > 1 and plane >= _SAMPLE else len(piece)
+        for a in range(0, len(piece), step):
+            body += deflate.compress(piece[a:a + step])
+            body += deflate.flush(zlib.Z_BLOCK)
+    body += deflate.flush()
+    return (zlib.compress(b"", 1)[:2] + body
+            + zlib.adler32(stream).to_bytes(4, "big"))
+
+
+def segment_kinds(payload, nbytes: int) -> list:
+    """The segment map at the head of ``payload``'s stream, as a list of
+    "filtered" flags, one per segment of an ``nbytes`` block."""
+    segments = -(-nbytes // _SEGMENT)
+    head = zlib.decompressobj().decompress(bytes(payload), -(-segments // 8))
+    bits = np.unpackbits(np.frombuffer(head, np.uint8), bitorder="little")
+    return [bool(b) for b in bits[:segments]]
 
 
 class TestRegistry:
@@ -180,9 +234,11 @@ class TestRoundTrips:
         shuffled = shuffle(data, 8)
         # plane k holds byte k of every element
         assert shuffled[:8] == bytes(data[i * 8] for i in range(8))
+        # any stock stream of the map (one filtered segment) and the
+        # planes decodes, whoever deflated it
         out = bytearray(len(data))
-        ShuffleZlibCodec().decode_into(zlib.compress(shuffled), memoryview(out),
-                                       8)
+        ShuffleZlibCodec().decode_into(zlib.compress(b"\x01" + shuffled, 9),
+                                       memoryview(out), 8)
         assert bytes(out) == data
 
     def test_shuffle_rejects_misaligned(self):
@@ -216,73 +272,79 @@ def _csr_block_bytes(nrows=1024, nnz_per_row=256, seed=1):
 
 
 class TestStoredSegments:
-    """The zlib encoders store what DEFLATE cannot shrink, and the payload
-    stays one stock zlib stream."""
+    """The zlib encoders filter and deflate the segments that shrink and
+    store the others as they are; the payload stays one stock zlib
+    stream."""
 
     LENGTHS = [0, 1, _SAMPLE - 1, _SEGMENT - 1, _SEGMENT + 1,
                3 * _SEGMENT + 7]
-    CODECS = [("zlib", 6), ("shuffle-zlib", 1)]
+    CODECS = ["zlib", "shuffle-zlib"]
 
     @staticmethod
     def itemsize(data: bytes) -> int:
         return 8 if len(data) % 8 == 0 else 1
 
     @staticmethod
-    def filtered(name, data, itemsize):
-        """The bytes the codec hands DEFLATE: the shuffled bytes for
-        ``shuffle-zlib``, the delta-coded ones for ``zlib``."""
-        if name == "shuffle-zlib":
-            return shuffle(data, itemsize)
-        return delta32(data)
-
-    def parent_payload(self, name, level, data, itemsize):
-        """What the codec wrote before stored segments: one
-        ``zlib.compress`` at its level of the filtered bytes."""
-        return zlib.compress(self.filtered(name, data, itemsize), level)
-
-    def encode_checked(self, name, data, itemsize):
+    def encode_checked(name, data, itemsize):
         codec = get_codec(name)
         payload = codec.encode(data, itemsize)
-        # a bare stock stream
-        assert zlib.decompress(payload) == self.filtered(name, data, itemsize)
+        kinds = segment_kinds(payload, len(data))
+        # a bare stock stream of the map and the segments in their forms
+        assert zlib.decompress(payload) == inflated(name, data, itemsize,
+                                                    kinds)
         out = bytearray(len(data))
         codec.decode_into(payload, memoryview(out), itemsize)
         assert bytes(out) == data
-        return payload
+        return payload, kinds
 
-    @pytest.mark.parametrize("name,level", CODECS)
+    @pytest.mark.parametrize("name", CODECS)
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_random_bytes_grow_by_stored_block_headers_only(self, name,
-                                                            level, n):
+    def test_random_bytes_grow_by_stored_block_headers_only(self, name, n):
         data = np.random.default_rng(n).bytes(n)
-        payload = self.encode_checked(name, data, self.itemsize(data))
+        payload, kinds = self.encode_checked(name, data, self.itemsize(data))
+        # whole segments are stored; a tail shorter than a sample is not
+        # judged
+        assert not any(kinds[:n // _SEGMENT])
         # 5 header bytes per stored block of at most 64 KiB, plus the
-        # zlib framing and a compressed tail shorter than the sample
+        # zlib framing, the map and a compressed tail shorter than the
+        # sample
         assert len(payload) <= n + 5 * -(-n // 65536) + 16
 
-    @pytest.mark.parametrize("name,level", CODECS)
+    @pytest.mark.parametrize("name", CODECS)
     @pytest.mark.parametrize("n", LENGTHS)
     def test_compressible_input_is_byte_identical_to_zlib_compress(
-            self, name, level, n):
+            self, name, n):
         rng = np.random.default_rng(5)
         data = np.repeat(rng.integers(0, 9, n // 64 + 1, dtype=np.uint8),
                          64)[:n].tobytes()
         itemsize = self.itemsize(data)
-        payload = self.encode_checked(name, data, itemsize)
-        assert payload == self.parent_payload(name, level, data, itemsize)
+        payload, kinds = self.encode_checked(name, data, itemsize)
+        assert all(kinds)
+        # one compressor over the whole stream, which ends a block where
+        # the format says
+        assert payload == deflated(name, data, itemsize)
 
-    @pytest.mark.parametrize("name,level", CODECS)
+    @pytest.mark.parametrize("name", CODECS)
     @pytest.mark.parametrize("itemsize", [1, 8])
     def test_csr_block_stores_its_values_and_keeps_its_ratio(
-            self, name, level, itemsize):
-        # ooc_zlib's block (2048 rows of 256): its 4-byte indices are a
-        # third of it, so byte planes of 8 still hold whole segments of
-        # values
+            self, name, itemsize):
+        # ooc_zlib's block (2048 rows of 256): the segments of indices
+        # are filtered.  The values are stored where they do not shrink:
+        # after zlib's deltas, and unshuffled.  Shuffled by 8, each byte
+        # plane of a whole segment has its own code, and the exponent
+        # planes shrink, so those are filtered (the 8 KiB tail's planes
+        # are too short for codes of their own: it is stored).  Either
+        # way the payload keeps the size the earlier format's (one
+        # compressor over the whole block filtered, zlib at level 6) had.
         data = _csr_block_bytes(nrows=2048)
-        payload = self.encode_checked(name, data, itemsize)
-        parent = self.parent_payload(name, level, data, itemsize)
-        assert payload != parent  # some segment went in stored ...
-        assert len(payload) <= 1.05 * len(parent)  # ... at little cost
+        payload, kinds = self.encode_checked(name, data, itemsize)
+        values = len(data) - 8 * 2048 * 256  # the values run to the end
+        end = len(data) if (name, itemsize) == ("shuffle-zlib", 8) else values
+        assert kinds == [(i + 1) * _SEGMENT <= end for i in range(len(kinds))]
+        earlier = zlib.compress(
+            delta32(data) if name == "zlib" else shuffle(data, itemsize),
+            6 if name == "zlib" else 1)
+        assert len(payload) <= 1.05 * len(earlier)
 
     @pytest.mark.parametrize("name", ["zlib", "shuffle-zlib"])
     def test_damaged_stored_segments_raise(self, name):
@@ -332,10 +394,12 @@ class TestStreamingDecode:
 
     @pytest.mark.parametrize("name", CODECS)
     def test_block_encodes_beside_its_payload_only(self, name):
-        # The filter and the shuffle reach the compressor a piece at a
-        # time: an 8 MiB block of random values (stored, so its payload is
-        # as large) peaks below the block and one mebibyte; a whole
-        # shuffled copy made it twice that.
+        # Filtered bytes reach the compressor a piece at a time, and
+        # stored ones are read where they lie: an 8 MiB block of random
+        # values peaks below the block and one mebibyte, stored (zlib's
+        # deltas leave them nothing to shrink) or filtered (shuffle-zlib
+        # codes their exponent plane on its own); a whole filtered copy
+        # made it twice that.
         import tracemalloc
 
         raw = np.random.default_rng(8).standard_normal(2**20).tobytes()
@@ -346,8 +410,9 @@ class TestStreamingDecode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert zlib.decompress(payload) == (
-            shuffle(raw, 8) if name == "shuffle-zlib" else delta32(raw))
+        kinds = [name == "shuffle-zlib"] * 32
+        assert segment_kinds(payload, len(raw)) == kinds
+        assert zlib.decompress(payload) == inflated(name, raw, 8, kinds)
         assert peak <= len(raw) + 2**20, peak
 
     @pytest.mark.parametrize("name", CODECS)
@@ -418,7 +483,8 @@ class TestDelta32:
 
         codec = get_codec("zlib")
         payload = codec.encode(data)
-        assert zlib.decompress(payload) == delta32(data)
+        assert zlib.decompress(payload) == inflated(
+            "zlib", data, 1, segment_kinds(payload, len(data)))
         out = bytearray(len(data))
         # Pieces of 1..64 bytes end inside a word at every offset.
         with mock.patch.object(codecs, "_INFLATE_OUT", piece), \
@@ -443,9 +509,102 @@ class TestDelta32:
         ramp = (np.uint32(123456789) + np.arange(2 * _SEGMENT // 4,
                                                  dtype=np.uint32) * 40503)
         data = ramp.astype("<u4").tobytes()
+        assert len(zlib.compress(data[:_SAMPLE], 1)) > 0.9 * _SAMPLE
         payload = get_codec("zlib").encode(data)
-        assert bytes(payload) == zlib.compress(delta32(data), 6)
+        assert bytes(payload) == deflated("zlib", data, 1)
         assert len(payload) < len(data) // 100
+
+
+class TestSegmentMap:
+    """A payload's stream leads with the map of its filtered segments;
+    a raw segment is inflated and nothing else, and a map that does not
+    fit the block is a CodecError."""
+
+    @staticmethod
+    def mixed(*noisy: bool, tail: int = 0) -> bytes:
+        """Whole segments, random where ``noisy``, else runs of a few
+        byte values, then ``tail`` bytes of runs."""
+        rng = np.random.default_rng(len(noisy))
+        runs = np.repeat(rng.integers(0, 9, _SEGMENT // 64 + 1,
+                                      dtype=np.uint8), 64).tobytes()
+        return b"".join(rng.bytes(_SEGMENT) if n else runs[:_SEGMENT]
+                        for n in noisy) + runs[:tail]
+
+    @pytest.mark.parametrize("name", ["zlib", "shuffle-zlib"])
+    def test_incompressible_segment_is_verbatim_in_the_stream(self, name):
+        data = self.mixed(False, True, tail=8 * 1000)
+        payload = get_codec(name).encode(data, 8)
+        assert segment_kinds(payload, len(data)) == [True, False, True]
+        stream = zlib.decompress(payload)
+        assert stream[1 + _SEGMENT:1 + 2 * _SEGMENT] == \
+            data[_SEGMENT:2 * _SEGMENT]
+
+    def test_values_are_inflated_and_nothing_more(self, monkeypatch):
+        # ooc_zlib's block: no running sum touches a word of its float64
+        # values, and the ratio holds.
+        from repro.core import codecs
+
+        data = _csr_block_bytes(nrows=2048)
+        values = (len(data) - 8 * 2048 * 256) // 4  # first values word
+        summed = []
+        real = codecs._undelta32
+
+        def undelta32(words, lo, hi):
+            summed.append((lo, hi))
+            real(words, lo, hi)
+        monkeypatch.setattr(codecs, "_undelta32", undelta32)
+        codec = get_codec("zlib")
+        payload = codec.encode(data, 8)
+        out = bytearray(len(data))
+        codec.decode_into(payload, memoryview(out), 8)
+        assert bytes(out) == data
+        assert summed and max(hi for _, hi in summed) <= values
+        assert len(data) / len(payload) >= 1.39
+
+    @pytest.mark.parametrize("name", ["zlib", "shuffle-zlib"])
+    def test_a_map_that_does_not_fit_is_a_codec_error(self, name):
+        codec = get_codec(name)
+        data = self.mixed(True, False)
+        payload = codec.encode(data, 8)
+        # a raw first segment: the map is the first byte of its stored
+        # block, after the 2-byte zlib header and 5-byte block header
+        assert payload[7] == 0b10
+        out = memoryview(bytearray(len(data)))
+        for bit in (0, 1, 2):  # flipped, or set past the last segment
+            flipped = bytearray(payload)
+            flipped[7] ^= 1 << bit
+            with pytest.raises(CodecError):
+                codec.decode_into(bytes(flipped), out, 8)
+        # a stock stream, Adler-32 and all, that marks a third segment
+        stream = bytearray(zlib.decompress(payload))
+        stream[0] |= 0b100
+        with pytest.raises(CodecError, match="segment past the last of 2"):
+            codec.decode_into(zlib.compress(bytes(stream), 1), out, 8)
+
+    @given(name=st.sampled_from(["zlib", "shuffle-zlib"]),
+           itemsize=st.sampled_from([1, 8]),
+           base=st.sampled_from([4, _PIECE, _SEGMENT, 3 * _SEGMENT]),
+           step=st.integers(-1, 1),
+           noisy=st.lists(st.booleans(), min_size=13, max_size=13),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_across_piece_and_segment_edges(
+            self, name, itemsize, base, step, noisy, seed):
+        n = base + step
+        if name == "shuffle-zlib":
+            n -= n % itemsize
+        rng = np.random.default_rng(seed)
+        data = b"".join(
+            rng.bytes(_PIECE) if noise else np.repeat(
+                rng.integers(0, 9, _PIECE // 64, dtype=np.uint8), 64
+            ).tobytes() for noise in noisy)[:n]
+        codec = get_codec(name)
+        payload = codec.encode(data, itemsize)
+        assert zlib.decompress(payload) == inflated(
+            name, data, itemsize, segment_kinds(payload, n))
+        out = bytearray(n)
+        codec.decode_into(payload, memoryview(out), itemsize)
+        assert out == data
 
 
 class TestEarlierFormats:
@@ -453,13 +612,15 @@ class TestEarlierFormats:
     decode to other bytes: each is refused by name, never decoded."""
 
     @staticmethod
-    def earlier_chunk(raw: bytes) -> bytes:
-        """A ``zlib`` chunk as the earlier format wrote it, built without
-        the code under test: magic ``DOOCCHK1``, payload not filtered."""
+    def earlier_chunk(raw: bytes, magic: bytes = b"DOOCCHK1") -> bytes:
+        """A ``zlib`` chunk as an earlier format wrote it, built without
+        the code under test: magic ``DOOCCHK1``, payload not filtered,
+        or ``DOOCCHK2``, payload delta-coded with no segment map."""
         import struct
 
-        payload = zlib.compress(raw, 6)
-        return struct.pack("<8s16sQQI", b"DOOCCHK1", b"zlib".ljust(16, b"\0"),
+        payload = zlib.compress(raw if magic == b"DOOCCHK1"
+                                else delta32(raw), 6)
+        return struct.pack("<8s16sQQI", magic, b"zlib".ljust(16, b"\0"),
                            len(raw), len(payload),
                            zlib.crc32(payload)) + payload
 
@@ -487,6 +648,59 @@ class TestEarlierFormats:
                                     "load", d, 0, "io")
         assert result is None and isinstance(error, ChunkFormatError)
         assert "io_retries" not in metrics.as_dict()
+
+    def test_format_2_seed_is_refused_at_run_start(self, tmp_path,
+                                                   monkeypatch):
+        # An array declared from scratch over DOOCCHK2 files: the engine
+        # learns its codec from the first chunk's header (backing_codec)
+        # before any load runs, and that is where the run stops.
+        from repro.core import iofilter
+        from repro.core.iofilter import backing_codec, backing_identity
+
+        loads = []
+
+        def counted(read):
+            def load(*args, **kwargs):
+                loads.append(args)
+                return read(*args, **kwargs)
+            return load
+        for fn in ("read_block", "read_block_into"):
+            monkeypatch.setattr(iofilter, fn, counted(getattr(iofilter, fn)))
+        eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path, codec="zlib")
+        try:
+            scratch = eng.node_scratch(0)
+            x = desc("x", 1000, 400, codec="zlib")
+            write_array(scratch, x, np.arange(1000.0))
+            for b in range(3):
+                raw = np.arange(b * 400.0, min(1000, b * 400 + 400)).tobytes()
+                block_path(scratch, x, b).write_bytes(
+                    self.earlier_chunk(raw, b"DOOCCHK2"))
+            with pytest.raises(ChunkFormatError, match="DOOCCHK2.*re-seed"):
+                backing_codec(scratch, backing_identity(scratch, "x"))
+            prog = Program("format-2")
+            prog.initial_from_scratch("x", 1000, block_elems=400)
+            prog.array("y", 1000, block_elems=400)
+
+            def double(ins, outs, meta):
+                outs["y"][:] = 2 * ins["x"]
+            prog.add_task("double", double, ["x"], ["y"])
+            with pytest.raises(ChunkFormatError, match="DOOCCHK2.*re-seed"):
+                eng.run(prog, timeout=60)
+        finally:
+            eng.cleanup()
+        assert loads == []
+
+    def test_format_2_checkpoint_is_refused_by_name(self, tmp_path):
+        import json
+
+        mgr = CheckpointManager(tmp_path, codec="zlib")
+        mgr.save(1, {"x": np.arange(64.0)})
+        mpath = tmp_path / "ckpt-00000001.ckpt"
+        manifest = json.loads(mpath.read_text())
+        manifest["format"] = 2
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointFormatError, match="format 2, before"):
+            mgr.load(1)
 
     def test_earlier_checkpoint_is_refused_by_name(self, tmp_path):
         import json

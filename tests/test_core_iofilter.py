@@ -204,15 +204,16 @@ class TestWritesReadTheBlockInPlace:
 
     @staticmethod
     def chunk_bytes(raw: bytes) -> bytes:
-        """A zlib chunk file as the format defines it, built without the
-        code under test: one ``zlib.compress`` of the delta-coded bytes."""
+        """A zlib chunk file of a block whose segments all shrink, as the
+        format defines it, built without the code under test: the
+        header, then ``deflated``'s payload."""
         import struct
         import zlib
 
-        from tests.test_codecs import delta32
+        from tests.test_codecs import deflated
 
-        payload = zlib.compress(delta32(raw), 6)
-        return struct.pack("<8s16sQQI", b"DOOCCHK2", b"zlib".ljust(16, b"\0"),
+        payload = deflated("zlib", raw, 8)
+        return struct.pack("<8s16sQQI", b"DOOCCHK3", b"zlib".ljust(16, b"\0"),
                            len(raw), len(payload),
                            zlib.crc32(payload)) + payload
 
