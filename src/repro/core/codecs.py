@@ -12,11 +12,13 @@ written with.
 Design (zarr-style chunk+codec layering):
 
 * a :class:`Codec` turns a block's raw bytes into an encoded payload and
-  back; ``decode_into`` fills a **caller-provided buffer** (a pooled
-  shared-memory segment on the process worker plane), so the store never
-  sees a staging block.  ``raw`` copies the payload into it once; the
-  zlib codecs inflate the payload where it lies (a mapping of the chunk
-  file's pages, for a large chunk) a piece at a time, so no block-sized
+  back; ``encode_pieces`` hands the payload out a piece at a time (the
+  chunk writer puts each in the file before it asks for the next), and
+  ``decode_into`` fills a **caller-provided buffer** (the destination
+  the store allocated for the load), so the store never sees a staging
+  block.  ``raw`` copies the payload into it once; the zlib codecs
+  inflate the payload where it lies (a mapping of the chunk file's
+  pages, for a large chunk) a piece at a time, so no block-sized
   temporary is ever built in either direction (:func:`_deflate`,
   :func:`_inflate_into`; those cache-sized copies are not counted by
   ``bytes_copied``).  A stream that ends short of the buffer, runs past
@@ -57,6 +59,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from itertools import groupby
 
 import numpy as np
@@ -80,9 +83,10 @@ __all__ = [
 CODEC_ENV = "DOOC_CODEC"
 
 
-def checksum(data) -> int:
-    """CRC-32 of ``data`` (the chunk container's torn-payload detector)."""
-    return zlib.crc32(memoryview(data)) & 0xFFFFFFFF
+def checksum(data, crc: int = 0) -> int:
+    """CRC-32 of ``data`` (the chunk container's torn-payload detector),
+    carried on from ``crc``, the CRC-32 of the bytes before it."""
+    return zlib.crc32(memoryview(data), crc) & 0xFFFFFFFF
 
 
 #: the segment rule (:func:`_shrinks`; ``_SAMPLE`` is also the least
@@ -184,9 +188,12 @@ def _shrinks(data: memoryview, lo: int, hi: int, width: int,
 
 
 def _deflate(data: memoryview, width: int, delta: bool,
-             level: int) -> bytearray:
-    """``data`` as one zlib (RFC 1950) stream: the segment map, then each
-    segment filtered and deflated, or raw in stored blocks.
+             level: int) -> Iterator:
+    """``data`` as one zlib (RFC 1950) stream, in the pieces it is made
+    of: the segment map, then each segment filtered and deflated, or raw
+    in stored blocks.  The caller writes each piece where it goes (the
+    chunk's file) before it asks for the next, so the payload is never
+    whole in memory.
 
     Filtered bytes are made a piece at a time, in :func:`_parts`, and
     raw ones are read where they lie.  The map leads the first run of
@@ -198,11 +205,12 @@ def _deflate(data: memoryview, width: int, delta: bool,
     """
     n = len(data)
     if not n:  # no segment, so an empty map
-        return bytearray(zlib.compress(b"", level))
+        yield zlib.compress(b"", level)
+        return
     kinds = [_shrinks(data, lo, min(n, lo + _SEGMENT), width, delta)
              for lo in range(0, n, _SEGMENT)]
     head = np.packbits(kinds, bitorder="little").tobytes()
-    out = bytearray(zlib.compress(b"", level)[:2])  # CMF/FLG for ``level``
+    yield zlib.compress(b"", level)[:2]  # CMF/FLG for ``level``
     adler = zlib.adler32(b"")
     lo = 0
     for filtered, run in groupby(kinds):
@@ -210,27 +218,25 @@ def _deflate(data: memoryview, width: int, delta: bool,
         if filtered:
             deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
             adler = zlib.adler32(head, adler)
-            out += deflate.compress(head)
+            yield deflate.compress(head)
             for off in range(lo, hi, _PIECE):
                 for part in _parts(data, off, min(hi, off + _PIECE), width,
                                    delta):
                     adler = zlib.adler32(part, adler)
-                    out += deflate.compress(part)
-                    out += deflate.flush(zlib.Z_BLOCK)
-            out += deflate.flush(zlib.Z_FINISH if hi == n
-                                 else zlib.Z_SYNC_FLUSH)
+                    yield deflate.compress(part)
+                    yield deflate.flush(zlib.Z_BLOCK)
+            yield deflate.flush(zlib.Z_FINISH if hi == n
+                                else zlib.Z_SYNC_FLUSH)
         else:
             while lo < hi:
                 piece = data[lo:min(hi, lo + _STORED_MAX - len(head))]
                 adler = zlib.adler32(piece, zlib.adler32(head, adler))
                 lo, size = lo + len(piece), len(head) + len(piece)
-                out += _STORED_HEADER.pack(lo == n, size, size ^ 0xFFFF)
-                out += head
-                out += piece
+                yield _STORED_HEADER.pack(lo == n, size, size ^ 0xFFFF) + head
+                yield piece
                 head = b""
         lo, head = hi, b""
-    out += struct.pack(">I", adler)
-    return out
+    yield struct.pack(">I", adler)
 
 
 def _inflate_into(payload, out: memoryview, width: int, delta: bool,
@@ -323,11 +329,19 @@ class Codec:
 
     name: str = ""
 
-    def encode(self, data, itemsize: int = 1):
+    def encode_pieces(self, data, itemsize: int = 1) -> Iterator:
         """Encode the bytes-like ``data``, read where it lies (no staging
-        copy); returns a bytes-like payload — ``raw``'s is ``data`` itself.
-        """
+        copy), as the bytes-like pieces of its payload in order; a piece
+        is written out before the next is asked for.  ``raw``'s one
+        piece is ``data`` itself."""
         raise NotImplementedError
+
+    def encode(self, data, itemsize: int = 1):
+        """The payload of :meth:`encode_pieces`, joined."""
+        out = bytearray()
+        for piece in self.encode_pieces(data, itemsize):
+            out += piece
+        return out
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         """Decode ``payload`` into the writable buffer ``out`` (exact fit).
@@ -350,6 +364,9 @@ class RawCodec(Codec):
 
     def encode(self, data, itemsize: int = 1):
         return memoryview(data).cast("B")  # the caller's bytes, not a copy
+
+    def encode_pieces(self, data, itemsize: int = 1) -> Iterator:
+        yield self.encode(data, itemsize)
 
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         payload = memoryview(payload).cast("B")
@@ -375,7 +392,7 @@ class ZlibCodec(Codec):
     def _width(self, nbytes: int, itemsize: int) -> int:
         return 4  # the delta32 word
 
-    def encode(self, data, itemsize: int = 1) -> bytearray:
+    def encode_pieces(self, data, itemsize: int = 1) -> Iterator:
         data = memoryview(data).cast("B")
         return _deflate(data, self._width(len(data), itemsize), self._delta,
                         self.level)

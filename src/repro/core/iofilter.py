@@ -22,12 +22,14 @@ an array declared from scratch from its files once per run
 reverse, is a :class:`StorageError` that says to re-seed.
 
 A load takes one path per kind of destination, with no switch between
-them: a raw block of ``_MMAP_MIN_BYTES`` and more is a read-only mapping
-of its own file — not a copy of it
-(:class:`_FileMapping`); a smaller one is read into a heap buffer; a
-compressed one is decoded into a buffer of its own, from a mapping of its
-chunk file when that is as large; a process-plane load lands in the
-shared-memory segment the store allocated for it (:func:`read_block_into`).
+them: a raw block of ``_MMAP_MIN_BYTES`` and more on the thread plane is
+a read-only mapping of its own file — not a copy of it
+(:class:`_FileMapping`, :func:`maps_file`); any other lands in the
+destination the store allocated when the load started
+(:func:`read_block_into`): a shared-memory segment on the process plane,
+memory from the store's free list on the thread plane
+(:class:`BufferPool`), read into or decoded into, from a mapping of its
+chunk file when that is as large.
 
 ``IOFilter`` (a DataCutter filter) performs the actual reads/writes so
 "the interactions with the file system [are] completely asynchronous" —
@@ -49,11 +51,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import io
 import mmap
 import os
 import random
 import shutil
 import struct
+import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -68,7 +72,7 @@ from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.filters import Filter, FilterContext
 from repro.faults import FaultInjector, InjectedIOError, RetryPolicy
 from repro.obs import MetricsRegistry, Tracer
-from repro.util.atomicio import atomic_write
+from repro.util.atomicio import atomic_file, atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import RunState
@@ -177,19 +181,36 @@ def _inc(metrics, name: str, n: int) -> None:
         metrics.inc(name, int(n))
 
 
-def pack_chunk(codec_name: str, raw, itemsize: int) -> tuple:
-    """Frame one block's bytes as a self-describing chunk container:
-    ``(header, payload)``, the file's two parts, written one after the
-    other without a joined copy."""
-    codec = get_codec(codec_name)
-    payload = codec.encode(raw, itemsize)
+def _write_chunk(fh, codec_name: str, raw: memoryview, itemsize: int) -> int:
+    """Write one block's bytes as a self-describing chunk container into
+    the binary file ``fh``, from its start; returns the bytes written.
+
+    The codec's payload pieces go to the file as they come, behind room
+    left for the header, which is written last, when the payload's
+    length and CRC-32 are known: the payload is never whole in memory.
+    """
     name_bytes = codec_name.encode("ascii")
     if len(name_bytes) > 16:
         raise StorageError(f"codec name {codec_name!r} exceeds 16 bytes")
-    header = _CHUNK_HEADER.pack(
-        CHUNK_MAGIC, name_bytes.ljust(16, b"\0"),
-        len(memoryview(raw).cast("B")), len(payload), checksum(payload))
-    return header, payload
+    fh.seek(CHUNK_HEADER_NBYTES)
+    crc = size = 0
+    for piece in get_codec(codec_name).encode_pieces(raw, itemsize):
+        fh.write(piece)
+        crc = checksum(piece, crc)
+        size += memoryview(piece).nbytes
+    fh.seek(0)
+    fh.write(_CHUNK_HEADER.pack(CHUNK_MAGIC, name_bytes.ljust(16, b"\0"),
+                                raw.nbytes, size, crc))
+    return CHUNK_HEADER_NBYTES + size
+
+
+def pack_chunk(codec_name: str, raw, itemsize: int) -> tuple[bytes, bytes]:
+    """The chunk container :func:`write_block` writes for ``raw``, in
+    memory: ``(header, payload)``."""
+    buf = io.BytesIO()
+    _write_chunk(buf, codec_name, memoryview(raw).cast("B"), itemsize)
+    blob = buf.getvalue()
+    return blob[:CHUNK_HEADER_NBYTES], blob[CHUNK_HEADER_NBYTES:]
 
 
 def _chunk_header(header, file_nbytes: int, what: str):
@@ -269,11 +290,12 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
                 durable: bool = True) -> None:
     """Persist one block: replace its one file (see the module notes).
 
-    :func:`repro.util.atomicio.atomic_write` writes the block's bytes (or
-    its chunk container) to a temporary and renames it over the block's
-    file, so a crash mid-write never leaves a torn block, and nothing
-    else of the array is read or rewritten.  The temporary is fsynced
-    unless ``durable=False`` (a spill: scratch the engine deletes itself).
+    :func:`repro.util.atomicio.atomic_file` takes the block's bytes (or
+    its chunk container, streamed by :func:`_write_chunk`) into a
+    temporary and renames it over the block's file, so a crash mid-write
+    never leaves a torn block, and nothing else of the array is read or
+    rewritten.  The temporary is fsynced unless ``durable=False`` (a
+    spill: scratch the engine deletes itself).
     """
     expected = desc.block_length(block)
     if data.shape != (expected,):
@@ -283,11 +305,14 @@ def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
         )
     raw = _raw_bytes(data, desc)
     codec_name = desc_codec(desc)
-    parts = ((raw,) if codec_name == "raw"
-             else pack_chunk(codec_name, raw, desc.itemsize))
-    atomic_write(block_path(scratch, desc, block), *parts, durable=durable)
-    _inc(metrics, "disk_bytes_written",
-         sum(memoryview(part).nbytes for part in parts))
+    path = block_path(scratch, desc, block)
+    if codec_name == "raw":
+        atomic_write(path, raw, durable=durable)
+        written = raw.nbytes
+    else:
+        with atomic_file(path, durable=durable) as fh:
+            written = _write_chunk(fh, codec_name, raw, desc.itemsize)
+    _inc(metrics, "disk_bytes_written", written)
     _inc(metrics, "logical_bytes_written", raw.nbytes)
 
 
@@ -304,8 +329,9 @@ class _FileMapping:
     """A read-only private mapping of the first ``nbytes`` of a file,
     exposed through the array interface.
 
-    Every mapping in the package is made here, which is what keeps three
-    properties in one place (lint rule ``DOOC008``).  It holds **no file
+    Every mapping in the package is made in this module, here or in
+    :class:`_AnonMapping`, which is what keeps three properties in one
+    place (lint rule ``DOOC008``).  It holds **no file
     descriptor**: ``mmap.mmap(fd, ...)`` dups one per mapping and keeps it
     (CPython < 3.13), so a store of resident blocks would run into
     ``RLIMIT_NOFILE``; ``libc.mmap`` needs the caller's descriptor only
@@ -339,9 +365,54 @@ class _FileMapping:
             _munmap(self._addr, self._length)
 
 
+def _pages(nbytes: int) -> int:
+    """``nbytes`` rounded up to whole pages: the length of its mapping."""
+    return -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+class _AnonMapping:
+    """Private anonymous memory of ``length`` bytes, exposed through the
+    array interface as its first ``nbytes``, writable.
+
+    Like :class:`_FileMapping` it lives exactly as long as the last array
+    over it.  Then it goes back to ``spare``, the free list of the store
+    it was made for, when that has room for it (:class:`BufferPool`), and
+    to the operating system otherwise.  So no live view ever sees its
+    bytes reused.
+    """
+
+    __slots__ = ("_addr", "_length", "_spare", "__array_interface__")
+
+    def __init__(self, nbytes: int, spare: BufferPool | None = None,
+                 addr: int | None = None):
+        self._length = 0  # nothing to unmap until the call succeeds
+        length = _pages(nbytes)
+        if addr is None:
+            # Pre-faulting in one call is a third cheaper than 4 KiB at a
+            # time.
+            addr = _libc.mmap(None, length, mmap.PROT_READ | mmap.PROT_WRITE,
+                              mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                              | getattr(mmap, "MAP_POPULATE", 0), -1, 0)
+            if addr == _MAP_FAILED:
+                err = ctypes.get_errno()
+                raise OSError(err, f"mmap of {length} bytes: "
+                              f"{os.strerror(err)}")
+        self._addr, self._length, self._spare = addr, length, spare
+        self.__array_interface__ = {
+            "version": 3, "shape": (nbytes,), "typestr": "|u1",
+            "data": (addr, False)}
+
+    def __del__(self, _munmap=_libc.munmap):  # bound: globals go first at exit
+        if self._length and (self._spare is None
+                             or not self._spare._keep(self._addr,
+                                                      self._length)):
+            _munmap(self._addr, self._length)
+
+
 def block_buffer(count: int, dtype=np.uint8) -> np.ndarray:
     """Zero-filled writable memory for ``count`` elements of one block:
-    the allocator behind every block-sized buffer of the thread plane.
+    the allocator behind every block-sized buffer of the thread plane
+    that no store makes (a store's come from its :class:`BufferPool`).
 
     A large block gets an anonymous mapping of its own, which returns to
     the operating system the moment its last view dies, whichever thread
@@ -360,12 +431,91 @@ def block_buffer(count: int, dtype=np.uint8) -> np.ndarray:
     dtype = np.dtype(dtype)
     nbytes = count * dtype.itemsize
     if nbytes < _MMAP_MIN_BYTES:
-        buf = bytearray(nbytes)
-    else:
-        # Pre-faulting in one call is a third cheaper than 4 KiB at a time.
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-                        | getattr(mmap, "MAP_POPULATE", 0))
-    return np.frombuffer(buf, dtype=dtype)
+        return np.frombuffer(bytearray(nbytes), dtype=dtype)
+    return np.asarray(_AnonMapping(nbytes)).view(dtype)
+
+
+class BufferPool:
+    """A thread-plane store's free list: the anonymous mappings of the
+    blocks it dropped, by page-rounded length, kept for its next write
+    grants and load destinations.
+
+    A mapping comes back here when the last view of its block dies
+    (:class:`_AnonMapping`), whichever thread drops it, and is kept only
+    if it fits in ``room``, which the store sets to its budget less its
+    ``in_use`` whenever that changes: the free list lives inside the
+    budget.  :meth:`take` trims the list to ``room`` after it takes, and
+    :meth:`trim` does when the store's ``in_use`` grows without a take;
+    :meth:`close` unmaps it all, for good.
+    """
+
+    def __init__(self) -> None:
+        #: the most bytes the free list may keep
+        self.room = 0
+        #: bytes of the mappings it keeps
+        self.nbytes = 0
+        self.closed = False
+        self._free: dict[int, list[int]] = {}  # length -> addresses
+        # Reentrant: a view dropped by a collection that runs while this
+        # thread holds the lock gives its mapping back on the same thread.
+        self._lock = threading.RLock()
+
+    def take(self, count: int, dtype=np.uint8, *, zeroed: bool,
+             metrics: MetricsRegistry | None = None) -> np.ndarray:
+        """Writable memory for ``count`` elements of one block: a kept
+        mapping of its length (counted in ``buffers_recycled``; zeroed
+        only when ``zeroed``, a write grant's, since a load fills every
+        byte or fails), or a new zero-filled one; heap memory below
+        ``_MMAP_MIN_BYTES``, as :func:`block_buffer`'s."""
+        dtype = np.dtype(dtype)
+        nbytes = count * dtype.itemsize
+        if nbytes < _MMAP_MIN_BYTES:
+            self.trim()
+            return block_buffer(count, dtype)
+        length = _pages(nbytes)
+        with self._lock:
+            kept = self._free.get(length)
+            addr = kept.pop() if kept else None
+            if addr is not None:
+                self.nbytes -= length
+                if not kept:
+                    del self._free[length]
+            self.trim()
+        if addr is None:
+            return np.asarray(_AnonMapping(nbytes, self)).view(dtype)
+        _inc(metrics, "buffers_recycled", 1)
+        if zeroed:
+            ctypes.memset(addr, 0, nbytes)
+        return np.asarray(_AnonMapping(nbytes, self, addr)).view(dtype)
+
+    def trim(self, _munmap=_libc.munmap) -> None:
+        """Unmap kept mappings until the list fits in ``room``."""
+        with self._lock:
+            while self.nbytes > self.room:
+                length = next(iter(self._free))
+                kept = self._free[length]
+                _munmap(kept.pop(), length)
+                self.nbytes -= length
+                if not kept:
+                    del self._free[length]
+
+    def close(self) -> None:
+        """Unmap every kept mapping; what comes back later is unmapped
+        too."""
+        self.closed = True
+        self.room = 0
+        self.trim()
+
+    __del__ = close
+
+    def _keep(self, addr: int, length: int) -> bool:
+        """A mapping whose last view died: keep it if it fits."""
+        with self._lock:
+            if self.closed or self.nbytes + length > self.room:
+                return False
+            self._free.setdefault(length, []).append(addr)
+            self.nbytes += length
+            return True
 
 
 @contextlib.contextmanager
@@ -406,6 +556,13 @@ def _open_block(scratch: Path, desc: ArrayDesc, block: int):
         yield fh, size
 
 
+def maps_file(desc: ArrayDesc, block: int) -> bool:
+    """Is ``block`` loaded as a mapping of its own file (a raw block of
+    ``_MMAP_MIN_BYTES`` and more), not into a destination?"""
+    return (desc_codec(desc) == "raw"
+            and desc.block_nbytes(block) >= _MMAP_MIN_BYTES)
+
+
 def read_block(scratch: Path, desc: ArrayDesc, block: int,
                *, metrics: MetricsRegistry | None = None) -> np.ndarray:
     """Load one block; returns it frozen.
@@ -422,7 +579,7 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
     buffer of their own.
     """
     want = desc.block_nbytes(block)
-    if want >= _MMAP_MIN_BYTES and desc_codec(desc) == "raw":
+    if maps_file(desc, block):
         with _open_block(scratch, desc, block) as (fh, _):
             mapping = _FileMapping(fh.fileno(), want)
         _inc(metrics, "disk_bytes_read", want)
@@ -438,11 +595,14 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
 def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
                     out: np.ndarray,
                     *, metrics: MetricsRegistry | None = None) -> np.ndarray:
-    """Load one block into ``out``.
+    """Load one block into ``out``, every byte of it, or raise.
 
-    The segment-pool load path: ``out`` is a writable view over a
-    shared-memory segment.  Raw blocks ``readinto`` it directly from the
-    file, with no intermediate block buffer; compressed blocks are
+    The store's load path: ``out`` is the destination the store
+    allocated when the load started — a view over a shared-memory
+    segment on the process plane, memory from its free list on the
+    thread plane (:class:`BufferPool`; its old bytes are overwritten,
+    never read).  Raw blocks ``readinto`` it directly from the file, with
+    no intermediate block buffer; compressed blocks are
     decoded by their codec's ``decode_into`` straight into ``out``, in
     pieces, with no block-sized temporary (see :mod:`repro.core.codecs`),
     from the chunk file's pages: a read-only mapping of them
@@ -556,8 +716,12 @@ class IOFilter(Filter):
     """Executes load/store commands against a scratch directory.
 
     Input buffers: ``{"op": "load"|"store", "desc": ArrayDesc, "block": int,
-    "data": ndarray (store only), "token": any}``.  Replies mirror the
-    command with ``data`` filled for loads; a command that keeps failing
+    "data": ndarray (store only), "out": ndarray or None (load only),
+    "token": any}``.  A load fills ``out``, the writable destination the
+    store allocated for it (:func:`read_block_into`); one with no ``out``
+    — a raw block the store lets :func:`read_block` map from its file —
+    is read by :func:`read_block`.  Replies mirror the command with
+    ``data`` filled for loads, frozen; a command that keeps failing
     after ``retry.attempts`` tries is answered with ``{"op": "io_error",
     "failed_op": ..., "error": ..., "token": ...}`` instead of killing the
     filter thread.  The engine deploys one per node, a single copy: the
@@ -571,25 +735,20 @@ class IOFilter(Filter):
                  tracer: Tracer | None = None,
                  retry: RetryPolicy | None = None,
                  injector: FaultInjector | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 segment_pool=None):
+                 metrics: MetricsRegistry | None = None):
         self.scratch = Path(scratch)
         self.node = node
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self.metrics = metrics
-        #: repro.core.shm.SegmentPool when loads must land in shared
-        #: memory (process worker plane); None for plain heap loads
-        self.segment_pool = segment_pool
         self._jitter_rng = _jitter_rng(node)
 
     def begin(self, run: RunState) -> None:
         """Bind the engine's next run (the constructor's keywords are the
-        first one's): its faults, counters and segment pool."""
+        first one's): its faults and counters."""
         self.injector = run.injectors.get(self.node)
         self.metrics = run.stores[self.node].metrics
-        self.segment_pool = run.segment_pool
         self._jitter_rng = _jitter_rng(self.node)
 
     def _inc(self, name: str, n: int = 1) -> None:
@@ -651,13 +810,10 @@ class IOFilter(Filter):
         start = self.tracer.now()
         if op == "load":
             def fn():
-                if not (cmd.get("segment") and self.segment_pool is not None):
+                out = cmd.get("out")
+                if out is None:
                     return read_block(self.scratch, desc, block,
                                       metrics=self.metrics)
-                # Destination segment pre-allocated by the store: readinto
-                # (or decode into) it directly, then hand back the sealed view.
-                out = self.segment_pool.ndarray(
-                    cmd["segment"], desc.block_length(block), desc.dtype)
                 read_block_into(self.scratch, desc, block, out,
                                 metrics=self.metrics)
                 out.flags.writeable = False

@@ -95,8 +95,11 @@ class EngineSession:
         self._backing: dict[str, FileBacking] | None = None
 
     def close(self) -> None:
-        """The next run starts cold (the stores stay readable until then)."""
+        """The next run starts cold (the stores stay readable until then,
+        their free lists unmapped)."""
         self._backing = None
+        for store in self.stores.values():
+            store.close()
 
     def take(self) -> dict[str, FileBacking] | None:
         """Close the session, returning what the last completed run
@@ -126,6 +129,8 @@ class EngineSession:
         """
         if carried is None:
             carried = {}
+            for store in self.stores.values():
+                store.close()
             self.stores = {
                 node: LocalStore(node, memory_budget, segment_pool=segment_pool)
                 for node in range(n_nodes)}

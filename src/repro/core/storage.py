@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.array import ArrayDesc
 from repro.core.errors import ImmutabilityError, StorageError, UnknownArrayError
 from repro.core.interval import Interval, Permission
-from repro.core.iofilter import block_buffer
+from repro.core.iofilter import BufferPool, maps_file
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["Effect", "Ticket", "LocalStore", "STATES", "EVENTS"]
@@ -63,12 +63,12 @@ class Effect:
                   "grant_write", "deny"]
     array: str = ""
     block: int = -1
+    #: a spill's bytes; a load's writable destination, which the driver
+    #: fills and hands back to ``on_loaded`` (``None``: the block is read
+    #: as a mapping of its file, ``iofilter.maps_file``)
     data: np.ndarray | None = None
     ticket: Ticket | None = None
     error: str = ""
-    #: for ``load`` effects under a segment pool: the pre-allocated
-    #: shared-memory segment the I/O filter must read the bytes into
-    segment: str = ""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.ticket is not None:
@@ -205,7 +205,18 @@ class _BlockState:
 
 
 class LocalStore:
-    """Storage layer of one node. See module docstring for the contract."""
+    """Storage layer of one node. See module docstring for the contract.
+
+    On the thread plane every block buffer the store makes — a write
+    grant's, a load's destination — comes from its free list, ``spare``
+    (:class:`~repro.core.iofilter.BufferPool`): a dropped block's mapping
+    backs the next load or write of its length once its last view dies.
+    After every call the free list and ``in_use`` together stay within
+    the budget; :meth:`close` unmaps the list.  A reused mapping is
+    zeroed only for a write grant (a load fills every byte or fails),
+    and each reuse counts in ``buffers_recycled``.  Raw blocks of 128 KiB
+    and more are mappings of their files, not of the free list.
+    """
 
     def __init__(self, node: int, memory_budget: int, *,
                  segment_pool: Any = None):
@@ -217,9 +228,14 @@ class LocalStore:
         #: block buffer is carved from a named shared-memory segment and
         #: grants carry a picklable :class:`~repro.core.shm.BlockHandle`,
         #: so the process worker plane can map the same bytes.  ``None``
-        #: (thread plane) keeps plain heap ndarrays.
+        #: (thread plane): block buffers come from ``spare``.
         self.segment_pool = segment_pool
         self.in_use = 0
+        #: the thread plane's free list: the mappings of dropped blocks,
+        #: kept for the next write grant or load destination within what
+        #: the budget leaves beside ``in_use``; unmapped by
+        #: :meth:`close`
+        self.spare = BufferPool()
         self.arrays: dict[str, ArrayDesc] = {}
         self._remote_arrays: set[str] = set()
         self._blocks: dict[tuple[str, int], _BlockState] = {}
@@ -395,6 +411,11 @@ class LocalStore:
     def release(self, ticket: Ticket) -> list[Effect]:
         """Return an interval. Write releases publish the data."""
         return self._apply(self._handed_back(ticket, "released"), "release", ticket)
+
+    def close(self) -> None:
+        """Unmap the free list.  Resident blocks stay readable; a buffer
+        dropped from here on goes back to the operating system."""
+        self.spare.close()
 
     def abandon_pending_allocs(self) -> None:
         """Drop queued allocations at shutdown: the driver guarantees all
@@ -653,27 +674,34 @@ class LocalStore:
         cell = _TABLE[st.status, event]
         key = (st.desc.name, st.block)
 
+        def charge(nbytes: int) -> None:
+            # The free list may keep what the budget leaves beside
+            # ``in_use``; a charge that grows it is followed by a take
+            # from the list or a trim of it, so the two stay within it.
+            self.in_use += nbytes
+            self.spare.room = self.budget - self.in_use
+
         def move(to: str) -> None:
             assert to in cell.to.split("|"), (st.status, event, to)
             frm = st.status
             if frm in (_LOADING, _FETCHING):
                 self._in_flight.discard(key)
                 if to == _ABSENT:  # unwound: the reservation goes back
-                    self.in_use -= st.nbytes
+                    charge(-st.nbytes)
                     if st.segment is not None:
                         # The segment pre-allocated for the load holds
                         # nothing readable: return it before anyone leases it.
                         self.segment_pool.free(st.segment)
                         st.segment = None
             elif to == _ABSENT:  # resident or spilling: the buffer goes
-                self.in_use -= st.nbytes
+                charge(-st.nbytes)
                 self._spill_failed.pop(key, None)
                 self._release_buffer(st)
             elif to in (_LOADING, _FETCHING):  # reserved; bytes come later
-                self.in_use += st.nbytes
+                charge(st.nbytes)
                 self._in_flight.add(key)
             elif frm == _ABSENT:  # a write grant's buffer
-                self.in_use += st.nbytes
+                charge(st.nbytes)
                 self._new_buffer(st)
             st.status = to
 
@@ -684,13 +712,9 @@ class LocalStore:
         def transfer() -> list[Effect]:
             if st.on_disk:
                 move(_LOADING)
-                if self.segment_pool is not None and st.segment is None:
-                    # Pre-allocate the destination segment so the I/O filter
-                    # can read the file bytes straight into shared memory
-                    # (no staging buffer, no copy — the load IS the fill).
-                    st.segment = self.segment_pool.allocate(st.nbytes)
-                return [Effect("load", *key, segment=st.segment or "")]
+                return [Effect("load", *key, data=self._load_destination(st))]
             move(_FETCHING)
+            self.spare.trim()
             return [Effect("fetch_remote", *key)]
 
         match cell.do:
@@ -954,13 +978,31 @@ class LocalStore:
     def _new_buffer(self, st: _BlockState) -> None:
         if self.segment_pool is not None:
             # Segment-backed write buffer: fresh shm pages arrive zeroed,
-            # as the thread plane's block_buffer does.
+            # as the thread plane's buffers do.
             st.segment = self.segment_pool.allocate(st.nbytes)
             st.data = self.segment_pool.ndarray(
                 st.segment, st.desc.block_length(st.block), st.desc.dtype)
         else:
-            st.data = block_buffer(st.desc.block_length(st.block),
-                                   st.desc.dtype)
+            st.data = self.spare.take(st.desc.block_length(st.block),
+                                      st.desc.dtype, zeroed=True,
+                                      metrics=self.metrics)
+
+    def _load_destination(self, st: _BlockState) -> np.ndarray | None:
+        """Where a load of ``st`` lands, allocated as it starts so the
+        I/O filter reads or decodes the file's bytes straight into it (no
+        staging buffer, no copy — the load IS the fill): a shared-memory
+        segment, memory from the free list (not zeroed: the load fills
+        every byte or fails), or ``None`` for a block read as a mapping
+        of its file."""
+        length = st.desc.block_length(st.block)
+        if self.segment_pool is not None:
+            st.segment = self.segment_pool.allocate(st.nbytes)
+            return self.segment_pool.ndarray(st.segment, length, st.desc.dtype)
+        if maps_file(st.desc, st.block):
+            self.spare.trim()
+            return None
+        return self.spare.take(length, st.desc.dtype, zeroed=False,
+                               metrics=self.metrics)
 
     def _attach(self, st: _BlockState, data: np.ndarray) -> None:
         # Memory was reserved when the transfer started; only attach data.

@@ -163,7 +163,7 @@ class _StorageFilter(Filter):
                 self._io_started[(e.kind, e.array, e.block)] = self.tracer.now()
                 cmd = {"desc": self.descs[e.array], "block": e.block}
                 ctx.write("io_cmd", DataBuffer(
-                    {"op": "load", "segment": e.segment, **cmd}
+                    {"op": "load", "out": e.data, **cmd}
                     if e.kind == "load" else
                     {"op": "store", "data": e.data, **cmd}))
             elif e.kind == "drop":

@@ -30,20 +30,21 @@ temporary of their own; the last rename wins.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_file", "atomic_write"]
 
 
-def atomic_write(path: str | Path, *parts, durable: bool = True) -> None:
-    """Atomically replace ``path``'s content with ``parts``, one after
-    the other.
+@contextlib.contextmanager
+def atomic_file(path: str | Path, *, durable: bool = True):
+    """Yield a binary file to write ``path``'s new content into, from
+    its start, seeking as the writer likes; ``path`` is replaced by it
+    when the block ends without an exception, and left as it was
+    otherwise.
 
-    Each part is any bytes-like object and is written from where it
-    lies: a block goes from its own buffer to the file with no copy in
-    between, and a chunk's header and payload are never joined.
     The destination is only ever replaced by a complete temporary — a
     crash at any point leaves the old content intact, never a torn file.
     ``durable`` decides only whether that temporary is flushed to the
@@ -56,8 +57,7 @@ def atomic_write(path: str | Path, *parts, durable: bool = True) -> None:
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            for part in parts:
-                fh.write(part)
+            yield fh
             if durable:
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -68,3 +68,16 @@ def atomic_write(path: str | Path, *parts, durable: bool = True) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write(path: str | Path, *parts, durable: bool = True) -> None:
+    """Atomically replace ``path``'s content with ``parts``, one after
+    the other (:func:`atomic_file`).
+
+    Each part is any bytes-like object and is written from where it
+    lies: a block goes from its own buffer to the file with no copy in
+    between.
+    """
+    with atomic_file(path, durable=durable) as fh:
+        for part in parts:
+            fh.write(part)

@@ -193,12 +193,12 @@ class TestWritesReadTheBlockInPlace:
             seen["file"].append(np.frombuffer(parts[-1], dtype=np.uint8))
             write(path, *parts, **kwargs)
 
-        def encode(data, itemsize=1):
+        def encode_pieces(data, itemsize=1):
             seen["encoder"].append(np.frombuffer(data, dtype=np.uint8))
-            return ZlibCodec.encode(get_codec("zlib"), data, itemsize)
+            return ZlibCodec.encode_pieces(get_codec("zlib"), data, itemsize)
 
         monkeypatch.setattr(iofilter, "atomic_write", atomic_write)
-        monkeypatch.setattr(get_codec("zlib"), "encode", encode,
+        monkeypatch.setattr(get_codec("zlib"), "encode_pieces", encode_pieces,
                             raising=False)
         return seen
 

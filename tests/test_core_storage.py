@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array import ArrayDesc
 from repro.core.errors import ImmutabilityError, StorageError, UnknownArrayError
@@ -225,8 +227,9 @@ class TestWriteOnceSemantics:
 
 
 class TestWriteBuffersComeFromTheAllocator:
-    """A write grant's block is ``block_buffer`` memory: a mapping of its
-    own from glibc's default mmap threshold up, heap below it, and zeroed,
+    """A write grant's block is the store's allocator's memory: a mapping
+    of its own from glibc's default mmap threshold up, which the store's
+    free list keeps once the block is dropped, heap below it, and zeroed,
     writable and typed the same on both sides of the line."""
 
     THRESHOLD = 128 * 1024
@@ -254,17 +257,23 @@ class TestWriteBuffersComeFromTheAllocator:
         assert (data.dtype, data.shape) == (np.dtype(dtype), (length,))
         assert data.flags.writeable and data.flags.c_contiguous
         assert not data.any()
-        assert isinstance(self.backing(data), mmap.mmap if
-                          nbytes >= self.THRESHOLD else bytearray)
+        mapped = nbytes >= self.THRESHOLD
+        assert isinstance(self.backing(data), bytearray) != mapped
+        if mapped:  # a mapping of its own: page-aligned
+            assert data.__array_interface__["data"][0] % mmap.PAGESIZE == 0
         assert store.in_use == nbytes
         data[:] = 1
         store.release(ticket)
         assert store.in_use == nbytes  # resident, sealed, still charged
-        reader, _ = store.request_read(whole_block(d, 0))
+        reader, granted = store.request_read(whole_block(d, 0))
         assert not reader.data.flags.writeable and reader.data.all()
         store.release(reader)
         store.delete_array("w")
         assert store.in_use == 0
+        del data, ticket, effects, reader, granted
+        # the last view died: a mapping goes to the store's free list
+        pages = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        assert store.spare.nbytes == (pages if mapped else 0)
 
 
 class TestOutOfCore:
@@ -933,3 +942,139 @@ class TestBudgetInvariants:
             assert store.in_use >= 0
             store.release(t)
             assert store.in_use <= store.budget
+
+
+class TestTheFreeList:
+    """A thread-plane store recycles the mappings of the blocks it drops:
+    the next write grant or load destination of the same length reuses
+    one, never while a view of it lives, and the free list stays inside
+    what the budget leaves beside ``in_use``."""
+
+    N = 32768  # 256 KiB of float64: a mapping of its own
+
+    @staticmethod
+    def addr(arr):
+        return arr.__array_interface__["data"][0]
+
+    @staticmethod
+    def drive(store, effects):
+        """Play the I/O filter: fill each load's destination with the
+        block number + 1, land each spill; what they return is played
+        too.  Returns the grants."""
+        grants, todo = [], list(effects)
+        while todo:
+            e = todo.pop(0)
+            if e.kind == "load":
+                data = e.data
+                if data is None:  # a raw block, mapped from its file
+                    data = np.full(store.arrays[e.array].block_length(e.block),
+                                   e.block + 1.0)
+                assert data.flags.writeable
+                data[:] = e.block + 1
+                data.flags.writeable = False
+                todo += store.on_loaded(e.array, e.block, data)
+            elif e.kind == "spill":
+                todo += store.on_spilled(e.array, e.block)
+            elif e.kind in ("grant_read", "grant_write"):
+                grants.append(e.ticket)
+        return grants
+
+    def write(self, store, name, value, n=None):
+        d = desc(name=name, length=n or self.N, block=n or self.N)
+        store.create_array(d)
+        ticket, effects = store.request_write(whole_block(d, 0))
+        (granted,) = self.drive(store, effects)
+        assert not granted.data.any()  # zeroed, reused or fresh
+        granted.data[:] = value
+        address = self.addr(granted.data)
+        store.release(granted)
+        return address
+
+    def load(self, store, name, n=None):
+        """A read of an on-disk block, returned with its ticket held."""
+        d = ArrayDesc(name, length=n or self.N, block_elems=n or self.N,
+                      codec="zlib")  # decoded into a destination, not mapped
+        store.register_on_disk(d)
+        ticket, effects = store.request_read(whole_block(d, 0))
+        (granted,) = self.drive(store, effects)
+        return granted
+
+    def test_a_held_view_keeps_its_bytes_past_the_drop(self):
+        store = LocalStore(0, memory_budget=10 * self.N * 8)
+        self.write(store, "a", 7.0)
+        reader, _ = store.request_read(whole_block(store.arrays["a"], 0))
+        view = reader.data
+        store.release(reader)
+        store.delete_array("a")
+        del reader, _
+        assert store.spare.nbytes == 0  # its view still lives
+        assert self.write(store, "b", 9.0) != self.addr(view)
+        loaded = self.load(store, "c")
+        assert self.addr(loaded.data) != self.addr(view)
+        assert (view == 7.0).all() and (loaded.data == 1.0).all()
+        assert store.metrics.get("buffers_recycled") == 0
+
+    @pytest.mark.parametrize("then", ["write", "load"])
+    def test_a_clean_drop_backs_the_next_block_of_its_length(self, then):
+        store = LocalStore(0, memory_budget=10 * self.N * 8)
+        first = self.write(store, "a", 7.0)
+        store.delete_array("a")
+        assert store.spare.nbytes == self.N * 8
+        if then == "write":  # self.write asserts the grant reads zeros
+            again = self.write(store, "b", 3.0)
+        else:
+            loaded = self.load(store, "b")
+            again = self.addr(loaded.data)
+            assert (loaded.data == 1.0).all()
+            store.release(loaded)
+        assert again == first
+        assert store.metrics.get("buffers_recycled") == 1
+        assert store.spare.nbytes == 0
+        # another length does not take it
+        store.delete_array("b")
+        self.write(store, "c", 1.0, n=self.N + 1024)
+        assert store.metrics.get("buffers_recycled") == 1
+
+    def test_close_leaves_no_free_mapping(self):
+        store = LocalStore(0, memory_budget=10 * self.N * 8)
+        for name in "abc":
+            self.write(store, name, 1.0)
+        for name in "ab":
+            store.delete_array(name)
+        assert store.spare.nbytes == 2 * self.N * 8
+        store.close()
+        assert store.spare.nbytes == 0
+        store.delete_array("c")  # dropped after close: unmapped
+        assert store.spare.nbytes == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["write", "load", "drop",
+                                               "hold", "let_go"]),
+                              st.integers(0, 4), st.booleans()),
+                    max_size=30))
+    def test_free_list_and_in_use_stay_within_the_budget(self, ops):
+        store = LocalStore(0, memory_budget=3 * self.N * 8 + 4096)
+        held = []
+        for op, i, longer in ops:
+            name, n = f"x{i}", self.N + (2048 if longer else 0)
+            known = store.has_array(name)
+            if op == "write" and not known:
+                self.write(store, name, float(i), n=n)
+            elif op == "load" and not known:
+                ticket = self.load(store, name, n=n)
+                store.release(ticket)
+            elif op == "drop" and known:
+                store.delete_array(name)
+            elif op == "hold" and known:
+                d = store.arrays[name]
+                ticket, effects = store.request_read(whole_block(d, 0))
+                for granted in self.drive(store, effects):
+                    held.append((granted.data, granted.data.copy()))
+                    store.release(granted)
+            elif op == "let_go" and held:
+                held.pop(0)
+            assert store.spare.nbytes + store.in_use <= store.budget
+            for view, want in held:
+                assert (view == want).all()
+        store.close()
+        assert store.spare.nbytes == 0

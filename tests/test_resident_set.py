@@ -98,12 +98,14 @@ def _has_rss_anon() -> bool:
 
 @pytest.mark.skipif(not _has_rss_anon(),
                     reason="/proc/self/status reports no RssAnon")
-def test_resident_memory_follows_the_budget_not_the_number_of_runs():
+@pytest.mark.parametrize("codec", ["raw", "zlib"])
+def test_resident_memory_follows_the_budget_not_the_number_of_runs(codec):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD,
          *map(str, (PART, K, ITERATIONS, RUNS, BUDGET))],
         capture_output=True, text=True, timeout=300, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+             "DOOC_CODEC": codec})
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["correct"], "iterate differs from the blocked reference"
