@@ -372,7 +372,8 @@ class Fence:
 FENCES = (
     Fence("DOOC005", "non-atomic-durable-write",
           "checkpoint/manifest/block (.blk/.ckpt) files must be written via "
-          "repro.util.atomicio.atomic_write, not bare open()/write_bytes()",
+          "repro.util.atomicio.atomic_write or atomic_file, not bare "
+          "open()/write_bytes()",
           _durable_write, "outside repro/util/atomicio.py"),
     Fence("DOOC006", "raw-shared-memory",
           "SharedMemory() constructed outside repro.core.shm; segments must "

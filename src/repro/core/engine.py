@@ -13,7 +13,7 @@ the event loop of:
 * one **I/O filter** per node (:mod:`repro.core.iofilter`), so
   filesystem interaction is fully asynchronous;
 * a **local scheduler filter** per node (:mod:`repro.core.local_scheduler`)
-  driving ``LocalSchedulerCore`` (splitting, data-aware reordering,
+  driving ``LocalSchedulerCore`` (batching, data-aware reordering,
   prefetching, the wait-or-force rule);
 * replicated **worker filters** per node (:mod:`repro.core.worker`)
   executing task bodies on NumPy views granted by the storage layer;
@@ -164,16 +164,18 @@ def _reseed_array(root: Path, array: str, dead: int, new_home: int) -> None:
     copy_array_files(_node_dir(root, dead), _node_dir(root, new_home), array)
 
 
-#: seconds a parked graph may take to wind down once told to
+#: seconds a graph between runs may take to wind down once told to
 _STOP_S = 30.0
 
 
 def _stop_graph(runtime: ThreadedRuntime) -> None:
-    """End a graph whose session closed.  A parked one winds down as a
-    one-run graph always did: the global scheduler's shutdown broadcast,
-    then end of stream everywhere.  Any other has failed or wound down
-    already, or is stopped mid-run: its streams fail."""
-    if runtime.parked:
+    """End a graph that will not run again.  One whose last run ended on
+    its barrier winds down in order: the global scheduler's shutdown
+    broadcast, then end of stream everywhere.  That holds with every
+    thread parked and after a node death, whose corpse still drains its
+    streams though its workers have exited.  Any other graph has failed,
+    or is stopped mid-run: its streams fail."""
+    if runtime.between_runs:
         runtime.post("gsched", "in", DataBuffer({"op": "shutdown"}))
         runtime.join(_STOP_S)
     else:
@@ -362,8 +364,9 @@ class DOoCEngine:
         try:
             return self._run(program, carried, timeout, cancel)
         except BaseException as exc:
-            if not (isinstance(exc, RunCancelled) and self._graph is not None
-                    and self._graph.parked):
+            if not (isinstance(exc, RunCancelled)
+                    and self.worker_plane == "thread"
+                    and self._graph is not None and self._graph.parked):
                 self._close_graph()  # the session is closed: its graph too
             raise
 
@@ -392,8 +395,7 @@ class DOoCEngine:
             homes=self._homes, descs=self._descs, nbytes=nbytes,
             stores=self.stores, directories=directories, injectors=injectors,
             recovery=recovery, cancel=cancel,
-            segment_pool=self._segment_pool, plane=proc_pool,
-            park=self.worker_plane == "thread"))
+            segment_pool=self._segment_pool, plane=proc_pool))
         watchdog = self._build_watchdog(runtime, recovery)
         self.tracer.instant(-1, "engine", "run", "phase",
                             phase="start", program=program.name)
@@ -428,6 +430,8 @@ class DOoCEngine:
             # which left a corpse's store and moved homes.
             self._session.commit(backing)
         else:
+            # The run ended on the same barrier; the graph winds down now
+            # that the report has read the run's streams.
             self._close_graph()
         return report
 

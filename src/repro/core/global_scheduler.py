@@ -179,7 +179,6 @@ class _GlobalSchedulerFilter(Filter):
                            else None)
         #: cooperative cancellation token (None = run to completion)
         self.cancel = run.cancel
-        self.park = run.park
         #: did this scheduler actually end the run for a cancel?  The
         #: engine keys RunCancelled off this, not off the raw token, so a
         #: token set after the DAG completed does not fail a finished run.
@@ -505,18 +504,15 @@ class _GlobalSchedulerFilter(Filter):
 
     def _advance(self, ctx: FilterContext) -> bool:
         """Start the barrier once the DAG is done; end the run once every
-        live node has answered it.  A graph that cannot park — the
-        process plane, a corpse's closed streams — winds down instead."""
-        parks = self.park and not (self.membership is not None
-                                   and self.membership.dead_nodes())
+        live node has answered it.  Every run ends there, on either plane
+        and after a node death; the engine then winds down a graph it
+        will not reuse."""
         if self._waiting is None and (not self.dag.done or self._replaying):
             return False
-        if self._waiting is None and parks:
+        if self._waiting is None:
             self._barrier(ctx, "end")
         if self._waiting:
             return False
-        if not parks:
-            return self._wind_down(ctx)
         self._open = False
         ctx.end_run()
         return False

@@ -1,12 +1,14 @@
 """The local scheduler: per-node reorder + prefetch decision core.
 
-The local scheduler "splits [tasks] to match the parallelism available on
-the node", marks tasks ready once their predecessors finish, prefers ready
-tasks "whose data input are available in memory", and "makes sure that
-there are a given number of ready tasks whose data are in memory by
-sending sufficient prefetch requests to the storage layer".  It also
-merges: a worker is handed a *batch* of resident ready tasks at once
-(:meth:`LocalSchedulerCore.batch`).
+The local scheduler marks tasks ready once their predecessors finish,
+prefers ready tasks "whose data input are available in memory", and
+"makes sure that there are a given number of ready tasks whose data are
+in memory by sending sufficient prefetch requests to the storage layer".
+The paper's scheduler also "splits [tasks] to match the parallelism
+available on the node"; here batching does that job: a worker is handed
+a *batch* of resident ready tasks, at most its share of them, so no idle
+worker goes without (:meth:`LocalSchedulerCore.batch`).  A task is never
+split: no program declares how one would be.
 
 The preference order implemented here is what makes the back-and-forth
 plan of Fig. 5(b) *emerge* rather than be programmed:
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, AbstractSet, Literal, NamedTuple
 
-from repro.core.errors import SchedulingError
 from repro.core.task import TaskSpec
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.filters import Filter, FilterContext
@@ -212,34 +213,9 @@ class LocalSchedulerCore:
         since it declined the request, or dropped the array."""
         self._prefetched.discard(array)
 
-    # -- splitting ---------------------------------------------------------------
-
-    @staticmethod
-    def split(task: TaskSpec, parts: int) -> list[TaskSpec]:
-        """Split a splittable task into ``parts`` row-range subtasks.
-
-        The task must carry ``meta['splitter']``: a callable
-        ``(task, parts) -> list[TaskSpec]`` provided by the application
-        (the middleware cannot know how to partition an arbitrary kernel's
-        output).  Subtasks carry ``meta['parent']`` for completion
-        accounting.
-        """
-        if parts <= 1 or not task.splittable:
-            return [task]
-        splitter = task.meta.get("splitter")
-        if splitter is None:
-            return [task]
-        subtasks = splitter(task, parts)
-        for sub in subtasks:
-            if sub.meta.get("parent") != task.name:
-                raise ValueError(
-                    f"splitter for {task.name!r} must set meta['parent']"
-                )
-        return subtasks
-
 
 class _LocalSchedulerFilter(Filter):
-    """Per-node scheduler: dispatch, split, prefetch.
+    """Per-node scheduler: dispatch and prefetch.
 
     The step function around :class:`LocalSchedulerCore`.  Prefetch
     requests keep a window of ready tasks memory-resident; they only fill
@@ -287,7 +263,6 @@ class _LocalSchedulerFilter(Filter):
         self._kill_after = (self.injector.kill_step()
                             if self.injector is not None else None)
         self._next_beat = 0.0
-        self._parents: dict[str, int] = {}  # parent task -> remaining subtasks
         self._attempts: dict[str, tuple[int, TaskSpec]] = {}  # (tries, spec)
         self._inflight = 0
         #: bytes the outputs of the tasks in flight here will take
@@ -416,8 +391,8 @@ class _LocalSchedulerFilter(Filter):
     def _dispatch(self, ctx: FilterContext) -> None:
         """While a worker is idle and a task ready (no new work on a node
         that is dying or cancelled): keep the preferred tasks warm, the
-        prefetches marked ``loading`` until answered, then hand out (split
-        over the idle workers, if it may be) what the core chooses."""
+        prefetches marked ``loading`` until answered, then hand out what
+        the core chooses."""
         while (self._idle and self.core.ready_count
                and not self._dying and not self._cancelling):
             for array in self.core.prefetch_plan(self._resident, self.nbytes):
@@ -429,22 +404,7 @@ class _LocalSchedulerFilter(Filter):
             batch = self._choose(ctx)
             if batch is None:
                 return
-            (task, *more) = batch
-            spare = len(self._idle) - 1
-            if (not more and task.splittable and spare > 0
-                    and self.core.ready_count == 0):
-                subtasks = LocalSchedulerCore.split(task, spare + 1)
-                if len(subtasks) > 1:
-                    self._parents[task.name] = len(subtasks)
-                for sub in subtasks:
-                    if self._idle:
-                        self._hand_off(ctx, (sub,))
-                    else:
-                        # More subtasks than workers (split() may round
-                        # up): requeue the remainder as ready work.
-                        self.core.add_ready(sub)
-            else:
-                self._hand_off(ctx, batch)
+            self._hand_off(ctx, batch)
 
     def _hand_off(self, ctx: FilterContext, batch: tuple[TaskSpec, ...]) -> None:
         """Give an idle worker ``batch`` in one message; each of its tasks
@@ -491,13 +451,7 @@ class _LocalSchedulerFilter(Filter):
             # resident unless a note about them came first (one still on
             # its way corrects the view).
             self._now_resident(a for a in task.outputs if a not in self._told)
-            parent = task.meta.get("parent")
-            if parent in self._parents:
-                self._parents[parent] -= 1
-                if self._parents[parent]:
-                    continue  # sibling subtasks still running
-                del self._parents[parent]
-            finished.append(parent or name)
+            finished.append(name)
         for failure in msg["failed"]:
             self._on_failed(ctx, failure)
         for name in msg["returned"]:
@@ -537,14 +491,6 @@ class _LocalSchedulerFilter(Filter):
                                 error=failure["error"])
             self.core.add_ready(task)
             return
-        if task.meta.get("parent") is not None:
-            # A subtask of a split: sibling subtasks may already have
-            # published ranges of the shared outputs, so rerouting the
-            # parent would collide with write-once.  Local retries are the
-            # only recourse (documented limitation, see docs/FAULTS.md).
-            raise SchedulingError(
-                f"subtask {task.name!r} failed {attempt} times on node "
-                f"{self.node}: {failure['error']}")
         self.tracer.instant(self.node, "sched", "task", "task_escalate",
                             task=task.name, error=failure["error"])
         ctx.write("to_gsched", DataBuffer(

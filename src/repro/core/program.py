@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.array import ArrayDesc
 from repro.core.dag import TaskDAG
 from repro.core.errors import DoocError
-from repro.core.task import TaskSpec
+from repro.core.task import TaskSpec, _checked_meta
 
 __all__ = ["Program"]
 
@@ -87,9 +87,6 @@ class Program:
         fn,
         inputs: list[str] | tuple[str, ...],
         outputs: list[str] | tuple[str, ...],
-        *,
-        flops: float = 0.0,
-        splittable: bool = False,
         **meta: Any,
     ) -> TaskSpec:
         for array in list(inputs) + list(outputs):
@@ -98,8 +95,7 @@ class Program:
                     f"task {name!r} references undeclared array {array!r}"
                 )
         spec = TaskSpec(name=name, fn=fn, inputs=tuple(inputs),
-                        outputs=tuple(outputs), flops=flops,
-                        splittable=splittable, meta=dict(meta))
+                        outputs=tuple(outputs), meta=_checked_meta(name, meta))
         self.tasks.append(spec)
         return spec
 

@@ -70,9 +70,6 @@ class RunState:
     cancel: CancelToken | None = None
     segment_pool: SegmentPool | None = None
     plane: ProcessWorkerPool | None = None
-    #: end on the barrier and park the graph for the next run (True), or
-    #: wind it down through end of stream
-    park: bool = True
 
 
 @dataclass(frozen=True)

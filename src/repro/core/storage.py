@@ -530,15 +530,6 @@ class LocalStore:
 
     # -- introspection ---------------------------------------------------------------
 
-    def availability_map(self) -> dict[tuple[str, int], bool]:
-        """(array, block) -> is resident and readable right now, for every
-        block this store has state for (a test and debugging view; the
-        scheduler's question is :meth:`resident_among`)."""
-        out = {}
-        for key, st in self._blocks.items():
-            out[key] = st.status == _RESIDENT and st.sealed
-        return out
-
     def resident_among(self, names: Iterable[str]) -> set[str]:
         """Of ``names``, the arrays all of whose blocks are resident and
         sealed; a name this store does not know is not.
@@ -579,10 +570,6 @@ class LocalStore:
         block table costs as much as a small task.)
         """
         return {name for name, _block in self._in_flight}
-
-    @property
-    def headroom(self) -> int:
-        return self.budget - self.in_use
 
     def peek_block(self, name: str, block: int) -> np.ndarray | None:
         """Resident sealed data of a block (read-only), else None.

@@ -26,22 +26,14 @@ TaskFn = Callable[[dict, dict, dict], None]
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A declared task.
-
-    ``inputs`` / ``outputs`` name whole global arrays.  ``flops`` is a cost
-    hint (used by schedulers and the simulator).  ``splittable`` marks tasks
-    whose output range can be partitioned by the local scheduler "to expose
-    more parallelism when necessary" — the body is then called with an
-    ``outputs`` dict holding only a slice of each output array, plus
-    matching input row ranges supplied through ``split_ctx`` in metadata.
-    """
+    """A declared task: the whole global arrays it reads (``inputs``) and
+    writes (``outputs``), the body that computes them, and ``meta``, which
+    the engine hands to the body untouched."""
 
     name: str
     fn: TaskFn | None
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    flops: float = 0.0
-    splittable: bool = False
     meta: dict[str, Any] = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -56,8 +48,23 @@ class TaskSpec:
                 f"task {self.name!r} reads and writes the same array; arrays "
                 "are immutable — write a new array instead"
             )
-        if self.flops < 0:
-            raise SchedulingError(f"task {self.name!r}: negative flops")
+
+
+#: keywords a task no longer takes: ``meta`` would swallow them silently
+_REMOVED_KEYWORDS = {
+    "flops": "a task's cost hint was read by nothing",
+    "splittable": "a node's workers are filled by batching, not splitting",
+    "splitter": "a node's workers are filled by batching, not splitting",
+}
+
+
+def _checked_meta(name: str, meta: dict[str, Any]) -> dict[str, Any]:
+    """``meta`` for task ``name``, refusing a removed keyword by name."""
+    removed = sorted(meta.keys() & _REMOVED_KEYWORDS)
+    if removed:
+        raise TypeError(f"task {name!r}: {removed[0]}= was removed "
+                        f"({_REMOVED_KEYWORDS[removed[0]]})")
+    return dict(meta)
 
 
 def task(
@@ -65,9 +72,6 @@ def task(
     fn: TaskFn | None,
     inputs: list[str] | tuple[str, ...] = (),
     outputs: list[str] | tuple[str, ...] = (),
-    *,
-    flops: float = 0.0,
-    splittable: bool = False,
     **meta: Any,
 ) -> TaskSpec:
     """Convenience constructor with list arguments."""
@@ -76,9 +80,7 @@ def task(
         fn=fn,
         inputs=tuple(inputs),
         outputs=tuple(outputs),
-        flops=flops,
-        splittable=splittable,
-        meta=dict(meta),
+        meta=_checked_meta(name, meta),
     )
 
 

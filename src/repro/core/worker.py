@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.array import ArrayDesc
 from repro.core.errors import DoocError, IOFailedError
-from repro.core.interval import (Interval, Permission, intervals_for_range,
-                                 whole_array)
+from repro.core.interval import Interval, Permission, whole_array
 from repro.core.opcache import DecodedOperandCache, OperandContext
 from repro.core.procplane import (EnvelopeUnpicklable, ProcessWorkerPool,
                                   WorkerProcessCrash, build_envelope)
@@ -115,15 +114,9 @@ class _WorkerFilter(Filter):
         (an interval several of its tasks read, once); a batch that asks
         for nothing runs at once."""
         for task in b.tasks:
-            out_ranges: dict[str, tuple[int, int]] = task.meta.get(
-                "out_ranges", {})
             b.reads.append({n: whole_array(self.descs[n])
                             for n in task.inputs})
-            #: of each output, the [lo, hi) this task writes: all of it,
-            #: or the range a split gave this subtask
-            b.writes.append({n: intervals_for_range(
-                                 self.descs[n],
-                                 *out_ranges.get(n, (0, self.descs[n].length)))
+            b.writes.append({n: whole_array(self.descs[n])
                              for n in task.outputs})
         reads = list(dict.fromkeys(
             iv for r in b.reads for ivs in r.values() for iv in ivs))
@@ -132,9 +125,8 @@ class _WorkerFilter(Filter):
                    + [(Permission.WRITE, iv) for iv in writes])
         ctx.write("to_storage", DataBuffer(
             {"op": "acquire", "reads": reads, "writes": writes,
-             # whose uses of the store's plan this spends: a split
-             # subtask's are its parent's
-             "tasks": [t.meta.get("parent") or t.name for t in b.tasks],
+             # whose uses of the store's plan this spends
+             "tasks": [t.name for t in b.tasks],
              "reply_to": ("worker", ctx.instance)}))
         return self._on_grants(ctx, b)
 

@@ -364,11 +364,17 @@ class ThreadedRuntime:
     # -- runs of a graph that outlives them ---------------------------------
 
     @property
-    def parked(self) -> bool:
-        """Every thread is alive, none failed, and no run is open."""
+    def between_runs(self) -> bool:
+        """The last run ended (a filter called ``end_run``) and nothing
+        failed; a filter may have returned since, as a dead node's
+        workers do."""
         return (bool(self._threads) and not self._run_open
-                and self._live == len(self._threads)
                 and not self._failed.is_set())
+
+    @property
+    def parked(self) -> bool:
+        """Between runs, with every thread alive: the next run may begin."""
+        return self.between_runs and self._live == len(self._threads)
 
     def begin_run(self, bind: Callable[[Filter], None]) -> None:
         """Open the next run of a parked graph.

@@ -9,10 +9,14 @@ Layout of a checkpoint directory::
 Payloads are encoded by the manager's codec (:mod:`repro.core.codecs`;
 ``raw`` = little-endian bytes as before) and each manifest block entry
 records the codec name, so checkpoint directories self-describe.  Every
-``.blk`` payload and the manifest itself go through
-:func:`repro.util.atomicio.atomic_write` (temp file → fsync → rename), and
-the manifest — carrying a sha256 of each payload's on-disk bytes — is
-written only after all payloads are durable.  A crash at any point therefore leaves either a
+``.blk`` payload goes through :func:`repro.util.atomicio.atomic_file`
+and the manifest through :func:`~repro.util.atomicio.atomic_write`
+(temp file → fsync → rename), and the manifest — carrying a sha256 of
+each payload's on-disk bytes — is written only after all payloads are
+durable.  Neither side holds a payload whole beside its array: a save
+streams the codec's pieces into the file and the hash, and a ``raw``
+restore reads the file straight into the array it returns.  A crash at
+any point therefore leaves either a
 complete, verifiable checkpoint or no manifest for that step at all; a
 manifest whose checksums do not match (torn by a dying disk, truncated,
 bit-flipped) is *rejected* and :meth:`CheckpointManager.load_latest` falls
@@ -37,7 +41,7 @@ from repro.core.codecs import get_codec, resolve_codec
 from repro.core.errors import (CheckpointFormatError, CodecError,
                                CodecMismatchError, RecoveryError)
 from repro.core.iofilter import escape_name
-from repro.util.atomicio import atomic_write
+from repro.util.atomicio import atomic_file, atomic_write
 
 __all__ = ["Checkpoint", "CheckpointManager", "CheckpointCadence",
            "rng_state", "restore_rng"]
@@ -116,15 +120,19 @@ class CheckpointManager:
             # The codec reads the array's own buffer (one copy only when
             # it is not C-contiguous); the manifest keeps its own shape.
             flat = np.ascontiguousarray(arr).reshape(-1)
-            payload = codec.encode(memoryview(flat.view(np.uint8)),
-                                   arr.dtype.itemsize)
             fname = self._block_name(step, name)
-            atomic_write(self.dir / fname, payload)
             # sha256 covers the *encoded* on-disk bytes: load verifies
-            # the file exactly as written, before any decode runs.
+            # the file exactly as written, before any decode runs.  Each
+            # piece goes to the file and the hash before the next is made.
+            digest = hashlib.sha256()
+            with atomic_file(self.dir / fname) as fh:
+                for piece in codec.encode_pieces(
+                        memoryview(flat.view(np.uint8)), arr.dtype.itemsize):
+                    digest.update(piece)
+                    fh.write(piece)
             blocks[name] = {
                 "file": fname,
-                "sha256": hashlib.sha256(payload).hexdigest(),
+                "sha256": digest.hexdigest(),
                 "dtype": str(arr.dtype),
                 "shape": list(arr.shape),
                 "codec": self.codec,
@@ -217,27 +225,38 @@ class CheckpointManager:
                     f"{self.codec!r}; restore with the original codec or "
                     "re-encode the checkpoint explicitly")
             blk = self.dir / entry["file"]
-            try:
-                payload = blk.read_bytes()
-            except OSError as exc:
-                raise RecoveryError(f"missing payload {blk.name}: {exc}")
-            if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
-                raise RecoveryError(
-                    f"checksum mismatch on {blk.name} (step {step})")
             arr = np.empty(entry["shape"], dtype=np.dtype(entry["dtype"]))
             raw_nbytes = int(entry.get("raw_nbytes", arr.nbytes))
             if raw_nbytes != arr.nbytes:
                 raise RecoveryError(
                     f"payload {blk.name} holds {raw_nbytes} raw bytes, its "
                     f"shape and dtype want {arr.nbytes} (step {step})")
+            out = memoryview(arr.reshape(-1).view(np.uint8))
+            fits = True
             try:
-                get_codec(entry_codec).decode_into(
-                    payload, memoryview(arr.reshape(-1).view(np.uint8)),
-                    arr.dtype.itemsize)
-            except CodecError as exc:
+                with open(blk, "rb") as fh:
+                    if entry_codec == "raw":
+                        # Straight into the array it restores, which is
+                        # then what is hashed; a file of another length
+                        # cannot be the one that was.
+                        fits = fh.readinto(out) == len(out) and not fh.read(1)
+                        payload = out
+                    else:
+                        payload = fh.read()
+            except OSError as exc:
+                raise RecoveryError(f"missing payload {blk.name}: {exc}")
+            if not fits or (hashlib.sha256(payload).hexdigest()
+                            != entry["sha256"]):
                 raise RecoveryError(
-                    f"payload {blk.name} does not decode (step {step}): "
-                    f"{exc}") from exc
+                    f"checksum mismatch on {blk.name} (step {step})")
+            if entry_codec != "raw":
+                try:
+                    get_codec(entry_codec).decode_into(
+                        payload, out, arr.dtype.itemsize)
+                except CodecError as exc:
+                    raise RecoveryError(
+                        f"payload {blk.name} does not decode (step {step}): "
+                        f"{exc}") from exc
             arrays[name] = arr
         return Checkpoint(step=step, arrays=arrays,
                           extra=manifest.get("extra", {}))

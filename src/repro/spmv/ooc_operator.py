@@ -66,7 +66,6 @@ class OutOfCoreMatrix:
         eng_kwargs.update(engine_kwargs or {})
         self.engine = DOoCEngine(**eng_kwargs)
         self._a_raw_len: dict[tuple[int, int], int] = {}
-        self._nnz: dict[tuple[int, int], int] = {}
         #: stored frozen-column products: array -> (length, home node)
         self._products: dict[str, tuple[int, int]] = {}
         self.matvec_count = 0
@@ -87,7 +86,6 @@ class OutOfCoreMatrix:
         for (u, v), b in blocks.items():
             raw = serialize_csr(b)
             self._a_raw_len[(u, v)] = len(raw)
-            self._nnz[(u, v)] = b.nnz
             desc = ArrayDesc(a_name(u, v), length=len(raw), dtype="uint8",
                              block_elems=len(raw))
             write_array(self.engine.node_scratch(self.owner(u, v)), desc, raw,
@@ -195,7 +193,7 @@ class OutOfCoreMatrix:
                 ins[v] = product("y", u, v)
                 _declare_multiply(prog, name("mult", u, v), u, v,
                                   name("x", src), ins[v], ylen, ylen,
-                                  self._nnz[(u, v)], **seeds[src][2], **meta)
+                                  **seeds[src][2], **meta)
             if persist:
                 products[u] = ins
             elif ins:

@@ -114,12 +114,11 @@ def _vector_parts(partition: GridPartition,
 
 
 def _declare_multiply(prog: Program, task: str, u: int, v: int, x: str,
-                      y: str, ylen: int, block_elems: int, nnz: int,
-                      **meta) -> None:
+                      y: str, ylen: int, block_elems: int, **meta) -> None:
     """Declare ``y`` and the task ``y = A_{u,v} @ x``."""
     prog.array(y, ylen, block_elems=block_elems)
     prog.add_task(task, _mult_fn, [a_name(u, v), x], [y],
-                  flops=2.0 * nnz, a=a_name(u, v), x=x, **meta)
+                  a=a_name(u, v), x=x, **meta)
 
 
 def _declare_row_reduction(prog: Program, name: Callable[..., str], u: int,
@@ -141,7 +140,6 @@ def _declare_row_reduction(prog: Program, name: Callable[..., str], u: int,
     prog.array(out, ylen, block_elems=block_elems)
     if policy == "simple":
         partials = list(ins.values())
-        flops = ylen * (len(partials) - 1)
     else:
         groups: dict[int, list[str]] = {}
         for v, y in ins.items():
@@ -153,13 +151,10 @@ def _declare_row_reduction(prog: Program, name: Callable[..., str], u: int,
                 continue
             part = name("part", u, node)
             prog.array(part, ylen, block_elems=block_elems)
-            prog.add_task(name("psum", u, node), _sum_fn, ys, [part],
-                          flops=float(ylen * (len(ys) - 1)), **meta)
+            prog.add_task(name("psum", u, node), _sum_fn, ys, [part], **meta)
             partials.append(part)
-        # A single partial is renamed by a trivial sum (uniform naming).
-        flops = ylen * max(len(partials) - 1, 1)
-    prog.add_task(name("sum", u), _sum_fn, partials, [out],
-                  flops=float(flops), **meta)
+    # A single partial is renamed by a trivial sum (uniform naming).
+    prog.add_task(name("sum", u), _sum_fn, partials, [out], **meta)
 
 
 @dataclass
@@ -226,8 +221,7 @@ def build_iterated_spmv(
         for u, v in partition.coords():
             _declare_multiply(prog, name("mult", u, v), u, v,
                               x_name(i - 1, v), name("y", u, v),
-                              partition.part_length(u), vec_block(u),
-                              blocks[(u, v)].nnz)
+                              partition.part_length(u), vec_block(u))
         for u in range(k):
             _declare_row_reduction(
                 prog, name, u, {v: name("y", u, v) for v in range(k)},

@@ -4,11 +4,13 @@ A block, checkpoint payload, or manifest that is half-written when the
 process dies must never be observable: a reader sees either the previous
 complete content or the new complete content.  POSIX gives exactly one
 primitive with that guarantee — ``rename(2)`` within a filesystem — so
-every array and checkpoint file is written through :func:`atomic_write`:
-write the full new content to a temporary file in the *same directory*,
-then ``os.replace`` it over the destination.  The lint rule ``DOOC005``
-(:mod:`repro.analysis.rules`) flags bare ``open(..., "w")`` /
-``write_bytes`` on checkpoint/block paths that bypass this helper.
+every array and checkpoint file is written through :func:`atomic_file`
+(a writer that streams its pieces, as a codec's encoder does) or
+:func:`atomic_write` (given parts): write the full new content to a
+temporary file in the *same directory*, then ``os.replace`` it over the
+destination.  The lint rule ``DOOC005`` (:mod:`repro.analysis.rules`)
+flags bare ``open(..., "w")`` / ``write_bytes`` on checkpoint/block
+paths that bypass these helpers.
 
 Two promises, kept apart:
 

@@ -15,6 +15,7 @@ from repro.ci.mscheme import MSchemeSpace
 from repro.ci.nnz import estimate_total_nnz
 from repro.core.array import ArrayDesc
 from repro.core.engine import DOoCEngine
+from repro.core.program import Program
 from repro.core.local_scheduler import LocalSchedulerCore
 from repro.core.storage import LocalStore
 from repro.core.task import task
@@ -64,6 +65,37 @@ def documented_parameters(call: str) -> list[str]:
     doc = (Path(__file__).parents[1] / "docs" / "API.md").read_text()
     row = re.search(rf"^\| `{re.escape(call)}\((.*?)\)`", doc, re.M).group(1)
     return [arg.split("=")[0].strip() for arg in row.split(", ")]
+
+
+#: what a task declares: what the engine reads, and ``meta`` for its body
+TASK_PARAMETERS = ["name", "fn", "inputs", "outputs", "**meta"]
+
+
+def spelled_parameters(fn) -> list[str]:
+    """``fn``'s parameters as a docs/API.md row spells them."""
+    return [("**" if p.kind is p.VAR_KEYWORD else "") + p.name
+            for p in inspect.signature(fn).parameters.values()
+            if p.name != "self"]
+
+
+class TestTaskDeclaration:
+    def test_signatures_are_pinned(self):
+        assert spelled_parameters(Program.add_task) == TASK_PARAMETERS
+        assert spelled_parameters(task) == TASK_PARAMETERS
+
+    def test_api_doc_row_names_the_same_parameters(self):
+        assert documented_parameters(".add_task") == TASK_PARAMETERS
+
+    @pytest.mark.parametrize("removed", ["splittable", "splitter", "flops"])
+    def test_removed_keywords_are_type_errors(self, removed):
+        # ``**meta`` would take them silently: each is refused by name.
+        prog = Program("removed")
+        prog.array("y", 4)
+        for declare in (lambda **kw: prog.add_task("t", noop, [], ["y"], **kw),
+                        lambda **kw: task("t", noop, [], ["y"], **kw)):
+            with pytest.raises(TypeError, match=f"{removed}= was removed"):
+                declare(**{removed: 1.0}, color="red")
+        assert prog.tasks == []
 
 
 class TestApplicationLayerSignatures:
@@ -221,7 +253,7 @@ class TestStorageSurfaces:
         store = LocalStore(0, memory_budget=1000)
         store.register_on_disk(d)
         store.register_remote(r)
-        assert store.headroom == 1000
+        assert store.budget - store.in_use == 1000
         assert store.is_remote("r") and not store.is_remote("a")
         assert store.block_on_disk("a", 0) and not store.block_on_disk("r", 0)
 

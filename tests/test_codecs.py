@@ -1058,6 +1058,35 @@ class TestCheckpointCodecs:
         with pytest.raises(RecoveryError, match="holds 64 raw bytes"):
             mgr.load(1)
 
+    @pytest.mark.parametrize("name", ["raw", "zlib"])
+    def test_no_payload_sits_beside_the_array(self, tmp_path, name):
+        # A save streams the codec's pieces into the file and its hash,
+        # and a raw restore reads the file into the array it returns.  On
+        # 8 MiB of normal float64 values (stored whole under zlib, so the
+        # payload is as large as the array) saving peaks under a
+        # mebibyte, where joining the payload made it the array again; a
+        # raw restore peaks at the array and a mebibyte, where reading
+        # the file whole made it twice the array; an encoded restore
+        # still reads its payload whole beside the array.
+        import tracemalloc
+
+        x = np.random.default_rng(8).standard_normal(2**20)
+        mgr = CheckpointManager(tmp_path, codec=name)
+        tracemalloc.start()
+        try:
+            mgr.save(1, {"x": x})
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            restored = mgr.load(1).arrays["x"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert restored.tobytes() == x.tobytes()
+        assert saved < 2**20, saved
+        payload = next(tmp_path.glob("ckpt-00000001-*.blk")).stat().st_size
+        beside = 0 if name == "raw" else payload
+        assert peak <= x.nbytes + beside + 2**20, peak
+
     def test_corrupt_compressed_payload_rejected(self, tmp_path):
         mgr = CheckpointManager(tmp_path, codec="zlib")
         mgr.save(1, {"x": np.zeros(100)})

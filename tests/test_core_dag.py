@@ -21,13 +21,10 @@ class TestTaskSpec:
             task("t", noop, ["a"], ["a"])  # immutability
         with pytest.raises(SchedulingError):
             task("t", noop, [], ["x", "x"])  # dup outputs
-        with pytest.raises(SchedulingError):
-            task("t", noop, [], ["x"], flops=-1)
 
     def test_meta_carried(self):
-        t = task("t", noop, [], ["x"], flops=10, color="red")
-        assert t.meta == {"color": "red"}
-        assert t.flops == 10
+        t = task("t", noop, [], ["x"], color="red", length=10)
+        assert t.meta == {"color": "red", "length": 10}
 
 
 def spmv_like_tasks():

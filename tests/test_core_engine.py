@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import DOoCEngine, DoocError, Program
-from repro.core.task import TaskSpec
 
 
 def scale_fn(factor):
@@ -176,47 +175,6 @@ class TestMultiNode:
             eng.run(build(), timeout=60)
             out.append(eng.fetch("s"))
         np.testing.assert_array_equal(out[0], out[1])
-
-
-class TestSplitTasks:
-    @staticmethod
-    def _range_splitter(parent, parts):
-        """Split a 1-in/1-out elementwise task into row ranges."""
-        out = parent.outputs[0]
-        length = parent.meta["length"]
-        bounds = np.linspace(0, length, parts + 1).astype(int)
-        subs = []
-        for k in range(parts):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            if lo == hi:
-                continue
-            subs.append(TaskSpec(
-                name=f"{parent.name}#{k}",
-                fn=parent.fn,
-                inputs=parent.inputs,
-                outputs=parent.outputs,
-                meta={"parent": parent.name,
-                      "out_ranges": {out: (lo, hi)},
-                      "length": length},
-            ))
-        return subs
-
-    def test_split_task_fills_workers(self, tmp_path):
-        n = 256
-
-        def ranged_scale(ins, outs, meta):
-            (out_name,) = list(outs)
-            lo, hi = meta.get("out_ranges", {}).get(out_name, (0, n))
-            outs[out_name][:] = ins["x"][lo:hi] * 5.0
-
-        prog = Program("split", default_block_elems=32)
-        prog.initial_array("x", np.arange(n, dtype=float))
-        prog.array("y", n, block_elems=32)
-        prog.add_task("scale", ranged_scale, ["x"], ["y"],
-                      splittable=True, splitter=self._range_splitter, length=n)
-        eng = DOoCEngine(n_nodes=1, workers=4, scratch_dir=tmp_path)
-        eng.run(prog, timeout=60)
-        np.testing.assert_allclose(eng.fetch("y"), np.arange(n) * 5.0)
 
 
 class TestIteratedPattern:

@@ -156,34 +156,6 @@ class TestLocalScheduler:
         ls.forget_prefetch("A")
         assert ls.prefetch_plan(set(), {"A": 1}) == ["A"]
 
-    def test_split_requires_splitter_meta(self):
-        t = task("t", noop, ["A"], ["y"], splittable=True)
-        assert LocalSchedulerCore.split(t, 4) == [t]  # no splitter: unsplit
-
-    def test_split_calls_splitter_and_checks_parent(self):
-        def splitter(parent, parts):
-            return [
-                task(f"{parent.name}#{k}", noop, parent.inputs, parent.outputs,
-                     parent=parent.name)
-                for k in range(parts)
-            ]
-
-        t = task("t", noop, ["A"], ["y"], splittable=True, splitter=splitter)
-        subs = LocalSchedulerCore.split(t, 3)
-        assert [s.name for s in subs] == ["t#0", "t#1", "t#2"]
-
-    def test_split_bad_splitter_rejected(self):
-        def bad(parent, parts):
-            return [task("x", noop, [], ["y2"])]
-
-        t = task("t", noop, [], ["y"], splittable=True, splitter=bad)
-        with pytest.raises(ValueError, match="parent"):
-            LocalSchedulerCore.split(t, 2)
-
-    def test_split_one_part_is_identity(self):
-        t = task("t", noop, [], ["y"], splittable=True)
-        assert LocalSchedulerCore.split(t, 1) == [t]
-
 
 class TestWaitOrForce:
     """``LocalSchedulerCore.choose`` is the rule the engine's local

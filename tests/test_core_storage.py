@@ -468,12 +468,14 @@ class TestOutOfCore:
             ("drop", 1), ("grant_write", 2)]
 
     def test_availability_map(self):
+        """What is available is asked of ``resident_among``: an array is
+        resident only once every block of it is."""
         d, store = self.make()
         t, effects = store.request_read(whole_block(d, 0))
         self.load_reply(store, effects, d)
-        amap = store.availability_map()
-        assert amap[("a", 0)] is True
-        assert amap.get(("a", 1), False) is False
+        assert store.peek_block("a", 0) is not None
+        assert store.peek_block("a", 1) is None
+        assert store.resident_among(["a"]) == set()
 
     def test_resident_arrays(self):
         d = desc(length=50, block=50, name="v")

@@ -36,7 +36,7 @@ from hypothesis.stateful import (
 from repro.core.array import ArrayDesc
 from repro.core.errors import ImmutabilityError, StorageError
 from repro.core.interval import Interval
-from repro.core.storage import LocalStore, Ticket
+from repro.core.storage import _RESIDENT, LocalStore, Ticket
 
 N_ARRAYS = 3
 LENGTH = 40
@@ -327,10 +327,15 @@ class StorageMachine(RuleBasedStateMachine):
 
     def _whole_arrays(self, names):
         """Of ``names``: known, and every block resident and sealed — read
-        off ``availability_map()`` (a block with no state is absent)."""
-        amap = self.store.availability_map()
+        off the block table itself (a block with no state is absent)."""
+        table = self.store._blocks
+
+        def available(key):
+            st = table.get(key)
+            return st is not None and st.status == _RESIDENT and st.sealed
+
         return {n for n in names if n in self.store.arrays and all(
-            amap.get((n, b), False) for b in self.store.arrays[n].blocks())}
+            available((n, b)) for b in self.store.arrays[n].blocks())}
 
     @rule(names=st.sets(st.sampled_from(QUERY_NAMES)))
     def residency_query(self, names):
@@ -380,10 +385,9 @@ class StorageMachine(RuleBasedStateMachine):
                     pass
 
     @invariant()
-    def availability_map_is_consistent(self):
-        amap = self.store.availability_map()
-        for (name, block), avail in amap.items():
-            if avail:
+    def resident_arrays_are_readable(self):
+        for name in self.store.resident_arrays():
+            for block in self.store.arrays[name].blocks():
                 assert self.store.peek_block(name, block) is not None
 
 

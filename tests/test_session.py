@@ -27,7 +27,7 @@ from repro.core.local_scheduler import _LocalSchedulerFilter
 from repro.core.shm import SEGMENT_PREFIX, dev_shm_segments
 from repro.core.storage_filter import _StorageFilter
 from repro.core.worker import _WorkerFilter
-from repro.datacutter import FilterError
+from repro.datacutter import FilterContext, FilterError, ThreadedRuntime
 from repro.faults import FaultPlan, RetryPolicy
 from repro.recovery import CheckpointManager, MembershipConfig
 from repro.solvers.jacobi import jacobi_solve
@@ -690,6 +690,51 @@ class TestGraphLifetime:
         assert again and not again & first
         eng.cleanup()
         assert_stopped(again)
+
+    @pytest.mark.parametrize("ending", ["process_plane", "node_death"])
+    def test_a_graph_not_reused_ends_its_run_on_the_barrier(self, tmp_path,
+                                                            ending):
+        """(b'') A process-plane run, and one that survived a node death,
+        end on the barrier every run ends on: when the report reads the
+        run's streams, the one ``shutdown`` written is the one a dying
+        node sends its worker.  The engine then winds the graph down in
+        order (the global scheduler's broadcast, not a failed graph),
+        though a corpse's workers have exited, and the next run builds a
+        fresh one.  /dev/shm holds none of this process's segments after
+        either."""
+        kwargs, end = ENDINGS[ending]
+        eng = DOoCEngine(**{"n_nodes": 2, "workers": 1,
+                            "scratch_dir": tmp_path, **kwargs})
+        ops, at_report = [], []
+        write, stats = FilterContext.write, ThreadedRuntime.stream_stats
+
+        def recording_write(ctx, port, buf):
+            ops.append((port, buf.payload.get("op")))
+            write(ctx, port, buf)
+
+        def reading_stats(runtime):
+            at_report.append(len(ops))
+            return stats(runtime)
+
+        run = {"process_plane": lambda: run_checked(eng, "first"),
+               "node_death": lambda: end(eng)}[ending]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FilterContext, "write", recording_write)
+            patch.setattr(ThreadedRuntime, "stream_stats", reading_stats)
+            first = graph_started_by(run)
+        (inside,) = at_report
+        shutdowns = [[port for port, op in part if op == "shutdown"]
+                     for part in (ops[:inside], ops[inside:])]
+        assert shutdowns[0] == ([] if ending == "process_plane"
+                                else ["to_workers"])
+        assert {"out_0", "out_1"} <= set(shutdowns[1])
+        assert_stopped(first)
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
+        again = graph_started_by(lambda: run_checked(eng, "again"))
+        assert again and not again & first
+        eng.cleanup()
+        assert_stopped(again)
+        assert dev_shm_segments(prefix=OWN_SEGMENTS) == []
 
     def test_a_cancelled_run_parks_cold(self, tmp_path, x, protocol_checkers):
         """(b') A cancel ends the run on the same barrier as a completed

@@ -76,29 +76,26 @@ class TestGridValidation:
         assert list(tmp_path.iterdir()) == []
 
 
-def reference_tree(policy, owner, u, ins, ylen, sum_name, psum_name,
-                   part_name):
+def reference_tree(policy, owner, u, ins, sum_name, psum_name, part_name):
     """Row ``u``'s reduction of ``ins`` (column -> array), written out
-    longhand: ``[(task, inputs, flops)]`` in declaration order."""
+    longhand: ``[(task, inputs)]`` in declaration order."""
     if policy == "simple":
-        return [(sum_name, [ins[v] for v in sorted(ins)],
-                 float(ylen * (len(ins) - 1)))]
+        return [(sum_name, [ins[v] for v in sorted(ins)])]
     tasks, final = [], []
     for node in sorted({owner(u, v) for v in ins}):
         mine = [ins[v] for v in sorted(ins) if owner(u, v) == node]
         if len(mine) == 1:          # a lone product goes straight to the sum
             final.append(mine[0])
             continue
-        tasks.append((psum_name(node), mine, float(ylen * (len(mine) - 1))))
+        tasks.append((psum_name(node), mine))
         final.append(part_name(node))
-    return tasks + [(sum_name, final,
-                     float(ylen * max(len(final) - 1, 1)))]
+    return tasks + [(sum_name, final)]
 
 
 def reductions(prog, u, sum_name, psum_prefix):
     """The ``sum`` / ``psum`` tasks of row ``u`` as the program declares
-    them: ``[(task, inputs, flops)]``."""
-    return [(t.name, list(t.inputs), t.flops) for t in prog.tasks
+    them: ``[(task, inputs)]``."""
+    return [(t.name, list(t.inputs)) for t in prog.tasks
             if t.name == sum_name or t.name.startswith(psum_prefix)]
 
 
@@ -126,8 +123,7 @@ class TestSummationOrder:
             for u in range(K):
                 want = reference_tree(
                     policy, owner, u,
-                    {v: f"y_{i}_{u}_{v}" for v in range(K)},
-                    p.part_length(u), f"sum_{i}_{u}",
+                    {v: f"y_{i}_{u}_{v}" for v in range(K)}, f"sum_{i}_{u}",
                     lambda node: f"psum_{i}_{u}_{node}",
                     lambda node: f"part_{i}_{u}_{node}")
                 assert reductions(built.program, u, f"sum_{i}_{u}",
@@ -177,7 +173,7 @@ class TestSummationOrder:
         for t, ins in fed.items():
             for u in range(K):
                 want = reference_tree(
-                    policy, owner, u, ins(u), p.part_length(u),
+                    policy, owner, u, ins(u),
                     f"it{t}_sum_{u}", lambda node: f"it{t}_psum_{u}_{node}",
                     lambda node: f"it{t}_part_{u}_{node}")
                 assert reductions(programs[t], u, f"it{t}_sum_{u}",

@@ -99,13 +99,14 @@ class TestDeleteArrayAtomicity:
     def test_failed_delete_leaves_state_untouched(self):
         store, t_pin = self._store_with_pinned_tail()
         in_use = store.in_use
-        avail = store.availability_map()
+        assert store.resident_among(["a"]) == {"a"}
         with pytest.raises(StorageError, match="in use"):
             store.delete_array("a")
         # The failing validation hit block 1; block 0 must be intact.
         assert store.has_array("a")
         assert store.in_use == in_use
-        assert store.availability_map() == avail
+        assert store.resident_among(["a"]) == {"a"}
+        assert store.peek_block("a", 1) is not None
         assert store.peek_block("a", 0) is not None
         np.testing.assert_allclose(store.peek_block("a", 0), 0.0)
 
